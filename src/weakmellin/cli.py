@@ -28,7 +28,6 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .acceptance import battery, run_all, run_criterion
 from .arch_zeta import RealSign, Trivial, weil_index_arch, zeta_real
 from .errors import UncertifiedError, WeakMellinError
 from .global_zeta import (
@@ -245,6 +244,8 @@ class JobConfig:
         if command == "verify":
             suite = str(data.get("suite", "all"))
             if suite != "all":
+                from .acceptance import battery  # loads scipy; verify only
+
                 numbers = {str(num) for num, _, _ in battery()}
                 if suite not in numbers:
                     raise ConfigError(f"unknown suite {suite!r}")
@@ -295,7 +296,7 @@ def _local_callable(cfg: JobConfig):
         chi = None
         if cfg.chi_mod is not None:
             n = _prime_power_exponent(cfg.chi_mod, cfg.p)
-            chars = unit_characters(cfg.p, n)
+            chars = tuple(unit_characters(cfg.p, n))
             if not 0 <= cfg.chi_index < len(chars):
                 raise ConfigError(
                     f"chi index {cfg.chi_index} out of range; modulus "
@@ -423,6 +424,8 @@ def _run_zeros(cfg: JobConfig):
 
 
 def _run_verify(cfg: JobConfig):
+    from .acceptance import run_all, run_criterion  # loads scipy; verify only
+
     if cfg.suite == "all":
         results = run_all()
     else:

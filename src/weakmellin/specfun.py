@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -192,6 +192,17 @@ def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
     z = complex(z)
     if abs(z) > _HYP_Z_CAP:
         raise DomainError(f"hyp1f1 argument |z| = {abs(z):.3g} exceeds {_HYP_Z_CAP}")
+    if (
+        z == 0
+        and cmath.isfinite(a)
+        and cmath.isfinite(b)
+        and min(abs(b), abs(b + 1.0), abs(b + 2.0)) > 2e-12
+    ):
+        # At z = 0 every term after the first is zero, so the loop below
+        # stops after three terms with the sum exactly 1.  Near a pole
+        # (b within 2e-12 of 0, -1 or -2) it runs anyway, so that its
+        # extended-precision pole test decides.
+        return EvalQuality(value=1.0 + 0.0j, cancellation_ratio=1.0, terms_used=3)
 
     aw = np.clongdouble(a)
     bw = np.clongdouble(b)
@@ -268,6 +279,10 @@ _BERNOULLI = (
 
 _EM_N = 50
 _EM_M = 12
+# B_2k / (2k)! for k = 1 .. _EM_M, rounded once from the exact fractions
+_EM_COEFFS = tuple(
+    float(_BERNOULLI[k - 1] / math.factorial(2 * k)) for k in range(1, _EM_M + 1)
+)
 _ZETA_IM_CAP = 60.0
 
 
@@ -282,8 +297,7 @@ def _em_tail(s: complex, base: float) -> complex:
     """Euler-Maclaurin correction terms at cutoff `base` (= N + a)."""
     out = 0.0 + 0.0j
     rising = s  # (s)_{2k-1} built incrementally
-    for k in range(1, _EM_M + 1):
-        coeff = float(_BERNOULLI[k - 1] / math.factorial(2 * k))
+    for k, coeff in enumerate(_EM_COEFFS, start=1):
         out += coeff * rising * base ** (-s - (2 * k - 1))
         if k < _EM_M:
             rising *= (s + 2 * k - 1) * (s + 2 * k)
@@ -476,11 +490,20 @@ class DirichletCharacter:
                 pos += 1
         return total % 1
 
+    @cached_property
+    def _values(self) -> tuple[complex, ...]:
+        # chi over the residues 0 .. q-1, built once per character
+        out = []
+        for n in range(self.modulus):
+            ph = self.phase(n)
+            if ph is None:
+                out.append(0.0 + 0.0j)
+            else:
+                out.append(cmath.exp(2j * math.pi * float(ph)))
+        return tuple(out)
+
     def __call__(self, n: int) -> complex:
-        ph = self.phase(n)
-        if ph is None:
-            return 0.0 + 0.0j
-        return cmath.exp(2j * math.pi * float(ph))
+        return self._values[n % self.modulus]
 
     @property
     def is_principal(self) -> bool:

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BoundaryZeroError,
@@ -320,19 +321,24 @@ def _boundary_points(rect, n: int):
 
 
 def _check_boundary_clear(vals):
+    """Refuse a contour whose modulus dips far below its neighbourhood.
+
+    Each sample is compared with the median of the 2*half + 1 samples
+    centred on it (half = max(8, n // 64)), the contour read
+    cyclically.  Needs n >= 8 samples; winding_count uses at least 64.
+    """
     mags = np.abs(np.asarray(vals))
     if not np.all(np.isfinite(mags)) or np.any(mags == 0.0):
         raise BoundaryZeroError("function vanished or blew up on the contour")
     n = len(mags)
     half = max(8, n // 64)
     ext = np.concatenate([mags[-half:], mags, mags[:half]])
-    for i in range(n):
-        window = ext[i : i + 2 * half + 1]
-        if mags[i] < _BOUNDARY_DIP * float(np.median(window)):
-            raise BoundaryZeroError(
-                "boundary modulus dips far below its neighbourhood; "
-                "a zero or pole sits on or next to the contour"
-            )
+    medians = np.median(sliding_window_view(ext, 2 * half + 1), axis=1)
+    if np.any(mags < _BOUNDARY_DIP * medians):
+        raise BoundaryZeroError(
+            "boundary modulus dips far below its neighbourhood; "
+            "a zero or pole sits on or next to the contour"
+        )
 
 
 def _integer_winding(total_phase: float) -> int:
@@ -354,7 +360,9 @@ def winding_count(fn, rect, poles=(), start_samples: int = 64,
     back so the return value is the zero count.  A listed pole close to
     the boundary is refused outright.  Sampling starts at start_samples
     around the contour and doubles until every consecutive argument step
-    is below pi/4.
+    is below pi/4.  The samples of one round are kept when n doubles:
+    they are exactly the even-numbered points of the next round, so fn
+    runs once per distinct contour point.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_lo < re_hi and im_lo < im_hi):
@@ -380,16 +388,14 @@ def winding_count(fn, rect, poles=(), start_samples: int = 64,
             )
 
     n = max(64, start_samples)
+    arr = np.array([complex(fn(z)) for z in _boundary_points(rect, n)])
     while True:
-        pts = _boundary_points(rect, n)
-        vals = [complex(fn(z)) for z in pts]
-        arr = np.asarray(vals)
         if np.any(arr == 0.0):
             raise BoundaryZeroError("exact zero on the winding contour")
         ratios = np.roll(arr, -1) / arr
         steps = np.angle(ratios)
         if float(np.max(np.abs(steps))) < math.pi / 4.0:
-            _check_boundary_clear(vals)
+            _check_boundary_clear(arr)
             return _integer_winding(float(np.sum(steps))) + inside
         n *= 2
         if n > max_samples:
@@ -397,6 +403,14 @@ def winding_count(fn, rect, poles=(), start_samples: int = 64,
                 "winding phase did not settle; a zero or pole is too close "
                 "to the contour for the sample budget"
             )
+        pts = _boundary_points(rect, n)
+        if len(pts) == 2 * len(arr):
+            doubled = np.empty(len(pts), dtype=complex)
+            doubled[0::2] = arr
+            doubled[1::2] = [complex(fn(z)) for z in pts[1::2]]
+            arr = doubled
+        else:  # n // 4 did not double, so the old points are not reused
+            arr = np.array([complex(fn(z)) for z in pts])
 
 
 # ---------------------------------------------------------------------------

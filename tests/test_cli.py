@@ -1,6 +1,9 @@
 """CLI surface: config canonicalization, artifacts, determinism, exits."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -253,3 +256,53 @@ def test_mw_threads_validation(monkeypatch, capsys):
     code, out, _ = run_cli(["verify", "--suite", "2"], capsys)
     assert code == 0
     assert "PASS" in out
+
+
+def test_local_qp_with_unit_character(capsys):
+    code, out, _ = run_cli(
+        ["local", "--field", "qp", "--p", "3", "--chi-mod", "3",
+         "--chi-index", "0", "--s", "2"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["inputs"]["chi_mod"] == 3 and doc["inputs"]["chi_index"] == 0
+    assert len(doc["results"]) == 1
+
+
+def test_zeros_qp_with_unit_character(capsys):
+    code, out, _ = run_cli(
+        ["zeros", "--field", "qp", "--p", "5", "--chi-mod", "25",
+         "--chi-index", "3", "--imax", "10"],
+        capsys,
+    )
+    assert code == 0
+    assert out.startswith("re,im,multiplicity,certified,method,class,place\n")
+
+
+@pytest.mark.parametrize("command", ["local", "zeros"])
+def test_unit_character_index_out_of_range_exits_2(command, capsys):
+    tail = ["--s", "2"] if command == "local" else ["--imax", "10"]
+    code, out, err = run_cli(
+        [command, "--field", "qp", "--p", "3", "--chi-mod", "3",
+         "--chi-index", "1", *tail],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: chi index 1 out of range")
+
+
+def test_cli_import_loads_no_scipy():
+    # only verify needs the oracles, and with them scipy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = (
+        "import sys, weakmellin.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=env, check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -180,6 +180,33 @@ def test_hyp1f1_eval_quality_fields():
     assert abs(q.value - complex(mp.hyp1f1(0.5, 1.5, 2j))) < 1e-13
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0 + 2.0j, -3.0 - 1.0j, 0.0, 1e300])
+@pytest.mark.parametrize("b", [0.5, 2.0 + 1.0j, -3.0, -5.0, -1.0 + 1.5e-12, -0.5j])
+@pytest.mark.parametrize("z", [0.0, -0.0, complex(-0.0, -0.0)])
+def test_hyp1f1_at_zero_argument_is_exactly_one(a, b, z):
+    # the fields the full series produces at z = 0: sum 1 (imaginary
+    # part +0.0), no cancellation, three terms before it stops; past
+    # b = -2 the series never meets its pole
+    q = sf.hyp1f1_eval(a, b, z)
+    assert q == sf.EvalQuality(value=1.0 + 0.0j, cancellation_ratio=1.0, terms_used=3)
+    assert math.copysign(1.0, q.value.imag) == 1.0
+
+
+@pytest.mark.parametrize("b", [0.0, -1.0, -2.0, -1.0 + 5e-13, -2.0 - 5e-13j])
+def test_hyp1f1_at_zero_argument_keeps_pole_test(b):
+    # the series tests b + k for k = 0, 1, 2 before it stops at z = 0
+    with pytest.raises(PoleError):
+        sf.hyp1f1_eval(0.5, b, 0.0)
+
+
+def test_euler_maclaurin_coefficients_are_the_exact_fractions():
+    expect = tuple(
+        float(sf._BERNOULLI[k - 1] / math.factorial(2 * k))
+        for k in range(1, sf._EM_M + 1)
+    )
+    assert sf._EM_COEFFS == expect  # exact float equality
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.floats(-3, 3),
@@ -240,6 +267,15 @@ def test_character_parity_split():
     chars = list(sf.characters(5))
     evens = [c for c in chars if c.is_even]
     assert len(evens) == 2  # half of a cyclic group of order 4
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 8, 12, 21])
+def test_character_values_follow_the_exact_phase(q):
+    for chi in sf.characters(q):
+        for n in range(-q, 3 * q):
+            ph = chi.phase(n)
+            expect = 0.0 if ph is None else cmath.exp(2j * math.pi * float(ph))
+            assert chi(n) == expect, (chi, n)
 
 
 def test_dirichlet_l_against_direct_sum():

@@ -23,7 +23,9 @@ from weakmellin.padic_zeta import (
     padic_vector_factor,
 )
 from weakmellin.zero_engine import (
+    _BOUNDARY_DIP,
     ZeroReport,
+    _check_boundary_clear,
     circle_zeros,
     exp_poly_roots,
     line_zeros,
@@ -277,6 +279,78 @@ def test_winding_counts_random_interior_roots(offsets):
         return out
 
     assert winding_count(fn, (0.0, 1.0, 0.0, 1.0)) == len(roots)
+
+
+def test_winding_evaluates_each_contour_point_once():
+    # the zero sits 0.004 from the bottom edge, so the phase steps force
+    # several doublings; every round reuses the samples of the last one
+    calls = []
+
+    def fn(z):
+        calls.append(z)
+        return z - 0.5 - 0.004j
+
+    assert winding_count(fn, (0.0, 1.0, 0.0, 1.0)) == 1
+    assert len(calls) == len(set(calls))
+    assert len(calls) > 256
+    assert len(calls) & (len(calls) - 1) == 0  # the final sample count
+
+
+def _boundary_clear_by_loop(vals):
+    # one median per sample, the contour read cyclically
+    mags = np.abs(np.asarray(vals))
+    if not np.all(np.isfinite(mags)) or np.any(mags == 0.0):
+        raise BoundaryZeroError("vanished or blew up")
+    n = len(mags)
+    half = max(8, n // 64)
+    ext = np.concatenate([mags[-half:], mags, mags[:half]])
+    for i in range(n):
+        window = ext[i : i + 2 * half + 1]
+        if mags[i] < _BOUNDARY_DIP * float(np.median(window)):
+            raise BoundaryZeroError("dip")
+
+
+def _raises_boundary_error(check, vals):
+    try:
+        check(vals)
+    except BoundaryZeroError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(8, 1100),
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(
+            # sample index mod n: small ones sit next to the wrap-around
+            st.one_of(st.integers(-24, 24), st.integers(0, 1100)),
+            # new modulus over the old, on both sides of the threshold
+            st.sampled_from([0.0, 1e-9, 5e-5, 9.99e-5, 1e-4, 1.01e-4, 3e-4, 1e-2]),
+        ),
+        max_size=6,
+    ),
+)
+def test_boundary_check_matches_per_sample_loop(n, seed, dips):
+    rng = np.random.default_rng(seed)
+    # moduli spread over six decades, with a trend like a decaying strip
+    mags = 10.0 ** rng.uniform(-3.0, 3.0, n) * np.exp(-np.arange(n) / n)
+    for i, ratio in dips:
+        mags[i % n] *= ratio
+    vals = mags * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    assert _raises_boundary_error(_check_boundary_clear, vals) == (
+        _raises_boundary_error(_boundary_clear_by_loop, vals)
+    )
+
+
+def test_boundary_check_catches_dip_across_the_seam():
+    mags = np.ones(64)
+    mags[0] = 5e-5  # its window wraps round to the last eight samples
+    with pytest.raises(BoundaryZeroError):
+        _check_boundary_clear(mags.astype(complex))
+    mags[0] = 2e-4
+    _check_boundary_clear(mags.astype(complex))
 
 
 # ---------------------------------------------------------------------------
