@@ -301,6 +301,8 @@ def circle_zeros(factor: LocalFactor) -> list[ZeroReport]:
 # median indicate a zero or pole sitting on the contour
 _BOUNDARY_DIP = 1e-4
 _POLE_MARGIN = 1e-3
+# window entries per block of boundary medians (8 MB of float64)
+_MEDIAN_BLOCK = 1 << 20
 
 
 def _boundary_points(rect, n: int):
@@ -326,6 +328,10 @@ def _check_boundary_clear(vals):
     Each sample is compared with the median of the 2*half + 1 samples
     centred on it (half = max(8, n // 64)), the contour read
     cyclically.  Needs n >= 8 samples; winding_count uses at least 64.
+    A window median never exceeds the largest modulus, so only samples
+    below _BOUNDARY_DIP times that maximum can fail; their medians are
+    taken in blocks of at most _MEDIAN_BLOCK window entries, which keeps
+    memory O(n) up to winding_count's largest contour.
     """
     mags = np.abs(np.asarray(vals))
     if not np.all(np.isfinite(mags)) or np.any(mags == 0.0):
@@ -333,12 +339,17 @@ def _check_boundary_clear(vals):
     n = len(mags)
     half = max(8, n // 64)
     ext = np.concatenate([mags[-half:], mags, mags[:half]])
-    medians = np.median(sliding_window_view(ext, 2 * half + 1), axis=1)
-    if np.any(mags < _BOUNDARY_DIP * medians):
-        raise BoundaryZeroError(
-            "boundary modulus dips far below its neighbourhood; "
-            "a zero or pole sits on or next to the contour"
-        )
+    windows = sliding_window_view(ext, 2 * half + 1)
+    suspects = np.flatnonzero(mags < _BOUNDARY_DIP * mags.max())
+    step = max(1, _MEDIAN_BLOCK // (2 * half + 1))
+    for lo in range(0, len(suspects), step):
+        idx = suspects[lo : lo + step]
+        medians = np.median(windows[idx], axis=1)
+        if np.any(mags[idx] < _BOUNDARY_DIP * medians):
+            raise BoundaryZeroError(
+                "boundary modulus dips far below its neighbourhood; "
+                "a zero or pole sits on or next to the contour"
+            )
 
 
 def _integer_winding(total_phase: float) -> int:
@@ -359,10 +370,11 @@ def winding_count(fn, rect, poles=(), start_samples: int = 64,
     rectangle may be passed in poles; their (simple) winding is added
     back so the return value is the zero count.  A listed pole close to
     the boundary is refused outright.  Sampling starts at start_samples
-    around the contour and doubles until every consecutive argument step
-    is below pi/4.  The samples of one round are kept when n doubles:
-    they are exactly the even-numbered points of the next round, so fn
-    runs once per distinct contour point.
+    (rounded down to a multiple of 4, at least 64) around the contour
+    and doubles until every consecutive argument step is below pi/4.
+    The samples of one round are kept when n doubles: they are exactly
+    the even-numbered points of the next round, so fn runs once per
+    distinct contour point.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_lo < re_hi and im_lo < im_hi):
@@ -387,7 +399,7 @@ def winding_count(fn, rect, poles=(), start_samples: int = 64,
                 f"listed pole {z} hugs the contour; shift the rectangle"
             )
 
-    n = max(64, start_samples)
+    n = 4 * max(16, start_samples // 4)  # a multiple of 4, so rounds nest
     arr = np.array([complex(fn(z)) for z in _boundary_points(rect, n)])
     while True:
         if np.any(arr == 0.0):
@@ -403,14 +415,11 @@ def winding_count(fn, rect, poles=(), start_samples: int = 64,
                 "winding phase did not settle; a zero or pole is too close "
                 "to the contour for the sample budget"
             )
-        pts = _boundary_points(rect, n)
-        if len(pts) == 2 * len(arr):
-            doubled = np.empty(len(pts), dtype=complex)
-            doubled[0::2] = arr
-            doubled[1::2] = [complex(fn(z)) for z in pts[1::2]]
-            arr = doubled
-        else:  # n // 4 did not double, so the old points are not reused
-            arr = np.array([complex(fn(z)) for z in pts])
+        doubled = np.empty(n, dtype=complex)
+        doubled[0::2] = arr
+        fresh = _boundary_points(rect, n)[1::2]
+        doubled[1::2] = [complex(fn(z)) for z in fresh]
+        arr = doubled
 
 
 # ---------------------------------------------------------------------------

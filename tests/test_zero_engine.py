@@ -1,7 +1,9 @@
 """Zero engine: companion roots, circle certificates, winding, line scans."""
 
+import bisect
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -281,16 +283,19 @@ def test_winding_counts_random_interior_roots(offsets):
     assert winding_count(fn, (0.0, 1.0, 0.0, 1.0)) == len(roots)
 
 
-def test_winding_evaluates_each_contour_point_once():
+@pytest.mark.parametrize("start_samples", [64, 130])
+def test_winding_evaluates_each_contour_point_once(start_samples):
     # the zero sits 0.004 from the bottom edge, so the phase steps force
-    # several doublings; every round reuses the samples of the last one
+    # several doublings; every round reuses the samples of the last one,
+    # also from a start count that is not a multiple of 4
     calls = []
 
     def fn(z):
         calls.append(z)
         return z - 0.5 - 0.004j
 
-    assert winding_count(fn, (0.0, 1.0, 0.0, 1.0)) == 1
+    assert winding_count(fn, (0.0, 1.0, 0.0, 1.0),
+                         start_samples=start_samples) == 1
     assert len(calls) == len(set(calls))
     assert len(calls) > 256
     assert len(calls) & (len(calls) - 1) == 0  # the final sample count
@@ -342,6 +347,63 @@ def test_boundary_check_matches_per_sample_loop(n, seed, dips):
     assert _raises_boundary_error(_check_boundary_clear, vals) == (
         _raises_boundary_error(_boundary_clear_by_loop, vals)
     )
+
+
+def _boundary_clear_by_running_median(vals):
+    # the same rule with a sorted window slid along the contour, an
+    # O(n log n) reference that stays cheap at the largest contours
+    mags = np.abs(np.asarray(vals))
+    n = len(mags)
+    half = max(8, n // 64)
+    ext = np.concatenate([mags[-half:], mags, mags[:half]]).tolist()
+    window = sorted(ext[: 2 * half + 1])
+    for i in range(n):
+        if i:
+            del window[bisect.bisect_left(window, ext[i - 1])]
+            bisect.insort(window, ext[i + 2 * half])
+        if mags[i] < _BOUNDARY_DIP * window[half]:
+            raise BoundaryZeroError("dip")
+
+
+@pytest.mark.parametrize("dip", [1e-5, 1e-3])
+def test_boundary_check_at_largest_contour(dip):
+    # winding_count's sample budget: 131072 samples, windows of 4097.  A
+    # smooth bowl down to 1e-6, centred on the seam, puts about 5000
+    # samples below the dip threshold of the maximum, so their medians
+    # span many blocks, yet none of them dips below its own window.  A
+    # single sample at the bottom is then scaled by dip, which fails
+    # the check only when far below the 2.4e-6 median around it.  Memory
+    # must stay O(n): the whole window array alone would take 4 GB.
+    n = 131072
+    rng = np.random.default_rng(7)
+    dist = np.minimum(np.arange(n), n - np.arange(n))
+    mags = 10.0 ** (-6.0 * np.exp(-((dist / 4000.0) ** 2)))
+    mags *= 1.0 + 0.1 * rng.uniform(size=n)
+    mags[0] *= dip
+    vals = mags * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    tracemalloc.start()
+    try:
+        raised = _raises_boundary_error(_check_boundary_clear, vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raised == _raises_boundary_error(
+        _boundary_clear_by_running_median, vals
+    )
+    assert raised == (dip < _BOUNDARY_DIP)
+    assert peak < 64 * 2**20
+
+
+def test_running_median_reference_matches_per_sample_loop():
+    rng = np.random.default_rng(3)
+    for n in (8, 64, 1000):
+        mags = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        for i in rng.integers(0, n, 3):
+            mags[i] *= 9e-5
+        vals = mags.astype(complex)
+        assert _raises_boundary_error(
+            _boundary_clear_by_running_median, vals
+        ) == _raises_boundary_error(_boundary_clear_by_loop, vals)
 
 
 def test_boundary_check_catches_dip_across_the_seam():
