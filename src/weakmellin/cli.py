@@ -13,9 +13,7 @@ Artifacts go to stdout or ``--output`` as JSON ({"schema_version": 1,
 header.  Floats print with 17 significant digits and rows sort by
 imaginary part then real part, so identical configs produce
 byte-identical output.  Exit codes: 0 success, 1 numeric failure, 2 bad
-configuration.  MW_THREADS caps the scan worker pool; the engine
-currently runs a single worker, which satisfies any positive cap, but
-the variable is still validated.
+configuration.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -33,12 +30,14 @@ from .errors import UncertifiedError, WeakMellinError
 from .global_zeta import (
     classify_zero,
     factorize_global,
+    gamma_f,
     global_fe_residual,
     reference_spec,
 )
 from .padic_core import unit_characters
 from .padic_zeta import local_factor, weil_index_padic
-from .zero_engine import exp_poly_roots, line_zeros
+from .specfun import _factorize
+from .zero_engine import line_zeros, zeros_in_window
 
 __all__ = ["ConfigError", "JobConfig", "main", "run"]
 
@@ -69,15 +68,20 @@ def _fmt17(x: float) -> str:
 
 
 def _parse_complex(text: str) -> complex:
-    """Accepts either a Python complex literal or a "re,im" pair."""
+    """Accepts either a Python complex literal or a "re,im" pair; both
+    parts must be finite."""
     text = str(text).strip()
     try:
         if "," in text:
             re_part, im_part = text.split(",")
-            return complex(float(re_part), float(im_part))
-        return complex(text.replace(" ", ""))
+            z = complex(float(re_part), float(im_part))
+        else:
+            z = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise ConfigError(f"cannot parse {text!r} as a complex number") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ConfigError(f"{text!r} is not a finite complex number")
+    return z
 
 
 def _canon_complex(text: str) -> str:
@@ -92,22 +96,18 @@ def _canon_rational(text: str) -> str:
         raise ConfigError(f"cannot parse {text!r} as a rational") from exc
 
 
-def _canon_float(text: str) -> str:
+def _finite_float(text) -> float:
     try:
-        return _fmt17(float(text))
+        x = float(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {text!r} as a number") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{text!r} is not a finite number")
+    return x
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def _canon_float(text: str) -> str:
+    return _fmt17(_finite_float(text))
 
 
 def _prime_power_exponent(mod: int, p: int) -> int:
@@ -180,7 +180,7 @@ class JobConfig:
         if cfg.field is not None:
             if cfg.field == "qp":
                 p = data.get("p")
-                if not isinstance(p, int) or not _is_prime(p):
+                if not isinstance(p, int) or _factorize(p) != [(p, 1)]:
                     raise ConfigError("qp factors need a prime --p")
                 cfg = replace(
                     cfg, p=p,
@@ -213,7 +213,7 @@ class JobConfig:
                 raise ConfigError(f"{command} needs at least one --s point")
             cfg = replace(cfg, s_values=tuple(_canon_complex(x) for x in raw))
         if command == "global":
-            cfg = replace(cfg, tol=float(data.get("tol", 1e-9)))
+            cfg = replace(cfg, tol=_finite_float(data.get("tol", 1e-9)))
         if command == "local" and cfg.field is None:
             raise ConfigError("local needs --field qp or --field real")
 
@@ -231,8 +231,8 @@ class JobConfig:
             lo_default = 1.0 if cfg.spec else 0.0
             cfg = replace(
                 cfg,
-                im_lo=float(data.get("im_lo", lo_default)),
-                im_hi=float(data["im_hi"]),
+                im_lo=_finite_float(data.get("im_lo", lo_default)),
+                im_hi=_finite_float(data["im_hi"]),
                 samples=int(data.get("samples", 2048)),
                 strict=bool(data.get("strict", False)),
             )
@@ -335,7 +335,7 @@ def _run_global(cfg: JobConfig):
         "archimedean_character": type(fact.arch_char).__name__,
         "finite_places": sorted(fact.local_parts),
         "correction_primes": list(fact.correction_primes),
-        "gamma_product": _as_pair(_gamma_product(spec)),
+        "gamma_product": _as_pair(gamma_f(spec)),
         "identically_zero": fact.identically_zero,
     }
     rows = [breakdown]
@@ -378,28 +378,15 @@ def _zero_rows_global(cfg: JobConfig):
     return rows
 
 
-def _zero_rows_local(cfg: JobConfig):
-    _, fac = _local_callable(cfg)
-    if fac is None or fac.kind == "vanishing":
-        return []
-    period = 2.0 * math.pi / math.log(cfg.p)
-    rows = []
-    for rep in exp_poly_roots(fac):
-        im0 = rep.location.imag % period
-        m = math.floor((cfg.im_lo - im0) / period)
-        while im0 + m * period <= cfg.im_hi:
-            im = im0 + m * period
-            if im >= cfg.im_lo:
-                shifted = replace(
-                    rep, location=complex(rep.location.real, im)
-                )
-                rows.append((shifted, "local", str(cfg.p)))
-            m += 1
-    return rows
-
-
 def _run_zeros(cfg: JobConfig):
-    rows = _zero_rows_global(cfg) if cfg.spec else _zero_rows_local(cfg)
+    if cfg.spec:
+        rows = _zero_rows_global(cfg)
+    else:
+        _, fac = _local_callable(cfg)
+        rows = [
+            (rep, "local", str(cfg.p))
+            for rep in zeros_in_window(fac, cfg.im_lo, cfg.im_hi)
+        ]
     rows.sort(key=lambda row: (row[0].location.imag, row[0].location.real))
     ok = all(rep.certified for rep, _, _ in rows) if cfg.strict else True
     if cfg.fmt == "json":
@@ -437,19 +424,12 @@ def _run_verify(cfg: JobConfig):
     return "\n".join(lines) + "\n", not failed
 
 
-def _gamma_product(spec) -> complex:
-    out = weil_index_arch(spec.arch)
-    for p, a, b in spec.finite:
-        out *= weil_index_padic(a, b, p)
-    return out
-
-
 def _run_weil_index(cfg: JobConfig):
     spec = reference_spec()
     rows = [{"place": "inf", "gamma": _as_pair(weil_index_arch(spec.arch))}]
     for p, a, b in spec.finite:
         rows.append({"place": str(p), "gamma": _as_pair(weil_index_padic(a, b, p))})
-    rows.append({"place": "product", "gamma": _as_pair(_gamma_product(spec))})
+    rows.append({"place": "product", "gamma": _as_pair(gamma_f(spec))})
     if cfg.fmt == "csv":
         lines = ["place,gamma_re,gamma_im"]
         for row in rows:
@@ -555,15 +535,6 @@ def main(argv=None) -> int:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
-
-    raw_threads = os.environ.get("MW_THREADS")
-    if raw_threads is not None:
-        try:
-            if int(raw_threads) < 1:
-                raise ValueError
-        except ValueError:
-            print("MW_THREADS must be a positive integer", file=sys.stderr)
-            return 2
 
     try:
         cfg = JobConfig.from_mapping(_mapping_from_namespace(ns))

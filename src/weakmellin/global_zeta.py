@@ -34,6 +34,7 @@ from .padic_core import unit_characters, valuation
 from .padic_zeta import LocalFactor, local_factor, weil_index_padic
 from .specfun import (
     DirichletCharacter,
+    _factorize,
     completed_xi,
     dirichlet_l,
     riemann_zeta,
@@ -90,7 +91,7 @@ class GlobalSpec:
                 "spec characters must be primitive; "
                 "use chi.primitive_character()"
             )
-        for p, _ in _prime_power_factors(self.chi.conductor):
+        for p, _ in _factorize(self.chi.conductor):
             if p not in primes:
                 raise DomainError(
                     f"character ramified at {p}, which is outside the "
@@ -100,22 +101,6 @@ class GlobalSpec:
     @property
     def places(self) -> tuple:
         return ("inf",) + tuple(entry[0] for entry in self.finite)
-
-
-def _prime_power_factors(q: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            k = 0
-            while q % d == 0:
-                q //= d
-                k += 1
-            out.append((d, k))
-        d += 1
-    if q > 1:
-        out.append((q, 1))
-    return out
 
 
 def _local_character_component(chi: DirichletCharacter, p: int, n: int):
@@ -174,16 +159,17 @@ class GlobalFactorization:
         return zeta_real(self.arch.a, self.arch.b, s, self.arch_char)
 
     def evaluate(self, s: complex) -> complex:
-        """L-mode value: corrections folded into the entire numerators."""
+        """L-mode value: corrections folded into the entire numerators.
+
+        A ramified factor has no pole to cancel; its entire_eval is its
+        value.
+        """
         if self.identically_zero:
             return 0.0 + 0.0j
         s = complex(s)
         out = self.arch_value(s)
-        for p, lf in self.local_parts.items():
-            if p in self.correction_primes:
-                out *= lf.entire_eval(s)
-            else:
-                out *= lf.evaluate(s)
+        for lf in self.local_parts.values():
+            out *= lf.entire_eval(s)
         return out * dirichlet_l(s, self.chi)
 
     def evaluate_reflected(self, s: complex) -> complex:
@@ -215,7 +201,7 @@ class GlobalFactorization:
         for lf in self.local_parts.values():
             out *= lf.evaluate(s)
         skip = set(self.local_parts) | {
-            p for p, _ in _prime_power_factors(self.chi.modulus)
+            p for p, _ in _factorize(self.chi.modulus)
         }
         primes = _primes_below(prime_limit)
         chi_vals = np.array([self.chi(int(p)) for p in primes])
@@ -250,7 +236,7 @@ def factorize_global(spec: GlobalSpec) -> GlobalFactorization:
     """Build the local factors and correction list for a spec."""
     chi = spec.chi
     arch_char = Trivial() if chi.is_even else RealSign()
-    ram = dict(_prime_power_factors(chi.conductor))
+    ram = dict(_factorize(chi.conductor))
 
     if isinstance(arch_char, RealSign) and spec.arch.b == 0:
         # odd character against an even real phase: the archimedean
@@ -337,11 +323,7 @@ def global_fe_residual(spec: GlobalSpec, s: complex) -> float:
     s = complex(s)
     fact = factorize_global(spec)
     direct = fact.evaluate(s)
-    implied = (
-        gamma_f(spec)
-        * idele_modulus(spec) ** (0.5 - s)
-        * fact.evaluate(1.0 - s.conjugate()).conjugate()
-    )
+    implied = fact.evaluate_reflected(s)
     return abs(direct - implied) / (1.0 + abs(direct))
 
 
@@ -402,11 +384,8 @@ def classify_zero(report: ZeroReport, spec: GlobalSpec) -> ZeroClass:
         return ZeroClass(kind="local", place="inf")
 
     for p, lf in fact.local_parts.items():
-        val = lf.entire_eval(z) if lf.kind == "unramified" else lf.evaluate(z)
-        vals = [
-            lf.entire_eval(w) if lf.kind == "unramified" else lf.evaluate(w)
-            for w in probes
-        ]
+        val = lf.entire_eval(z)
+        vals = [lf.entire_eval(w) for w in probes]
         # an entire-numerator zero on the correction lattice was already
         # handled above; anything else vanishing here is a local zero
         if _vanishes_nearby(val, vals):

@@ -85,8 +85,11 @@ def oracle_padic_mellin(
     # cancellation can only resurrect the average at one level
     j_floor = (int(valuation(b, p)) - va) if b != 0 else None
 
-    # find the upper stable edge
-    j_hi = 0
+    # find the upper stable edge; a term can sit anywhere below the level
+    # where both coefficients turn integral, so the scan starts there
+    j_hi = max(0, math.ceil(-va / 2))
+    if b != 0:
+        j_hi = max(j_hi, -int(valuation(b, p)))
     run = 0
     while run < params.stable_run:
         if j_hi > params.max_window:
@@ -107,7 +110,9 @@ def oracle_padic_mellin(
         total += x**j_hi / (1.0 - x)  # sum over the stable region
 
     # without a cancellation floor the only gap risk is a ramified b = 0
-    # window, at most conductor wide; pad the required zero run to cover it
+    # window, at most conductor wide; pad the required zero run to cover it.
+    # A computed zero does not count toward the run: a term can sit below
+    # a gap of them.
     need_run = params.stable_run if j_floor is not None else params.stable_run + n_chi + 2
     j = j_hi - 1
     run = 0
@@ -117,11 +122,9 @@ def oracle_padic_mellin(
         if provably_zero(j):
             run += 1
         else:
+            run = 0
             v = ua(j)
-            if abs(v) <= params.zero_tol:
-                run += 1
-            else:
-                run = 0
+            if abs(v) > params.zero_tol:
                 total += v * x**j
         if run >= need_run and (j_floor is None or j < j_floor):
             break

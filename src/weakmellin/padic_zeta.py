@@ -13,20 +13,21 @@ function of p^(-s).  This module computes the structure constants
     delta  parity of the valuation of the quadratic coefficient
     gamma  quadratic Gauss phase, modulus 1
 
-and evaluates the resulting closed forms.  The numerators assemble into a
-single self-inversive polynomial
+and stores every factor as one numerator polynomial P(X) in
+X = q^(s - n/2) times an explicit prefactor (see LocalFactor).  For an
+unramified character the numerator is the self-inversive
 
     P(X) = gamma X^D - (gamma/Q) X^(D-1) - X/Q + 1,
 
-X = q^(s - n/2), Q = q^(n/2), D = 2k + delta, whose roots sit on |X| = 1;
-root extraction and certification live in zero_engine.
+Q = q^(n/2), D = 2k + delta, whose roots sit on |X| = 1; root extraction
+and certification live in zero_engine.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "local_factor_unramified",
     "local_factor_ramified",
     "padic_vector_factor",
+    "unramified_from_constants",
     "qp2_special_eval",
     "weil_index_padic",
     "rho0_gauss_sum",
@@ -142,36 +144,49 @@ def weil_index_padic(a, b, p: int) -> complex:
 class LocalFactor:
     """Closed-form factor at one finite place.
 
-    kind is one of "unramified", "ramified", "vanishing", "vector".  Fields
-    not applying to a kind stay at their defaults.  evaluate() accepts any
-    complex s away from the pole lattice of the factor.
+    Every kind is stored in one form,
+
+        Z(s) = p^(e_scale s') * scale * X^(-shift) * P(X) / (1 - p^(-s'))^pole
+
+    with s' = shifted_s(s) and X = p^(s' - n_dim/2).  The fields:
+
+      poly     coefficients of the numerator P, highest degree first; empty
+               for a factor that vanishes identically
+      shift    power of X pulled out in front of P
+      scale    constant prefactor
+      pole     whether the denominator 1 - p^(-s') is present
+      e_scale  exponent of the normalizing substitution x -> cx
+      twist    unramified twist, absorbed into s' as a vertical shift
+      n_dim    dimension of the underlying space
+
+    kind ("unramified", "ramified", "vanishing", "vector") and the structure
+    constants k (escape or stabilization level), delta (parity), gamma
+    (Gauss phase), C and omega (top coefficient and unit mirror ratio of a
+    ramified factor) record how the numerator was built; evaluation reads
+    none of them.  The roots of P are the zeros of Z in one vertical period.
     """
 
     p: int
     kind: str
+    poly: tuple = ()
+    shift: int = 0
+    scale: complex = 1.0 + 0.0j
+    pole: bool = False
+    e_scale: int = 0
+    twist: complex = 1.0 + 0.0j
+    n_dim: int = 1
+    chi: UnitCharacter | None = None
     k: int = 0
     delta: int = 0
     gamma: complex = 1.0 + 0.0j
-    e_scale: int = 0
-    twist: complex = 1.0 + 0.0j
-    chi: UnitCharacter | None = None
-    # ramified two-term data: Z = C (q^(-ks) + omega q^(-k-delta/2) q^((k+delta)s))
     C: complex = 0.0 + 0.0j
     omega: complex = 0.0 + 0.0j
-    # vector data
-    n_dim: int = 1
-    mid_terms: tuple = field(default_factory=tuple)  # ((j, coeff), ...)
-    tail_j: int = 0
-    tail_coeff: complex = 0.0 + 0.0j
-
-    @property
-    def q(self) -> int:
-        return self.p
 
     @property
     def degree(self) -> int:
-        """Number of zeros per vertical period: D = 2k + delta."""
-        return 2 * self.k + self.delta
+        """Number of zeros per vertical period, len(poly) - 1; -1 for a
+        factor that vanishes identically."""
+        return len(self.poly) - 1
 
     def shifted_s(self, s: complex) -> complex:
         """Absorb an unramified twist into a vertical shift of s."""
@@ -180,180 +195,76 @@ class LocalFactor:
             return complex(s)
         return complex(s) - 1j * arg / math.log(self.p)
 
+    def _numerator(self, s: complex) -> complex:
+        # s is already shifted; Horner's rule keeps P(X) one expression for
+        # scalars and numpy arrays alike
+        h = self.n_dim / 2.0
+        x = self.p ** (s - h)
+        acc = 0.0 + 0.0j
+        for c in self.poly:
+            acc = acc * x + c
+        return self.scale * self.p ** (self.e_scale * s - self.shift * (s - h)) * acc
+
     def evaluate(self, s: complex) -> complex:
+        """Value at any complex s away from the pole lattice of the factor."""
         s = self.shifted_s(s)
-        if self.kind == "vanishing":
-            return 0.0 + 0.0j
-        if self.kind == "unramified":
-            return self._eval_unramified(s)
-        if self.kind == "ramified":
-            return self._eval_ramified(s)
-        if self.kind == "vector":
-            return self._eval_vector(s)
-        raise DomainError(f"unknown factor kind {self.kind!r}")
-
-    # prefactor from the normalizing substitution x -> cx
-    def _scale(self, s: complex) -> complex:
-        if self.e_scale == 0:
-            return 1.0 + 0.0j
-        return complex(self.p) ** (self.e_scale * s)
-
-    def _eval_unramified(self, s: complex) -> complex:
-        q = self.p
-        qs = q ** (-s)
-        if abs(1.0 - qs) < _POLE_EPS:
-            raise PoleError(f"local factor pole near s = {s} (p = {self.p})")
-        pre = self._scale(s)
-        k, delta, gamma = self.k, self.delta, self.gamma
-        if k == 0 and delta == 0:
-            return pre / (1.0 - qs)
-        head = (1.0 - q ** (s - 1.0)) * q ** (-k * s) / (1.0 - qs)
-        if delta == 0:
-            tail = gamma * q ** (k * (s - 1.0))
-        else:
-            tail = gamma * math.sqrt(q) * q ** ((k + 1.0) * (s - 1.0))
-        return pre * (head + tail) / (1.0 - 1.0 / q)
+        value = self._numerator(s)
+        if self.pole:
+            den = 1.0 - self.p ** (-s)
+            if abs(den) < _POLE_EPS:
+                raise PoleError(f"local factor pole near s = {s} (p = {self.p})")
+            value /= den
+        return value
 
     def entire_eval(self, s: complex) -> complex:
-        """(1 - twist p^(-s)) * factor, written without the cancelled pole.
+        """(1 - twist p^(-s))^pole * factor, written without the cancelled
+        pole; equal to evaluate() for a factor without one.
 
         This is the form the global assembly multiplies against the
         correction quotient; it is entire, so no PoleError is possible.
         """
-        if self.kind == "vanishing":
-            return 0.0 + 0.0j
-        if self.kind != "unramified":
-            raise DomainError("entire_eval applies to unramified factors")
-        s = self.shifted_s(s)
-        q = self.p
-        pre = self._scale(s)
-        k, delta, gamma = self.k, self.delta, self.gamma
-        if k == 0 and delta == 0:
-            return pre
-        head = (1.0 - q ** (s - 1.0)) * q ** (-k * s)
-        if delta == 0:
-            tail = gamma * q ** (k * (s - 1.0))
-        else:
-            tail = gamma * math.sqrt(q) * q ** ((k + 1.0) * (s - 1.0))
-        return pre * (head + tail * (1.0 - q ** (-s))) / (1.0 - 1.0 / q)
-
-    def _eval_ramified(self, s: complex) -> complex:
-        q = self.p
-        pre = self._scale(s)
-        k, delta = self.k, self.delta
-        top = q ** (-k * s)
-        bot = self.omega * q ** (-k - delta / 2.0) * q ** ((k + delta) * s)
-        return pre * self.C * (top + bot)
-
-    def _eval_vector(self, s: complex) -> complex:
-        p = self.p
-        ps = p ** (-s)
-        if abs(1.0 - ps) < _POLE_EPS:
-            raise PoleError(f"vector factor pole near s = {s}")
-        n = self.n_dim
-        down = p ** (s - n)
-        if abs(1.0 - down) < _POLE_EPS:
-            raise PoleError(f"vector factor pole near s = {s} (lower tail)")
-        # mid_terms covers (tail_j, k); theta == 1 from k upward
-        m_sum = sum(c * p ** (-j * s) for j, c in self.mid_terms)
-        upper = p ** (-self.k * s) / (1.0 - ps)
-        lower = self.tail_coeff * p ** (-self.tail_j * s) / (1.0 - down)
-        m_theta = m_sum + upper + lower
-        return (1.0 - down) * m_theta / (1.0 - 1.0 / p)
+        return self._numerator(self.shifted_s(s))
 
     def zero_poly(self):
         """Coefficients (highest degree first) of the numerator polynomial
-        in X = q^(s - n/2), plus (Q, D).  Roots give the zeros of the factor
-        within one vertical period."""
-        if self.kind == "vanishing":
-            raise DomainError("identically zero factor has no zero polynomial")
-        D = self.degree
-        n = self.n_dim
-        Q = self.p ** (n / 2.0)
-        if self.kind == "vector":
-            return self._vector_zero_poly()
-        if self.kind == "ramified":
-            # zeros solve X^D = -1/omega
-            if D == 0:
-                return np.array([1.0 + 0j]), Q, 0
-            coeffs = np.zeros(D + 1, dtype=complex)
-            coeffs[0] = self.omega
-            coeffs[-1] = 1.0
-            return coeffs, Q, D
-        if D == 0:
-            return np.array([1.0 + 0j]), Q, 0
-        coeffs = np.zeros(D + 1, dtype=complex)
-        coeffs[0] += self.gamma
-        if D >= 1:
-            coeffs[1] += -self.gamma / Q
-            coeffs[-2] += -1.0 / Q
-        coeffs[-1] += 1.0
-        return coeffs, Q, D
-
-    def _vector_zero_poly(self):
-        """Exact numerator of the vector factor, assembled from the stored
-        Laurent profile and converted to the X = p^(s - n/2) variable.
-
-        With t = p^(-s) the factor times t (1 - t) is the Laurent polynomial
-
-            (t - p^(-n)) (1 - t) mid(t) + (t - p^(-n)) t^m + c t^(T+1) (1 - t)
-
-        (m the stabilization level, T the tail start, c the tail value).
-        Neither t = 1 nor t = p^(-n) is a root, so after clearing powers of
-        t the remaining roots are exactly the zeros of the factor."""
-        p, n, m, T = self.p, self.n_dim, self.k, self.tail_j
-        lo = T + 1  # lowest power appearing; tail start sits below m
-        size = (m + 1) - lo + 1
-        c = np.zeros(size, dtype=complex)  # c[i] multiplies t^(lo + i)
-
-        def add(power, val):
-            c[power - lo] += val
-
-        pn = float(p) ** (-n)
-        for j, coeff in self.mid_terms:
-            # (t - p^-n)(1 - t) t^j = -t^(j+2) + (1 + p^-n) t^(j+1) - p^-n t^j
-            add(j + 2, -coeff)
-            add(j + 1, (1.0 + pn) * coeff)
-            add(j, -pn * coeff)
-        add(m + 1, 1.0)
-        add(m, -pn)
-        add(T + 1, self.tail_coeff)
-        add(T + 2, -self.tail_coeff)
-
-        # strip structurally cancelled ends (exact zeros up to roundoff)
-        tol = 1e-10 * np.max(np.abs(c))
-        keep = np.nonzero(np.abs(c) > tol)[0]
-        if keep.size == 0:
-            raise WeakMellinError("vector numerator collapsed to zero")
-        c = c[keep[0] : keep[-1] + 1]
-        D = c.size - 1
-        Q = float(p) ** (n / 2.0)
-        # N(t) = sum_i c[i] t^i with t = p^(-n/2) / X turns into the X
-        # polynomial sum_i c[i] p^(-i n/2) X^(D - i), highest degree first
-        coeffs = np.array(
-            [c[i] * Q ** (-float(i)) for i in range(c.size)], dtype=complex
+        in X = q^(s - n/2), plus (Q, D) with Q = q^(n/2) and D the degree.
+        Roots give the zeros of the factor within one vertical period."""
+        return (
+            np.array(self.poly, dtype=complex),
+            self.p ** (self.n_dim / 2.0),
+            self.degree,
         )
-        return coeffs, Q, D
 
-    def zeros_in_im_range(self, im_lo: float, im_hi: float) -> list[complex]:
-        """All zeros of the factor with imaginary part in [im_lo, im_hi],
-        found from the explicit periodic root structure."""
-        coeffs, _, D = self.zero_poly()
-        if D == 0:
-            return []
-        roots = np.roots(coeffs)
-        period = 2.0 * math.pi / math.log(self.p)
-        shift = cmath.phase(complex(self.twist)) / math.log(self.p)
-        out = []
-        for r in roots:
-            base = self.n_dim / 2.0 + cmath.log(r) / math.log(self.p)
-            re0 = base.real
-            im0 = base.imag + shift
-            t = math.ceil((im_lo - im0) / period - 1e-12)
-            while im0 + t * period <= im_hi + 1e-12:
-                out.append(complex(re0, im0 + t * period))
-                t += 1
-        return sorted(out, key=lambda z: (z.imag, z.real))
+
+def unramified_from_constants(p: int, k: int, delta: int, gamma: complex,
+                              e_scale: int = 0, twist: complex = 1.0) -> LocalFactor:
+    """The unramified factor with escape level k, parity delta and Gauss
+    phase gamma, in the stored form.
+
+    With Q = p^(1/2) and D = 2k + delta the factor is
+
+        p^(e_scale s) Q^(-k) X^(-k) P(X) / ((1 - 1/p) (1 - p^(-s))),
+        P(X) = gamma X^D - (gamma/Q) X^(D-1) - X/Q + 1,
+
+    and k = delta = 0 leaves 1 / (1 - p^(-s)).
+    """
+    D = 2 * k + delta
+    if D == 0:
+        poly, scale = (1.0 + 0j,), 1.0 + 0j
+    else:
+        Q = p ** 0.5
+        coeffs = np.zeros(D + 1, dtype=complex)
+        coeffs[0] += gamma
+        coeffs[1] += -gamma / Q
+        coeffs[-2] += -1.0 / Q
+        coeffs[-1] += 1.0
+        poly = tuple(complex(c) for c in coeffs)
+        scale = complex(Q ** (-k) / (1.0 - 1.0 / p))
+    return LocalFactor(
+        p=p, kind="unramified", poly=poly, shift=k, scale=scale, pole=True,
+        e_scale=e_scale, twist=complex(twist), k=k, delta=delta,
+        gamma=complex(gamma),
+    )
 
 
 def local_factor_unramified(a, b, p: int, twist: complex = 1.0) -> LocalFactor:
@@ -367,10 +278,7 @@ def local_factor_unramified(a, b, p: int, twist: complex = 1.0) -> LocalFactor:
         )
         if abs(abs(gamma) - 1.0) > 1e-9:
             raise WeakMellinError(f"|gamma| = {abs(gamma)} off the unit circle")
-    return LocalFactor(
-        p=p, kind="unramified", k=k, delta=delta, gamma=complex(gamma),
-        e_scale=e_scale, twist=complex(twist),
-    )
+    return unramified_from_constants(p, k, delta, gamma, e_scale, twist)
 
 
 def qp2_special_eval(s: complex) -> complex:
@@ -393,8 +301,10 @@ def _ramified_window(a_norm, b_norm, p: int, chi: UnitCharacter):
     Scans downward from the triviality edge.  A level j is provably zero
     without computation when the linear part of the coset decomposition has
     uniformly negative valuation: no residue survives the indicator.  Three
-    consecutive provable zeros end the scan (the predicate is eventually
-    monotone in -j since the quadratic valuation falls twice as fast).
+    consecutive provable zeros below the cancellation level (where the
+    quadratic and linear valuations meet) end the scan: the predicate is
+    monotone in -j there, since the quadratic valuation falls twice as fast.
+    Above that level a gap of provable zeros can still hide the mirror term.
     """
     n = chi.conductor_exponent
     delta = int(valuation(a_norm, p)) + n
@@ -415,10 +325,13 @@ def _ramified_window(a_norm, b_norm, p: int, chi: UnitCharacter):
             return False  # cancellation possible, must compute
         return min(va_j, vb_j) < -m_min
 
+    # the scan may end only below the cancellation level, if there is one
+    cancel = int(vb) + n - delta if b_norm != 0 else math.inf
+
     profile = {}
     j = hi
     consec = 0
-    while consec < 3:
+    while consec < 3 or j >= cancel:
         if j < hi - 64:
             raise SupportEscapeError("ramified support scan exceeded 64 levels")
         if provably_zero(j):
@@ -454,27 +367,30 @@ def local_factor_ramified(a, b, p: int, chi: UnitCharacter, twist: complex = 1.0
         )
     ks = sorted(profile)
     k = ks[-1]
+    C = profile[k]
     if len(ks) == 1:
         # degenerate single-term factor: monomial, zero-free
-        C = profile[k]
-        return LocalFactor(
-            p=p, kind="ramified", k=k, delta=-2 * k, gamma=1.0,
-            e_scale=e_scale, twist=complex(twist), chi=chi,
-            C=complex(C), omega=0.0,
-        )
-    if len(ks) != 2 or ks[0] != -(k + delta):
+        omega, poly = 0.0, (1.0 + 0j,)
+    elif len(ks) != 2 or ks[0] != -(k + delta):
         raise WeakMellinError(
             f"unexpected ramified support {ks}; two-term structure violated"
         )
-    C = profile[k]
-    bottom = profile[-(k + delta)]
-    omega = bottom / C * p ** (k + delta / 2.0)
-    if abs(abs(omega) - 1.0) > 1e-9:
-        raise WeakMellinError(f"|omega| = {abs(omega)} off the unit circle")
+    else:
+        bottom = profile[-(k + delta)]
+        omega = bottom / C * p ** (k + delta / 2.0)
+        if abs(abs(omega) - 1.0) > 1e-9:
+            raise WeakMellinError(f"|omega| = {abs(omega)} off the unit circle")
+        # C (p^(-ks) + omega p^(-k-delta/2) p^((k+delta)s)) is
+        # C Q^(-k) X^(-k) (omega X^D + 1) with D = 2k + delta
+        coeffs = np.zeros(2 * k + delta + 1, dtype=complex)
+        coeffs[0] = omega
+        coeffs[-1] = 1.0
+        poly = tuple(complex(c) for c in coeffs)
     return LocalFactor(
-        p=p, kind="ramified", k=k, delta=delta, gamma=1.0,
-        e_scale=e_scale, twist=complex(twist), chi=chi,
-        C=complex(C), omega=complex(omega),
+        p=p, kind="ramified", poly=poly, shift=k,
+        scale=complex(C) * p ** (-k / 2.0), e_scale=e_scale,
+        twist=complex(twist), chi=chi, k=k, delta=delta, C=complex(C),
+        omega=complex(omega),
     )
 
 
@@ -511,8 +427,8 @@ def padic_vector_factor(configs, p: int, twist: complex = 1.0) -> LocalFactor:
     n-dimensional p-adic space.
 
     Detects the stable region (product of thetas equal to 1) and the
-    geometric lower tail (ratio p^n per step) from exact values, and stores
-    the finite middle explicitly.
+    geometric lower tail (ratio p^n per step) from exact values, and builds
+    the exact numerator from the finite middle between them.
 
     The zeros all sit on Re(s) = n/2 when the component quadratic
     coefficients have valuations of equal parity.  Mixing parities
@@ -546,14 +462,14 @@ def padic_vector_factor(configs, p: int, twist: complex = 1.0) -> LocalFactor:
         m -= 1
 
     # lower tail: theta(p^(j-1)) = theta(p^j) / p^n exactly
-    scale = float(p) ** n
+    ratio = float(p) ** n
 
     def in_tail(j: int) -> bool:
         # a genuine tail value is nonzero; a support gap fakes the ratio
         t0, t1 = theta(j - 1), theta(j)
         if abs(t1) == 0.0:
             return False
-        return abs(t0 * scale - t1) <= 1e-12 * abs(t1)
+        return abs(t0 * ratio - t1) <= 1e-12 * abs(t1)
 
     t = m
     while not (in_tail(t) and in_tail(t - 1) and in_tail(t - 2)):
@@ -564,13 +480,43 @@ def padic_vector_factor(configs, p: int, twist: complex = 1.0) -> LocalFactor:
         t += 1
     tail_j = t - 1  # highest level already inside the geometric tail
 
-    mid = []
-    for j in range(tail_j + 1, m):
-        c = theta(j)
-        if abs(c) > 1e-15:
-            mid.append((j, complex(c)))
+    # With t = p^(-s) the factor times (1 - 1/p) t (1 - t) is the Laurent
+    # polynomial
+    #
+    #     (t - p^-n) (1 - t) mid(t) + (t - p^-n) t^m + c t^(T+1) (1 - t)
+    #
+    # (mid(t) the sum of theta(p^j) t^j over T < j < m, T the tail start,
+    # c = theta(p^T)).  Neither t = 1 nor t = p^(-n) is a root, so after
+    # clearing powers of t the remaining roots are exactly the zeros of the
+    # factor.
+    lo = tail_j + 1  # lowest power appearing
+    c = np.zeros(m - lo + 2, dtype=complex)  # c[i] multiplies t^(lo + i)
+    pn = float(p) ** (-n)
+    for j in range(lo, m):
+        coeff = theta(j)
+        if abs(coeff) > 1e-15:
+            # (t - p^-n)(1 - t) t^j = -t^(j+2) + (1 + p^-n) t^(j+1) - p^-n t^j
+            c[j + 2 - lo] += -coeff
+            c[j + 1 - lo] += (1.0 + pn) * coeff
+            c[j - lo] += -pn * coeff
+    c[m + 1 - lo] += 1.0
+    c[m - lo] += -pn
+    c[0] += theta(tail_j)
+    c[1] += -theta(tail_j)
+
+    # strip structurally cancelled ends (exact zeros up to roundoff)
+    keep = np.nonzero(np.abs(c) > 1e-10 * np.max(np.abs(c)))[0]
+    if keep.size == 0:
+        raise WeakMellinError("vector numerator collapsed to zero")
+    low = lo + int(keep[0])  # lowest surviving power of t
+    c = c[keep[0] : keep[-1] + 1]
+    D = c.size - 1
+    Q = float(p) ** (n / 2.0)
+    # sum_i c[i] t^(low + i) with t = 1 / (Q X) is Q^(-low) X^(-low - D)
+    # P(X), P(X) = sum_i c[i] Q^(-i) X^(D - i) highest degree first
+    poly = tuple(complex(c[i] * Q ** (-float(i))) for i in range(c.size))
     return LocalFactor(
-        p=p, kind="vector", k=m, n_dim=n, twist=complex(twist),
-        mid_terms=tuple(mid), tail_j=tail_j,
-        tail_coeff=complex(theta(tail_j)),
+        p=p, kind="vector", poly=poly, shift=low + D - 1,
+        scale=complex(Q ** (1 - low) / (1.0 - 1.0 / p)), pole=True,
+        twist=complex(twist), n_dim=n, k=m,
     )

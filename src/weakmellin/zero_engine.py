@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,79 +73,70 @@ def _sorted_reports(reports):
 # unit-circle sign-change certificate
 
 
-def _circle_profile(factor: LocalFactor):
-    """Real function on [0, 2pi) whose sign changes are the circle zeros.
+def _circle_profile(coeffs, degree: int):
+    """Real function on [0, 2pi) whose sign changes are the circle zeros,
+    or None when the numerator is not self-inversive.
 
-    For the scalar numerators both terms of the factored form have unit
-    or 1/Q modulus, so after pulling out a half-degree phase the value on
-    the circle is a real trigonometric binomial:
+    A self-inversive P satisfies P(X) = u X^D conj(P(1/conj(X))) with
+    u = P[0] / conj(P[-1]) of modulus 1, so on the circle X = e^(i phi)
 
-        h(phi) = 2 Re(c1 e^(i nu phi)) + 2 Re(c2 e^(i (nu-1) phi))
+        h(phi) = Re(conj(sqrt(u)) e^(-i D phi/2) P(e^(i phi)))
 
-    with nu = D/2.  A tangential zero would force |c1| <= |c2|, which
-    never happens here (|c1| = 1, |c2| = 1/Q < 1), so every circle zero
-    of the numerator is a clean sign change of h.
+    is real up to roundoff and vanishes exactly where P does.  For the
+    unramified numerators h is the trigonometric binomial
+    2 Re(c1 e^(i nu phi)) + 2 Re(c2 e^(i (nu-1) phi)) with |c1| = 1 and
+    |c2| = 1/Q < 1, which has no tangential zero, so every circle zero of
+    the numerator is a clean sign change of h.  h takes scalar or array
+    angles.
     """
-    coeffs, Q, D = factor.zero_poly()
-    if D == 0:
+    u = coeffs[0] / np.conj(coeffs[-1])
+    mirror = u * np.conj(coeffs[::-1])
+    if np.max(np.abs(coeffs - mirror)) > 1e-8 * np.max(np.abs(coeffs)):
         return None
-    nu = D / 2.0
-    if factor.kind == "unramified":
-        c1 = cmath.sqrt(factor.gamma)
-        c2 = -c1 / Q
-    elif factor.kind == "ramified":
-        c1 = cmath.sqrt(factor.omega)
-        c2 = 0.0 + 0.0j
-    else:
-        raise DomainError(
-            "circle certificate needs a self-inversive scalar numerator"
-        )
+    rot = np.conj(np.sqrt(u))
 
-    def h(phi: float) -> float:
-        return 2.0 * (
-            (c1 * cmath.exp(1j * nu * phi)).real
-            + (c2 * cmath.exp(1j * (nu - 1.0) * phi)).real
-        )
+    def h(phi):
+        return (
+            rot * np.exp(-0.5j * degree * phi) * np.polyval(coeffs, np.exp(1j * phi))
+        ).real
 
-    return h, D
+    return h
 
 
 def unit_circle_certificate(factor: LocalFactor, samples: int = 4096):
     """Count circle zeros of the numerator by sign changes and bracket them.
 
     Returns (count, angles) with the angles refined by bisection to
-    machine accuracy.  Works only for the scalar kinds whose numerator
-    is self-inversive; D = 0 gives (0, []).
+    machine accuracy.  Needs a self-inversive numerator (every unramified
+    and ramified one is); D = 0 gives (0, []).
     """
-    prof = _circle_profile(factor)
-    if prof is None:
+    coeffs, _, degree = factor.zero_poly()
+    if degree < 1:
         return 0, []
-    h, degree = prof
+    h = _circle_profile(coeffs, degree)
+    if h is None:
+        raise DomainError(
+            "circle certificate needs a self-inversive numerator"
+        )
     two_pi = 2.0 * math.pi
-    phis = [two_pi * i / samples for i in range(samples)]
-    vals = [h(phi) for phi in phis]
+    phis = two_pi * np.arange(samples + 1) / samples
+    vals = h(phis[:samples])
     # close the loop; odd degree profiles are antiperiodic
-    vals.append(vals[0] if degree % 2 == 0 else -vals[0])
-    phis.append(two_pi)
-    angles = []
-    for i in range(samples):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            angles.append(phis[i])
-            continue
-        if va * vb < 0.0:
-            lo, hi, flo = phis[i], phis[i + 1], va
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = h(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            angles.append(0.5 * (lo + hi))
+    vals = np.append(vals, vals[0] if degree % 2 == 0 else -vals[0])
+    on_grid = vals[:samples] == 0.0
+    lo = np.flatnonzero(~on_grid & (vals[:samples] * vals[1:] < 0.0))
+    # bisect every bracket at once; an exact zero collapses its bracket
+    a, b, fa = phis[lo], phis[lo + 1], vals[lo]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        fm = h(mid)
+        exact = fm == 0.0
+        left = fa * fm < 0.0
+        b = np.where(exact | left, mid, b)
+        a = np.where(exact | ~left, mid, a)
+        fa = np.where(left, fa, fm)
+    angles = np.concatenate([phis[np.flatnonzero(on_grid)], 0.5 * (a + b)])
+    angles = sorted(float(x) for x in angles)
     return len(angles), angles
 
 
@@ -196,11 +187,12 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     companion matrix, each root is pulled back to s and folded into
     0 <= Im(s) < 2 pi / ln q (after the twist shift), and the result is
     certified against an independent count: the circle sign-change
-    certificate for self-inversive scalar numerators, a tight winding
-    count in the X plane otherwise.
+    certificate for self-inversive numerators, a tight winding count in
+    the X plane otherwise.  A factor that vanishes identically has no
+    isolated zeros and gives [].
     """
     coeffs, _, D = factor.zero_poly()
-    if D == 0:
+    if D < 1:
         return []
     p = factor.p
     log_p = math.log(p)
@@ -211,13 +203,10 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     roots = np.roots(coeffs)
     clustered = _cluster_roots([complex(r) for r in roots])
 
-    scalar = factor.kind in ("unramified", "ramified")
-    if scalar:
+    on_circle = _circle_profile(coeffs, D) is not None
+    if on_circle:
         count, angles = unit_circle_certificate(factor)
         count_ok = count == D
-    else:
-        count, angles = 0, []
-        count_ok = True  # established per root below
 
     reports = []
     for x_root, mult in clustered:
@@ -225,7 +214,7 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
         s_val = factor.n_dim / 2.0 + cmath.log(x_root) / log_p
         s_loc = complex(s_val.real, _fold_imag(s_val.imag + shift, period))
 
-        if scalar:
+        if on_circle:
             # independent confirmation: a certificate angle within the
             # matching disk, measured in s units
             phi = cmath.phase(x_root) % (2.0 * math.pi)
@@ -258,6 +247,27 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     return _sorted_reports(reports)
 
 
+def zeros_in_window(factor: LocalFactor, im_lo: float,
+                    im_hi: float) -> list[ZeroReport]:
+    """The exp_poly_roots reports unfolded over im_lo <= Im(s) <= im_hi.
+
+    The zeros of a finite-place factor repeat with period 2 pi / ln p, so
+    each zero of the fundamental strip is copied to every translate that
+    falls inside the window.
+    """
+    period = 2.0 * math.pi / math.log(factor.p)
+    out = []
+    for rep in exp_poly_roots(factor):
+        im0 = rep.location.imag % period
+        m = math.floor((im_lo - im0) / period)
+        while im0 + m * period <= im_hi:
+            im = im0 + m * period
+            if im >= im_lo:
+                out.append(replace(rep, location=complex(rep.location.real, im)))
+            m += 1
+    return _sorted_reports(out)
+
+
 def circle_zeros(factor: LocalFactor) -> list[ZeroReport]:
     """Zeros from the sign-change certificate alone, no eigenvalues.
 
@@ -265,10 +275,8 @@ def circle_zeros(factor: LocalFactor) -> list[ZeroReport]:
     numerator value at the located point over the coefficient scale.
     """
     coeffs, _, D = factor.zero_poly()
-    if D == 0:
+    if D < 1:
         return []
-    if factor.kind not in ("unramified", "ramified"):
-        raise DomainError("circle zeros need a self-inversive scalar factor")
     p = factor.p
     log_p = math.log(p)
     period = 2.0 * math.pi / log_p

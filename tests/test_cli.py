@@ -240,6 +240,26 @@ def test_bad_s_value_exits_2(capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["global", "--s", "nan,1"],
+        ["global", "--s", "0.5+infj"],
+        ["global", "--s", "2", "--tol", "nan"],
+        ["zeros", "--global", "reference", "--imax", "nan"],
+        ["zeros", "--global", "reference", "--imin", "1", "--imax", "inf",
+         "--samples", "16"],
+        ["local", "--field", "real", "--a", "nan", "--s", "2"],
+        ["local", "--field", "real", "--b", "inf", "--s", "2"],
+    ],
+)
+def test_non_finite_numbers_exit_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+
+
 def test_nonprime_p_exits_2(capsys):
     code, _, err = run_cli(
         ["local", "--field", "qp", "--p", "4", "--s", "1"], capsys,
@@ -248,11 +268,7 @@ def test_nonprime_p_exits_2(capsys):
     assert "config error" in err
 
 
-def test_mw_threads_validation(monkeypatch, capsys):
-    monkeypatch.setenv("MW_THREADS", "three")
-    assert cli.main(["verify", "--suite", "2"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("MW_THREADS", "4")
+def test_mw_threads_validation(capsys):
     code, out, _ = run_cli(["verify", "--suite", "2"], capsys)
     assert code == 0
     assert "PASS" in out

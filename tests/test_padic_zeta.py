@@ -13,7 +13,7 @@ import pytest
 
 from weakmellin.errors import PoleError
 from weakmellin.oracle import oracle_padic_mellin, oracle_padic_vector
-from weakmellin.padic_core import psi_p, unit_characters, valuation
+from weakmellin.padic_core import psi_p, unit_average, unit_characters, valuation
 from weakmellin.padic_zeta import (
     detect_escape_level,
     local_factor,
@@ -23,6 +23,7 @@ from weakmellin.padic_zeta import (
     rho0_gauss_sum,
     weil_index_padic,
 )
+from weakmellin.zero_engine import zeros_in_window
 
 S_GRID = [0.3, 0.7, 1.5, 0.3 + 1j, 0.7 + 1j, 1.5 + 1j, 0.3 + 5j, 0.7 + 5j, 1.5 + 5j]
 
@@ -169,9 +170,28 @@ def test_zero_poly_is_self_inversive():
         assert np.allclose(coeffs, lf.gamma * rev, atol=1e-12)
 
 
+def test_degree_is_numerator_degree():
+    odd = next(c for c in unit_characters(3, 1) if not c.is_even)
+    factors = [
+        local_factor(1, F(1, 9), 3),
+        local_factor(1, 0, 5),
+        local_factor(1, F(1, 3), 3, chi=odd),
+        local_factor(1, F(1, 125), 5, chi=next(iter(unit_characters(5, 1)))),
+        local_factor(1, 0, 3, chi=odd),
+        padic_vector_factor(((3, 0), (3, 0)), 3),
+        padic_vector_factor(((1, 0), (3, 0)), 3),
+    ]
+    assert {lf.kind for lf in factors} == {
+        "unramified", "ramified", "vanishing", "vector"
+    }
+    for lf in factors:
+        coeffs, _, D = lf.zero_poly()
+        assert lf.degree == D == len(coeffs) - 1
+
+
 def test_zeros_match_evaluation():
     lf = local_factor(1, F(1, 9), 3)
-    zeros = lf.zeros_in_im_range(-10.0, 10.0)
+    zeros = [r.location for r in zeros_in_window(lf, -10.0, 10.0)]
     # 4 roots per period of 2 pi / ln 3 ~ 5.72 inside a width-20 window
     assert 12 <= len(zeros) <= 16
     for z in zeros:
@@ -209,7 +229,7 @@ def test_ramified_zeros_on_critical_line():
             lf = local_factor(1, F(1, p), p, chi=chi)
             if lf.kind != "ramified" or lf.omega == 0:
                 continue
-            zeros = lf.zeros_in_im_range(-8.0, 8.0)
+            zeros = [r.location for r in zeros_in_window(lf, -8.0, 8.0)]
             assert zeros
             seen += len(zeros)
             for z in zeros:
@@ -241,6 +261,29 @@ def test_ramified_top_coefficient_identity():
                         / (1 - 1 / p)
                     )
                     assert abs(lf.C - pred) < 1e-13
+
+
+# b = p^-m puts the top term at escape level m - 1 or m; from level 2 on
+# its mirror term sits below a gap of provably zero levels
+RAMIFIED_LEVEL_CASES = [
+    (p, n, a, m) for p in (3, 5) for n in (1, 2) for a in (1, p) for m in (1, 2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("p,n,a,m", RAMIFIED_LEVEL_CASES)
+def test_ramified_closed_form_and_oracle_match_direct_sum(p, n, a, m):
+    b = F(1, p**m)
+    for chi in unit_characters(p, n):
+        # every level of these inputs outside [-6, 5] is provably zero
+        profile = {
+            j: unit_average(a, b, p, F(p) ** j, chi=chi) for j in range(-6, 6)
+        }
+        assert abs(profile[-6]) < 1e-13 and abs(profile[5]) < 1e-13
+        lf = local_factor(a, b, p, chi=chi)
+        for s in (0.7 + 1.3j, 1.2 - 4j):
+            want = sum(v * p ** (-j * s) for j, v in profile.items())
+            assert abs(lf.evaluate(s) - want) < 1e-12
+            assert abs(oracle_padic_mellin(a, b, p, s, chi=chi) - want) < 1e-12
 
 
 def test_vanishing_factor_for_odd_character_even_phase():
@@ -307,7 +350,7 @@ VECTOR_CASES = [
 def test_vector_matches_oracle(p, cfg):
     lf = padic_vector_factor(cfg, p)
     assert lf.n_dim == len(cfg)
-    for s in (0.4, 0.9 + 1j, 1.3 + 4j):
+    for s in (0.4, 0.9 + 1j, 1.3 + 4j, float(len(cfg))):
         got = lf.evaluate(s)
         want = oracle_padic_vector(cfg, p, s)
         assert abs(got - want) < 1e-12
@@ -318,7 +361,7 @@ def test_vector_zeros_on_half_dimension_line(p, cfg):
     lf = padic_vector_factor(cfg, p)
     n = lf.n_dim
     coeffs, Q, D = lf.zero_poly()
-    zeros = lf.zeros_in_im_range(-6.0, 6.0)
+    zeros = [r.location for r in zeros_in_window(lf, -6.0, 6.0)]
     if D == 0:
         assert zeros == []
         return
@@ -345,5 +388,5 @@ def test_vector_pole_guards():
     lf = padic_vector_factor(((1, 0), (1, 0)), 3)
     with pytest.raises(PoleError):
         lf.evaluate(0.0)
-    with pytest.raises(PoleError):
-        lf.evaluate(2.0)  # lower-tail pole at s = n
+    # the lower tail's geometric sum has no pole at s = n
+    assert abs(lf.evaluate(2.0) - oracle_padic_vector(((1, 0), (1, 0)), 3, 2.0)) < 1e-12

@@ -19,10 +19,10 @@ from weakmellin.errors import (
 )
 from weakmellin.padic_core import unit_characters
 from weakmellin.padic_zeta import (
-    LocalFactor,
     local_factor,
     local_factor_unramified,
     padic_vector_factor,
+    unramified_from_constants,
 )
 from weakmellin.zero_engine import (
     _BOUNDARY_DIP,
@@ -175,10 +175,7 @@ def test_vector_mixed_parity_root_reported_off_line():
     p=st.sampled_from([2, 3, 5, 7]),
 )
 def test_random_scalar_numerators_stay_on_circle(theta, k, delta, p):
-    factor = LocalFactor(
-        p=p, kind="unramified", k=k, delta=delta,
-        gamma=cmath.exp(1j * theta),
-    )
+    factor = unramified_from_constants(p, k, delta, cmath.exp(1j * theta))
     reports = exp_poly_roots(factor)
     assert len(reports) == 2 * k + delta
     count, _ = unit_circle_certificate(factor)
