@@ -550,7 +550,8 @@ def main(argv=None) -> int:
     except UncertifiedError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 1
-    except WeakMellinError as exc:
+    except (WeakMellinError, ArithmeticError) as exc:
+        # ArithmeticError: a float overflow on an accepted but extreme input
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -33,6 +33,7 @@ __all__ = [
     "UnitCharacter",
     "unit_characters",
     "unit_average",
+    "unit_coset_level",
     "theta_additive",
     "rat_mod",
 ]
@@ -249,6 +250,18 @@ def _int_rep_mod(x: Fraction, p: int, k: int) -> int:
     return rat_mod(scaled, p, k)
 
 
+def unit_coset_level(a, p: int, y, n_chi: int = 0, margin: int = 1) -> int:
+    """Level m0 of the cosets u + p^m0 Z_p that `unit_average` sums over.
+
+    The sum visits the units among the p^m0 residues, so its cost grows
+    as p^m0; a nonzero `a` and `y` are assumed.
+    """
+    v2 = 1 if p == 2 else 0
+    va = valuation(a, p)
+    vy = valuation(y, p)
+    return max(1, n_chi, math.ceil((v2 - va - 2 * vy) / 2)) + margin
+
+
 def unit_average(a, b, p: int, y, chi: UnitCharacter | None = None, margin: int = 1) -> complex:
     """Average of psi(a (uy)^2/2 + b uy) chi(u) over the unit group,
     multiplicative measure normalized to total mass 1.
@@ -262,11 +275,8 @@ def unit_average(a, b, p: int, y, chi: UnitCharacter | None = None, margin: int 
         raise DegenerateError("quadratic coefficient must be nonzero")
     if y == 0:
         raise DomainError("average undefined at y = 0")
-    v2 = 1 if p == 2 else 0
     n_chi = 0 if chi is None else chi.conductor_exponent
-    va = valuation(a, p)
-    vy = valuation(y, p)
-    m0 = max(1, n_chi, math.ceil((v2 - va - 2 * vy) / 2)) + margin
+    m0 = unit_coset_level(a, p, y, n_chi, margin)
 
     alpha = a * y * y / 2  # quadratic phase coefficient
     beta = b * y

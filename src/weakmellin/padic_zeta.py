@@ -44,6 +44,7 @@ from .padic_core import (
     psi_p,
     theta_additive,
     unit_average,
+    unit_coset_level,
     valuation,
 )
 
@@ -295,6 +296,13 @@ def qp2_special_eval(s: complex) -> complex:
     return (2.0 ** (1.0 - s) * (1.0 - 2.0 ** (s - 1.0)) + e8 * 2.0**s * den) / den
 
 
+# The most unit cosets one level of the ramified scan may sum over.  The
+# mirror term of escape level k sits at level -(k + delta), whose coset
+# count grows as p^(k + delta); at p = 3 the largest sum allowed (3^12
+# cosets) takes about 0.2 s.
+_RAMIFIED_MAX_COSETS = 1 << 20
+
+
 def _ramified_window(a_norm, b_norm, p: int, chi: UnitCharacter):
     """Exact profile of unit averages on the provably complete support.
 
@@ -338,7 +346,13 @@ def _ramified_window(a_norm, b_norm, p: int, chi: UnitCharacter):
             consec += 1
         else:
             consec = 0
-            val = unit_average(a_norm, b_norm, p, Fraction(p) ** j, chi=chi)
+            y = Fraction(p) ** j
+            if p ** unit_coset_level(a_norm, p, y, n) > _RAMIFIED_MAX_COSETS:
+                raise SupportEscapeError(
+                    f"ramified level {j} at p = {p} needs a sum over more "
+                    f"than {_RAMIFIED_MAX_COSETS} unit cosets"
+                )
+            val = unit_average(a_norm, b_norm, p, y, chi=chi)
             if abs(val) > 1e-13:
                 profile[j] = val
         j -= 1

@@ -1,9 +1,11 @@
 """Scalar special functions used by the zeta-factor machinery.
 
 Everything here is self-contained: a Lanczos log-gamma, Euler-Maclaurin
-Riemann and Hurwitz zeta, a Kummer confluent hypergeometric with an
-80-bit fast path plus a wide-decimal rescue for heavy cancellation,
-Dirichlet characters of general modulus, and the completed Riemann xi.
+Riemann and Hurwitz zeta, a Kummer confluent hypergeometric summed in
+fixed-point integers (2^-128 resolution: twelve digits survive
+cancellation by up to about 1e24) with a wide-decimal tier for the rare
+heavier cases, Dirichlet characters of general modulus, and the
+completed Riemann xi.
 External packages (mpmath, sympy) appear only in the test suite as
 cross-checks, never here.
 
@@ -21,8 +23,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-
-import numpy as np
 
 from .errors import (
     ConvergenceError,
@@ -130,17 +130,31 @@ class EvalQuality:
 
 _HYP_MAX_TERMS = 500
 _HYP_Z_CAP = 40.0
-_HYP_EPS80 = 1.08e-19
+_HYP_BITS = 128  # fractional bits of the fixed-point series
+_HYP_STOP_BITS = 64  # a term below 2^-64 of the partial sum counts as small
 _HYP_REL_TARGET = 1e-12
 _HYP_MAX_DIGITS = 60
+
+
+def _to_fixed(x: float) -> int:
+    """floor(x * 2^_HYP_BITS), exact for every double not below 2^-_HYP_BITS.
+
+    The 53-bit significand is shifted as an integer, so no float product
+    is formed: x * 2.0**128 would overflow for |x| above about 1e270.
+    """
+    m, e = math.frexp(x)
+    n = int(m * 9007199254740992.0)  # m * 2^53 is the significand, exactly
+    shift = e - 53 + _HYP_BITS
+    return n << shift if shift >= 0 else n >> -shift
 
 
 def _hyp1f1_decimal(a: complex, b: complex, z: complex, digits: int) -> complex:
     """Rerun the Kummer series with ``digits``-place decimal arithmetic.
 
-    Same recurrence as the fast path, reached only when cancellation has
-    chewed through the 80-bit significand.  Inputs are double precision,
-    so rounding them is not the bottleneck; the wide significand is.
+    Same recurrence as the fixed-point pass, reached only when
+    cancellation has chewed through its 128 fractional bits.  Inputs are
+    double precision, so rounding them is not the bottleneck; the wide
+    significand is.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = digits
@@ -176,71 +190,107 @@ def _hyp1f1_decimal(a: complex, b: complex, z: complex, digits: int) -> complex:
 
 
 def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
-    """Kummer 1F1(a; b; z) by Taylor series in extended precision.
+    """Kummer 1F1(a; b; z) by Taylor series in fixed-point integers.
 
-    The term recurrence and the partial sums run in 80-bit floats.  The
-    running-maximum partial sum over the final value estimates how many
-    digits cancellation destroyed; when the fast value cannot promise
-    twelve clean digits the series reruns in decimal arithmetic wide
-    enough to absorb the loss (up to 60 places).  Restricted to
-    |z| <= 40: beyond that the scale swings outgrow even that budget and
-    callers must rescale upstream.  Emits PrecisionWarning only if the
-    widest rerun still leaves fewer than about seven clean digits.
+    The inputs are converted exactly to Python integers scaled by 2^128,
+    and one pass of the term recurrence runs on them: q_k = (a + k) z is
+    advanced by adding z, and each term is divided by (b + k)(k + 1) with
+    one floor division per part when b is real (a complex b divides
+    through the conjugate).  Every rounding is relative to 2^-128 at the
+    scale of the largest term, so twelve digits survive while the largest
+    partial sum exceeds the value by up to about 1e24.  The pass stops
+    after three terms in a row below 2^-64 of the current partial sum.
+
+    The largest partial sum over the value (the cancellation ratio) times
+    the terms used and 2^-128 estimates the relative error.  Only when
+    that exceeds 1e-12 does the series rerun in decimal arithmetic wide
+    enough to absorb the loss (up to 60 places).  Two kinds of input
+    reach that tier: |z| >= 38 with Im a >= 20, e.g. (0.25+30j, 0.5, 40j)
+    with a ratio of 1.8e32, and evaluations on top of a zero (|value|
+    below about 3e-16, such as the last Newton step of a zero search).
+
+    Restricted to finite inputs and |z| <= 40 (DomainError otherwise):
+    beyond that the scale swings outgrow even the decimal budget and
+    callers must rescale upstream.  Raises PoleError when b + k lies
+    within 1e-12 of 0 before the series stops, and ConvergenceError after
+    500 terms.  Emits PrecisionWarning only if the widest rerun still
+    leaves fewer than about seven clean digits.
     """
     a = complex(a)
     b = complex(b)
     z = complex(z)
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(z)):
+        raise DomainError(f"hyp1f1({a}, {b}, {z}) needs finite arguments")
     if abs(z) > _HYP_Z_CAP:
         raise DomainError(f"hyp1f1 argument |z| = {abs(z):.3g} exceeds {_HYP_Z_CAP}")
-    if (
-        z == 0
-        and cmath.isfinite(a)
-        and cmath.isfinite(b)
-        and min(abs(b), abs(b + 1.0), abs(b + 2.0)) > 2e-12
-    ):
-        # At z = 0 every term after the first is zero, so the loop below
+    if z == 0 and min(abs(b), abs(b + 1.0), abs(b + 2.0)) > 2e-12:
+        # At z = 0 every term after the first is zero, so the series
         # stops after three terms with the sum exactly 1.  Near a pole
         # (b within 2e-12 of 0, -1 or -2) it runs anyway, so that its
-        # extended-precision pole test decides.
+        # pole test decides.
         return EvalQuality(value=1.0 + 0.0j, cancellation_ratio=1.0, terms_used=3)
 
-    aw = np.clongdouble(a)
-    bw = np.clongdouble(b)
-    zw = np.clongdouble(z)
-    term = np.clongdouble(1.0)
-    total = np.clongdouble(1.0)
-    max_partial = 1.0
+    # The series divides by b + k for k = 0, 1, ...; at most one k brings
+    # that within 1e-12 of 0.  The loop ends short of it, and raises
+    # PoleError there unless the series has stopped before.
+    last = _HYP_MAX_TERMS
+    if b.real < 0.5:
+        kp = round(-b.real)
+        if kp < last and abs(complex(b.real + kp, b.imag)) < 1e-12:
+            last = kp
+
+    bits = _HYP_BITS
+    one = 1 << bits
+    ar, ai = _to_fixed(a.real), _to_fixed(a.imag)
+    zr, zi = _to_fixed(z.real), _to_fixed(z.imag)
+    br, bi = _to_fixed(b.real), _to_fixed(b.imag)  # b + k - 1, advanced by one
+    qr = (ar * zr - ai * zi) >> bits  # (a + k - 1) z, advanced by z
+    qi = (ar * zi + ai * zr) >> bits
+    tr, ti = one, 0  # term
+    sr, si = one, 0  # partial sum
+    peak = one  # largest |partial sum|, in the 1-norm
     small_run = 0
-    k = 0
-    while k < _HYP_MAX_TERMS:
-        bk = bw + k
-        if abs(bk) < 1e-12:
-            raise PoleError(f"hyp1f1 pole: b = {b} hits a non-positive integer")
-        term = term * (aw + k) * zw / (bk * (k + 1))
-        k += 1
-        total = total + term
-        partial = float(abs(total))
-        if partial > max_partial:
-            max_partial = partial
-        if abs(term) < 1e-20 * max(max_partial, 1e-300):
+    for k in range(1, last + 1):
+        xr = tr * qr - ti * qi
+        xi = tr * qi + ti * qr
+        d = br * k  # (b + k - 1) k
+        if bi:
+            e = bi * k
+            xr, xi = xr * d + xi * e, xi * d - xr * e
+            d = d * d + e * e
+        tr = xr // d
+        ti = xi // d
+        sr += tr
+        si += ti
+        qr += zr
+        qi += zi
+        br += one
+        mag = abs(sr) + abs(si)
+        if mag > peak:
+            peak = mag
+        # a floored term never rounds to zero below -1, hence the + 2
+        if abs(tr) + abs(ti) <= (mag >> _HYP_STOP_BITS) + 2:
             small_run += 1
             if small_run >= 3:
                 break
         else:
             small_run = 0
     else:
+        if last < _HYP_MAX_TERMS:
+            raise PoleError(f"hyp1f1 pole: b = {b} hits a non-positive integer")
         raise ConvergenceError(
             f"hyp1f1({a}, {b}, {z}) did not converge in {_HYP_MAX_TERMS} terms"
         )
 
-    value = complex(total)
+    value = complex(sr / one, si / one)
+    max_partial = peak / one
     ratio = max_partial / max(abs(value), 1e-300)
-    est_rel = _HYP_EPS80 * ratio
+    est_rel = k * 2.0**-bits * ratio
     if est_rel > _HYP_REL_TARGET:
         digits = min(_HYP_MAX_DIGITS, 25 + int(math.log10(max(ratio, 1.0))))
         value = _hyp1f1_decimal(a, b, z, digits)
         for _ in range(2):
-            # the fast value may have underestimated the ratio; recheck
+            # the fixed-point value may have underestimated the ratio; recheck
             ratio = max_partial / max(abs(value), 1e-300)
             est_rel = 10.0 ** (1 - digits) * ratio
             if est_rel <= _HYP_REL_TARGET or digits >= _HYP_MAX_DIGITS:

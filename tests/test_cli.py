@@ -260,6 +260,26 @@ def test_non_finite_numbers_exit_2(argv, capsys):
     assert err.startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["local", "--field", "real", "--a", "1", "--b", "0.5", "--s", "400,0"],
+        ["local", "--field", "real", "--a", "1", "--b", "0.5", "--s", "1e300,0"],
+        ["global", "--s", "1e10,0"],
+        ["local", "--field", "qp", "--p", "3", "--a", "1", "--b", "1/3",
+         "--s", "1e300,0"],
+        ["zeros", "--global", "reference", "--imin", "0", "--imax", "1e6",
+         "--samples", "16"],
+    ],
+)
+def test_float_overflow_is_a_numeric_failure(argv, capsys):
+    # accepted inputs whose values overflow a double: no traceback
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("numeric failure: OverflowError:")
+
+
 def test_nonprime_p_exits_2(capsys):
     code, _, err = run_cli(
         ["local", "--field", "qp", "--p", "4", "--s", "1"], capsys,

@@ -6,12 +6,13 @@ provable truncation, so agreement here is a genuine dual-route check.
 
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from weakmellin.errors import PoleError
+from weakmellin.errors import PoleError, SupportEscapeError
 from weakmellin.oracle import oracle_padic_mellin, oracle_padic_vector
 from weakmellin.padic_core import psi_p, unit_average, unit_characters, valuation
 from weakmellin.padic_zeta import (
@@ -284,6 +285,15 @@ def test_ramified_closed_form_and_oracle_match_direct_sum(p, n, a, m):
             want = sum(v * p ** (-j * s) for j, v in profile.items())
             assert abs(lf.evaluate(s) - want) < 1e-12
             assert abs(oracle_padic_mellin(a, b, p, s, chi=chi) - want) < 1e-12
+
+
+def test_ramified_scan_refuses_an_oversized_mirror_sum():
+    # the mirror term of b = 3^-20 would need a sum over 3^21 unit cosets
+    chi = next(iter(unit_characters(3, 1)))
+    t0 = time.perf_counter()
+    with pytest.raises(SupportEscapeError, match="p = 3"):
+        local_factor(1, F(1, 3**20), 3, chi=chi)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_vanishing_factor_for_odd_character_even_phase():

@@ -5,9 +5,11 @@ mpmath is the numerical reference here; the library itself never imports it.
 
 import cmath
 import math
+import random
 import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,8 +160,8 @@ def test_hyp1f1_pole_in_lower_parameter():
 
 
 def test_hyp1f1_heavy_cancellation_is_rescued():
-    # 39j sits just under the argument cap; the naive series loses a
-    # dozen digits here and the wide-decimal rerun has to win them back.
+    # 39j sits just under the argument cap; the partial sums exceed the
+    # value by 6e15, so a double-precision series would keep no digit.
     ref = complex(mp.hyp1f1(2.5, 1.5, 39j))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -167,10 +169,89 @@ def test_hyp1f1_heavy_cancellation_is_rescued():
     assert abs(val - ref) <= 1e-10 * abs(ref)
 
 
+def _count_decimal_calls(monkeypatch):
+    calls = []
+    original = sf._hyp1f1_decimal
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sf, "_hyp1f1_decimal", counted)
+    return calls
+
+
+def test_hyp1f1_fixed_point_pass_covers_ratio_6e15(monkeypatch):
+    calls = _count_decimal_calls(monkeypatch)
+    q = sf.hyp1f1_eval(2.5, 1.5, 39j)
+    assert q.cancellation_ratio > 1e15
+    assert calls == []
+
+
+def test_hyp1f1_decimal_tier_fires_beyond_128_bits(monkeypatch):
+    # Im a = 30 at |z| = 40: the partial sums exceed the value by ~1e32
+    calls = _count_decimal_calls(monkeypatch)
+    q = sf.hyp1f1_eval(0.25 + 30j, 0.5, 40j)
+    assert q.cancellation_ratio > 1e30
+    assert len(calls) == 1
+    with mp.workdps(60):
+        ref = complex(mp.hyp1f1(0.25 + 30j, 0.5, 40j))
+    assert abs(q.value - ref) <= 1e-12 * abs(ref)
+
+
 def test_hyp1f1_warns_when_digit_budget_caps_out(monkeypatch):
     monkeypatch.setattr(sf, "_HYP_MAX_DIGITS", 12)
     with pytest.warns(PrecisionWarning):
-        sf.hyp1f1(2.5, 1.5, 39j)
+        sf.hyp1f1(0.25 + 30j, 0.5, 40j)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.nan)])
+@pytest.mark.parametrize("slot", ["a", "b", "z"])
+def test_hyp1f1_rejects_non_finite_arguments(slot, bad):
+    args = {"a": 0.5 + 1j, "b": 1.5, "z": 2j}
+    args[slot] = bad
+    with pytest.raises(DomainError):
+        sf.hyp1f1_eval(**args)
+
+
+def _criterion_5_kummer_points():
+    # every 4th point of the 2048-point scans of acceptance criterion 5:
+    # s = 1/2 + it, t in [0, 40], z = i pi b^2 / a, both characters
+    ts = np.linspace(0.0, 40.0, 2048)[::4].tolist()
+    points = []
+    for a, b in ((1.0, 1.0), (2.0, 0.5), (0.5, 1.5)):
+        z = 1j * math.pi * b * b / a
+        for t in ts:
+            s = complex(0.5, t)
+            points.append((0.5 * s, 0.5, z))
+            points.append((0.5 * (s + 1), 1.5, z))
+    return points
+
+
+def _assert_matches_mpmath(points, rel):
+    worst = 0.0
+    with mp.workdps(50):
+        for a, b, z in points:
+            ref = complex(mp.hyp1f1(a, b, z))
+            worst = max(worst, abs(sf.hyp1f1(a, b, z) - ref) / abs(ref))
+    assert worst <= rel
+
+
+def test_hyp1f1_matches_mpmath_on_criterion_5_scans():
+    _assert_matches_mpmath(_criterion_5_kummer_points(), 1e-12)
+
+
+def test_hyp1f1_matches_mpmath_near_argument_cap():
+    rng = random.Random(4)
+    points = [
+        (
+            complex(rng.choice((0.25, 0.75)), rng.uniform(0.0, 20.0)),
+            rng.choice((0.5, 1.5)),
+            complex(0.0, rng.uniform(34.0, 40.0)),
+        )
+        for _ in range(100)
+    ]
+    _assert_matches_mpmath(points, 1e-12)
 
 
 def test_hyp1f1_eval_quality_fields():
