@@ -84,8 +84,14 @@ def log_gamma(z: complex) -> complex:
     if _near_nonpositive_int(z):
         raise PoleError(f"gamma pole at z = {z}")
     if z.real < 0.5:
-        # reflection: log pi/sin(pi z) - log_gamma(1 - z)
-        return cmath.log(math.pi / cmath.sin(math.pi * z)) - log_gamma(1.0 - z)
+        # reflection: log pi/sin(pi z) - log_gamma(1 - z), with sin(pi z)
+        # taken at the exact offset from the nearest integer n, so that
+        # it keeps its relative accuracy next to a pole
+        n = round(z.real)
+        sin_pi = cmath.sin(math.pi * (z - n))
+        if n & 1:
+            sin_pi = -sin_pi
+        return cmath.log(math.pi / sin_pi) - log_gamma(1.0 - z)
     zz = z - 1.0
     x = _LANCZOS_C[0]
     for i in range(1, 9):

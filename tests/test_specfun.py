@@ -69,6 +69,12 @@ def test_gamma_recurrence(z):
     assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs), 1e-200)
 
 
+@pytest.mark.parametrize("z", [-1 + 5.960464477539063e-08j, -3.0000001, -7 + 1e-6j])
+def test_gamma_next_to_a_pole_keeps_its_relative_accuracy(z):
+    ref = complex(mp.gamma(z))
+    assert abs(sf.gamma(z) - ref) <= 1e-13 * abs(ref)
+
+
 def test_gamma_ratio_denominator_pole_gives_zero():
     assert sf.gamma_ratio(2.5, -3.0) == 0
 
