@@ -142,6 +142,10 @@ _HYP_REL_TARGET = 1e-12
 _HYP_MAX_DIGITS = 60
 
 
+# what the series returns at z = 0; frozen, so one instance serves every call
+_HYP_AT_ZERO = EvalQuality(value=1.0 + 0.0j, cancellation_ratio=1.0, terms_used=3)
+
+
 def _to_fixed(x: float) -> int:
     """floor(x * 2^_HYP_BITS), exact for every double not below 2^-_HYP_BITS.
 
@@ -234,7 +238,7 @@ def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
         # stops after three terms with the sum exactly 1.  Near a pole
         # (b within 2e-12 of 0, -1 or -2) it runs anyway, so that its
         # pole test decides.
-        return EvalQuality(value=1.0 + 0.0j, cancellation_ratio=1.0, terms_used=3)
+        return _HYP_AT_ZERO
 
     # The series divides by b + k for k = 0, 1, ...; at most one k brings
     # that within 1e-12 of 0.  The loop ends short of it, and raises
