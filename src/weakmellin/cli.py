@@ -189,6 +189,10 @@ class JobConfig:
                 )
                 if data.get("chi_mod") is not None:
                     _prime_power_exponent(data["chi_mod"], p)
+                    if p == 2:
+                        raise ConfigError(
+                            "ramified characters at p = 2 are out of scope"
+                        )
                     cfg = replace(
                         cfg, chi_mod=data["chi_mod"],
                         chi_index=int(data.get("chi_index", 0)),

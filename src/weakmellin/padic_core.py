@@ -6,13 +6,14 @@ additive integral over the ring of integers and the multiplicative average
 over the unit group) all reduce to finite sums of roots of unity indexed by
 residues, evaluated with integer arithmetic.
 
-The key cost saving: the average of psi(alpha u^2 + beta u) chi(u) over
-units does not require enumerating residues at the level where the
-integrand is literally constant.  Averaging over each coset u0 (1 + p^m t),
-t integral, leaves a Gaussian-type integral whose quadratic part is trivial
-once m is large enough, and the surviving linear part integrates to an
-exact 0-or-1 indicator.  The enumeration level then grows like half the
-scale of the quadratic phase instead of the whole of it.
+The key cost saving: both integrals split into cosets x0 + p^L Z_p at a
+level L where the quadratic part of the phase is constant on each coset.
+The surviving linear part integrates to an exact 0-or-1 indicator, and the
+residues it keeps solve one linear congruence 2A x0 + B = 0 mod p^k, so
+they form a single arithmetic progression.  `_residue_sum` finds that
+progression with a gcd and a modular inverse and visits only its members,
+in fixed-size numpy blocks; L grows like half the scale of the quadratic
+phase instead of the whole of it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateError, DomainError
+from .specfun import _local_generators
 
 __all__ = [
     "valuation",
@@ -40,8 +42,13 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# beyond this modulus int64 products could overflow; fall back to exact ints
+# `_residue_sum` reduces products of two residues mod P: in int64 up to this
+# modulus (3e9^2 < 2^63), on arrays of Python ints above it
 _VECTOR_MOD_CAP = 3_000_000_000
+
+# residues one numpy pass of `_residue_sum` visits; bounds its temporaries
+# at a few 8-16 MB arrays however many residues survive
+_BLOCK = 1 << 20
 
 
 def valuation(x, p: int):
@@ -98,37 +105,22 @@ def rat_mod(x, p: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _primitive_root_mod_pn(p: int, n: int) -> int:
-    phi = (p - 1) * p ** (n - 1)
-    mod = p**n
-    factors = set()
-    m = phi
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
-    g = 2
-    while True:
-        if g % p != 0 and all(pow(g, phi // q, mod) != 1 for q in factors):
-            return g
-        g += 1
-
-
-@lru_cache(maxsize=None)
 def _dlog_array(p: int, n: int) -> np.ndarray:
-    """dlog[r] = t with g^t = r mod p^n for units, -1 otherwise."""
+    """dlog[r] = t with g^t = r mod p^n for units, -1 otherwise.
+
+    g is the generator `specfun.DirichletCharacter` is indexed by, so a unit
+    character and the Dirichlet character with the same index agree.
+    """
     mod = p**n
     phi = (p - 1) * p ** (n - 1)
-    g = _primitive_root_mod_pn(p, n)
+    g = _local_generators(p, n)[0][0]
+    powers = np.ones(1, dtype=np.int64)  # g^t for t < len(powers)
+    while len(powers) < phi:
+        powers = np.concatenate(
+            (powers, powers * pow(g, len(powers), mod) % mod)
+        )
     out = np.full(mod, -1, dtype=np.int64)
-    cur = 1
-    for t in range(phi):
-        out[cur] = t
-        cur = (cur * g) % mod
+    out[powers[:phi]] = np.arange(phi)
     return out
 
 
@@ -262,6 +254,68 @@ def unit_coset_level(a, p: int, y, n_chi: int = 0, margin: int = 1) -> int:
     return max(1, n_chi, math.ceil((v2 - va - 2 * vy) / 2)) + margin
 
 
+def _residue_sum(alpha: Fraction, beta: Fraction, p: int, level: int,
+                 units: bool, chi: UnitCharacter | None = None) -> complex:
+    """Sum of psi(alpha x^2 + beta x) chi(x) over the residues x mod p^level
+    (units only when `units`) on whose coset x + p^level Z_p the linear
+    part of the phase does not integrate to zero.
+
+    With P = p^big the common denominator of both phase coefficients and
+    A, B their numerators mod P, the phase on a coset is e((A x^2 + B x)/P)
+    plus a linear term ((2A x + B)/P) p^level t; the coset survives when
+    2A x + B = 0 mod P / p^level.  For a unit x, x (2A x + B) = 0 holds
+    exactly when 2A x + B = 0, so one indicator serves both callers.  Its
+    solutions are the progression x0 + step k, empty when the gcd of 2A
+    and the modulus does not divide B; only its members are visited, in
+    blocks of `_BLOCK`.  The caller chooses `level` so the quadratic part
+    is constant on every coset and chi's conductor divides p^level.
+    """
+    big = max(
+        [level, 0] + [-int(valuation(c, p)) for c in (alpha, beta) if c != 0]
+    )
+    P = p**big
+    ind_mod = p ** (big - level)
+    A = _int_rep_mod(alpha, p, big)
+    B = _int_rep_mod(beta, p, big)
+
+    c = 2 * A % ind_mod
+    g = math.gcd(c, ind_mod)
+    if B % g:
+        return 0j
+    step = ind_mod // g
+    x0 = (-B // g) * pow(c // g, -1, step) % step
+
+    size = p**level
+    if units and step == 1:
+        count = size - size // p
+
+        def residue(k):  # the k-th unit in [1, size)
+            return k // (p - 1) * p + k % (p - 1) + 1
+    else:
+        count = 0 if units and x0 % p == 0 else max(0, -(-(size - x0) // step))
+
+        def residue(k):
+            return x0 + step * k
+
+    dtype = np.int64 if P <= _VECTOR_MOD_CAP else object
+    w = 2j * np.pi / P
+    if chi is not None and not chi.is_trivial:
+        pn = p**chi.conductor_exponent
+        chi_values = _char_value_array(p, chi.conductor_exponent, chi.index)
+    else:
+        chi_values = None
+    total = 0j
+    for start in range(0, count, _BLOCK):
+        x = residue(np.arange(start, min(start + _BLOCK, count), dtype=dtype))
+        ph = (A * (x * x % P) % P + B * x % P) % P
+        vals = np.exp(w * ph.astype(np.float64))
+        if chi_values is not None:
+            vals = vals * chi_values[(x % pn).astype(np.int64)]
+        part = complex(vals.sum())
+        total = part if start == 0 else total + part
+    return total
+
+
 def unit_average(a, b, p: int, y, chi: UnitCharacter | None = None, margin: int = 1) -> complex:
     """Average of psi(a (uy)^2/2 + b uy) chi(u) over the unit group,
     multiplicative measure normalized to total mass 1.
@@ -277,55 +331,8 @@ def unit_average(a, b, p: int, y, chi: UnitCharacter | None = None, margin: int 
         raise DomainError("average undefined at y = 0")
     n_chi = 0 if chi is None else chi.conductor_exponent
     m0 = unit_coset_level(a, p, y, n_chi, margin)
-
-    alpha = a * y * y / 2  # quadratic phase coefficient
-    beta = b * y
-    need = [m0, 0, -int(valuation(alpha, p))]
-    if beta != 0:
-        need.append(-int(valuation(beta, p)))
-    big = max(need)
-
-    P0 = p**m0
-    P = p**big
-    ind_mod = p ** (big - m0)  # linear-part divisibility threshold
-
-    A = _int_rep_mod(alpha, p, big)
-    B = _int_rep_mod(beta, p, big) if beta != 0 else 0
-
-    if P <= _VECTOR_MOD_CAP:
-        u = np.arange(1, P0, dtype=np.int64)
-        u = u[u % p != 0]
-        usq = (u * u) % P
-        # reduce every product mod P before summing: operands < 3e9 keep
-        # each product inside int64, but an unreduced sum would not fit
-        phase_num = ((A * usq) % P + (B * u) % P) % P
-        if ind_mod > 1:
-            lin = (((2 * A) % P) * usq % P + (B * u) % P) % P
-            keep = lin % ind_mod == 0
-        else:
-            keep = np.ones(len(u), bool)
-        vals = np.exp((2j * np.pi / P) * phase_num[keep].astype(np.float64))
-        if chi is not None and not chi.is_trivial:
-            base = _char_value_array(p, chi.conductor_exponent, chi.index)
-            vals = vals * base[u[keep] % p**chi.conductor_exponent]
-        total = complex(vals.sum())
-    else:
-        total = 0.0 + 0.0j
-        for u0 in range(1, P0):
-            if u0 % p == 0:
-                continue
-            lin = (2 * A * u0 * u0 + B * u0) % P
-            if ind_mod > 1 and lin % ind_mod != 0:
-                continue
-            ph = (A * u0 * u0 + B * u0) % P
-            w = complex(
-                math.cos(TWO_PI * ph / P), math.sin(TWO_PI * ph / P)
-            )
-            if chi is not None and not chi.is_trivial:
-                w *= chi(u0)
-            total += w
-
-    scale = 1.0 / ((1.0 - 1.0 / p) * P0)
+    total = _residue_sum(a * y * y / 2, b * y, p, m0, True, chi)
+    scale = 1.0 / ((1.0 - 1.0 / p) * p**m0)
     return total * scale
 
 
@@ -341,40 +348,5 @@ def theta_additive(a, b, p: int, y, margin: int = 1) -> complex:
     if a == 0:
         raise DegenerateError("quadratic coefficient must be nonzero")
     A = a * y * y / 2
-    B = b * y
-    vA = valuation(A, p)
-    L = max(0, math.ceil(-vA / 2)) + margin
-
-    need = [L, 0, -int(vA)]
-    if B != 0:
-        need.append(-int(valuation(B, p)))
-    big = max(need)
-    P = p**big
-    PL = p**L
-    ind_mod = p ** (big - L)
-
-    Ai = _int_rep_mod(A, p, big)
-    Bi = _int_rep_mod(B, p, big) if B != 0 else 0
-
-    if P <= _VECTOR_MOD_CAP:
-        x = np.arange(PL, dtype=np.int64)
-        xsq = (x * x) % P
-        if ind_mod > 1:
-            lin = ((((2 * Ai) % P) * x) % P + Bi) % P
-            keep = lin % ind_mod == 0
-        else:
-            keep = np.ones(len(x), bool)
-        ph = ((Ai * xsq) % P + (Bi * x) % P) % P
-        vals = np.exp((2j * np.pi / P) * ph[keep].astype(np.float64))
-        total = complex(vals.sum())
-    else:
-        total = 0.0 + 0.0j
-        for x0 in range(PL):
-            lin = (2 * Ai * x0 + Bi) % P
-            if ind_mod > 1 and lin % ind_mod != 0:
-                continue
-            ph = (Ai * x0 * x0 + Bi * x0) % P
-            total += complex(
-                math.cos(TWO_PI * ph / P), math.sin(TWO_PI * ph / P)
-            )
-    return total / PL
+    L = max(0, math.ceil(-valuation(A, p) / 2)) + margin
+    return _residue_sum(A, b * y, p, L, False) / p**L

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .padic_core import (
     UnitCharacter,
-    psi_p,
+    _residue_sum,
     theta_additive,
     unit_average,
     unit_coset_level,
@@ -296,10 +296,14 @@ def qp2_special_eval(s: complex) -> complex:
     return (2.0 ** (1.0 - s) * (1.0 - 2.0 ** (s - 1.0)) + e8 * 2.0**s * den) / den
 
 
-# The most unit cosets one level of the ramified scan may sum over.  The
-# mirror term of escape level k sits at level -(k + delta), whose coset
-# count grows as p^(k + delta); at p = 3 the largest sum allowed (3^12
-# cosets) takes about 0.2 s.
+# The most unit cosets one level of the ramified scan may sum over.  It
+# bounds no time: `unit_average` visits only the cosets its linear
+# indicator keeps, so the mirror term at level -(k + delta) of b = 3^-20
+# costs under 1 ms.  It guards the absolute 1e-13 drop in the scan: the
+# mirror term has modulus |C| p^-(k + delta/2), and once that falls below
+# 1e-13 a two-term factor would silently come back with one term (for
+# b = p^-m against a character mod p: two terms up to m = 27 at p = 3 and
+# m = 18 at p = 5, one above).  The cap refuses p = 3 from m = 12 on.
 _RAMIFIED_MAX_COSETS = 1 << 20
 
 
@@ -420,12 +424,8 @@ def rho0_gauss_sum(chi: UnitCharacter) -> complex:
     if n == 0:
         raise DomainError("gauss sum needs a ramified character")
     p = chi.p
-    pn = p**n
-    total = 0.0 + 0.0j
-    for eps in range(1, pn):
-        if eps % p == 0:
-            continue
-        total += chi(eps) * psi_p(Fraction(eps, pn), p)
+    # sum over units eps mod p^n of chi(eps) psi(eps / p^n)
+    total = _residue_sum(Fraction(0), Fraction(1, p**n), p, n, True, chi)
     return total / p ** (n / 2.0)
 
 

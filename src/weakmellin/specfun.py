@@ -254,6 +254,27 @@ def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
     ar, ai = _to_fixed(a.real), _to_fixed(a.imag)
     zr, zi = _to_fixed(z.real), _to_fixed(z.imag)
     br, bi = _to_fixed(b.real), _to_fixed(b.imag)  # b + k - 1, advanced by one
+
+    # Refuse at once what the loop would refuse after all its terms.  Term
+    # k is term k - 1 times (a + k - 1) z / ((b + k - 1) k), whose modulus
+    # for 1 <= k <= 500 is at least r = (|a| - 499) |z| / (500 (|b| + 499)),
+    # taken at the fixed-point values the loop uses (fa, fz bound |a|, |z|
+    # from below and fb bounds |b| from above, with no float overflow).
+    # When r >= 1 no term is smaller than the one before, up to a relative
+    # 1e-13 after 500 roundings of the test and the floor divisions.  Every
+    # term is then at least about 1 and at least 1/1002 of every partial
+    # sum, far above the stop rule's 2^-64 of it, so the loop would run all
+    # 500 terms and raise ConvergenceError.  A pole that ends the loop early
+    # (last < 500) keeps its PoleError.
+    if last == _HYP_MAX_TERMS:
+        fa = max(abs(ar), abs(ai)) / one
+        fz = max(abs(zr), abs(zi)) / one
+        fb = abs(br) / one + abs(bi) / one
+        if fz and (fa - (last - 1)) / (fb + (last - 1)) >= last / fz:
+            raise ConvergenceError(
+                f"hyp1f1({a}, {b}, {z}) did not converge in {_HYP_MAX_TERMS} terms"
+            )
+
     qr = (ar * zr - ai * zi) >> bits  # (a + k - 1) z, advanced by z
     qi = (ar * zi + ai * zr) >> bits
     tr, ti = one, 0  # term

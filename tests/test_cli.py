@@ -329,6 +329,19 @@ def test_unit_character_index_out_of_range_exits_2(command, capsys):
     assert err.startswith("config error: chi index 1 out of range")
 
 
+@pytest.mark.parametrize("command", ["local", "zeros"])
+def test_unit_character_at_2_exits_2(command, capsys):
+    tail = ["--s", "2"] if command == "local" else ["--imax", "10"]
+    code, out, err = run_cli(
+        [command, "--field", "qp", "--p", "2", "--chi-mod", "8", *tail], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        "config error: ramified characters at p = 2 are out of scope"
+    )
+
+
 def test_cli_import_loads_no_scipy():
     # only verify needs the oracles, and with them scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

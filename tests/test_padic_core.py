@@ -6,12 +6,15 @@ residue sums and frozen algebraic values rather than numerical references.
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakmellin import padic_core
 from weakmellin.errors import DomainError
 from weakmellin.padic_core import (
     UnitCharacter,
@@ -24,6 +27,7 @@ from weakmellin.padic_core import (
     unit_characters,
     valuation,
 )
+from weakmellin.specfun import DirichletCharacter
 
 
 def p_rational(p, max_num=200, max_exp=4):
@@ -185,6 +189,17 @@ def test_character_orthogonality(p, n):
         assert abs(total) < 1e-10
 
 
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (7, 1), (11, 1)])
+def test_unit_character_agrees_with_the_dirichlet_character(p, n):
+    # both are indexed against the same generator of (Z/p^n)^*
+    pn = p**n
+    for chi in unit_characters(p, n):
+        dirichlet = DirichletCharacter(pn, (chi.index,))
+        for u in range(1, pn):
+            if u % p:
+                assert abs(chi(u) - dirichlet(u)) < 1e-12
+
+
 def test_characters_at_2_are_out_of_scope():
     with pytest.raises(DomainError):
         UnitCharacter(2, 1, 1)
@@ -298,3 +313,133 @@ def test_theta_margin_invariance(p, a, b, y):
     vals = [theta_additive(a, b, p, y, margin=m) for m in (1, 2, 3)]
     assert abs(vals[0] - vals[1]) < 1e-14
     assert abs(vals[1] - vals[2]) < 1e-14
+
+
+# ------------------------------------------------------- exact residue sums
+
+
+def brute_coset_sum(alpha, beta, p, level, units, chi=None):
+    """Sum of psi(alpha x^2 + beta x) chi(x) over every residue x mod
+    p^level (units only when asked), keeping the cosets x + p^level Z_p on
+    which the linear part (2 alpha x + beta) p^level t integrates to 1.
+    Exact once alpha p^(2 level) is p-integral and chi's conductor divides
+    p^level."""
+    scale = p**level
+    total = 0.0 + 0.0j
+    for x in range(scale):
+        if units and x % p == 0:
+            continue
+        if valuation((2 * alpha * x + beta) * scale, p) < 0:
+            continue
+        val = psi_p(alpha * x * x + beta * x, p)
+        if chi is not None:
+            val *= chi(x)
+        total += val
+    return total
+
+
+def assert_sums_match(a, b, p, y, chi, margin):
+    """unit_average and theta_additive against the coset reference taken at
+    the least exact level, so the margin is checked at the same time."""
+    a, b, y = Fraction(a), Fraction(b), Fraction(y)
+    alpha, beta = a * y * y / 2, b * y
+    n = 0 if chi is None else chi.conductor_exponent
+    least = max(n, math.ceil(-valuation(alpha, p) / 2))
+    level = max(1, least)
+    mass = (1 - Fraction(1, p)) * p**level
+    want = brute_coset_sum(alpha, beta, p, level, True, chi)
+    got = unit_average(a, b, p, y, chi=chi, margin=margin) * float(mass)
+    assert abs(got - want) < 1e-10
+    if chi is None:
+        want = brute_coset_sum(alpha, beta, p, least, False)
+        got = theta_additive(a, b, p, y, margin=margin) * p**least
+        assert abs(got - want) < 1e-10
+
+
+# largest reference level per prime: at most about 700 residues per sum
+_REF_LEVEL = {2: 9, 3: 6, 5: 4, 7: 3}
+# least exponent with p^e above _VECTOR_MOD_CAP = 3e9
+_OBJECT_EXP = {2: 32, 3: 21, 5: 14, 7: 12}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_residue_sums_match_the_coset_reference(p, data):
+    chi = None
+    if p != 2 and data.draw(st.booleans(), label="ramified"):
+        n = data.draw(st.integers(1, 2 if p <= 5 else 1), label="conductor")
+        chi = data.draw(st.sampled_from(tuple(unit_characters(p, n))), label="chi")
+    margin = data.draw(st.integers(1, 3), label="margin")
+    ey = data.draw(st.integers(-3, 2), label="v(y)")
+    v_alpha = data.draw(st.integers(-2 * _REF_LEVEL[p], 3), label="v(alpha)")
+    # half the draws put the linear coefficient's denominator above the
+    # int64 range of the kernel, P > _VECTOR_MOD_CAP
+    v_beta = data.draw(
+        st.one_of(
+            st.integers(-2 * _REF_LEVEL[p] - 3, 3),
+            st.integers(-_OBJECT_EXP[p] - 12, -_OBJECT_EXP[p]),
+        ),
+        label="v(beta)",
+    )
+    unit = data.draw(st.sampled_from([1, -1, 2, -3, 5, 11, 13]), label="unit")
+    if unit % p == 0:
+        unit += 1 if unit > 0 else -1
+    y = Fraction(p) ** ey
+    v2 = 1 if p == 2 else 0
+    a = unit * Fraction(p) ** (v_alpha - 2 * ey + v2)
+    if data.draw(st.booleans(), label="b = 0"):
+        b = Fraction(0)
+    else:
+        m = data.draw(st.integers(-30, 30).filter(lambda m: m % p), label="m")
+        b = m * Fraction(p) ** (v_beta - ey)
+    assert_sums_match(a, b, p, y, chi, margin)
+
+
+@pytest.mark.parametrize(
+    "p,a,b,y,chi",
+    [
+        # P = 2^32 and 5^14: the kernel sums Python-int arrays
+        (2, 2, Fraction(3, 2**15), Fraction(1, 2**16), None),
+        (5, 1, Fraction(3, 5**7), Fraction(1, 5**7), None),
+        (5, 1, Fraction(3, 5**7), Fraction(1, 5**7), UnitCharacter(5, 1, 1)),
+    ],
+)
+def test_residue_sums_above_the_int64_modulus(p, a, b, y, chi):
+    alpha, beta = Fraction(a) * Fraction(y) ** 2 / 2, Fraction(b) * y
+    big = -min(valuation(alpha, p), valuation(beta, p))
+    assert p**big > padic_core._VECTOR_MOD_CAP
+    assert unit_average(a, b, p, y, chi=chi) != 0  # some residues survive
+    assert_sums_match(a, b, p, y, chi, margin=1)
+
+
+def _theta_single_array(p):
+    """theta_additive(1, 1/p, p, 1/p) as one numpy sum over all p^2
+    residues: alpha = 1/(2 p^2), beta = 1/p^2 and nothing is filtered."""
+    P = p * p
+    A = (P + 1) // 2  # 1/2 mod P
+    x = np.arange(P, dtype=np.int64)
+    phase = (A * (x * x % P) % P + x) % P
+    return complex(np.exp((2j * np.pi / P) * phase.astype(np.float64)).sum()) / P
+
+
+def test_theta_sum_over_two_blocks_matches_one_array():
+    p = 1031
+    assert padic_core._BLOCK < p * p <= 2 * padic_core._BLOCK
+    got = theta_additive(1, Fraction(1, p), p, Fraction(1, p))
+    assert abs(got - _theta_single_array(p)) < 1e-15
+
+
+def test_theta_sum_memory_stays_bounded():
+    # 4.0e6 residues survive; the blocks keep the peak far below the
+    # roughly 220 MB that one array of each temporary needs
+    p = 2003
+    theta_additive(1, Fraction(1, 7), 7, Fraction(1, 7))  # warm the caches
+    tracemalloc.start()
+    try:
+        got = theta_additive(1, Fraction(1, p), p, Fraction(1, p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert abs(got - _theta_single_array(p)) < 1e-15

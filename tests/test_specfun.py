@@ -6,6 +6,7 @@ mpmath is the numerical reference here; the library itself never imports it.
 import cmath
 import math
 import random
+import time
 import warnings
 
 import mpmath as mp
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakmellin import specfun as sf
-from weakmellin.errors import DomainError, PoleError, PrecisionWarning
+from weakmellin.errors import ConvergenceError, DomainError, PoleError, PrecisionWarning
 
 mp.mp.dps = 30
 
@@ -218,6 +219,18 @@ def test_hyp1f1_rejects_non_finite_arguments(slot, bad):
     args[slot] = bad
     with pytest.raises(DomainError):
         sf.hyp1f1_eval(**args)
+
+
+def test_hyp1f1_refuses_a_series_whose_terms_cannot_shrink():
+    # (|a| - 499) |z| >= 500 (|b| + 499): no term of the first 500 is smaller
+    # than the one before, so the stop rule cannot fire; refused up front
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        sf.hyp1f1_eval(1e300, 1, 1e-10)
+    assert time.perf_counter() - start < 0.01
+    # a pole that cuts the series short still decides
+    with pytest.raises(PoleError):
+        sf.hyp1f1_eval(1e300, -3, 1e-10)
 
 
 def _criterion_5_kummer_points():
