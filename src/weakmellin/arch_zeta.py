@@ -21,8 +21,20 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, PoleError
-from .specfun import gamma, gamma_ratio, hyp1f1
+from .specfun import (
+    _POINTWISE_BELOW,
+    _as_complex,
+    _cexp,
+    _is_array,
+    _pointwise,
+    _zero_like,
+    gamma,
+    gamma_ratio,
+    hyp1f1,
+)
 
 __all__ = [
     "Real",
@@ -126,9 +138,14 @@ _POLE_TOL = 1e-12
 
 
 def _gamma_arg(w: complex) -> complex:
-    """Gamma(w) with an explicit pole signal."""
+    """Gamma(w) with an explicit pole signal; w may be an array."""
 
-    if abs(w.imag) < _POLE_TOL and w.real <= 0.5:
+    if _is_array(w):
+        r = np.round(w.real)
+        bad = (np.abs(w.imag) < _POLE_TOL) & (r <= 0) & (np.abs(w.real - r) < _POLE_TOL)
+        if bad.any():
+            raise PoleError(f"gamma factor has a pole at argument {w[bad][0]}")
+    elif abs(w.imag) < _POLE_TOL and w.real <= 0.5:
         if abs(w.real - round(w.real)) < _POLE_TOL and round(w.real) <= 0:
             raise PoleError(f"gamma factor has a pole at argument {w}")
     return gamma(w)
@@ -136,13 +153,13 @@ def _gamma_arg(w: complex) -> complex:
 
 def _powc(base: float, expo: complex) -> complex:
     # base > 0
-    return cmath.exp(expo * math.log(base))
+    return _cexp(expo * math.log(base))
 
 
 def _quarter_phase(k: complex) -> complex:
     """exp(-i pi k / 4)."""
 
-    return cmath.exp(-0.25j * math.pi * k)
+    return _cexp(-0.25j * math.pi * k)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +174,13 @@ def zeta_real(a: float, b: float, s: complex, char=Trivial()) -> complex:
     conjugates the integrand, so the value is the conjugate of the
     transform at (|a|, -b, conj(s)).  The Kummer argument is
     pi i b^2 / a; far outside the unit range the series is hopeless and
-    the call is rejected rather than answered badly."""
+    the call is rejected rather than answered badly.  s may be an array
+    of points; the result then is an array of its shape."""
 
-    a, b, s = float(a), float(b), complex(s)
+    a, b = float(a), float(b)
+    if _is_array(s) and s.size < _POINTWISE_BELOW:
+        return _pointwise(lambda z: zeta_real(a, b, z, char), s)
+    s = _as_complex(s)
     if a == 0:
         raise DomainError("quadratic coefficient must be nonzero")
     if a < 0:
@@ -174,7 +195,7 @@ def zeta_real(a: float, b: float, s: complex, char=Trivial()) -> complex:
         )
     if isinstance(char, RealSign):
         if b == 0:
-            return 0j
+            return _zero_like(s)
         return (
             -2j * math.pi * b
             * _quarter_phase(s + 1)

@@ -24,7 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,8 +33,13 @@ from .errors import DomainError, PoleError, UncertifiedError
 from .padic_core import unit_characters, valuation
 from .padic_zeta import LocalFactor, local_factor, weil_index_padic
 from .specfun import (
+    _POINTWISE_BELOW,
     DirichletCharacter,
+    _as_complex,
     _factorize,
+    _is_array,
+    _pointwise,
+    _zero_like,
     completed_xi,
     dirichlet_l,
     riemann_zeta,
@@ -102,6 +107,12 @@ class GlobalSpec:
     def places(self) -> tuple:
         return ("inf",) + tuple(entry[0] for entry in self.finite)
 
+    @cached_property
+    def _factorization(self) -> "GlobalFactorization":
+        # built once per spec; cached on the instance, so it also works for
+        # a spec whose finite places are an (unhashable) list
+        return factorize_global(self)
+
 
 def _local_character_component(chi: DirichletCharacter, p: int, n: int):
     """The restriction of chi to the units at p, as a unit character.
@@ -162,11 +173,16 @@ class GlobalFactorization:
         """L-mode value: corrections folded into the entire numerators.
 
         A ramified factor has no pole to cancel; its entire_eval is its
-        value.
+        value.  s may be an array of points; the result then is an array
+        of its shape.
         """
         if self.identically_zero:
-            return 0.0 + 0.0j
-        s = complex(s)
+            return _zero_like(s)
+        if _is_array(s) and s.size < _POINTWISE_BELOW:
+            return _pointwise(self._value, s)
+        return self._value(_as_complex(s))
+
+    def _value(self, s):
         out = self.arch_value(s)
         for lf in self.local_parts.values():
             out *= lf.entire_eval(s)
@@ -321,7 +337,7 @@ def global_fe_residual(spec: GlobalSpec, s: complex) -> float:
             "character only"
         )
     s = complex(s)
-    fact = factorize_global(spec)
+    fact = spec._factorization
     direct = fact.evaluate(s)
     implied = fact.evaluate_reflected(s)
     return abs(direct - implied) / (1.0 + abs(direct))
@@ -364,7 +380,7 @@ def classify_zero(report: ZeroReport, spec: GlobalSpec) -> ZeroClass:
         raise UncertifiedError(
             "refusing to classify an uncertified zero report"
         )
-    fact = factorize_global(spec)
+    fact = spec._factorization
     if fact.identically_zero:
         raise DomainError("the assembled product vanishes identically")
     z = complex(report.location)

@@ -347,6 +347,8 @@ def theta_additive(a, b, p: int, y, margin: int = 1) -> complex:
     a, b, y = Fraction(a), Fraction(b), Fraction(y)
     if a == 0:
         raise DegenerateError("quadratic coefficient must be nonzero")
+    if y == 0:
+        raise DomainError("integral undefined at y = 0")
     A = a * y * y / 2
     L = max(0, math.ceil(-valuation(A, p) / 2)) + margin
     return _residue_sum(A, b * y, p, L, False) / p**L

@@ -47,6 +47,7 @@ from .padic_core import (
     unit_coset_level,
     valuation,
 )
+from .specfun import _as_complex, _is_array, _real_pow
 
 __all__ = [
     "LocalFactor",
@@ -191,29 +192,34 @@ class LocalFactor:
 
     def shifted_s(self, s: complex) -> complex:
         """Absorb an unramified twist into a vertical shift of s."""
+        s = _as_complex(s)
         arg = cmath.phase(complex(self.twist))
         if arg == 0.0:
-            return complex(s)
-        return complex(s) - 1j * arg / math.log(self.p)
+            return s
+        return s - 1j * arg / math.log(self.p)
 
     def _numerator(self, s: complex) -> complex:
         # s is already shifted; Horner's rule keeps P(X) one expression for
         # scalars and numpy arrays alike
         h = self.n_dim / 2.0
-        x = self.p ** (s - h)
+        x = _real_pow(self.p, s - h)
         acc = 0.0 + 0.0j
         for c in self.poly:
             acc = acc * x + c
-        return self.scale * self.p ** (self.e_scale * s - self.shift * (s - h)) * acc
+        expo = self.e_scale * s - self.shift * (s - h)
+        return self.scale * _real_pow(self.p, expo) * acc
 
     def evaluate(self, s: complex) -> complex:
-        """Value at any complex s away from the pole lattice of the factor."""
+        """Value at any complex s away from the pole lattice of the factor;
+        s may be an array of points."""
         s = self.shifted_s(s)
         value = self._numerator(s)
         if self.pole:
-            den = 1.0 - self.p ** (-s)
-            if abs(den) < _POLE_EPS:
-                raise PoleError(f"local factor pole near s = {s} (p = {self.p})")
+            den = 1.0 - _real_pow(self.p, -s)
+            near = abs(den) < _POLE_EPS
+            if np.any(near):
+                at = s[near][0] if _is_array(s) else s
+                raise PoleError(f"local factor pole near s = {at} (p = {self.p})")
             value /= den
         return value
 

@@ -13,6 +13,19 @@ A report is marked certified only when the located zero passes a small
 residual test and an independent mechanism confirms the count inside a
 tight disk around it.  Anything that fails stays in the output with
 certified=False rather than being dropped.
+
+The function fn handed to winding_count and line_zeros is called on a 1-D
+complex ndarray of points and must be elementwise: it returns an array of
+the same shape holding its value at each point.  line_zeros evaluates its
+whole scan grid in one call, winding_count each doubling round's fresh
+points in one call, and a Newton step its four difference points in one
+call and its new iterate in another, so the points are exactly those a
+per-point loop would visit.  A scalar callable still works: if the first
+call raises TypeError or ValueError or returns another shape, fn is called
+once per point from then on.  GlobalFactorization.evaluate, zeta_real,
+LocalFactor.evaluate and entire_eval, and the special functions
+riemann_zeta, hurwitz_zeta, dirichlet_l, gamma, log_gamma and hyp1f1 take
+arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,6 +81,33 @@ class ZeroReport:
 
 def _sorted_reports(reports):
     return sorted(reports, key=lambda r: (r.location.imag, r.location.real))
+
+
+def _elementwise(fn):
+    """fn as a map from a 1-D complex array to the complex array of its
+    values at those points.
+
+    The first call hands fn the array itself.  A callable that cannot take
+    one, shown by a TypeError or ValueError or by a result of another shape
+    on that call, is lifted for good to a loop that calls it per point.
+    """
+    takes_arrays = None
+
+    def call(zs):
+        nonlocal takes_arrays
+        if takes_arrays is None:
+            try:
+                out = np.asarray(fn(zs), dtype=complex)
+                takes_arrays = out.shape == zs.shape
+            except (TypeError, ValueError):
+                takes_arrays = False
+            if takes_arrays:
+                return out
+        if takes_arrays:
+            return np.asarray(fn(zs), dtype=complex)
+        return np.array([complex(fn(z)) for z in zs], dtype=complex)
+
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +209,13 @@ def _cluster_roots(roots, tol=1e-8):
 
 
 def _poly_winding_count(coeffs, center: complex, half_width: float) -> int:
-    def poly(z):
-        return complex(np.polyval(coeffs, z))
-
     rect = (
         center.real - half_width,
         center.real + half_width,
         center.imag - half_width,
         center.imag + half_width,
     )
-    return winding_count(poly, rect)
+    return winding_count(partial(np.polyval, coeffs), rect)
 
 
 def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
@@ -313,21 +351,20 @@ _POLE_MARGIN = 1e-3
 _MEDIAN_BLOCK = 1 << 20
 
 
-def _boundary_points(rect, n: int):
+def _boundary_points(rect, n: int) -> np.ndarray:
+    """n // 4 points on each edge, counterclockwise from the lower left
+    corner: corner a to corner b at a + (b - a) (j / (n // 4))."""
     re_lo, re_hi, im_lo, im_hi = rect
-    corners = (
+    corners = np.array([
         complex(re_lo, im_lo),
         complex(re_hi, im_lo),
         complex(re_hi, im_hi),
         complex(re_lo, im_hi),
-    )
-    pts = []
+    ])
     per_edge = n // 4
-    for k in range(4):
-        a, b = corners[k], corners[(k + 1) % 4]
-        for j in range(per_edge):
-            pts.append(a + (b - a) * (j / per_edge))
-    return pts
+    t = np.arange(per_edge) / per_edge
+    steps = np.roll(corners, -1) - corners
+    return (corners[:, None] + steps[:, None] * t).ravel()
 
 
 def _check_boundary_clear(vals):
@@ -407,8 +444,9 @@ def winding_count(fn, rect, poles=(), start_samples: int = 64,
                 f"listed pole {z} hugs the contour; shift the rectangle"
             )
 
+    fn = _elementwise(fn)
     n = 4 * max(16, start_samples // 4)  # a multiple of 4, so rounds nest
-    arr = np.array([complex(fn(z)) for z in _boundary_points(rect, n)])
+    arr = fn(_boundary_points(rect, n))
     while True:
         if np.any(arr == 0.0):
             raise BoundaryZeroError("exact zero on the winding contour")
@@ -425,8 +463,7 @@ def winding_count(fn, rect, poles=(), start_samples: int = 64,
             )
         doubled = np.empty(n, dtype=complex)
         doubled[0::2] = arr
-        fresh = _boundary_points(rect, n)[1::2]
-        doubled[1::2] = [complex(fn(z)) for z in fresh]
+        doubled[1::2] = fn(_boundary_points(rect, n)[1::2])
         arr = doubled
 
 
@@ -434,20 +471,28 @@ def winding_count(fn, rect, poles=(), start_samples: int = 64,
 # vertical-line scan with Newton polish and winding certification
 
 
+def _at(fn, *zs) -> list[complex]:
+    """Values of an elementwise fn at the points zs, from one call."""
+    return [complex(v) for v in fn(np.array(zs, dtype=complex))]
+
+
 def _newton_polish(fn, z0: complex, scale: float, max_iter: int = 60):
     """Two-dimensional Newton with finite-difference Jacobian.
 
-    Returns (z, relative_residual, converged).  The residual is |fn(z)|
-    over the supplied local scale, so a flat-out tiny function does not
+    fn is elementwise (see _elementwise); each iteration calls it twice,
+    on the four difference points and on the new iterate.  Returns (z,
+    relative_residual, converged).  The residual is |fn(z)| over the
+    supplied local scale, so a flat-out tiny function does not
     self-certify.
     """
     z = z0
-    fz = complex(fn(z))
+    (fz,) = _at(fn, z)
     best_z, best_r = z, abs(fz) / scale
     for _ in range(max_iter):
         h = 1e-7 * max(1.0, abs(z))
-        dfx = (complex(fn(z + h)) - complex(fn(z - h))) / (2.0 * h)
-        dfy = (complex(fn(z + 1j * h)) - complex(fn(z - 1j * h))) / (2.0 * h)
+        fxp, fxm, fyp, fym = _at(fn, z + h, z - h, z + 1j * h, z - 1j * h)
+        dfx = (fxp - fxm) / (2.0 * h)
+        dfy = (fyp - fym) / (2.0 * h)
         jac = np.array(
             [[dfx.real, dfy.real], [dfx.imag, dfy.imag]], dtype=float
         )
@@ -461,7 +506,7 @@ def _newton_polish(fn, z0: complex, scale: float, max_iter: int = 60):
         if abs(step) > 0.5:
             step *= 0.5 / abs(step)
         z = z + step
-        fz = complex(fn(z))
+        (fz,) = _at(fn, z)
         rel = abs(fz) / scale
         if rel < best_r:
             best_z, best_r = z, rel
@@ -494,15 +539,13 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     """
     if im_hi <= im_lo:
         raise DomainError("empty scan range")
+    fn = _elementwise(fn)
     ts = np.linspace(im_lo, im_hi, samples)
-    mags = np.empty(samples)
-    for i, t in enumerate(ts):
-        mags[i] = abs(complex(fn(complex(re, t))))
+    mags = np.abs(fn(re + 1j * ts))
 
     candidates = []
-    for i in range(1, samples - 1):
-        if not (mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1]):
-            continue
+    inner = mags[1:-1]
+    for i in np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:])) + 1:
         lo_w = max(0, i - window)
         hi_w = min(samples, i + window + 1)
         local_scale = float(np.max(mags[lo_w:hi_w]))
@@ -520,7 +563,7 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
             # Newton escaped the dip's neighbourhood; whatever it found
             # out there is not this dip's zero
             z = z0
-            resid = abs(complex(fn(z0))) / scale
+            resid = abs(_at(fn, z0)[0]) / scale
             converged = False
         if any(abs(z - r.location) < _CERT_RADIUS for r in reports):
             continue  # same zero seen from a neighbouring dip

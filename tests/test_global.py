@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from weakmellin import global_zeta
 from weakmellin.arch_zeta import Real
 from weakmellin.errors import DomainError, PoleError, UncertifiedError
 from weakmellin.global_zeta import (
@@ -20,6 +21,7 @@ from weakmellin.global_zeta import (
     reference_spec,
     xi_f_reference,
 )
+from weakmellin.padic_zeta import local_factor
 from weakmellin.specfun import characters
 from weakmellin.zero_engine import ZeroReport, exp_poly_roots, line_zeros
 
@@ -291,6 +293,29 @@ def test_family_zeros_match_companion_roots():
             or abs(abs(folded - b.location.imag) - period) <= 1e-6
             for b in base
         )
+
+
+def test_classification_builds_the_factors_once_per_spec(monkeypatch):
+    built = []
+
+    def counting_local_factor(*args, **kwargs):
+        built.append(args[2])
+        return local_factor(*args, **kwargs)
+
+    monkeypatch.setattr(global_zeta, "local_factor", counting_local_factor)
+    # a list of places: the spec cannot be hashed, and still keeps its
+    # factorization
+    spec = GlobalSpec(
+        arch=Real(1.0, 0.0), finite=[(2, F(1), F(0)), (3, F(1), F(1, 3))]
+    )
+    zeros = (7.259065041117216, 9.737285490734761, 14.134725141734693)
+    kinds = [
+        classify_zero(ZeroReport(complex(0.5, im), 1, "Winding+Bisection", True, 0.0),
+                      spec).kind
+        for im in zeros
+    ]
+    assert kinds == ["local", "local", "global"]
+    assert sorted(built) == [2, 3]
 
 
 def test_three_way_classification_with_deeper_place():

@@ -205,6 +205,13 @@ def test_characters_at_2_are_out_of_scope():
         UnitCharacter(2, 1, 1)
 
 
+@pytest.mark.parametrize("integral", [theta_additive, unit_average])
+def test_integrals_refuse_y_zero(integral):
+    # the coset level grows with -v(y), which is -inf at y = 0
+    with pytest.raises(DomainError):
+        integral(1, Fraction(1, 3), 3, 0)
+
+
 # ------------------------------------------------------------- unit averages
 
 

@@ -27,6 +27,7 @@ from weakmellin.padic_zeta import (
 from weakmellin.zero_engine import (
     _BOUNDARY_DIP,
     ZeroReport,
+    _boundary_points,
     _check_boundary_clear,
     circle_zeros,
     exp_poly_roots,
@@ -285,17 +286,98 @@ def test_winding_evaluates_each_contour_point_once(start_samples):
     # the zero sits 0.004 from the bottom edge, so the phase steps force
     # several doublings; every round reuses the samples of the last one,
     # also from a start count that is not a multiple of 4
-    calls = []
+    batches = []
 
     def fn(z):
-        calls.append(z)
+        batches.append(z)
         return z - 0.5 - 0.004j
 
     assert winding_count(fn, (0.0, 1.0, 0.0, 1.0),
                          start_samples=start_samples) == 1
+    calls = np.concatenate(batches).tolist()
     assert len(calls) == len(set(calls))
     assert len(calls) > 256
     assert len(calls) & (len(calls) - 1) == 0  # the final sample count
+
+
+def _recording(fn):
+    batches = []
+
+    def recorded(zs):
+        batches.append(len(zs))
+        return fn(zs)
+
+    return recorded, batches
+
+
+def test_scans_call_fn_once_per_grid_and_per_round():
+    # the points match a per-point loop over the same scan: 1615 for the
+    # ladder (600 grid points, 960 on 15 certifying squares, 55 in
+    # Newton) and 1024 for the winding count, as counted point by point
+    fn, batches = _recording(lambda s: np.sin(1j * np.pi * (s - 0.5)))
+    reports = line_zeros(fn, 0.5, 0.4, 5.6, samples=600)
+    assert len(reports) == 5 and all(r.certified for r in reports)
+    assert batches[0] == 600  # the whole grid in one call
+    assert sum(batches) == 1615
+
+    fn, batches = _recording(lambda z: z - 0.5 - 0.004j)
+    assert winding_count(fn, (0.0, 1.0, 0.0, 1.0)) == 1
+    assert batches == [64, 64, 128, 256, 512]  # one call per round
+    assert sum(batches) == 1024
+
+
+def _scalar_only(kind):
+    def fn(z):
+        if kind == "type":
+            return complex(z) - 0.5 - 0.5j  # TypeError on an array
+        if kind == "value" and abs(z) >= 0.0:  # ambiguous truth value
+            return z - 0.5 - 0.5j
+        return complex(np.mean(z)) - 0.5 - 0.5j  # one value for the batch
+
+    return fn
+
+
+@pytest.mark.parametrize("kind", ["type", "value", "shape"])
+def test_scalar_callables_are_lifted_to_a_loop(kind):
+    calls = []
+    scalar = _scalar_only(kind)
+
+    def fn(z):
+        calls.append(z)
+        return scalar(z)
+
+    assert winding_count(fn, (0.0, 1.0, 0.0, 1.0)) == 1
+    # the first batch is tried once, then every point is a scalar call
+    assert isinstance(calls[0], np.ndarray)
+    assert all(isinstance(z, complex) for z in calls[1:])
+    assert len(calls) == 1 + 64
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4),
+    st.integers(min_value=4, max_value=600),
+)
+def test_boundary_points_match_the_per_point_formula(edges, n):
+    re_lo, re_hi = sorted(edges[:2])
+    im_lo, im_hi = sorted(edges[2:])
+    rect = (re_lo, re_hi, im_lo, im_hi)
+    corners = (
+        complex(re_lo, im_lo),
+        complex(re_hi, im_lo),
+        complex(re_hi, im_hi),
+        complex(re_lo, im_hi),
+    )
+    per_edge = n // 4
+    want = [
+        corners[k] + (corners[(k + 1) % 4] - corners[k]) * (j / per_edge)
+        for k in range(4)
+        for j in range(per_edge)
+    ]
+    got = _boundary_points(rect, n)
+    assert got.tolist() == want
+    assert np.signbit(got.real).tolist() == [math.copysign(1, z.real) < 0 for z in want]
+    assert np.signbit(got.imag).tolist() == [math.copysign(1, z.imag) < 0 for z in want]
 
 
 def _boundary_clear_by_loop(vals):
