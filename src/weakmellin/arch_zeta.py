@@ -21,9 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .specfun import (
     _POINTWISE_BELOW,
     _as_complex,
@@ -134,21 +132,19 @@ class ComplexCn:
 # Shared pieces.
 # ---------------------------------------------------------------------------
 
-_POLE_TOL = 1e-12
 
+def _gamma_kummer(w, scale: float, c: float, z: complex, pref=None):
+    """pref e^(-i pi w / 2) scale^(-w) Gamma(w) 1F1(w; c; z), multiplied
+    left to right; pref None stands for 1 and w may be an array.
 
-def _gamma_arg(w: complex) -> complex:
-    """Gamma(w) with an explicit pole signal; w may be an array."""
+    Every closed form built on one Kummer function has this shape: the
+    quadratic part of the phase gives Gamma(w) (i scale)^(-w), and the
+    linear part the Kummer series in z (DLMF 13.2)."""
 
-    if _is_array(w):
-        r = np.round(w.real)
-        bad = (np.abs(w.imag) < _POLE_TOL) & (r <= 0) & (np.abs(w.real - r) < _POLE_TOL)
-        if bad.any():
-            raise PoleError(f"gamma factor has a pole at argument {w[bad][0]}")
-    elif abs(w.imag) < _POLE_TOL and w.real <= 0.5:
-        if abs(w.real - round(w.real)) < _POLE_TOL and round(w.real) <= 0:
-            raise PoleError(f"gamma factor has a pole at argument {w}")
-    return gamma(w)
+    out = _cexp(-0.5j * math.pi * w)
+    if pref is not None:
+        out = pref * out
+    return out * _powc(scale, -w) * gamma(w) * hyp1f1(w, c, z)
 
 
 def _powc(base: float, expo: complex) -> complex:
@@ -187,22 +183,11 @@ def zeta_real(a: float, b: float, s: complex, char=Trivial()) -> complex:
         return zeta_real(-a, -b, s.conjugate(), char).conjugate()
     z = 1j * math.pi * b * b / a
     if isinstance(char, Trivial):
-        return (
-            _quarter_phase(s)
-            * _powc(math.pi * a, -0.5 * s)
-            * _gamma_arg(0.5 * s)
-            * hyp1f1(0.5 * s, 0.5, z)
-        )
+        return _gamma_kummer(0.5 * s, math.pi * a, 0.5, z)
     if isinstance(char, RealSign):
         if b == 0:
             return _zero_like(s)
-        return (
-            -2j * math.pi * b
-            * _quarter_phase(s + 1)
-            * _powc(math.pi * a, -0.5 * (s + 1))
-            * _gamma_arg(0.5 * (s + 1))
-            * hyp1f1(0.5 * (s + 1), 1.5, z)
-        )
+        return _gamma_kummer(0.5 * (s + 1), math.pi * a, 1.5, z, -2j * math.pi * b)
     raise DomainError(f"unsupported character {char!r} at the real place")
 
 
@@ -227,19 +212,12 @@ def zeta_complex_hermitian(a: float, b: complex, n: int, s: complex) -> complex:
         return 0j
     babs = abs(b)
     z = 2j * math.pi * babs * babs / a
-    # principal log of 2 pi i a, a > 0
-    logp = math.log(2.0 * math.pi * a) + 0.5j * math.pi
-    pref = 1.0 if n == 0 else (
+    pref = 2.0 * math.pi if n == 0 else (
         ((-1j) ** (n % 4)) * (2.0 * math.pi * babs) ** n
         * cmath.exp(1j * n * cmath.phase(b)) / math.factorial(n)
-    )
-    return (
-        pref
         * 2.0 * math.pi
-        * _gamma_arg(s + 0.5 * n)
-        * cmath.exp(-(s + 0.5 * n) * logp)
-        * hyp1f1(s + 0.5 * n, n + 1.0, z)
     )
+    return _gamma_kummer(s + 0.5 * n, 2.0 * math.pi * a, n + 1.0, z, pref)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +284,13 @@ def zeta_complex_square(a: complex, b: complex, n: int, s: complex) -> complex:
 def zeta_rn_radial(a: float, bnorm: float, n: int, s: complex) -> complex:
     """Transform of the radial phase over n real variables against
     |x|^s; for n = 1 this collapses to the real-place transform with
-    its trivial character (the two-point sphere average is a cosine)."""
+    its trivial character (the two-point sphere average is a cosine).
+    s may be an array of points, as for zeta_real."""
 
-    a, bnorm, n, s = float(a), float(bnorm), int(n), complex(s)
+    a, bnorm, n = float(a), float(bnorm), int(n)
+    if _is_array(s) and s.size < _POINTWISE_BELOW:
+        return _pointwise(lambda x: zeta_rn_radial(a, bnorm, n, x), s)
+    s = _as_complex(s)
     if n < 1:
         raise DomainError("dimension must be at least 1")
     if a == 0:
@@ -318,13 +300,8 @@ def zeta_rn_radial(a: float, bnorm: float, n: int, s: complex) -> complex:
     if a < 0:
         return zeta_rn_radial(-a, bnorm, n, s.conjugate()).conjugate()
     z = 1j * math.pi * bnorm * bnorm / a
-    logp = math.log(math.pi * a) + 0.5j * math.pi
-    return (
-        math.pi ** (0.5 * n) / gamma(0.5 * n)
-        * _gamma_arg(0.5 * s)
-        * cmath.exp(-0.5 * s * logp)
-        * hyp1f1(0.5 * s, 0.5 * n, z)
-    )
+    pref = math.pi ** (0.5 * n) / gamma(0.5 * n)
+    return _gamma_kummer(0.5 * s, math.pi * a, 0.5 * n, z, pref)
 
 
 # ---------------------------------------------------------------------------

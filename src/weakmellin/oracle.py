@@ -240,7 +240,6 @@ class ArchOracleParams:
     panel_order: int = 20
     max_phase: float = 8.0
     order_tol: float = 1e-8
-    min_ratio: float = 1.8
 
 
 _ARCH_DEFAULT = ArchOracleParams()
@@ -371,6 +370,36 @@ def _require_strip(s, lo, hi, who):
         )
 
 
+def _real_line_mellin(a, b, s, params, fold, who):
+    """Damped-quadrature limit of the integral over (0, inf) of
+    exp(-pi i a y^2) fold(2 pi b y) y^(s-1) dy, the transform of
+    exp(-pi i a y^2 - 2 pi i b y) on the real line with y -> -y folded in."""
+
+    params = params or _ARCH_DEFAULT
+    _require_strip(s, 0.15, 2.5, who)
+
+    def build(eps):
+        hi = math.sqrt(params.tail_log / (math.pi * eps))
+        smooth = abs(s - 1.0) + 1.0
+
+        def rate(y):
+            return 2.0 * math.pi * (abs(a) * y + abs(b) + eps * y) + smooth / y
+
+        edges = _panel_edges(params.x_min, 1.0, hi, rate, params.max_phase)
+        q = math.pi * (eps + 1j * a)
+
+        def fn(y):
+            return (
+                np.exp(-q * y * y)
+                * fold(2.0 * math.pi * b * y)
+                * np.exp((s - 1.0) * np.log(y))
+            )
+
+        return edges, fn
+
+    return _damped_limit(build, params)
+
+
 def oracle_real_mellin(a, b, s, params=None):
     """Multiplicative transform of exp(-pi i a y^2 - 2 pi i b y) on the
     real line against the trivial sign character.
@@ -380,32 +409,10 @@ def oracle_real_mellin(a, b, s, params=None):
     damped-quadrature limit.  Only the closed forms know anything about
     confluent hypergeometric functions; this route never touches them."""
 
-    params = params or _ARCH_DEFAULT
     a, b, s = float(a), float(b), complex(s)
     if a == 0.0:
         raise DomainError("quadratic coefficient must be nonzero")
-    _require_strip(s, 0.15, 2.5, "real")
-
-    def build(eps):
-        hi = math.sqrt(params.tail_log / (math.pi * eps))
-        smooth = abs(s - 1.0) + 1.0
-
-        def rate(y):
-            return 2.0 * math.pi * (abs(a) * y + abs(b) + eps * y) + smooth / y
-
-        edges = _panel_edges(params.x_min, 1.0, hi, rate, params.max_phase)
-        q = math.pi * (eps + 1j * a)
-
-        def fn(y):
-            return (
-                np.exp(-q * y * y)
-                * (2.0 * np.cos(2.0 * math.pi * b * y))
-                * np.exp((s - 1.0) * np.log(y))
-            )
-
-        return edges, fn
-
-    return _damped_limit(build, params)
+    return _real_line_mellin(a, b, s, params, lambda t: 2.0 * np.cos(t), "real")
 
 
 def oracle_real_sign_mellin(a, b, s, params=None):
@@ -413,34 +420,14 @@ def oracle_real_sign_mellin(a, b, s, params=None):
     character, so the fold produces -2i sin(2 pi b y) in place of the
     cosine.  Identically zero when b = 0."""
 
-    params = params or _ARCH_DEFAULT
     a, b, s = float(a), float(b), complex(s)
     if a == 0.0:
         raise DomainError("quadratic coefficient must be nonzero")
     if b == 0.0:
         return _EXACT_ZERO
-    _require_strip(s, 0.15, 2.5, "real sign")
-
-    def build(eps):
-        hi = math.sqrt(params.tail_log / (math.pi * eps))
-        smooth = abs(s - 1.0) + 1.0
-
-        def rate(y):
-            return 2.0 * math.pi * (abs(a) * y + abs(b) + eps * y) + smooth / y
-
-        edges = _panel_edges(params.x_min, 1.0, hi, rate, params.max_phase)
-        q = math.pi * (eps + 1j * a)
-
-        def fn(y):
-            return (
-                np.exp(-q * y * y)
-                * (-2j * np.sin(2.0 * math.pi * b * y))
-                * np.exp((s - 1.0) * np.log(y))
-            )
-
-        return edges, fn
-
-    return _damped_limit(build, params)
+    return _real_line_mellin(
+        a, b, s, params, lambda t: -2j * np.sin(t), "real sign"
+    )
 
 
 def oracle_hermitian_mellin(a, b, n, s, params=None):

@@ -44,7 +44,6 @@ from .padic_core import (
     _residue_sum,
     theta_additive,
     unit_average,
-    unit_coset_level,
     valuation,
 )
 from .specfun import _as_complex, _is_array, _real_pow
@@ -123,6 +122,16 @@ def detect_escape_level(a_norm, b_norm, p: int) -> int:
     return j
 
 
+def _gauss_phase(a_norm, b_norm, p: int, k: int, delta: int) -> complex:
+    """gamma = p^(k + delta/2) theta(p^(-k-delta)), checked to have modulus 1."""
+    gamma = p ** (k + delta / 2.0) * theta_additive(
+        a_norm, b_norm, p, Fraction(p) ** (-k - delta)
+    )
+    if abs(abs(gamma) - 1.0) > 1e-9:
+        raise WeakMellinError(f"gauss phase lost unit modulus: |gamma| = {abs(gamma)}")
+    return gamma
+
+
 def weil_index_padic(a, b, p: int) -> complex:
     """Unit-modulus Gauss phase gamma of the normalized pair.
 
@@ -133,13 +142,7 @@ def weil_index_padic(a, b, p: int) -> complex:
     """
     a_norm, b_norm, _, delta = rescale_normal_form(a, b, p)
     k = detect_escape_level(a_norm, b_norm, p)
-    th = theta_additive(a_norm, b_norm, p, Fraction(p) ** (-k - delta))
-    gamma = p ** (k + delta / 2.0) * th
-    if abs(abs(gamma) - 1.0) > 1e-9:
-        raise WeakMellinError(
-            f"gauss phase lost unit modulus: |gamma| = {abs(gamma)}"
-        )
-    return gamma
+    return _gauss_phase(a_norm, b_norm, p, k, delta)
 
 
 @dataclass(frozen=True)
@@ -280,11 +283,7 @@ def local_factor_unramified(a, b, p: int, twist: complex = 1.0) -> LocalFactor:
     if k == 0 and delta == 0:
         gamma = 1.0 + 0.0j
     else:
-        gamma = p ** (k + delta / 2.0) * theta_additive(
-            a_norm, b_norm, p, Fraction(p) ** (-k - delta)
-        )
-        if abs(abs(gamma) - 1.0) > 1e-9:
-            raise WeakMellinError(f"|gamma| = {abs(gamma)} off the unit circle")
+        gamma = _gauss_phase(a_norm, b_norm, p, k, delta)
     return unramified_from_constants(p, k, delta, gamma, e_scale, twist)
 
 
@@ -302,17 +301,6 @@ def qp2_special_eval(s: complex) -> complex:
     return (2.0 ** (1.0 - s) * (1.0 - 2.0 ** (s - 1.0)) + e8 * 2.0**s * den) / den
 
 
-# The most unit cosets one level of the ramified scan may sum over.  It
-# bounds no time: `unit_average` visits only the cosets its linear
-# indicator keeps, so the mirror term at level -(k + delta) of b = 3^-20
-# costs under 1 ms.  It guards the absolute 1e-13 drop in the scan: the
-# mirror term has modulus |C| p^-(k + delta/2), and once that falls below
-# 1e-13 a two-term factor would silently come back with one term (for
-# b = p^-m against a character mod p: two terms up to m = 27 at p = 3 and
-# m = 18 at p = 5, one above).  The cap refuses p = 3 from m = 12 on.
-_RAMIFIED_MAX_COSETS = 1 << 20
-
-
 def _ramified_window(a_norm, b_norm, p: int, chi: UnitCharacter):
     """Exact profile of unit averages on the provably complete support.
 
@@ -323,6 +311,12 @@ def _ramified_window(a_norm, b_norm, p: int, chi: UnitCharacter):
     quadratic and linear valuations meet) end the scan: the predicate is
     monotone in -j there, since the quadratic valuation falls twice as fast.
     Above that level a gap of provable zeros can still hide the mirror term.
+
+    A computed value counts as zero at or below an absolute 1e-13, except
+    at the mirror level -(k + delta) of the top kept level k: its modulus
+    is known to be |C| p^-(k + delta/2), C the top value (the mirror ratio
+    omega has modulus 1), and it is kept when within 1e-9 relative of that,
+    however small.
     """
     n = chi.conductor_exponent
     delta = int(valuation(a_norm, p)) + n
@@ -347,6 +341,7 @@ def _ramified_window(a_norm, b_norm, p: int, chi: UnitCharacter):
     cancel = int(vb) + n - delta if b_norm != 0 else math.inf
 
     profile = {}
+    mirror = None  # (level, modulus) of the mirror term, once k is kept
     j = hi
     consec = 0
     while consec < 3 or j >= cancel:
@@ -356,14 +351,13 @@ def _ramified_window(a_norm, b_norm, p: int, chi: UnitCharacter):
             consec += 1
         else:
             consec = 0
-            y = Fraction(p) ** j
-            if p ** unit_coset_level(a_norm, p, y, n) > _RAMIFIED_MAX_COSETS:
-                raise SupportEscapeError(
-                    f"ramified level {j} at p = {p} needs a sum over more "
-                    f"than {_RAMIFIED_MAX_COSETS} unit cosets"
-                )
-            val = unit_average(a_norm, b_norm, p, y, chi=chi)
-            if abs(val) > 1e-13:
+            val = unit_average(a_norm, b_norm, p, Fraction(p) ** j, chi=chi)
+            if abs(val) > 1e-13 or (
+                mirror is not None and j == mirror[0]
+                and abs(abs(val) - mirror[1]) <= 1e-9 * mirror[1]
+            ):
+                if mirror is None:
+                    mirror = (-(j + delta), abs(val) * p ** (-(j + delta / 2.0)))
                 profile[j] = val
         j -= 1
     return profile, delta

@@ -53,6 +53,13 @@ _METHODS = ("CompanionRoots", "SignChange", "Winding+Bisection")
 _CERT_RESIDUAL = 1e-8
 # matching radius between a located zero and its independent confirmation
 _CERT_RADIUS = 1e-6
+# line_zeros: a scan dip is a local minimum of |fn| below _DIP_RATIO times
+# the largest |fn| within _DIP_WINDOW samples on either side; a polished
+# zero is certified on squares of half-width _CERT_HALF_WIDTH and its
+# tenth and hundredth
+_DIP_RATIO = 0.25
+_DIP_WINDOW = 12
+_CERT_HALF_WIDTH = 2e-3
 
 
 @dataclass(frozen=True)
@@ -516,19 +523,18 @@ def _newton_polish(fn, z0: complex, scale: float, max_iter: int = 60):
 
 
 def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
-               samples: int = 2048, poles=(), dip_ratio: float = 0.25,
-               window: int = 12, cert_half_width: float = 2e-3,
+               samples: int = 2048, poles=(),
                strict: bool = False) -> list[ZeroReport]:
     """Zeros of fn near the vertical line Re(s) = re, Im(s) in [lo, hi].
 
-    The scan flags local minima of |fn| that dip below dip_ratio times
-    the surrounding window maximum; the relative test keeps the scan
-    honest when the function itself decays by orders of magnitude along
-    the line.  Each candidate is polished by Newton in both coordinates
-    and certified by a winding count on a small square around the
-    polished point.  Failed polish or certification is reported with
-    certified=False; a polish that runs away from its dip counts as
-    failed and the raw sample point is reported instead.  With
+    The scan flags local minima of |fn| that dip below a quarter of the
+    largest |fn| within 12 samples on either side; the relative test
+    keeps the scan honest when the function itself decays by orders of
+    magnitude along the line.  Each candidate is polished by Newton in
+    both coordinates and certified by a winding count on a small square
+    around the polished point.  Failed polish or certification is
+    reported with certified=False; a polish that runs away from its dip
+    counts as failed and the raw sample point is reported instead.  With
     strict=True any uncertified candidate raises UncertifiedError.
     Reports are sorted by Im(s).
 
@@ -546,16 +552,16 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     candidates = []
     inner = mags[1:-1]
     for i in np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:])) + 1:
-        lo_w = max(0, i - window)
-        hi_w = min(samples, i + window + 1)
+        lo_w = max(0, i - _DIP_WINDOW)
+        hi_w = min(samples, i + _DIP_WINDOW + 1)
         local_scale = float(np.max(mags[lo_w:hi_w]))
         if local_scale == 0.0:
             raise BoundaryZeroError("scan window is identically zero")
-        if mags[i] < dip_ratio * local_scale:
+        if mags[i] < _DIP_RATIO * local_scale:
             candidates.append((complex(re, float(ts[i])), local_scale))
 
     spacing = (im_hi - im_lo) / (samples - 1)
-    wander_cap = max(10.0 * spacing, 5.0 * cert_half_width)
+    wander_cap = max(10.0 * spacing, 5.0 * _CERT_HALF_WIDTH)
     reports = []
     for z0, scale in candidates:
         z, resid, converged = _newton_polish(fn, z0, scale)
@@ -572,8 +578,8 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
         if converged:
             # shrinking shells separate a genuine multiple zero (count
             # stays put) from a distinct neighbour (count drops to 1)
-            for hw in (cert_half_width, cert_half_width / 10.0,
-                       cert_half_width / 100.0):
+            for hw in (_CERT_HALF_WIDTH, _CERT_HALF_WIDTH / 10.0,
+                       _CERT_HALF_WIDTH / 100.0):
                 rect = (
                     z.real - hw, z.real + hw, z.imag - hw, z.imag + hw,
                 )

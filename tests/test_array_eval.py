@@ -5,8 +5,9 @@ point, what the scalar call returns there, up to the last few bits that
 numpy's complex products and powers round differently: within
 5e-14 (1 + |scalar value|).  An array holding one bad point must raise
 what the scalar call raises at that point.  Arrays hold at least
-_POINTWISE_BELOW points, so zeta_real and GlobalFactorization.evaluate
-run their numpy bodies and not their per-point loops.
+_POINTWISE_BELOW points, so zeta_real, zeta_rn_radial and
+GlobalFactorization.evaluate run their numpy bodies and not their
+per-point loops.
 """
 
 from fractions import Fraction as F
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from weakmellin import acceptance
 from weakmellin import specfun as sf
-from weakmellin.arch_zeta import Real, RealSign, Trivial, zeta_real
+from weakmellin.arch_zeta import Real, RealSign, Trivial, zeta_real, zeta_rn_radial
 from weakmellin.global_zeta import GlobalSpec, factorize_global, reference_spec
 from weakmellin.padic_core import unit_characters
 from weakmellin.padic_zeta import local_factor, padic_vector_factor
@@ -146,6 +148,37 @@ def test_zeta_real(a, negative, b, char, pts):
     a = -a if negative else a
     assume(np.pi * b * b / abs(a) <= 10.0)
     _assert_elementwise(lambda s: zeta_real(a, b, s, char), pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.25, 4.0),
+    st.booleans(),
+    st.sampled_from([0.0, 0.3, 0.8, 1.5]),
+    st.integers(1, 4),
+    _points(-0.9, 3.0, 30.0, max_size=16),
+)
+def test_zeta_rn_radial(a, negative, bnorm, n, pts):
+    a = -a if negative else a
+    assume(np.pi * bnorm * bnorm / abs(a) <= 10.0)
+    _assert_elementwise(lambda s: zeta_rn_radial(a, bnorm, n, s), pts)
+
+
+def test_radial_scans_of_criterion_8_take_one_call_per_grid(monkeypatch):
+    sizes = []
+
+    def counted(a, bnorm, n, s):
+        sizes.append(s.size if isinstance(s, np.ndarray) else None)
+        return zeta_rn_radial(a, bnorm, n, s)
+
+    monkeypatch.setattr(acceptance, "zeta_rn_radial", counted)
+    ok, _ = acceptance._criterion_8()
+    assert ok
+    # four scans of 1536 samples, each one call; no call gets a scalar,
+    # so the zero engine never fell back to a per-point loop
+    assert sizes.count(1536) == 4
+    assert None not in sizes
+    assert len(sizes) < 1536
 
 
 def _local_factors():

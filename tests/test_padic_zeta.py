@@ -6,7 +6,6 @@ provable truncation, so agreement here is a genuine dual-route check.
 
 import cmath
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -287,13 +286,25 @@ def test_ramified_closed_form_and_oracle_match_direct_sum(p, n, a, m):
             assert abs(oracle_padic_mellin(a, b, p, s, chi=chi) - want) < 1e-12
 
 
-def test_ramified_scan_refuses_an_oversized_mirror_sum():
-    # the mirror term of b = 3^-20 would need a sum over 3^21 unit cosets
+def test_ramified_mirror_is_kept_by_its_modulus():
+    # b = 3^-m: the mirror term at level -(k + delta) has modulus
+    # |C| 3^-(k + delta/2), below the scan's absolute 1e-13 drop from
+    # m = 28 on; it is kept because that modulus is known in advance
     chi = next(iter(unit_characters(3, 1)))
-    t0 = time.perf_counter()
-    with pytest.raises(SupportEscapeError, match="p = 3"):
-        local_factor(1, F(1, 3**20), 3, chi=chi)
-    assert time.perf_counter() - t0 < 1.0
+    for m in range(12, 31):
+        b = F(1, 3**m)
+        lf = local_factor(1, b, 3, chi=chi)
+        assert lf.kind == "ramified"
+        assert lf.degree == 2 * lf.k + lf.delta
+        assert abs(abs(lf.omega) - 1.0) < 1e-12
+        if m <= 29:  # at m = 30 the oracle's 1e-14 zero tolerance drops it
+            for s in (0.7 + 1j, 1.2 - 4j):
+                want = oracle_padic_mellin(1, b, 3, s, chi=chi)
+                assert abs(lf.evaluate(s) - want) <= 1e-12 * abs(want)
+    # from m = 31 on the mirror lies beyond the 64-level scan: refused, not
+    # answered with the top term alone
+    with pytest.raises(SupportEscapeError):
+        local_factor(1, F(1, 3**31), 3, chi=chi)
 
 
 def test_vanishing_factor_for_odd_character_even_phase():
