@@ -208,6 +208,8 @@ class JobConfig:
                     b=_canon_float(data.get("b", "0")),
                     char=data.get("char", "trivial"),
                 )
+            if Fraction(cfg.a) == 0:
+                raise ConfigError("quadratic coefficient --a must be nonzero")
 
         if command in ("local", "global"):
             raw = data.get("s", ())

@@ -30,7 +30,7 @@ import numpy as np
 
 from .arch_zeta import Real, RealSign, Trivial, weil_index_arch, zeta_real
 from .errors import DomainError, PoleError, UncertifiedError
-from .padic_core import unit_characters, valuation
+from .padic_core import UnitCharacter, valuation
 from .padic_zeta import LocalFactor, local_factor, weil_index_padic
 from .specfun import (
     _POINTWISE_BELOW,
@@ -38,6 +38,7 @@ from .specfun import (
     _as_complex,
     _factorize,
     _is_array,
+    _local_generators,
     _pointwise,
     _zero_like,
     completed_xi,
@@ -117,33 +118,19 @@ class GlobalSpec:
 def _local_character_component(chi: DirichletCharacter, p: int, n: int):
     """The restriction of chi to the units at p, as a unit character.
 
-    Found by exact phase matching over all residues; both sides store
-    phases as rationals, so the comparison is equality, not closeness.
+    Both characters index against the same generator g of the units mod
+    p^n, so the component's index is phi(p^n) times chi's phase at the
+    lift of g (congruent to g mod p^n and to 1 mod the rest of q).
     """
+    if p == 2:
+        raise DomainError("ramified characters at p = 2 are out of scope")
     mod_p = p**n
     rest = chi.modulus // mod_p
-    if rest > 1:
-        # idempotent pair: e1 = 1 mod p^n and 0 mod rest, e2 = 1 - e1
-        e1 = rest * pow(rest, -1, mod_p) % chi.modulus
-    else:
-        e1 = 1
-
-    def lift(u: int) -> int:
-        # congruent to u mod p^n and to 1 mod the complementary part
-        if rest == 1:
-            return u
-        return (u * e1 + (1 - e1)) % chi.modulus
-
-    for cand in unit_characters(p, n):
-        if all(
-            cand.phase(u) == chi.phase(lift(u))
-            for u in range(1, mod_p)
-            if u % p != 0
-        ):
-            return cand
-    raise DomainError(
-        f"no unit character at p = {p} matches the given global character"
-    )
+    g = _local_generators(p, n)[0][0]
+    # CRT: e1 = 1 mod p^n and 0 mod rest
+    e1 = rest * pow(rest, -1, mod_p) % chi.modulus
+    phi = (p - 1) * p ** (n - 1)
+    return UnitCharacter(p, n, int(phi * chi.phase((g * e1 + 1 - e1) % chi.modulus)))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,13 @@ unramified character the numerator is the self-inversive
 
 Q = q^(n/2), D = 2k + delta, whose roots sit on |X| = 1; root extraction
 and certification live in zero_engine.
+
+The same constants give each pair's additive integrals theta(p^j) in
+closed form: 1 from a top level on, 0 in a gap below it, and a geometric
+tail gamma p^-(k + delta/2) p^(j - bottom) from a bottom level down.  A
+factor on an n-dimensional space (padic_vector_factor) multiplies the
+profiles of its components and reads its numerator off the finite middle,
+so only one exact sum per component (its Gauss phase) is ever evaluated.
 """
 
 from __future__ import annotations
@@ -122,14 +129,56 @@ def detect_escape_level(a_norm, b_norm, p: int) -> int:
     return j
 
 
-def _gauss_phase(a_norm, b_norm, p: int, k: int, delta: int) -> complex:
-    """gamma = p^(k + delta/2) theta(p^(-k-delta)), checked to have modulus 1."""
-    gamma = p ** (k + delta / 2.0) * theta_additive(
-        a_norm, b_norm, p, Fraction(p) ** (-k - delta)
-    )
-    if abs(abs(gamma) - 1.0) > 1e-9:
-        raise WeakMellinError(f"gauss phase lost unit modulus: |gamma| = {abs(gamma)}")
-    return gamma
+@dataclass(frozen=True)
+class _Unramified:
+    """Exact constants of an unramified pair (a, b) and its theta profile.
+
+    With top = k - e_scale and bottom = -(k + delta) - e_scale the additive
+    integral theta(p^j) of psi(a x^2/2 + b x) over p^j Z_p (mass 1) is
+
+        1                                      for j >= top,
+        0                                      for bottom < j < top,
+        gamma p^-(k + delta/2) p^(j - bottom)  for j <= bottom,
+
+    the tail by the recursion theta(y/p) = theta(y)/p.
+    """
+
+    p: int
+    k: int
+    delta: int
+    gamma: complex
+    e_scale: int
+
+    @property
+    def top(self) -> int:
+        return self.k - self.e_scale
+
+    @property
+    def bottom(self) -> int:
+        return -(self.k + self.delta) - self.e_scale
+
+    def theta(self, j: int) -> complex:
+        if j >= self.top:
+            return 1.0 + 0.0j
+        if j > self.bottom:
+            return 0.0 + 0.0j
+        return self.gamma * float(self.p) ** (j - self.bottom - self.k - self.delta / 2.0)
+
+
+def _unramified(a, b, p: int) -> _Unramified:
+    """Rescale (a, b), find its escape level and compute the Gauss phase
+    gamma = p^(k + delta/2) theta(p^(-k-delta)), checked to have modulus 1.
+    k = delta = 0 gives gamma = 1 without a sum."""
+    a_norm, b_norm, e_scale, delta = rescale_normal_form(a, b, p)
+    k = detect_escape_level(a_norm, b_norm, p)
+    gamma = 1.0 + 0.0j
+    if k or delta:
+        gamma = p ** (k + delta / 2.0) * theta_additive(
+            a_norm, b_norm, p, Fraction(p) ** (-k - delta)
+        )
+        if abs(abs(gamma) - 1.0) > 1e-9:
+            raise WeakMellinError(f"gauss phase lost unit modulus: |gamma| = {abs(gamma)}")
+    return _Unramified(p, k, delta, gamma, e_scale)
 
 
 def weil_index_padic(a, b, p: int) -> complex:
@@ -140,9 +189,7 @@ def weil_index_padic(a, b, p: int) -> complex:
     choice of depth immaterial.  Completing the square gives the law
     gamma_{a,b} = gamma_{a,0} * psi(-b^2/(2a)) for escape level matching b.
     """
-    a_norm, b_norm, _, delta = rescale_normal_form(a, b, p)
-    k = detect_escape_level(a_norm, b_norm, p)
-    return _gauss_phase(a_norm, b_norm, p, k, delta)
+    return _unramified(a, b, p).gamma
 
 
 @dataclass(frozen=True)
@@ -278,13 +325,8 @@ def unramified_from_constants(p: int, k: int, delta: int, gamma: complex,
 
 
 def local_factor_unramified(a, b, p: int, twist: complex = 1.0) -> LocalFactor:
-    a_norm, b_norm, e_scale, delta = rescale_normal_form(a, b, p)
-    k = detect_escape_level(a_norm, b_norm, p)
-    if k == 0 and delta == 0:
-        gamma = 1.0 + 0.0j
-    else:
-        gamma = _gauss_phase(a_norm, b_norm, p, k, delta)
-    return unramified_from_constants(p, k, delta, gamma, e_scale, twist)
+    u = _unramified(a, b, p)
+    return unramified_from_constants(p, u.k, u.delta, u.gamma, u.e_scale, twist)
 
 
 def qp2_special_eval(s: complex) -> complex:
@@ -429,70 +471,33 @@ def rho0_gauss_sum(chi: UnitCharacter) -> complex:
     return total / p ** (n / 2.0)
 
 
-def _theta_product(configs, p: int, y) -> complex:
-    out = 1.0 + 0.0j
-    for a, b in configs:
-        out *= theta_additive(a, b, p, y)
-    return out
-
-
 def padic_vector_factor(configs, p: int, twist: complex = 1.0) -> LocalFactor:
     """Diagonal-scaling factor of a product of quadratic phases on an
     n-dimensional p-adic space.
 
-    Detects the stable region (product of thetas equal to 1) and the
-    geometric lower tail (ratio p^n per step) from exact values, and builds
-    the exact numerator from the finite middle between them.
+    theta(p^j) of the product is the product of the components' closed-form
+    profiles (see _Unramified): exactly 1 from m = max top on, a product of
+    geometric tails with ratio p^n per step from min bottom down, and a
+    finite middle between.  The exact numerator is built from that middle.
 
     The zeros all sit on Re(s) = n/2 when the component quadratic
     coefficients have valuations of equal parity.  Mixing parities
     genuinely moves zeros off that line (the numerator stops being
     self-inversive); zero_poly still reports the true roots.
     """
-    configs = tuple((Fraction(a), Fraction(b)) for a, b in configs)
-    n = len(configs)
+    profiles = [_unramified(a, b, p) for a, b in configs]
+    n = len(profiles)
     if n == 0:
         raise DegenerateError("empty configuration")
-    for a, _ in configs:
-        if a == 0:
-            raise DegenerateError("quadratic coefficient must be nonzero")
-
-    cache: dict[int, complex] = {}
 
     def theta(j: int) -> complex:
-        if j not in cache:
-            cache[j] = _theta_product(configs, p, Fraction(p) ** j)
-        return cache[j]
+        out = 1.0 + 0.0j
+        for u in profiles:
+            out *= u.theta(j)
+        return out
 
-    # upper stabilization: theta == 1 exactly from some m on
-    m = 0
-    while any(abs(theta(j) - 1.0) > 1e-13 for j in (m, m + 1, m + 2)):
-        m += 1
-        if m > 48:
-            raise SupportEscapeError("no upper stabilization below 48")
-    while m > -48 and all(
-        abs(theta(j) - 1.0) <= 1e-13 for j in (m - 1, m, m + 1)
-    ):
-        m -= 1
-
-    # lower tail: theta(p^(j-1)) = theta(p^j) / p^n exactly
-    ratio = float(p) ** n
-
-    def in_tail(j: int) -> bool:
-        # a genuine tail value is nonzero; a support gap fakes the ratio
-        t0, t1 = theta(j - 1), theta(j)
-        if abs(t1) == 0.0:
-            return False
-        return abs(t0 * ratio - t1) <= 1e-12 * abs(t1)
-
-    t = m
-    while not (in_tail(t) and in_tail(t - 1) and in_tail(t - 2)):
-        t -= 1
-        if t < m - 96:
-            raise SupportEscapeError("no lower tail found within 96 levels")
-    while t < m and in_tail(t + 1):
-        t += 1
-    tail_j = t - 1  # highest level already inside the geometric tail
+    m = max(u.top for u in profiles)
+    tail_j = min(u.bottom for u in profiles) - 1  # highest level inside the tail
 
     # With t = p^(-s) the factor times (1 - 1/p) t (1 - t) is the Laurent
     # polynomial
@@ -500,30 +505,25 @@ def padic_vector_factor(configs, p: int, twist: complex = 1.0) -> LocalFactor:
     #     (t - p^-n) (1 - t) mid(t) + (t - p^-n) t^m + c t^(T+1) (1 - t)
     #
     # (mid(t) the sum of theta(p^j) t^j over T < j < m, T the tail start,
-    # c = theta(p^T)).  Neither t = 1 nor t = p^(-n) is a root, so after
-    # clearing powers of t the remaining roots are exactly the zeros of the
-    # factor.
-    lo = tail_j + 1  # lowest power appearing
+    # c = theta(p^T)).  Its lowest power t^(T+1) cancels exactly, since
+    # theta(p^(T+1)) = p^n c in the tail; the next one and the highest,
+    # t^(m+1) with 1 - theta(p^(m-1)), never do.  Neither t = 1 nor
+    # t = p^(-n) is a root, so after clearing powers of t the remaining
+    # roots are exactly the zeros of the factor.
+    lo = tail_j + 1
     c = np.zeros(m - lo + 2, dtype=complex)  # c[i] multiplies t^(lo + i)
     pn = float(p) ** (-n)
     for j in range(lo, m):
         coeff = theta(j)
-        if abs(coeff) > 1e-15:
-            # (t - p^-n)(1 - t) t^j = -t^(j+2) + (1 + p^-n) t^(j+1) - p^-n t^j
-            c[j + 2 - lo] += -coeff
-            c[j + 1 - lo] += (1.0 + pn) * coeff
-            c[j - lo] += -pn * coeff
+        # (t - p^-n)(1 - t) t^j = -t^(j+2) + (1 + p^-n) t^(j+1) - p^-n t^j
+        c[j + 2 - lo] += -coeff
+        c[j + 1 - lo] += (1.0 + pn) * coeff
+        c[j - lo] += -pn * coeff
     c[m + 1 - lo] += 1.0
     c[m - lo] += -pn
-    c[0] += theta(tail_j)
     c[1] += -theta(tail_j)
-
-    # strip structurally cancelled ends (exact zeros up to roundoff)
-    keep = np.nonzero(np.abs(c) > 1e-10 * np.max(np.abs(c)))[0]
-    if keep.size == 0:
-        raise WeakMellinError("vector numerator collapsed to zero")
-    low = lo + int(keep[0])  # lowest surviving power of t
-    c = c[keep[0] : keep[-1] + 1]
+    low = lo + 1  # lowest surviving power of t
+    c = c[1:]
     D = c.size - 1
     Q = float(p) ** (n / 2.0)
     # sum_i c[i] t^(low + i) with t = 1 / (Q X) is Q^(-low) X^(-low - D)

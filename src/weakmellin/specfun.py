@@ -9,11 +9,11 @@ modulus, and the completed Riemann xi.
 External packages (mpmath, sympy) appear only in the test suite as
 cross-checks, never here.
 
-log_gamma, gamma, hyp1f1, riemann_zeta, hurwitz_zeta and dirichlet_l take
-a complex scalar or an ndarray of points.  A scalar runs the cmath body; an
-array runs a numpy body elementwise (Euler-Maclaurin over the points in
-blocks, hyp1f1 one kernel call per point off z = 0) and returns an array
-of its shape.  A bad point in an array raises what
+log_gamma, gamma, hyp1f1, riemann_zeta, hurwitz_zeta, dirichlet_l and
+completed_xi take a complex scalar or an ndarray of points.  A scalar runs
+the cmath body; an array runs a numpy body elementwise (Euler-Maclaurin
+over the points in blocks, hyp1f1 one kernel call per point off z = 0)
+and returns an array of its shape.  A bad point in an array raises what
 the scalar call raises there: PoleError, DomainError, or OverflowError
 where numpy would return inf.
 
@@ -907,10 +907,15 @@ def completed_xi(s: complex) -> complex:
 
     Meromorphic with simple poles at 0 and 1 only; the trivial zeros of zeta
     are cancelled, so values like completed_xi(-2) are finite and nonzero.
+    s may be an array; PoleError if any point lies within 1e-6 of a pole.
     """
-    s = complex(s)
-    if abs(s) < 1e-6 or abs(s - 1.0) < 1e-6:
-        raise PoleError(f"completed xi pole at s = {s}")
-    if s.real < 0.0:
-        return completed_xi(1.0 - s)
-    return math.pi ** (-s / 2.0) * gamma(s / 2.0) * riemann_zeta(s)
+    s = _as_complex(s)
+    near = (abs(s) < 1e-6) | (abs(s - 1.0) < 1e-6)
+    if np.any(near):
+        at = s[near][0] if _is_array(s) else s
+        raise PoleError(f"completed xi pole at s = {at}")
+    if _is_array(s):
+        s = np.where(s.real < 0.0, 1.0 - s, s)
+    elif s.real < 0.0:
+        s = 1.0 - s
+    return _real_pow(math.pi, -s / 2.0) * gamma(s / 2.0) * riemann_zeta(s)

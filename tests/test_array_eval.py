@@ -181,6 +181,30 @@ def test_radial_scans_of_criterion_8_take_one_call_per_grid(monkeypatch):
     assert len(sizes) < 1536
 
 
+# The domain: -3 <= Re s <= 4, |Im s| <= 40, at least 1e-3 from the poles
+# at 0 and 1; points left of Re s = 0 are reflected to 1 - s.
+@settings(max_examples=60, deadline=None)
+@given(_points(-3.0, 4.0, 40.0, keep=lambda z: abs(z) >= 1e-3 and abs(z - 1.0) >= 1e-3))
+def test_completed_xi(pts):
+    _assert_elementwise(sf.completed_xi, pts)
+
+
+def test_completed_xi_scan_of_criterion_7_takes_arrays(monkeypatch):
+    sizes = []
+
+    def counted(s):
+        sizes.append(s.size if isinstance(s, np.ndarray) else None)
+        return sf.completed_xi(s)
+
+    monkeypatch.setattr(acceptance, "completed_xi", counted)
+    ok, _ = acceptance._criterion_7()
+    assert ok
+    # the 1024-sample scan is one call and no call gets a scalar
+    assert sizes.count(1024) == 1
+    assert None not in sizes
+    assert len(sizes) < 100
+
+
 def _local_factors():
     chi3 = next(iter(unit_characters(3, 1)))
     return [
@@ -257,6 +281,8 @@ def _bad_points():
         ("hyp1f1 lower-parameter pole", lambda a: sf.hyp1f1(a, 0.0, 0.0), 0.5),
         ("zeta_real gamma pole", lambda s: zeta_real(1.0, 0.0, s), 0.0),
         ("zeta_real overflow", lambda s: zeta_real(1.0, 0.0, s), -2000.0),
+        ("completed_xi pole at 0", sf.completed_xi, 1e-7j),
+        ("completed_xi pole at 1", sf.completed_xi, 1.0 - 5e-7),
         ("local pole", unram.evaluate, 0.0),
         ("global pole", fact.evaluate, 1.0),
     ]

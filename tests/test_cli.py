@@ -263,6 +263,22 @@ def test_non_finite_numbers_exit_2(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["local", "--field", "qp", "--p", "3", "--a", "0", "--s", "2"],
+        ["local", "--field", "real", "--a", "0", "--s", "2"],
+        ["local", "--field", "real", "--a", "-0.0", "--s", "2"],
+        ["zeros", "--field", "qp", "--p", "5", "--a", "0/7", "--imax", "3"],
+    ],
+)
+def test_zero_quadratic_coefficient_exits_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: quadratic coefficient --a must be nonzero")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["local", "--field", "real", "--a", "1", "--b", "0.5", "--s", "400,0"],
         ["local", "--field", "real", "--a", "1", "--b", "0.5", "--s", "1e300,0"],
         ["global", "--s", "1e10,0"],

@@ -22,7 +22,7 @@ from weakmellin.global_zeta import (
     xi_f_reference,
 )
 from weakmellin.padic_zeta import local_factor
-from weakmellin.specfun import characters
+from weakmellin.specfun import _factorize, characters
 from weakmellin.zero_engine import ZeroReport, exp_poly_roots, line_zeros
 
 S_GRID = [0.3 + 5j, 0.5, 0.8 - 2j, 2.0, 1.7 - 3j, 0.25 + 11j]
@@ -245,6 +245,34 @@ def test_dyadic_ramification_dead_shortcut_still_works():
     )
     fact = factorize_global(spec)
     assert fact.identically_zero
+
+
+@pytest.mark.parametrize("q", [15, 21, 45, 63, 75, 105])
+def test_local_character_component_is_the_restriction(q):
+    # the component read off the generator agrees with chi at the CRT lift
+    # (u mod p^n, 1 mod the rest of q) of every unit u mod p^n
+    seen = 0
+    for chi in characters(q):
+        if not chi.is_primitive:
+            continue
+        for p, n in _factorize(q):
+            mod_p = p**n
+            rest = q // mod_p
+            comp = global_zeta._local_character_component(chi, p, n)
+            assert comp.conductor_exponent == n
+            for u in range(1, mod_p):
+                if u % p == 0:
+                    continue
+                lift = next(x for x in range(u, q * mod_p, mod_p) if x % rest == 1 % rest)
+                assert comp.phase(u) == chi.phase(lift)
+            seen += 1
+    assert seen > 0
+
+
+def test_local_character_component_at_two_is_out_of_scope():
+    chi12 = _chi(12, lambda c: c.is_primitive)
+    with pytest.raises(DomainError, match="p = 2 are out of scope"):
+        global_zeta._local_character_component(chi12, 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weakmellin import padic_zeta
 from weakmellin.errors import PoleError, SupportEscapeError
-from weakmellin.oracle import oracle_padic_mellin, oracle_padic_vector
-from weakmellin.padic_core import psi_p, unit_average, unit_characters, valuation
+from weakmellin.oracle import PadicOracleParams, oracle_padic_mellin, oracle_padic_vector
+from weakmellin.padic_core import (
+    psi_p,
+    theta_additive,
+    unit_average,
+    unit_characters,
+    valuation,
+)
 from weakmellin.padic_zeta import (
+    _unramified,
     detect_escape_level,
     local_factor,
     padic_vector_factor,
@@ -411,3 +421,81 @@ def test_vector_pole_guards():
         lf.evaluate(0.0)
     # the lower tail's geometric sum has no pole at s = n
     assert abs(lf.evaluate(2.0) - oracle_padic_vector(((1, 0), (1, 0)), 3, 2.0)) < 1e-12
+
+
+def test_vector_factor_sums_one_theta_per_component(monkeypatch):
+    # every profile is closed-form: one exact sum (the Gauss phase) per
+    # component at most
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return theta_additive(*args, **kwargs)
+
+    monkeypatch.setattr(padic_zeta, "theta_additive", counted)
+    for p, cfg in VECTOR_CASES:
+        calls.clear()
+        padic_vector_factor(cfg, p)
+        assert len(calls) <= len(cfg)
+
+
+@st.composite
+def _unramified_pair(draw, p):
+    def unit():
+        return draw(st.integers(1, 40).filter(lambda u: u % p))
+
+    a = F(draw(st.sampled_from((-1, 1))) * unit(), unit()) * F(p) ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        b = F(draw(st.integers(-40, 40)), unit()) * F(p) ** draw(st.integers(-4, 2))
+    else:
+        b = F(0)
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)).flatmap(
+    lambda p: st.tuples(st.just(p), _unramified_pair(p))
+))
+def test_theta_profile_law(case):
+    # theta(p^j) is 1 from top on, 0 strictly between bottom and top, and
+    # gamma p^-(k + delta/2) p^(j - bottom) from bottom down
+    p, (a, b) = case
+    profile = _unramified(a, b, p)
+    assert profile.bottom <= profile.top
+    for j in range(-8, 9):
+        want = theta_additive(a, b, p, F(p) ** j)
+        assert abs(profile.theta(j) - want) <= 1e-13, (j, profile)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(_unramified_pair(p), min_size=1, max_size=3))
+))
+def test_vector_profile_product_matches_oracle(case):
+    # the oracle counts a shell average |lambda(j)| <= zero_tol as zero, so
+    # at each level j of the profile's finite middle it may miss up to
+    # zero_tol |p^(-js)| / (1 - 1/p); that slack is allowed on top of 1e-12
+    p, cfg = case
+    lf = padic_vector_factor(cfg, p)
+    profiles = [_unramified(a, b, p) for a, b in cfg]
+    middle = range(min(u.bottom for u in profiles), max(u.top for u in profiles))
+    for s in (0.7 + 1.1j, 1.6 - 3.0j):
+        want = oracle_padic_vector(cfg, p, s)
+        slack = PadicOracleParams().zero_tol * sum(
+            p ** (-j * s.real) for j in middle
+        ) / (1 - 1 / p)
+        assert abs(lf.evaluate(s) - want) <= 1e-12 * max(1.0, abs(want)) + slack
+        if len(cfg) == 1:
+            single = local_factor(*cfg[0], p).evaluate(s)
+            assert abs(lf.evaluate(s) - single) <= 1e-12 * max(1.0, abs(single))
+
+
+def test_vector_keeps_a_small_tail_coefficient():
+    # theta(5^-5) = 7.3e-11 is the whole lower tail here; its Laurent
+    # coefficient must survive next to the top coefficient 1
+    p, cfg = 5, ((-1, 0), (-1, 0), (-5, F(1, 625)))
+    lf = padic_vector_factor(cfg, p)
+    assert lf.degree == 9
+    for s in (0.7 + 1.1j, 1.6 - 3.0j):
+        want = oracle_padic_vector(cfg, p, s)
+        assert abs(lf.evaluate(s) - want) <= 1e-12 * abs(want)
