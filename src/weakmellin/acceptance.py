@@ -3,7 +3,7 @@
 Nine numbered checks, each with a wall-clock budget, sweeping the whole
 surface: exact p-adic factors against the combinatorial oracle, root
 location and certification on the unit circle, archimedean closed forms
-against damped quadrature, the assembled reference function with its
+against contour quadrature, the assembled reference function with its
 strip census, and the cross-cutting property suites.  Everything is
 recomputed at run time on the caller's machine; nothing is read from
 golden files.  The CLI ``verify`` command and the acceptance test
@@ -18,6 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +41,11 @@ from .global_zeta import (
 )
 from .oracle import (
     PadicOracleParams,
+    _fold_even,
+    _fold_odd,
+    _hermitian_damped,
+    _real_damped,
+    _sphere_average,
     oracle_complex_square_mellin,
     oracle_hermitian_mellin,
     oracle_padic_mellin,
@@ -235,62 +241,48 @@ def _criterion_5():
     )
 
 
+def _real_sign(a, b, s):
+    return zeta_real(a, b, s, RealSign())
+
+
+_B_TURN = 0.4 * cmath.exp(1j * math.pi / 6)
+
+# criterion 6: (family, closed form, oracle, arguments)
+ARCH_POINTS = (
+    ("real", zeta_real, oracle_real_mellin, (2, 0.5, 0.45 + 0.9j)),
+    ("real", zeta_real, oracle_real_mellin, (2, 0.5, 1.8 - 0.6j)),
+    ("real", _real_sign, oracle_real_sign_mellin, (1, 1, 0.7 - 0.3j)),
+    ("real", _real_sign, oracle_real_sign_mellin, (1, 1, 2.1 + 1.2j)),
+    ("hermitian", zeta_complex_hermitian, oracle_hermitian_mellin, (1, _B_TURN, 0, 0.5 + 0.4j)),
+    ("hermitian", zeta_complex_hermitian, oracle_hermitian_mellin, (1, _B_TURN, 1, 0.9)),
+    ("hermitian", zeta_complex_hermitian, oracle_hermitian_mellin, (1, _B_TURN, 2, 1.3 - 0.5j)),
+    ("hermitian", zeta_complex_hermitian, oracle_hermitian_mellin, (1, _B_TURN, -1, 0.35 + 0.2j)),
+    ("square", zeta_complex_square, oracle_complex_square_mellin, (1 + 0.5j, 0.25, 0, 0.45 + 0.6j)),
+    ("square", zeta_complex_square, oracle_complex_square_mellin, (1 + 0.5j, 0.25, 0, 0.7)),
+    ("square", zeta_complex_square, oracle_complex_square_mellin, (1 + 0.5j, 0, 0, 0.55)),
+    ("square", zeta_complex_square, oracle_complex_square_mellin, (1 + 0.5j, 0, 2, 0.8)),
+    ("radial", zeta_rn_radial, oracle_radial_mellin, (1, 0.8, 1, 1.7)),
+    ("radial", zeta_rn_radial, oracle_radial_mellin, (1, 0.6, 2, 0.7 + 0.5j)),
+    ("radial", zeta_rn_radial, oracle_radial_mellin, (1, 0.7, 3, 0.45 + 0.9j)),
+    ("radial", zeta_rn_radial, oracle_radial_mellin, (1, 0.5, 4, 1.1 - 0.7j)),
+)
+
+
 def _criterion_6():
     """Every archimedean closed form against its quadrature oracle."""
-    b_turn = 0.4 * cmath.exp(1j * math.pi / 6)
-    families = {
-        "real": [
-            (lambda: zeta_real(2, 0.5, 0.45 + 0.9j),
-             lambda: oracle_real_mellin(2, 0.5, 0.45 + 0.9j)),
-            (lambda: zeta_real(2, 0.5, 1.8 - 0.6j),
-             lambda: oracle_real_mellin(2, 0.5, 1.8 - 0.6j)),
-            (lambda: zeta_real(1, 1, 0.7 - 0.3j, RealSign()),
-             lambda: oracle_real_sign_mellin(1, 1, 0.7 - 0.3j)),
-            (lambda: zeta_real(1, 1, 2.1 + 1.2j, RealSign()),
-             lambda: oracle_real_sign_mellin(1, 1, 2.1 + 1.2j)),
-        ],
-        "hermitian": [
-            (lambda: zeta_complex_hermitian(1, b_turn, 0, 0.5 + 0.4j),
-             lambda: oracle_hermitian_mellin(1, b_turn, 0, 0.5 + 0.4j)),
-            (lambda: zeta_complex_hermitian(1, b_turn, 1, 0.9),
-             lambda: oracle_hermitian_mellin(1, b_turn, 1, 0.9)),
-            (lambda: zeta_complex_hermitian(1, b_turn, 2, 1.3 - 0.5j),
-             lambda: oracle_hermitian_mellin(1, b_turn, 2, 1.3 - 0.5j)),
-            (lambda: zeta_complex_hermitian(1, b_turn, -1, 0.35 + 0.2j),
-             lambda: oracle_hermitian_mellin(1, b_turn, -1, 0.35 + 0.2j)),
-        ],
-        "square": [
-            (lambda: zeta_complex_square(1 + 0.5j, 0.25, 0, 0.45 + 0.6j),
-             lambda: oracle_complex_square_mellin(1 + 0.5j, 0.25, 0, 0.45 + 0.6j)),
-            (lambda: zeta_complex_square(1 + 0.5j, 0.25, 0, 0.7),
-             lambda: oracle_complex_square_mellin(1 + 0.5j, 0.25, 0, 0.7)),
-            (lambda: zeta_complex_square(1 + 0.5j, 0, 0, 0.55),
-             lambda: oracle_complex_square_mellin(1 + 0.5j, 0, 0, 0.55)),
-            (lambda: zeta_complex_square(1 + 0.5j, 0, 2, 0.8),
-             lambda: oracle_complex_square_mellin(1 + 0.5j, 0, 2, 0.8)),
-        ],
-        "radial": [
-            (lambda: zeta_rn_radial(1, 0.8, 1, 1.7),
-             lambda: oracle_radial_mellin(1, 0.8, 1, 1.7)),
-            (lambda: zeta_rn_radial(1, 0.6, 2, 0.7 + 0.5j),
-             lambda: oracle_radial_mellin(1, 0.6, 2, 0.7 + 0.5j)),
-            (lambda: zeta_rn_radial(1, 0.7, 3, 0.45 + 0.9j),
-             lambda: oracle_radial_mellin(1, 0.7, 3, 0.45 + 0.9j)),
-            (lambda: zeta_rn_radial(1, 0.5, 4, 1.1 - 0.7j),
-             lambda: oracle_radial_mellin(1, 0.5, 4, 1.1 - 0.7j)),
-        ],
-    }
-    ok = True
-    notes = []
-    for name, points in families.items():
-        worst = 0.0
-        for closed_fn, oracle_fn in points:
-            closed = closed_fn()
-            exact = complex(oracle_fn())
-            worst = max(worst, abs(closed - exact) / max(abs(exact), 1e-30))
-        ok = ok and worst <= 1e-5
-        notes.append(f"{name} {worst:.1e}")
-    return ok, "relative deviations: " + ", ".join(notes) + " (tol 1e-5)"
+    worst = {}
+    routes = {}
+    for name, closed_fn, oracle_fn, args in ARCH_POINTS:
+        closed = closed_fn(*args)
+        res = oracle_fn(*args)
+        exact = complex(res)
+        dev = abs(closed - exact) / max(abs(exact), 1e-30)
+        worst[name] = max(worst.get(name, 0.0), dev)
+        routes[res.route] = routes.get(res.route, 0) + 1
+    ok = all(dev <= 1e-5 for dev in worst.values())
+    notes = ", ".join(f"{name} {dev:.1e}" for name, dev in worst.items())
+    answered = ", ".join(f"{route} {count}" for route, count in sorted(routes.items()))
+    return ok, f"relative deviations: {notes} (tol 1e-5); routes: {answered}"
 
 
 def _criterion_7():
@@ -461,18 +453,22 @@ def _criterion_9():
     fourier_dev = max(fourier_dev, abs(lhs - rhs) / abs(rhs))
     fourier_ok = fourier_dev <= 1e-6
 
-    # halving the damping parameter must halve the remaining error;
-    # routes with no damping ladder report an exact-path error instead
+    # halving the damping parameter must halve the remaining error; the
+    # damped route is called directly, since the public oracles answer
+    # these points on their contour routes.  The Gaussian-parameter route
+    # has no damping ladder and reports an exact-path error instead
     ladder_ok = True
     worst_ratio = math.inf
     for res in (
-        oracle_real_mellin(1, 0.5, 0.6 + 0.4j),
-        oracle_real_sign_mellin(1, 1, 0.7),
-        oracle_hermitian_mellin(1, 0.3, 1, 0.5 - 0.2j),
-        oracle_radial_mellin(1, 0.6, 2, 0.7),
+        _real_damped(1.0, 0.5, 0.6 + 0.4j, _fold_even),
+        _real_damped(1.0, 1.0, 0.7 + 0j, _fold_odd),
+        _hermitian_damped(1.0, 0.3 + 0j, 1, 0.5 - 0.2j),
+        _real_damped(1.0, 0.6, 0.7 + 0j, partial(_sphere_average, 2)),
         oracle_complex_square_mellin(1 + 0.5j, 0.25, 0, 0.5),
     ):
-        clean = res.ratio >= 1.8 or res.err_est <= 1e-11 * abs(res.value)
+        clean = res.route in ("damped", "schwinger") and (
+            res.ratio >= 1.8 or res.err_est <= 1e-11 * abs(res.value)
+        )
         ladder_ok = ladder_ok and clean
         worst_ratio = min(worst_ratio, res.ratio)
 

@@ -2,9 +2,15 @@
 
 Nothing in here knows the closed forms.  The p-adic oracles sum exact unit
 averages term by term until the profile provably stabilizes, then attach an
-analytic geometric tail.  The archimedean oracles do damped numerical
-quadrature with internal error control.  Tests compare these against the
-closed-form modules; the two routes share only the exact primitives.
+analytic geometric tail.  The archimedean oracles first rotate the
+quadratic phase onto its steepest-descent contour, where it becomes a
+Gaussian, and sum the rotated integral by the trapezoidal rule in log
+radius (the square phase at b = 0 takes a Hankel contour instead).  Each
+contour value carries its own check and is refused, never guessed, when
+the check fails; a refused point falls back to damped numerical
+quadrature with Richardson extrapolation.  The result records which route
+answered.  Tests compare these against the closed-form modules; the two
+sides share only the exact primitives.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -122,10 +129,10 @@ def oracle_padic_mellin(
         if provably_zero(j):
             run += 1
         else:
+            # a computed term is always added: a unit average far below
+            # zero_tol can still carry weight |p^(-js)| >> 1
             run = 0
-            v = ua(j)
-            if abs(v) > params.zero_tol:
-                total += v * x**j
+            total += ua(j) * x**j
         if run >= need_run and (j_floor is None or j < j_floor):
             break
         j -= 1
@@ -193,12 +200,17 @@ def oracle_padic_vector(
     while True:
         if j < -params.max_window:
             raise SupportEscapeError("no lower support escape in window")
+        # a computed shell average is always added: one far below zero_tol
+        # can still carry weight |p^(-js)| >> 1.  The run test stays on the
+        # bare average, because deep in the tail, where the average is zero
+        # up to rounding of order 1e-16 |theta|, that weight would grow the
+        # rounding without bound once Re(s) > n.
         v = lam(j)
+        total += v * x**j
         if abs(v) <= params.zero_tol:
             run += 1
         else:
             run = 0
-            total += v * x**j
         if run >= params.stable_run and (j_floor is None or j < j_floor):
             break
         j -= 1
@@ -206,9 +218,25 @@ def oracle_padic_vector(
 
 
 # ---------------------------------------------------------------------------
-# Archimedean quadrature.  The oscillatory transforms are computed as the
-# limit of Gaussian-damped integrals: multiply the integrand by a damping
-# envelope exp(-c*eps*x^2), integrate over a truncated range with
+# Archimedean quadrature.  Every oscillatory transform is first tried on a
+# contour where its phase stops oscillating.  For a > 0 the ray
+# y = t e^(-i pi/4) turns exp(-pi i a y^2) into the Gaussian exp(-pi a t^2)
+# (a < 0 takes the conjugate ray).  The rotated integrand decays at both
+# ends of u = log t and is analytic in a strip about the real u-axis, so the
+# trapezoidal rule in u converges exponentially (Trefethen and Weideman,
+# "The exponentially convergent trapezoidal rule", SIAM Review 2014).  The
+# sum is taken at step h and at h/2 on nested nodes; the point is refused
+# unless max(|T_h - T_{h/2}|, 1e-15 L1) <= 1e-12 |value|, where the L1 mass
+# measures the cancellation the rotation costs (it grows like
+# exp(pi |Im s| / 4)).  The square phase at b = 0 goes through x = r^2
+# instead: the segment (0, 1) stays on the real axis, and beyond x = 1 the
+# Bessel kernel splits into its Hankel halves, which decay up and down the
+# vertical rays from x = 1; a doubled-order Gauss-Legendre pass checks it
+# under the same rule.  No contour route touches 1F1.
+#
+# A refused point goes to the damped route, which computes the transform as
+# the limit of Gaussian-damped integrals: multiply the integrand by a
+# damping envelope exp(-c*eps*x^2), integrate over a truncated range with
 # Gauss-Legendre panels sized to a fixed phase budget, and remove the
 # damping by Richardson extrapolation over a halving eps ladder.  Every
 # panel pass is repeated at doubled order and the two totals must agree.
@@ -225,7 +253,8 @@ def oracle_padic_vector(
 
 @dataclass(frozen=True)
 class ArchOracleParams:
-    """Knobs for the archimedean oracles.
+    """Knobs for the damped and Gaussian-parameter routes of the
+    archimedean oracles; the contour routes use module constants.
 
     eps_schedule is the damping ladder, each entry half the previous; the
     reported value is the second order Richardson limit.  tail_log sets
@@ -246,19 +275,46 @@ _ARCH_DEFAULT = ArchOracleParams()
 
 _MAX_PANELS = 200_000
 
+# Contour routes.  The trapezoidal step in u = log(tau), tau the radius in
+# units where the Gaussian is exp(-tau^2); the check reruns at half of it.
+_CONTOUR_STEP = 1.0 / 16.0
+# u range: at the low end tau^0.15 < 2e-17, below every strip's lower edge
+# (the integrands fall at least like tau^Re(s) there); at the high end
+# exp(-tau^2) < 1e-64.
+_CONTOUR_U = (-260.0, 2.5)
+# the h/2 grid; its step count is even, so both ends lie on the h grid too
+_CONTOUR_NODES = np.linspace(
+    *_CONTOUR_U, round((_CONTOUR_U[1] - _CONTOUR_U[0]) / (0.5 * _CONTOUR_STEP)) + 1
+)
+_CONTOUR_TOL = 1e-12
+_CONTOUR_FLOOR = 1e-15
+# square phase: Gauss-Legendre order and phase budget of the contour
+# panels (the check reruns at twice the order), and the length of the
+# vertical rays in units of 1/c, where the Hankel halves are down to e^-50
+_HANKEL_ORDER = 20
+_HANKEL_PHASE = 4.0
+_HANKEL_RAY = 50.0
+
+# e^(-i pi/4), the direction of the steepest-descent ray for a > 0
+_EIGHTH = cmath.exp(-0.25j * math.pi)
+
 
 @dataclass(frozen=True)
 class ArchOracleResult:
-    """Damped-quadrature value with its convergence diagnostics.
+    """Oracle value with its error estimate and the route that produced it.
 
-    ratio is |r(eps) - r(eps/2)| / |r(eps/2) - r(eps/4)|; a clean linear
-    eps-dependence gives ratio close to 2.  Routes with no damping ladder
-    report ratio = inf and an empty eps_values."""
+    route is "rotated" (trapezoidal rule on the steepest-descent ray),
+    "hankel" (square phase on the Hankel contour), "damped" (eps ladder),
+    "schwinger" (Gaussian-parameter integral) or "exact" (zero by
+    symmetry).  ratio is |r(eps) - r(eps/2)| / |r(eps/2) - r(eps/4)|; a
+    clean linear eps-dependence gives ratio close to 2.  Routes with no
+    damping ladder report ratio = inf and an empty eps_values."""
 
     value: complex
     err_est: float
     ratio: float
     eps_values: tuple
+    route: str
 
     def __complex__(self):
         return complex(self.value)
@@ -308,16 +364,51 @@ def _integrate_panels(fn, edges, order):
     return np.dot(ws, vals), float(np.dot(ws, np.abs(vals)))
 
 
+def _gl_pair(fn, edges, order):
+    """The doubled-order total, its distance from the single-order total,
+    and the L1 mass."""
+
+    v1, l1 = _integrate_panels(fn, edges, order)
+    v2, _ = _integrate_panels(fn, edges, 2 * order)
+    return v2, abs(v1 - v2), l1
+
+
 def _checked_integral(fn, edges, params):
-    v1, l1 = _integrate_panels(fn, edges, params.panel_order)
-    v2, _ = _integrate_panels(fn, edges, 2 * params.panel_order)
-    err = abs(v1 - v2)
+    v2, err, l1 = _gl_pair(fn, edges, params.panel_order)
     if err > params.order_tol * max(abs(v2), 1e-6 * l1, 1e-300):
         raise QuadratureError(
             f"doubled-order totals disagree by {err:.3e} "
             f"(value {abs(v2):.3e}, L1 mass {l1:.3e})"
         )
     return v2, err
+
+
+def _log_trapezoid(g):
+    """Trapezoidal sums of g(u) over _CONTOUR_U at step h and at h/2 on the
+    nested nodes: the h/2 sum, its checked difference and the L1 mass.
+
+    g must decay at both ends of the range; the mass beyond either end is
+    bounded by ten end samples (the decay is at least e^(0.1 u) at the low
+    end and Gaussian at the high end) and enters the difference.  Overflow
+    and NaN are not trapped here: they make the check refuse the point."""
+
+    with np.errstate(all="ignore"):
+        vals = g(_CONTOUR_NODES)
+        fine = 0.5 * _CONTOUR_STEP * vals.sum()
+        coarse = _CONTOUR_STEP * vals[::2].sum()
+        l1 = 0.5 * _CONTOUR_STEP * float(np.abs(vals).sum())
+        diff = max(abs(fine - coarse), 10.0 * (abs(vals[0]) + abs(vals[-1])))
+    return complex(fine), float(diff), l1
+
+
+def _contour_result(value, diff, l1, pref, route):
+    """A contour value times pref, or None when the check refuses it:
+    max(diff, 1e-15 L1) must be at most 1e-12 |value|."""
+
+    err = max(diff, _CONTOUR_FLOOR * l1)
+    if not err <= _CONTOUR_TOL * abs(value):  # also refuses NaN
+        return None
+    return ArchOracleResult(pref * value, abs(pref) * err, math.inf, (), route)
 
 
 def _damped_limit(build, params):
@@ -340,7 +431,7 @@ def _damped_limit(build, params):
     d1, d2 = abs(r1 - r2), abs(r2 - r3)
     ratio = d1 / d2 if d2 > 0.0 else math.inf
     err_est = abs(first_b - first_a) / 3.0 + worst
-    return ArchOracleResult(value, err_est, ratio, tuple(vals))
+    return ArchOracleResult(value, err_est, ratio, tuple(vals), "damped")
 
 
 def _scaled(result, c):
@@ -350,10 +441,11 @@ def _scaled(result, c):
         mag * result.err_est,
         result.ratio,
         tuple(c * v for v in result.eps_values),
+        result.route,
     )
 
 
-_EXACT_ZERO = ArchOracleResult(0j, 0.0, math.inf, ())
+_EXACT_ZERO = ArchOracleResult(0j, 0.0, math.inf, (), "exact")
 
 # (-i)^n without power-function roundoff
 _I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
@@ -370,13 +462,43 @@ def _require_strip(s, lo, hi, who):
         )
 
 
-def _real_line_mellin(a, b, s, params, fold, who):
+def _fold_even(t):
+    """y -> -y fold of the trivial character: 2 cos."""
+    return 2.0 * np.cos(t)
+
+
+def _fold_odd(t):
+    """y -> -y fold of the sign character: -2i sin."""
+    return -2j * np.sin(t)
+
+
+def _real_rotated(a, b, s, fold):
+    """Contour route for the integral over (0, inf) of
+    exp(-pi i a y^2) fold(2 pi b y) y^(s-1) dy.
+
+    On the ray y = omega t, omega = e^(-i pi/4 sign(a)), and in
+    tau = sqrt(pi |a|) t it is omega^s (pi |a|)^(-s/2) times the integral
+    of tau^s exp(-tau^2) fold(2 pi b omega tau / sqrt(pi |a|)) d(log tau).
+    fold must be entire and take complex arrays."""
+
+    c = math.sqrt(math.pi * abs(a))
+    omega = _EIGHTH if a > 0 else _EIGHTH.conjugate()
+    k = 2.0 * math.pi * b * omega / c
+
+    def g(u):
+        tau = np.exp(u)
+        return np.exp(s * u - tau * tau) * fold(k * tau)
+
+    pref = cmath.exp(-s * complex(math.log(c), math.copysign(0.25 * math.pi, a)))
+    return _contour_result(*_log_trapezoid(g), pref, "rotated")
+
+
+def _real_damped(a, b, s, fold, params=None):
     """Damped-quadrature limit of the integral over (0, inf) of
     exp(-pi i a y^2) fold(2 pi b y) y^(s-1) dy, the transform of
     exp(-pi i a y^2 - 2 pi i b y) on the real line with y -> -y folded in."""
 
     params = params or _ARCH_DEFAULT
-    _require_strip(s, 0.15, 2.5, who)
 
     def build(eps):
         hi = math.sqrt(params.tail_log / (math.pi * eps))
@@ -400,19 +522,28 @@ def _real_line_mellin(a, b, s, params, fold, who):
     return _damped_limit(build, params)
 
 
+def _real_line_mellin(a, b, s, params, fold, who):
+    """The folded real-line integral: the contour route, or the damped
+    route where the contour route refuses the point."""
+
+    _require_strip(s, 0.15, 2.5, who)
+    return _real_rotated(a, b, s, fold) or _real_damped(a, b, s, fold, params)
+
+
 def oracle_real_mellin(a, b, s, params=None):
     """Multiplicative transform of exp(-pi i a y^2 - 2 pi i b y) on the
     real line against the trivial sign character.
 
     Folding y -> -y gives 2 * integral over (0, inf) of
-    exp(-pi i a y^2) cos(2 pi b y) y^(s-1) dy, which is computed by the
-    damped-quadrature limit.  Only the closed forms know anything about
-    confluent hypergeometric functions; this route never touches them."""
+    exp(-pi i a y^2) cos(2 pi b y) y^(s-1) dy, which is computed on the
+    steepest-descent ray, or by the damped-quadrature limit where the ray
+    refuses the point.  Only the closed forms know anything about
+    confluent hypergeometric functions; neither route touches them."""
 
     a, b, s = float(a), float(b), complex(s)
     if a == 0.0:
         raise DomainError("quadratic coefficient must be nonzero")
-    return _real_line_mellin(a, b, s, params, lambda t: 2.0 * np.cos(t), "real")
+    return _real_line_mellin(a, b, s, params, _fold_even, "real")
 
 
 def oracle_real_sign_mellin(a, b, s, params=None):
@@ -425,29 +556,46 @@ def oracle_real_sign_mellin(a, b, s, params=None):
         raise DomainError("quadratic coefficient must be nonzero")
     if b == 0.0:
         return _EXACT_ZERO
-    return _real_line_mellin(
-        a, b, s, params, lambda t: -2j * np.sin(t), "real sign"
+    return _real_line_mellin(a, b, s, params, _fold_odd, "real sign")
+
+
+def _hermitian_pref(b, n):
+    """4 pi (-i)^n e^(i n arg b), the angular factor of the hermitian
+    transform."""
+
+    phi = cmath.phase(b) if b != 0 else 0.0
+    return 4.0 * math.pi * _I_POW[n % 4] * cmath.exp(1j * n * phi)
+
+
+def _hermitian_rotated(a, b, n, s):
+    """Contour route for the radial integral of the hermitian transform:
+    on r = e^(-i pi/4) t, in tau = sqrt(2 pi a) t, the integral of
+    exp(-2 pi i a r^2) J_n(4 pi |b| r) r^(2s-1) dr is e^(-i pi s/2)
+    (2 pi a)^(-s) times the integral of
+    tau^(2s) exp(-tau^2) J_n(4 pi |b| e^(-i pi/4) tau / sqrt(2 pi a)) d(log tau)."""
+
+    babs = abs(b)
+    c = math.sqrt(2.0 * math.pi * a)
+    k = 4.0 * math.pi * babs * _EIGHTH / c
+
+    def g(u):
+        tau = np.exp(u)
+        out = np.exp(2.0 * s * u - tau * tau)
+        if babs > 0.0:
+            out = out * special.jv(n, k * tau)
+        return out
+
+    pref = _hermitian_pref(b, n) * cmath.exp(
+        -s * complex(2.0 * math.log(c), 0.5 * math.pi)
     )
+    return _contour_result(*_log_trapezoid(g), pref, "rotated")
 
 
-def oracle_hermitian_mellin(a, b, n, s, params=None):
-    """Transform of the hermitian phase exp(-2 pi i a |z|^2) twisted by
-    the linear term and the angular character (z/|z|)^n.
-
-    The angular integral is a Bessel function, leaving
-    4 pi (-i)^n e^(i n arg b) * integral of
-    exp(-2 pi i a r^2) J_n(4 pi |b| r) r^(2s-1) dr."""
+def _hermitian_damped(a, b, n, s, params=None):
+    """Damped-quadrature limit of the hermitian transform."""
 
     params = params or _ARCH_DEFAULT
-    a, b, n, s = float(a), complex(b), int(n), complex(s)
-    if a <= 0.0:
-        raise DomainError("hermitian quadratic coefficient must be positive")
-    if b == 0 and n != 0:
-        return _EXACT_ZERO
-    _require_strip(s, 0.1, 1.6, "hermitian")
     babs = abs(b)
-    phi = cmath.phase(b) if babs > 0.0 else 0.0
-    pref = 4.0 * math.pi * _I_POW[n % 4] * cmath.exp(1j * n * phi)
 
     def build(eps):
         hi = math.sqrt(params.tail_log / (2.0 * math.pi * eps))
@@ -467,16 +615,37 @@ def oracle_hermitian_mellin(a, b, n, s, params=None):
 
         return edges, fn
 
-    return _scaled(_damped_limit(build, params), pref)
+    return _scaled(_damped_limit(build, params), _hermitian_pref(b, n))
+
+
+def oracle_hermitian_mellin(a, b, n, s, params=None):
+    """Transform of the hermitian phase exp(-2 pi i a |z|^2) twisted by
+    the linear term and the angular character (z/|z|)^n.
+
+    The angular integral is a Bessel function, leaving
+    4 pi (-i)^n e^(i n arg b) * integral of
+    exp(-2 pi i a r^2) J_n(4 pi |b| r) r^(2s-1) dr, computed on the
+    steepest-descent ray or, where the ray refuses the point, by the
+    damped-quadrature limit."""
+
+    a, b, n, s = float(a), complex(b), int(n), complex(s)
+    if a <= 0.0:
+        raise DomainError("hermitian quadratic coefficient must be positive")
+    if b == 0 and n != 0:
+        return _EXACT_ZERO
+    _require_strip(s, 0.1, 1.6, "hermitian")
+    return _hermitian_rotated(a, b, n, s) or _hermitian_damped(a, b, n, s, params)
 
 
 def _sphere_average(n, w):
     """Average of a plane wave over the unit sphere in n variables, as a
-    function of w = |frequency| * radius.  Equals 1 at w = 0."""
+    function of w = |frequency| * radius, real or complex.  Equals 1 at
+    w = 0."""
 
     nu = 0.5 * n - 1.0
-    out = np.empty_like(w, dtype=float)
-    small = w < 1e-6
+    w = np.asarray(w)
+    out = np.empty_like(w, dtype=np.result_type(w, 1.0))
+    small = np.abs(w) < 1e-6
     ws = w[small]
     out[small] = 1.0 - ws * ws / (2.0 * n)
     wl = w[~small]
@@ -493,10 +662,10 @@ def oracle_radial_mellin(a, bnorm, n, s, params=None):
     against |x|^s, reduced to the radial line.
 
     The angular average of the linear phase is a normalized Bessel
-    kernel; the remaining integral carries the surface measure
-    2 pi^(n/2) / Gamma(n/2)."""
+    kernel, which takes the place of the fold of the real-line transform
+    (for n = 1 it is the cosine); the remaining integral carries the
+    surface measure 2 pi^(n/2) / Gamma(n/2)."""
 
-    params = params or _ARCH_DEFAULT
     a, bnorm, n, s = float(a), float(bnorm), int(n), complex(s)
     if a == 0.0:
         raise DomainError("quadratic coefficient must be nonzero")
@@ -504,38 +673,65 @@ def oracle_radial_mellin(a, bnorm, n, s, params=None):
         raise DomainError("dimension must be at least 1")
     if bnorm < 0.0:
         raise DomainError("the linear coefficient enters through its norm")
-    _require_strip(s, 0.15, 2.5, "radial")
     pref = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
+    fold = partial(_sphere_average, n)
+    return _scaled(_real_line_mellin(a, bnorm, s, params, fold, "radial"), pref)
 
-    def build(eps):
-        hi = math.sqrt(params.tail_log / (math.pi * eps))
-        smooth = abs(s - 1.0) + 1.0
 
-        def rate(r):
-            return 2.0 * math.pi * ((abs(a) + eps) * r + bnorm) + smooth / r
+def _square_pref(a, m):
+    """4 pi (-i)^|m| e^(-i m arg a), the angular factor of the square
+    transform at b = 0 and n = 2m."""
 
-        edges = _panel_edges(params.x_min, 1.0, hi, rate, params.max_phase)
-        q = math.pi * (eps + 1j * a)
+    return 4.0 * math.pi * _I_POW[abs(m) % 4] * cmath.exp(-1j * m * cmath.phase(a))
 
-        def fn(r):
-            out = np.exp(-q * r * r + (s - 1.0) * np.log(r))
-            if bnorm > 0.0:
-                out = out * _sphere_average(n, 2.0 * math.pi * bnorm * r)
-            return out
 
-        return edges, fn
+def _square_hankel(a, n, s):
+    """Contour route for the b = 0, even n != 0 branch of the complex
+    square transform.
 
-    return _scaled(_damped_limit(build, params), pref)
+    With x = r^2 the radial integral is half the integral over (0, inf)
+    of x^(s-1) J_|m|(c x) dx, c = 2 pi |a|, n = 2m.  The segment (0, 1)
+    stays on the real axis; beyond x = 1, J = (H1 + H2) / 2 and the
+    halves are taken up the ray x = 1 + it and down the ray x = 1 - it,
+    where they decay like e^(-ct)."""
+
+    m = n // 2
+    order = abs(m)
+    c = 2.0 * math.pi * abs(a)
+    smooth = abs(s - 1.0) + 1.0
+    split = min(1.0, 1.0 / c)
+    segment = _panel_edges(
+        1e-16 * split, split, 1.0, lambda x: c + smooth / x, _HANKEL_PHASE
+    )
+    ray = _panel_edges(
+        0.0, 0.0, _HANKEL_RAY / c, lambda t: c + smooth / (1.0 + t), _HANKEL_PHASE
+    )
+
+    def on_segment(x):
+        return np.exp((s - 1.0) * np.log(x)) * special.jv(order, c * x)
+
+    def up(t):
+        x = 1.0 + 1j * t
+        return 0.5j * np.exp((s - 1.0) * np.log(x)) * special.hankel1(order, c * x)
+
+    def down(t):
+        x = 1.0 - 1j * t
+        return -0.5j * np.exp((s - 1.0) * np.log(x)) * special.hankel2(order, c * x)
+
+    value, diff, l1 = 0j, 0.0, 0.0
+    with np.errstate(all="ignore"):
+        for fn, edges in ((on_segment, segment), (up, ray), (down, ray)):
+            v, d, l = _gl_pair(fn, edges, _HANKEL_ORDER)
+            value, diff, l1 = value + v, diff + d, l1 + l
+    return _contour_result(complex(value), diff, l1, 0.5 * _square_pref(a, m), "hankel")
 
 
 def _square_bessel(a, n, s, params):
     """b = 0 branch of the complex square transform: the angular integral
     of exp(-2 pi i Re(a z^2)) (z/|z|)^n vanishes for odd n and reduces to
-    a Bessel function of order |n|/2 for even n."""
+    a Bessel function of order |n|/2 for even n.  Damped route."""
 
     m = n // 2
-    phi = cmath.phase(a)
-    pref = 4.0 * math.pi * _I_POW[abs(m) % 4] * cmath.exp(-1j * m * phi)
     mag = abs(a)
 
     def build(eps):
@@ -556,7 +752,7 @@ def _square_bessel(a, n, s, params):
 
         return edges, fn
 
-    return _scaled(_damped_limit(build, params), pref)
+    return _scaled(_damped_limit(build, params), _square_pref(a, m))
 
 
 def _square_schwinger(a, b, s, params):
@@ -603,17 +799,18 @@ def _square_schwinger(a, b, s, params):
     tail = t_hi ** (-s) / s - 4.0 * math.pi**2 * bb * t_hi ** (-s - 1.0) / (s + 1.0)
     total = value + tail
     pref = 2.0 * math.pi / _cgamma(1.0 - s)
-    return ArchOracleResult(pref * total, abs(pref) * err, math.inf, ())
+    return ArchOracleResult(pref * total, abs(pref) * err, math.inf, (), "schwinger")
 
 
 def oracle_complex_square_mellin(a, b, n, s, params=None):
     """Transform of exp(-2 pi i Re(a z^2 + 2 b z)) ... the holomorphic
     square phase on the complex plane, against (z/|z|)^n |z|^(2s).
 
-    Routes: odd n with b = 0 is exactly zero by symmetry; even n with
-    b = 0 goes through the Bessel reduction; n = 0 with any b goes
-    through the Gaussian-parameter representation.  Other combinations
-    are out of scope."""
+    Routes: odd n with b = 0 is exactly zero by symmetry; even n != 0
+    with b = 0 goes through the Bessel reduction, on the Hankel contour
+    or, where that refuses the point, by the damped-quadrature limit;
+    n = 0 with any b goes through the Gaussian-parameter representation.
+    Other combinations are out of scope."""
 
     params = params or _ARCH_DEFAULT
     a, b, n, s = complex(a), complex(b), int(n), complex(s)
@@ -626,7 +823,7 @@ def oracle_complex_square_mellin(a, b, n, s, params=None):
         if n % 2:
             return _EXACT_ZERO
         _require_strip(s, 0.1, 1.6, "square")
-        return _square_bessel(a, n, s, params)
+        return _square_hankel(a, n, s) or _square_bessel(a, n, s, params)
     raise DomainError(
         "square-phase oracle supports n = 0 or b = 0 only"
     )

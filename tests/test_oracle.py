@@ -1,14 +1,31 @@
-"""Quadrature oracle internals: damping ladders, panels, dual routes."""
+"""Quadrature oracle internals: contour routes, damping ladders, panels,
+dual routes."""
 
+import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weakmellin.acceptance import ARCH_POINTS
+from weakmellin.arch_zeta import (
+    RealSign,
+    zeta_complex_hermitian,
+    zeta_complex_square,
+    zeta_real,
+    zeta_rn_radial,
+)
 from weakmellin.errors import DomainError
 from weakmellin.oracle import (
     ArchOracleParams,
+    _fold_even,
+    _fold_odd,
+    _hermitian_damped,
     _panel_edges,
+    _real_damped,
     _sphere_average,
     _square_bessel,
     oracle_complex_square_mellin,
@@ -20,21 +37,139 @@ from weakmellin.oracle import (
 
 
 def test_eps_ladder_ratios_are_near_two():
-    # clean linear eps-dependence halves the successive differences
+    # clean linear eps-dependence halves the successive differences; the
+    # damped route is called directly, as the public oracles answer these
+    # points on their contour routes
     for res in (
-        oracle_real_mellin(1, 0.5, 0.6 + 0.4j),
-        oracle_hermitian_mellin(1, 0.3, 1, 0.5 - 0.2j),
-        oracle_radial_mellin(1, 0.6, 2, 0.7),
+        _real_damped(1.0, 0.5, 0.6 + 0.4j, _fold_even),
+        _hermitian_damped(1.0, 0.3 + 0j, 1, 0.5 - 0.2j),
+        _real_damped(1.0, 0.6, 0.7 + 0j, partial(_sphere_average, 2)),
     ):
+        assert res.route == "damped"
         assert 1.8 <= res.ratio <= 2.2
         assert len(res.eps_values) == 3
         assert res.err_est < 1e-5 * abs(res.value)
 
 
 def test_exact_zero_paths():
-    assert complex(oracle_real_sign_mellin(1, 0, 0.6)) == 0
-    assert complex(oracle_hermitian_mellin(1, 0, 2, 0.6)) == 0
-    assert complex(oracle_complex_square_mellin(1, 0, 3, 0.6)) == 0
+    for res in (
+        oracle_real_sign_mellin(1, 0, 0.6),
+        oracle_hermitian_mellin(1, 0, 2, 0.6),
+        oracle_complex_square_mellin(1, 0, 3, 0.6),
+    ):
+        assert complex(res) == 0
+        assert res.route == "exact"
+
+
+# ---------------------------------------------------------------------------
+# Contour routes against the closed forms.  a is drawn from the crosscheck
+# band (and its negative for the forms that allow a < 0), |Im s| <= 2, and
+# Re s stays inside each oracle's strip.
+# ---------------------------------------------------------------------------
+
+_A_BAND = st.floats(0.9, 1.1)
+_SIGNED_A = st.tuples(st.sampled_from((-1.0, 1.0)), _A_BAND).map(lambda t: t[0] * t[1])
+_IM = st.floats(-2.0, 2.0)
+
+
+def _s_in(lo, hi):
+    return st.builds(complex, st.floats(lo, hi), _IM)
+
+
+def _assert_contour(res, want, route):
+    assert res.route == route
+    assert res.ratio == math.inf and res.eps_values == ()
+    assert abs(complex(res) - want) <= 1e-12 * abs(want)
+    assert res.err_est <= 1e-12 * abs(res.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SIGNED_A, st.floats(-1.0, 1.0), _s_in(0.16, 2.49))
+def test_rotated_real_matches_closed_form(a, b, s):
+    _assert_contour(oracle_real_mellin(a, b, s), zeta_real(a, b, s), "rotated")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SIGNED_A, st.floats(0.1, 1.0), st.sampled_from((-1.0, 1.0)), _s_in(0.16, 2.49))
+def test_rotated_real_sign_matches_closed_form(a, b, sign, s):
+    want = zeta_real(a, sign * b, s, RealSign())
+    _assert_contour(oracle_real_sign_mellin(a, sign * b, s), want, "rotated")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_A_BAND, st.floats(0.1, 0.6), st.floats(0.0, 2.0 * math.pi),
+       st.integers(-3, 3), _s_in(0.11, 1.59))
+def test_rotated_hermitian_matches_closed_form(a, babs, phase, n, s):
+    b = babs * cmath.exp(1j * phase)
+    want = zeta_complex_hermitian(a, b, n, s)
+    _assert_contour(oracle_hermitian_mellin(a, b, n, s), want, "rotated")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SIGNED_A, st.floats(0.0, 1.2), st.integers(1, 5), _s_in(0.16, 2.49))
+def test_rotated_radial_matches_closed_form(a, bnorm, n, s):
+    want = zeta_rn_radial(a, bnorm, n, s)
+    _assert_contour(oracle_radial_mellin(a, bnorm, n, s), want, "rotated")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_A_BAND, st.floats(0.4, 0.6), st.sampled_from((-1.0, 1.0)),
+       st.sampled_from((-4, -2, 2, 4)), _s_in(0.11, 1.59))
+def test_hankel_square_matches_closed_form(re_a, im_a, sign, n, s):
+    a = complex(re_a, sign * im_a)
+    want = zeta_complex_square(a, 0, n, s)
+    _assert_contour(oracle_complex_square_mellin(a, 0, n, s), want, "hankel")
+
+
+def _damped_twin(oracle_fn, args):
+    """The damped route for the same transform, or None where there is
+    none (the square phase with b != 0 has only the Gaussian-parameter
+    route)."""
+    params = ArchOracleParams()
+    if oracle_fn is oracle_real_mellin:
+        a, b, s = args
+        return _real_damped(float(a), float(b), complex(s), _fold_even)
+    if oracle_fn is oracle_real_sign_mellin:
+        a, b, s = args
+        return _real_damped(float(a), float(b), complex(s), _fold_odd)
+    if oracle_fn is oracle_hermitian_mellin:
+        a, b, n, s = args
+        return _hermitian_damped(float(a), complex(b), n, complex(s))
+    if oracle_fn is oracle_radial_mellin:
+        a, bnorm, n, s = args
+        pref = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
+        fold = partial(_sphere_average, n)
+        return pref * complex(_real_damped(float(a), float(bnorm), complex(s), fold))
+    a, b, n, s = args
+    if b == 0:
+        return _square_bessel(complex(a), n, complex(s), params)
+    return None
+
+
+@pytest.mark.parametrize(
+    "point", ARCH_POINTS, ids=[f"{pt[0]}-{i}" for i, pt in enumerate(ARCH_POINTS)]
+)
+def test_contour_and_damped_routes_agree_on_criterion_6(point):
+    # independent machinery on both sides: the contour route (or, for the
+    # square phase at n = 0, the Gaussian-parameter route) against the
+    # damped eps ladder
+    _, _, oracle_fn, args = point
+    res = oracle_fn(*args)
+    assert res.route in ("rotated", "hankel", "schwinger")
+    twin = _damped_twin(oracle_fn, args)
+    if twin is None:
+        assert res.route == "schwinger"
+        return
+    assert abs(complex(res) - complex(twin)) <= 1e-8 * abs(complex(res))
+
+
+@pytest.mark.parametrize("a,b,s", [(2, 0.5, 0.5 + 25j), (0.5, 1.5, 0.5 + 14j)])
+def test_contour_refuses_heavy_cancellation(a, b, s):
+    # the rotation costs about exp(pi |Im s| / 4) in cancellation; these
+    # points cannot be answered to 1e-12 on the ray and go to the ladder
+    res = oracle_real_mellin(a, b, s)
+    assert res.route == "damped"
+    assert len(res.eps_values) == 3
 
 
 def test_strip_rejections():
@@ -70,6 +205,11 @@ def test_sphere_average_small_and_large_arguments():
     # continuity across the series switch
     lo, hi = _sphere_average(4, np.array([9.99e-7, 1.01e-6]))
     assert abs(lo - hi) < 1e-9
+    # complex arguments on the rotated ray, including the series branch
+    wc = np.array([0.0, 1e-9, 0.5, 2.0, 10.0]) * cmath.exp(-0.25j * math.pi)
+    assert np.allclose(_sphere_average(1, wc), np.cos(wc), rtol=1e-13, atol=0)
+    assert np.allclose(_sphere_average(3, wc[2:]), np.sin(wc[2:]) / wc[2:], rtol=1e-13, atol=0)
+    assert abs(_sphere_average(3, wc[1:2])[0] - 1.0) < 1e-15
 
 
 def test_square_dual_routes_agree():
