@@ -60,7 +60,10 @@ def oracle_padic_mellin(
 
     Works for Re(s) > 0, where the stable-region tail converges.  Raises
     SupportEscapeError if the profile neither stabilizes above nor dies
-    below within the window.
+    below within the window.  Each level's unit average is summed once per
+    call and kept in a dict local to the call: the upper-edge search, the
+    walk back and the lower walk revisit levels, and nothing outlives the
+    call.
     """
     params = params or PadicOracleParams()
     s = complex(s)
@@ -72,10 +75,15 @@ def oracle_padic_mellin(
     stable_value = 0.0 if ramified else 1.0
     x = complex(twist) * p ** (-s)  # per-step weight
     va = int(valuation(a, p))
+    vb = int(valuation(b, p)) if b != 0 else None
     v2 = 1 if p == 2 else 0
 
+    levels: dict[int, complex] = {}
+
     def ua(j: int) -> complex:
-        return unit_average(a, b, p, Fraction(p) ** j, chi=chi)
+        if j not in levels:
+            levels[j] = unit_average(a, b, p, Fraction(p) ** j, chi=chi)
+        return levels[j]
 
     def provably_zero(j: int) -> bool:
         # every coset fails the linear-part indicator at the minimal valid
@@ -84,19 +92,19 @@ def oracle_padic_mellin(
         m_min = max(1, n_chi, math.ceil(-(v_quad - v2) / 2))
         if b == 0:
             return v_quad < -m_min
-        v_lin = int(valuation(b, p)) + j
+        v_lin = vb + j
         if v_quad == v_lin:
             return False  # cancellation level, must compute
         return min(v_quad, v_lin) < -m_min
 
     # cancellation can only resurrect the average at one level
-    j_floor = (int(valuation(b, p)) - va) if b != 0 else None
+    j_floor = (vb - va) if b != 0 else None
 
     # find the upper stable edge; a term can sit anywhere below the level
     # where both coefficients turn integral, so the scan starts there
     j_hi = max(0, math.ceil(-va / 2))
     if b != 0:
-        j_hi = max(j_hi, -int(valuation(b, p)))
+        j_hi = max(j_hi, -vb)
     run = 0
     while run < params.stable_run:
         if j_hi > params.max_window:

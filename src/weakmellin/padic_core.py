@@ -51,20 +51,33 @@ _VECTOR_MOD_CAP = 3_000_000_000
 _BLOCK = 1 << 20
 
 
+def _ratio(x) -> tuple[int, int]:
+    """Numerator and denominator of a rational, read once."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _split(n: int, p: int) -> tuple[int, int]:
+    """(v, m) with n = p^v m and m prime to p, by integer division; n != 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def _int_valuation(num: int, den: int, p: int) -> int:
+    # valuation of num/den != 0, the fraction not necessarily reduced
+    return _split(num, p)[0] - _split(den, p)[0]
+
+
 def valuation(x, p: int):
     """p-adic valuation of a rational; +inf for zero."""
-    x = Fraction(x)
-    if x == 0:
+    num, den = _ratio(x)
+    if num == 0:
         return math.inf
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _int_valuation(num, den, p)
 
 
 def frac_lambda(x, p: int) -> Fraction:
@@ -236,26 +249,43 @@ def _char_value_array(p: int, n: int, m: int) -> np.ndarray:
     return out
 
 
-def _int_rep_mod(x: Fraction, p: int, k: int) -> int:
-    # residue of p^k * x modulo p^k, requiring v(x) >= -k
-    scaled = x * Fraction(p) ** k
-    return rat_mod(scaled, p, k)
+def _scaled_residue(num: int, den: int, p: int, k: int) -> int:
+    """(p^k x) mod p^k for x = num/den with v(x) >= -k, in integers.
+
+    With num = p^f n' and den = p^e d' (n', d' prime to p) the residue is
+    n' p^(k+f-e) d'^(-1) mod p^k, the value rat_mod(x * p**k, p, k) gives,
+    whether or not num/den is reduced.
+    """
+    if num == 0:
+        return 0
+    f, n1 = _split(num, p)
+    e, d1 = _split(den, p)
+    if f >= e:
+        return 0  # x is p-integral
+    pk = p**k
+    return n1 * p ** (k + f - e) * pow(d1, -1, pk) % pk
 
 
 def unit_coset_level(a, p: int, y, n_chi: int = 0, margin: int = 1) -> int:
     """Level m0 of the cosets u + p^m0 Z_p that `unit_average` sums over.
 
     The sum visits the units among the p^m0 residues, so its cost grows
-    as p^m0; a nonzero `a` and `y` are assumed.
+    as p^m0.  Raises DegenerateError for a = 0 and DomainError for y = 0,
+    as `unit_average` does.
     """
+    (an, ad), (yn, yd) = _ratio(a), _ratio(y)
+    if an == 0:
+        raise DegenerateError("quadratic coefficient must be nonzero")
+    if yn == 0:
+        raise DomainError("average undefined at y = 0")
     v2 = 1 if p == 2 else 0
-    va = valuation(a, p)
-    vy = valuation(y, p)
-    return max(1, n_chi, math.ceil((v2 - va - 2 * vy) / 2)) + margin
+    v = _int_valuation(an, ad, p) + 2 * _int_valuation(yn, yd, p) - v2
+    return max(1, n_chi, -(v // 2)) + margin
 
 
-def _residue_sum(alpha: Fraction, beta: Fraction, p: int, level: int,
-                 units: bool, chi: UnitCharacter | None = None) -> complex:
+def _residue_sum(alpha: tuple[int, int], beta: tuple[int, int], p: int,
+                 level: int, units: bool,
+                 chi: UnitCharacter | None = None) -> complex:
     """Sum of psi(alpha x^2 + beta x) chi(x) over the residues x mod p^level
     (units only when `units`) on whose coset x + p^level Z_p the linear
     part of the phase does not integrate to zero.
@@ -269,14 +299,17 @@ def _residue_sum(alpha: Fraction, beta: Fraction, p: int, level: int,
     and the modulus does not divide B; only its members are visited, in
     blocks of `_BLOCK`.  The caller chooses `level` so the quadratic part
     is constant on every coset and chi's conductor divides p^level.
+    alpha and beta are (numerator, denominator) pairs of integers, not
+    necessarily reduced, so A, B and P come from integer arithmetic alone.
     """
     big = max(
-        [level, 0] + [-int(valuation(c, p)) for c in (alpha, beta) if c != 0]
+        [level, 0]
+        + [-_int_valuation(num, den, p) for num, den in (alpha, beta) if num]
     )
     P = p**big
     ind_mod = p ** (big - level)
-    A = _int_rep_mod(alpha, p, big)
-    B = _int_rep_mod(beta, p, big)
+    A = _scaled_residue(*alpha, p, big)
+    B = _scaled_residue(*beta, p, big)
 
     c = 2 * A % ind_mod
     g = math.gcd(c, ind_mod)
@@ -324,14 +357,11 @@ def unit_average(a, b, p: int, y, chi: UnitCharacter | None = None, margin: int 
     value >= the minimal one returns the same number, which the tests use as
     a consistency check.
     """
-    a, b, y = Fraction(a), Fraction(b), Fraction(y)
-    if a == 0:
-        raise DegenerateError("quadratic coefficient must be nonzero")
-    if y == 0:
-        raise DomainError("average undefined at y = 0")
     n_chi = 0 if chi is None else chi.conductor_exponent
     m0 = unit_coset_level(a, p, y, n_chi, margin)
-    total = _residue_sum(a * y * y / 2, b * y, p, m0, True, chi)
+    (an, ad), (bn, bd), (yn, yd) = _ratio(a), _ratio(b), _ratio(y)
+    alpha = (an * yn * yn, 2 * ad * yd * yd)  # a y^2 / 2
+    total = _residue_sum(alpha, (bn * yn, bd * yd), p, m0, True, chi)
     scale = 1.0 / ((1.0 - 1.0 / p) * p**m0)
     return total * scale
 
@@ -344,11 +374,11 @@ def theta_additive(a, b, p: int, y, margin: int = 1) -> complex:
     zero and are skipped; the level only needs to neutralize the quadratic
     term.
     """
-    a, b, y = Fraction(a), Fraction(b), Fraction(y)
-    if a == 0:
+    (an, ad), (bn, bd), (yn, yd) = _ratio(a), _ratio(b), _ratio(y)
+    if an == 0:
         raise DegenerateError("quadratic coefficient must be nonzero")
-    if y == 0:
+    if yn == 0:
         raise DomainError("integral undefined at y = 0")
-    A = a * y * y / 2
-    L = max(0, math.ceil(-valuation(A, p) / 2)) + margin
-    return _residue_sum(A, b * y, p, L, False) / p**L
+    alpha = (an * yn * yn, 2 * ad * yd * yd)  # a y^2 / 2
+    L = max(0, -(_int_valuation(*alpha, p) // 2)) + margin
+    return _residue_sum(alpha, (bn * yn, bd * yd), p, L, False) / p**L

@@ -36,6 +36,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -282,6 +283,15 @@ class LocalFactor:
         """
         return self._numerator(self.shifted_s(s))
 
+    @cached_property
+    def _circle_certificate(self):
+        # (count, angles) of zero_engine.unit_circle_certificate, bisected
+        # on first use and kept on this instance only: dataclasses.replace
+        # or an equal factor built afresh bisects again
+        from .zero_engine import _sign_change_certificate
+
+        return _sign_change_certificate(self)
+
     def zero_poly(self):
         """Coefficients (highest degree first) of the numerator polynomial
         in X = q^(s - n/2), plus (Q, D) with Q = q^(n/2) and D the degree.
@@ -467,7 +477,7 @@ def rho0_gauss_sum(chi: UnitCharacter) -> complex:
         raise DomainError("gauss sum needs a ramified character")
     p = chi.p
     # sum over units eps mod p^n of chi(eps) psi(eps / p^n)
-    total = _residue_sum(Fraction(0), Fraction(1, p**n), p, n, True, chi)
+    total = _residue_sum((0, 1), (1, p**n), p, n, True, chi)
     return total / p ** (n / 2.0)
 
 

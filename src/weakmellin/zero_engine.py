@@ -121,6 +121,10 @@ def _elementwise(fn):
 # unit-circle sign-change certificate
 
 
+# grid angles the circle certificate scans for sign changes
+_CIRCLE_SAMPLES = 4096
+
+
 def _circle_profile(coeffs, degree: int):
     """Real function on [0, 2pi) whose sign changes are the circle zeros,
     or None when the numerator is not self-inversive.
@@ -151,22 +155,19 @@ def _circle_profile(coeffs, degree: int):
     return h
 
 
-def unit_circle_certificate(factor: LocalFactor, samples: int = 4096):
-    """Count circle zeros of the numerator by sign changes and bracket them.
-
-    Returns (count, angles) with the angles refined by bisection to
-    machine accuracy.  Needs a self-inversive numerator (every unramified
-    and ramified one is); D = 0 gives (0, []).
-    """
+def _sign_change_certificate(factor: LocalFactor):
+    # the bisection behind unit_circle_certificate; LocalFactor runs it once
+    # per instance, in its _circle_certificate property
     coeffs, _, degree = factor.zero_poly()
     if degree < 1:
-        return 0, []
+        return 0, ()
     h = _circle_profile(coeffs, degree)
     if h is None:
         raise DomainError(
             "circle certificate needs a self-inversive numerator"
         )
     two_pi = 2.0 * math.pi
+    samples = _CIRCLE_SAMPLES
     phis = two_pi * np.arange(samples + 1) / samples
     vals = h(phis[:samples])
     # close the loop; odd degree profiles are antiperiodic
@@ -184,8 +185,23 @@ def unit_circle_certificate(factor: LocalFactor, samples: int = 4096):
         a = np.where(exact | ~left, mid, a)
         fa = np.where(left, fa, fm)
     angles = np.concatenate([phis[np.flatnonzero(on_grid)], 0.5 * (a + b)])
-    angles = sorted(float(x) for x in angles)
+    angles = tuple(sorted(float(x) for x in angles))
     return len(angles), angles
+
+
+def unit_circle_certificate(factor: LocalFactor):
+    """Count circle zeros of the numerator by sign changes and bracket them.
+
+    Returns (count, angles) with the angles refined by bisection to
+    machine accuracy, from a grid of _CIRCLE_SAMPLES angles.  Needs a
+    self-inversive numerator (every unramified and ramified one is);
+    D = 0 gives (0, []).  The bisection runs once per factor instance and
+    is kept on it (LocalFactor._circle_certificate), so exp_poly_roots,
+    circle_zeros and this function share it; an equal factor built afresh
+    bisects again.
+    """
+    count, angles = factor._circle_certificate
+    return count, list(angles)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +250,9 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     certified against an independent count: the circle sign-change
     certificate for self-inversive numerators, a tight winding count in
     the X plane otherwise.  A factor that vanishes identically has no
-    isolated zeros and gives [].
+    isolated zeros and gives [].  The circle certificate is the one kept on
+    the factor instance (see unit_circle_certificate): computed here on
+    first use, read back by later calls.
     """
     coeffs, _, D = factor.zero_poly()
     if D < 1:

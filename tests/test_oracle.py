@@ -1,8 +1,9 @@
-"""Quadrature oracle internals: contour routes, damping ladders, panels,
-dual routes."""
+"""Oracle internals: contour routes, damping ladders, panels, dual routes,
+and the p-adic oracle's exact sums."""
 
 import cmath
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakmellin import oracle
 from weakmellin.acceptance import ARCH_POINTS
 from weakmellin.arch_zeta import (
     RealSign,
@@ -30,10 +32,12 @@ from weakmellin.oracle import (
     _square_bessel,
     oracle_complex_square_mellin,
     oracle_hermitian_mellin,
+    oracle_padic_mellin,
     oracle_radial_mellin,
     oracle_real_mellin,
     oracle_real_sign_mellin,
 )
+from weakmellin.padic_core import unit_average, unit_characters
 
 
 def test_eps_ladder_ratios_are_near_two():
@@ -230,3 +234,32 @@ def test_negative_angular_index_matches_conjugate_symmetry():
     direct = complex(oracle_hermitian_mellin(1, b, -2, s))
     swapped = complex(oracle_hermitian_mellin(1, b.conjugate(), 2, s))
     assert abs(direct - swapped) < 1e-7 * abs(direct)
+
+
+# ---------------------------------------------------------------------------
+# p-adic oracle
+
+
+@pytest.mark.parametrize(
+    "a,b,p,n_chi",
+    [
+        (1, Fraction(1, 9), 3, 0),  # escape level 2: a two-sided profile
+        (Fraction(1, 8), 0, 2, 0),
+        (Fraction(2, 25), Fraction(3, 5), 5, 0),
+        (1, Fraction(1, 3), 3, 1),  # ramified
+        (Fraction(1, 5), 0, 5, 1),  # ramified, b = 0
+    ],
+)
+def test_padic_oracle_sums_each_level_once(monkeypatch, a, b, p, n_chi):
+    chi = None if n_chi == 0 else next(iter(unit_characters(p, n_chi)))
+    want = oracle_padic_mellin(a, b, p, 0.7 + 3j, chi=chi)
+    levels = []
+
+    def counted(a_, b_, p_, y, chi=None):
+        levels.append(y)
+        return unit_average(a_, b_, p_, y, chi=chi)
+
+    monkeypatch.setattr(oracle, "unit_average", counted)
+    assert oracle_padic_mellin(a, b, p, 0.7 + 3j, chi=chi) == want
+    assert levels
+    assert len(levels) == len(set(levels))

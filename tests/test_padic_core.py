@@ -11,11 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakmellin import padic_core
-from weakmellin.errors import DomainError
+from weakmellin.errors import DegenerateError, DomainError
 from weakmellin.padic_core import (
     UnitCharacter,
     frac_lambda,
@@ -25,6 +25,7 @@ from weakmellin.padic_core import (
     theta_additive,
     unit_average,
     unit_characters,
+    unit_coset_level,
     valuation,
 )
 from weakmellin.specfun import DirichletCharacter
@@ -210,6 +211,18 @@ def test_integrals_refuse_y_zero(integral):
     # the coset level grows with -v(y), which is -inf at y = 0
     with pytest.raises(DomainError):
         integral(1, Fraction(1, 3), 3, 0)
+
+
+def test_coset_level_refuses_zero_inputs():
+    # v(0) = inf gives no level: the errors unit_average raises, not an
+    # OverflowError from the rounding
+    assert unit_coset_level(Fraction(1, 9), 3, Fraction(1, 3)) == 3
+    with pytest.raises(DegenerateError):
+        unit_coset_level(0, 3, Fraction(1, 3))
+    with pytest.raises(DomainError):
+        unit_coset_level(1, 3, 0)
+    with pytest.raises(DegenerateError):
+        unit_average(0, 1, 3, Fraction(1, 3))
 
 
 # ------------------------------------------------------------- unit averages
@@ -450,3 +463,123 @@ def test_theta_sum_memory_stays_bounded():
         tracemalloc.stop()
     assert peak < 100e6
     assert abs(got - _theta_single_array(p)) < 1e-15
+
+
+# ------------------------------------------- integer residues, Fraction route
+
+
+def _fraction_valuation(x, p):
+    x = Fraction(x)
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _fraction_residue_sum(alpha, beta, p, level, units, chi=None):
+    """The residue sum with A, B and P found by Fraction arithmetic, the
+    kernel otherwise step for step that of padic_core._residue_sum (one
+    block: the callers keep below _BLOCK residues)."""
+    big = max(
+        [level, 0] + [-_fraction_valuation(c, p) for c in (alpha, beta) if c != 0]
+    )
+    P = p**big
+    ind_mod = p ** (big - level)
+    A = rat_mod(alpha * Fraction(p) ** big, p, big)
+    B = rat_mod(beta * Fraction(p) ** big, p, big)
+    c = 2 * A % ind_mod
+    g = math.gcd(c, ind_mod)
+    if B % g:
+        return 0j
+    step = ind_mod // g
+    x0 = (-B // g) * pow(c // g, -1, step) % step
+    size = p**level
+    dtype = np.int64 if P <= padic_core._VECTOR_MOD_CAP else object
+    if units and step == 1:
+        count = size - size // p
+        k = np.arange(count, dtype=dtype)
+        x = k // (p - 1) * p + k % (p - 1) + 1
+    else:
+        count = 0 if units and x0 % p == 0 else max(0, -(-(size - x0) // step))
+        x = x0 + step * np.arange(count, dtype=dtype)
+    assert count <= padic_core._BLOCK
+    if count == 0:
+        return 0j
+    ph = (A * (x * x % P) % P + B * x % P) % P
+    vals = np.exp(2j * np.pi / P * ph.astype(np.float64))
+    if chi is not None and not chi.is_trivial:
+        n = chi.conductor_exponent
+        chi_values = padic_core._char_value_array(p, n, chi.index)
+        vals = vals * chi_values[(x % p**n).astype(np.int64)]
+    return complex(vals.sum())
+
+
+def _fraction_unit_average(a, b, p, y, chi, margin):
+    a, b, y = Fraction(a), Fraction(b), Fraction(y)
+    n_chi = 0 if chi is None else chi.conductor_exponent
+    v2 = 1 if p == 2 else 0
+    va, vy = _fraction_valuation(a, p), _fraction_valuation(y, p)
+    m0 = max(1, n_chi, math.ceil((v2 - va - 2 * vy) / 2)) + margin
+    total = _fraction_residue_sum(a * y * y / 2, b * y, p, m0, True, chi)
+    return total * (1.0 / ((1.0 - 1.0 / p) * p**m0))
+
+
+def _fraction_theta_additive(a, b, p, y, margin):
+    a, b, y = Fraction(a), Fraction(b), Fraction(y)
+    A = a * y * y / 2
+    L = max(0, math.ceil(-_fraction_valuation(A, p) / 2)) + margin
+    return _fraction_residue_sum(A, b * y, p, L, False) / p**L
+
+
+def mixed_rational(p, max_num=60, max_exp=4, nonzero=False):
+    """Signed rationals whose denominator has a p-power and a unit part."""
+    nums = st.integers(1, max_num)
+    nums = st.one_of(nums, nums.map(lambda m: -m) if nonzero else st.integers(-max_num, 0))
+    unit = st.sampled_from([1, 2, 3, 7, 11, 14]).filter(lambda d: d % p)
+    return st.builds(
+        lambda m, e, d: Fraction(m, p**e * d), nums, st.integers(0, max_exp), unit
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_integer_residues_match_the_fraction_route(p, data):
+    x = data.draw(mixed_rational(p), label="x")
+    # the kernels see numerators and denominators that need not be reduced
+    c = p ** data.draw(st.integers(0, 2), label="i") * data.draw(
+        st.sampled_from([1, 7, 11]), label="u"
+    )
+    num, den = x.numerator * c, x.denominator * c
+    least = 0 if x == 0 else max(0, -valuation(x, p))
+    for k in range(least, least + 6):
+        assert padic_core._scaled_residue(num, den, p, k) == rat_mod(x * p**k, p, k)
+
+    # whole sums: exactly the values of the Fraction route
+    a = data.draw(mixed_rational(p, max_exp=3, nonzero=True), label="a")
+    b = data.draw(st.one_of(st.just(Fraction(0)), mixed_rational(p)), label="b")
+    y = data.draw(
+        st.builds(lambda e, u: Fraction(p) ** e * u, st.integers(-1, 1),
+                  st.sampled_from([1, -1, 2, 3, Fraction(1, 7)]).filter(
+                      lambda u: valuation(u, p) == 0)),
+        label="y",
+    )
+    margin = data.draw(st.integers(0, 2), label="margin")
+    chi = None
+    if p != 2 and data.draw(st.booleans(), label="ramified"):
+        n = data.draw(st.integers(1, 2 if p <= 5 else 1), label="conductor")
+        chi = data.draw(st.sampled_from(tuple(unit_characters(p, n))), label="chi")
+    v2 = 1 if p == 2 else 0
+    n_chi = 0 if chi is None else chi.conductor_exponent
+    v_quad = valuation(a, p) + 2 * valuation(y, p) - v2
+    assume(p ** (max(1, n_chi, -(v_quad // 2)) + margin) <= 20_000)
+    assert unit_average(a, b, p, y, chi=chi, margin=margin) == (
+        _fraction_unit_average(a, b, p, y, chi, margin)
+    )
+    assert theta_additive(a, b, p, y, margin=margin) == (
+        _fraction_theta_additive(a, b, p, y, margin)
+    )

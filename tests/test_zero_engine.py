@@ -2,6 +2,7 @@
 
 import bisect
 import cmath
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakmellin import zero_engine
 from weakmellin.errors import (
     BoundaryZeroError,
     ConvergenceError,
@@ -184,6 +186,72 @@ def test_random_scalar_numerators_stay_on_circle(theta, k, delta, p):
     for rep in reports:
         x = p ** (rep.location - 0.5)
         assert abs(abs(x) - 1.0) <= 1e-9
+
+
+def _count_profile_calls(monkeypatch):
+    """Patch the circle profile so every evaluation of it is recorded."""
+    calls = []
+    profile = zero_engine._circle_profile
+
+    def counting(coeffs, degree):
+        h = profile(coeffs, degree)
+        if h is None:
+            return None
+
+        def counted(phi):
+            calls.append(np.size(phi))
+            return h(phi)
+
+        return counted
+
+    monkeypatch.setattr(zero_engine, "_circle_profile", counting)
+    return calls
+
+
+def _certificate_case(ramified):
+    chi = next(iter(unit_characters(3, 1))) if ramified else None
+    return local_factor(1, Fraction(1, 9), 3, chi=chi)
+
+
+def _certify_three_ways(factor):
+    return exp_poly_roots(factor), unit_circle_certificate(factor), circle_zeros(factor)
+
+
+@pytest.mark.parametrize("ramified", [False, True])
+def test_circle_certificate_is_bisected_once_per_factor(monkeypatch, ramified):
+    calls = _count_profile_calls(monkeypatch)
+    factor = _certificate_case(ramified)
+    assert factor.degree >= 1
+    reports = exp_poly_roots(factor)
+    once = len(calls)
+    assert once > 60  # the grid and the bisection steps
+    count, angles = unit_circle_certificate(factor)
+    circle = circle_zeros(factor)
+    assert len(calls) == once
+    assert count == factor.degree == len(reports) == len(circle)
+    # the caller gets its own list; the kept certificate does not change
+    kept = list(angles)
+    angles.clear()
+    assert unit_circle_certificate(factor) == (count, kept)
+    assert len(calls) == once
+
+
+@pytest.mark.parametrize("ramified", [False, True])
+def test_circle_certificate_is_not_shared_between_equal_factors(monkeypatch, ramified):
+    # nothing is kept by value or across objects: an equal factor built
+    # afresh, and a replaced copy, each bisect once of their own
+    calls = _count_profile_calls(monkeypatch)
+    unit_circle_certificate(_certificate_case(ramified))
+    once = len(calls)  # one bisection
+    factor = _certificate_case(ramified)
+    first = _certify_three_ways(factor)
+    assert len(calls) == 2 * once
+    fresh = _certificate_case(ramified)
+    assert fresh == factor and fresh is not factor
+    assert _certify_three_ways(fresh) == first
+    assert len(calls) == 3 * once
+    assert _certify_three_ways(dataclasses.replace(factor)) == first
+    assert len(calls) == 4 * once
 
 
 # ---------------------------------------------------------------------------
