@@ -13,7 +13,8 @@ Artifacts go to stdout or ``--output`` as JSON ({"schema_version": 1,
 header.  Floats print with 17 significant digits and rows sort by
 imaginary part then real part, so identical configs produce
 byte-identical output.  Exit codes: 0 success, 1 numeric failure, 2 bad
-configuration.
+configuration, which includes a `zeros --field qp` window that could list
+more than _MAX_ZERO_ROWS zeros.
 """
 
 from __future__ import annotations
@@ -384,11 +385,25 @@ def _zero_rows_global(cfg: JobConfig):
     return rows
 
 
+# most rows `zeros --field qp` lists; a window whose zeros could exceed it
+# (degree x vertical periods spanned) is a config error, found before any
+# row is built
+_MAX_ZERO_ROWS = 100_000
+
+
 def _run_zeros(cfg: JobConfig):
     if cfg.spec:
         rows = _zero_rows_global(cfg)
     else:
         _, fac = _local_callable(cfg)
+        period = 2.0 * math.pi / math.log(cfg.p)
+        # capping the period count keeps an infinite span out of ceil
+        turns = math.ceil(min((cfg.im_hi - cfg.im_lo) / period, _MAX_ZERO_ROWS))
+        if fac.degree * (turns + 1) > _MAX_ZERO_ROWS:
+            raise ConfigError(
+                f"the window could hold more than {_MAX_ZERO_ROWS} zeros "
+                f"({fac.degree} a period of {period:.6g}); narrow --imin/--imax"
+            )
         rows = [
             (rep, "local", str(cfg.p))
             for rep in zeros_in_window(fac, cfg.im_lo, cfg.im_hi)

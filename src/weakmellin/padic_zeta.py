@@ -4,12 +4,17 @@ For f(x) = psi(a x^2/2 + b x) on the p-adic field, the transfer factor is
 
     Z(s, chi) = sum_j m(j) p^(-js),   m(j) = unit average of f chi at p^j.
 
-The profile m(j) has rigid structure: it is exactly 1 (or exactly 0 for
-ramified chi) for large j, exactly 0 below a support cutoff, and carries a
-geometric phase tail in between.  That turns Z into an explicit rational
-function of p^(-s).  This module computes the structure constants
+The profile m(j) has rigid structure, and every level of it is read off
+the valuations of a and b; no level is found by a search.  For trivial chi
+it is exactly 1 from the escape level k on, the first level at which the
+phase is trivial on the cosets (detect_escape_level); for ramified chi it
+has two terms, at the level k where the linear term has valuation -n (n
+the conductor exponent) and at its mirror -(k + delta) under the local
+functional equation (local_factor_ramified).  That turns Z into an
+explicit rational function of p^(-s).  This module computes the structure
+constants
 
-    k      escape level after rescaling
+    k      escape level (top level) after rescaling
     delta  parity of the valuation of the quadratic coefficient
     gamma  quadratic Gauss phase, modulus 1
 
@@ -44,7 +49,6 @@ from .errors import (
     DegenerateError,
     DomainError,
     PoleError,
-    SupportEscapeError,
     WeakMellinError,
 )
 from .padic_core import (
@@ -94,40 +98,24 @@ def rescale_normal_form(a, b, p: int, n_chi: int = 0):
     return a_norm, b_norm, e_scale, delta
 
 
-def _trivial_on_integers(a_half, b, p: int) -> bool:
-    """Is x -> psi(a_half x^2 + b x) identically 1 on the p-adic integers?
-
-    For odd p this needs both coefficients integral.  At p = 2 the square
-    has the extra structure x^2 - x in 2 Z_2, so the sharp rule is
-    v(a_half) >= -1 together with v(a_half + b) >= 0.
-    """
-    va = valuation(a_half, p)
-    vb = valuation(b, p)
-    if p != 2:
-        return va >= 0 and vb >= 0
-    return va >= -1 and valuation(a_half + b, p) >= 0
-
-
 def detect_escape_level(a_norm, b_norm, p: int) -> int:
-    """Smallest k with the phase trivial on integer multiples of p^j for
-    every j >= k.  Exact: scans with exact valuations from a guaranteed
-    stability point downward."""
-    a_norm, b_norm = Fraction(a_norm), Fraction(b_norm)
+    """Smallest k with x -> psi(a x^2/2 + b x) trivial on p^j Z_p for every
+    j >= k, read off the valuations of a and b.
 
-    def trivial(j: int) -> bool:
-        y = Fraction(p) ** j
-        return _trivial_on_integers(a_norm * y * y / 2, b_norm * y, p)
-
-    delta = int(valuation(a_norm, p))
-    vb = valuation(b_norm, p)
-    j = max(0, 1 - delta, *( [int(-vb)] if b_norm != 0 else [] ))
-    while not trivial(j):  # p = 2 cancellation can push past the envelope
-        j += 1
-        if j > 64:
-            raise SupportEscapeError("no escape level found below 64")
-    while j > -64 and trivial(j - 1):
-        j -= 1
-    return j
+    On p^j Z_p the phase is psi(A x^2 + B x) on Z_p with A = a p^(2j)/2 and
+    B = b p^j.  For odd p it is trivial exactly when A and B are integral,
+    so k = max(ceil(-v(a)/2), -v(b)).  At p = 2 the square has
+    x^2 - x in 2 Z_2, so the sharp condition is v(A) >= -1 together with
+    v(A + B) >= 0: k = max(ceil((1 - v(a))/2), -v(b)), except when v(a) is
+    even and v(b) = v(a)/2 - 1, where at j = -v(a)/2 both A and B have
+    valuation -1 and the linear term cancels the half-integral square, so
+    k = -v(a)/2.  The -v(b) term drops for b = 0.
+    """
+    va = int(valuation(a_norm, p))
+    vb = valuation(b_norm, p)  # inf for b = 0
+    if p == 2 and va % 2 == 0 and vb == va // 2 - 1:
+        return -(va // 2)
+    return max(-((va - 1) // 2) if p == 2 else -(va // 2), -vb)
 
 
 @dataclass(frozen=True)
@@ -353,74 +341,28 @@ def qp2_special_eval(s: complex) -> complex:
     return (2.0 ** (1.0 - s) * (1.0 - 2.0 ** (s - 1.0)) + e8 * 2.0**s * den) / den
 
 
-def _ramified_window(a_norm, b_norm, p: int, chi: UnitCharacter):
-    """Exact profile of unit averages on the provably complete support.
-
-    Scans downward from the triviality edge.  A level j is provably zero
-    without computation when the linear part of the coset decomposition has
-    uniformly negative valuation: no residue survives the indicator.  Three
-    consecutive provable zeros below the cancellation level (where the
-    quadratic and linear valuations meet) end the scan: the predicate is
-    monotone in -j there, since the quadratic valuation falls twice as fast.
-    Above that level a gap of provable zeros can still hide the mirror term.
-
-    A computed value counts as zero at or below an absolute 1e-13, except
-    at the mirror level -(k + delta) of the top kept level k: its modulus
-    is known to be |C| p^-(k + delta/2), C the top value (the mirror ratio
-    omega has modulus 1), and it is kept when within 1e-9 relative of that,
-    however small.
-    """
-    n = chi.conductor_exponent
-    delta = int(valuation(a_norm, p)) + n
-    vb = valuation(b_norm, p)  # inf when b_norm == 0
-
-    # above this, phase trivial on conductor-level cosets, so average = 0
-    hi = max(1, (2 - delta) // 2)
-    if b_norm != 0:
-        hi = max(hi, 1 - n - int(vb))
-
-    def provably_zero(j: int) -> bool:
-        va_j = -n + delta + 2 * j
-        m_min = max(n, math.ceil(-va_j / 2))
-        if b_norm == 0:
-            return va_j < -m_min
-        vb_j = int(vb) + j
-        if va_j == vb_j:
-            return False  # cancellation possible, must compute
-        return min(va_j, vb_j) < -m_min
-
-    # the scan may end only below the cancellation level, if there is one
-    cancel = int(vb) + n - delta if b_norm != 0 else math.inf
-
-    profile = {}
-    mirror = None  # (level, modulus) of the mirror term, once k is kept
-    j = hi
-    consec = 0
-    while consec < 3 or j >= cancel:
-        if j < hi - 64:
-            raise SupportEscapeError("ramified support scan exceeded 64 levels")
-        if provably_zero(j):
-            consec += 1
-        else:
-            consec = 0
-            val = unit_average(a_norm, b_norm, p, Fraction(p) ** j, chi=chi)
-            if abs(val) > 1e-13 or (
-                mirror is not None and j == mirror[0]
-                and abs(abs(val) - mirror[1]) <= 1e-9 * mirror[1]
-            ):
-                if mirror is None:
-                    mirror = (-(j + delta), abs(val) * p ** (-(j + delta / 2.0)))
-                profile[j] = val
-        j -= 1
-    return profile, delta
-
-
 def local_factor_ramified(a, b, p: int, chi: UnitCharacter, twist: complex = 1.0) -> LocalFactor:
     """Factor against a ramified character: a finite Laurent polynomial.
 
-    The exact profile has at most two nonzero coefficients, at the escape
-    level k and its mirror -(k + delta).  An empty profile means the factor
-    vanishes identically (an odd character against an even phase).
+    With n the conductor exponent of chi and (a, b) rescaled so that
+    v(a) = -n + delta, the profile has at most two nonzero coefficients,
+    both read off n, delta and k = -n - v(b):
+
+      k > 0, or k = 0 with delta = 1: the top level k, where the linear
+        term has valuation v(b p^k) = -n and the average is a Gauss sum of
+        chi (see test_ramified_top_coefficient_identity), and its mirror
+        -(k + delta), the image of k under the local functional equation
+        (the Fourier transform of psi(a x^2/2 + b x) is a Gauss phase
+        times psi(-(x - b)^2/(2a)));
+      otherwise (b = 0 or k < 0, or k = 0 with delta = 0): the single
+        level 0 when delta = 0 and its average is nonzero, else nothing.
+
+    Every other level gives exactly 0: above the top level the phase is
+    constant on the cosets of 1 + p^(n-1) Z_p, over which chi averages to
+    0, and below it the derivative of the phase has valuation below -n at
+    every unit, except at the mirror, where the quadratic and linear terms
+    have equal valuation.  An empty profile means the factor vanishes
+    identically (an odd character against an even phase).
     """
     if p == 2:
         raise DomainError("ramified factors at p = 2 are out of scope")
@@ -428,26 +370,14 @@ def local_factor_ramified(a, b, p: int, chi: UnitCharacter, twist: complex = 1.0
     if n == 0:
         raise DomainError("character is unramified; use local_factor_unramified")
     a_norm, b_norm, e_scale, delta = rescale_normal_form(a, b, p, n_chi=n)
-    profile, delta_check = _ramified_window(a_norm, b_norm, p, chi)
-    if delta != delta_check:
-        raise WeakMellinError("normalization parity mismatch")
-    if not profile:
-        return LocalFactor(
-            p=p, kind="vanishing", chi=chi, e_scale=e_scale, twist=complex(twist)
-        )
-    ks = sorted(profile)
-    k = ks[-1]
-    C = profile[k]
-    if len(ks) == 1:
-        # degenerate single-term factor: monomial, zero-free
-        omega, poly = 0.0, (1.0 + 0j,)
-    elif len(ks) != 2 or ks[0] != -(k + delta):
-        raise WeakMellinError(
-            f"unexpected ramified support {ks}; two-term structure violated"
-        )
-    else:
-        bottom = profile[-(k + delta)]
-        omega = bottom / C * p ** (k + delta / 2.0)
+
+    def average(j: int) -> complex:
+        return unit_average(a_norm, b_norm, p, Fraction(p) ** j, chi=chi)
+
+    k = -n - valuation(b_norm, p)  # -inf for b = 0
+    if k > 0 or (k == 0 and delta == 1):
+        C = average(k)
+        omega = average(-(k + delta)) / C * p ** (k + delta / 2.0)
         if abs(abs(omega) - 1.0) > 1e-9:
             raise WeakMellinError(f"|omega| = {abs(omega)} off the unit circle")
         # C (p^(-ks) + omega p^(-k-delta/2) p^((k+delta)s)) is
@@ -456,6 +386,13 @@ def local_factor_ramified(a, b, p: int, chi: UnitCharacter, twist: complex = 1.0
         coeffs[0] = omega
         coeffs[-1] = 1.0
         poly = tuple(complex(c) for c in coeffs)
+    elif delta == 0 and abs(C := average(0)) > 1e-13:
+        # degenerate single-term factor: monomial, zero-free
+        k, omega, poly = 0, 0.0, (1.0 + 0j,)
+    else:
+        return LocalFactor(
+            p=p, kind="vanishing", chi=chi, e_scale=e_scale, twist=complex(twist)
+        )
     return LocalFactor(
         p=p, kind="ramified", poly=poly, shift=k,
         scale=complex(C) * p ** (-k / 2.0), e_scale=e_scale,

@@ -174,16 +174,22 @@ def _sign_change_certificate(factor: LocalFactor):
     vals = np.append(vals, vals[0] if degree % 2 == 0 else -vals[0])
     on_grid = vals[:samples] == 0.0
     lo = np.flatnonzero(~on_grid & (vals[:samples] * vals[1:] < 0.0))
-    # bisect every bracket at once; an exact zero collapses its bracket
+    # bisect every bracket at once; an exact zero collapses its bracket.
+    # A step that moves nothing is a fixed point: every later step would
+    # repeat its midpoints, so the loop stops there
     a, b, fa = phis[lo], phis[lo + 1], vals[lo]
     for _ in range(60):
         mid = 0.5 * (a + b)
         fm = h(mid)
         exact = fm == 0.0
         left = fa * fm < 0.0
-        b = np.where(exact | left, mid, b)
-        a = np.where(exact | ~left, mid, a)
-        fa = np.where(left, fa, fm)
+        a_next = np.where(exact | ~left, mid, a)
+        b_next = np.where(exact | left, mid, b)
+        fa_next = np.where(left, fa, fm)
+        if (np.array_equal(a_next, a) and np.array_equal(b_next, b)
+                and np.array_equal(fa_next, fa)):
+            break
+        a, b, fa = a_next, b_next, fa_next
     angles = np.concatenate([phis[np.flatnonzero(on_grid)], 0.5 * (a + b)])
     angles = tuple(sorted(float(x) for x in angles))
     return len(angles), angles

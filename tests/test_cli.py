@@ -194,6 +194,37 @@ def test_zeros_output_file(tmp_path, capsys):
     assert target.read_bytes() == first
 
 
+@pytest.mark.parametrize(
+    "window", [["--imax", "1e300"], ["--imin=-1e308", "--imax", "1e308"]],
+)
+def test_zeros_qp_window_past_the_row_cap_exits_2(window, capsys):
+    # two zeros in each period of 2 pi / ln 3: refused before any row of
+    # the window is built (the second span overflows to inf)
+    code, out, err = run_cli(
+        ["zeros", "--field", "qp", "--p", "3", "--b", "1/3", *window], capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: the window could hold more than")
+
+
+@pytest.mark.parametrize("imax,refused", [("20", False), ("30", True)])
+def test_zeros_qp_row_cap_is_degree_times_periods(monkeypatch, capsys, imax, refused):
+    # the bound is degree x (ceil(span / period) + 1): two zeros a period of
+    # 5.72 give 2 x (4 + 1) = 10 rows for Im in [0, 20], 2 x (6 + 1) = 14
+    # for [0, 30]
+    monkeypatch.setattr(cli, "_MAX_ZERO_ROWS", 10)
+    code, out, err = run_cli(
+        ["zeros", "--field", "qp", "--p", "3", "--b", "1/3", "--imax", imax],
+        capsys,
+    )
+    if refused:
+        assert code == 2 and err.startswith("config error:")
+    else:
+        assert code == 0
+        assert 1 <= len(out.splitlines()) - 1 <= 10
+
+
 # ------------------------------------------------------------------ verify
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakmellin import padic_zeta
-from weakmellin.errors import PoleError, SupportEscapeError
+from weakmellin.errors import PoleError
 from weakmellin.oracle import oracle_padic_mellin, oracle_padic_vector
 from weakmellin.padic_core import (
     psi_p,
@@ -62,6 +62,35 @@ def test_escape_level_frozen():
     assert detect_escape_level(1, F(1, 9), 3) == 2
     assert detect_escape_level(F(1, 9), 0, 3) == 1
     assert detect_escape_level(1, 0, 5) == 0
+    assert detect_escape_level(3**200, 0, 3) == -100
+
+
+def _with_valuation(unit: int, v: int, p: int) -> Fraction:
+    # a rational of valuation exactly v with a unit part built from `unit`
+    return F(unit * p + 1, 2 * p + 1) * F(p) ** v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7)),
+    va=st.one_of(st.integers(-8, 8), st.integers(120, 240)),
+    vb=st.one_of(st.none(), st.integers(-10, 8), st.integers(100, 200)),
+    ua=st.integers(-20, 20),
+    ub=st.integers(-20, 20),
+    cancel=st.booleans(),
+)
+def test_escape_level_is_where_theta_turns_one(p, va, vb, ua, ub, cancel):
+    # the phase is trivial on p^j Z_p exactly when theta(p^j) = 1; any other
+    # value has modulus at most p^(-1/2), so 1e-12 separates the two
+    if p == 2 and cancel:
+        va -= va % 2
+        vb = va // 2 - 1  # the linear term cancels the half-integral square
+    a = _with_valuation(ua, va, p)
+    b = 0 if vb is None else _with_valuation(ub, vb, p)
+    k = detect_escape_level(a, b, p)
+    for j in range(k - 3, k + 3):
+        one = abs(theta_additive(a, b, p, F(p) ** j) - 1.0) < 1e-12
+        assert one == (j >= k), (j, k)
 
 
 # ------------------------------------------------------- unramified factors
@@ -298,10 +327,10 @@ def test_ramified_closed_form_and_oracle_match_direct_sum(p, n, a, m):
 
 def test_ramified_mirror_is_kept_by_its_modulus():
     # b = 3^-m: the mirror term at level -(k + delta) has modulus
-    # |C| 3^-(k + delta/2), below the scan's absolute 1e-13 drop from
-    # m = 28 on; it is kept because that modulus is known in advance
+    # |C| 3^-(k + delta/2), below 1e-13 from m = 28 on; it is kept because
+    # its level is read off the valuations, however small its value
     chi = next(iter(unit_characters(3, 1)))
-    for m in range(12, 31):
+    for m in range(12, 61):
         b = F(1, 3**m)
         lf = local_factor(1, b, 3, chi=chi)
         assert lf.kind == "ramified"
@@ -310,10 +339,32 @@ def test_ramified_mirror_is_kept_by_its_modulus():
         for s in (0.7 + 1j, 1.2 - 4j):
             want = oracle_padic_mellin(1, b, 3, s, chi=chi)
             assert abs(lf.evaluate(s) - want) <= 1e-12 * abs(want)
-    # from m = 31 on the mirror lies beyond the 64-level scan: refused, not
-    # answered with the top term alone
-    with pytest.raises(SupportEscapeError):
-        local_factor(1, F(1, 3**31), 3, chi=chi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from((3, 5, 7)),
+    n=st.integers(1, 3),
+    index=st.integers(0, 10**6),
+    va=st.integers(-3, 1),
+    vb=st.one_of(st.none(), st.integers(-60, 2)),
+    ua=st.integers(-20, 20),
+    ub=st.integers(-20, 20),
+)
+def test_ramified_factor_matches_oracle_at_any_depth(p, n, index, va, vb, ua, ub):
+    # the top level and its mirror lie up to about 2 |v(b)| levels apart;
+    # both come from the valuations, so no depth is out of reach
+    chars = list(unit_characters(p, n))
+    chi = chars[index % len(chars)]
+    a = _with_valuation(ua, va, p)
+    b = 0 if vb is None else _with_valuation(ub, vb, p)
+    lf = local_factor(a, b, p, chi=chi)
+    for s in (0.7 + 1.3j, 0.3 + 9j):
+        want = oracle_padic_mellin(a, b, p, s, chi=chi)
+        if lf.kind == "vanishing":
+            assert lf.evaluate(s) == 0 and abs(want) < 1e-12
+        else:
+            assert abs(lf.evaluate(s) - want) <= 1e-12 * abs(want)
 
 
 def test_vanishing_factor_for_odd_character_even_phase():

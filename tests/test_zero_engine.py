@@ -224,7 +224,7 @@ def test_circle_certificate_is_bisected_once_per_factor(monkeypatch, ramified):
     assert factor.degree >= 1
     reports = exp_poly_roots(factor)
     once = len(calls)
-    assert once > 60  # the grid and the bisection steps
+    assert once > 1  # the grid and the bisection steps
     count, angles = unit_circle_certificate(factor)
     circle = circle_zeros(factor)
     assert len(calls) == once
@@ -252,6 +252,48 @@ def test_circle_certificate_is_not_shared_between_equal_factors(monkeypatch, ram
     assert len(calls) == 3 * once
     assert _certify_three_ways(dataclasses.replace(factor)) == first
     assert len(calls) == 4 * once
+
+
+def _sixty_step_angles(factor):
+    # the bisection as it ran before it learned to stop: always 60 steps
+    coeffs, _, degree = factor.zero_poly()
+    h = zero_engine._circle_profile(coeffs, degree)
+    samples = zero_engine._CIRCLE_SAMPLES
+    phis = 2.0 * math.pi * np.arange(samples + 1) / samples
+    vals = h(phis[:samples])
+    vals = np.append(vals, vals[0] if degree % 2 == 0 else -vals[0])
+    on_grid = vals[:samples] == 0.0
+    lo = np.flatnonzero(~on_grid & (vals[:samples] * vals[1:] < 0.0))
+    a, b, fa = phis[lo], phis[lo + 1], vals[lo]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        fm = h(mid)
+        exact = fm == 0.0
+        left = fa * fm < 0.0
+        b = np.where(exact | left, mid, b)
+        a = np.where(exact | ~left, mid, a)
+        fa = np.where(left, fa, fm)
+    angles = np.concatenate([phis[np.flatnonzero(on_grid)], 0.5 * (a + b)])
+    return tuple(sorted(float(x) for x in angles))
+
+
+@pytest.mark.parametrize(
+    "p,a,b,ramified",
+    [(3, 1, Fraction(1, 9), False), (3, 1, Fraction(1, 9), True),
+     (5, 2, Fraction(1, 125), False), (7, 3, Fraction(2, 49), True),
+     (2, 1, Fraction(3, 8), False)],
+)
+def test_circle_bisection_stops_at_its_fixed_point(monkeypatch, p, a, b, ramified):
+    # a step that moves no bracket end and no end value is repeated by every
+    # later step, so stopping there gives the angles of all 60 steps
+    chi = next(iter(unit_characters(p, 1))) if ramified else None
+    factor = local_factor(a, b, p, chi=chi)
+    want = _sixty_step_angles(factor)
+    calls = _count_profile_calls(monkeypatch)
+    count, angles = unit_circle_certificate(factor)
+    assert 1 < len(calls) < 61  # the grid and fewer than 60 steps
+    assert count == factor.degree == len(want)
+    assert tuple(angles) == want
 
 
 # ---------------------------------------------------------------------------
