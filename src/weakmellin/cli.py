@@ -14,7 +14,8 @@ header.  Floats print with 17 significant digits and rows sort by
 imaginary part then real part, so identical configs produce
 byte-identical output.  Exit codes: 0 success, 1 numeric failure, 2 bad
 configuration, which includes a `zeros --field qp` window that could list
-more than _MAX_ZERO_ROWS zeros.
+more than _MAX_ZERO_ROWS zeros and a `zeros --global` window or `global`
+point past |Im s| = specfun._ZETA_IM_CAP.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .global_zeta import (
 )
 from .padic_core import unit_characters
 from .padic_zeta import local_factor, weil_index_padic
-from .specfun import _factorize
+from .specfun import _ZETA_IM_CAP, _factorize
 from .zero_engine import line_zeros, zeros_in_window
 
 __all__ = ["ConfigError", "JobConfig", "main", "run"]
@@ -109,6 +110,16 @@ def _finite_float(text) -> float:
 
 def _canon_float(text: str) -> str:
     return _fmt17(_finite_float(text))
+
+
+def _within_zeta_cap(height: float, what: str) -> None:
+    # the global functions rest on riemann_zeta and dirichlet_l, which
+    # refuse |Im s| above the cap; refuse the job before any evaluation
+    if height > _ZETA_IM_CAP:
+        raise ConfigError(
+            f"{what} reaches |Im s| = {height:g}; global functions are "
+            f"evaluated for |Im s| <= {_ZETA_IM_CAP:g}"
+        )
 
 
 def _prime_power_exponent(mod: int, p: int) -> int:
@@ -221,6 +232,8 @@ class JobConfig:
             cfg = replace(cfg, s_values=tuple(_canon_complex(x) for x in raw))
         if command == "global":
             cfg = replace(cfg, tol=_finite_float(data.get("tol", 1e-9)))
+            for text in cfg.s_values:
+                _within_zeta_cap(abs(_parse_complex(text).imag), f"--s {text}")
         if command == "local" and cfg.field is None:
             raise ConfigError("local needs --field qp or --field real")
 
@@ -247,6 +260,10 @@ class JobConfig:
                 raise ConfigError("zeros needs at least 16 samples")
             if cfg.im_hi <= cfg.im_lo:
                 raise ConfigError("zeros needs im_lo < im_hi")
+            if cfg.spec:
+                _within_zeta_cap(
+                    max(abs(cfg.im_lo), abs(cfg.im_hi)), "the --imin/--imax window"
+                )
 
         if command == "verify":
             suite = str(data.get("suite", "all"))

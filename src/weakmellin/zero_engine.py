@@ -55,8 +55,8 @@ _CERT_RESIDUAL = 1e-8
 _CERT_RADIUS = 1e-6
 # line_zeros: a scan dip is a local minimum of |fn| below _DIP_RATIO times
 # the largest |fn| within _DIP_WINDOW samples on either side; a polished
-# zero is certified on squares of half-width _CERT_HALF_WIDTH and its
-# tenth and hundredth
+# zero is certified on squares of half-width _CERT_HALF_WIDTH, its tenth
+# and its hundredth, counted tightest first until one decides
 _DIP_RATIO = 0.25
 _DIP_WINDOW = 12
 _CERT_HALF_WIDTH = 2e-3
@@ -556,7 +556,14 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     keeps the scan honest when the function itself decays by orders of
     magnitude along the line.  Each candidate is polished by Newton in
     both coordinates and certified by a winding count on a small square
-    around the polished point.  Failed polish or certification is
+    around the polished point.  The squares have half-widths 2e-5, 2e-4
+    and 2e-3 and are counted in that order: the first count that does
+    not raise decides certification (a count >= 1 confirms), and the
+    first count >= 1 gives the multiplicity and ends the walk.  A raise,
+    or a count below 1, moves to the next wider square.  This equals
+    counting all three, widest first, and keeping the narrowest result
+    (the narrowest count >= 1 for the multiplicity), so the usual zero
+    costs one square, not three.  Failed polish or certification is
     reported with certified=False; a polish that runs away from its dip
     counts as failed and the raw sample point is reported instead.  With
     strict=True any uncertified candidate raises UncertifiedError.
@@ -598,12 +605,17 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
         if any(abs(z - r.location) < _CERT_RADIUS for r in reports):
             continue  # same zero seen from a neighbouring dip
         mult = 1
-        confirmed = False
+        confirmed = None
         if converged:
-            # shrinking shells separate a genuine multiple zero (count
-            # stays put) from a distinct neighbour (count drops to 1)
-            for hw in (_CERT_HALF_WIDTH, _CERT_HALF_WIDTH / 10.0,
-                       _CERT_HALF_WIDTH / 100.0):
+            # tightest shell first: it keeps a distinct neighbour out of
+            # the count, so a multiple zero keeps its count and a close
+            # pair counts 1.  The first count that does not raise sets
+            # confirmed, the first count >= 1 sets mult and stops; a raise
+            # or a count below 1 widens.  Counting all three would keep
+            # the narrowest usable count, so the shells skipped here could
+            # not change the report
+            for hw in (_CERT_HALF_WIDTH / 100.0, _CERT_HALF_WIDTH / 10.0,
+                       _CERT_HALF_WIDTH):
                 rect = (
                     z.real - hw, z.real + hw, z.imag - hw, z.imag + hw,
                 )
@@ -615,11 +627,11 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
                     ConvergenceError,
                 ):
                     continue
+                if confirmed is None:
+                    confirmed = count >= 1
                 if count >= 1:
                     mult = count
-                    confirmed = True
-                else:
-                    confirmed = False
+                    break
         certified = bool(converged and confirmed and resid <= _CERT_RESIDUAL)
         if strict and not certified:
             raise UncertifiedError(

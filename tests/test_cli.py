@@ -225,6 +225,41 @@ def test_zeros_qp_row_cap_is_degree_times_periods(monkeypatch, capsys, imax, ref
         assert 1 <= len(out.splitlines()) - 1 <= 10
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--global", "reference", "--imax", "80"],
+    ["zeros", "--global", "reference", "--imin", "0", "--imax", "1e6",
+     "--samples", "16"],
+    ["global", "--s", "0.5,70"],
+], ids=["zeros-imax-80", "zeros-imax-1e6", "global-s-70"])
+def test_global_heights_past_the_zeta_cap_exit_2(argv, monkeypatch, capsys):
+    # riemann_zeta and dirichlet_l stop at |Im s| = 60: refused before the
+    # global function is even assembled
+    def unreachable(spec):
+        raise AssertionError("evaluated a job the config should refuse")
+
+    monkeypatch.setattr(cli, "factorize_global", unreachable)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and "|Im s| <= 60" in err
+
+
+@pytest.mark.parametrize("mapping,refused", [
+    ({"command": "zeros", "spec": "reference", "im_hi": 60.0}, False),
+    ({"command": "zeros", "spec": "reference", "im_hi": 60.5}, True),
+    ({"command": "zeros", "spec": "reference", "im_lo": -60.5, "im_hi": 1.0}, True),
+    ({"command": "zeros", "field": "qp", "p": 3, "im_hi": 80.0}, False),
+    ({"command": "global", "s": ["0.5,-60"]}, False),
+    ({"command": "global", "s": ["2,0", "0.5,-60.5"]}, True),
+])
+def test_zeta_cap_bounds_global_heights_only(mapping, refused):
+    if refused:
+        with pytest.raises(ConfigError, match=r"\|Im s\| <= 60"):
+            JobConfig.from_mapping(mapping)
+    else:
+        JobConfig.from_mapping(mapping)
+
+
 # ------------------------------------------------------------------ verify
 
 
@@ -315,8 +350,6 @@ def test_zero_quadratic_coefficient_exits_2(argv, capsys):
         ["global", "--s", "1e10,0"],
         ["local", "--field", "qp", "--p", "3", "--a", "1", "--b", "1/3",
          "--s", "1e300,0"],
-        ["zeros", "--global", "reference", "--imin", "0", "--imax", "1e6",
-         "--samples", "16"],
     ],
 )
 def test_float_overflow_is_a_numeric_failure(argv, capsys):

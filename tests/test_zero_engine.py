@@ -17,6 +17,7 @@ from weakmellin.errors import (
     BoundaryZeroError,
     ConvergenceError,
     DomainError,
+    NonIntegerWindingError,
     UncertifiedError,
 )
 from weakmellin.padic_core import unit_characters
@@ -421,14 +422,15 @@ def _recording(fn):
 
 
 def test_scans_call_fn_once_per_grid_and_per_round():
-    # the points match a per-point loop over the same scan: 1615 for the
-    # ladder (600 grid points, 960 on 15 certifying squares, 55 in
-    # Newton) and 1024 for the winding count, as counted point by point
+    # the points match a per-point loop over the same scan: 975 for the
+    # ladder (600 grid points, 320 on 5 certifying squares, the tightest
+    # one per zero, and 55 in Newton) and 1024 for the winding count, as
+    # counted point by point
     fn, batches = _recording(lambda s: np.sin(1j * np.pi * (s - 0.5)))
     reports = line_zeros(fn, 0.5, 0.4, 5.6, samples=600)
     assert len(reports) == 5 and all(r.certified for r in reports)
     assert batches[0] == 600  # the whole grid in one call
-    assert sum(batches) == 1615
+    assert sum(batches) == 975
 
     fn, batches = _recording(lambda z: z - 0.5 - 0.004j)
     assert winding_count(fn, (0.0, 1.0, 0.0, 1.0)) == 1
@@ -712,3 +714,144 @@ def test_line_scan_respects_listed_poles():
     assert len(reports) == 1
     assert reports[0].certified
     assert abs(reports[0].location - z0) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# certification walk: tightest square first, pinned to the three-square rule
+
+_WIDEST = zero_engine._CERT_HALF_WIDTH
+_SQUARES = (_WIDEST, _WIDEST / 10.0, _WIDEST / 100.0)  # widest first
+_REFUSALS = (BoundaryZeroError, NonIntegerWindingError, ConvergenceError)
+
+
+def _three_square_rule(counts):
+    """(multiplicity, confirmed) from the counts on all three squares,
+    widest first, None where a count raised: the last count that did not
+    raise decides confirmation, the last count >= 1 the multiplicity."""
+    mult, confirmed = 1, False
+    for count in counts:
+        if count is None:
+            continue
+        if count >= 1:
+            mult, confirmed = count, True
+        else:
+            confirmed = False
+    return mult, confirmed
+
+
+def _square_index(rect):
+    # 0 for the widest square, 2 for the tightest
+    return round(math.log10(2.0 * _WIDEST / (rect[1] - rect[0])))
+
+
+def _real_counts(fn, z, poles=()):
+    counts = []
+    for hw in _SQUARES:
+        rect = (z.real - hw, z.real + hw, z.imag - hw, z.imag + hw)
+        try:
+            counts.append(winding_count(fn, rect, poles=poles))
+        except _REFUSALS:
+            counts.append(None)
+    return counts
+
+
+_ANSWERS = ("raise", 0, 1, 2)
+
+
+@pytest.mark.parametrize("answers", [
+    (wide, mid, tight)
+    for wide in _ANSWERS for mid in _ANSWERS for tight in _ANSWERS
+], ids=lambda answers: "-".join(map(str, answers)))
+def test_certification_walk_matches_three_square_rule(monkeypatch, answers):
+    # a scripted count per square; the walk must give the three-square
+    # result and never count a square wider than the one that decided
+    counted = []
+
+    def fake_winding_count(fn, rect, poles=()):
+        assert not any(answers[j] in (1, 2) for j in counted), (
+            "a square wider than a count >= 1 was counted"
+        )
+        k = _square_index(rect)
+        counted.append(k)
+        if answers[k] == "raise":
+            raise BoundaryZeroError("scripted refusal")
+        return answers[k]
+
+    monkeypatch.setattr(zero_engine, "winding_count", fake_winding_count)
+    z0 = 0.5 + 2.0j
+    reports = line_zeros(lambda s: s - z0, 0.5, 1.5, 2.5, samples=400)
+    assert len(reports) == 1
+    mult, confirmed = _three_square_rule(
+        [None if a == "raise" else a for a in answers]
+    )
+    assert reports[0].multiplicity == mult
+    assert reports[0].certified == confirmed
+    # tightest first, up to the first count >= 1 or through all three
+    decided = next((k for k in (2, 1, 0) if answers[k] in (1, 2)), 0)
+    assert counted == [k for k in (2, 1, 0) if k >= decided]
+
+
+def _reference_global():
+    from weakmellin.global_zeta import factorize_global, reference_spec
+
+    return factorize_global(reference_spec()).evaluate
+
+
+def _hard_real_pair():
+    from weakmellin.arch_zeta import zeta_real
+
+    return lambda s: zeta_real(0.5, 1.5, s)
+
+
+@pytest.mark.parametrize("build, lo, hi", [
+    (_reference_global, 1.0, 58.0),
+    (_hard_real_pair, 0.0, 25.0),
+], ids=["reference-global", "zeta_real-0.5-1.5"])
+def test_census_reports_agree_with_three_square_rule(build, lo, hi):
+    fn = build()
+    reports = line_zeros(fn, 0.5, lo, hi)
+    assert reports and all(r.certified for r in reports)
+    for rep in reports:
+        mult, confirmed = _three_square_rule(_real_counts(fn, rep.location))
+        assert rep.multiplicity == mult
+        assert rep.certified == confirmed
+
+
+def _counting_squares(monkeypatch):
+    counted = []
+    real = zero_engine.winding_count
+
+    def wrapped(fn, rect, poles=()):
+        counted.append(_SQUARES[_square_index(rect)])
+        return real(fn, rect, poles=poles)
+
+    monkeypatch.setattr(zero_engine, "winding_count", wrapped)
+    return counted
+
+
+def test_double_zero_is_decided_by_the_tightest_square(monkeypatch):
+    z0 = 0.5 + 2.0j
+    counted = _counting_squares(monkeypatch)
+    reports = line_zeros(lambda s: (s - z0) ** 2, 0.5, 1.5, 2.5, samples=400)
+    assert [r.multiplicity for r in reports] == [2]
+    assert counted == [_WIDEST / 100.0]
+
+
+def test_close_pair_below_scan_step_keeps_parent_report(monkeypatch):
+    # 1e-4 apart: both zeros lie inside the two wider squares, so only
+    # the 2e-5 square sees one zero, as the three-square rule reports
+    z1, z2 = 0.5 + 2.0j, 0.5 + 2.0001j
+
+    def fn(s):
+        return (s - z1) * (s - z2)
+
+    counted = _counting_squares(monkeypatch)
+    reports = line_zeros(fn, 0.5, 1.5, 2.5, samples=400)
+    assert len(reports) == 1
+    rep = reports[0]
+    assert rep.multiplicity == 1 and rep.certified
+    assert counted == [_WIDEST / 100.0]
+    monkeypatch.undo()
+    counts = _real_counts(fn, rep.location)
+    assert counts == [2, 2, 1]
+    assert _three_square_rule(counts) == (1, True)
