@@ -40,7 +40,6 @@ from .global_zeta import (
     reference_spec,
 )
 from .oracle import (
-    PadicOracleParams,
     _fold_even,
     _fold_odd,
     _hermitian_damped,
@@ -410,12 +409,11 @@ def _criterion_9():
                 theta_additive(1, Fraction(1, p), p, y, margin=1)
                 - theta_additive(1, Fraction(1, p), p, y, margin=4)
             ))
-    deep = PadicOracleParams(max_window=96)
     for p, a, b in ((3, 1, 0), (2, 1, 1), (5, 1, Fraction(1, 5))):
         s = 0.7 + 1.0j
         exact_dev = max(exact_dev, abs(
             oracle_padic_mellin(a, b, p, s)
-            - oracle_padic_mellin(a, b, p, s, params=deep)
+            - oracle_padic_mellin(a, b, p, s, max_window=96)
         ))
     exact_ok = exact_dev <= 1e-14
 

@@ -23,11 +23,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .specfun import (
-    _POINTWISE_BELOW,
     _as_complex,
     _cexp,
-    _is_array,
-    _pointwise,
     _zero_like,
     gamma,
     gamma_ratio,
@@ -139,12 +136,17 @@ def _gamma_kummer(w, scale: float, c: float, z: complex, pref=None):
 
     Every closed form built on one Kummer function has this shape: the
     quadratic part of the phase gives Gamma(w) (i scale)^(-w), and the
-    linear part the Kummer series in z (DLMF 13.2)."""
+    linear part the Kummer series in z (DLMF 13.2).  At z = 0 the Kummer
+    factor is 1F1(w; c; 0) = 1 and is left out; c is never near a
+    non-positive integer here."""
 
     out = _cexp(-0.5j * math.pi * w)
     if pref is not None:
         out = pref * out
-    return out * _powc(scale, -w) * gamma(w) * hyp1f1(w, c, z)
+    out = out * _powc(scale, -w) * gamma(w)
+    if z == 0:
+        return out
+    return out * hyp1f1(w, c, z)
 
 
 def _powc(base: float, expo: complex) -> complex:
@@ -174,8 +176,6 @@ def zeta_real(a: float, b: float, s: complex, char=Trivial()) -> complex:
     of points; the result then is an array of its shape."""
 
     a, b = float(a), float(b)
-    if _is_array(s) and s.size < _POINTWISE_BELOW:
-        return _pointwise(lambda z: zeta_real(a, b, z, char), s)
     s = _as_complex(s)
     if a == 0:
         raise DomainError("quadratic coefficient must be nonzero")
@@ -288,8 +288,6 @@ def zeta_rn_radial(a: float, bnorm: float, n: int, s: complex) -> complex:
     s may be an array of points, as for zeta_real."""
 
     a, bnorm, n = float(a), float(bnorm), int(n)
-    if _is_array(s) and s.size < _POINTWISE_BELOW:
-        return _pointwise(lambda x: zeta_rn_radial(a, bnorm, n, x), s)
     s = _as_complex(s)
     if n < 1:
         raise DomainError("dimension must be at least 1")

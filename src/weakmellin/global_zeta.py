@@ -33,13 +33,10 @@ from .errors import DomainError, PoleError, UncertifiedError
 from .padic_core import UnitCharacter, valuation
 from .padic_zeta import LocalFactor, local_factor, weil_index_padic
 from .specfun import (
-    _POINTWISE_BELOW,
     DirichletCharacter,
     _as_complex,
     _factorize,
-    _is_array,
     _local_generators,
-    _pointwise,
     _zero_like,
     completed_xi,
     dirichlet_l,
@@ -165,11 +162,7 @@ class GlobalFactorization:
         """
         if self.identically_zero:
             return _zero_like(s)
-        if _is_array(s) and s.size < _POINTWISE_BELOW:
-            return _pointwise(self._value, s)
-        return self._value(_as_complex(s))
-
-    def _value(self, s):
+        s = _as_complex(s)
         out = self.arch_value(s)
         for lf in self.local_parts.values():
             out *= lf.entire_eval(s)

@@ -28,10 +28,8 @@ from .errors import DomainError, QuadratureError, SupportEscapeError
 from .padic_core import UnitCharacter, theta_additive, unit_average, valuation
 
 __all__ = [
-    "PadicOracleParams",
     "oracle_padic_mellin",
     "oracle_padic_vector",
-    "ArchOracleParams",
     "oracle_real_mellin",
     "oracle_real_sign_mellin",
     "oracle_hermitian_mellin",
@@ -40,11 +38,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PadicOracleParams:
-    max_window: int = 64
-    zero_tol: float = 1e-14
-    stable_run: int = 3
+# p-adic oracles: a level average within _ZERO_TOL of its stable value
+# counts as stable, and _STABLE_RUN such levels in a row end a walk
+_ZERO_TOL = 1e-14
+_STABLE_RUN = 3
 
 
 def oracle_padic_mellin(
@@ -54,18 +51,17 @@ def oracle_padic_mellin(
     s: complex,
     chi: UnitCharacter | None = None,
     twist: complex = 1.0,
-    params: PadicOracleParams | None = None,
+    max_window: int = 64,
 ) -> complex:
     """Direct sum of unit averages against p^(-js), geometric tail attached.
 
     Works for Re(s) > 0, where the stable-region tail converges.  Raises
     SupportEscapeError if the profile neither stabilizes above nor dies
-    below within the window.  Each level's unit average is summed once per
-    call and kept in a dict local to the call: the upper-edge search, the
-    walk back and the lower walk revisit levels, and nothing outlives the
-    call.
+    below within the levels -max_window to max_window.  Each level's unit
+    average is summed once per call and kept in a dict local to the call:
+    the upper-edge search, the walk back and the lower walk revisit levels,
+    and nothing outlives the call.
     """
-    params = params or PadicOracleParams()
     s = complex(s)
     if s.real <= 0:
         raise DomainError("oracle needs Re(s) > 0 for the upper tail")
@@ -106,10 +102,10 @@ def oracle_padic_mellin(
     if b != 0:
         j_hi = max(j_hi, -vb)
     run = 0
-    while run < params.stable_run:
-        if j_hi > params.max_window:
+    while run < _STABLE_RUN:
+        if j_hi > max_window:
             raise SupportEscapeError("no upper stabilization in window")
-        if abs(ua(j_hi) - stable_value) <= params.zero_tol:
+        if abs(ua(j_hi) - stable_value) <= _ZERO_TOL:
             run += 1
         else:
             run = 0
@@ -117,7 +113,7 @@ def oracle_padic_mellin(
     if not ramified:
         # walk the edge back to the exact start of the stable region; for
         # ramified characters the stable value is 0 and the edge is moot
-        while j_hi > -params.max_window and abs(ua(j_hi - 1) - 1.0) <= params.zero_tol:
+        while j_hi > -max_window and abs(ua(j_hi - 1) - 1.0) <= _ZERO_TOL:
             j_hi -= 1
 
     total = 0.0 + 0.0j
@@ -128,17 +124,17 @@ def oracle_padic_mellin(
     # window, at most conductor wide; pad the required zero run to cover it.
     # A computed zero does not count toward the run: a term can sit below
     # a gap of them.
-    need_run = params.stable_run if j_floor is not None else params.stable_run + n_chi + 2
+    need_run = _STABLE_RUN if j_floor is not None else _STABLE_RUN + n_chi + 2
     j = j_hi - 1
     run = 0
     while True:
-        if j < -params.max_window:
+        if j < -max_window:
             raise SupportEscapeError("no lower support escape in window")
         if provably_zero(j):
             run += 1
         else:
             # a computed term is always added: a unit average far below
-            # zero_tol can still carry weight |p^(-js)| >> 1
+            # _ZERO_TOL can still carry weight |p^(-js)| >> 1
             run = 0
             total += ua(j) * x**j
         if run >= need_run and (j_floor is None or j < j_floor):
@@ -151,14 +147,15 @@ def oracle_padic_vector(
     configs,
     p: int,
     s: complex,
-    params: PadicOracleParams | None = None,
+    max_window: int = 64,
 ) -> complex:
     """Reference for the diagonal-scaling factor on a product space.
 
     Uses the difference lambda(y) = theta(y) - p^(-n) theta(py), the
     n-dimensional shell average, which is exactly zero deep in both tails.
+    The walks stay within the levels -max_window to max_window, as in
+    oracle_padic_mellin.
     """
-    params = params or PadicOracleParams()
     s = complex(s)
     if s.real <= 0:
         raise DomainError("oracle needs Re(s) > 0 for the upper tail")
@@ -182,15 +179,15 @@ def oracle_padic_vector(
     stable = 1.0 - 1.0 / p**n
     j_hi = 0
     run = 0
-    while run < params.stable_run:
-        if j_hi > params.max_window:
+    while run < _STABLE_RUN:
+        if j_hi > max_window:
             raise SupportEscapeError("no upper stabilization in window")
-        if abs(lam(j_hi) - stable) <= params.zero_tol:
+        if abs(lam(j_hi) - stable) <= _ZERO_TOL:
             run += 1
         else:
             run = 0
         j_hi += 1
-    while j_hi > -params.max_window and abs(lam(j_hi - 1) - stable) <= params.zero_tol:
+    while j_hi > -max_window and abs(lam(j_hi - 1) - stable) <= _ZERO_TOL:
         j_hi -= 1
 
     # a middle gap of zeros can be wide; only below every component's
@@ -206,20 +203,20 @@ def oracle_padic_vector(
     j = j_hi - 1
     run = 0
     while True:
-        if j < -params.max_window:
+        if j < -max_window:
             raise SupportEscapeError("no lower support escape in window")
-        # a computed shell average is always added: one far below zero_tol
+        # a computed shell average is always added: one far below _ZERO_TOL
         # can still carry weight |p^(-js)| >> 1.  The run test stays on the
         # bare average, because deep in the tail, where the average is zero
         # up to rounding of order 1e-16 |theta|, that weight would grow the
         # rounding without bound once Re(s) > n.
         v = lam(j)
         total += v * x**j
-        if abs(v) <= params.zero_tol:
+        if abs(v) <= _ZERO_TOL:
             run += 1
         else:
             run = 0
-        if run >= params.stable_run and (j_floor is None or j < j_floor):
+        if run >= _STABLE_RUN and (j_floor is None or j < j_floor):
             break
         j -= 1
     return total / (1.0 - 1.0 / p)
@@ -259,27 +256,19 @@ def oracle_padic_vector(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArchOracleParams:
-    """Knobs for the damped and Gaussian-parameter routes of the
-    archimedean oracles; the contour routes use module constants.
-
-    eps_schedule is the damping ladder, each entry half the previous; the
-    reported value is the second order Richardson limit.  tail_log sets
-    the truncation radius through envelope(cut) = exp(-tail_log).
-    max_phase is the phase budget per panel in radians; panel_order
-    Gauss-Legendre nodes resolve that budget to far below order_tol, and
-    the doubled-order repeat has to agree to order_tol."""
-
-    eps_schedule: tuple = (1e-3, 5e-4, 2.5e-4)
-    x_min: float = 1e-120
-    tail_log: float = 27.6
-    panel_order: int = 20
-    max_phase: float = 8.0
-    order_tol: float = 1e-8
-
-
-_ARCH_DEFAULT = ArchOracleParams()
+# Damped and Gaussian-parameter routes.  _EPS_SCHEDULE is the damping
+# ladder, each entry half the previous; the reported value is the second
+# order Richardson limit.  _TAIL_LOG sets the truncation radius through
+# envelope(cut) = exp(-_TAIL_LOG), and _X_MIN is the lower end of the
+# panels.  _MAX_PHASE is the phase budget per panel in radians;
+# _PANEL_ORDER Gauss-Legendre nodes resolve that budget to far below
+# _ORDER_TOL, and the doubled-order repeat has to agree to _ORDER_TOL.
+_EPS_SCHEDULE = (1e-3, 5e-4, 2.5e-4)
+_X_MIN = 1e-120
+_TAIL_LOG = 27.6
+_PANEL_ORDER = 20
+_MAX_PHASE = 8.0
+_ORDER_TOL = 1e-8
 
 _MAX_PANELS = 200_000
 
@@ -381,9 +370,9 @@ def _gl_pair(fn, edges, order):
     return v2, abs(v1 - v2), l1
 
 
-def _checked_integral(fn, edges, params):
-    v2, err, l1 = _gl_pair(fn, edges, params.panel_order)
-    if err > params.order_tol * max(abs(v2), 1e-6 * l1, 1e-300):
+def _checked_integral(fn, edges):
+    v2, err, l1 = _gl_pair(fn, edges, _PANEL_ORDER)
+    if err > _ORDER_TOL * max(abs(v2), 1e-6 * l1, 1e-300):
         raise QuadratureError(
             f"doubled-order totals disagree by {err:.3e} "
             f"(value {abs(v2):.3e}, L1 mass {l1:.3e})"
@@ -419,7 +408,7 @@ def _contour_result(value, diff, l1, pref, route):
     return ArchOracleResult(pref * value, abs(pref) * err, math.inf, (), route)
 
 
-def _damped_limit(build, params):
+def _damped_limit(build):
     """Runs the eps ladder and Richardson-extrapolates to eps = 0.
 
     build(eps) returns (edges, integrand); the integrand must include the
@@ -427,9 +416,9 @@ def _damped_limit(build, params):
 
     vals = []
     worst = 0.0
-    for eps in params.eps_schedule:
+    for eps in _EPS_SCHEDULE:
         edges, fn = build(eps)
-        v, err = _checked_integral(fn, edges, params)
+        v, err = _checked_integral(fn, edges)
         vals.append(v)
         worst = max(worst, err)
     r1, r2, r3 = vals
@@ -501,21 +490,19 @@ def _real_rotated(a, b, s, fold):
     return _contour_result(*_log_trapezoid(g), pref, "rotated")
 
 
-def _real_damped(a, b, s, fold, params=None):
+def _real_damped(a, b, s, fold):
     """Damped-quadrature limit of the integral over (0, inf) of
     exp(-pi i a y^2) fold(2 pi b y) y^(s-1) dy, the transform of
     exp(-pi i a y^2 - 2 pi i b y) on the real line with y -> -y folded in."""
 
-    params = params or _ARCH_DEFAULT
-
     def build(eps):
-        hi = math.sqrt(params.tail_log / (math.pi * eps))
+        hi = math.sqrt(_TAIL_LOG / (math.pi * eps))
         smooth = abs(s - 1.0) + 1.0
 
         def rate(y):
             return 2.0 * math.pi * (abs(a) * y + abs(b) + eps * y) + smooth / y
 
-        edges = _panel_edges(params.x_min, 1.0, hi, rate, params.max_phase)
+        edges = _panel_edges(_X_MIN, 1.0, hi, rate, _MAX_PHASE)
         q = math.pi * (eps + 1j * a)
 
         def fn(y):
@@ -527,18 +514,18 @@ def _real_damped(a, b, s, fold, params=None):
 
         return edges, fn
 
-    return _damped_limit(build, params)
+    return _damped_limit(build)
 
 
-def _real_line_mellin(a, b, s, params, fold, who):
+def _real_line_mellin(a, b, s, fold, who):
     """The folded real-line integral: the contour route, or the damped
     route where the contour route refuses the point."""
 
     _require_strip(s, 0.15, 2.5, who)
-    return _real_rotated(a, b, s, fold) or _real_damped(a, b, s, fold, params)
+    return _real_rotated(a, b, s, fold) or _real_damped(a, b, s, fold)
 
 
-def oracle_real_mellin(a, b, s, params=None):
+def oracle_real_mellin(a, b, s):
     """Multiplicative transform of exp(-pi i a y^2 - 2 pi i b y) on the
     real line against the trivial sign character.
 
@@ -551,10 +538,10 @@ def oracle_real_mellin(a, b, s, params=None):
     a, b, s = float(a), float(b), complex(s)
     if a == 0.0:
         raise DomainError("quadratic coefficient must be nonzero")
-    return _real_line_mellin(a, b, s, params, _fold_even, "real")
+    return _real_line_mellin(a, b, s, _fold_even, "real")
 
 
-def oracle_real_sign_mellin(a, b, s, params=None):
+def oracle_real_sign_mellin(a, b, s):
     """Same transform as oracle_real_mellin but against the sign
     character, so the fold produces -2i sin(2 pi b y) in place of the
     cosine.  Identically zero when b = 0."""
@@ -564,7 +551,7 @@ def oracle_real_sign_mellin(a, b, s, params=None):
         raise DomainError("quadratic coefficient must be nonzero")
     if b == 0.0:
         return _EXACT_ZERO
-    return _real_line_mellin(a, b, s, params, _fold_odd, "real sign")
+    return _real_line_mellin(a, b, s, _fold_odd, "real sign")
 
 
 def _hermitian_pref(b, n):
@@ -599,20 +586,19 @@ def _hermitian_rotated(a, b, n, s):
     return _contour_result(*_log_trapezoid(g), pref, "rotated")
 
 
-def _hermitian_damped(a, b, n, s, params=None):
+def _hermitian_damped(a, b, n, s):
     """Damped-quadrature limit of the hermitian transform."""
 
-    params = params or _ARCH_DEFAULT
     babs = abs(b)
 
     def build(eps):
-        hi = math.sqrt(params.tail_log / (2.0 * math.pi * eps))
+        hi = math.sqrt(_TAIL_LOG / (2.0 * math.pi * eps))
         smooth = abs(2.0 * s - 1.0) + 1.0
 
         def rate(r):
             return 4.0 * math.pi * (a + eps) * r + 4.0 * math.pi * babs + smooth / r
 
-        edges = _panel_edges(params.x_min, 1.0, hi, rate, params.max_phase)
+        edges = _panel_edges(_X_MIN, 1.0, hi, rate, _MAX_PHASE)
         q = 2.0 * math.pi * (eps + 1j * a)
 
         def fn(r):
@@ -623,10 +609,10 @@ def _hermitian_damped(a, b, n, s, params=None):
 
         return edges, fn
 
-    return _scaled(_damped_limit(build, params), _hermitian_pref(b, n))
+    return _scaled(_damped_limit(build), _hermitian_pref(b, n))
 
 
-def oracle_hermitian_mellin(a, b, n, s, params=None):
+def oracle_hermitian_mellin(a, b, n, s):
     """Transform of the hermitian phase exp(-2 pi i a |z|^2) twisted by
     the linear term and the angular character (z/|z|)^n.
 
@@ -642,7 +628,7 @@ def oracle_hermitian_mellin(a, b, n, s, params=None):
     if b == 0 and n != 0:
         return _EXACT_ZERO
     _require_strip(s, 0.1, 1.6, "hermitian")
-    return _hermitian_rotated(a, b, n, s) or _hermitian_damped(a, b, n, s, params)
+    return _hermitian_rotated(a, b, n, s) or _hermitian_damped(a, b, n, s)
 
 
 def _sphere_average(n, w):
@@ -665,7 +651,7 @@ def _sphere_average(n, w):
     return out
 
 
-def oracle_radial_mellin(a, bnorm, n, s, params=None):
+def oracle_radial_mellin(a, bnorm, n, s):
     """Transform of exp(-pi i a |x|^2 - 2 pi i b.x) over n real variables
     against |x|^s, reduced to the radial line.
 
@@ -683,7 +669,7 @@ def oracle_radial_mellin(a, bnorm, n, s, params=None):
         raise DomainError("the linear coefficient enters through its norm")
     pref = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
     fold = partial(_sphere_average, n)
-    return _scaled(_real_line_mellin(a, bnorm, s, params, fold, "radial"), pref)
+    return _scaled(_real_line_mellin(a, bnorm, s, fold, "radial"), pref)
 
 
 def _square_pref(a, m):
@@ -734,7 +720,7 @@ def _square_hankel(a, n, s):
     return _contour_result(complex(value), diff, l1, 0.5 * _square_pref(a, m), "hankel")
 
 
-def _square_bessel(a, n, s, params):
+def _square_bessel(a, n, s):
     """b = 0 branch of the complex square transform: the angular integral
     of exp(-2 pi i Re(a z^2)) (z/|z|)^n vanishes for odd n and reduces to
     a Bessel function of order |n|/2 for even n.  Damped route."""
@@ -743,13 +729,13 @@ def _square_bessel(a, n, s, params):
     mag = abs(a)
 
     def build(eps):
-        hi = math.sqrt(params.tail_log / (2.0 * math.pi * eps))
+        hi = math.sqrt(_TAIL_LOG / (2.0 * math.pi * eps))
         smooth = abs(2.0 * s - 1.0) + 1.0
 
         def rate(r):
             return 4.0 * math.pi * (mag + eps) * r + smooth / r
 
-        edges = _panel_edges(params.x_min, 1.0, hi, rate, params.max_phase)
+        edges = _panel_edges(_X_MIN, 1.0, hi, rate, _MAX_PHASE)
 
         def fn(r):
             rr = r * r
@@ -760,10 +746,10 @@ def _square_bessel(a, n, s, params):
 
         return edges, fn
 
-    return _scaled(_damped_limit(build, params), _square_pref(a, m))
+    return _scaled(_damped_limit(build), _square_pref(a, m))
 
 
-def _square_schwinger(a, b, s, params):
+def _square_schwinger(a, b, s):
     """n = 0 branch of the complex square transform through the
     Gaussian-parameter representation.
 
@@ -794,7 +780,7 @@ def _square_schwinger(a, b, s, params):
         # power-law wiggle plus the derivative bound on the exponent
         return smooth / t + lin / (4.0 * det) + (lin * t + const) * t / (2.0 * det * det)
 
-    edges = _panel_edges(1e-120, 1.0, t_hi, rate, params.max_phase)
+    edges = _panel_edges(1e-120, 1.0, t_hi, rate, _MAX_PHASE)
     expo_const = 32.0j * math.pi**3 * cross
 
     def fn(t):
@@ -802,7 +788,7 @@ def _square_schwinger(a, b, s, params):
         expo = (expo_const - lin * t) / (4.0 * det)
         return np.exp(-s * np.log(t) + expo) / np.sqrt(det)
 
-    value, err = _checked_integral(fn, edges, params)
+    value, err = _checked_integral(fn, edges)
     # tail: integrand ~ t^(-s-1) (1 - 4 pi^2 |b|^2 / t + ...)
     tail = t_hi ** (-s) / s - 4.0 * math.pi**2 * bb * t_hi ** (-s - 1.0) / (s + 1.0)
     total = value + tail
@@ -810,7 +796,7 @@ def _square_schwinger(a, b, s, params):
     return ArchOracleResult(pref * total, abs(pref) * err, math.inf, (), "schwinger")
 
 
-def oracle_complex_square_mellin(a, b, n, s, params=None):
+def oracle_complex_square_mellin(a, b, n, s):
     """Transform of exp(-2 pi i Re(a z^2 + 2 b z)) ... the holomorphic
     square phase on the complex plane, against (z/|z|)^n |z|^(2s).
 
@@ -820,18 +806,17 @@ def oracle_complex_square_mellin(a, b, n, s, params=None):
     n = 0 with any b goes through the Gaussian-parameter representation.
     Other combinations are out of scope."""
 
-    params = params or _ARCH_DEFAULT
     a, b, n, s = complex(a), complex(b), int(n), complex(s)
     if a == 0:
         raise DomainError("quadratic coefficient must be nonzero")
     if n == 0:
         _require_strip(s, 0.1, 0.92, "square")
-        return _square_schwinger(a, b, s, params)
+        return _square_schwinger(a, b, s)
     if b == 0:
         if n % 2:
             return _EXACT_ZERO
         _require_strip(s, 0.1, 1.6, "square")
-        return _square_hankel(a, n, s) or _square_bessel(a, n, s, params)
+        return _square_hankel(a, n, s) or _square_bessel(a, n, s)
     raise DomainError(
         "square-phase oracle supports n = 0 or b = 0 only"
     )

@@ -11,11 +11,11 @@ cross-checks, never here.
 
 log_gamma, gamma, hyp1f1, riemann_zeta, hurwitz_zeta, dirichlet_l and
 completed_xi take a complex scalar or an ndarray of points.  A scalar runs
-the cmath body; an array runs a numpy body elementwise (Euler-Maclaurin
-over the points in blocks, hyp1f1 one kernel call per point off z = 0)
-and returns an array of its shape.  A bad point in an array raises what
-the scalar call raises there: PoleError, DomainError, or OverflowError
-where numpy would return inf.
+the cmath body; an array of any size runs a numpy body elementwise
+(Euler-Maclaurin over the points in blocks, hyp1f1 one kernel call per
+point) and returns an array of its shape.  A bad point in an array raises
+what the scalar call raises there: PoleError, DomainError, or
+OverflowError where numpy would return inf.
 
 Accuracy targets: ~1e-13 relative for gamma and zeta on the working region
 Re(s) >= -0.5, |Im(s)| <= 60, away from poles.  Values outside that region go
@@ -79,21 +79,8 @@ _LANCZOS_C = (
 _POLE_TOL = 1e-9
 
 
-# zeta_real and GlobalFactorization.evaluate run an array of fewer points
-# than this through the scalar body, point by point.  On a 2-vCPU x86 VM
-# with numpy 2.4 the numpy body of the global function costs about 0.5 ms
-# a call at any size and its scalar body 50 us a point, so the loop wins
-# below about 12 points; Newton's steps call with 1 and 4 points.
-_POINTWISE_BELOW = 8
-
-
 def _is_array(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim > 0
-
-
-def _pointwise(f, s: np.ndarray) -> np.ndarray:
-    """f at each point of the array s, one scalar call each."""
-    return np.array([f(z) for z in s.ravel().tolist()], dtype=complex).reshape(s.shape)
 
 
 def _as_complex(x):
@@ -404,21 +391,16 @@ def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
 def hyp1f1(a: complex, b: complex, z: complex) -> complex:
     """Value of hyp1f1_eval; arguments may be arrays, broadcast together.
 
-    On arrays the points at z = 0 that pass the scalar pole guard are 1 at
-    once, and every other point runs the fixed-point kernel.
+    On arrays hyp1f1_eval runs at every point, so a point at z = 0 gets
+    its exact 1 from the same guard as a scalar call.
     """
     if not (_is_array(a) or _is_array(b) or _is_array(z)):
         return hyp1f1_eval(a, b, z).value
     a, b, z = np.broadcast_arrays(
         *(np.asarray(x, dtype=complex) for x in (a, b, z))
     )
-    out = np.ones(a.shape, dtype=complex)
-    at_zero = (
-        (z == 0)
-        & np.isfinite(a) & np.isfinite(b)
-        & (np.minimum(np.abs(b), np.minimum(np.abs(b + 1.0), np.abs(b + 2.0))) > 2e-12)
-    )
-    for i in zip(*np.nonzero(~at_zero)):
+    out = np.empty(a.shape, dtype=complex)
+    for i in np.ndindex(a.shape):
         out[i] = hyp1f1_eval(a[i], b[i], z[i]).value
     return out
 
@@ -795,8 +777,9 @@ class DirichletCharacter:
             out = math.lcm(out, order // math.gcd(order, m))
         return out
 
-    @lru_cache(maxsize=None)
-    def _conductor(self) -> int:
+    @cached_property
+    def conductor(self) -> int:
+        # kept on the instance, so it goes with the character
         q = self.modulus
         for d in sorted(_divisors(q)):
             ok = True
@@ -808,10 +791,6 @@ class DirichletCharacter:
             if ok:
                 return d
         return q  # unreachable: d = q always works
-
-    @property
-    def conductor(self) -> int:
-        return self._conductor()
 
     @property
     def is_primitive(self) -> bool:

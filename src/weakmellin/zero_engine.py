@@ -14,15 +14,15 @@ residual test and an independent mechanism confirms the count inside a
 tight disk around it.  Anything that fails stays in the output with
 certified=False rather than being dropped.
 
-The function fn handed to winding_count and line_zeros is called on a 1-D
-complex ndarray of points and must be elementwise: it returns an array of
-the same shape holding its value at each point.  line_zeros evaluates its
-whole scan grid in one call, winding_count each doubling round's fresh
-points in one call, and a Newton step its four difference points in one
-call and its new iterate in another, so the points are exactly those a
-per-point loop would visit.  A scalar callable still works: if the first
-call raises TypeError or ValueError or returns another shape, fn is called
-once per point from then on.  GlobalFactorization.evaluate, zeta_real,
+The function fn handed to winding_count and line_zeros must accept a
+complex scalar and return its value there.  If it also maps a 1-D complex
+ndarray elementwise, to an array of the same shape, line_zeros evaluates
+its whole scan grid in one call and winding_count each doubling round's
+fresh points in one call; otherwise those calls are lifted once to a loop
+over the points (if the first array call raises TypeError or ValueError or
+returns another shape, fn is called once per point from then on).  Newton
+polishing and the wander fallback always call fn once per point with a
+Python complex.  GlobalFactorization.evaluate, zeta_real,
 LocalFactor.evaluate and entire_eval, and the special functions
 riemann_zeta, hurwitz_zeta, dirichlet_l, gamma, log_gamma and hyp1f1 take
 arrays.
@@ -502,26 +502,23 @@ def winding_count(fn, rect, poles=(), start_samples: int = 64,
 # vertical-line scan with Newton polish and winding certification
 
 
-def _at(fn, *zs) -> list[complex]:
-    """Values of an elementwise fn at the points zs, from one call."""
-    return [complex(v) for v in fn(np.array(zs, dtype=complex))]
-
-
 def _newton_polish(fn, z0: complex, scale: float, max_iter: int = 60):
     """Two-dimensional Newton with finite-difference Jacobian.
 
-    fn is elementwise (see _elementwise); each iteration calls it twice,
-    on the four difference points and on the new iterate.  Returns (z,
-    relative_residual, converged).  The residual is |fn(z)| over the
-    supplied local scale, so a flat-out tiny function does not
+    fn is called once per point with a Python complex: each iteration
+    evaluates the four difference points and then the new iterate.
+    Returns (z, relative_residual, converged).  The residual is |fn(z)|
+    over the supplied local scale, so a flat-out tiny function does not
     self-certify.
     """
     z = z0
-    (fz,) = _at(fn, z)
+    fz = complex(fn(z))
     best_z, best_r = z, abs(fz) / scale
     for _ in range(max_iter):
         h = 1e-7 * max(1.0, abs(z))
-        fxp, fxm, fyp, fym = _at(fn, z + h, z - h, z + 1j * h, z - 1j * h)
+        fxp, fxm, fyp, fym = (
+            complex(fn(w)) for w in (z + h, z - h, z + 1j * h, z - 1j * h)
+        )
         dfx = (fxp - fxm) / (2.0 * h)
         dfy = (fyp - fym) / (2.0 * h)
         jac = np.array(
@@ -537,7 +534,7 @@ def _newton_polish(fn, z0: complex, scale: float, max_iter: int = 60):
         if abs(step) > 0.5:
             step *= 0.5 / abs(step)
         z = z + step
-        (fz,) = _at(fn, z)
+        fz = complex(fn(z))
         rel = abs(fz) / scale
         if rel < best_r:
             best_z, best_r = z, rel
@@ -576,9 +573,9 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     """
     if im_hi <= im_lo:
         raise DomainError("empty scan range")
-    fn = _elementwise(fn)
+    scan = _elementwise(fn)
     ts = np.linspace(im_lo, im_hi, samples)
-    mags = np.abs(fn(re + 1j * ts))
+    mags = np.abs(scan(re + 1j * ts))
 
     candidates = []
     inner = mags[1:-1]
@@ -600,7 +597,7 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
             # Newton escaped the dip's neighbourhood; whatever it found
             # out there is not this dip's zero
             z = z0
-            resid = abs(_at(fn, z0)[0]) / scale
+            resid = abs(complex(fn(z0))) / scale
             converged = False
         if any(abs(z - r.location) < _CERT_RADIUS for r in reports):
             continue  # same zero seen from a neighbouring dip
@@ -620,7 +617,7 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
                     z.real - hw, z.real + hw, z.imag - hw, z.imag + hw,
                 )
                 try:
-                    count = winding_count(fn, rect, poles=poles)
+                    count = winding_count(scan, rect, poles=poles)
                 except (
                     BoundaryZeroError,
                     NonIntegerWindingError,

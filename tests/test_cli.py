@@ -156,6 +156,39 @@ def test_zeros_reference_census_and_determinism(capsys):
     assert out2 == out  # byte-identical artifact for an identical config
 
 
+def test_strict_census_matches_the_winding_count(capsys):
+    args = ["zeros", "--global", "reference", "--imax", "30"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    code, strict_out, err = run_cli(args + ["--strict"], capsys)
+    assert code == 0 and err == ""
+    assert strict_out == out
+
+
+def test_strict_census_refuses_a_scan_that_misses_a_zero(capsys):
+    # 16 samples over Im 50..60 miss the global zero near Im 52.97; the
+    # box count finds 5 zeros where the scan lists 4
+    args = ["zeros", "--global", "reference", "--imin", "50", "--imax", "60",
+            "--samples", "16"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and len(out.splitlines()) == 1 + 4
+    code, out, err = run_cli(args + ["--strict"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("certification failure:")
+    assert "lists 4 zeros" in err and "winding count is 5" in err
+
+
+def test_strict_census_refuses_a_pole_on_the_box_edge(capsys):
+    # the reference function has poles at s = 0 and s = 1, on Im s = 0
+    args = ["zeros", "--global", "reference", "--imin", "0", "--imax", "10"]
+    code, _, _ = run_cli(args, capsys)
+    assert code == 0
+    code, out, err = run_cli(args + ["--strict"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("certification failure:")
+    assert "edge" in err and "s = 0" in err
+
+
 def test_zeros_local_factor_periodized(capsys):
     code, out, _ = run_cli(
         ["zeros", "--field", "qp", "--p", "3", "--b", "1/3",

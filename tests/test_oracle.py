@@ -22,7 +22,6 @@ from weakmellin.arch_zeta import (
 )
 from weakmellin.errors import DomainError
 from weakmellin.oracle import (
-    ArchOracleParams,
     _fold_even,
     _fold_odd,
     _hermitian_damped,
@@ -129,7 +128,6 @@ def _damped_twin(oracle_fn, args):
     """The damped route for the same transform, or None where there is
     none (the square phase with b != 0 has only the Gaussian-parameter
     route)."""
-    params = ArchOracleParams()
     if oracle_fn is oracle_real_mellin:
         a, b, s = args
         return _real_damped(float(a), float(b), complex(s), _fold_even)
@@ -146,7 +144,7 @@ def _damped_twin(oracle_fn, args):
         return pref * complex(_real_damped(float(a), float(bnorm), complex(s), fold))
     a, b, n, s = args
     if b == 0:
-        return _square_bessel(complex(a), n, complex(s), params)
+        return _square_bessel(complex(a), n, complex(s))
     return None
 
 
@@ -219,11 +217,10 @@ def test_sphere_average_small_and_large_arguments():
 def test_square_dual_routes_agree():
     # the Gaussian-parameter route and the damped Bessel route are
     # independent machinery; at b = 0 both apply
-    params = ArchOracleParams()
     for a in (1.0 + 0j, 1.5 - 0.8j):
         for s in (0.45 + 0.6j, 0.7):
             schwinger = complex(oracle_complex_square_mellin(a, 0, 0, s))
-            bessel = complex(_square_bessel(complex(a), 0, complex(s), params))
+            bessel = complex(_square_bessel(complex(a), 0, complex(s)))
             assert abs(schwinger - bessel) < 2e-7 * abs(schwinger)
 
 

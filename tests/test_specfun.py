@@ -4,10 +4,12 @@ mpmath is the numerical reference here; the library itself never imports it.
 """
 
 import cmath
+import gc
 import math
 import random
 import time
 import warnings
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -351,6 +353,15 @@ def test_character_conductors_mod_twelve():
 def test_character_conductors_mod_eight():
     conds = sorted(chi.conductor for chi in sf.characters(8))
     assert conds == [1, 4, 8, 8]
+
+
+def test_conductor_does_not_keep_its_character_alive():
+    chi = sf.DirichletCharacter(7, (2,))
+    assert chi.conductor == 7
+    ref = weakref.ref(chi)
+    del chi
+    gc.collect()
+    assert ref() is None
 
 
 def test_primitive_character_induces_original():

@@ -415,7 +415,8 @@ def _recording(fn):
     batches = []
 
     def recorded(zs):
-        batches.append(len(zs))
+        # an array call records its size, a scalar call None
+        batches.append(zs.size if isinstance(zs, np.ndarray) else None)
         return fn(zs)
 
     return recorded, batches
@@ -430,7 +431,12 @@ def test_scans_call_fn_once_per_grid_and_per_round():
     reports = line_zeros(fn, 0.5, 0.4, 5.6, samples=600)
     assert len(reports) == 5 and all(r.certified for r in reports)
     assert batches[0] == 600  # the whole grid in one call
-    assert sum(batches) == 975
+    # Newton alone calls with a scalar, one point a call; a scan or a
+    # winding round lifted to a per-point loop would add scalar calls
+    arrays = [n for n in batches if n is not None]
+    assert batches.count(None) == 55
+    assert sum(arrays) == 600 + 320
+    assert all(n >= 64 for n in arrays)
 
     fn, batches = _recording(lambda z: z - 0.5 - 0.004j)
     assert winding_count(fn, (0.0, 1.0, 0.0, 1.0)) == 1
