@@ -32,10 +32,9 @@ from .arch_zeta import (
     zeta_real,
     zeta_rn_radial,
 )
-from .errors import DomainError
+from .errors import DomainError, UncertifiedError
 from .global_zeta import (
     classify_zero,
-    factorize_global,
     global_fe_residual,
     reference_spec,
 )
@@ -61,10 +60,10 @@ from .padic_zeta import (
 )
 from .specfun import completed_xi, gamma, hyp1f1
 from .zero_engine import (
+    census,
     exp_poly_roots,
     line_zeros,
     unit_circle_certificate,
-    winding_count,
 )
 
 __all__ = ["CriterionResult", "battery", "run_criterion", "run_all"]
@@ -212,22 +211,16 @@ def _criterion_5():
             continue
         for char in (Trivial(), RealSign()):
             fn = lambda s, a=a, b=b, char=char: zeta_real(a, b, s, char)
-            reports = line_zeros(fn, 0.5, 0.0, 40.0, samples=2048)
-            box = winding_count(fn, (0.1, 0.9, 0.0, 40.0))
-            inbox = [
-                r for r in reports
-                if 0.1 <= r.location.real <= 0.9 and 0.0 <= r.location.imag <= 40.0
-            ]
-            census_ok = (
-                census_ok
-                and len(inbox) == box
-                and all(r.certified for r in inbox)
-            )
+            try:
+                reports, count = census(fn, (0.1, 0.9, 0.0, 40.0))
+            except UncertifiedError:
+                census_ok = False
+                continue
             worst_line = max(
                 worst_line,
-                max((abs(r.location.real - 0.5) for r in inbox), default=0.0),
+                max((abs(r.location.real - 0.5) for r in reports), default=0.0),
             )
-            total += box
+            total += count
     ok = (
         worst_kummer <= 1e-10
         and worst_fe <= 1e-9
@@ -287,7 +280,7 @@ def _criterion_6():
 def _criterion_7():
     """Assembled reference function: reflection grid and strip census."""
     spec = reference_spec()
-    fact = factorize_global(spec)
+    fact = spec._factorization
     grid = [
         complex(re, im)
         for re in (0.2, 0.35, 0.5, 0.65, 0.8)
@@ -295,8 +288,10 @@ def _criterion_7():
     ]
     worst_fe = max(global_fe_residual(spec, s) for s in grid)
 
-    reports = line_zeros(fact.evaluate, 0.5, 1.0, 30.0, samples=2048)
-    box = winding_count(fact.evaluate, (-0.1, 1.1, 1.0, 30.0))
+    try:
+        reports, box = census(fact.evaluate, (-0.1, 1.1, 1.0, 30.0))
+    except UncertifiedError as exc:
+        return False, f"reflection residual {worst_fe:.1e}, census refused: {exc}"
     worst_line = max(
         (abs(r.location.real - 0.5) for r in reports), default=1.0
     )
@@ -371,12 +366,17 @@ def _criterion_8():
     for n in (2, 3):
         for bnorm in (1.0, 1.5):
             fn = lambda s, n=n, b=bnorm: zeta_rn_radial(1.0, b, n, s)
-            reports = line_zeros(fn, n / 2.0, 0.0, 30.0, samples=1536)
-            box = winding_count(fn, (n / 2.0 - 0.4, n / 2.0 + 0.4, 0.0, 30.0))
-            rad_ok = rad_ok and len(reports) == box and len(reports) >= 1
+            try:
+                reports, _ = census(
+                    fn, (n / 2.0 - 0.4, n / 2.0 + 0.4, 0.0, 30.0), samples=1536
+                )
+            except UncertifiedError:
+                rad_ok = False
+                continue
+            rad_ok = rad_ok and len(reports) >= 1
             worst_rad = max(
                 worst_rad,
-                max(abs(r.location.real - n / 2.0) for r in reports),
+                max((abs(r.location.real - n / 2.0) for r in reports), default=0.0),
             )
             n_rad += len(reports)
     rad_ok = rad_ok and worst_rad <= 1e-8

@@ -28,16 +28,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arch_zeta import RealSign, Trivial, weil_index_arch, zeta_real
-from .errors import (
-    BoundaryZeroError,
-    ConvergenceError,
-    NonIntegerWindingError,
-    UncertifiedError,
-    WeakMellinError,
-)
+from .errors import UncertifiedError, WeakMellinError
 from .global_zeta import (
     classify_zero,
-    factorize_global,
     gamma_f,
     global_fe_residual,
     reference_spec,
@@ -45,7 +38,7 @@ from .global_zeta import (
 from .padic_core import unit_characters
 from .padic_zeta import local_factor, weil_index_padic
 from .specfun import _ZETA_IM_CAP, _factorize
-from .zero_engine import line_zeros, winding_count, zeros_in_window
+from .zero_engine import census, line_zeros, zeros_in_window
 
 __all__ = ["ConfigError", "JobConfig", "main", "run"]
 
@@ -359,7 +352,7 @@ def _run_local(cfg: JobConfig):
 
 def _run_global(cfg: JobConfig):
     spec = reference_spec()
-    fact = factorize_global(spec)
+    fact = spec._factorization
     breakdown = {
         "type": "breakdown",
         "archimedean_character": type(fact.arch_char).__name__,
@@ -391,43 +384,18 @@ def _run_global(cfg: JobConfig):
     return _json_artifact(cfg, rows), ok
 
 
-def _check_census(fn, reports, im_lo: float, im_hi: float) -> None:
-    """Raise UncertifiedError unless the multiplicities of the reports
-    inside the box -0.1 <= Re s <= 1.1, im_lo <= Im s <= im_hi add up to
-    the winding count of fn around it.
-
-    The count adds back the poles of the reference function at s = 0 and
-    s = 1, so a box with either on its edge cannot be counted.
-    """
-    box = f"the box -0.1 <= Re s <= 1.1, {im_lo:g} <= Im s <= {im_hi:g}"
-    try:
-        count = winding_count(fn, (-0.1, 1.1, im_lo, im_hi), poles=(0, 1))
-    except (BoundaryZeroError, NonIntegerWindingError, ConvergenceError) as exc:
-        raise UncertifiedError(
-            f"no winding count of {box}: {exc} (a zero or a pole of the "
-            "reference function, at s = 0 or s = 1, lies on or next to "
-            "the box edge)"
-        ) from exc
-    found = sum(
-        rep.multiplicity for rep in reports
-        if -0.1 < rep.location.real < 1.1 and im_lo < rep.location.imag < im_hi
-    )
-    if found != count:
-        raise UncertifiedError(
-            f"the census lists {found} zeros in {box} but its winding "
-            f"count is {count}; a finer scan (--samples) may find the rest"
-        )
-
-
 def _zero_rows_global(cfg: JobConfig):
     spec = reference_spec()
-    fact = factorize_global(spec)
-    reports = line_zeros(
-        fact.evaluate, 0.5, cfg.im_lo, cfg.im_hi, samples=cfg.samples,
-        strict=cfg.strict,
-    )
+    fact = spec._factorization
     if cfg.strict:
-        _check_census(fact.evaluate, reports, cfg.im_lo, cfg.im_hi)
+        # the reference function has poles at s = 0 and s = 1
+        reports, _ = census(
+            fact.evaluate, (-0.1, 1.1, cfg.im_lo, cfg.im_hi),
+            samples=cfg.samples, poles=(0, 1),
+        )
+    else:
+        reports = line_zeros(fact.evaluate, 0.5, cfg.im_lo, cfg.im_hi,
+                             samples=cfg.samples)
     rows = []
     for rep in reports:
         kind, place = "", ""

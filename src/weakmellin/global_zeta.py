@@ -268,7 +268,7 @@ def assemble_xi_f(spec: GlobalSpec, s: complex, mode: str = "l-function"):
     mode "l-function" works on the whole strip; "euler-product"
     multiplies the primes directly and needs Re(s) > 1.
     """
-    fact = factorize_global(spec)
+    fact = spec._factorization
     if mode == "l-function":
         return fact.evaluate(s), fact
     if mode == "euler-product":

@@ -105,6 +105,9 @@ def _cexp(w):
 
 
 def _near_nonpositive_int(z: complex) -> bool:
+    # every gamma entry point passes here, so it also refuses non-finite z
+    if not cmath.isfinite(z):
+        raise DomainError(f"gamma needs a finite argument, got {z}")
     if abs(z.imag) > _POLE_TOL:
         return False
     r = round(z.real)
@@ -113,6 +116,9 @@ def _near_nonpositive_int(z: complex) -> bool:
 
 def _raise_at_poles(z: np.ndarray, what: str) -> None:
     # the array form of _near_nonpositive_int
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise DomainError(f"gamma needs a finite argument, got {z[bad][0]}")
     r = np.round(z.real)
     bad = (np.abs(z.imag) <= _POLE_TOL) & (r <= 0) & (np.abs(z.real - r) <= _POLE_TOL)
     if bad.any():
@@ -154,7 +160,8 @@ def log_gamma(z: complex) -> complex:
 
     The imaginary part is continuous along the Lanczos evaluation, not
     reduced to the principal branch; exp(log_gamma(z)) is always Gamma(z).
-    Raises PoleError within 1e-9 of a non-positive integer.
+    Raises PoleError within 1e-9 of a non-positive integer and DomainError
+    at a non-finite z.
     """
     if _is_array(z):
         return _log_gamma_array(z.astype(complex))

@@ -12,7 +12,8 @@ Three independent mechanisms feed a common report format:
 A report is marked certified only when the located zero passes a small
 residual test and an independent mechanism confirms the count inside a
 tight disk around it.  Anything that fails stays in the output with
-certified=False rather than being dropped.
+certified=False rather than being dropped; census refuses it instead, as
+it refuses a scan whose multiplicities miss the winding count of its box.
 
 The function fn handed to winding_count and line_zeros must accept a
 complex scalar and return its value there.  If it also maps a 1-D complex
@@ -60,6 +61,8 @@ _CERT_RADIUS = 1e-6
 _DIP_RATIO = 0.25
 _DIP_WINDOW = 12
 _CERT_HALF_WIDTH = 2e-3
+# what winding_count raises when it cannot count a contour
+_COUNT_REFUSALS = (BoundaryZeroError, NonIntegerWindingError, ConvergenceError)
 
 
 @dataclass(frozen=True)
@@ -297,11 +300,7 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
             try:
                 w = _poly_winding_count(coeffs, x_root, _CERT_RADIUS)
                 confirmed = w == mult
-            except (
-                BoundaryZeroError,
-                NonIntegerWindingError,
-                ConvergenceError,
-            ):
+            except _COUNT_REFUSALS:
                 confirmed = False
 
         reports.append(
@@ -380,6 +379,9 @@ _BOUNDARY_DIP = 1e-4
 _POLE_MARGIN = 1e-3
 # window entries per block of boundary medians (8 MB of float64)
 _MEDIAN_BLOCK = 1 << 20
+# winding_count's first and largest contour sizes (multiples of 4: rounds nest)
+_START_SAMPLES = 64
+_MAX_SAMPLES = 131072
 
 
 def _boundary_points(rect, n: int) -> np.ndarray:
@@ -438,16 +440,15 @@ def _integer_winding(total_phase: float) -> int:
     return int(nearest)
 
 
-def winding_count(fn, rect, poles=(), start_samples: int = 64,
-                  max_samples: int = 131072) -> int:
+def winding_count(fn, rect, poles=()) -> int:
     """Zeros minus unlisted poles inside a rectangle, by argument count.
 
     rect is (re_lo, re_hi, im_lo, im_hi).  Known poles inside the
     rectangle may be passed in poles; their (simple) winding is added
     back so the return value is the zero count.  A listed pole close to
-    the boundary is refused outright.  Sampling starts at start_samples
-    (rounded down to a multiple of 4, at least 64) around the contour
-    and doubles until every consecutive argument step is below pi/4.
+    the boundary is refused outright.  Sampling starts at _START_SAMPLES
+    points and doubles until every consecutive argument step is below
+    pi/4; past _MAX_SAMPLES it raises ConvergenceError.
     The samples of one round are kept when n doubles: they are exactly
     the even-numbered points of the next round, so fn runs once per
     distinct contour point.
@@ -476,7 +477,7 @@ def winding_count(fn, rect, poles=(), start_samples: int = 64,
             )
 
     fn = _elementwise(fn)
-    n = 4 * max(16, start_samples // 4)  # a multiple of 4, so rounds nest
+    n = _START_SAMPLES
     arr = fn(_boundary_points(rect, n))
     while True:
         if np.any(arr == 0.0):
@@ -487,7 +488,7 @@ def winding_count(fn, rect, poles=(), start_samples: int = 64,
             _check_boundary_clear(arr)
             return _integer_winding(float(np.sum(steps))) + inside
         n *= 2
-        if n > max_samples:
+        if n > _MAX_SAMPLES:
             raise ConvergenceError(
                 "winding phase did not settle; a zero or pole is too close "
                 "to the contour for the sample budget"
@@ -544,8 +545,7 @@ def _newton_polish(fn, z0: complex, scale: float, max_iter: int = 60):
 
 
 def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
-               samples: int = 2048, poles=(),
-               strict: bool = False) -> list[ZeroReport]:
+               samples: int = 2048) -> list[ZeroReport]:
     """Zeros of fn near the vertical line Re(s) = re, Im(s) in [lo, hi].
 
     The scan flags local minima of |fn| that dip below a quarter of the
@@ -562,14 +562,13 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     (the narrowest count >= 1 for the multiplicity), so the usual zero
     costs one square, not three.  Failed polish or certification is
     reported with certified=False; a polish that runs away from its dip
-    counts as failed and the raw sample point is reported instead.  With
-    strict=True any uncertified candidate raises UncertifiedError.
+    counts as failed and the raw sample point is reported instead.
     Reports are sorted by Im(s).
 
     Certification is per zero, not per scan: a pair closer together
     than the sample step shows up as one report.  Callers wanting a
-    completeness guarantee should compare the total against an
-    independent winding count over the whole rectangle.
+    completeness guarantee should call census, which checks the total
+    against an independent winding count over the whole box.
     """
     if im_hi <= im_lo:
         raise DomainError("empty scan range")
@@ -617,12 +616,8 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
                     z.real - hw, z.real + hw, z.imag - hw, z.imag + hw,
                 )
                 try:
-                    count = winding_count(scan, rect, poles=poles)
-                except (
-                    BoundaryZeroError,
-                    NonIntegerWindingError,
-                    ConvergenceError,
-                ):
+                    count = winding_count(scan, rect)
+                except _COUNT_REFUSALS:
                     continue
                 if confirmed is None:
                     confirmed = count >= 1
@@ -630,10 +625,6 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
                     mult = count
                     break
         certified = bool(converged and confirmed and resid <= _CERT_RESIDUAL)
-        if strict and not certified:
-            raise UncertifiedError(
-                f"zero near {z} failed certification (residual {resid:.2e})"
-            )
         reports.append(
             ZeroReport(
                 location=z,
@@ -644,3 +635,44 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
             )
         )
     return _sorted_reports(reports)
+
+
+def census(fn, rect, *, samples: int = 2048, poles=()):
+    """(reports, count): line_zeros on the centre line of rect, with
+    samples points, and winding_count of rect, with the listed poles.
+
+    rect is (re_lo, re_hi, im_lo, im_hi).  Raises UncertifiedError when a
+    report is uncertified, when the box cannot be counted, or when the
+    multiplicities of the reports strictly inside rect do not add up to
+    the count (a close pair merged by the scan, or a zero off the line).
+    """
+    re_lo, re_hi, im_lo, im_hi = rect
+    reports = line_zeros(fn, 0.5 * (re_lo + re_hi), im_lo, im_hi,
+                         samples=samples)
+    for rep in reports:
+        if not rep.certified:
+            raise UncertifiedError(
+                f"zero near {rep.location} failed certification "
+                f"(residual {rep.residual:.2e})"
+            )
+    box = (f"the box {re_lo:g} <= Re s <= {re_hi:g}, "
+           f"{im_lo:g} <= Im s <= {im_hi:g}")
+    try:
+        count = winding_count(fn, rect, poles=poles)
+    except _COUNT_REFUSALS as exc:
+        listed = ", ".join(f"s = {p}" for p in poles)
+        culprit = f"a zero or a listed pole ({listed})" if poles else "a zero"
+        raise UncertifiedError(
+            f"no winding count of {box}: {exc} ({culprit} lies on or next "
+            "to the box edge)"
+        ) from exc
+    found = sum(
+        rep.multiplicity for rep in reports
+        if re_lo < rep.location.real < re_hi and im_lo < rep.location.imag < im_hi
+    )
+    if found != count:
+        raise UncertifiedError(
+            f"the census lists {found} zeros in {box} but its winding "
+            f"count is {count}; a finer scan (more samples) may find the rest"
+        )
+    return reports, count

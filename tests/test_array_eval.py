@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from weakmellin import acceptance
 from weakmellin import specfun as sf
 from weakmellin.arch_zeta import Real, RealSign, Trivial, zeta_real, zeta_rn_radial
+from weakmellin.errors import DomainError
 from weakmellin.global_zeta import GlobalSpec, factorize_global, reference_spec
 from weakmellin.padic_core import unit_characters
 from weakmellin.padic_zeta import local_factor, padic_vector_factor
@@ -259,6 +260,16 @@ def test_global_evaluate_keeps_the_array_shape():
     fact = factorize_global(reference_spec())
     pts = [0.5 + 14.134725j, 0.4 + 3j, 0.6 - 20j]
     assert fact.evaluate(np.array(pts).reshape(3, 1)).shape == (3, 1)
+
+
+def test_gamma_callers_refuse_a_non_finite_point():
+    # both reach gamma before any other numpy work, so a NaN is refused
+    # there rather than warned about
+    fact = factorize_global(reference_spec())
+    for f in (lambda s: zeta_real(1.0, 0.0, s), fact.evaluate):
+        for s in (complex("nan"), np.array([0.5 + 14j, complex("nan")])):
+            with pytest.raises(DomainError, match="finite"):
+                f(s)
 
 
 # ---------------------------------------------------------------------------

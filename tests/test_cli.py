@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from weakmellin import cli
+from weakmellin import cli, global_zeta
 from weakmellin.arch_zeta import RealSign, zeta_real
 from weakmellin.cli import ConfigError, JobConfig
 
@@ -270,11 +270,32 @@ def test_global_heights_past_the_zeta_cap_exit_2(argv, monkeypatch, capsys):
     def unreachable(spec):
         raise AssertionError("evaluated a job the config should refuse")
 
-    monkeypatch.setattr(cli, "factorize_global", unreachable)
+    monkeypatch.setattr(global_zeta, "factorize_global", unreachable)
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("config error:") and "|Im s| <= 60" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--global", "reference", "--imax", "30"],
+    ["zeros", "--global", "reference", "--imax", "30", "--strict"],
+    ["global", "--s", "0.5,14", "--s", "2,0"],
+], ids=["zeros", "zeros-strict", "global"])
+def test_one_factorization_per_run(argv, monkeypatch, capsys):
+    # the run, the zero classifier and the reflection residual all read
+    # the spec's cached factorization
+    builds = []
+    real = global_zeta.GlobalFactorization
+
+    def counted(**fields):
+        builds.append(fields["spec"])
+        return real(**fields)
+
+    monkeypatch.setattr(global_zeta, "GlobalFactorization", counted)
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("mapping,refused", [

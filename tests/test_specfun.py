@@ -78,6 +78,15 @@ def test_gamma_next_to_a_pole_keeps_its_relative_accuracy(z):
     assert abs(sf.gamma(z) - ref) <= 1e-13 * abs(ref)
 
 
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(1, math.inf)])
+def test_gamma_refuses_a_non_finite_point(z):
+    for f in (sf.gamma, sf.log_gamma, lambda w: sf.gamma_ratio(w, 2.5)):
+        with pytest.raises(DomainError, match="finite"):
+            f(z)
+    with pytest.raises(DomainError, match="finite"):
+        sf.gamma(np.array([1.5, z, 2.5]))
+
+
 def test_gamma_ratio_denominator_pole_gives_zero():
     assert sf.gamma_ratio(2.5, -3.0) == 0
 

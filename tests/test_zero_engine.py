@@ -32,6 +32,7 @@ from weakmellin.zero_engine import (
     ZeroReport,
     _boundary_points,
     _check_boundary_clear,
+    census,
     circle_zeros,
     exp_poly_roots,
     line_zeros,
@@ -350,14 +351,15 @@ def test_winding_rejects_degenerate_rect():
         winding_count(lambda z: z, (1.0, 1.0, 0.0, 1.0))
 
 
-def test_winding_gives_up_on_discontinuous_phase():
+def test_winding_gives_up_on_discontinuous_phase(monkeypatch):
     def fn(z):
         # half-angle phase is discontinuous along a ray crossing the
         # contour, so the step criterion can never be met there
         return cmath.exp(0.5j * cmath.phase(z - 0.5 - 0.5j))
 
+    monkeypatch.setattr(zero_engine, "_MAX_SAMPLES", 4096)
     with pytest.raises(ConvergenceError):
-        winding_count(fn, (0.0, 1.0, 0.0, 1.0), max_samples=4096)
+        winding_count(fn, (0.0, 1.0, 0.0, 1.0))
 
 
 def test_winding_unaffected_by_huge_scale_variation():
@@ -392,19 +394,16 @@ def test_winding_counts_random_interior_roots(offsets):
     assert winding_count(fn, (0.0, 1.0, 0.0, 1.0)) == len(roots)
 
 
-@pytest.mark.parametrize("start_samples", [64, 130])
-def test_winding_evaluates_each_contour_point_once(start_samples):
+def test_winding_evaluates_each_contour_point_once():
     # the zero sits 0.004 from the bottom edge, so the phase steps force
-    # several doublings; every round reuses the samples of the last one,
-    # also from a start count that is not a multiple of 4
+    # several doublings; every round reuses the samples of the last one
     batches = []
 
     def fn(z):
         batches.append(z)
         return z - 0.5 - 0.004j
 
-    assert winding_count(fn, (0.0, 1.0, 0.0, 1.0),
-                         start_samples=start_samples) == 1
+    assert winding_count(fn, (0.0, 1.0, 0.0, 1.0)) == 1
     calls = np.concatenate(batches).tolist()
     assert len(calls) == len(set(calls))
     assert len(calls) > 256
@@ -686,14 +685,14 @@ def test_line_scan_reports_double_zero_multiplicity():
 
 def test_line_scan_strict_raises_on_unpolishable_dip():
     # real-valued modulus dip with no analytic zero: the Jacobian is
-    # singular, polish fails, and strict mode refuses the result
+    # singular, polish fails, and a census refuses the uncertified report
     def fn(s):
         return abs(s - (0.5 + 2.0j)) + 1e-3
 
     reports = line_zeros(fn, 0.5, 1.5, 2.5, samples=400)
     assert reports and not any(r.certified for r in reports)
-    with pytest.raises(UncertifiedError):
-        line_zeros(fn, 0.5, 1.5, 2.5, samples=400, strict=True)
+    with pytest.raises(UncertifiedError, match="failed certification"):
+        census(fn, (0.4, 0.6, 1.5, 2.5), samples=400)
 
 
 def test_line_scan_ignores_smooth_nonvanishing_stretch():
@@ -709,17 +708,77 @@ def test_line_scan_rejects_empty_range():
 
 
 def test_line_scan_respects_listed_poles():
-    # simple pole just outside the scan line must not break certification
+    # a simple pole past the end of the scan must not break certification:
+    # it is 4 units from every certification square
     z0 = 0.5 + 3.0j
     pole = 0.5 + 7.0j
 
     def fn(s):
         return (s - z0) / (s - pole)
 
-    reports = line_zeros(fn, 0.5, 2.0, 4.0, samples=300, poles=[pole])
+    reports = line_zeros(fn, 0.5, 2.0, 4.0, samples=300)
     assert len(reports) == 1
     assert reports[0].certified
     assert abs(reports[0].location - z0) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# census: certified reports whose multiplicities match the box's winding count
+
+_Z0 = 0.5 + 2.0j
+
+
+def test_census_counts_a_double_zero_twice():
+    reports, count = census(lambda s: (s - _Z0) ** 2, (0.4, 0.6, 1.5, 2.5),
+                            samples=400)
+    assert count == 2
+    assert [r.multiplicity for r in reports] == [2]
+
+
+def test_census_leaves_out_a_report_outside_the_open_box():
+    # Newton polishes the dip on Re s = 1/2 to the zero at Re s = 0.56,
+    # right of the box: listed, not counted, and the box counts none
+    z1 = 0.56 + 2.0j
+    reports, count = census(lambda s: s - z1, (0.45, 0.55, 1.0, 3.0),
+                            samples=100)
+    assert count == 0
+    assert len(reports) == 1 and abs(reports[0].location - z1) <= 1e-9
+
+
+def test_census_refuses_a_close_pair_the_scan_merges():
+    # 0.0008 apart against a sample step of 0.0025: one report, two zeros
+    def fn(s):
+        return (s - _Z0) * (s - _Z0 - 0.0008j)
+
+    with pytest.raises(UncertifiedError,
+                       match="lists 1 zeros .* winding count is 2"):
+        census(fn, (0.4, 0.6, 1.5, 2.5), samples=400)
+    reports, count = census(fn, (0.4, 0.6, 1.9, 2.1), samples=2000)
+    assert count == 2 and len(reports) == 2
+
+
+def test_census_adds_back_a_listed_pole_inside_the_box():
+    pole = 0.55 + 2.5j
+
+    def fn(s):
+        return (s - _Z0) / (s - pole)
+
+    rect = (0.4, 0.6, 1.5, 3.5)
+    with pytest.raises(UncertifiedError, match="winding count is 0"):
+        census(fn, rect, samples=400)
+    reports, count = census(fn, rect, samples=400, poles=[pole])
+    assert count == 1 and len(reports) == 1
+
+
+def test_census_refuses_a_listed_pole_on_the_box_edge():
+    pole = 0.4 + 2.5j
+
+    def fn(s):
+        return (s - _Z0) / (s - pole)
+
+    with pytest.raises(UncertifiedError, match=r"edge") as refused:
+        census(fn, (0.4, 0.6, 1.5, 3.5), samples=400, poles=[pole])
+    assert f"s = {pole}" in str(refused.value)
 
 
 # ---------------------------------------------------------------------------
