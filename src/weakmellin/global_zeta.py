@@ -262,20 +262,6 @@ def factorize_global(spec: GlobalSpec) -> GlobalFactorization:
     )
 
 
-def assemble_xi_f(spec: GlobalSpec, s: complex, mode: str = "l-function"):
-    """Value of the assembled transform plus its factorization.
-
-    mode "l-function" works on the whole strip; "euler-product"
-    multiplies the primes directly and needs Re(s) > 1.
-    """
-    fact = spec._factorization
-    if mode == "l-function":
-        return fact.evaluate(s), fact
-    if mode == "euler-product":
-        return fact.euler_product(s), fact
-    raise DomainError(f"unknown assembly mode {mode!r}")
-
-
 def reference_spec() -> GlobalSpec:
     """The standard pair at every place: one explicit factor at 2."""
     return GlobalSpec(

@@ -2,15 +2,16 @@
 
 Nothing in here knows the closed forms.  The p-adic oracles sum exact unit
 averages term by term until the profile provably stabilizes, then attach an
-analytic geometric tail.  The archimedean oracles first rotate the
-quadratic phase onto its steepest-descent contour, where it becomes a
-Gaussian, and sum the rotated integral by the trapezoidal rule in log
-radius (the square phase at b = 0 takes a Hankel contour instead).  Each
-contour value carries its own check and is refused, never guessed, when
-the check fails; a refused point falls back to damped numerical
-quadrature with Richardson extrapolation.  The result records which route
-answered.  Tests compare these against the closed-form modules; the two
-sides share only the exact primitives.
+analytic geometric tail.  The real, sign, radial and hermitian oracles all
+compute one folded real-line integral (the hermitian one through
+r = y / sqrt(2)).  It is first rotated onto the steepest-descent contour,
+where the quadratic phase becomes a Gaussian, and summed by the
+trapezoidal rule in log radius (the square phase at b = 0 takes a Hankel
+contour instead).  Each contour value carries its own check and is
+refused, never guessed, when the check fails; a refused point falls back
+to damped numerical quadrature with Richardson extrapolation.  The result
+records which route answered.  Tests compare these against the
+closed-form modules; the two sides share only the exact primitives.
 """
 
 from __future__ import annotations
@@ -226,12 +227,16 @@ def oracle_padic_vector(
 # Archimedean quadrature.  Every oscillatory transform is first tried on a
 # contour where its phase stops oscillating.  For a > 0 the ray
 # y = t e^(-i pi/4) turns exp(-pi i a y^2) into the Gaussian exp(-pi a t^2)
-# (a < 0 takes the conjugate ray).  The rotated integrand decays at both
-# ends of u = log t and is analytic in a strip about the real u-axis, so the
-# trapezoidal rule in u converges exponentially (Trefethen and Weideman,
-# "The exponentially convergent trapezoidal rule", SIAM Review 2014).  The
-# sum is taken at step h and at h/2 on nested nodes; the point is refused
-# unless max(|T_h - T_{h/2}|, 1e-15 L1) <= 1e-12 |value|, where the L1 mass
+# (a < 0 takes the conjugate ray).  The hermitian radial integral of
+# exp(-2 pi i a r^2) J_n(4 pi |b| r) r^(2s-1) dr is, with r = y / sqrt(2),
+# 2^(-s) times the real-line integral at (a, sqrt(2) |b|, 2s) with the fold
+# J_n, so it rides the same ray and damped ladder.  The rotated integrand
+# decays at both ends of u = log t and is analytic in a strip about the
+# real u-axis, so the trapezoidal rule in u converges exponentially
+# (Trefethen and Weideman, "The exponentially convergent trapezoidal rule",
+# SIAM Review 2014).  The sum is taken at step h and at h/2 on nested
+# nodes; the point is refused unless
+# max(|T_h - T_{h/2}|, 1e-15 L1) <= 1e-12 |value|, where the L1 mass
 # measures the cancellation the rotation costs (it grows like
 # exp(pi |Im s| / 4)).  The square phase at b = 0 goes through x = r^2
 # instead: the segment (0, 1) stays on the real axis, and beyond x = 1 the
@@ -517,11 +522,11 @@ def _real_damped(a, b, s, fold):
     return _damped_limit(build)
 
 
-def _real_line_mellin(a, b, s, fold, who):
+def _real_line_mellin(a, b, s, fold):
     """The folded real-line integral: the contour route, or the damped
-    route where the contour route refuses the point."""
+    route where the contour route refuses the point.  Each public oracle
+    checks its own strip first; the hermitian one calls this at 2s."""
 
-    _require_strip(s, 0.15, 2.5, who)
     return _real_rotated(a, b, s, fold) or _real_damped(a, b, s, fold)
 
 
@@ -538,7 +543,8 @@ def oracle_real_mellin(a, b, s):
     a, b, s = float(a), float(b), complex(s)
     if a == 0.0:
         raise DomainError("quadratic coefficient must be nonzero")
-    return _real_line_mellin(a, b, s, _fold_even, "real")
+    _require_strip(s, 0.15, 2.5, "real")
+    return _real_line_mellin(a, b, s, _fold_even)
 
 
 def oracle_real_sign_mellin(a, b, s):
@@ -551,7 +557,8 @@ def oracle_real_sign_mellin(a, b, s):
         raise DomainError("quadratic coefficient must be nonzero")
     if b == 0.0:
         return _EXACT_ZERO
-    return _real_line_mellin(a, b, s, _fold_odd, "real sign")
+    _require_strip(s, 0.15, 2.5, "real sign")
+    return _real_line_mellin(a, b, s, _fold_odd)
 
 
 def _hermitian_pref(b, n):
@@ -562,54 +569,20 @@ def _hermitian_pref(b, n):
     return 4.0 * math.pi * _I_POW[n % 4] * cmath.exp(1j * n * phi)
 
 
-def _hermitian_rotated(a, b, n, s):
-    """Contour route for the radial integral of the hermitian transform:
-    on r = e^(-i pi/4) t, in tau = sqrt(2 pi a) t, the integral of
-    exp(-2 pi i a r^2) J_n(4 pi |b| r) r^(2s-1) dr is e^(-i pi s/2)
-    (2 pi a)^(-s) times the integral of
-    tau^(2s) exp(-tau^2) J_n(4 pi |b| e^(-i pi/4) tau / sqrt(2 pi a)) d(log tau)."""
+def _hermitian_line(line, a, b, n, s):
+    """The hermitian transform from a real-line route, through
+    r = y / sqrt(2).  The damped envelope exp(-pi eps y^2) is then the
+    r-integral's own exp(-2 pi eps r^2), ladder and cut-off included."""
 
-    babs = abs(b)
-    c = math.sqrt(2.0 * math.pi * a)
-    k = 4.0 * math.pi * babs * _EIGHTH / c
-
-    def g(u):
-        tau = np.exp(u)
-        out = np.exp(2.0 * s * u - tau * tau)
-        if babs > 0.0:
-            out = out * special.jv(n, k * tau)
-        return out
-
-    pref = _hermitian_pref(b, n) * cmath.exp(
-        -s * complex(2.0 * math.log(c), 0.5 * math.pi)
-    )
-    return _contour_result(*_log_trapezoid(g), pref, "rotated")
+    fold = partial(special.jv, n)
+    pref = _hermitian_pref(b, n) * 2.0 ** (-s)
+    return _scaled(line(a, math.sqrt(2.0) * abs(b), 2.0 * s, fold), pref)
 
 
 def _hermitian_damped(a, b, n, s):
     """Damped-quadrature limit of the hermitian transform."""
 
-    babs = abs(b)
-
-    def build(eps):
-        hi = math.sqrt(_TAIL_LOG / (2.0 * math.pi * eps))
-        smooth = abs(2.0 * s - 1.0) + 1.0
-
-        def rate(r):
-            return 4.0 * math.pi * (a + eps) * r + 4.0 * math.pi * babs + smooth / r
-
-        edges = _panel_edges(_X_MIN, 1.0, hi, rate, _MAX_PHASE)
-        q = 2.0 * math.pi * (eps + 1j * a)
-
-        def fn(r):
-            out = np.exp(-q * r * r + (2.0 * s - 1.0) * np.log(r))
-            if babs > 0.0:
-                out = out * special.jv(n, 4.0 * math.pi * babs * r)
-            return out
-
-        return edges, fn
-
-    return _scaled(_damped_limit(build), _hermitian_pref(b, n))
+    return _hermitian_line(_real_damped, a, b, n, s)
 
 
 def oracle_hermitian_mellin(a, b, n, s):
@@ -618,9 +591,9 @@ def oracle_hermitian_mellin(a, b, n, s):
 
     The angular integral is a Bessel function, leaving
     4 pi (-i)^n e^(i n arg b) * integral of
-    exp(-2 pi i a r^2) J_n(4 pi |b| r) r^(2s-1) dr, computed on the
-    steepest-descent ray or, where the ray refuses the point, by the
-    damped-quadrature limit."""
+    exp(-2 pi i a r^2) J_n(4 pi |b| r) r^(2s-1) dr, which is the folded
+    real-line integral of oracle_real_mellin at (a, sqrt(2) |b|, 2s) with
+    the fold J_n, times 2^(-s)."""
 
     a, b, n, s = float(a), complex(b), int(n), complex(s)
     if a <= 0.0:
@@ -628,7 +601,7 @@ def oracle_hermitian_mellin(a, b, n, s):
     if b == 0 and n != 0:
         return _EXACT_ZERO
     _require_strip(s, 0.1, 1.6, "hermitian")
-    return _hermitian_rotated(a, b, n, s) or _hermitian_damped(a, b, n, s)
+    return _hermitian_line(_real_line_mellin, a, b, n, s)
 
 
 def _sphere_average(n, w):
@@ -667,9 +640,10 @@ def oracle_radial_mellin(a, bnorm, n, s):
         raise DomainError("dimension must be at least 1")
     if bnorm < 0.0:
         raise DomainError("the linear coefficient enters through its norm")
+    _require_strip(s, 0.15, 2.5, "radial")
     pref = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
     fold = partial(_sphere_average, n)
-    return _scaled(_real_line_mellin(a, bnorm, s, fold, "radial"), pref)
+    return _scaled(_real_line_mellin(a, bnorm, s, fold), pref)
 
 
 def _square_pref(a, m):

@@ -61,6 +61,8 @@ _CERT_RADIUS = 1e-6
 _DIP_RATIO = 0.25
 _DIP_WINDOW = 12
 _CERT_HALF_WIDTH = 2e-3
+# Newton steps one polish may take
+_NEWTON_MAX_ITER = 60
 # what winding_count raises when it cannot count a contour
 _COUNT_REFUSALS = (BoundaryZeroError, NonIntegerWindingError, ConvergenceError)
 
@@ -503,7 +505,7 @@ def winding_count(fn, rect, poles=()) -> int:
 # vertical-line scan with Newton polish and winding certification
 
 
-def _newton_polish(fn, z0: complex, scale: float, max_iter: int = 60):
+def _newton_polish(fn, z0: complex, scale: float):
     """Two-dimensional Newton with finite-difference Jacobian.
 
     fn is called once per point with a Python complex: each iteration
@@ -515,7 +517,7 @@ def _newton_polish(fn, z0: complex, scale: float, max_iter: int = 60):
     z = z0
     fz = complex(fn(z))
     best_z, best_r = z, abs(fz) / scale
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         h = 1e-7 * max(1.0, abs(z))
         fxp, fxm, fyp, fym = (
             complex(fn(w)) for w in (z + h, z - h, z + 1j * h, z - 1j * h)
@@ -548,8 +550,9 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
                samples: int = 2048) -> list[ZeroReport]:
     """Zeros of fn near the vertical line Re(s) = re, Im(s) in [lo, hi].
 
-    The scan flags local minima of |fn| that dip below a quarter of the
-    largest |fn| within 12 samples on either side; the relative test
+    The scan samples the line at samples points, at least 3, and flags
+    local minima of |fn| that dip below a quarter of the largest |fn|
+    within 12 samples on either side; the relative test
     keeps the scan honest when the function itself decays by orders of
     magnitude along the line.  Each candidate is polished by Newton in
     both coordinates and certified by a winding count on a small square
@@ -572,6 +575,9 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     """
     if im_hi <= im_lo:
         raise DomainError("empty scan range")
+    if samples < 3:
+        # a dip is a sample below both neighbours
+        raise DomainError(f"a line scan needs at least 3 samples, got {samples}")
     scan = _elementwise(fn)
     ts = np.linspace(im_lo, im_hi, samples)
     mags = np.abs(scan(re + 1j * ts))

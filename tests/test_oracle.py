@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakmellin import oracle
@@ -99,9 +99,15 @@ def test_rotated_real_sign_matches_closed_form(a, b, sign, s):
     _assert_contour(oracle_real_sign_mellin(a, sign * b, s), want, "rotated")
 
 
+# b = 0 with n = 0 takes the Bessel fold at J_0(0) = 1, at both strip edges
 @settings(max_examples=40, deadline=None)
 @given(_A_BAND, st.floats(0.1, 0.6), st.floats(0.0, 2.0 * math.pi),
        st.integers(-3, 3), _s_in(0.11, 1.59))
+@example(1.0, 0.0, 0.0, 0, 0.11 + 0j)
+@example(0.9, 0.0, 0.0, 0, 0.11 - 2j)
+@example(1.0, 0.0, 0.0, 0, 1.59 + 0j)
+@example(1.1, 0.0, 0.0, 0, 1.59 + 2j)
+@example(1.05, 0.0, 0.0, 0, 0.7 + 0.3j)
 def test_rotated_hermitian_matches_closed_form(a, babs, phase, n, s):
     b = babs * cmath.exp(1j * phase)
     want = zeta_complex_hermitian(a, b, n, s)
@@ -148,8 +154,14 @@ def _damped_twin(oracle_fn, args):
     return None
 
 
+# the criterion-6 points, and a hermitian point at b = 0, n = 0
+_TWIN_POINTS = ARCH_POINTS + (
+    ("hermitian", zeta_complex_hermitian, oracle_hermitian_mellin, (1, 0, 0, 0.7 + 0.3j)),
+)
+
+
 @pytest.mark.parametrize(
-    "point", ARCH_POINTS, ids=[f"{pt[0]}-{i}" for i, pt in enumerate(ARCH_POINTS)]
+    "point", _TWIN_POINTS, ids=[f"{pt[0]}-{i}" for i, pt in enumerate(_TWIN_POINTS)]
 )
 def test_contour_and_damped_routes_agree_on_criterion_6(point):
     # independent machinery on both sides: the contour route (or, for the

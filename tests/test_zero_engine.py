@@ -707,6 +707,18 @@ def test_line_scan_rejects_empty_range():
         line_zeros(_sin_line_fn, 0.5, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("samples", [0, 1, 2])
+def test_line_scan_needs_three_samples(samples):
+    # too few samples hold no dip, so the scan would list nothing unseen
+    with pytest.raises(DomainError, match="at least 3 samples"):
+        line_zeros(_sin_line_fn, 0.5, 0.4, 5.6, samples=samples)
+
+
+def test_census_refuses_too_few_samples_before_counting():
+    with pytest.raises(DomainError, match="at least 3 samples"):
+        census(_sin_line_fn, (0.4, 0.6, 0.5, 1.5), samples=2)
+
+
 def test_line_scan_respects_listed_poles():
     # a simple pole past the end of the scan must not break certification:
     # it is 4 units from every certification square
