@@ -14,8 +14,10 @@ header.  Floats print with 17 significant digits and rows sort by
 imaginary part then real part, so identical configs produce
 byte-identical output.  Exit codes: 0 success, 1 numeric failure, 2 bad
 configuration, which includes a `zeros --field qp` window that could list
-more than _MAX_ZERO_ROWS zeros and a `zeros --global` window or `global`
-point past |Im s| = specfun._ZETA_IM_CAP.
+more than _MAX_ZERO_ROWS zeros, a `zeros --global` window or `global`
+point past |Im s| = specfun._ZETA_IM_CAP, a `--p` above _MAX_P = 10^12
+(its primality check is trial division) and a `--chi-mod` above
+_MAX_CHI_MOD = 100 000 (its characters are enumerated).
 """
 
 from __future__ import annotations
@@ -121,6 +123,13 @@ def _within_zeta_cap(height: float, what: str) -> None:
         )
 
 
+# refused before any work: --p is proved prime by trial division (about
+# 0.15 s at the cap, growing as sqrt(p)), and --chi-index picks from a
+# tuple of all the characters mod --chi-mod
+_MAX_P = 10**12
+_MAX_CHI_MOD = 100_000
+
+
 def _prime_power_exponent(mod: int, p: int) -> int:
     n, m = 0, mod
     while m % p == 0 and m > 1:
@@ -191,6 +200,8 @@ class JobConfig:
         if cfg.field is not None:
             if cfg.field == "qp":
                 p = data.get("p")
+                if isinstance(p, int) and p > _MAX_P:
+                    raise ConfigError(f"--p {p} is above the cap {_MAX_P}")
                 if not isinstance(p, int) or _factorize(p) != [(p, 1)]:
                     raise ConfigError("qp factors need a prime --p")
                 cfg = replace(
@@ -198,14 +209,17 @@ class JobConfig:
                     a=_canon_rational(data.get("a", "1")),
                     b=_canon_rational(data.get("b", "0")),
                 )
-                if data.get("chi_mod") is not None:
-                    _prime_power_exponent(data["chi_mod"], p)
+                mod = data.get("chi_mod")
+                if mod is not None:
+                    if mod > _MAX_CHI_MOD:
+                        raise ConfigError(f"chi modulus {mod} is above the cap {_MAX_CHI_MOD}")
+                    _prime_power_exponent(mod, p)
                     if p == 2:
                         raise ConfigError(
                             "ramified characters at p = 2 are out of scope"
                         )
                     cfg = replace(
-                        cfg, chi_mod=data["chi_mod"],
+                        cfg, chi_mod=mod,
                         chi_index=int(data.get("chi_index", 0)),
                     )
                 elif data.get("chi_index") is not None:

@@ -1,17 +1,22 @@
 """Brute-force reference transforms.
 
-Nothing in here knows the closed forms.  The p-adic oracles sum exact unit
-averages term by term until the profile provably stabilizes, then attach an
-analytic geometric tail.  The real, sign, radial and hermitian oracles all
-compute one folded real-line integral (the hermitian one through
-r = y / sqrt(2)).  It is first rotated onto the steepest-descent contour,
-where the quadratic phase becomes a Gaussian, and summed by the
-trapezoidal rule in log radius (the square phase at b = 0 takes a Hankel
-contour instead).  Each contour value carries its own check and is
-refused, never guessed, when the check fails; a refused point falls back
-to damped numerical quadrature with Richardson extrapolation.  The result
-records which route answered.  Tests compare these against the
-closed-form modules; the two sides share only the exact primitives.
+Nothing in here knows the closed forms.  Both p-adic oracles sum exact
+level averages against p^(-js) through one level walk, which attaches an
+analytic geometric tail where the averages provably stabilize.  Its
+window reaches `max_window` levels beyond two anchors read off v(a) and
+v(b), not off the builders' escape formula: above, the level where both
+coefficients turn integral; below, the lower of the cancellation level
+v(b) - v(a) and the level where a y^2 turns integral.  The real, sign,
+radial and hermitian oracles all compute one folded real-line integral
+(the hermitian one through r = y / sqrt(2)).  It is first rotated onto
+the steepest-descent contour, where the quadratic phase becomes a
+Gaussian, and summed by the trapezoidal rule in log radius (the square
+phase at b = 0 takes a Hankel contour instead).  Each contour value
+carries its own check and is refused, never guessed, when the check
+fails; a refused point falls back to damped numerical quadrature with
+Richardson extrapolation.  The result records which route answered.
+Tests compare these against the closed-form modules; the two sides share
+only the exact primitives.
 """
 
 from __future__ import annotations
@@ -20,13 +25,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, QuadratureError, SupportEscapeError
-from .padic_core import UnitCharacter, theta_additive, unit_average, valuation
+from .errors import DegenerateError, DomainError, QuadratureError, SupportEscapeError
+from .padic_core import UnitCharacter, theta_additive, unit_average, unit_coset_level, valuation
 
 __all__ = [
     "oracle_padic_mellin",
@@ -45,6 +50,69 @@ _ZERO_TOL = 1e-14
 _STABLE_RUN = 3
 
 
+def _anchors(a: Fraction, b: Fraction, p: int) -> tuple[int, int, int | None]:
+    """(top, bottom, floor) of the phase a y^2/2 + b y: top is the first
+    level >= 0 where both coefficients are integral, floor the
+    cancellation level v(b) - v(a) (None for b = 0), and bottom the lower
+    of floor and the level where a y^2 turns integral."""
+    va = int(valuation(a, p))
+    quad = -(va // 2)
+    if b == 0:
+        return max(0, quad), quad, None
+    vb = int(valuation(b, p))
+    return max(0, quad, -vb), min(quad, vb - va), vb - va
+
+
+def _power(p: int, j: int) -> int | Fraction:
+    """p^j as an exact rational, an int for j >= 0 (cheaper than a
+    Fraction power)."""
+    return p**j if j >= 0 else Fraction(1, p**-j)
+
+
+def _level_walk(term, stable, x, top, bottom, floor, max_window,
+                vanishes=None, need_run=_STABLE_RUN) -> complex:
+    """sum_j term(j) x^j over all levels j; term(j) is `stable` from some
+    level on and vanishes deep below, and is computed at most once a call.
+
+    The scan climbs from `top` until _STABLE_RUN levels in a row sit
+    within _ZERO_TOL of `stable`, then walks back to the first stable
+    level (moot for a stable value of 0), from which the geometric tail
+    stable x^j / (1 - x) is added.  The walk then adds each level below
+    until `need_run` levels in a row count as zero below `floor` (None:
+    no floor).  A level counts as zero where `vanishes(j)` proves it (its
+    term is then not computed; a computed term never counts) or, without
+    that rule, where its bare term is within _ZERO_TOL of 0.  That term is
+    still added, as it can carry weight |x^j| >> 1; weighting the test
+    instead would let tail rounding grow without bound.  Raises
+    SupportEscapeError past top + max_window or below bottom - max_window.
+    """
+    term = cache(term)
+    j_hi, run = top, 0
+    while run < _STABLE_RUN:
+        if j_hi > top + max_window:
+            raise SupportEscapeError("no upper stabilization in window")
+        run = run + 1 if abs(term(j_hi) - stable) <= _ZERO_TOL else 0
+        j_hi += 1
+    total = 0j
+    if stable:
+        while (j_hi > bottom - max_window
+               and abs(term(j_hi - 1) - stable) <= _ZERO_TOL):
+            j_hi -= 1
+        total += stable * x**j_hi / (1.0 - x)
+    j, run = j_hi, 0
+    while run < need_run or (floor is not None and j >= floor):
+        j -= 1
+        if j < bottom - max_window:
+            raise SupportEscapeError("no lower support escape in window")
+        if vanishes is not None and vanishes(j):
+            run += 1
+            continue
+        v = term(j)
+        total += v * x**j
+        run = run + 1 if vanishes is None and abs(v) <= _ZERO_TOL else 0
+    return total
+
+
 def oracle_padic_mellin(
     a,
     b,
@@ -54,14 +122,12 @@ def oracle_padic_mellin(
     twist: complex = 1.0,
     max_window: int = 64,
 ) -> complex:
-    """Direct sum of unit averages against p^(-js), geometric tail attached.
-
-    Works for Re(s) > 0, where the stable-region tail converges.  Raises
-    SupportEscapeError if the profile neither stabilizes above nor dies
-    below within the levels -max_window to max_window.  Each level's unit
-    average is summed once per call and kept in a dict local to the call:
-    the upper-edge search, the walk back and the lower walk revisit levels,
-    and nothing outlives the call.
+    """Direct sum of unit averages against (twist p^(-s))^j, geometric tail
+    attached, for Re(s) > 0, where that tail converges.  Raises
+    SupportEscapeError if the profile neither stabilizes within
+    max_window levels above the level where both coefficients turn
+    integral nor dies within max_window levels below the lower of
+    v(b) - v(a) and the level where a y^2 turns integral.
     """
     s = complex(s)
     if s.real <= 0:
@@ -69,79 +135,28 @@ def oracle_padic_mellin(
     a, b = Fraction(a), Fraction(b)
     ramified = chi is not None and not chi.is_trivial
     n_chi = 0 if chi is None else chi.conductor_exponent
-    stable_value = 0.0 if ramified else 1.0
-    x = complex(twist) * p ** (-s)  # per-step weight
     va = int(valuation(a, p))
     vb = int(valuation(b, p)) if b != 0 else None
-    v2 = 1 if p == 2 else 0
+    top, bottom, floor = _anchors(a, b, p)
 
-    levels: dict[int, complex] = {}
-
-    def ua(j: int) -> complex:
-        if j not in levels:
-            levels[j] = unit_average(a, b, p, Fraction(p) ** j, chi=chi)
-        return levels[j]
-
-    def provably_zero(j: int) -> bool:
-        # every coset fails the linear-part indicator at the minimal valid
-        # level: the average is exactly zero, no summation needed
-        v_quad = va + 2 * j  # valuation of a y^2
-        m_min = max(1, n_chi, math.ceil(-(v_quad - v2) / 2))
-        if b == 0:
-            return v_quad < -m_min
-        v_lin = vb + j
-        if v_quad == v_lin:
-            return False  # cancellation level, must compute
-        return min(v_quad, v_lin) < -m_min
-
-    # cancellation can only resurrect the average at one level
-    j_floor = (vb - va) if b != 0 else None
-
-    # find the upper stable edge; a term can sit anywhere below the level
-    # where both coefficients turn integral, so the scan starts there
-    j_hi = max(0, math.ceil(-va / 2))
-    if b != 0:
-        j_hi = max(j_hi, -vb)
-    run = 0
-    while run < _STABLE_RUN:
-        if j_hi > max_window:
-            raise SupportEscapeError("no upper stabilization in window")
-        if abs(ua(j_hi) - stable_value) <= _ZERO_TOL:
-            run += 1
-        else:
-            run = 0
-        j_hi += 1
-    if not ramified:
-        # walk the edge back to the exact start of the stable region; for
-        # ramified characters the stable value is 0 and the edge is moot
-        while j_hi > -max_window and abs(ua(j_hi - 1) - 1.0) <= _ZERO_TOL:
-            j_hi -= 1
-
-    total = 0.0 + 0.0j
-    if not ramified:
-        total += x**j_hi / (1.0 - x)  # sum over the stable region
+    def vanishes(j: int) -> bool:
+        # every coset fails the linear-part indicator at the minimal coset
+        # level: the average is exactly zero, no summation needed.  At the
+        # cancellation level the two parts can cancel, so it is computed.
+        if j == floor:
+            return False
+        v = va + 2 * j if vb is None else min(va + 2 * j, vb + j)
+        return v < -unit_coset_level(a, p, _power(p, j), n_chi, margin=0)
 
     # without a cancellation floor the only gap risk is a ramified b = 0
-    # window, at most conductor wide; pad the required zero run to cover it.
-    # A computed zero does not count toward the run: a term can sit below
-    # a gap of them.
-    need_run = _STABLE_RUN if j_floor is not None else _STABLE_RUN + n_chi + 2
-    j = j_hi - 1
-    run = 0
-    while True:
-        if j < -max_window:
-            raise SupportEscapeError("no lower support escape in window")
-        if provably_zero(j):
-            run += 1
-        else:
-            # a computed term is always added: a unit average far below
-            # _ZERO_TOL can still carry weight |p^(-js)| >> 1
-            run = 0
-            total += ua(j) * x**j
-        if run >= need_run and (j_floor is None or j < j_floor):
-            break
-        j -= 1
-    return total
+    # window, at most conductor wide; pad the required zero run to cover it
+    return _level_walk(
+        lambda j: unit_average(a, b, p, _power(p, j), chi=chi),
+        0.0 if ramified else 1.0,
+        complex(twist) * p ** (-s),
+        top, bottom, floor, max_window, vanishes,
+        _STABLE_RUN if floor is not None else _STABLE_RUN + n_chi + 2,
+    )
 
 
 def oracle_padic_vector(
@@ -152,74 +167,40 @@ def oracle_padic_vector(
 ) -> complex:
     """Reference for the diagonal-scaling factor on a product space.
 
-    Uses the difference lambda(y) = theta(y) - p^(-n) theta(py), the
-    n-dimensional shell average, which is exactly zero deep in both tails.
-    The walks stay within the levels -max_window to max_window, as in
-    oracle_padic_mellin.
+    Sums the difference lambda(y) = theta(y) - p^(-n) theta(py), the
+    n-dimensional shell average, which is exactly zero deep in both tails,
+    through the level walk of oracle_padic_mellin.  Its window is counted
+    from the highest top and the lowest bottom anchor of the components.
+    Raises DegenerateError for an empty configuration.
     """
     s = complex(s)
     if s.real <= 0:
         raise DomainError("oracle needs Re(s) > 0 for the upper tail")
     configs = tuple((Fraction(a), Fraction(b)) for a, b in configs)
     n = len(configs)
-    x = p ** (-s)
+    if n == 0:
+        raise DegenerateError("empty configuration")
 
-    cache: dict[int, complex] = {}
-
+    @cache  # each product serves two shell averages
     def theta_prod(j: int) -> complex:
-        if j not in cache:
-            out = 1.0 + 0.0j
-            for ai, bi in configs:
-                out *= theta_additive(ai, bi, p, Fraction(p) ** j)
-            cache[j] = out
-        return cache[j]
+        out, y = 1.0 + 0.0j, _power(p, j)
+        for ai, bi in configs:
+            out *= theta_additive(ai, bi, p, y)
+        return out
 
-    def lam(j: int) -> complex:
-        return theta_prod(j) - theta_prod(j + 1) / p**n
-
-    stable = 1.0 - 1.0 / p**n
-    j_hi = 0
-    run = 0
-    while run < _STABLE_RUN:
-        if j_hi > max_window:
-            raise SupportEscapeError("no upper stabilization in window")
-        if abs(lam(j_hi) - stable) <= _ZERO_TOL:
-            run += 1
-        else:
-            run = 0
-        j_hi += 1
-    while j_hi > -max_window and abs(lam(j_hi - 1) - stable) <= _ZERO_TOL:
-        j_hi -= 1
-
+    anchors = [_anchors(ai, bi, p) for ai, bi in configs]
     # a middle gap of zeros can be wide; only below every component's
     # cancellation level is a run of zeros conclusive
-    floors = [
-        int(valuation(bi, p)) - int(valuation(ai, p))
-        for ai, bi in configs
-        if bi != 0
-    ]
-    j_floor = min(floors) if floors else None
-
-    total = stable * x**j_hi / (1.0 - x)
-    j = j_hi - 1
-    run = 0
-    while True:
-        if j < -max_window:
-            raise SupportEscapeError("no lower support escape in window")
-        # a computed shell average is always added: one far below _ZERO_TOL
-        # can still carry weight |p^(-js)| >> 1.  The run test stays on the
-        # bare average, because deep in the tail, where the average is zero
-        # up to rounding of order 1e-16 |theta|, that weight would grow the
-        # rounding without bound once Re(s) > n.
-        v = lam(j)
-        total += v * x**j
-        if abs(v) <= _ZERO_TOL:
-            run += 1
-        else:
-            run = 0
-        if run >= _STABLE_RUN and (j_floor is None or j < j_floor):
-            break
-        j -= 1
+    floors = [floor for _, _, floor in anchors if floor is not None]
+    total = _level_walk(
+        lambda j: theta_prod(j) - theta_prod(j + 1) / p**n,
+        1.0 - 1.0 / p**n,
+        p ** (-s),
+        max(top for top, _, _ in anchors),
+        min(bottom for _, bottom, _ in anchors),
+        min(floors) if floors else None,
+        max_window,
+    )
     return total / (1.0 - 1.0 / p)
 
 

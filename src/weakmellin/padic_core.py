@@ -266,6 +266,14 @@ def _scaled_residue(num: int, den: int, p: int, k: int) -> int:
     return n1 * p ** (k + f - e) * pow(d1, -1, pk) % pk
 
 
+def _quadratic_level(an: int, ad: int, yn: int, yd: int, p: int) -> int:
+    """-(v(a y^2/2) // 2) for a = an/ad and y = yn/yd, both nonzero: from
+    this coset level on, the quadratic part psi(a (xy)^2/2) of the phase is
+    constant on every coset x0 + p^level Z_p."""
+    v2 = 1 if p == 2 else 0
+    return -((_int_valuation(an, ad, p) + 2 * _int_valuation(yn, yd, p) - v2) // 2)
+
+
 def unit_coset_level(a, p: int, y, n_chi: int = 0, margin: int = 1) -> int:
     """Level m0 of the cosets u + p^m0 Z_p that `unit_average` sums over.
 
@@ -278,9 +286,7 @@ def unit_coset_level(a, p: int, y, n_chi: int = 0, margin: int = 1) -> int:
         raise DegenerateError("quadratic coefficient must be nonzero")
     if yn == 0:
         raise DomainError("average undefined at y = 0")
-    v2 = 1 if p == 2 else 0
-    v = _int_valuation(an, ad, p) + 2 * _int_valuation(yn, yd, p) - v2
-    return max(1, n_chi, -(v // 2)) + margin
+    return max(1, n_chi, _quadratic_level(an, ad, yn, yd, p)) + margin
 
 
 def _residue_sum(alpha: tuple[int, int], beta: tuple[int, int], p: int,
@@ -380,5 +386,5 @@ def theta_additive(a, b, p: int, y, margin: int = 1) -> complex:
     if yn == 0:
         raise DomainError("integral undefined at y = 0")
     alpha = (an * yn * yn, 2 * ad * yd * yd)  # a y^2 / 2
-    L = max(0, -(_int_valuation(*alpha, p) // 2)) + margin
+    L = max(0, _quadratic_level(an, ad, yn, yd, p)) + margin
     return _residue_sum(alpha, (bn * yn, bd * yd), p, L, False) / p**L

@@ -817,9 +817,6 @@ class DirichletCharacter:
                 return cand
         raise ConvergenceError("no inducing primitive character found")  # unreachable
 
-    def value_tuple(self) -> tuple:
-        return tuple(self.phase(n) for n in range(self.modulus))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirichletCharacter):
             return NotImplemented

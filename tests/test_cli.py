@@ -422,6 +422,46 @@ def test_nonprime_p_exits_2(capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("p,refused", [
+    (999_999_999_989, False),  # the largest prime below the cap
+    (1_000_000_000_039, True),  # the smallest prime above it
+    (1_000_000_000_000_000_003, True),
+])
+def test_p_above_the_cap_exits_2_before_trial_division(p, refused, monkeypatch, capsys):
+    factorize = cli._factorize
+    calls = []
+    monkeypatch.setattr(cli, "_factorize", lambda q: calls.append(q) or factorize(q))
+    if not refused:
+        mapping = {"command": "local", "field": "qp", "p": p, "s": ["2"]}
+        assert JobConfig.from_mapping(mapping).p == p
+        return
+    code, out, err = run_cli(["local", "--field", "qp", "--p", str(p), "--s", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: --p {p} is above the cap")
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,chi_mod,refused", [
+    (3, 3**10, False),
+    (99_991, 99_991, False),
+    (3, 3**11, True),
+    (100_003, 100_003, True),
+])
+def test_chi_modulus_above_the_cap_exits_2(p, chi_mod, refused, capsys):
+    if not refused:
+        mapping = {"command": "local", "field": "qp", "p": p, "chi_mod": chi_mod,
+                   "chi_index": 1, "s": ["2"]}
+        assert JobConfig.from_mapping(mapping).chi_mod == chi_mod
+        return
+    code, out, err = run_cli(
+        ["local", "--field", "qp", "--p", str(p), "--chi-mod", str(chi_mod),
+         "--chi-index", "1", "--s", "2"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: chi modulus {chi_mod} is above the cap")
+
+
 def test_mw_threads_validation(capsys):
     code, out, _ = run_cli(["verify", "--suite", "2"], capsys)
     assert code == 0

@@ -20,7 +20,7 @@ from weakmellin.arch_zeta import (
     zeta_real,
     zeta_rn_radial,
 )
-from weakmellin.errors import DomainError
+from weakmellin.errors import DegenerateError, DomainError
 from weakmellin.oracle import (
     _fold_even,
     _fold_odd,
@@ -32,6 +32,7 @@ from weakmellin.oracle import (
     oracle_complex_square_mellin,
     oracle_hermitian_mellin,
     oracle_padic_mellin,
+    oracle_padic_vector,
     oracle_radial_mellin,
     oracle_real_mellin,
     oracle_real_sign_mellin,
@@ -272,3 +273,10 @@ def test_padic_oracle_sums_each_level_once(monkeypatch, a, b, p, n_chi):
     assert oracle_padic_mellin(a, b, p, 0.7 + 3j, chi=chi) == want
     assert levels
     assert len(levels) == len(set(levels))
+
+
+def test_vector_oracle_refuses_an_empty_configuration():
+    # as padic_vector_factor(()) does; with no component there is no shell
+    # average to walk
+    with pytest.raises(DegenerateError):
+        oracle_padic_vector((), 3, 1.0)

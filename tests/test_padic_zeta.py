@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakmellin import padic_zeta
+from weakmellin import padic_core, padic_zeta
 from weakmellin.errors import PoleError
 from weakmellin.oracle import oracle_padic_mellin, oracle_padic_vector
 from weakmellin.padic_core import (
@@ -365,6 +365,70 @@ def test_ramified_factor_matches_oracle_at_any_depth(p, n, index, va, vb, ua, ub
             assert lf.evaluate(s) == 0 and abs(want) < 1e-12
         else:
             assert abs(lf.evaluate(s) - want) <= 1e-12 * abs(want)
+
+
+# (p, conductor exponent, v(a), v(b)) with |v| up to 200, b = 0 for
+# v(b) = None; the oracle's window is counted from its own anchors, so
+# none of these is out of its reach.  The ramified pairs keep b != 0 off
+# the vanishing factors, whose oracle sum is rounding noise weighted by
+# |p^(-js)|.
+LARGE_VALUATION_CASES = [
+    (p, 0, va, vb)
+    for p in (2, 3, 5)
+    for va, vb in ((0, -62), (0, -200), (200, None), (-200, 0), (-200, 200))
+] + [
+    (p, 1, va, vb)
+    for p in (3, 5)
+    for va, vb in ((0, -62), (0, -200), (-200, -200), (100, -100), (200, -1))
+]
+
+
+@pytest.mark.parametrize("p,n,va,vb", LARGE_VALUATION_CASES)
+def test_oracle_matches_factor_at_large_valuations(p, n, va, vb):
+    chi = None if n == 0 else padic_core.UnitCharacter(p, 1, 2 if p == 5 else 1)
+    a = _with_valuation(2, va, p)
+    b = 0 if vb is None else _with_valuation(3, vb, p)
+    lf = local_factor(a, b, p, chi=chi)
+    assert lf.kind != "vanishing"
+    for s in (0.7 + 1j, 1.2 - 4j):
+        want = lf.evaluate(s)
+        assert abs(oracle_padic_mellin(a, b, p, s, chi=chi) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("p,cfg", [
+    (3, ((1, F(1, 3**66)), (1, 0))),
+    (3, ((1, F(1, 3**200)), (1, 0))),
+    (2, ((1, F(1, 2**100)), (1, 0))),
+    (5, ((1, F(1, 5**100)), (1, 0))),
+    (3, ((F(1, 3**200), 0),)),
+    (5, ((F(5**200), F(1, 5)),)),
+    (2, ((F(1, 2**120), F(2**60)), (F(2**70), F(1, 2**40)))),
+])
+def test_vector_oracle_matches_factor_at_large_valuations(p, cfg):
+    lf = padic_vector_factor(cfg, p)
+    for s in (0.7 + 1j, 1.2 - 4j):
+        want = lf.evaluate(s)
+        assert abs(oracle_padic_vector(cfg, p, s) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("a,b,p,n", [
+    (1, F(1, 3), 3, 0),
+    (F(2, 25), F(3, 5), 5, 0),
+    (F(1, 8), 0, 2, 0),
+    (F(3, 4), F(5, 8), 2, 0),
+    (1, F(1, 3), 3, 1),
+    (F(1, 5), F(2, 25), 5, 1),
+])
+def test_twisted_factor_matches_oracle(a, b, p, n):
+    # factorize_global builds unramified factors with twist chi(p), a root
+    # of unity; the twist enters the oracle as the per-level weight
+    # twist p^(-s), not as the builder's vertical shift
+    chi = None if n == 0 else padic_core.UnitCharacter(p, 1, 1)
+    for tau in (-1.0, 1j, cmath.exp(2j * math.pi / 3), cmath.exp(0.8j)):
+        lf = local_factor(a, b, p, chi=chi, twist=tau)
+        for s in (0.7 + 1.3j, 1.2 - 4j):
+            want = oracle_padic_mellin(a, b, p, s, chi=chi, twist=tau)
+            assert abs(lf.evaluate(s) - want) < 1e-13
 
 
 def test_vanishing_factor_for_odd_character_even_phase():
