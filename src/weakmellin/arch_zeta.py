@@ -385,98 +385,78 @@ def tate_rho(s: complex, char) -> complex:
     raise DomainError(f"unsupported character {char!r}")
 
 
-def tate_rho_self_check() -> float:
-    """Largest relative gap, over a reference grid, between tate_rho and
-    the quotient it is meant to be: transform over index times reflected
-    conjugate transform.  Uses the plain Gaussian phase for the trivial
-    character and a shifted phase for the sign character, where the
-    transform does not vanish."""
-
-    points = [
-        complex(re, im)
-        for re in (0.2, 0.35, 0.5, 0.65, 0.8)
-        for im in (-4.0, -1.5, 0.0, 1.5, 4.0)
-    ]
-    worst = 0.0
-    trivial = Real(1.0, 0.0)
-    shifted = Real(1.0, 0.5)
-    for s in points:
-        for sdc, char in ((trivial, Trivial()), (shifted, RealSign())):
-            direct = zeta_arch(sdc, char, s)
-            reflected = zeta_arch(sdc, char, (1.0 - s.conjugate()))
-            implied = (
-                weil_index_arch(sdc) * reflected.conjugate() * tate_rho(s, char)
-            )
-            worst = max(worst, abs(direct - implied) / abs(direct))
-    return worst
-
-
 # ---------------------------------------------------------------------------
-# Functional equation residual.
+# Reflection law.
 # ---------------------------------------------------------------------------
+
+
+def _reflection(sdc, char, s: complex):
+    """(n, c(s)) with Z(s) = c(s) conj(Z(n - conj(s))) for the shape.
+
+    The centre n is 1 at the rank-one places and the dimension of a
+    radial phase.  The constant is the index times the rho quotient
+    times the modulus power of a, |a|^(n/2 - s) (the complex modulus is
+    |a|^2), times the shape's twist: chi(a) = sign(a) for the real sign
+    character, (-1)^n e^(2 i n arg b) for a hermitian phase and
+    e^(-i n arg a) for a square phase.  The radial quotient is
+    pi^(n/2 - s) Gamma(s/2) / Gamma((n - s)/2), tate_rho's trivial
+    quotient at n = 1.  A negative a needs nothing more: the index
+    already carries its sign."""
+
+    gamma_f = weil_index_arch(sdc)
+    if isinstance(sdc, Real):
+        chi_a = -1.0 if sdc.a < 0 and isinstance(char, RealSign) else 1.0
+        return 1, gamma_f * tate_rho(s, char) * _powc(abs(sdc.a), 0.5 - s) * chi_a
+    if isinstance(sdc, RealRadial):
+        if not isinstance(char, Trivial):
+            raise DomainError("radial phases take the trivial character only")
+        n = sdc.n
+        rho_n = _powc(math.pi, 0.5 * n - s) * gamma_ratio(0.5 * s, 0.5 * (n - s))
+        return n, gamma_f * rho_n * _powc(abs(sdc.a), 0.5 * n - s)
+    n = _complex_char_n(char)
+    if isinstance(sdc, ComplexHermitian):
+        twist = (-1.0) ** (n % 2) * cmath.exp(2j * n * cmath.phase(sdc.b))
+    else:
+        twist = cmath.exp(-1j * n * cmath.phase(sdc.a))
+    return 1, (
+        gamma_f * twist * tate_rho(s, ComplexCn(n)) * _powc(abs(sdc.a) ** 2, 0.5 - s)
+    )
 
 
 def functional_equation_residual(sdc, char, s: complex) -> float:
     """Relative residual of the local functional equation at s.
 
-    The reflection sends s to 1 - conj(s) at the rank-one places and to
-    n - conj(s) for the n-variable radial phase; the constant is the
-    index times the rho quotient times the appropriate modulus power of
-    the quadratic coefficient."""
+    Compares Z(s) with c(s) conj(Z(n - conj(s))), the centre n and the
+    constant c(s) taken from the shape's reflection law (_reflection):
+    the index times the rho quotient times |a|^(n/2 - s), with chi(a) =
+    sign(a) for the real sign character and the angular twists at the
+    complex place.  One law serves every shape, negative a included
+    (real phases with either character, radial phases in any
+    dimension)."""
 
     s = complex(s)
-    gamma_f = weil_index_arch(sdc)
-    if isinstance(sdc, Real):
-        direct = zeta_arch(sdc, char, s)
-        mirrored = zeta_arch(sdc, char, 1.0 - s.conjugate()).conjugate()
-        implied = gamma_f * tate_rho(s, char) * _powc(abs(sdc.a), 0.5 - s) * mirrored
-    elif isinstance(sdc, ComplexHermitian):
-        n = _complex_char_n(char)
-        direct = zeta_arch(sdc, char, s)
-        mirrored = zeta_complex_hermitian(
-            sdc.a, sdc.b, n, 1.0 - s.conjugate()
-        ).conjugate()
-        # complex modulus of a is the square of the Euclidean one; the
-        # nonzero angular sectors also twist by the angle of b
-        phi_b = cmath.phase(sdc.b) if sdc.b != 0 else 0.0
-        twist = (-1.0) ** (n % 2) * cmath.exp(2j * n * phi_b)
-        implied = (
-            gamma_f
-            * twist
-            * tate_rho(s, ComplexCn(n))
-            * _powc(sdc.a**2, 0.5 - s)
-            * mirrored
-        )
-    elif isinstance(sdc, ComplexSquare):
-        n = _complex_char_n(char)
-        direct = zeta_arch(sdc, char, s)
-        mirrored = zeta_complex_square(
-            sdc.a, sdc.b, n, 1.0 - s.conjugate()
-        ).conjugate()
-        # the reflection also picks up the angular character of a itself
-        twist = cmath.exp(-1j * n * cmath.phase(sdc.a))
-        implied = (
-            gamma_f
-            * twist
-            * tate_rho(s, ComplexCn(n))
-            * _powc(abs(sdc.a) ** 2, 0.5 - s)
-            * mirrored
-        )
-    elif isinstance(sdc, RealRadial):
-        if not isinstance(char, Trivial):
-            raise DomainError("radial phases take the trivial character only")
-        n = sdc.n
-        direct = zeta_arch(sdc, char, s)
-        mirrored = zeta_rn_radial(
-            sdc.a, sdc.bnorm, n, n - s.conjugate()
-        ).conjugate()
-        aa = abs(sdc.a)
-        rho_n = _powc(math.pi, 0.5 * n - s) * gamma_ratio(0.5 * s, 0.5 * (n - s))
-        sign_fix = 1.0 if sdc.a > 0 else None
-        if sign_fix is None:
-            raise DomainError("use positive a; negative a conjugates the phase")
-        implied = gamma_f * rho_n * _powc(aa, 0.5 * n - s) * mirrored
-    else:
-        raise DomainError(f"unsupported parameter type {type(sdc).__name__}")
+    direct = zeta_arch(sdc, char, s)
+    centre, constant = _reflection(sdc, char, s)
+    implied = constant * zeta_arch(sdc, char, centre - s.conjugate()).conjugate()
     scale = max(abs(direct), abs(implied), 1e-30)
     return abs(direct - implied) / scale
+
+
+def tate_rho_self_check() -> float:
+    """Largest functional-equation residual at a = 1 over a reference
+    grid of the strip, for the plain Gaussian phase with the trivial
+    character and a shifted phase with the sign character (where the
+    transform does not vanish).  At a = 1 the modulus power is 1, so
+    this checks tate_rho against the transforms it is the quotient of."""
+
+    grid = [
+        complex(re, im)
+        for re in (0.2, 0.35, 0.5, 0.65, 0.8)
+        for im in (-4.0, -1.5, 0.0, 1.5, 4.0)
+    ]
+    cases = ((Real(1.0, 0.0), Trivial()), (Real(1.0, 0.5), RealSign()))
+    return max(
+        functional_equation_residual(sdc, char, s)
+        for sdc, char in cases
+        for s in grid
+    )

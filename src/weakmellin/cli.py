@@ -16,8 +16,10 @@ byte-identical output.  Exit codes: 0 success, 1 numeric failure, 2 bad
 configuration, which includes a `zeros --field qp` window that could list
 more than _MAX_ZERO_ROWS zeros, a `zeros --global` window or `global`
 point past |Im s| = specfun._ZETA_IM_CAP, a `--p` above _MAX_P = 10^12
-(its primality check is trial division) and a `--chi-mod` above
-_MAX_CHI_MOD = 100 000 (its characters are enumerated).
+(its primality check is trial division), a `--chi-mod` above
+_MAX_CHI_MOD = 100 000 (its characters are enumerated) and a `zeros`
+`--samples` above _MAX_SAMPLES = 2^20 (scan time and memory grow
+linearly with it).
 """
 
 from __future__ import annotations
@@ -124,10 +126,12 @@ def _within_zeta_cap(height: float, what: str) -> None:
 
 
 # refused before any work: --p is proved prime by trial division (about
-# 0.15 s at the cap, growing as sqrt(p)), and --chi-index picks from a
-# tuple of all the characters mod --chi-mod
+# 0.15 s at the cap, growing as sqrt(p)), --chi-index picks from a
+# tuple of all the characters mod --chi-mod, and a zeros scan costs time
+# and memory linear in --samples (about 0.3 KB a sample)
 _MAX_P = 10**12
 _MAX_CHI_MOD = 100_000
+_MAX_SAMPLES = 2**20
 
 
 def _prime_power_exponent(mod: int, p: int) -> int:
@@ -271,6 +275,10 @@ class JobConfig:
             )
             if cfg.samples < 16:
                 raise ConfigError("zeros needs at least 16 samples")
+            if cfg.samples > _MAX_SAMPLES:
+                raise ConfigError(
+                    f"--samples {cfg.samples} is above the cap {_MAX_SAMPLES}"
+                )
             if cfg.im_hi <= cfg.im_lo:
                 raise ConfigError("zeros needs im_lo < im_hi")
             if cfg.spec:
@@ -354,13 +362,10 @@ def _run_local(cfg: JobConfig):
         s = _parse_complex(text)
         rows.append({"s": _as_pair(s), "value": _as_pair(fn(s))})
     if cfg.fmt == "csv":
-        lines = ["s_re,s_im,value_re,value_im"]
-        for row in rows:
-            lines.append(",".join(_fmt17(v) for v in (
-                row["s"]["re"], row["s"]["im"],
-                row["value"]["re"], row["value"]["im"],
-            )))
-        return "\n".join(lines) + "\n", True
+        return _csv_artifact("s_re,s_im,value_re,value_im", (
+            (row["s"]["re"], row["s"]["im"], row["value"]["re"], row["value"]["im"])
+            for row in rows
+        )), True
     return _json_artifact(cfg, rows), True
 
 
@@ -388,13 +393,11 @@ def _run_global(cfg: JobConfig):
             "fe_residual": resid,
         })
     if cfg.fmt == "csv":
-        lines = ["s_re,s_im,value_re,value_im,fe_residual"]
-        for row in rows[1:]:
-            lines.append(",".join(_fmt17(v) for v in (
-                row["s"]["re"], row["s"]["im"], row["value"]["re"],
-                row["value"]["im"], row["fe_residual"],
-            )))
-        return "\n".join(lines) + "\n", ok
+        return _csv_artifact("s_re,s_im,value_re,value_im,fe_residual", (
+            (row["s"]["re"], row["s"]["im"], row["value"]["re"],
+             row["value"]["im"], row["fe_residual"])
+            for row in rows[1:]
+        )), ok
     return _json_artifact(cfg, rows), ok
 
 
@@ -457,14 +460,11 @@ def _run_zeros(cfg: JobConfig):
             "place": place,
         } for rep, kind, place in rows]
         return _json_artifact(cfg, payload), ok
-    lines = ["re,im,multiplicity,certified,method,class,place"]
-    for rep, kind, place in rows:
-        lines.append(",".join((
-            _fmt17(rep.location.real), _fmt17(rep.location.imag),
-            str(rep.multiplicity), "true" if rep.certified else "false",
-            rep.method, kind, place,
-        )))
-    return "\n".join(lines) + "\n", ok
+    return _csv_artifact("re,im,multiplicity,certified,method,class,place", (
+        (rep.location.real, rep.location.imag, str(rep.multiplicity),
+         "true" if rep.certified else "false", rep.method, kind, place)
+        for rep, kind, place in rows
+    )), ok
 
 
 def _run_verify(cfg: JobConfig):
@@ -488,13 +488,19 @@ def _run_weil_index(cfg: JobConfig):
         rows.append({"place": str(p), "gamma": _as_pair(weil_index_padic(a, b, p))})
     rows.append({"place": "product", "gamma": _as_pair(gamma_f(spec))})
     if cfg.fmt == "csv":
-        lines = ["place,gamma_re,gamma_im"]
-        for row in rows:
-            lines.append(",".join((
-                row["place"], _fmt17(row["gamma"]["re"]), _fmt17(row["gamma"]["im"]),
-            )))
-        return "\n".join(lines) + "\n", True
+        return _csv_artifact("place,gamma_re,gamma_im", (
+            (row["place"], row["gamma"]["re"], row["gamma"]["im"]) for row in rows
+        )), True
     return _json_artifact(cfg, rows), True
+
+
+def _csv_artifact(header: str, rows) -> str:
+    """The header line, then one line per row: strings as they are,
+    numbers with 17 significant digits, joined by commas."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else _fmt17(c) for c in row))
+    return "\n".join(lines) + "\n"
 
 
 def _json_artifact(cfg: JobConfig, results) -> str:

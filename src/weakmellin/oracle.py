@@ -303,15 +303,9 @@ class ArchOracleResult:
         return complex(self.value)
 
 
+@cache
 def _gl_rule(order):
-    rule = _GL_RULES.get(order)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(order)
-        _GL_RULES[order] = rule
-    return rule
-
-
-_GL_RULES: dict = {}
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_edges(lo, split, hi, rate, max_phase):

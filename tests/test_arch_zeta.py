@@ -136,6 +136,10 @@ FE_CASES = [
     (ComplexSquare(1 + 0.5j, 0.25), ComplexCn(0)),
     (ComplexSquare(2 - 1j, 0), ComplexCn(2)),
     (ComplexSquare(1j, 0), ComplexCn(-4)),
+    # chi(a) = sign(a) = -1 enters the constant
+    (Real(-1, 0.5), RealSign()),
+    (Real(-2, 0.3), RealSign()),
+    (Real(-0.5, 1.5), RealSign()),
 ]
 
 
@@ -147,10 +151,12 @@ def test_functional_equation_on_strip(sdc, char):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_functional_equation_radial(n):
-    sdc = RealRadial(n, 1.0, 0.6)
+    # negative a conjugates the phase; the same law covers it
     pts = [complex(f * n, im) for f in (0.25, 0.5, 0.75) for im in (-2.0, 0.0, 3.0)]
-    worst = max(functional_equation_residual(sdc, Trivial(), s) for s in pts)
-    assert worst < 1e-9
+    for a in (1.0, -1.0):
+        sdc = RealRadial(n, a, 0.6)
+        worst = max(functional_equation_residual(sdc, Trivial(), s) for s in pts)
+        assert worst < 1e-9
 
 
 def test_rho_matches_the_classical_quotients():

@@ -462,6 +462,34 @@ def test_chi_modulus_above_the_cap_exits_2(p, chi_mod, refused, capsys):
     assert err.startswith(f"config error: chi modulus {chi_mod} is above the cap")
 
 
+@pytest.mark.parametrize("samples,refused", [
+    (16, False),
+    (2048, False),
+    (cli._MAX_SAMPLES, False),
+    (cli._MAX_SAMPLES + 1, True),
+    (10**9, True),
+])
+def test_samples_above_the_cap_exit_2(samples, refused, monkeypatch, capsys):
+    # scan time and memory grow linearly with the sample count: refused
+    # before the global function is even assembled
+    if not refused:
+        mapping = {"command": "zeros", "spec": "reference", "im_hi": 30.0,
+                   "samples": samples}
+        assert JobConfig.from_mapping(mapping).samples == samples
+        return
+
+    def unreachable(spec):
+        raise AssertionError("evaluated a job the config should refuse")
+
+    monkeypatch.setattr(global_zeta, "factorize_global", unreachable)
+    code, out, err = run_cli(
+        ["zeros", "--global", "reference", "--imax", "30", "--samples", str(samples)],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: --samples {samples} is above the cap")
+
+
 def test_mw_threads_validation(capsys):
     code, out, _ = run_cli(["verify", "--suite", "2"], capsys)
     assert code == 0
