@@ -6,9 +6,13 @@ analytic geometric tail where the averages provably stabilize.  Its
 window reaches `max_window` levels beyond two anchors read off v(a) and
 v(b), not off the builders' escape formula: above, the level where both
 coefficients turn integral; below, the lower of the cancellation level
-v(b) - v(a) and the level where a y^2 turns integral.  The real, sign,
-radial and hermitian oracles all compute one folded real-line integral
-(the hermitian one through r = y / sqrt(2)).  It is first rotated onto
+v(b) - v(a) and the level where a y^2 turns integral.  The walk does not
+depend on s: the levels it visits, their exact averages and the first
+level of the tail form a profile, computed once per exact input and kept
+in a cache of at most 256 inputs per oracle (a refusal is not kept);
+s and the twist only weight its terms.  The real, sign, radial and
+hermitian oracles all compute one folded real-line integral (the
+hermitian one through r = y / sqrt(2)).  It is first rotated onto
 the steepest-descent contour, where the quadratic phase becomes a
 Gaussian, and summed by the trapezoidal rule in log radius (the square
 phase at b = 0 takes a Hankel contour instead).  Each contour value
@@ -25,13 +29,20 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 from scipy import special
 
 from .errors import DegenerateError, DomainError, QuadratureError, SupportEscapeError
-from .padic_core import UnitCharacter, theta_additive, unit_average, unit_coset_level, valuation
+from .padic_core import (
+    UnitCharacter,
+    _require_base,
+    theta_additive,
+    unit_average,
+    unit_coset_level,
+    valuation,
+)
 
 __all__ = [
     "oracle_padic_mellin",
@@ -69,22 +80,25 @@ def _power(p: int, j: int) -> int | Fraction:
     return p**j if j >= 0 else Fraction(1, p**-j)
 
 
-def _level_walk(term, stable, x, top, bottom, floor, max_window,
-                vanishes=None, need_run=_STABLE_RUN) -> complex:
-    """sum_j term(j) x^j over all levels j; term(j) is `stable` from some
-    level on and vanishes deep below, and is computed at most once a call.
+def _level_profile(term, stable, top, bottom, floor, max_window,
+                   vanishes=None, need_run=_STABLE_RUN):
+    """The levels of sum_j term(j) x^j that are summed term by term, and
+    the first level of its geometric tail; neither depends on x.
 
-    The scan climbs from `top` until _STABLE_RUN levels in a row sit
-    within _ZERO_TOL of `stable`, then walks back to the first stable
-    level (moot for a stable value of 0), from which the geometric tail
-    stable x^j / (1 - x) is added.  The walk then adds each level below
-    until `need_run` levels in a row count as zero below `floor` (None:
-    no floor).  A level counts as zero where `vanishes(j)` proves it (its
-    term is then not computed; a computed term never counts) or, without
-    that rule, where its bare term is within _ZERO_TOL of 0.  That term is
-    still added, as it can carry weight |x^j| >> 1; weighting the test
-    instead would let tail rounding grow without bound.  Raises
-    SupportEscapeError past top + max_window or below bottom - max_window.
+    term(j) is `stable` from some level on and vanishes deep below, and is
+    computed at most once a call.  The scan climbs from `top` until
+    _STABLE_RUN levels in a row sit within _ZERO_TOL of `stable`, then walks
+    back to the first stable level j_hi (moot for a stable value of 0),
+    where the tail stable x^j / (1 - x) starts.  The walk then records each
+    level below until `need_run` levels in a row count as zero below
+    `floor` (None: no floor).  A level counts as zero where `vanishes(j)`
+    proves it (its term is then neither computed nor recorded; a computed
+    term never counts) or, without that rule, where its bare term is
+    within _ZERO_TOL of 0.  That term is still recorded, as it can carry
+    weight |x^j| >> 1; weighting the test instead would let tail rounding
+    grow without bound.  Returns (j_hi, ((j, term(j)), ...)) in walk order.
+    Raises SupportEscapeError past top + max_window or below
+    bottom - max_window.
     """
     term = cache(term)
     j_hi, run = top, 0
@@ -93,12 +107,11 @@ def _level_walk(term, stable, x, top, bottom, floor, max_window,
             raise SupportEscapeError("no upper stabilization in window")
         run = run + 1 if abs(term(j_hi) - stable) <= _ZERO_TOL else 0
         j_hi += 1
-    total = 0j
     if stable:
         while (j_hi > bottom - max_window
                and abs(term(j_hi - 1) - stable) <= _ZERO_TOL):
             j_hi -= 1
-        total += stable * x**j_hi / (1.0 - x)
+    levels = []
     j, run = j_hi, 0
     while run < need_run or (floor is not None and j >= floor):
         j -= 1
@@ -108,32 +121,36 @@ def _level_walk(term, stable, x, top, bottom, floor, max_window,
             run += 1
             continue
         v = term(j)
-        total += v * x**j
+        levels.append((j, v))
         run = run + 1 if vanishes is None and abs(v) <= _ZERO_TOL else 0
+    return j_hi, tuple(levels)
+
+
+def _level_sum(profile, stable, x) -> complex:
+    """sum_j term(j) x^j from a `_level_profile`: the geometric tail from
+    its first stable level, then each recorded level in walk order."""
+    j_hi, levels = profile
+    total = 0j
+    if stable:
+        total += stable * x**j_hi / (1.0 - x)
+    for j, v in levels:
+        total += v * x**j
     return total
 
 
-def oracle_padic_mellin(
-    a,
-    b,
-    p: int,
-    s: complex,
-    chi: UnitCharacter | None = None,
-    twist: complex = 1.0,
-    max_window: int = 64,
-) -> complex:
-    """Direct sum of unit averages against (twist p^(-s))^j, geometric tail
-    attached, for Re(s) > 0, where that tail converges.  Raises
-    SupportEscapeError if the profile neither stabilizes within
-    max_window levels above the level where both coefficients turn
-    integral nor dies within max_window levels below the lower of
-    v(b) - v(a) and the level where a y^2 turns integral.
-    """
-    s = complex(s)
-    if s.real <= 0:
-        raise DomainError("oracle needs Re(s) > 0 for the upper tail")
-    a, b = Fraction(a), Fraction(b)
-    ramified = chi is not None and not chi.is_trivial
+def _require_point(s: complex) -> None:
+    if not (cmath.isfinite(s) and s.real > 0):
+        raise DomainError(f"oracle needs a finite s with Re(s) > 0 for the upper tail, got {s}")
+
+
+def _mellin_stable(chi: UnitCharacter | None) -> float:
+    return 0.0 if chi is not None and not chi.is_trivial else 1.0
+
+
+@lru_cache(maxsize=256)
+def _mellin_profile(a: Fraction, b: Fraction, p: int,
+                    chi: UnitCharacter | None, max_window: int):
+    """The level profile of the unit averages of oracle_padic_mellin."""
     n_chi = 0 if chi is None else chi.conductor_exponent
     va = int(valuation(a, p))
     vb = int(valuation(b, p)) if b != 0 else None
@@ -150,12 +167,72 @@ def oracle_padic_mellin(
 
     # without a cancellation floor the only gap risk is a ramified b = 0
     # window, at most conductor wide; pad the required zero run to cover it
-    return _level_walk(
+    return _level_profile(
         lambda j: unit_average(a, b, p, _power(p, j), chi=chi),
-        0.0 if ramified else 1.0,
-        complex(twist) * p ** (-s),
+        _mellin_stable(chi),
         top, bottom, floor, max_window, vanishes,
         _STABLE_RUN if floor is not None else _STABLE_RUN + n_chi + 2,
+    )
+
+
+def oracle_padic_mellin(
+    a,
+    b,
+    p: int,
+    s: complex,
+    chi: UnitCharacter | None = None,
+    twist: complex = 1.0,
+    max_window: int = 64,
+) -> complex:
+    """Direct sum of unit averages against (twist p^(-s))^j, geometric tail
+    attached, for Re(s) > 0, where that tail converges.  Raises
+    SupportEscapeError if the profile neither stabilizes within
+    max_window levels above the level where both coefficients turn
+    integral nor dies within max_window levels below the lower of
+    v(b) - v(a) and the level where a y^2 turns integral; DegenerateError
+    for a = 0; DomainError for p < 2, a character of another prime, or an
+    s that is not finite with Re(s) > 0.  The level profile is computed
+    once per (a, b, p, chi, max_window) and cached; s and twist only
+    weight its terms.
+    """
+    s = complex(s)
+    _require_point(s)
+    _require_base(p)
+    a, b = Fraction(a), Fraction(b)
+    if a == 0:
+        raise DegenerateError("quadratic coefficient must be nonzero")
+    if chi is not None and chi.p != p:
+        raise DomainError(f"character of p = {chi.p} at p = {p}")
+    return _level_sum(
+        _mellin_profile(a, b, p, chi, max_window),
+        _mellin_stable(chi),
+        complex(twist) * p ** (-s),
+    )
+
+
+@lru_cache(maxsize=256)
+def _vector_profile(configs: tuple, p: int, max_window: int):
+    """The level profile of the shell averages of oracle_padic_vector."""
+    n = len(configs)
+
+    @cache  # each product serves two shell averages
+    def theta_prod(j: int) -> complex:
+        out, y = 1.0 + 0.0j, _power(p, j)
+        for ai, bi in configs:
+            out *= theta_additive(ai, bi, p, y)
+        return out
+
+    anchors = [_anchors(ai, bi, p) for ai, bi in configs]
+    # a middle gap of zeros can be wide; only below every component's
+    # cancellation level is a run of zeros conclusive
+    floors = [floor for _, _, floor in anchors if floor is not None]
+    return _level_profile(
+        lambda j: theta_prod(j) - theta_prod(j + 1) / p**n,
+        1.0 - 1.0 / p**n,
+        max(top for top, _, _ in anchors),
+        min(bottom for _, bottom, _ in anchors),
+        min(floors) if floors else None,
+        max_window,
     )
 
 
@@ -171,35 +248,21 @@ def oracle_padic_vector(
     n-dimensional shell average, which is exactly zero deep in both tails,
     through the level walk of oracle_padic_mellin.  Its window is counted
     from the highest top and the lowest bottom anchor of the components.
-    Raises DegenerateError for an empty configuration.
+    Raises DegenerateError for an empty configuration or a component with
+    a = 0, and DomainError as oracle_padic_mellin does.  The level profile
+    is cached per (configs, p, max_window); s only weights its terms.
     """
     s = complex(s)
-    if s.real <= 0:
-        raise DomainError("oracle needs Re(s) > 0 for the upper tail")
+    _require_point(s)
+    _require_base(p)
     configs = tuple((Fraction(a), Fraction(b)) for a, b in configs)
     n = len(configs)
     if n == 0:
         raise DegenerateError("empty configuration")
-
-    @cache  # each product serves two shell averages
-    def theta_prod(j: int) -> complex:
-        out, y = 1.0 + 0.0j, _power(p, j)
-        for ai, bi in configs:
-            out *= theta_additive(ai, bi, p, y)
-        return out
-
-    anchors = [_anchors(ai, bi, p) for ai, bi in configs]
-    # a middle gap of zeros can be wide; only below every component's
-    # cancellation level is a run of zeros conclusive
-    floors = [floor for _, _, floor in anchors if floor is not None]
-    total = _level_walk(
-        lambda j: theta_prod(j) - theta_prod(j + 1) / p**n,
-        1.0 - 1.0 / p**n,
-        p ** (-s),
-        max(top for top, _, _ in anchors),
-        min(bottom for _, bottom, _ in anchors),
-        min(floors) if floors else None,
-        max_window,
+    if any(a == 0 for a, _ in configs):
+        raise DegenerateError("quadratic coefficient must be nonzero")
+    total = _level_sum(
+        _vector_profile(configs, p, max_window), 1.0 - 1.0 / p**n, p ** (-s)
     )
     return total / (1.0 - 1.0 / p)
 

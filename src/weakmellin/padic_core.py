@@ -67,6 +67,13 @@ def _split(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
+def _require_base(p: int) -> None:
+    """DomainError unless p >= 2.  For the entry points only: `_split` with
+    p = 1 never ends, and it runs too often to check there."""
+    if p < 2:
+        raise DomainError(f"the base p must be a prime, got {p}")
+
+
 def _int_valuation(num: int, den: int, p: int) -> int:
     # valuation of num/den != 0, the fraction not necessarily reduced
     return _split(num, p)[0] - _split(den, p)[0]
@@ -307,6 +314,8 @@ def _residue_sum(alpha: tuple[int, int], beta: tuple[int, int], p: int,
     is constant on every coset and chi's conductor divides p^level.
     alpha and beta are (numerator, denominator) pairs of integers, not
     necessarily reduced, so A, B and P come from integer arithmetic alone.
+    Each phase is scaled by 2 pi i / P while P fits a float; beyond the
+    float range it is first reduced to a float in [0, 1) by int division.
     """
     big = max(
         [level, 0]
@@ -337,7 +346,10 @@ def _residue_sum(alpha: tuple[int, int], beta: tuple[int, int], p: int,
             return x0 + step * k
 
     dtype = np.int64 if P <= _VECTOR_MOD_CAP else object
-    w = 2j * np.pi / P
+    try:
+        w = 2j * np.pi / P
+    except OverflowError:  # P beyond the float range
+        w = None
     if chi is not None and not chi.is_trivial:
         pn = p**chi.conductor_exponent
         chi_values = _char_value_array(p, chi.conductor_exponent, chi.index)
@@ -347,7 +359,11 @@ def _residue_sum(alpha: tuple[int, int], beta: tuple[int, int], p: int,
     for start in range(0, count, _BLOCK):
         x = residue(np.arange(start, min(start + _BLOCK, count), dtype=dtype))
         ph = (A * (x * x % P) % P + B * x % P) % P
-        vals = np.exp(w * ph.astype(np.float64))
+        if w is not None:
+            vals = np.exp(w * ph.astype(np.float64))
+        else:
+            # ph / P divides Python ints, correctly rounded into [0, 1)
+            vals = np.exp(2j * np.pi * (ph / P).astype(np.float64))
         if chi_values is not None:
             vals = vals * chi_values[(x % pn).astype(np.int64)]
         part = complex(vals.sum())

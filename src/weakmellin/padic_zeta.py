@@ -53,6 +53,7 @@ from .errors import (
 )
 from .padic_core import (
     UnitCharacter,
+    _require_base,
     _residue_sum,
     theta_additive,
     unit_average,
@@ -402,6 +403,7 @@ def local_factor_ramified(a, b, p: int, chi: UnitCharacter, twist: complex = 1.0
 
 
 def local_factor(a, b, p: int, chi: UnitCharacter | None = None, twist: complex = 1.0) -> LocalFactor:
+    _require_base(p)
     if chi is None or chi.is_trivial:
         return local_factor_unramified(a, b, p, twist=twist)
     return local_factor_ramified(a, b, p, chi, twist=twist)
@@ -432,6 +434,7 @@ def padic_vector_factor(configs, p: int, twist: complex = 1.0) -> LocalFactor:
     genuinely moves zeros off that line (the numerator stops being
     self-inversive); zero_poly still reports the true roots.
     """
+    _require_base(p)
     profiles = [_unramified(a, b, p) for a, b in configs]
     n = len(profiles)
     if n == 0:

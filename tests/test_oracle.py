@@ -3,6 +3,7 @@ and the p-adic oracle's exact sums."""
 
 import cmath
 import math
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakmellin import oracle
-from weakmellin.acceptance import ARCH_POINTS
+from weakmellin.acceptance import ARCH_POINTS, S_GRID
 from weakmellin.arch_zeta import (
     RealSign,
     zeta_complex_hermitian,
@@ -20,7 +21,7 @@ from weakmellin.arch_zeta import (
     zeta_real,
     zeta_rn_radial,
 )
-from weakmellin.errors import DegenerateError, DomainError
+from weakmellin.errors import DegenerateError, DomainError, SupportEscapeError
 from weakmellin.oracle import (
     _fold_even,
     _fold_odd,
@@ -37,7 +38,7 @@ from weakmellin.oracle import (
     oracle_real_mellin,
     oracle_real_sign_mellin,
 )
-from weakmellin.padic_core import unit_average, unit_characters
+from weakmellin.padic_core import UnitCharacter, unit_average, unit_characters
 
 
 def test_eps_ladder_ratios_are_near_two():
@@ -270,9 +271,106 @@ def test_padic_oracle_sums_each_level_once(monkeypatch, a, b, p, n_chi):
         return unit_average(a_, b_, p_, y, chi=chi)
 
     monkeypatch.setattr(oracle, "unit_average", counted)
+    _clear_profiles()  # a cached profile would sum nothing at all
     assert oracle_padic_mellin(a, b, p, 0.7 + 3j, chi=chi) == want
     assert levels
     assert len(levels) == len(set(levels))
+
+
+def _clear_profiles():
+    oracle._mellin_profile.cache_clear()
+    oracle._vector_profile.cache_clear()
+
+
+def _no_exact_sums(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("exact sum on a cached input")
+
+    monkeypatch.setattr(oracle, "unit_average", refused)
+    monkeypatch.setattr(oracle, "theta_additive", refused)
+
+
+def test_padic_oracles_reuse_the_profile_at_a_new_s(monkeypatch):
+    chi = next(iter(unit_characters(5, 1)))
+    cfg = ((Fraction(1, 9), Fraction(2, 3)), (2, 0))
+    mellin = [(1, Fraction(1, 9), 3, None), (Fraction(2, 25), Fraction(3, 5), 5, chi)]
+    for a, b, p, c in mellin:
+        oracle_padic_mellin(a, b, p, 0.7 + 3j, chi=c)
+    oracle_padic_vector(cfg, 3, 0.7 + 3j)
+    _no_exact_sums(monkeypatch)
+    for a, b, p, c in mellin:
+        oracle_padic_mellin(a, b, p, 1.2 - 5j, chi=c, twist=0.5 + 0.5j)
+    oracle_padic_vector(cfg, 3, 1.2 - 5j)
+    assert oracle._mellin_profile.cache_info().maxsize == 256
+    assert oracle._vector_profile.cache_info().maxsize == 256
+
+
+def test_padic_oracle_refusals_are_not_cached():
+    # a window of 0 levels ends every upper scan; each call refuses anew
+    for _ in range(2):
+        with pytest.raises(SupportEscapeError):
+            oracle_padic_mellin(1, Fraction(1, 9), 3, 0.7 + 3j, max_window=0)
+        with pytest.raises(SupportEscapeError):
+            oracle_padic_vector(((1, Fraction(1, 9)),), 3, 0.7 + 3j, max_window=0)
+
+
+def _seeded_padic_inputs(seed, count):
+    """count seeded (kind, args) oracle inputs: mellin with chi None,
+    trivial or mod p, and vectors of 1 to 3 components."""
+    rng = random.Random(seed)
+
+    def rational(p):
+        unit = rng.choice([u for u in (1, -1, 2, 3, -5, 7, 11) if u % p])
+        return Fraction(unit) * Fraction(p) ** rng.randint(-5, 5)
+
+    out = []
+    for _ in range(count):
+        p = rng.choice([2, 3, 5, 7])
+        if rng.random() < 0.7:
+            chars = [None] + list(unit_characters(p, 0))
+            if p != 2:
+                chars += list(unit_characters(p, 1))
+            b = 0 if rng.random() < 0.2 else rational(p)
+            out.append(("mellin", (rational(p), b, p, rng.choice(chars))))
+        else:
+            cfg = tuple((rational(p), rational(p)) for _ in range(rng.randint(1, 3)))
+            out.append(("vector", (cfg, p)))
+    return out
+
+
+def _padic_value(kind, args, s, twist):
+    if kind == "mellin":
+        a, b, p, chi = args
+        return oracle_padic_mellin(a, b, p, s, chi=chi, twist=twist)
+    return oracle_padic_vector(*args, s)
+
+
+def test_cached_profiles_give_the_cold_values():
+    grid = [(s, (1.0, 0.5 + 0.5j)[k % 2]) for k, s in enumerate(S_GRID)]
+    for kind, args in _seeded_padic_inputs(18, 24):
+        cold = []
+        for s, twist in grid:
+            _clear_profiles()
+            cold.append(repr(_padic_value(kind, args, s, twist)))
+        warm = [repr(_padic_value(kind, args, s, twist)) for s, twist in grid]
+        assert warm == cold, (kind, args)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: oracle_padic_mellin(0, 1, 5, 1.0), DegenerateError),
+    (lambda: oracle_padic_vector(((1, 1), (0, 1)), 5, 1.0), DegenerateError),
+    (lambda: oracle_padic_mellin(1, 1, 1, 1.0), DomainError),
+    (lambda: oracle_padic_vector(((1, 1),), 1, 1.0), DomainError),
+    (lambda: oracle_padic_mellin(1, 0, 5, 1.0, chi=UnitCharacter(3, 1, 1)), DomainError),
+    (lambda: oracle_padic_mellin(1, 1, 5, math.nan), DomainError),
+    (lambda: oracle_padic_vector(((1, 1),), 5, complex(0.5, math.nan)), DomainError),
+], ids=["a=0", "vector-a=0", "p=1", "vector-p=1", "chi-of-3-at-5", "s=nan",
+        "vector-s=nan"])
+def test_padic_oracles_refuse_bad_inputs(call, error):
+    # a = 0 overflowed int(inf), p = 1 never ended the valuation loop, a
+    # character of another prime and s = nan gave a value
+    with pytest.raises(error):
+        call()
 
 
 def test_vector_oracle_refuses_an_empty_configuration():

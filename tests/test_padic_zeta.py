@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakmellin import padic_core, padic_zeta
-from weakmellin.errors import PoleError
+from weakmellin.errors import DomainError, PoleError
 from weakmellin.oracle import oracle_padic_mellin, oracle_padic_vector
 from weakmellin.padic_core import (
     psi_p,
@@ -409,6 +409,27 @@ def test_vector_oracle_matches_factor_at_large_valuations(p, cfg):
     for s in (0.7 + 1j, 1.2 - 4j):
         want = lf.evaluate(s)
         assert abs(oracle_padic_vector(cfg, p, s) - want) <= 1e-12 * abs(want)
+
+
+def test_factors_above_the_float_modulus_match_the_oracle():
+    # both need residue sums mod P = p^big with P beyond the float range,
+    # which the kernel reduces to phases in [0, 1) before scaling by 2 pi
+    s = 0.7 + 1j
+    a, b = 5**62 * F(2, 7), F(5) ** -200 * F(4, 11)
+    want = local_factor(a, b, 5).evaluate(s)
+    assert abs(oracle_padic_mellin(a, b, 5, s) - want) <= 1e-10 * abs(want)
+    cfg = ((F(3, 5**200), F(5**200)), (F(5**100), F(2, 5**66)))
+    want = padic_vector_factor(cfg, 5).evaluate(s)
+    assert abs(oracle_padic_vector(cfg, 5, s) - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_factor_builders_refuse_a_base_below_two(p):
+    # p = 1 never ended the valuation loop
+    with pytest.raises(DomainError):
+        local_factor(1, 1, p)
+    with pytest.raises(DomainError):
+        padic_vector_factor(((1, 1),), p)
 
 
 @pytest.mark.parametrize("a,b,p,n", [
