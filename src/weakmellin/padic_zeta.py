@@ -41,7 +41,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -206,6 +205,8 @@ class LocalFactor:
     (Gauss phase), C and omega (top coefficient and unit mirror ratio of a
     ramified factor) record how the numerator was built; evaluation reads
     none of them.  The roots of P are the zeros of Z in one vertical period.
+    A factor keeps nothing but these fields: zero_engine certifies its
+    zeros from poly alone, on every call.
     """
 
     p: int
@@ -271,15 +272,6 @@ class LocalFactor:
         correction quotient; it is entire, so no PoleError is possible.
         """
         return self._numerator(self.shifted_s(s))
-
-    @cached_property
-    def _circle_certificate(self):
-        # (count, angles) of zero_engine.unit_circle_certificate, bisected
-        # on first use and kept on this instance only: dataclasses.replace
-        # or an equal factor built afresh bisects again
-        from .zero_engine import _sign_change_certificate
-
-        return _sign_change_certificate(self)
 
     def zero_poly(self):
         """Coefficients (highest degree first) of the numerator polynomial
@@ -403,7 +395,15 @@ def local_factor_ramified(a, b, p: int, chi: UnitCharacter, twist: complex = 1.0
 
 
 def local_factor(a, b, p: int, chi: UnitCharacter | None = None, twist: complex = 1.0) -> LocalFactor:
+    """The factor of psi(a x^2/2 + b x) against chi at p, unramified when
+    chi is None or trivial, times the unramified twist.
+
+    Refuses p < 2 and a character of another prime with DomainError, both
+    before any work, and a = 0 with DegenerateError.
+    """
     _require_base(p)
+    if chi is not None and chi.p != p:
+        raise DomainError(f"character of p = {chi.p} at p = {p}")
     if chi is None or chi.is_trivial:
         return local_factor_unramified(a, b, p, twist=twist)
     return local_factor_ramified(a, b, p, chi, twist=twist)

@@ -5,7 +5,9 @@ Three independent mechanisms feed a common report format:
 * companion-matrix roots of the finite-place numerator polynomials,
   folded into one vertical period of the zero lattice;
 * a sign-change certificate on the unit circle for self-inversive
-  numerators, counting circle zeros without any eigenvalue work;
+  numerators: one grid scan of a real profile counts and brackets the
+  circle zeros without any eigenvalue work, and a companion root is
+  confirmed by a sign change of the profile across its matching disk;
 * argument-principle winding counts around rectangles, used both as a
   standalone counter and as the certificate behind vertical-line scans.
 
@@ -50,8 +52,10 @@ from .padic_zeta import LocalFactor
 
 _METHODS = ("CompanionRoots", "SignChange", "Winding+Bisection")
 
-# residual gate for certification, relative to the natural local scale
+# residual gates for certification, relative to the natural local scale
+# (see ZeroReport for which method uses which)
 _CERT_RESIDUAL = 1e-8
+_COMPANION_RESIDUAL = 1e-10
 # matching radius between a located zero and its independent confirmation
 _CERT_RADIUS = 1e-6
 # line_zeros: a scan dip is a local minimum of |fn| below _DIP_RATIO times
@@ -74,8 +78,10 @@ class ZeroReport:
     location is a point in the s plane.  residual is dimensionless:
     the function value at the location divided by the relevant scale
     (max polynomial coefficient, or the largest boundary value of the
-    certifying contour).  certified means the residual passed the
-    1e-8 gate and an independent count confirmed the zero.
+    certifying contour).  certified means the residual passed its gate
+    and an independent count confirmed the zero; the gate is 1e-10
+    (_COMPANION_RESIDUAL) for exp_poly_roots and 1e-8 (_CERT_RESIDUAL)
+    for circle_zeros and line_zeros.
     """
 
     location: complex
@@ -160,59 +166,42 @@ def _circle_profile(coeffs, degree: int):
     return h
 
 
-def _sign_change_certificate(factor: LocalFactor):
-    # the bisection behind unit_circle_certificate; LocalFactor runs it once
-    # per instance, in its _circle_certificate property
-    coeffs, _, degree = factor.zero_poly()
-    if degree < 1:
-        return 0, ()
+def _circle_grid(coeffs, degree: int):
+    """(h, lo, hi, h_lo): h of _circle_profile, and the brackets (lo, hi)
+    of its _CIRCLE_SAMPLES grid, with h at lo.  A bracket is a grid cell
+    over which h changes sign, or (phi, phi) where h is exactly 0 at a
+    grid angle.  Raises DomainError unless the numerator is self-inversive.
+    """
     h = _circle_profile(coeffs, degree)
     if h is None:
         raise DomainError(
             "circle certificate needs a self-inversive numerator"
         )
-    two_pi = 2.0 * math.pi
     samples = _CIRCLE_SAMPLES
-    phis = two_pi * np.arange(samples + 1) / samples
+    phis = 2.0 * math.pi * np.arange(samples + 1) / samples
     vals = h(phis[:samples])
     # close the loop; odd degree profiles are antiperiodic
     vals = np.append(vals, vals[0] if degree % 2 == 0 else -vals[0])
-    on_grid = vals[:samples] == 0.0
-    lo = np.flatnonzero(~on_grid & (vals[:samples] * vals[1:] < 0.0))
-    # bisect every bracket at once; an exact zero collapses its bracket.
-    # A step that moves nothing is a fixed point: every later step would
-    # repeat its midpoints, so the loop stops there
-    a, b, fa = phis[lo], phis[lo + 1], vals[lo]
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        fm = h(mid)
-        exact = fm == 0.0
-        left = fa * fm < 0.0
-        a_next = np.where(exact | ~left, mid, a)
-        b_next = np.where(exact | left, mid, b)
-        fa_next = np.where(left, fa, fm)
-        if (np.array_equal(a_next, a) and np.array_equal(b_next, b)
-                and np.array_equal(fa_next, fa)):
-            break
-        a, b, fa = a_next, b_next, fa_next
-    angles = np.concatenate([phis[np.flatnonzero(on_grid)], 0.5 * (a + b)])
-    angles = tuple(sorted(float(x) for x in angles))
-    return len(angles), angles
+    lo = np.flatnonzero((vals[:samples] == 0.0) | (vals[:samples] * vals[1:] < 0.0))
+    return h, phis[lo], phis[lo + (vals[lo] != 0.0)], vals[lo]
 
 
 def unit_circle_certificate(factor: LocalFactor):
     """Count circle zeros of the numerator by sign changes and bracket them.
 
-    Returns (count, angles) with the angles refined by bisection to
-    machine accuracy, from a grid of _CIRCLE_SAMPLES angles.  Needs a
-    self-inversive numerator (every unramified and ramified one is);
-    D = 0 gives (0, []).  The bisection runs once per factor instance and
-    is kept on it (LocalFactor._circle_certificate), so exp_poly_roots,
-    circle_zeros and this function share it; an equal factor built afresh
-    bisects again.
+    Returns (count, brackets) from one evaluation of the circle profile
+    on a grid of _CIRCLE_SAMPLES angles: the sorted brackets of
+    _circle_grid, each holding a circle zero by the intermediate value
+    theorem, and count = len(brackets).  No bracket is refined
+    (circle_zeros bisects them).  Needs a self-inversive numerator (every
+    unramified and ramified one is); D = 0 gives (0, []).
     """
-    count, angles = factor._circle_certificate
-    return count, list(angles)
+    coeffs, _, degree = factor.zero_poly()
+    if degree < 1:
+        return 0, []
+    _, lo, hi, _ = _circle_grid(coeffs, degree)
+    brackets = sorted(zip(lo.tolist(), hi.tolist()))
+    return len(brackets), brackets
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +218,28 @@ def _fold_imag(im: float, period: float) -> float:
     return folded
 
 
+def _numerator_frame(factor: LocalFactor):
+    """(coeffs, D, log q, to_s, residual) of a finite-place factor: its
+    numerator P in X = q^(s - n/2) and degree D; to_s(log X), the s of X
+    after the twist shift, folded into 0 <= Im(s) < 2 pi / ln q; and
+    residual(x) = |P(x)| over the largest coefficient modulus.
+    """
+    coeffs, _, D = factor.zero_poly()
+    log_p = math.log(factor.p)
+    period = 2.0 * math.pi / log_p
+    shift = cmath.phase(complex(factor.twist)) / log_p
+    coeff_scale = float(np.max(np.abs(coeffs), initial=0.0))
+
+    def to_s(log_x: complex) -> complex:
+        s_val = factor.n_dim / 2.0 + log_x / log_p
+        return complex(s_val.real, _fold_imag(s_val.imag + shift, period))
+
+    def residual(x: complex) -> float:
+        return abs(complex(np.polyval(coeffs, x))) / coeff_scale
+
+    return coeffs, D, log_p, to_s, residual
+
+
 def _cluster_roots(roots, tol=1e-8):
     """Greedy clustering; returns (mean, size) pairs."""
     out = []
@@ -242,75 +253,53 @@ def _cluster_roots(roots, tol=1e-8):
     return out
 
 
-def _poly_winding_count(coeffs, center: complex, half_width: float) -> int:
-    rect = (
-        center.real - half_width,
-        center.real + half_width,
-        center.imag - half_width,
-        center.imag + half_width,
-    )
-    return winding_count(partial(np.polyval, coeffs), rect)
-
-
 def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     """All zeros of a finite-place factor in one fundamental vertical strip.
 
     The numerator polynomial in X = q^(s - n/2) is solved by the
     companion matrix, each root is pulled back to s and folded into
     0 <= Im(s) < 2 pi / ln q (after the twist shift), and the result is
-    certified against an independent count: the circle sign-change
-    certificate for self-inversive numerators, a tight winding count in
-    the X plane otherwise.  A factor that vanishes identically has no
-    isolated zeros and gives [].  The circle certificate is the one kept on
-    the factor instance (see unit_circle_certificate): computed here on
-    first use, read back by later calls.
+    certified against an independent count.  A root at angle phi of a
+    self-inversive numerator needs D brackets from unit_circle_certificate,
+    |X| within 1e-8 of 1 and h(phi - d) h(phi + d) <= 0 for the circle
+    profile h, d = _CERT_RADIUS ln q: a circle zero in the matching disk
+    by the intermediate value theorem (one array call of h serves every
+    root).  Other numerators take a tight winding count in the X plane.
+    A factor that vanishes identically has no isolated zeros and gives [].
     """
-    coeffs, _, D = factor.zero_poly()
+    coeffs, D, log_p, to_s, residual = _numerator_frame(factor)
     if D < 1:
         return []
-    p = factor.p
-    log_p = math.log(p)
-    period = 2.0 * math.pi / log_p
-    shift = cmath.phase(complex(factor.twist)) / log_p
-    coeff_scale = float(np.max(np.abs(coeffs)))
-
     roots = np.roots(coeffs)
     clustered = _cluster_roots([complex(r) for r in roots])
 
-    on_circle = _circle_profile(coeffs, D) is not None
-    if on_circle:
-        count, angles = unit_circle_certificate(factor)
-        count_ok = count == D
+    h = _circle_profile(coeffs, D)
+    if h is not None:
+        count, _ = unit_circle_certificate(factor)
+        half = _CERT_RADIUS * log_p
+        phis = np.array([cmath.phase(x_root) for x_root, _ in clustered])
+        ends = h(np.concatenate([phis - half, phis + half]))
+        straddles = ends[: len(phis)] * ends[len(phis):] <= 0.0
 
     reports = []
-    for x_root, mult in clustered:
-        resid = abs(complex(np.polyval(coeffs, x_root))) / coeff_scale
-        s_val = factor.n_dim / 2.0 + cmath.log(x_root) / log_p
-        s_loc = complex(s_val.real, _fold_imag(s_val.imag + shift, period))
-
-        if on_circle:
-            # independent confirmation: a certificate angle within the
-            # matching disk, measured in s units
-            phi = cmath.phase(x_root) % (2.0 * math.pi)
-            matched = any(
-                min(abs(phi - ang), 2.0 * math.pi - abs(phi - ang)) / log_p
-                <= _CERT_RADIUS
-                for ang in angles
-            )
-            confirmed = count_ok and matched and abs(abs(x_root) - 1.0) <= 1e-8
+    for i, (x_root, mult) in enumerate(clustered):
+        if h is not None:
+            confirmed = (count == D and straddles[i]
+                         and abs(abs(x_root) - 1.0) <= 1e-8)
         else:
+            box = (x_root.real - _CERT_RADIUS, x_root.real + _CERT_RADIUS,
+                   x_root.imag - _CERT_RADIUS, x_root.imag + _CERT_RADIUS)
             try:
-                w = _poly_winding_count(coeffs, x_root, _CERT_RADIUS)
-                confirmed = w == mult
+                confirmed = winding_count(partial(np.polyval, coeffs), box) == mult
             except _COUNT_REFUSALS:
                 confirmed = False
-
+        resid = residual(x_root)
         reports.append(
             ZeroReport(
-                location=s_loc,
+                location=to_s(cmath.log(x_root)),
                 multiplicity=mult,
                 method="CompanionRoots",
-                certified=bool(confirmed and resid <= 1e-10),
+                certified=bool(confirmed and resid <= _COMPANION_RESIDUAL),
                 residual=resid,
             )
         )
@@ -339,33 +328,40 @@ def zeros_in_window(factor: LocalFactor, im_lo: float,
 
 
 def circle_zeros(factor: LocalFactor) -> list[ZeroReport]:
-    """Zeros from the sign-change certificate alone, no eigenvalues.
+    """Zeros from the circle sign changes alone, no eigenvalues.
 
-    Locations come from the bisected bracket angles; the residual is the
-    numerator value at the located point over the coefficient scale.
+    Locations are the brackets of unit_circle_certificate bisected to
+    machine accuracy on Re(s) = n/2; a zero is certified when there are D
+    brackets.  Raises DomainError unless the numerator is self-inversive.
     """
-    coeffs, _, D = factor.zero_poly()
+    coeffs, D, _, to_s, residual = _numerator_frame(factor)
     if D < 1:
         return []
-    p = factor.p
-    log_p = math.log(p)
-    period = 2.0 * math.pi / log_p
-    shift = cmath.phase(complex(factor.twist)) / log_p
-    coeff_scale = float(np.max(np.abs(coeffs)))
-    count, angles = unit_circle_certificate(factor)
+    h, a, b, fa = _circle_grid(coeffs, D)
+    # bisect every bracket at once; an exact zero collapses its bracket.
+    # A step that moves nothing is a fixed point: every later step would
+    # repeat its midpoints, so the loop stops there
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        fm = h(mid)
+        zero = fm == 0.0
+        left = fa * fm < 0.0
+        a_next = np.where(zero | ~left, mid, a)
+        b_next = np.where(zero | left, mid, b)
+        fa_next = np.where(left, fa, fm)
+        if (np.array_equal(a_next, a) and np.array_equal(b_next, b)
+                and np.array_equal(fa_next, fa)):
+            break
+        a, b, fa = a_next, b_next, fa_next
     reports = []
-    for ang in angles:
-        x = cmath.exp(1j * ang)
-        resid = abs(complex(np.polyval(coeffs, x))) / coeff_scale
-        s_loc = complex(
-            factor.n_dim / 2.0, _fold_imag(ang / log_p + shift, period)
-        )
+    for ang in sorted((0.5 * (a + b)).tolist()):
+        resid = residual(cmath.exp(1j * ang))
         reports.append(
             ZeroReport(
-                location=s_loc,
+                location=to_s(1j * ang),
                 multiplicity=1,
                 method="SignChange",
-                certified=bool(count == D and resid <= _CERT_RESIDUAL),
+                certified=bool(len(a) == D and resid <= _CERT_RESIDUAL),
                 residual=resid,
             )
         )

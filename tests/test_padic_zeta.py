@@ -432,6 +432,20 @@ def test_factor_builders_refuse_a_base_below_two(p):
         padic_vector_factor(((1, 1),), p)
 
 
+@pytest.mark.parametrize("b", [0, 1, F(1, 5)])
+@pytest.mark.parametrize("n,m", [(1, 1), (0, 0)])
+def test_local_factor_refuses_a_character_of_another_prime(monkeypatch, b, n, m):
+    # the ramified case came back "vanishing", the trivial one unramified;
+    # the oracles refuse both, and so does the builder, before any sum
+    def no_sum(*args, **kwargs):
+        raise AssertionError("an exact sum ran")
+
+    monkeypatch.setattr(padic_zeta, "unit_average", no_sum)
+    monkeypatch.setattr(padic_zeta, "theta_additive", no_sum)
+    with pytest.raises(DomainError):
+        local_factor(1, b, 5, chi=padic_core.UnitCharacter(3, n, m))
+
+
 @pytest.mark.parametrize("a,b,p,n", [
     (1, F(1, 3), 3, 0),
     (F(2, 25), F(3, 5), 5, 0),

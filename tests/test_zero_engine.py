@@ -215,45 +215,53 @@ def _certificate_case(ramified):
     return local_factor(1, Fraction(1, 9), 3, chi=chi)
 
 
-def _certify_three_ways(factor):
-    return exp_poly_roots(factor), unit_circle_certificate(factor), circle_zeros(factor)
-
-
 @pytest.mark.parametrize("ramified", [False, True])
-def test_circle_certificate_is_bisected_once_per_factor(monkeypatch, ramified):
+def test_certificate_path_runs_no_bisection(monkeypatch, ramified):
+    # the certificate is the grid scan plus one sign test per companion
+    # root, both ends of every root's bracket in one array call; only
+    # circle_zeros bisects
     calls = _count_profile_calls(monkeypatch)
     factor = _certificate_case(ramified)
-    assert factor.degree >= 1
     reports = exp_poly_roots(factor)
-    once = len(calls)
-    assert once > 1  # the grid and the bisection steps
-    count, angles = unit_circle_certificate(factor)
+    assert calls == [zero_engine._CIRCLE_SAMPLES, 2 * len(reports)]
+    assert all(rep.certified for rep in reports)
+    del calls[:]
+    count, brackets = unit_circle_certificate(factor)
+    assert calls == [zero_engine._CIRCLE_SAMPLES]
+    assert count == factor.degree == len(reports) == len(brackets)
+    step = 2.0 * math.pi / zero_engine._CIRCLE_SAMPLES
+    for (lo, hi), rep in zip(brackets, circle_zeros(factor)):
+        assert hi - lo in (0.0, pytest.approx(step))
+        assert lo <= (rep.location.imag * math.log(3)) % (2.0 * math.pi) <= hi
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_root_on_the_grid_seam_is_certified(p, k, delta):
+    # gamma = -1 puts a root at X = 1, the grid's first angle and the
+    # seam where the profile closes (antiperiodically for odd D)
+    factor = unramified_from_constants(p, k, delta, -1)
+    reports = exp_poly_roots(factor)
+    count, _ = unit_circle_certificate(factor)
+    assert count == factor.degree == len(reports)
+    assert any(abs(p ** (rep.location - 0.5) - 1.0) <= 1e-10 for rep in reports)
     circle = circle_zeros(factor)
-    assert len(calls) == once
-    assert count == factor.degree == len(reports) == len(circle)
-    # the caller gets its own list; the kept certificate does not change
-    kept = list(angles)
-    angles.clear()
-    assert unit_circle_certificate(factor) == (count, kept)
-    assert len(calls) == once
+    assert len(circle) == len(reports)
+    for rep, rs in zip(reports, circle):
+        assert rep.certified and rs.certified
+        assert abs(rep.location - rs.location) <= 1e-8
 
 
-@pytest.mark.parametrize("ramified", [False, True])
-def test_circle_certificate_is_not_shared_between_equal_factors(monkeypatch, ramified):
-    # nothing is kept by value or across objects: an equal factor built
-    # afresh, and a replaced copy, each bisect once of their own
-    calls = _count_profile_calls(monkeypatch)
-    unit_circle_certificate(_certificate_case(ramified))
-    once = len(calls)  # one bisection
-    factor = _certificate_case(ramified)
-    first = _certify_three_ways(factor)
-    assert len(calls) == 2 * once
-    fresh = _certificate_case(ramified)
-    assert fresh == factor and fresh is not factor
-    assert _certify_three_ways(fresh) == first
-    assert len(calls) == 3 * once
-    assert _certify_three_ways(dataclasses.replace(factor)) == first
-    assert len(calls) == 4 * once
+def test_double_root_on_the_circle_is_not_certified():
+    # a tangential zero shows no sign change: the count misses it and no
+    # root's bracket straddles one
+    factor = dataclasses.replace(
+        unramified_from_constants(3, 1, 0, -1), poly=(1, -2, 1)
+    )
+    reports = exp_poly_roots(factor)
+    assert reports and not any(rep.certified for rep in reports)
+    assert unit_circle_certificate(factor)[0] < factor.degree
 
 
 def _sixty_step_angles(factor):
@@ -287,15 +295,20 @@ def _sixty_step_angles(factor):
 )
 def test_circle_bisection_stops_at_its_fixed_point(monkeypatch, p, a, b, ramified):
     # a step that moves no bracket end and no end value is repeated by every
-    # later step, so stopping there gives the angles of all 60 steps
+    # later step, so stopping there places the zeros where all 60 steps do
     chi = next(iter(unit_characters(p, 1))) if ramified else None
     factor = local_factor(a, b, p, chi=chi)
     want = _sixty_step_angles(factor)
+    period = 2.0 * math.pi / math.log(p)
     calls = _count_profile_calls(monkeypatch)
-    count, angles = unit_circle_certificate(factor)
+    reports = circle_zeros(factor)
     assert 1 < len(calls) < 61  # the grid and fewer than 60 steps
-    assert count == factor.degree == len(want)
-    assert tuple(angles) == want
+    assert len(reports) == factor.degree == len(want)
+    assert [rep.location for rep in reports] == sorted(
+        (complex(0.5, zero_engine._fold_imag(ang / math.log(p), period))
+         for ang in want),
+        key=lambda s: s.imag,
+    )
 
 
 # ---------------------------------------------------------------------------
