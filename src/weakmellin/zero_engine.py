@@ -8,8 +8,9 @@ Three independent mechanisms feed a common report format:
   numerators: one grid scan of a real profile counts and brackets the
   circle zeros without any eigenvalue work, and a companion root is
   confirmed by a sign change of the profile across its matching disk;
-* argument-principle winding counts around rectangles, used both as a
-  standalone counter and as the certificate behind vertical-line scans.
+* argument-principle winding counts around rectangles, sampled evenly in
+  arc length and doubled round by round, used both as a standalone
+  counter and as the certificate behind vertical-line scans.
 
 A report is marked certified only when the located zero passes a small
 residual test and an independent mechanism confirms the count inside a
@@ -46,6 +47,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NonIntegerWindingError,
+    PoleError,
     UncertifiedError,
 )
 from .padic_zeta import LocalFactor
@@ -240,16 +242,39 @@ def _numerator_frame(factor: LocalFactor):
     return coeffs, D, log_p, to_s, residual
 
 
-def _cluster_roots(roots, tol=1e-8):
-    """Greedy clustering; returns (mean, size) pairs."""
-    out = []
-    for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-        for i, (mean, size) in enumerate(out):
-            if abs(r - mean) <= tol:
-                out[i] = ((mean * size + r) / (size + 1), size + 1)
+# an m-fold root comes back from the eigenvalue solver split over a circle
+# of radius about eps^(1/m) times its scale, and each member of the split
+# has a slope |P'| near eps^((m-1)/m) of its natural size
+_CLUSTER_SPREAD = 10.0
+_CLUSTER_SLOPE = 1e-4
+
+
+def _cluster_roots(roots, coeffs):
+    """(location, multiplicity) pairs of the companion roots of P = coeffs.
+
+    roots is the ndarray np.roots returns.  A root with a slope |P'| of
+    its natural size is simple.  Each other root, in order of (Re, Im),
+    joins the largest group of k of the nearest such roots, itself
+    included, that lies within _CLUSTER_SPREAD eps^(1/k) max(1, |c|) of
+    its mean c, and the group is reported as one root at c of
+    multiplicity k.
+    """
+    degrees = np.arange(len(coeffs) - 1, 0, -1)
+    slope = coeffs[:-1] * degrees
+    powers = roots[:, None] ** (degrees - 1)
+    flat = np.abs(powers @ slope) <= _CLUSTER_SLOPE * (np.abs(powers) @ np.abs(slope))
+    out = [(complex(r), 1) for r in roots[~flat]]
+    free = sorted(roots[flat].tolist(), key=lambda z: (z.real, z.imag))
+    eps = np.finfo(float).eps
+    while free:
+        near = sorted(free, key=lambda z: abs(z - free[0]))
+        for k in range(len(near), 0, -1):
+            mean = sum(near[:k]) / k
+            if k == 1 or max(abs(z - mean) for z in near[:k]) <= (
+                    _CLUSTER_SPREAD * eps ** (1.0 / k) * max(1.0, abs(mean))):
                 break
-        else:
-            out.append((r, 1))
+        free = sorted(near[k:], key=lambda z: (z.real, z.imag))
+        out.append((near[0] if k == 1 else mean, k))
     return out
 
 
@@ -271,7 +296,7 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     if D < 1:
         return []
     roots = np.roots(coeffs)
-    clustered = _cluster_roots([complex(r) for r in roots])
+    clustered = _cluster_roots(roots, coeffs)
 
     h = _circle_profile(coeffs, D)
     if h is not None:
@@ -377,25 +402,51 @@ _BOUNDARY_DIP = 1e-4
 _POLE_MARGIN = 1e-3
 # window entries per block of boundary medians (8 MB of float64)
 _MEDIAN_BLOCK = 1 << 20
-# winding_count's first and largest contour sizes (multiples of 4: rounds nest)
+# winding_count's first and largest contour sizes; rounds double every
+# edge's share of the first round, so every round is _START_SAMPLES times
+# a power of two and holds the last round's points
 _START_SAMPLES = 64
 _MAX_SAMPLES = 131072
+# rounds in a row over which a step near pi in nested stretches of the
+# contour refuses it before the budget runs out
+_STUCK_ROUNDS = 3
 
 
-def _boundary_points(rect, n: int) -> np.ndarray:
-    """n // 4 points on each edge, counterclockwise from the lower left
-    corner: corner a to corner b at a + (b - a) (j / (n // 4))."""
+def _edge_counts(rect) -> tuple:
+    """Points of winding_count's first round on each edge, bottom, right,
+    top, left: _START_SAMPLES split in proportion to the edge lengths, at
+    least one an edge.  A square gets _START_SAMPLES // 4 on every edge."""
     re_lo, re_hi, im_lo, im_hi = rect
-    corners = np.array([
+    half = _START_SAMPLES // 2
+    width = re_hi - re_lo
+    across = min(max(round(half * width / (width + (im_hi - im_lo))), 1), half - 1)
+    return (across, half - across, across, half - across)
+
+
+def _boundary_points(rect, counts) -> np.ndarray:
+    """counts[k] points on edge k, counterclockwise from the lower left
+    corner: corner a to corner b at a + (b - a) (j / counts[k])."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    corners = [
         complex(re_lo, im_lo),
         complex(re_hi, im_lo),
         complex(re_hi, im_hi),
         complex(re_lo, im_hi),
+    ]
+    ends = corners[1:] + corners[:1]
+    return np.concatenate([
+        a + (b - a) * (np.arange(count) / count)
+        for a, b, count in zip(corners, ends, counts)
     ])
-    per_edge = n // 4
-    t = np.arange(per_edge) / per_edge
-    steps = np.roll(corners, -1) - corners
-    return (corners[:, None] + steps[:, None] * t).ravel()
+
+
+def _contour_values(fn, points):
+    """fn at the contour points; a pole of fn on the contour is a refusal
+    of the contour, not an error of the caller."""
+    try:
+        return fn(points)
+    except PoleError as exc:
+        raise BoundaryZeroError(f"pole on the winding contour: {exc}") from exc
 
 
 def _check_boundary_clear(vals):
@@ -444,16 +495,25 @@ def winding_count(fn, rect, poles=()) -> int:
     rect is (re_lo, re_hi, im_lo, im_hi).  Known poles inside the
     rectangle may be passed in poles; their (simple) winding is added
     back so the return value is the zero count.  A listed pole close to
-    the boundary is refused outright.  Sampling starts at _START_SAMPLES
-    points and doubles until every consecutive argument step is below
-    pi/4; past _MAX_SAMPLES it raises ConvergenceError.
-    The samples of one round are kept when n doubles: they are exactly
-    the even-numbered points of the next round, so fn runs once per
-    distinct contour point.
+    the boundary is refused outright.
+
+    The contour is sampled evenly in arc length: the _START_SAMPLES points
+    of the first round are split among the edges in proportion to their
+    lengths (_edge_counts), and each round doubles every edge until every
+    consecutive argument step is below pi/4.  The samples of one round are
+    exactly the even-numbered points of the next, so fn runs once per
+    distinct contour point.  A zero, or a PoleError of fn, at a sample
+    raises BoundaryZeroError.  Past _MAX_SAMPLES it raises
+    ConvergenceError, and it does so early when a step stays within
+    2n / _MAX_SAMPLES of pi over _STUCK_ROUNDS rounds of n samples in a row,
+    each stretch inside the last: a simple zero or pole that keeps a step
+    that close to pi sits nearer the contour than the budget's spacing
+    (or on it), so no later round could settle it.
     """
     re_lo, re_hi, im_lo, im_hi = rect
-    if not (re_lo < re_hi and im_lo < im_hi):
-        raise DomainError("winding rectangle must have positive extent")
+    if not (re_lo < re_hi and im_lo < im_hi
+            and math.isfinite(re_hi - re_lo + im_hi - im_lo)):
+        raise DomainError("winding rectangle must have positive, finite extent")
     inside = 0
     for pole in poles:
         z = complex(pole)
@@ -475,25 +535,41 @@ def winding_count(fn, rect, poles=()) -> int:
             )
 
     fn = _elementwise(fn)
-    n = _START_SAMPLES
-    arr = fn(_boundary_points(rect, n))
+    counts = np.array(_edge_counts(rect))
+    arr = _contour_values(fn, _boundary_points(rect, counts))
+    # rounds in a row that the stretch after each sample, or the one it
+    # halves, has stepped within 2n / _MAX_SAMPLES of pi
+    stuck = np.zeros(len(arr) // 2, dtype=int)
     while True:
         if np.any(arr == 0.0):
             raise BoundaryZeroError("exact zero on the winding contour")
         ratios = np.roll(arr, -1) / arr
         steps = np.angle(ratios)
-        if float(np.max(np.abs(steps))) < math.pi / 4.0:
+        size = np.abs(steps)
+        worst = float(np.max(size))
+        if worst < math.pi / 4.0:
             _check_boundary_clear(arr)
             return _integer_winding(float(np.sum(steps))) + inside
-        n *= 2
-        if n > _MAX_SAMPLES:
+        n = len(arr)
+        near = 2.0 * n / _MAX_SAMPLES
+        if math.pi - worst < near:
+            stuck = np.where(math.pi - size < near, np.repeat(stuck, 2) + 1, 0)
+            if stuck.max() >= _STUCK_ROUNDS:
+                raise ConvergenceError(
+                    "winding phase steps by pi across the same stretch of "
+                    "the contour round after round; a zero or pole sits on it"
+                )
+        else:
+            stuck = np.zeros(n, dtype=int)
+        counts *= 2
+        if 2 * n > _MAX_SAMPLES:
             raise ConvergenceError(
                 "winding phase did not settle; a zero or pole is too close "
                 "to the contour for the sample budget"
             )
-        doubled = np.empty(n, dtype=complex)
+        doubled = np.empty(2 * n, dtype=complex)
         doubled[0::2] = arr
-        doubled[1::2] = fn(_boundary_points(rect, n)[1::2])
+        doubled[1::2] = _contour_values(fn, _boundary_points(rect, counts)[1::2])
         arr = doubled
 
 

@@ -264,6 +264,24 @@ def test_double_root_on_the_circle_is_not_certified():
     assert unit_circle_certificate(factor)[0] < factor.degree
 
 
+@pytest.mark.parametrize("poly, mult", [
+    ((1, -2, 1), 2),
+    ((1, -3, 3, -1), 3),
+    (tuple(np.poly([1j, 1j, -1.0, 0.6 + 0.8j])), 2),
+])
+def test_multiple_root_is_one_report(poly, mult):
+    # the eigenvalue solver splits an m-fold root over about eps^(1/m):
+    # 1 +- 1.5e-8 i for the double root, 1.8e-5 across for the triple
+    factor = dataclasses.replace(
+        unramified_from_constants(3, 1, 0, -1), poly=poly
+    )
+    reports = exp_poly_roots(factor)
+    multiple = [rep for rep in reports if rep.multiplicity > 1]
+    assert [rep.multiplicity for rep in multiple] == [mult]
+    assert sum(rep.multiplicity for rep in reports) == factor.degree
+    assert not multiple[0].certified
+
+
 def _sixty_step_angles(factor):
     # the bisection as it ran before it learned to stop: always 60 steps
     coeffs, _, degree = factor.zero_poly()
@@ -364,6 +382,16 @@ def test_winding_rejects_degenerate_rect():
         winding_count(lambda z: z, (1.0, 1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("rect", [
+    (0.0, math.inf, 0.0, 1.0),
+    (0.0, 1.0, -math.inf, 1.0),
+    (0.0, 1.0, math.nan, 1.0),
+])
+def test_winding_rejects_unbounded_rect(rect):
+    with pytest.raises(DomainError):
+        winding_count(lambda z: z, rect)
+
+
 def test_winding_gives_up_on_discontinuous_phase(monkeypatch):
     def fn(z):
         # half-angle phase is discontinuous along a ray crossing the
@@ -373,6 +401,52 @@ def test_winding_gives_up_on_discontinuous_phase(monkeypatch):
     monkeypatch.setattr(zero_engine, "_MAX_SAMPLES", 4096)
     with pytest.raises(ConvergenceError):
         winding_count(fn, (0.0, 1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("fn", [lambda z: z - 0.3, lambda z: 1.0 / (z - 0.3)],
+                         ids=["zero", "pole"])
+def test_winding_refuses_an_edge_feature_early(fn):
+    # a zero or pole on the bottom edge between samples keeps a step of
+    # exactly pi in the stretch that holds it, round after round: three
+    # rounds (256 points) refuse the contour where the budget took 131072
+    fn, points = _recording(fn)
+    with pytest.raises(ConvergenceError, match="round after round"):
+        winding_count(fn, (0.0, 1.0, 0.0, 1.0))
+    assert points == [64, 64, 128]
+
+
+@pytest.mark.parametrize("d, count", [(1e-4, 1), (2e-5, None)])
+def test_winding_near_edge_zero_keeps_the_budget(d, count):
+    # a zero d off the edge: its step nears pi and then falls as the
+    # rounds halve the spacing, so it is counted or runs the budget out,
+    # as without the early refusal
+    fn, points = _recording(lambda z: z - 0.3 - 1j * d)
+    if count is None:
+        with pytest.raises(ConvergenceError, match="sample budget"):
+            winding_count(fn, (0.0, 1.0, 0.0, 1.0))
+    else:
+        assert winding_count(fn, (0.0, 1.0, 0.0, 1.0)) == count
+    assert sum(points) == (65536 if count else zero_engine._MAX_SAMPLES)
+
+
+def test_winding_refuses_an_unlisted_pole_on_the_edge_early():
+    # the reference function's pole at s = 0 or 1 sits on the bottom edge
+    # of this box and no sample lands on it
+    fn, points = _recording(_reference_global())
+    with pytest.raises(ConvergenceError, match="round after round"):
+        winding_count(fn, (-0.13, 1.1, 0.0, 10.0))
+    assert sum(points) <= 4096
+
+
+@pytest.mark.parametrize("rect", [(-0.5, 1.5, 0.0, 10.0), (-0.1, 1.1, 0.0, 10.0)])
+def test_pole_at_a_contour_sample_refuses_the_contour(rect):
+    # a sample lands exactly on s = 0: the PoleError of fn refuses the
+    # contour, and census turns that into UncertifiedError
+    fn = _reference_global()
+    with pytest.raises(BoundaryZeroError, match="pole on the winding contour"):
+        winding_count(fn, rect)
+    with pytest.raises(UncertifiedError, match="no winding count"):
+        census(fn, rect, samples=64)
 
 
 def test_winding_unaffected_by_huge_scale_variation():
@@ -486,9 +560,9 @@ def test_scalar_callables_are_lifted_to_a_loop(kind):
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4),
-    st.integers(min_value=4, max_value=600),
+    st.lists(st.integers(min_value=1, max_value=150), min_size=4, max_size=4),
 )
-def test_boundary_points_match_the_per_point_formula(edges, n):
+def test_boundary_points_match_the_per_point_formula(edges, counts):
     re_lo, re_hi = sorted(edges[:2])
     im_lo, im_hi = sorted(edges[2:])
     rect = (re_lo, re_hi, im_lo, im_hi)
@@ -498,16 +572,105 @@ def test_boundary_points_match_the_per_point_formula(edges, n):
         complex(re_hi, im_hi),
         complex(re_lo, im_hi),
     )
-    per_edge = n // 4
     want = [
-        corners[k] + (corners[(k + 1) % 4] - corners[k]) * (j / per_edge)
+        corners[k] + (corners[(k + 1) % 4] - corners[k]) * (j / counts[k])
         for k in range(4)
-        for j in range(per_edge)
+        for j in range(counts[k])
     ]
-    got = _boundary_points(rect, n)
+    got = _boundary_points(rect, counts)
     assert got.tolist() == want
     assert np.signbit(got.real).tolist() == [math.copysign(1, z.real) < 0 for z in want]
     assert np.signbit(got.imag).tolist() == [math.copysign(1, z.imag) < 0 for z in want]
+
+
+def _uniform_grid(rect, n):
+    # the contour before arc-length sampling: n // 4 points on every edge
+    re_lo, re_hi, im_lo, im_hi = rect
+    corners = np.array([
+        complex(re_lo, im_lo),
+        complex(re_hi, im_lo),
+        complex(re_hi, im_hi),
+        complex(re_lo, im_hi),
+    ])
+    per_edge = n // 4
+    t = np.arange(per_edge) / per_edge
+    steps = np.roll(corners, -1) - corners
+    return (corners[:, None] + steps[:, None] * t).ravel()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.complex_numbers(max_magnitude=60.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([2e-5, 2e-4, 2e-3, 1e-6, 0.5, 1.0, 3.0]),
+)
+def test_squares_keep_the_uniform_grid(centre, hw):
+    # a square, as line_zeros and exp_poly_roots build them around a
+    # point, gets a quarter of every round on each edge, so every round
+    # evaluates the same points, bit for bit, as the uniform grid
+    rect = (centre.real - hw, centre.real + hw, centre.imag - hw, centre.imag + hw)
+    assert zero_engine._edge_counts(rect) == (16, 16, 16, 16)
+    for k in range(5):
+        n = 64 << k
+        got = _boundary_points(rect, [n // 4] * 4)
+        want = _uniform_grid(rect, n)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rect, counts", [
+    ((0.0, 1.0, 0.0, 1.0), (16, 16, 16, 16)),
+    ((0.1, 0.9, 0.0, 40.0), (1, 31, 1, 31)),
+    ((-0.1, 1.1, 1.0, 30.0), (1, 31, 1, 31)),
+    ((0.0, 2.0, 0.0, 1.0), (21, 11, 21, 11)),
+    ((0.0, 1e3, 0.0, 1e-3), (31, 1, 31, 1)),
+])
+def test_first_round_is_split_by_edge_length(rect, counts):
+    assert zero_engine._edge_counts(rect) == counts
+    assert sum(counts) == zero_engine._START_SAMPLES
+
+
+def test_tall_box_samples_its_long_edges():
+    # criterion 5's (a, b) = (0.5, 1.5) box, nine zeros on Re s = 1/2 up
+    # to Im 40: 1 and 31 first-round points on its short and long edges,
+    # doubled five times
+    from weakmellin.arch_zeta import zeta_real
+
+    fn, points = _recording(lambda s: zeta_real(0.5, 1.5, s))
+    assert winding_count(fn, (0.1, 0.9, 0.0, 40.0)) == 9
+    assert sum(points) == 2048
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(1.0, 60.0),
+    st.booleans(),
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.05, 0.95)),
+             min_size=0, max_size=5),
+    st.floats(0.5, 3.0),
+)
+def test_winding_counts_roots_in_long_rectangles(aspect, tall, corner, spots, c):
+    # simple interior roots at least 5 % of the short side off the
+    # contour, each in its own slot along the long side, times a chirp
+    # whose phase turns with |z|.  (A cluster of roots that close to an
+    # edge is refused by the boundary dip check, not miscounted.)
+    long_side, short = 1.0, 1.0 / aspect
+    slot = 1.0 / max(len(spots), 1)
+    roots = []
+    for k, (u, v) in enumerate(spots):
+        along = long_side * slot * (k + 0.2 + 0.6 * u)
+        across = short * v
+        roots.append(corner + (complex(across, along) if tall
+                               else complex(along, across)))
+    width, height = (short, long_side) if tall else (long_side, short)
+    rect = (corner.real, corner.real + width, corner.imag, corner.imag + height)
+
+    def fn(z):
+        out = np.exp(-1j * c * z * z)
+        for r in roots:
+            out = out * (z - r)
+        return out
+
+    assert winding_count(fn, rect) == len(roots)
 
 
 def _boundary_clear_by_loop(vals):
