@@ -39,7 +39,7 @@ from .global_zeta import (
     global_fe_residual,
     reference_spec,
 )
-from .padic_core import unit_characters
+from .padic_core import _split, unit_characters
 from .padic_zeta import local_factor, weil_index_padic
 from .specfun import _ZETA_IM_CAP, _factorize
 from .zero_engine import census, line_zeros, zeros_in_window
@@ -134,16 +134,6 @@ _MAX_CHI_MOD = 100_000
 _MAX_SAMPLES = 2**20
 
 
-def _prime_power_exponent(mod: int, p: int) -> int:
-    n, m = 0, mod
-    while m % p == 0 and m > 1:
-        m //= p
-        n += 1
-    if m != 1 or n < 1:
-        raise ConfigError(f"chi modulus {mod} is not a positive power of {p}")
-    return n
-
-
 @dataclass(frozen=True)
 class JobConfig:
     """Canonical description of one CLI job.
@@ -217,7 +207,9 @@ class JobConfig:
                 if mod is not None:
                     if mod > _MAX_CHI_MOD:
                         raise ConfigError(f"chi modulus {mod} is above the cap {_MAX_CHI_MOD}")
-                    _prime_power_exponent(mod, p)
+                    # below 2 first: _split(0, p) never returns
+                    if mod < 2 or _split(mod, p)[1] != 1:
+                        raise ConfigError(f"chi modulus {mod} is not a positive power of {p}")
                     if p == 2:
                         raise ConfigError(
                             "ramified characters at p = 2 are out of scope"
@@ -340,7 +332,7 @@ def _local_callable(cfg: JobConfig):
     if cfg.field == "qp":
         chi = None
         if cfg.chi_mod is not None:
-            n = _prime_power_exponent(cfg.chi_mod, cfg.p)
+            n, _ = _split(cfg.chi_mod, cfg.p)
             chars = tuple(unit_characters(cfg.p, n))
             if not 0 <= cfg.chi_index < len(chars):
                 raise ConfigError(

@@ -36,7 +36,6 @@ from .specfun import (
     DirichletCharacter,
     _as_complex,
     _factorize,
-    _local_generators,
     _zero_like,
     completed_xi,
     dirichlet_l,
@@ -115,19 +114,13 @@ class GlobalSpec:
 def _local_character_component(chi: DirichletCharacter, p: int, n: int):
     """The restriction of chi to the units at p, as a unit character.
 
-    Both characters index against the same generator g of the units mod
-    p^n, so the component's index is phi(p^n) times chi's phase at the
-    lift of g (congruent to g mod p^n and to 1 mod the rest of q).
+    Both characters index against the generator `specfun` fixes mod p^n,
+    so the component's index is chi's exponent at p.
     """
     if p == 2:
         raise DomainError("ramified characters at p = 2 are out of scope")
-    mod_p = p**n
-    rest = chi.modulus // mod_p
-    g = _local_generators(p, n)[0][0]
-    # CRT: e1 = 1 mod p^n and 0 mod rest
-    e1 = rest * pow(rest, -1, mod_p) % chi.modulus
-    phi = (p - 1) * p ** (n - 1)
-    return UnitCharacter(p, n, int(phi * chi.phase((g * e1 + 1 - e1) % chi.modulus)))
+    _, (m,) = chi._local[p]
+    return UnitCharacter(p, n, m)
 
 
 @dataclass(frozen=True)

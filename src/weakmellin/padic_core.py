@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateError, DomainError
-from .specfun import _local_generators
+from .specfun import _dlog_array
 
 __all__ = [
     "valuation",
@@ -124,32 +124,16 @@ def rat_mod(x, p: int, k: int) -> int:
     return (x.numerator * pow(x.denominator, -1, pk)) % pk
 
 
-@lru_cache(maxsize=None)
-def _dlog_array(p: int, n: int) -> np.ndarray:
-    """dlog[r] = t with g^t = r mod p^n for units, -1 otherwise.
-
-    g is the generator `specfun.DirichletCharacter` is indexed by, so a unit
-    character and the Dirichlet character with the same index agree.
-    """
-    mod = p**n
-    phi = (p - 1) * p ** (n - 1)
-    g = _local_generators(p, n)[0][0]
-    powers = np.ones(1, dtype=np.int64)  # g^t for t < len(powers)
-    while len(powers) < phi:
-        powers = np.concatenate(
-            (powers, powers * pow(g, len(powers), mod) % mod)
-        )
-    out = np.full(mod, -1, dtype=np.int64)
-    out[powers[:phi]] = np.arange(phi)
-    return out
-
-
 class UnitCharacter:
     """Multiplicative character of the p-adic units, stored at its exact
     conductor p^n.  Odd p only for n >= 1; the trivial character (n = 0)
     exists for every p.
 
-    chi(g) = exp(2 pi i m / phi(p^n)) against the cached primitive root g.
+    chi(g) = exp(2 pi i m / phi(p^n)) for g the least primitive root mod
+    p^n, the generator `specfun` fixes there, so the index m is the exponent
+    the Dirichlet characters mod p^n carry and the unit's exponent is read
+    from the same table, `specfun._dlog_array`.  m is prime to p when
+    n >= 2, so p^n is the exact conductor.
     """
 
     def __init__(self, p: int, n: int, m: int = 0):
@@ -189,15 +173,13 @@ class UnitCharacter:
 
     def phase(self, u) -> Fraction:
         """chi(u) = exp(2 pi i phase(u)); u must be a p-adic unit."""
-        if self.is_trivial:
-            if valuation(u, self.p) != 0:
-                raise DomainError(f"{u} is not a unit at p = {self.p}")
-            return Fraction(0)
-        n = self.conductor_exponent
         if valuation(u, self.p) != 0:
             raise DomainError(f"{u} is not a unit at p = {self.p}")
+        if self.is_trivial:
+            return Fraction(0)
+        n = self.conductor_exponent
         r = rat_mod(u, self.p, n)
-        t = int(_dlog_array(self.p, n)[r])
+        t = int(_dlog_array(self.p, n)[r, 0])
         return Fraction(self.index * t, self.group_order) % 1
 
     def __call__(self, u) -> complex:
@@ -249,7 +231,7 @@ def unit_characters(p: int, n: int):
 def _char_value_array(p: int, n: int, m: int) -> np.ndarray:
     """chi over residues mod p^n (0 at non-units), n >= 1."""
     phi = (p - 1) * p ** (n - 1)
-    dlog = _dlog_array(p, n)
+    dlog = _dlog_array(p, n)[:, 0]
     phases = np.where(dlog >= 0, (m * dlog) % phi, 0)
     out = np.exp(2j * np.pi * phases / phi)
     out[dlog < 0] = 0.0

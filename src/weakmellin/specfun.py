@@ -6,6 +6,16 @@ one fixed-point integer series run at two widths (2^-128 resolution,
 where twelve digits survive cancellation by up to about 1e24, and up to
 200 bits for the rare heavier cases), Dirichlet characters of general
 modulus, and the completed Riemann xi.
+
+One character convention serves the whole package.  The units mod each
+prime power p^k have fixed generators (`_local_generators`): the least
+primitive root for odd p, -1 and 3 for 2^k with k >= 3, 3 for 4.  A
+character's index is its exponents against them, one discrete-log table
+(`_dlog_array`) reads any unit's exponents, and the conductor and the
+inducing primitive character are read off the index.  The p-adic unit
+characters of `padic_core` use the same generators and table, so a
+character's local component at odd p is its exponent there.
+
 External packages (mpmath, sympy) appear only in the test suite as
 cross-checks, never here.
 
@@ -29,6 +39,7 @@ mod 7 with -0.5 <= Re(s) <= -0.1, |Im(s)| <= 60, against 30-digit mpmath.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -636,9 +647,10 @@ def hurwitz_zeta(s: complex, a: float, *, skip_pole: bool = False) -> complex:
 # Dirichlet characters of general modulus.
 #
 # The unit group mod q is the product over prime powers p^k || q of cyclic
-# pieces: a primitive-root power for odd p, the pair {-1, 3} for 2^k with
-# k >= 3, {3} for k = 2, trivial for k = 1.  A character is a choice of
-# exponent against each generator; values are exact rational phases.
+# pieces, each with a fixed generator: the least primitive root for odd p,
+# the pair {-1, 3} for 2^k with k >= 3, {3} for k = 2, none for k = 1.  A
+# character is a choice of exponent against each generator; values are
+# exact rational phases, and the conductor is read off the exponents.
 # ---------------------------------------------------------------------------
 
 
@@ -684,52 +696,81 @@ def _local_generators(p: int, k: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _dlog_table(p: int, k: int) -> dict[int, tuple[int, ...]]:
-    """unit mod p^k  ->  exponent tuple against the local generators."""
-    gens = _local_generators(p, k)
+def _dlog_array(p: int, k: int) -> np.ndarray:
+    """dlog[r] = the exponents of r mod p^k against the local generators,
+    one column per generator; every column is -1 at a non-unit r."""
     mod = p**k
-    table = {1 % mod: tuple(0 for _ in gens)}
-    if not gens:
-        return table
-    # enumerate the full product of generator powers; group order <= 1000
-    def extend(idx: int, val: int, exps: tuple[int, ...]) -> None:
-        if idx == len(gens):
-            table.setdefault(val, exps)
-            return
-        g, order = gens[idx]
-        cur = 1
-        for e in range(order):
-            extend(idx + 1, (val * cur) % mod, exps + (e,))
-            cur = (cur * g) % mod
+    units = np.ones(1, dtype=np.int64)
+    exps = np.zeros((1, 0), dtype=np.int64)
+    for g, order in _local_generators(p, k):
+        powers = np.ones(1, dtype=np.int64)  # g^t for t < len(powers)
+        while len(powers) < order:
+            powers = np.concatenate(
+                (powers, powers * pow(g, len(powers), mod) % mod)
+            )
+        units = (units[:, None] * powers[None, :order] % mod).ravel()
+        exps = np.column_stack(
+            (np.repeat(exps, order, axis=0), np.tile(np.arange(order), len(exps)))
+        )
+    out = np.full((mod, exps.shape[1]), -1, dtype=np.int64)
+    out[units] = exps
+    return out
 
-    extend(0, 1, ())
-    return table
+
+@lru_cache(maxsize=None)
+def _fractions(L: int) -> tuple[Fraction, ...]:
+    """j / L for j = 0 .. L-1, shared by the characters whose phases have
+    denominator dividing L."""
+    return tuple(Fraction(j, L) for j in range(L))
+
+
+def _primitive_exponents(p: int, k: int, exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(n, e): the character with exponents exps against the generators mod
+    p^k has conductor p^n and exponents e against the generators mod p^n."""
+    if not any(exps):
+        return 0, ()
+    if p == 2 and k >= 3:
+        a, b = exps
+        if b == 0:
+            return 3, (1, 0)
+        if a == 1 and b == 2 ** (k - 3):
+            return 2, (1,)
+    # the units = 1 mod p^n are the powers of g^(order / p^(k-n)) for the
+    # last generator g (n >= 3 at p = 2), so chi is trivial on them exactly
+    # when p^(k-n) divides g's exponent
+    n, m = k, exps[-1]
+    while m % p == 0:
+        n, m = n - 1, m // p
+    return n, exps[:-1] + (m,)
 
 
 class DirichletCharacter:
     """A Dirichlet character mod q, q <= 1000, with exact phase arithmetic.
 
-    `index` lists one exponent per local generator, in the order produced by
-    iterating the prime-power factors of q smallest first.
+    `index` lists one exponent per local generator: for each prime power
+    p^k || q, smallest p first, the exponent against the least primitive
+    root mod p^k for odd p, against -1 then 3 for 2^k with k >= 3, against
+    3 for k = 2 (none for k = 1).  chi(g) = exp(2 pi i m / order(g)) for a
+    generator g with exponent m, and the conductor is read off the
+    exponents: p^k / gcd(m, p^k) at odd p.
     """
 
     def __init__(self, q: int, index: tuple[int, ...]):
         if not 1 <= q <= 1000:
             raise DomainError(f"modulus {q} outside supported range 1..1000")
         self.modulus = q
-        self._factors = _factorize(q)
-        self._gens: list[tuple[int, int, int, int]] = []  # (p, k, order, exponent)
-        flat = []
-        for p, k in self._factors:
-            for _, order in _local_generators(p, k):
-                flat.append((p, k, order))
-        if len(index) != len(flat):
+        gens = [(p, k, _local_generators(p, k)) for p, k in _factorize(q)]
+        orders = [order for *_, g in gens for _, order in g]
+        if len(index) != len(orders):
             raise DomainError(
-                f"index length {len(index)} != generator count {len(flat)} for q={q}"
+                f"index length {len(index)} != generator count {len(orders)} for q={q}"
             )
-        self.index = tuple(m % order for (_, _, order), m in zip(flat, index))
-        for (p, k, order), m in zip(flat, self.index):
-            self._gens.append((p, k, order, m))
+        self.index = tuple(m % order for order, m in zip(orders, index))
+        # p -> (k, the exponents against the generators mod p^k)
+        exps = iter(self.index)
+        self._local: dict[int, tuple[int, tuple[int, ...]]] = {
+            p: (k, tuple(itertools.islice(exps, len(g)))) for p, k, g in gens
+        }
 
     @classmethod
     def principal(cls, q: int) -> "DirichletCharacter":
@@ -738,32 +779,34 @@ class DirichletCharacter:
 
     def phase(self, n: int) -> Fraction | None:
         """chi(n) = exp(2 pi i * phase(n)); None when gcd(n, q) > 1."""
-        n %= self.modulus
-        if self.modulus == 1:
-            return Fraction(0)
-        if math.gcd(n, self.modulus) != 1:
-            return None
-        total = Fraction(0)
-        pos = 0
-        for p, k in self._factors:
-            exps = _dlog_table(p, k)[n % (p**k)]
-            for e in exps:
-                _, _, order, m = self._gens[pos]
-                total += Fraction(m * e, order)
-                pos += 1
-        return total % 1
+        return self._phases[n % self.modulus]
+
+    @cached_property
+    def _phases(self) -> tuple[Fraction | None, ...]:
+        # phase over the residues 0 .. q-1, built once per character: every
+        # residue's exponents are read off the table at once, and the phases
+        # are j / L for L the exponent of the unit group
+        q = self.modulus
+        residues = np.arange(q)
+        L = math.lcm(*(
+            order for p, (k, _) in self._local.items() for _, order in _local_generators(p, k)
+        ))
+        num = np.zeros(q, dtype=np.int64)
+        for p, (k, exps) in self._local.items():
+            dlog = _dlog_array(p, k)[residues % p**k]
+            for (_, order), m, column in zip(_local_generators(p, k), exps, dlog.T):
+                num += m * (L // order) * column
+        num = np.where(np.gcd(residues, q) == 1, num % L, L)
+        table = _fractions(L) + (None,)
+        return tuple(table[j] for j in num.tolist())
 
     @cached_property
     def _values(self) -> tuple[complex, ...]:
         # chi over the residues 0 .. q-1, built once per character
-        out = []
-        for n in range(self.modulus):
-            ph = self.phase(n)
-            if ph is None:
-                out.append(0.0 + 0.0j)
-            else:
-                out.append(cmath.exp(2j * math.pi * float(ph)))
-        return tuple(out)
+        return tuple(
+            0j if ph is None else cmath.exp(2j * math.pi * float(ph))
+            for ph in self._phases
+        )
 
     def __call__(self, n: int) -> complex:
         return self._values[n % self.modulus]
@@ -774,30 +817,14 @@ class DirichletCharacter:
 
     @property
     def is_even(self) -> bool:
-        ph = self.phase(self.modulus - 1) if self.modulus > 1 else Fraction(0)
-        return ph == 0
+        return self.phase(-1) == 0
 
     @property
-    def order(self) -> int:
-        out = 1
-        for _, _, order, m in self._gens:
-            out = math.lcm(out, order // math.gcd(order, m))
-        return out
-
-    @cached_property
     def conductor(self) -> int:
-        # kept on the instance, so it goes with the character
-        q = self.modulus
-        for d in sorted(_divisors(q)):
-            ok = True
-            for n in range(1, q + 1):
-                if math.gcd(n, q) == 1 and n % d == 1 % d:
-                    if self.phase(n) != 0:
-                        ok = False
-                        break
-            if ok:
-                return d
-        return q  # unreachable: d = q always works
+        return math.prod(
+            p ** _primitive_exponents(p, k, exps)[0]
+            for p, (k, exps) in self._local.items()
+        )
 
     @property
     def is_primitive(self) -> bool:
@@ -805,17 +832,19 @@ class DirichletCharacter:
 
     def primitive_character(self) -> "DirichletCharacter":
         """The primitive character of conductor f inducing this one."""
-        f = self.conductor
-        if f == self.modulus:
-            return self
-        for cand in characters(f):
-            if all(
-                cand.phase(n) == self.phase(n)
-                for n in range(1, self.modulus + 1)
-                if math.gcd(n, self.modulus) == 1
-            ):
-                return cand
-        raise ConvergenceError("no inducing primitive character found")  # unreachable
+        f, index = 1, ()
+        for p, (k, exps) in self._local.items():
+            n, reduced = _primitive_exponents(p, k, exps)
+            if n == 0:
+                continue
+            # the exponents carry over only if each generator mod p^n is the
+            # one mod p^k reduced; true for the least primitive roots of
+            # every p^k <= 1000
+            gens = zip(_local_generators(p, k), _local_generators(p, n))
+            assert all(g % p**n == h for (g, _), (h, _) in gens)
+            f *= p**n
+            index += reduced
+        return DirichletCharacter(f, index)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirichletCharacter):
@@ -829,31 +858,11 @@ class DirichletCharacter:
         return f"DirichletCharacter(q={self.modulus}, index={self.index})"
 
 
-def _divisors(q: int) -> list[int]:
-    out = [1]
-    for p, k in _factorize(q):
-        out = [d * p**e for d in out for e in range(k + 1)]
-    return out
-
-
 def characters(q: int):
     """Iterate over all phi(q) Dirichlet characters mod q."""
-    flat = []
-    for p, k in _factorize(q):
-        for _, order in _local_generators(p, k):
-            flat.append(order)
-    if not flat:
-        yield DirichletCharacter(q, ())
-        return
-
-    def rec(prefix: tuple[int, ...], rest: list[int]):
-        if not rest:
-            yield DirichletCharacter(q, prefix)
-            return
-        for m in range(rest[0]):
-            yield from rec(prefix + (m,), rest[1:])
-
-    yield from rec((), flat)
+    orders = [order for p, k in _factorize(q) for _, order in _local_generators(p, k)]
+    for index in itertools.product(*(range(order) for order in orders)):
+        yield DirichletCharacter(q, index)
 
 
 def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:

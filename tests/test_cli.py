@@ -462,6 +462,17 @@ def test_chi_modulus_above_the_cap_exits_2(p, chi_mod, refused, capsys):
     assert err.startswith(f"config error: chi modulus {chi_mod} is above the cap")
 
 
+@pytest.mark.parametrize("chi_mod", [0, -25, 1, 10])
+def test_chi_modulus_not_a_power_of_p_exits_2(chi_mod, capsys):
+    # 0 is refused before the p-adic split, which would never end on it
+    code, out, err = run_cli(
+        ["local", "--field", "qp", "--p", "5", f"--chi-mod={chi_mod}", "--s", "2"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == f"config error: chi modulus {chi_mod} is not a positive power of 5\n"
+
+
 @pytest.mark.parametrize("samples,refused", [
     (16, False),
     (2048, False),

@@ -5,11 +5,13 @@ mpmath is the numerical reference here; the library itself never imports it.
 
 import cmath
 import gc
+import itertools
 import math
 import random
 import time
 import warnings
 import weakref
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -381,6 +383,73 @@ def test_primitive_character_induces_original():
         for n in range(1, 25):
             if math.gcd(n, 24) == 1:
                 assert abs(prim(n) - chi(n)) < 1e-13
+
+
+def _brute_force_characters(q):
+    """Index tuples of every character mod q and their phases over the
+    residues mod q, as numerators over L (-1 at non-units): the discrete
+    logs come from enumerating every product of the CRT-lifted local
+    generator powers."""
+    gens = []
+    for p, k in sf._factorize(q):
+        pk, rest = p**k, q // p**k
+        for g, order in sf._local_generators(p, k):
+            lift = next(x for x in range(q) if x % pk == g % pk and x % rest == 1 % rest)
+            gens.append((lift, order))
+    L = math.lcm(*(order for _, order in gens))
+    indices = list(itertools.product(*(range(order) for _, order in gens)))
+    dlog = np.zeros((q, len(gens)), dtype=np.int64)
+    units = set()
+    for exps in indices:
+        unit = math.prod(pow(g, e, q) for (g, _), e in zip(gens, exps)) % q
+        units.add(unit)
+        dlog[unit] = exps
+    assert units == {n for n in range(q) if math.gcd(n, q) == 1}
+    weights = np.array(
+        [[m * (L // order) for (_, order), m in zip(gens, index)] for index in indices],
+        dtype=np.int64,
+    ).reshape(len(indices), len(gens))
+    num = weights @ dlog.T % L
+    num[:, [n for n in range(q) if n not in units]] = -1
+    return indices, L, num
+
+
+@pytest.mark.parametrize("moduli", [range(1, 129), (243, 256, 343, 625, 1000)])
+def test_characters_match_the_brute_force(moduli):
+    # conductor: the least d | q with chi = 1 on the units = 1 mod d;
+    # primitive character: the one mod the conductor that agrees with chi
+    # on every unit mod q
+    reference = {}
+
+    def brute_force(q):
+        if q not in reference:
+            reference[q] = _brute_force_characters(q)
+        return reference[q]
+
+    for q in moduli:
+        indices, L, num = brute_force(q)
+        units = np.flatnonzero(num[0] >= 0)
+        conductor = np.full(len(indices), q)
+        for d in sorted((d for d in range(1, q + 1) if q % d == 0), reverse=True):
+            trivial = (num[:, units[units % d == 1 % d]] == 0).all(axis=1)
+            conductor[trivial] = d
+        row_of = {index: row for row, index in enumerate(indices)}
+        fractions = [Fraction(j, L) for j in range(L)] + [None]  # num -1 -> None
+        for chi in sf.characters(q):
+            row = row_of[chi.index]
+            expect = [fractions[j] for j in num[row].tolist()]
+            assert [chi.phase(n) for n in range(q)] == expect, chi
+            f = int(conductor[row])
+            assert chi.conductor == f, chi
+            assert chi.is_primitive == (f == q), chi
+            if f == q:
+                inducing = [chi.index]
+            else:
+                f_indices, f_L, f_num = brute_force(f)
+                agree = (f_num[:, units % f] * L == num[row, units] * f_L).all(axis=1)
+                inducing = [f_indices[i] for i in np.flatnonzero(agree)]
+            prim = chi.primitive_character()
+            assert (prim.modulus, [prim.index]) == (f, inducing), chi
 
 
 def test_character_parity_split():
