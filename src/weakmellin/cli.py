@@ -205,6 +205,9 @@ class JobConfig:
                 )
                 mod = data.get("chi_mod")
                 if mod is not None:
+                    # bool is an int subclass, but True is no modulus
+                    if not isinstance(mod, int) or isinstance(mod, bool):
+                        raise ConfigError(f"chi modulus must be an integer, got {mod!r}")
                     if mod > _MAX_CHI_MOD:
                         raise ConfigError(f"chi modulus {mod} is above the cap {_MAX_CHI_MOD}")
                     # below 2 first: _split(0, p) never returns

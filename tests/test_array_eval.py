@@ -5,7 +5,9 @@ point, what the scalar call returns there, up to the last few bits that
 numpy's complex products and powers round differently: within
 5e-14 (1 + |scalar value|).  An array holding one bad point must raise
 what the scalar call raises at that point.  An array of any size runs
-the numpy body, so the arrays here hold from 1 point up.
+the numpy body, so the arrays here hold from 1 point up.  hyp1f1 on a
+full group of points sums a Taylor disc instead, good to 1e-13 of the
+disc's scale rather than of the value; test_specfun pins it to mpmath.
 """
 
 from fractions import Fraction as F
@@ -22,6 +24,7 @@ from weakmellin.errors import DomainError
 from weakmellin.global_zeta import GlobalSpec, factorize_global, reference_spec
 from weakmellin.padic_core import unit_characters
 from weakmellin.padic_zeta import local_factor, padic_vector_factor
+from weakmellin.zero_engine import census
 
 TOL = 5e-14
 
@@ -179,6 +182,20 @@ def test_radial_scans_of_criterion_8_take_one_call_per_grid(monkeypatch):
     assert sizes.count(1536) == 4
     assert sizes.count(None) < 18 * 64
     assert all(size >= 64 for size in sizes if size is not None)
+
+
+def test_real_census_sums_discs_not_points(monkeypatch):
+    # the box and scan points come from three Taylor discs (Im s/2 near
+    # 0, 1 and 2), so only Newton's scalar calls and the odd small group
+    # run the series: 53 runs and 3 discs, against 2534 runs point by point
+    runs = []
+    series = sf._kummer_series
+    monkeypatch.setattr(sf, "_kummer_series", lambda *args: runs.append(args) or series(*args))
+    sf._kummer_disc.cache_clear()
+    reports, count = census(lambda s: zeta_real(0.5, 1.5, s), (0.1, 0.9, 0.0, 5.0))
+    assert count == len(reports) == 3
+    assert len(runs) <= 60
+    assert sf._kummer_disc.cache_info().misses <= 3
 
 
 # The domain: -3 <= Re s <= 4, |Im s| <= 40, at least 1e-3 from the poles

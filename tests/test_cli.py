@@ -473,6 +473,15 @@ def test_chi_modulus_not_a_power_of_p_exits_2(chi_mod, capsys):
     assert err == f"config error: chi modulus {chi_mod} is not a positive power of 5\n"
 
 
+@pytest.mark.parametrize("chi_mod", ["25", 25.0, True])
+def test_chi_modulus_that_is_not_an_int_is_a_config_error(chi_mod):
+    # a mapping, unlike the argparse front end, can hold any JSON value
+    mapping = {"command": "local", "field": "qp", "p": 5, "chi_mod": chi_mod,
+               "chi_index": 1, "s": ["2"]}
+    with pytest.raises(ConfigError, match="chi modulus must be an integer"):
+        JobConfig.from_mapping(mapping)
+
+
 @pytest.mark.parametrize("samples,refused", [
     (16, False),
     (2048, False),

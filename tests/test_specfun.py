@@ -293,6 +293,73 @@ def test_hyp1f1_eval_quality_fields():
     assert abs(q.value - complex(mp.hyp1f1(0.5, 1.5, 2j))) < 1e-13
 
 
+def _cell_points(rng, j, m, n, on_line):
+    """n points a with floor(2 Re a) = j and round(Im a) = m, inside
+    -0.45 <= Re a <= 1.6; on_line puts every other one on Re a = j/2 + 1/4,
+    which is Re s = 1/2 for a = s/2 or (s + 1)/2."""
+    lo, hi = max(0.5 * j, -0.45), min(0.5 * j + 0.49, 1.6)
+    return np.array([
+        complex(0.5 * j + 0.25 if on_line and i % 2 else rng.uniform(lo, hi),
+                m + rng.uniform(-0.49, 0.49))
+        for i in range(n)
+    ])
+
+
+def test_hyp1f1_discs_match_mpmath_on_a_seeded_grid():
+    # an array call with a full group of points in a lattice cell takes
+    # the cell's Taylor disc; its error is bounded by 1e-13 of the disc
+    # scale, max |1F1| on the ring |a - centre| = 0.6
+    rng = random.Random(22)
+    ring = np.exp(2j * np.pi * np.arange(32) / 32)
+    worst = 0.0
+    with mp.workdps(30):
+        for case in range(16):
+            b = (0.5, 1.0, 1.5, 2.0)[case % 4]
+            phase = (0.5 * math.pi, -0.5 * math.pi, rng.uniform(-math.pi, math.pi))[case % 3]
+            z = rng.uniform(0.5, 40.0) * cmath.exp(1j * phase)
+            j, m = rng.randint(-1, 3), rng.randint(-30, 30)
+            a = _cell_points(rng, j, m, sf._DISC_MIN_POINTS, on_line=j in (0, 1))
+            centre = complex(0.5 * j + 0.25, m)
+            coeffs = sf._kummer_disc(b, z, centre)
+            assert coeffs is not None, (b, z, centre)
+            scale = np.abs(np.polyval(coeffs, ring)).max()
+            got = sf.hyp1f1(a, b, z)
+            for x, value in zip(a[::2], got[::2]):
+                ref = complex(mp.hyp1f1(x, b, z))
+                worst = max(worst, abs(value - ref) / scale)
+    assert worst <= 1e-13
+
+
+def test_hyp1f1_refused_disc_falls_back_to_the_series(monkeypatch):
+    # no disc meets a 1e-40 bound: the refusal is cached as None and the
+    # full group gets the per-point values bit for bit
+    monkeypatch.setattr(sf, "_DISC_TARGET", 1e-40)
+    a = _cell_points(random.Random(7), 0, 3, sf._DISC_MIN_POINTS, on_line=True)
+    sf._kummer_disc.cache_clear()
+    try:
+        got = sf.hyp1f1(a, 1.5, 14.1j)
+        assert sf._kummer_disc(1.5, 14.1j, 0.25 + 3j) is None
+    finally:
+        sf._kummer_disc.cache_clear()  # no refusal outlives the patch
+    assert np.array_equal(got, [sf.hyp1f1(x, 1.5, 14.1j) for x in a])
+
+
+def test_hyp1f1_groups_below_a_disc_take_the_series():
+    # 15 points in one cell and 3 in another, next to a full group: one
+    # disc is built, for the full group, and the small groups get the
+    # per-point values bit for bit
+    rng = random.Random(5)
+    b, z = 0.5, 14.1j
+    small = [_cell_points(rng, 0, 7, sf._DISC_MIN_POINTS - 1, on_line=True),
+             _cell_points(rng, 1, -3, 3, on_line=False)]
+    full = _cell_points(rng, 0, 12, sf._DISC_MIN_POINTS, on_line=True)
+    sf._kummer_disc.cache_clear()
+    got = sf.hyp1f1(np.concatenate(small + [full]), b, z)
+    assert sf._kummer_disc.cache_info().misses == 1
+    want = [sf.hyp1f1(x, b, z) for x in np.concatenate(small)]
+    assert np.array_equal(got[: len(want)], want)
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0 + 2.0j, -3.0 - 1.0j, 0.0, 1e300])
 @pytest.mark.parametrize("b", [0.5, 2.0 + 1.0j, -3.0, -5.0, -1.0 + 1.5e-12, -0.5j])
 @pytest.mark.parametrize("z", [0.0, -0.0, complex(-0.0, -0.0)])
