@@ -104,11 +104,18 @@ def _canon_rational(text: str) -> str:
 def _finite_float(text) -> float:
     try:
         x = float(text)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot parse {text!r} as a number") from exc
     if not math.isfinite(x):
         raise ConfigError(f"{text!r} is not a finite number")
     return x
+
+
+def _integer(value, what: str) -> int:
+    # bool is an int subclass, but True is no count
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _canon_float(text: str) -> str:
@@ -205,9 +212,7 @@ class JobConfig:
                 )
                 mod = data.get("chi_mod")
                 if mod is not None:
-                    # bool is an int subclass, but True is no modulus
-                    if not isinstance(mod, int) or isinstance(mod, bool):
-                        raise ConfigError(f"chi modulus must be an integer, got {mod!r}")
+                    _integer(mod, "chi modulus")
                     if mod > _MAX_CHI_MOD:
                         raise ConfigError(f"chi modulus {mod} is above the cap {_MAX_CHI_MOD}")
                     # below 2 first: _split(0, p) never returns
@@ -219,7 +224,7 @@ class JobConfig:
                         )
                     cfg = replace(
                         cfg, chi_mod=mod,
-                        chi_index=int(data.get("chi_index", 0)),
+                        chi_index=_integer(data.get("chi_index", 0), "chi index"),
                     )
                 elif data.get("chi_index") is not None:
                     raise ConfigError("chi_index needs chi_mod")
@@ -260,13 +265,16 @@ class JobConfig:
                 )
             if data.get("im_hi") is None:
                 raise ConfigError("zeros needs --imax")
+            strict = data.get("strict", False)
+            if not isinstance(strict, bool):
+                raise ConfigError(f"strict must be true or false, got {strict!r}")
             lo_default = 1.0 if cfg.spec else 0.0
             cfg = replace(
                 cfg,
                 im_lo=_finite_float(data.get("im_lo", lo_default)),
                 im_hi=_finite_float(data["im_hi"]),
-                samples=int(data.get("samples", 2048)),
-                strict=bool(data.get("strict", False)),
+                samples=_integer(data.get("samples", 2048), "--samples"),
+                strict=strict,
             )
             if cfg.samples < 16:
                 raise ConfigError("zeros needs at least 16 samples")

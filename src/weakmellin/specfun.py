@@ -24,13 +24,12 @@ log_gamma, gamma, hyp1f1, riemann_zeta, hurwitz_zeta, dirichlet_l and
 completed_xi take a complex scalar or an ndarray of points.  A scalar runs
 the cmath body; an array of any size runs a numpy body elementwise
 (Euler-Maclaurin over the points in blocks) and returns an array of its
-shape.  hyp1f1 on an array of a with scalar b and z sums a cached Taylor
-disc per lattice centre in a for each group of at least _DISC_MIN_POINTS
-points near it, good to about 1e-13 of the disc's scale, and runs the
-series once per point elsewhere, good to about 1e-12 of the value (see
-hyp1f1).  A bad point in an array raises what the scalar call raises
-there: PoleError, DomainError, or OverflowError where numpy would return
-inf.
+shape.  hyp1f1 on an array of a with scalar real b > 0 and 0 < |z| <= 40
+sums every finite point from the cached Taylor disc of its lattice cell
+in a, good to about 1e-13 of the disc's scale, and runs the series once
+per point elsewhere, good to about 1e-12 of the value (see hyp1f1).  A
+bad point in an array raises what the scalar call raises there:
+PoleError, DomainError, or OverflowError where numpy would return inf.
 
 Accuracy targets: ~1e-13 relative for gamma and zeta on the working region
 Re(s) >= -0.5, |Im(s)| <= 60, away from poles.  Values outside that region go
@@ -244,10 +243,6 @@ _HYP_REL_TARGET = 1e-12
 _HYP_MAX_DIGITS = 60
 
 
-# what the series returns at z = 0; frozen, so one instance serves every call
-_HYP_AT_ZERO = EvalQuality(value=1.0 + 0.0j, cancellation_ratio=1.0, terms_used=3)
-
-
 def _to_fixed(x: float, bits: int) -> int:
     """floor(x * 2^bits), exact for every double not below 2^-bits.
 
@@ -351,6 +346,12 @@ def _hyp1f1_decimal(a: complex, b: complex, z: complex, digits: int) -> complex:
     return _kummer_series(a, b, z, math.ceil(digits * math.log2(10)))[0]
 
 
+def _rerun_digits(ratio: float) -> int:
+    """Digits of a rerun that absorbs a cancellation ratio: 25 + log10(ratio),
+    at most 60."""
+    return min(_HYP_MAX_DIGITS, 25 + int(math.log10(max(ratio, 1.0))))
+
+
 def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
     """Kummer 1F1(a; b; z) by Taylor series in fixed-point integers.
 
@@ -381,18 +382,11 @@ def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
         raise DomainError(f"hyp1f1({a}, {b}, {z}) needs finite arguments")
     if abs(z) > _HYP_Z_CAP:
         raise DomainError(f"hyp1f1 argument |z| = {abs(z):.3g} exceeds {_HYP_Z_CAP}")
-    if z == 0 and min(abs(b), abs(b + 1.0), abs(b + 2.0)) > 2e-12:
-        # At z = 0 every term after the first is zero, so the series
-        # stops after three terms with the sum exactly 1.  Near a pole
-        # (b within 2e-12 of 0, -1 or -2) it runs anyway, so that its
-        # pole test decides.
-        return _HYP_AT_ZERO
-
     value, max_partial, k = _kummer_series(a, b, z, _HYP_BITS)
     ratio = max_partial / max(abs(value), 1e-300)
     est_rel = k * 2.0**-_HYP_BITS * ratio
     if est_rel > _HYP_REL_TARGET:
-        digits = min(_HYP_MAX_DIGITS, 25 + int(math.log10(max(ratio, 1.0))))
+        digits = _rerun_digits(ratio)
         value = _hyp1f1_decimal(a, b, z, digits)
         for _ in range(2):
             # the fixed-point value may have underestimated the ratio; recheck
@@ -400,7 +394,7 @@ def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
             est_rel = 10.0 ** (1 - digits) * ratio
             if est_rel <= _HYP_REL_TARGET or digits >= _HYP_MAX_DIGITS:
                 break
-            digits = min(_HYP_MAX_DIGITS, 25 + int(math.log10(max(ratio, 1.0))))
+            digits = _rerun_digits(ratio)
             value = _hyp1f1_decimal(a, b, z, digits)
     if est_rel > 1e-7:
         warnings.warn(
@@ -518,67 +512,64 @@ def _kummer_disc(b: float, z: complex, centre: complex):
         if tail + k * 2.0**-bits * peak <= target:
             coeffs.flags.writeable = False
             return coeffs
-        digits = min(_HYP_MAX_DIGITS, 25 + int(math.log10(max(peak / scale, 1.0))))
-        wide = math.ceil(digits * math.log2(10))
+        wide = math.ceil(_rerun_digits(peak / scale) * math.log2(10))
         if tail > target or wide <= bits:
             return None
         bits = wide
 
 
-def _hyp1f1_on_discs(a: np.ndarray, b: complex, z: complex) -> np.ndarray:
-    """hyp1f1 at every point of the array a for scalar b and z: the
-    group of points near each lattice centre from the centre's disc when
-    it is large enough and the disc is accepted, every other point from
-    hyp1f1_eval."""
-    out = np.empty(a.shape, dtype=complex)
-    flat, res = a.ravel(), out.reshape(-1)
-    rest = np.ones(flat.size, dtype=bool)  # points left for hyp1f1_eval
-    # abs(z) <= _HYP_Z_CAP is False at a non-finite z, as is 0 < b.real
-    # < inf at a non-finite b
-    if b.imag == 0 and 0 < b.real < math.inf and z != 0 and abs(z) <= _HYP_Z_CAP:
-        finite = np.flatnonzero(np.isfinite(flat))
-        w = flat[finite]
-        cells, group, sizes = np.unique(
-            np.floor(2.0 * w.real) + 1j * np.round(w.imag),
-            return_inverse=True, return_counts=True,
-        )
-        for g in np.flatnonzero(sizes >= _DISC_MIN_POINTS):
-            centre = complex(0.5 * cells[g].real + 0.25, cells[g].imag)
-            coeffs = _kummer_disc(b.real, z, centre)
-            if coeffs is not None:
-                at = finite[group == g]
-                res[at] = np.polyval(coeffs, (flat[at] - centre) / _DISC_RADIUS)
-                rest[at] = False
-    for i in np.flatnonzero(rest):
-        res[i] = hyp1f1_eval(flat[i], b, z).value
-    return out
+def _hyp1f1_on_discs(a: np.ndarray, b: float, z: complex, out: np.ndarray) -> np.ndarray:
+    """hyp1f1 at the finite points of the flat array a, written to out
+    from the disc of each point's lattice cell, for real b > 0 and
+    0 < |z| <= 40.  Returns the indices of the points left for
+    hyp1f1_eval: the non-finite ones and those of a refused disc."""
+    rest = ~np.isfinite(a)
+    finite = np.flatnonzero(~rest)
+    cells = np.floor(2.0 * a[finite].real) + 1j * np.round(a[finite].imag)
+    order = np.argsort(cells)
+    finite, cells = finite[order], cells[order]
+    # the NaN ahead makes the first point start a cell
+    starts = np.flatnonzero(np.diff(cells, prepend=np.nan))
+    for cell, at in zip(cells[starts], np.split(finite, starts[1:])):
+        centre = complex(0.5 * cell.real + 0.25, cell.imag)
+        coeffs = _kummer_disc(b, z, centre)
+        if coeffs is None:
+            rest[at] = True
+        else:
+            out[at] = np.polyval(coeffs, (a[at] - centre) / _DISC_RADIUS)
+    return np.flatnonzero(rest)
 
 
 def hyp1f1(a: complex, b: complex, z: complex) -> complex:
     """1F1(a; b; z); arguments may be arrays, broadcast together.
 
-    Two routes give the value.  A scalar call, and every point of an array
-    b or z, takes hyp1f1_eval: good to about 1e-12 of the value itself,
-    and exactly 1 at z = 0.  An array a with scalar b and z groups its
-    points by lattice centre (Re a at j/2 + 1/4, Im a at an integer), and
-    each group of at least _DISC_MIN_POINTS points sums that centre's
-    cached Taylor disc (_kummer_disc) when b is real and positive and
-    0 < |z| <= 40.  A disc value depends on (a, b, z) alone and is good to
-    about 1e-13 of the disc's scale, max |1F1| within 0.6 of the centre,
-    not of the point's value, which is smaller near a zero of 1F1 in a.
-    The other points of the array, and those of a disc that misses its
-    error bound, take hyp1f1_eval.
+    A scalar call takes hyp1f1_eval: good to about 1e-12 of the value
+    itself, and exactly 1 at z = 0.  An array a with scalar b and z, b
+    real and positive and 0 < |z| <= 40, takes every finite point from
+    the cached Taylor disc (_kummer_disc) of its lattice cell, centred at
+    Re a = j/2 + 1/4 and an integer Im a, however few points share the
+    cell.  A disc value depends on (a, b, z) alone and is good to about
+    1e-13 of the disc's scale, max |1F1| within 0.6 of the centre, not of
+    the point's value, which is smaller near a zero of 1F1 in a.  Every
+    other point of an array call takes hyp1f1_eval: the points of a disc
+    that misses its error bound, and every point when b or z is an array,
+    b is complex or not positive, or z = 0.
     """
     if not (_is_array(a) or _is_array(b) or _is_array(z)):
         return hyp1f1_eval(a, b, z).value
-    if not (_is_array(b) or _is_array(z)):
-        return _hyp1f1_on_discs(np.asarray(a, dtype=complex), complex(b), complex(z))
-    a, b, z = np.broadcast_arrays(
-        *(np.asarray(x, dtype=complex) for x in (a, b, z))
-    )
+    a, bs, zs = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (a, b, z)))
     out = np.empty(a.shape, dtype=complex)
-    for i in np.ndindex(a.shape):
-        out[i] = hyp1f1_eval(a[i], b[i], z[i]).value
+    flat, res = a.ravel(), out.reshape(-1)
+    rest = range(flat.size)
+    if not (_is_array(b) or _is_array(z)):
+        b, z = complex(b), complex(z)
+        # abs(z) <= _HYP_Z_CAP is False at a non-finite z, as is 0 < b.real
+        # < inf at a non-finite b
+        if b.imag == 0 and 0 < b.real < math.inf and z != 0 and abs(z) <= _HYP_Z_CAP:
+            rest = _hyp1f1_on_discs(flat, b.real, z, res)
+    bs, zs = bs.ravel(), zs.ravel()
+    for i in rest:
+        res[i] = hyp1f1_eval(flat[i], bs[i], zs[i]).value
     return out
 
 

@@ -221,10 +221,11 @@ def _fold_imag(im: float, period: float) -> float:
 
 
 def _numerator_frame(factor: LocalFactor):
-    """(coeffs, D, log q, to_s, residual) of a finite-place factor: its
+    """(coeffs, D, log q, to_s, residuals) of a finite-place factor: its
     numerator P in X = q^(s - n/2) and degree D; to_s(log X), the s of X
     after the twist shift, folded into 0 <= Im(s) < 2 pi / ln q; and
-    residual(x) = |P(x)| over the largest coefficient modulus.
+    residuals(xs), the list of |P(x)| over the largest coefficient modulus
+    for the points x of xs, from one np.polyval call.
     """
     coeffs, _, D = factor.zero_poly()
     log_p = math.log(factor.p)
@@ -236,10 +237,11 @@ def _numerator_frame(factor: LocalFactor):
         s_val = factor.n_dim / 2.0 + log_x / log_p
         return complex(s_val.real, _fold_imag(s_val.imag + shift, period))
 
-    def residual(x: complex) -> float:
-        return abs(complex(np.polyval(coeffs, x))) / coeff_scale
+    def residuals(xs) -> list[float]:
+        # abs of a Python complex, not np.abs, which rounds differently
+        return [abs(complex(v)) / coeff_scale for v in np.polyval(coeffs, xs)]
 
-    return coeffs, D, log_p, to_s, residual
+    return coeffs, D, log_p, to_s, residuals
 
 
 # an m-fold root comes back from the eigenvalue solver split over a circle
@@ -285,31 +287,34 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     companion matrix, each root is pulled back to s and folded into
     0 <= Im(s) < 2 pi / ln q (after the twist shift), and the result is
     certified against an independent count.  A root at angle phi of a
-    self-inversive numerator needs D brackets from unit_circle_certificate,
-    |X| within 1e-8 of 1 and h(phi - d) h(phi + d) <= 0 for the circle
-    profile h, d = _CERT_RADIUS ln q: a circle zero in the matching disk
-    by the intermediate value theorem (one array call of h serves every
-    root).  Other numerators take a tight winding count in the X plane.
+    self-inversive numerator needs D brackets on the circle grid, as
+    unit_circle_certificate counts them, |X| within 1e-8 of 1 and
+    h(phi - d) h(phi + d) <= 0 for the circle profile h,
+    d = _CERT_RADIUS ln q: a circle zero in the matching disk by the
+    intermediate value theorem (one array call of h serves every root).  Other numerators take a tight winding count in the X plane.
     A factor that vanishes identically has no isolated zeros and gives [].
     """
-    coeffs, D, log_p, to_s, residual = _numerator_frame(factor)
+    coeffs, D, log_p, to_s, residuals = _numerator_frame(factor)
     if D < 1:
         return []
     roots = np.roots(coeffs)
     clustered = _cluster_roots(roots, coeffs)
 
-    h = _circle_profile(coeffs, D)
-    if h is not None:
-        count, _ = unit_circle_certificate(factor)
+    try:
+        h, lo, _, _ = _circle_grid(coeffs, D)
+    except DomainError:  # not self-inversive
+        h = None
+    else:
         half = _CERT_RADIUS * log_p
         phis = np.array([cmath.phase(x_root) for x_root, _ in clustered])
         ends = h(np.concatenate([phis - half, phis + half]))
         straddles = ends[: len(phis)] * ends[len(phis):] <= 0.0
 
+    resids = residuals([x_root for x_root, _ in clustered])
     reports = []
-    for i, (x_root, mult) in enumerate(clustered):
+    for i, ((x_root, mult), resid) in enumerate(zip(clustered, resids)):
         if h is not None:
-            confirmed = (count == D and straddles[i]
+            confirmed = (len(lo) == D and straddles[i]
                          and abs(abs(x_root) - 1.0) <= 1e-8)
         else:
             box = (x_root.real - _CERT_RADIUS, x_root.real + _CERT_RADIUS,
@@ -318,7 +323,6 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
                 confirmed = winding_count(partial(np.polyval, coeffs), box) == mult
             except _COUNT_REFUSALS:
                 confirmed = False
-        resid = residual(x_root)
         reports.append(
             ZeroReport(
                 location=to_s(cmath.log(x_root)),
@@ -359,7 +363,7 @@ def circle_zeros(factor: LocalFactor) -> list[ZeroReport]:
     machine accuracy on Re(s) = n/2; a zero is certified when there are D
     brackets.  Raises DomainError unless the numerator is self-inversive.
     """
-    coeffs, D, _, to_s, residual = _numerator_frame(factor)
+    coeffs, D, _, to_s, residuals = _numerator_frame(factor)
     if D < 1:
         return []
     h, a, b, fa = _circle_grid(coeffs, D)
@@ -378,9 +382,9 @@ def circle_zeros(factor: LocalFactor) -> list[ZeroReport]:
                 and np.array_equal(fa_next, fa)):
             break
         a, b, fa = a_next, b_next, fa_next
+    angles = sorted((0.5 * (a + b)).tolist())
     reports = []
-    for ang in sorted((0.5 * (a + b)).tolist()):
-        resid = residual(cmath.exp(1j * ang))
+    for ang, resid in zip(angles, residuals([cmath.exp(1j * ang) for ang in angles])):
         reports.append(
             ZeroReport(
                 location=to_s(1j * ang),

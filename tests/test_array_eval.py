@@ -5,9 +5,10 @@ point, what the scalar call returns there, up to the last few bits that
 numpy's complex products and powers round differently: within
 5e-14 (1 + |scalar value|).  An array holding one bad point must raise
 what the scalar call raises at that point.  An array of any size runs
-the numpy body, so the arrays here hold from 1 point up.  hyp1f1 on a
-full group of points sums a Taylor disc instead, good to 1e-13 of the
-disc's scale rather than of the value; test_specfun pins it to mpmath.
+the numpy body, so the arrays here hold from 1 point up.  hyp1f1 on an
+array a with scalar real b > 0 and 0 < |z| <= 40 sums Taylor discs
+instead, good to 1e-13 of the disc's scale rather than of the value;
+test_specfun pins them to mpmath.
 """
 
 from fractions import Fraction as F
@@ -186,8 +187,8 @@ def test_radial_scans_of_criterion_8_take_one_call_per_grid(monkeypatch):
 
 def test_real_census_sums_discs_not_points(monkeypatch):
     # the box and scan points come from three Taylor discs (Im s/2 near
-    # 0, 1 and 2), so only Newton's scalar calls and the odd small group
-    # run the series: 53 runs and 3 discs, against 2534 runs point by point
+    # 0, 1 and 2), so only Newton's scalar calls run the series: 38 runs
+    # and 3 discs, against 2534 runs point by point
     runs = []
     series = sf._kummer_series
     monkeypatch.setattr(sf, "_kummer_series", lambda *args: runs.append(args) or series(*args))

@@ -482,6 +482,24 @@ def test_chi_modulus_that_is_not_an_int_is_a_config_error(chi_mod):
         JobConfig.from_mapping(mapping)
 
 
+_ZEROS_QP = {"command": "zeros", "field": "qp", "p": 5, "im_hi": 30.0}
+
+
+@pytest.mark.parametrize("mapping", [
+    {**_ZEROS_QP, "samples": "many"},
+    {**_ZEROS_QP, "samples": 2048.7},
+    {**_ZEROS_QP, "chi_mod": 5, "chi_index": "one"},
+    {**_ZEROS_QP, "im_hi": [30]},
+    {**_ZEROS_QP, "strict": "false"},
+    {"command": "global", "s": ["2"], "tol": None},
+])
+def test_malformed_mapping_values_are_config_errors(mapping):
+    # each of these raised ValueError or TypeError, or was read as some
+    # other value (2048.7 as 2048, "false" as True)
+    with pytest.raises(ConfigError):
+        JobConfig.from_mapping(mapping)
+
+
 @pytest.mark.parametrize("samples,refused", [
     (16, False),
     (2048, False),

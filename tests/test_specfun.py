@@ -318,7 +318,7 @@ def test_hyp1f1_discs_match_mpmath_on_a_seeded_grid():
             phase = (0.5 * math.pi, -0.5 * math.pi, rng.uniform(-math.pi, math.pi))[case % 3]
             z = rng.uniform(0.5, 40.0) * cmath.exp(1j * phase)
             j, m = rng.randint(-1, 3), rng.randint(-30, 30)
-            a = _cell_points(rng, j, m, sf._DISC_MIN_POINTS, on_line=j in (0, 1))
+            a = _cell_points(rng, j, m, 16, on_line=j in (0, 1))
             centre = complex(0.5 * j + 0.25, m)
             coeffs = sf._kummer_disc(b, z, centre)
             assert coeffs is not None, (b, z, centre)
@@ -334,7 +334,7 @@ def test_hyp1f1_refused_disc_falls_back_to_the_series(monkeypatch):
     # no disc meets a 1e-40 bound: the refusal is cached as None and the
     # full group gets the per-point values bit for bit
     monkeypatch.setattr(sf, "_DISC_TARGET", 1e-40)
-    a = _cell_points(random.Random(7), 0, 3, sf._DISC_MIN_POINTS, on_line=True)
+    a = _cell_points(random.Random(7), 0, 3, 16, on_line=True)
     sf._kummer_disc.cache_clear()
     try:
         got = sf.hyp1f1(a, 1.5, 14.1j)
@@ -344,20 +344,45 @@ def test_hyp1f1_refused_disc_falls_back_to_the_series(monkeypatch):
     assert np.array_equal(got, [sf.hyp1f1(x, 1.5, 14.1j) for x in a])
 
 
-def test_hyp1f1_groups_below_a_disc_take_the_series():
-    # 15 points in one cell and 3 in another, next to a full group: one
-    # disc is built, for the full group, and the small groups get the
-    # per-point values bit for bit
+def _one_point_calls(a, b, z):
+    """hyp1f1 at each point of a called as a one-point array, with the
+    matching one-point z when z is an array."""
+    if np.ndim(z):
+        return np.array([sf.hyp1f1(a[i:i + 1], b, z[i:i + 1])[0] for i in range(a.size)])
+    return np.array([sf.hyp1f1(a[i:i + 1], b, z)[0] for i in range(a.size)])
+
+
+def test_hyp1f1_array_values_do_not_depend_on_the_call(monkeypatch):
+    # a lone point in a cell and a full cell each take their cell's disc:
+    # every value is the disc polynomial at the point, and equals the
+    # same point called alone, bit for bit, as does every point of a
+    # refused disc, of an array z and of z = 0
     rng = random.Random(5)
     b, z = 0.5, 14.1j
-    small = [_cell_points(rng, 0, 7, sf._DISC_MIN_POINTS - 1, on_line=True),
-             _cell_points(rng, 1, -3, 3, on_line=False)]
-    full = _cell_points(rng, 0, 12, sf._DISC_MIN_POINTS, on_line=True)
+    cells = {0.25 + 12j: _cell_points(rng, 0, 12, 16, on_line=True),
+             0.75 - 3j: _cell_points(rng, 1, -3, 1, on_line=False)}
+    a = np.concatenate(list(cells.values()))
     sf._kummer_disc.cache_clear()
-    got = sf.hyp1f1(np.concatenate(small + [full]), b, z)
-    assert sf._kummer_disc.cache_info().misses == 1
-    want = [sf.hyp1f1(x, b, z) for x in np.concatenate(small)]
-    assert np.array_equal(got[: len(want)], want)
+    got = sf.hyp1f1(a, b, z)
+    assert sf._kummer_disc.cache_info().misses == 2
+    assert np.array_equal(got, _one_point_calls(a, b, z))
+    want = [np.polyval(sf._kummer_disc(b, z, centre), (x - centre) / sf._DISC_RADIUS)
+            for centre, x in cells.items()]
+    assert np.array_equal(got, np.concatenate(want))
+
+    zs = np.full(a.shape, z)
+    assert np.array_equal(sf.hyp1f1(a, b, zs), _one_point_calls(a, b, zs))
+    assert np.array_equal(sf.hyp1f1(a, b, 0.0), np.ones(a.shape))
+    assert np.array_equal(sf.hyp1f1(a, b, 0.0), _one_point_calls(a, b, 0.0))
+
+    monkeypatch.setattr(sf, "_DISC_TARGET", 1e-40)
+    sf._kummer_disc.cache_clear()
+    try:
+        got = sf.hyp1f1(a, b, z)
+        assert sf._kummer_disc(b, z, 0.25 + 12j) is None
+        assert np.array_equal(got, _one_point_calls(a, b, z))
+    finally:
+        sf._kummer_disc.cache_clear()  # no refusal outlives the patch
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0 + 2.0j, -3.0 - 1.0j, 0.0, 1e300])
