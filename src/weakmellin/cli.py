@@ -102,6 +102,9 @@ def _canon_rational(text: str) -> str:
 
 
 def _finite_float(text) -> float:
+    # bool is an int subclass, but True is no number
+    if isinstance(text, bool):
+        raise ConfigError(f"{text!r} is not a number")
     try:
         x = float(text)
     except (TypeError, ValueError) as exc:
@@ -185,7 +188,10 @@ class JobConfig:
         fmt = data.get("format", _DEFAULT_FORMAT[command])
         if fmt not in ("json", "csv", "text"):
             raise ConfigError(f"unknown format {fmt!r}")
-        cfg = replace(cfg, fmt=fmt, output=data.get("output"))
+        output = data.get("output")
+        if output is not None and not isinstance(output, str):
+            raise ConfigError(f"output must be a path, got {output!r}")
+        cfg = replace(cfg, fmt=fmt, output=output)
 
         if command in ("local", "zeros") and data.get("field") is not None:
             fld = data["field"]
@@ -244,6 +250,8 @@ class JobConfig:
             raw = data.get("s", ())
             if isinstance(raw, str):
                 raw = (raw,)
+            if not isinstance(raw, (list, tuple)):
+                raise ConfigError(f"s must be a point or a list of points, got {raw!r}")
             if not raw:
                 raise ConfigError(f"{command} needs at least one --s point")
             cfg = replace(cfg, s_values=tuple(_canon_complex(x) for x in raw))

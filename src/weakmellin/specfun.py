@@ -26,10 +26,12 @@ the cmath body; an array of any size runs a numpy body elementwise
 (Euler-Maclaurin over the points in blocks) and returns an array of its
 shape.  hyp1f1 on an array of a with scalar real b > 0 and 0 < |z| <= 40
 sums every finite point from the cached Taylor disc of its lattice cell
-in a, good to about 1e-13 of the disc's scale, and runs the series once
-per point elsewhere, good to about 1e-12 of the value (see hyp1f1).  A
-bad point in an array raises what the scalar call raises there:
-PoleError, DomainError, or OverflowError where numpy would return inf.
+in a, good to about 1e-13 of the disc's scale.  A scalar call, and every
+other point, is good to about 1e-12 of the value: it takes the same disc
+where the disc's error bound is within 1e-12 of the value there, and the
+series elsewhere (see hyp1f1).  A bad point in an array raises what the
+scalar call raises there: PoleError, DomainError, or OverflowError where
+numpy would return inf.
 
 Accuracy targets: ~1e-13 relative for gamma and zeta on the working region
 Re(s) >= -0.5, |Im(s)| <= 60, away from poles.  Values outside that region go
@@ -415,12 +417,13 @@ def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
 # centre (|u| <= 0.932).
 _DISC_RADIUS = 0.6
 _DISC_DEGREE = 24
-# A disc costs as much as 17 to 31 points of the series (5 to 11 ms
-# against 0.07 to 0.65 ms a point for 0.4 <= |z| <= 36), and it is cached:
-# a group of 16 points repays it within two calls.  Smaller groups go point
-# by point.
-_DISC_MIN_POINTS = 16
 _DISC_TARGET = 1e-13  # accepted error, relative to the disc scale
+# Rounding of a disc value at one point, relative to sum |D_m| |u|^m:
+# Horner's rule in complex arithmetic, within gamma_4M of that sum (Higham
+# 2002, 5.1, with a complex product good to sqrt(2) gamma_2, 3.6), and
+# u = (a - centre) / r rounded within gamma_2 of itself, which moves the
+# value by at most M gamma_2 of it; gamma_n = n 2^-53 / (1 - n 2^-53).
+_DISC_HORNER = 6 * _DISC_DEGREE * 2.0**-53 / (1 - 6 * _DISC_DEGREE * 2.0**-53)
 
 
 def _disc_series(b: float, z: complex, centre: complex, bits: int):
@@ -485,9 +488,10 @@ def _disc_series(b: float, z: complex, centre: complex, bits: int):
 
 @lru_cache(maxsize=256)
 def _kummer_disc(b: float, z: complex, centre: complex):
-    """Taylor coefficients D_m of 1F1(centre + r u; b; z) = sum D_m u^m,
-    m <= _DISC_DEGREE, highest first; or None for a disc that misses its
-    error bound.
+    """(coefficients, error bound) of the disc: the Taylor coefficients
+    D_m of 1F1(centre + r u; b; z) = sum D_m u^m, m <= _DISC_DEGREE,
+    highest first, and the accepted error 1e-13 of the disc scale; or
+    None for a disc that misses that bound.
 
     The disc scale is max |1F1| over 32 points of the ring |u| = 1 (the
     ring is built here, not at import: numpy's first complex exp costs a
@@ -511,11 +515,19 @@ def _kummer_disc(b: float, z: complex, centre: complex):
         tail = abs(coeffs[0]) + abs(coeffs[1])
         if tail + k * 2.0**-bits * peak <= target:
             coeffs.flags.writeable = False
-            return coeffs
+            return coeffs, target
         wide = math.ceil(_rerun_digits(peak / scale) * math.log2(10))
         if tail > target or wide <= bits:
             return None
         bits = wide
+
+
+def _has_discs(b: complex, z: complex) -> bool:
+    """Whether 1F1(a; b; z) has Taylor discs in a: b real and positive
+    and 0 < |z| <= 40."""
+    # abs(z) <= _HYP_Z_CAP is False at a non-finite z, as is 0 < b.real
+    # < inf at a non-finite b
+    return b.imag == 0 and 0 < b.real < math.inf and z != 0 and abs(z) <= _HYP_Z_CAP
 
 
 def _hyp1f1_on_discs(a: np.ndarray, b: float, z: complex, out: np.ndarray) -> np.ndarray:
@@ -532,44 +544,78 @@ def _hyp1f1_on_discs(a: np.ndarray, b: float, z: complex, out: np.ndarray) -> np
     starts = np.flatnonzero(np.diff(cells, prepend=np.nan))
     for cell, at in zip(cells[starts], np.split(finite, starts[1:])):
         centre = complex(0.5 * cell.real + 0.25, cell.imag)
-        coeffs = _kummer_disc(b, z, centre)
-        if coeffs is None:
+        disc = _kummer_disc(b, z, centre)
+        if disc is None:
             rest[at] = True
         else:
-            out[at] = np.polyval(coeffs, (a[at] - centre) / _DISC_RADIUS)
+            out[at] = np.polyval(disc[0], (a[at] - centre) / _DISC_RADIUS)
     return np.flatnonzero(rest)
+
+
+def _hyp1f1_point(a: complex, b: complex, z: complex) -> complex:
+    """hyp1f1 at one point, good to about 1e-12 of the value itself.
+
+    With real b > 0 and 0 < |z| <= 40, a finite a evaluates the disc of
+    its lattice cell, built here when missing, so the value depends on
+    (a, b, z) alone.  The disc value stands when its error bound there,
+    the accepted 1e-13 of the disc scale plus the rounding of Horner's
+    rule (_DISC_HORNER), is within 1e-12 of its modulus.  Near a zero of
+    1F1 in a the value is small against the scale, and such a point, like
+    every other, takes hyp1f1_eval.
+    """
+    a, b, z = complex(a), complex(b), complex(z)
+    # 2a finite keeps floor(2 Re a) an integer
+    if _has_discs(b, z) and cmath.isfinite(2.0 * a):
+        centre = complex(0.5 * math.floor(2.0 * a.real) + 0.25, round(a.imag))
+        disc = _kummer_disc(b.real, z, centre)
+        if disc is not None:
+            coeffs, err = disc
+            u = (a - centre) / _DISC_RADIUS
+            r = abs(u)
+            value, size = 0j, 0.0
+            for c in coeffs.tolist():
+                value = value * u + c
+                size = size * r + abs(c)
+            if err + _DISC_HORNER * size <= _HYP_REL_TARGET * abs(value):
+                return value
+    return hyp1f1_eval(a, b, z).value
 
 
 def hyp1f1(a: complex, b: complex, z: complex) -> complex:
     """1F1(a; b; z); arguments may be arrays, broadcast together.
 
-    A scalar call takes hyp1f1_eval: good to about 1e-12 of the value
-    itself, and exactly 1 at z = 0.  An array a with scalar b and z, b
-    real and positive and 0 < |z| <= 40, takes every finite point from
-    the cached Taylor disc (_kummer_disc) of its lattice cell, centred at
-    Re a = j/2 + 1/4 and an integer Im a, however few points share the
-    cell.  A disc value depends on (a, b, z) alone and is good to about
-    1e-13 of the disc's scale, max |1F1| within 0.6 of the centre, not of
-    the point's value, which is smaller near a zero of 1F1 in a.  Every
-    other point of an array call takes hyp1f1_eval: the points of a disc
-    that misses its error bound, and every point when b or z is an array,
-    b is complex or not positive, or z = 0.
+    Two accuracy contracts, and each value depends on (a, b, z) and the
+    kind of call alone, never on the cache or on the other points:
+
+    - An array a with scalar b and z, b real and positive and
+      0 < |z| <= 40, takes every finite point from the cached Taylor disc
+      (_kummer_disc) of its lattice cell, centred at Re a = j/2 + 1/4 and
+      an integer Im a, however few points share the cell.  Such a value
+      is good to about 1e-13 of the disc's scale, max |1F1| within 0.6 of
+      the centre, not of the point's value, which is smaller near a zero
+      of 1F1 in a.
+    - A scalar call, and every other point of an array call (those of a
+      disc that misses its error bound, and every point when b or z is an
+      array), is good to about 1e-12 of the value itself, and exactly 1
+      at z = 0.  Where the disc above exists, it is evaluated at the
+      point, the disc built first if missing (about 1 to 15 ms, growing
+      with |z|), and its value stands when its error bound is within
+      1e-12 of it; elsewhere, and near a zero of 1F1 in a, hyp1f1_eval
+      runs the series.
     """
     if not (_is_array(a) or _is_array(b) or _is_array(z)):
-        return hyp1f1_eval(a, b, z).value
+        return _hyp1f1_point(a, b, z)
     a, bs, zs = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (a, b, z)))
     out = np.empty(a.shape, dtype=complex)
     flat, res = a.ravel(), out.reshape(-1)
     rest = range(flat.size)
     if not (_is_array(b) or _is_array(z)):
         b, z = complex(b), complex(z)
-        # abs(z) <= _HYP_Z_CAP is False at a non-finite z, as is 0 < b.real
-        # < inf at a non-finite b
-        if b.imag == 0 and 0 < b.real < math.inf and z != 0 and abs(z) <= _HYP_Z_CAP:
+        if _has_discs(b, z):
             rest = _hyp1f1_on_discs(flat, b.real, z, res)
     bs, zs = bs.ravel(), zs.ravel()
     for i in rest:
-        res[i] = hyp1f1_eval(flat[i], bs[i], zs[i]).value
+        res[i] = _hyp1f1_point(flat[i], bs[i], zs[i])
     return out
 
 

@@ -187,8 +187,9 @@ def test_radial_scans_of_criterion_8_take_one_call_per_grid(monkeypatch):
 
 def test_real_census_sums_discs_not_points(monkeypatch):
     # the box and scan points come from three Taylor discs (Im s/2 near
-    # 0, 1 and 2), so only Newton's scalar calls run the series: 38 runs
-    # and 3 discs, against 2534 runs point by point
+    # 0, 1 and 2), so only Newton's scalar calls run the series, each so
+    # near a zero that the disc value is not good to 1e-12 of itself: 38
+    # runs and 3 discs, against 2534 runs point by point
     runs = []
     series = sf._kummer_series
     monkeypatch.setattr(sf, "_kummer_series", lambda *args: runs.append(args) or series(*args))

@@ -492,10 +492,14 @@ _ZEROS_QP = {"command": "zeros", "field": "qp", "p": 5, "im_hi": 30.0}
     {**_ZEROS_QP, "im_hi": [30]},
     {**_ZEROS_QP, "strict": "false"},
     {"command": "global", "s": ["2"], "tol": None},
+    {"command": "global", "s": 5},
+    {**_ZEROS_QP, "im_hi": True},
+    {"command": "global", "s": ["2"], "output": 5},
 ])
 def test_malformed_mapping_values_are_config_errors(mapping):
     # each of these raised ValueError or TypeError, or was read as some
-    # other value (2048.7 as 2048, "false" as True)
+    # other value (2048.7 as 2048, "false" as True, True as 1.0, 5 as a
+    # path)
     with pytest.raises(ConfigError):
         JobConfig.from_mapping(mapping)
 

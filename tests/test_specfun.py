@@ -320,13 +320,15 @@ def test_hyp1f1_discs_match_mpmath_on_a_seeded_grid():
             j, m = rng.randint(-1, 3), rng.randint(-30, 30)
             a = _cell_points(rng, j, m, 16, on_line=j in (0, 1))
             centre = complex(0.5 * j + 0.25, m)
-            coeffs = sf._kummer_disc(b, z, centre)
-            assert coeffs is not None, (b, z, centre)
+            disc = sf._kummer_disc(b, z, centre)
+            assert disc is not None, (b, z, centre)
+            coeffs, err = disc
             scale = np.abs(np.polyval(coeffs, ring)).max()
             got = sf.hyp1f1(a, b, z)
             for x, value in zip(a[::2], got[::2]):
                 ref = complex(mp.hyp1f1(x, b, z))
                 worst = max(worst, abs(value - ref) / scale)
+            assert err == 1e-13 * scale
     assert worst <= 1e-13
 
 
@@ -339,9 +341,10 @@ def test_hyp1f1_refused_disc_falls_back_to_the_series(monkeypatch):
     try:
         got = sf.hyp1f1(a, 1.5, 14.1j)
         assert sf._kummer_disc(1.5, 14.1j, 0.25 + 3j) is None
+        assert np.array_equal(got, [sf.hyp1f1_eval(x, 1.5, 14.1j).value for x in a])
+        assert np.array_equal(got, [sf.hyp1f1(x, 1.5, 14.1j) for x in a])
     finally:
         sf._kummer_disc.cache_clear()  # no refusal outlives the patch
-    assert np.array_equal(got, [sf.hyp1f1(x, 1.5, 14.1j) for x in a])
 
 
 def _one_point_calls(a, b, z):
@@ -366,7 +369,7 @@ def test_hyp1f1_array_values_do_not_depend_on_the_call(monkeypatch):
     got = sf.hyp1f1(a, b, z)
     assert sf._kummer_disc.cache_info().misses == 2
     assert np.array_equal(got, _one_point_calls(a, b, z))
-    want = [np.polyval(sf._kummer_disc(b, z, centre), (x - centre) / sf._DISC_RADIUS)
+    want = [np.polyval(sf._kummer_disc(b, z, centre)[0], (x - centre) / sf._DISC_RADIUS)
             for centre, x in cells.items()]
     assert np.array_equal(got, np.concatenate(want))
 
@@ -383,6 +386,70 @@ def test_hyp1f1_array_values_do_not_depend_on_the_call(monkeypatch):
         assert np.array_equal(got, _one_point_calls(a, b, z))
     finally:
         sf._kummer_disc.cache_clear()  # no refusal outlives the patch
+
+
+def _kummer_zeros_on_line(b, z, re_a, count):
+    """The first zeros of 1F1(a; b; z) on Re a = re_a, Im a in (0, 20), to
+    30 digits: the local minima of |1F1| on a 0.01 grid, polished by
+    mp.findroot."""
+    ts = np.arange(0.0, 20.0, 0.01)
+    v = np.abs(sf.hyp1f1(re_a + 1j * ts, b, z))
+    starts = [t for t, lo, x, hi in zip(ts[1:], v, v[1:], v[2:]) if x < lo and x < hi]
+    return [mp.findroot(lambda a: mp.hyp1f1(a, b, z), mp.mpc(re_a, t))
+            for t in starts[:count]]
+
+
+def test_scalar_hyp1f1_matches_mpmath_near_and_away_from_zeros(monkeypatch):
+    # scalar calls at the (b, z) of the real census and criterion 5:
+    # a disc value stands only where its bound is within 1e-12 of the
+    # value, so every value is good to about 1e-12 of itself; within
+    # 1e-6 of a zero of 1F1 in a the value is too small against the disc
+    # scale, and every such call runs the series
+    rng = random.Random(24)
+    zs = [1j * math.pi * b * b / a for a, b in ((2.0, 0.5), (1.0, 1.0), (0.5, 1.5))]
+    zs.append(1j * rng.uniform(34.0, 38.0))  # the seeded real-census stratum
+    runs = []
+    series = sf._kummer_series
+    monkeypatch.setattr(sf, "_kummer_series", lambda *args: runs.append(args) or series(*args))
+    worst, on_discs, near = 0.0, 0, 0
+    with mp.workdps(30):
+        for b, z in itertools.product((0.5, 1.5), zs):
+            re_a = 0.5 * b  # Re s = 1/2 for a = s/2 at b = 1/2, (s + 1)/2 at b = 3/2
+            for _ in range(4):
+                a = complex(re_a + rng.choice((0.0, rng.uniform(-0.2, 0.2))),
+                            rng.uniform(0.0, 20.0))
+                del runs[:]
+                value = sf.hyp1f1(a, b, z)
+                on_discs += not runs
+                ref = complex(mp.hyp1f1(a, b, z))
+                worst = max(worst, abs(value - ref) / abs(ref))
+            for root in _kummer_zeros_on_line(b, z, re_a, 2):
+                for phase in (0.3, 2.0, 4.1):
+                    a = complex(root) + 1e-7 * cmath.exp(1j * phase)
+                    del runs[:]
+                    value = sf.hyp1f1(a, b, z)
+                    assert runs, (a, b, z)
+                    near += 1
+                    ref = complex(mp.hyp1f1(a, b, z))
+                    worst = max(worst, abs(value - ref) / abs(ref))
+    assert worst <= 2e-12
+    assert near == 45  # 15 zeros; 1F1(a; 3/2; i pi / 8) has one with Im a < 20
+    assert on_discs >= 24  # of 32 grid points; 30 take the disc
+
+
+def test_scalar_hyp1f1_builds_its_cell_disc_once(monkeypatch):
+    # the first scalar call in a fresh cell builds the cell's disc and
+    # takes its value, the second finds the disc cached; neither runs the
+    # series
+    runs = []
+    series = sf._kummer_series
+    monkeypatch.setattr(sf, "_kummer_series", lambda *args: runs.append(args) or series(*args))
+    sf._kummer_disc.cache_clear()
+    sf.hyp1f1(0.3 + 7.2j, 1.5, 14.1j)
+    assert sf._kummer_disc.cache_info()[:2] == (0, 1)  # (hits, misses)
+    sf.hyp1f1(0.4 + 6.9j, 1.5, 14.1j)  # the same cell, centred at 0.25 + 7i
+    assert sf._kummer_disc.cache_info()[:2] == (1, 1)
+    assert not runs
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0 + 2.0j, -3.0 - 1.0j, 0.0, 1e300])
