@@ -420,10 +420,14 @@ _DISC_DEGREE = 24
 _DISC_TARGET = 1e-13  # accepted error, relative to the disc scale
 # Rounding of a disc value at one point, relative to sum |D_m| |u|^m:
 # Horner's rule in complex arithmetic, within gamma_4M of that sum (Higham
-# 2002, 5.1, with a complex product good to sqrt(2) gamma_2, 3.6), and
-# u = (a - centre) / r rounded within gamma_2 of itself, which moves the
-# value by at most M gamma_2 of it; gamma_n = n 2^-53 / (1 - n 2^-53).
-_DISC_HORNER = 6 * _DISC_DEGREE * 2.0**-53 / (1 - 6 * _DISC_DEGREE * 2.0**-53)
+# 2002, 5.1, with a complex product good to sqrt(2) gamma_2, 3.6); u =
+# (a - centre) / r rounded within gamma_2 of itself, which moves the
+# value by at most M gamma_2 of it; each stored D_m, its fixed-point
+# value rounded once a part, within 2^-53 of |D_m| (gamma_1); and one
+# gamma_1 more for forming the sum itself in floating point, whose
+# rounding moves the bound by a second-order gamma_6M gamma_(2M+1).
+# gamma_n = n 2^-53 / (1 - n 2^-53).
+_DISC_HORNER = (6 * _DISC_DEGREE + 2) * 2.0**-53 / (1 - (6 * _DISC_DEGREE + 2) * 2.0**-53)
 
 
 def _disc_series(b: float, z: complex, centre: complex, bits: int):
@@ -488,10 +492,11 @@ def _disc_series(b: float, z: complex, centre: complex, bits: int):
 
 @lru_cache(maxsize=256)
 def _kummer_disc(b: float, z: complex, centre: complex):
-    """(coefficients, error bound) of the disc: the Taylor coefficients
+    """(coefficients, error estimate) of the disc: the Taylor coefficients
     D_m of 1F1(centre + r u; b; z) = sum D_m u^m, m <= _DISC_DEGREE,
-    highest first, and the accepted error 1e-13 of the disc scale; or
-    None for a disc that misses that bound.
+    highest first, and the disc's own estimate of its error anywhere in
+    |u| <= 1; or None for a disc whose estimate misses 1e-13 of the disc
+    scale.
 
     The disc scale is max |1F1| over 32 points of the ring |u| = 1 (the
     ring is built here, not at import: numpy's first complex exp costs a
@@ -499,9 +504,11 @@ def _kummer_disc(b: float, z: complex, centre: complex):
     is the rounding of the pass (largest partial sums times terms times
     2^-bits, summed over the degrees, as in hyp1f1_eval) plus the tail,
     taken as the last two terms |D_(M-1)| + |D_M| at |u| = 1.  A disc is
-    accepted when that is within 1e-13 of the scale.  A pass at 128
-    fractional bits that misses only by rounding reruns as hyp1f1_eval
-    does, at d = 25 + log10(partial sums / scale) digits, up to 60.
+    accepted when that is within 1e-13 of the scale; the 36 discs of the
+    benchmark's real census estimate 4e-37 to 1.5e-17 of it, 2e-25 in
+    the median.  A pass at 128 fractional bits that misses only by
+    rounding reruns as hyp1f1_eval does, at d = 25 + log10(partial sums /
+    scale) digits, up to 60.
     """
     ring = np.exp(2j * np.pi * np.arange(32) / 32)
     bits = _HYP_BITS
@@ -513,9 +520,10 @@ def _kummer_disc(b: float, z: complex, centre: complex):
         scale = np.abs(np.polyval(coeffs, ring)).max()
         target = _DISC_TARGET * scale
         tail = abs(coeffs[0]) + abs(coeffs[1])
-        if tail + k * 2.0**-bits * peak <= target:
+        err = tail + k * 2.0**-bits * peak
+        if err <= target:
             coeffs.flags.writeable = False
-            return coeffs, target
+            return coeffs, err
         wide = math.ceil(_rerun_digits(peak / scale) * math.log2(10))
         if tail > target or wide <= bits:
             return None
@@ -558,10 +566,12 @@ def _hyp1f1_point(a: complex, b: complex, z: complex) -> complex:
     With real b > 0 and 0 < |z| <= 40, a finite a evaluates the disc of
     its lattice cell, built here when missing, so the value depends on
     (a, b, z) alone.  The disc value stands when its error bound there,
-    the accepted 1e-13 of the disc scale plus the rounding of Horner's
-    rule (_DISC_HORNER), is within 1e-12 of its modulus.  Near a zero of
-    1F1 in a the value is small against the scale, and such a point, like
-    every other, takes hyp1f1_eval.
+    the disc's own error estimate (at most 1e-13 of the disc scale, and
+    1.5e-17 or less on the real census's discs) plus the rounding of
+    Horner's rule (_DISC_HORNER, 1.6e-14 of sum |D_m| |u|^m), is within
+    1e-12 of its modulus, which holds down to values of about 1e-3 of
+    the scale.  Nearer a zero of 1F1 in a the value is smaller than
+    that, and such a point, like every other, takes hyp1f1_eval.
     """
     a, b, z = complex(a), complex(b), complex(z)
     # 2a finite keeps floor(2 Re a) an integer
@@ -599,9 +609,11 @@ def hyp1f1(a: complex, b: complex, z: complex) -> complex:
       array), is good to about 1e-12 of the value itself, and exactly 1
       at z = 0.  Where the disc above exists, it is evaluated at the
       point, the disc built first if missing (about 1 to 15 ms, growing
-      with |z|), and its value stands when its error bound is within
-      1e-12 of it; elsewhere, and near a zero of 1F1 in a, hyp1f1_eval
-      runs the series.
+      with |z|), and its value stands when its error bound there (the
+      disc's own error estimate plus the rounding of Horner's rule) is
+      within 1e-12 of it, as it is down to values of about 1e-3 of the
+      disc's scale; elsewhere, and nearer a zero of 1F1 in a,
+      hyp1f1_eval runs the series.
     """
     if not (_is_array(a) or _is_array(b) or _is_array(z)):
         return _hyp1f1_point(a, b, z)

@@ -69,6 +69,10 @@ _DIP_WINDOW = 12
 _CERT_HALF_WIDTH = 2e-3
 # Newton steps one polish may take
 _NEWTON_MAX_ITER = 60
+# line_zeros starts Newton at the root of the quadratic through a dip and
+# its two neighbours when that root lies within this many sample steps of
+# the dip, and at the dip sample otherwise
+_START_REACH = 1.5
 # what winding_count raises when it cannot count a contour
 _COUNT_REFUSALS = (BoundaryZeroError, NonIntegerWindingError, ConvergenceError)
 
@@ -581,11 +585,37 @@ def winding_count(fn, rect, poles=()) -> int:
 # vertical-line scan with Newton polish and winding certification
 
 
-def _newton_polish(fn, z0: complex, scale: float):
-    """Two-dimensional Newton with finite-difference Jacobian.
+def _quadratic_root(f_prev: complex, f_mid: complex, f_next: complex):
+    """The root nearest 0 of the quadratic through (-1, f_prev), (0, f_mid)
+    and (1, f_next), or inf when the quadratic is a non-zero constant.
 
-    fn is called once per point with a Python complex: each iteration
-    evaluates the four difference points and then the new iterate.
+    With the quadratic A x^2 + B x + C and q = -(B + sqrt(B^2 - 4AC)) / 2,
+    the square root's sign taken along B so that q does not cancel, the
+    roots are C / q and q / A (Muller, MTAC 1956), and |C / q| <= |q / A|
+    because |4AC| <= |B|^2 + |B^2 - 4AC| <= 4 |q|^2.  A linear fit (A = 0)
+    gives its one root -C / B the same way.
+    """
+    a = 0.5 * (f_next + f_prev) - f_mid
+    b = 0.5 * (f_next - f_prev)
+    d = cmath.sqrt(b * b - 4.0 * a * f_mid)
+    if (b.conjugate() * d).real < 0.0:
+        d = -d
+    q = -0.5 * (b + d)
+    if q == 0:
+        # B = 0 and B^2 = 4AC: a double root at 0, or a constant
+        return 0j if f_mid == 0 else math.inf
+    return f_mid / q
+
+
+def _newton_polish(fn, z0: complex, scale: float):
+    """Complex Newton with a central-difference derivative.
+
+    fn is holomorphic, so its derivative is the central difference along
+    Re s alone, and each step is -fn(z) / fn'(z), clamped to length 0.5.
+    fn is called once per point with a Python complex: once at z0, then
+    per step the two difference points and the new iterate.  A start
+    whose residual already meets 1e-12 returns converged with no step, so
+    a multiple zero hit exactly, where the derivative vanishes, is kept.
     Returns (z, relative_residual, converged).  The residual is |fn(z)|
     over the supplied local scale, so a flat-out tiny function does not
     self-certify.
@@ -593,23 +623,15 @@ def _newton_polish(fn, z0: complex, scale: float):
     z = z0
     fz = complex(fn(z))
     best_z, best_r = z, abs(fz) / scale
+    if best_r <= 1e-12:
+        return z, best_r, True
     for _ in range(_NEWTON_MAX_ITER):
         h = 1e-7 * max(1.0, abs(z))
-        fxp, fxm, fyp, fym = (
-            complex(fn(w)) for w in (z + h, z - h, z + 1j * h, z - 1j * h)
-        )
-        dfx = (fxp - fxm) / (2.0 * h)
-        dfy = (fyp - fym) / (2.0 * h)
-        jac = np.array(
-            [[dfx.real, dfy.real], [dfx.imag, dfy.imag]], dtype=float
-        )
-        rhs = np.array([-fz.real, -fz.imag], dtype=float)
-        try:
-            delta = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
+        dfz = (complex(fn(z + h)) - complex(fn(z - h))) / (2.0 * h)
+        if dfz == 0:
             return best_z, best_r, False
-        step = complex(delta[0], delta[1])
-        # clamp wild steps so a bad Jacobian cannot fling the iterate away
+        step = -fz / dfz
+        # clamp wild steps so a bad derivative cannot fling the iterate away
         if abs(step) > 0.5:
             step *= 0.5 / abs(step)
         z = z + step
@@ -630,18 +652,24 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     local minima of |fn| that dip below a quarter of the largest |fn|
     within 12 samples on either side; the relative test
     keeps the scan honest when the function itself decays by orders of
-    magnitude along the line.  Each candidate is polished by Newton in
-    both coordinates and certified by a winding count on a small square
-    around the polished point.  The squares have half-widths 2e-5, 2e-4
-    and 2e-3 and are counted in that order: the first count that does
-    not raise decides certification (a count >= 1 confirms), and the
-    first count >= 1 gives the multiplicity and ends the walk.  A raise,
-    or a count below 1, moves to the next wider square.  This equals
-    counting all three, widest first, and keeping the narrowest result
-    (the narrowest count >= 1 for the multiplicity), so the usual zero
-    costs one square, not three.  Failed polish or certification is
-    reported with certified=False; a polish that runs away from its dip
-    counts as failed and the raw sample point is reported instead.
+    magnitude along the line.  Each candidate is polished by complex
+    Newton (_newton_polish: one evaluation at the start, then three a
+    step, one point a call) and certified by a winding count on a small
+    square around the polished point.  Newton starts at the root of the
+    quadratic in the sample index through the scan's complex values at
+    the dip and its two neighbours, mapped back to s, when that root lies
+    within 1.5 sample steps of the dip, and at the dip sample otherwise;
+    so a simple zero near the line usually needs one step.  The squares
+    have half-widths 2e-5, 2e-4 and 2e-3 and are counted in that order:
+    the first count that does not raise decides certification (a count
+    >= 1 confirms), and the first count >= 1 gives the multiplicity and
+    ends the walk.  A raise, or a count below 1, moves to the next wider
+    square.  This equals counting all three, widest first, and keeping
+    the narrowest result (the narrowest count >= 1 for the
+    multiplicity), so the usual zero costs one square, not three.
+    Failed polish or certification is reported with certified=False; a
+    polish that ends more than ten sample steps (at least 0.01) from its
+    dip sample counts as failed and the dip sample is reported instead.
     Reports are sorted by Im(s).
 
     Certification is per zero, not per scan: a pair closer together
@@ -656,7 +684,9 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
         raise DomainError(f"a line scan needs at least 3 samples, got {samples}")
     scan = _elementwise(fn)
     ts = np.linspace(im_lo, im_hi, samples)
-    mags = np.abs(scan(re + 1j * ts))
+    spacing = (im_hi - im_lo) / (samples - 1)
+    vals = scan(re + 1j * ts)
+    mags = np.abs(vals)
 
     candidates = []
     inner = mags[1:-1]
@@ -667,13 +697,15 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
         if local_scale == 0.0:
             raise BoundaryZeroError("scan window is identically zero")
         if mags[i] < _DIP_RATIO * local_scale:
-            candidates.append((complex(re, float(ts[i])), local_scale))
+            z0 = complex(re, float(ts[i]))
+            tau = _quadratic_root(*vals[i - 1:i + 2].tolist())
+            start = z0 + 1j * tau * spacing if abs(tau) <= _START_REACH else z0
+            candidates.append((z0, start, local_scale))
 
-    spacing = (im_hi - im_lo) / (samples - 1)
     wander_cap = max(10.0 * spacing, 5.0 * _CERT_HALF_WIDTH)
     reports = []
-    for z0, scale in candidates:
-        z, resid, converged = _newton_polish(fn, z0, scale)
+    for z0, start, scale in candidates:
+        z, resid, converged = _newton_polish(fn, start, scale)
         if abs(z - z0) > wander_cap:
             # Newton escaped the dip's neighbourhood; whatever it found
             # out there is not this dip's zero

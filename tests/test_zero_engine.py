@@ -509,10 +509,11 @@ def _recording(fn):
 
 
 def test_scans_call_fn_once_per_grid_and_per_round():
-    # the points match a per-point loop over the same scan: 975 for the
+    # the points match a per-point loop over the same scan: 940 for the
     # ladder (600 grid points, 320 on 5 certifying squares, the tightest
-    # one per zero, and 55 in Newton) and 1024 for the winding count, as
-    # counted point by point
+    # one per zero, and 20 in Newton: from its quadratic start, each zero
+    # takes the start and one step of two difference points and the
+    # iterate) and 1024 for the winding count, as counted point by point
     fn, batches = _recording(lambda s: np.sin(1j * np.pi * (s - 0.5)))
     reports = line_zeros(fn, 0.5, 0.4, 5.6, samples=600)
     assert len(reports) == 5 and all(r.certified for r in reports)
@@ -520,7 +521,7 @@ def test_scans_call_fn_once_per_grid_and_per_round():
     # Newton alone calls with a scalar, one point a call; a scan or a
     # winding round lifted to a per-point loop would add scalar calls
     arrays = [n for n in batches if n is not None]
-    assert batches.count(None) == 55
+    assert batches.count(None) == 20
     assert sum(arrays) == 600 + 320
     assert all(n >= 64 for n in arrays)
 
@@ -859,9 +860,81 @@ def test_line_scan_reports_double_zero_multiplicity():
     assert abs(reports[0].location - z0) <= 1e-5
 
 
+@pytest.mark.parametrize("z0", [0.5 + 2.0j, 0.5003 + 2.0j, 0.4995 + 2.3j])
+def test_quadratic_start_lands_on_a_polynomial_double_zero(z0):
+    # on the line (s - z0)^2 is a quadratic in Im s, so the fit through
+    # the dip and its neighbours has the double zero as its root, off the
+    # line too; the start meets the residual gate and Newton takes no
+    # step, where the derivative would vanish
+    scalar = []
+
+    def fn(s):
+        if not isinstance(s, np.ndarray):
+            scalar.append(s)
+        return (s - z0) ** 2
+
+    reports = line_zeros(fn, 0.5, 1.5, 2.5, samples=400)
+    assert len(reports) == 1
+    rep = reports[0]
+    assert rep.certified and rep.multiplicity == 2
+    assert abs(rep.location - z0) <= 1e-10
+    # every Newton call is a start: the difference points lie 2e-7 away
+    assert scalar and all(abs(w - z0) <= 1e-10 for w in scalar)
+
+
+def test_dip_without_a_zero_starts_at_the_sample(monkeypatch):
+    # on the line cos(20 (s - s0)) is cosh(20 (Im s - 2.003)), a dip with
+    # no zero near it (the zeros lie at Re s = 1/2 +- pi/40): the fitted
+    # quadratic's roots lie 7 samples off, so Newton starts at the dip
+    # sample, runs up the line and the sample is reported uncertified
+    s0 = 0.5 + 2.003j
+    starts = []
+    polish = zero_engine._newton_polish
+
+    def recorded(fn, z0, scale):
+        starts.append(z0)
+        return polish(fn, z0, scale)
+
+    monkeypatch.setattr(zero_engine, "_newton_polish", recorded)
+    reports = line_zeros(lambda s: np.cos(20.0 * (s - s0)), 0.5, 1.5, 2.5, samples=101)
+    sample = complex(0.5, np.linspace(1.5, 2.5, 101)[50])
+    assert starts == [sample]
+    assert len(reports) == 1
+    assert reports[0].location == sample and not reports[0].certified
+    vals = np.cos(20.0 * (0.5 + 1j * np.linspace(1.5, 2.5, 101)[49:52] - s0))
+    assert abs(zero_engine._quadratic_root(*vals.tolist())) > zero_engine._START_REACH
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(0.2, 0.8), st.floats(-1.0, 1.0)),
+             min_size=1, max_size=4),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+)
+def test_line_scan_certifies_simple_zeros_near_the_line(spots, c):
+    # one simple zero in each unit slot of Im s in [1, 5], at most one
+    # sample step off the line, times exp(c s): every zero is reported,
+    # certified, once, within the certification radius
+    step = 0.005
+    zeros = [complex(0.5 + v * step, 1.0 + k + u) for k, (u, v) in enumerate(spots)]
+
+    def fn(s):
+        out = np.exp(c * s)
+        for w in zeros:
+            out = out * (s - w)
+        return out
+
+    reports = line_zeros(fn, 0.5, 0.5, 5.5, samples=1001)
+    assert len(reports) == len(zeros)
+    for rep, w in zip(reports, zeros):
+        assert rep.certified and rep.multiplicity == 1
+        assert abs(rep.location - w) <= zero_engine._CERT_RADIUS
+
+
 def test_line_scan_strict_raises_on_unpolishable_dip():
-    # real-valued modulus dip with no analytic zero: the Jacobian is
-    # singular, polish fails, and a census refuses the uncertified report
+    # real-valued modulus dip with no analytic zero: Newton never meets
+    # the residual gate, polish fails, and a census refuses the
+    # uncertified report
     def fn(s):
         return abs(s - (0.5 + 2.0j)) + 1e-3
 
