@@ -81,6 +81,7 @@ def _int_valuation(num: int, den: int, p: int) -> int:
 
 def valuation(x, p: int):
     """p-adic valuation of a rational; +inf for zero."""
+    _require_base(p)
     num, den = _ratio(x)
     if num == 0:
         return math.inf
@@ -137,6 +138,7 @@ class UnitCharacter:
     """
 
     def __init__(self, p: int, n: int, m: int = 0):
+        _require_base(p)
         if n < 0:
             raise DomainError("conductor exponent must be >= 0")
         if n >= 1 and p == 2:
@@ -268,8 +270,9 @@ def unit_coset_level(a, p: int, y, n_chi: int = 0, margin: int = 1) -> int:
 
     The sum visits the units among the p^m0 residues, so its cost grows
     as p^m0.  Raises DegenerateError for a = 0 and DomainError for y = 0,
-    as `unit_average` does.
+    as `unit_average` does, and DomainError for p < 2.
     """
+    _require_base(p)
     (an, ad), (yn, yd) = _ratio(a), _ratio(y)
     if an == 0:
         raise DegenerateError("quadratic coefficient must be nonzero")
@@ -361,6 +364,7 @@ def unit_average(a, b, p: int, y, chi: UnitCharacter | None = None, margin: int 
     value >= the minimal one returns the same number, which the tests use as
     a consistency check.
     """
+    _require_base(p)
     n_chi = 0 if chi is None else chi.conductor_exponent
     m0 = unit_coset_level(a, p, y, n_chi, margin)
     (an, ad), (bn, bd), (yn, yd) = _ratio(a), _ratio(b), _ratio(y)
@@ -378,6 +382,7 @@ def theta_additive(a, b, p: int, y, margin: int = 1) -> complex:
     zero and are skipped; the level only needs to neutralize the quadratic
     term.
     """
+    _require_base(p)
     (an, ad), (bn, bd), (yn, yd) = _ratio(a), _ratio(b), _ratio(y)
     if an == 0:
         raise DegenerateError("quadratic coefficient must be nonzero")

@@ -367,8 +367,8 @@ def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
     to d = 60 (200 bits).
     Two kinds of input reach the wide pass: |z| >= 38 with Im a >= 20,
     e.g. (0.25+30j, 0.5, 40j) with a ratio of 1.8e32, and evaluations on
-    top of a zero (|value| below about 3e-16, such as the last Newton step
-    of a zero search).
+    top of a zero (|value| below about 3e-16, such as the last step of a
+    zero search).
 
     Restricted to finite inputs and |z| <= 40 (DomainError otherwise):
     beyond that the scale swings outgrow even the 60-digit budget and

@@ -24,9 +24,9 @@ ndarray elementwise, to an array of the same shape, line_zeros evaluates
 its whole scan grid in one call and winding_count each doubling round's
 fresh points in one call; otherwise those calls are lifted once to a loop
 over the points (if the first array call raises TypeError or ValueError or
-returns another shape, fn is called once per point from then on).  Newton
-polishing and the wander fallback always call fn once per point with a
-Python complex.  GlobalFactorization.evaluate, zeta_real,
+returns another shape, fn is called once per point from then on).  The
+polish of a scan dip always calls fn once per point with a Python
+complex.  GlobalFactorization.evaluate, zeta_real,
 LocalFactor.evaluate and entire_eval, and the special functions
 riemann_zeta, hurwitz_zeta, dirichlet_l, gamma, log_gamma and hyp1f1 take
 arrays.
@@ -67,12 +67,8 @@ _CERT_RADIUS = 1e-6
 _DIP_RATIO = 0.25
 _DIP_WINDOW = 12
 _CERT_HALF_WIDTH = 2e-3
-# Newton steps one polish may take
-_NEWTON_MAX_ITER = 60
-# line_zeros starts Newton at the root of the quadratic through a dip and
-# its two neighbours when that root lies within this many sample steps of
-# the dip, and at the dip sample otherwise
-_START_REACH = 1.5
+# Muller steps one polish may take
+_POLISH_STEPS = 60
 # what winding_count raises when it cannot count a contour
 _COUNT_REFUSALS = (BoundaryZeroError, NonIntegerWindingError, ConvergenceError)
 
@@ -582,66 +578,61 @@ def winding_count(fn, rect, poles=()) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vertical-line scan with Newton polish and winding certification
+# vertical-line scan with Muller polish and winding certification
 
 
-def _quadratic_root(f_prev: complex, f_mid: complex, f_next: complex):
-    """The root nearest 0 of the quadratic through (-1, f_prev), (0, f_mid)
-    and (1, f_next), or inf when the quadratic is a non-zero constant.
+def _muller_polish(fn, zs, fs, scale: float, cap: float):
+    """Polish a scan dip by Muller's method (MTAC 1956).
 
-    With the quadratic A x^2 + B x + C and q = -(B + sqrt(B^2 - 4AC)) / 2,
-    the square root's sign taken along B so that q does not cancel, the
-    roots are C / q and q / A (Muller, MTAC 1956), and |C / q| <= |q / A|
-    because |4AC| <= |B|^2 + |B^2 - 4AC| <= 4 |q|^2.  A linear fit (A = 0)
-    gives its one root -C / B the same way.
+    zs and fs are the dip's two neighbours and the dip, last, with their
+    scan values.  Each step goes to the root nearest the latest point of
+    the quadratic through the three latest points: written A w^2 + B w + C
+    in w = z - latest, that root is -2C / q with q = B +- sqrt(B^2 - 4AC),
+    the sign that maximises |q|.  C = 0 gives a zero step, also when q = 0
+    (a double root on the latest point).  A step is clamped to length 0.5
+    and calls fn once, with a Python complex.
+
+    The polish stops at a residual |fn| / scale of 1e-12 or a step of
+    1e-14 |z|, or after _POLISH_STEPS steps, and is converged then if its
+    least residual meets 1e-10.  It stops unconverged at its first iterate
+    more than cap from the dip, at an iterate back on the point before the
+    latest, or at a non-zero constant quadratic, which has no root.
+    Returns (z, relative_residual, converged) for the called iterate of
+    least residual, or for the dip, called once more, when there is none.
+    scale is the local one of the scan, so a flat-out tiny function does
+    not self-certify.
     """
-    a = 0.5 * (f_next + f_prev) - f_mid
-    b = 0.5 * (f_next - f_prev)
-    d = cmath.sqrt(b * b - 4.0 * a * f_mid)
-    if (b.conjugate() * d).real < 0.0:
-        d = -d
-    q = -0.5 * (b + d)
-    if q == 0:
-        # B = 0 and B^2 = 4AC: a double root at 0, or a constant
-        return 0j if f_mid == 0 else math.inf
-    return f_mid / q
-
-
-def _newton_polish(fn, z0: complex, scale: float):
-    """Complex Newton with a central-difference derivative.
-
-    fn is holomorphic, so its derivative is the central difference along
-    Re s alone, and each step is -fn(z) / fn'(z), clamped to length 0.5.
-    fn is called once per point with a Python complex: once at z0, then
-    per step the two difference points and the new iterate.  A start
-    whose residual already meets 1e-12 returns converged with no step, so
-    a multiple zero hit exactly, where the derivative vanishes, is kept.
-    Returns (z, relative_residual, converged).  The residual is |fn(z)|
-    over the supplied local scale, so a flat-out tiny function does not
-    self-certify.
-    """
-    z = z0
-    fz = complex(fn(z))
-    best_z, best_r = z, abs(fz) / scale
-    if best_r <= 1e-12:
-        return z, best_r, True
-    for _ in range(_NEWTON_MAX_ITER):
-        h = 1e-7 * max(1.0, abs(z))
-        dfz = (complex(fn(z + h)) - complex(fn(z - h))) / (2.0 * h)
-        if dfz == 0:
-            return best_z, best_r, False
-        step = -fz / dfz
-        # clamp wild steps so a bad derivative cannot fling the iterate away
+    zs, fs = list(zs), list(fs)
+    dip = zs[-1]
+    best_z, best_r = dip, None
+    for _ in range(_POLISH_STEPS):
+        (z1, z2, z3), (f1, f2, f3) = zs[-3:], fs[-3:]
+        d3 = (f3 - f2) / (z3 - z2)
+        a = (d3 - (f2 - f1) / (z2 - z1)) / (z3 - z1)
+        b = d3 + a * (z3 - z2)
+        d = cmath.sqrt(b * b - 4.0 * a * f3)
+        q = b + d if (b.conjugate() * d).real >= 0.0 else b - d
+        if q == 0 and f3 != 0:
+            break  # unconverged
+        step = -2.0 * f3 / q if f3 != 0 else 0j
         if abs(step) > 0.5:
             step *= 0.5 / abs(step)
-        z = z + step
+        z = z3 + step
+        if z == z2 or not abs(z - dip) <= cap:
+            break  # unconverged; a NaN iterate stops here too
         fz = complex(fn(z))
         rel = abs(fz) / scale
-        if rel < best_r:
+        if best_r is None or rel < best_r:
             best_z, best_r = z, rel
         if rel <= 1e-12 or abs(step) <= 1e-14 * max(1.0, abs(z)):
             return best_z, best_r, best_r <= 1e-10
-    return best_z, best_r, best_r <= 1e-10
+        zs.append(z)
+        fs.append(fz)
+    else:
+        return best_z, best_r, best_r <= 1e-10
+    if best_r is None:
+        best_r = abs(complex(fn(dip))) / scale
+    return best_z, best_r, False
 
 
 def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
@@ -652,31 +643,31 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     local minima of |fn| that dip below a quarter of the largest |fn|
     within 12 samples on either side; the relative test
     keeps the scan honest when the function itself decays by orders of
-    magnitude along the line.  Each candidate is polished by complex
-    Newton (_newton_polish: one evaluation at the start, then three a
-    step, one point a call) and certified by a winding count on a small
-    square around the polished point.  Newton starts at the root of the
-    quadratic in the sample index through the scan's complex values at
-    the dip and its two neighbours, mapped back to s, when that root lies
-    within 1.5 sample steps of the dip, and at the dip sample otherwise;
-    so a simple zero near the line usually needs one step.  The squares
-    have half-widths 2e-5, 2e-4 and 2e-3 and are counted in that order:
-    the first count that does not raise decides certification (a count
-    >= 1 confirms), and the first count >= 1 gives the multiplicity and
-    ends the walk.  A raise, or a count below 1, moves to the next wider
+    magnitude along the line.  Each candidate is polished by Muller's
+    method (_muller_polish), seeded with the scan's complex values at the
+    dip and its two neighbours, one point a call per step, so a simple
+    zero near the line usually needs two or three steps; and it is
+    certified by a winding count on a small square around the polished
+    point.  The squares have half-widths 2e-5, 2e-4 and 2e-3 and are
+    counted in that order: the first count that does not raise decides
+    certification (a count >= 1 confirms), and the first count >= 1 gives
+    the multiplicity and ends the walk.  A raise, or a count below 1, moves to the next wider
     square.  This equals counting all three, widest first, and keeping
     the narrowest result (the narrowest count >= 1 for the
     multiplicity), so the usual zero costs one square, not three.
     Failed polish or certification is reported with certified=False; a
-    polish that ends more than ten sample steps (at least 0.01) from its
-    dip sample counts as failed and the dip sample is reported instead.
-    Reports are sorted by Im(s).
+    polish stops failed at its first iterate more than ten sample steps
+    (at least 0.01) from its dip sample.  Reports are sorted by Im(s).
+    A line or range that is not finite, or a scan value that is not,
+    raises DomainError.
 
     Certification is per zero, not per scan: a pair closer together
     than the sample step shows up as one report.  Callers wanting a
     completeness guarantee should call census, which checks the total
     against an independent winding count over the whole box.
     """
+    if not all(map(math.isfinite, (re, im_lo, im_hi))):
+        raise DomainError("a line scan needs a finite line and range")
     if im_hi <= im_lo:
         raise DomainError("empty scan range")
     if samples < 3:
@@ -685,8 +676,11 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     scan = _elementwise(fn)
     ts = np.linspace(im_lo, im_hi, samples)
     spacing = (im_hi - im_lo) / (samples - 1)
-    vals = scan(re + 1j * ts)
+    points = re + 1j * ts
+    vals = scan(points)
     mags = np.abs(vals)
+    if not np.all(np.isfinite(mags)):
+        raise DomainError("fn is not finite on the scan line")
 
     candidates = []
     inner = mags[1:-1]
@@ -697,21 +691,14 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
         if local_scale == 0.0:
             raise BoundaryZeroError("scan window is identically zero")
         if mags[i] < _DIP_RATIO * local_scale:
-            z0 = complex(re, float(ts[i]))
-            tau = _quadratic_root(*vals[i - 1:i + 2].tolist())
-            start = z0 + 1j * tau * spacing if abs(tau) <= _START_REACH else z0
-            candidates.append((z0, start, local_scale))
+            seed = [i - 1, i + 1, i]  # the dip last
+            candidates.append(
+                (points[seed].tolist(), vals[seed].tolist(), local_scale))
 
     wander_cap = max(10.0 * spacing, 5.0 * _CERT_HALF_WIDTH)
     reports = []
-    for z0, start, scale in candidates:
-        z, resid, converged = _newton_polish(fn, start, scale)
-        if abs(z - z0) > wander_cap:
-            # Newton escaped the dip's neighbourhood; whatever it found
-            # out there is not this dip's zero
-            z = z0
-            resid = abs(complex(fn(z0))) / scale
-            converged = False
+    for zs, fs, scale in candidates:
+        z, resid, converged = _muller_polish(fn, zs, fs, scale, wander_cap)
         if any(abs(z - r.location) < _CERT_RADIUS for r in reports):
             continue  # same zero seen from a neighbouring dip
         mult = 1

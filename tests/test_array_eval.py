@@ -177,8 +177,8 @@ def test_radial_scans_of_criterion_8_take_one_call_per_grid(monkeypatch):
     ok, _ = acceptance._criterion_8()
     assert ok
     # four scans of 1536 samples, each one call, and every shell round one
-    # array call.  Only Newton calls with a scalar, 253 times for the 18
-    # zeros; a scan lifted to a per-point loop would add 1536 scalar calls,
+    # array call.  Only the polish calls with a scalar, 47 times for the
+    # 18 zeros; a scan lifted to a per-point loop would add 1536 scalar calls,
     # and shell rounds lifted to one at least 64 a zero
     assert sizes.count(1536) == 4
     assert sizes.count(None) < 18 * 64
@@ -187,8 +187,8 @@ def test_radial_scans_of_criterion_8_take_one_call_per_grid(monkeypatch):
 
 def test_real_census_sums_discs_not_points(monkeypatch):
     # the box and scan points come from three Taylor discs (Im s/2 near
-    # 0, 1 and 2), so only Newton's scalar calls run the series, each so
-    # near a zero that the disc value is not good to 1e-12 of itself: 38
+    # 0, 1 and 2), so only the polish's scalar calls run the series, each
+    # so near a zero that the disc value is not good to 1e-12 of itself: 7
     # runs and 3 discs, against 2534 runs point by point
     runs = []
     series = sf._kummer_series
@@ -219,7 +219,7 @@ def test_completed_xi_scan_of_criterion_7_takes_arrays(monkeypatch):
     ok, _ = acceptance._criterion_7()
     assert ok
     # the 1024-sample scan is one call and every shell round one array
-    # call.  Only Newton calls with a scalar, 43 times for the 3 zeros; a
+    # call.  Only the polish calls with a scalar, 8 times for the 3 zeros; a
     # scan lifted to a per-point loop would add 1024 scalar calls, and
     # shell rounds lifted to one at least 64 a zero
     assert sizes.count(1024) == 1

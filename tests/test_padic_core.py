@@ -213,6 +213,23 @@ def test_integrals_refuse_y_zero(integral):
         integral(1, Fraction(1, 3), 3, 0)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+@pytest.mark.parametrize("call", [
+    lambda p: valuation(3, p),
+    lambda p: frac_lambda(Fraction(1, 3), p),
+    lambda p: unit_coset_level(1, p, 1),
+    lambda p: unit_average(1, 0, p, 1),
+    lambda p: theta_additive(1, 0, p, 1),
+    lambda p: UnitCharacter(p, 1, 1),
+    lambda p: UnitCharacter(p, 0),
+], ids=["valuation", "frac_lambda", "unit_coset_level", "unit_average",
+        "theta_additive", "ramified_character", "trivial_character"])
+def test_entry_points_refuse_a_base_below_two(call, p):
+    # p = 1 would divide by p forever, p = 0 by zero
+    with pytest.raises(DomainError, match="base p"):
+        call(p)
+
+
 def test_coset_level_refuses_zero_inputs():
     # v(0) = inf gives no level: the errors unit_average raises, not an
     # OverflowError from the rounding

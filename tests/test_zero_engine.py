@@ -509,19 +509,19 @@ def _recording(fn):
 
 
 def test_scans_call_fn_once_per_grid_and_per_round():
-    # the points match a per-point loop over the same scan: 940 for the
+    # the points match a per-point loop over the same scan: 935 for the
     # ladder (600 grid points, 320 on 5 certifying squares, the tightest
-    # one per zero, and 20 in Newton: from its quadratic start, each zero
-    # takes the start and one step of two difference points and the
-    # iterate) and 1024 for the winding count, as counted point by point
+    # one per zero, and 15 in the polish: each zero takes three Muller
+    # steps of one point each) and 1024 for the winding count, as counted
+    # point by point
     fn, batches = _recording(lambda s: np.sin(1j * np.pi * (s - 0.5)))
     reports = line_zeros(fn, 0.5, 0.4, 5.6, samples=600)
     assert len(reports) == 5 and all(r.certified for r in reports)
     assert batches[0] == 600  # the whole grid in one call
-    # Newton alone calls with a scalar, one point a call; a scan or a
+    # the polish alone calls with a scalar, one point a call; a scan or a
     # winding round lifted to a per-point loop would add scalar calls
     arrays = [n for n in batches if n is not None]
-    assert batches.count(None) == 20
+    assert batches.count(None) == 15
     assert sum(arrays) == 600 + 320
     assert all(n >= 64 for n in arrays)
 
@@ -860,12 +860,15 @@ def test_line_scan_reports_double_zero_multiplicity():
     assert abs(reports[0].location - z0) <= 1e-5
 
 
-@pytest.mark.parametrize("z0", [0.5 + 2.0j, 0.5003 + 2.0j, 0.4995 + 2.3j])
-def test_quadratic_start_lands_on_a_polynomial_double_zero(z0):
-    # on the line (s - z0)^2 is a quadratic in Im s, so the fit through
-    # the dip and its neighbours has the double zero as its root, off the
-    # line too; the start meets the residual gate and Newton takes no
-    # step, where the derivative would vanish
+@pytest.mark.parametrize("z0", [
+    0.5 + 2.0j, 0.5003 + 2.0j, 0.4995 + 2.3j,
+    complex(0.5, np.linspace(1.5, 2.5, 400)[200]),  # on a scan sample
+])
+def test_muller_polish_lands_on_a_polynomial_double_zero(z0):
+    # (s - z0)^2 is the quadratic through the dip and its neighbours, so
+    # Muller's first step lands on the double zero, off the line too, and
+    # meets the residual gate where a derivative would vanish.  On a
+    # sample the scan value is exactly 0 and so is q: the step is zero
     scalar = []
 
     def fn(s):
@@ -878,31 +881,69 @@ def test_quadratic_start_lands_on_a_polynomial_double_zero(z0):
     rep = reports[0]
     assert rep.certified and rep.multiplicity == 2
     assert abs(rep.location - z0) <= 1e-10
-    # every Newton call is a start: the difference points lie 2e-7 away
-    assert scalar and all(abs(w - z0) <= 1e-10 for w in scalar)
+    # one step from each dip, two dips when z0 lies midway between samples
+    assert 1 <= len(scalar) <= 2
+    assert all(abs(w - z0) <= 1e-10 for w in scalar)
 
 
-def test_dip_without_a_zero_starts_at_the_sample(monkeypatch):
-    # on the line cos(20 (s - s0)) is cosh(20 (Im s - 2.003)), a dip with
-    # no zero near it (the zeros lie at Re s = 1/2 +- pi/40): the fitted
-    # quadratic's roots lie 7 samples off, so Newton starts at the dip
-    # sample, runs up the line and the sample is reported uncertified
+def _scalar_calls(f):
+    calls = []
+
+    def fn(s):
+        if not isinstance(s, np.ndarray):
+            calls.append(s)
+        return f(s)
+
+    return fn, calls
+
+
+def test_dip_beside_an_off_line_zero_polishes_to_it():
+    # on the line cos(20 (s - s0)) is cosh(20 (Im s - 2.003)), a dip whose
+    # nearest zeros lie at Re s = 1/2 +- pi/40, 0.079 off the line and
+    # inside the wander cap of ten sample steps: Muller walks to one
     s0 = 0.5 + 2.003j
-    starts = []
-    polish = zero_engine._newton_polish
-
-    def recorded(fn, z0, scale):
-        starts.append(z0)
-        return polish(fn, z0, scale)
-
-    monkeypatch.setattr(zero_engine, "_newton_polish", recorded)
-    reports = line_zeros(lambda s: np.cos(20.0 * (s - s0)), 0.5, 1.5, 2.5, samples=101)
-    sample = complex(0.5, np.linspace(1.5, 2.5, 101)[50])
-    assert starts == [sample]
+    fn, calls = _scalar_calls(lambda s: np.cos(20.0 * (s - s0)))
+    reports = line_zeros(fn, 0.5, 1.5, 2.5, samples=101)
     assert len(reports) == 1
-    assert reports[0].location == sample and not reports[0].certified
-    vals = np.cos(20.0 * (0.5 + 1j * np.linspace(1.5, 2.5, 101)[49:52] - s0))
-    assert abs(zero_engine._quadratic_root(*vals.tolist())) > zero_engine._START_REACH
+    rep = reports[0]
+    assert rep.certified and rep.multiplicity == 1
+    assert abs(rep.location - complex(0.5 - math.pi / 40.0, 2.003)) <= 1e-10
+    assert len(calls) <= 6
+
+
+def test_zero_free_dip_stops_at_the_wander_cap():
+    # exp(-500 (s - s0)^2) has no zero, but on the line its modulus is
+    # exp(500 (Im s - 2.003)^2), a dip: the polish stops at its first
+    # iterate past the cap, a few scalar calls in, and the dip is
+    # reported uncertified
+    s0 = 0.5 + 2.003j
+    fn, calls = _scalar_calls(lambda s: np.exp(-500.0 * (s - s0) ** 2))
+    reports = line_zeros(fn, 0.5, 1.5, 2.5, samples=101)
+    assert len(reports) == 1 and not reports[0].certified
+    dip = complex(0.5, np.linspace(1.5, 2.5, 101)[50])
+    cap = 10.0 * 0.01
+    assert abs(reports[0].location - dip) <= cap
+    assert 1 <= len(calls) <= 10
+    assert all(abs(w - dip) <= cap for w in calls)
+
+
+def test_polish_stops_where_a_step_returns_to_the_point_before():
+    # on this coarse scan (spacing 0.5) the second Muller step from the
+    # dip at 1/2 + i lands back on the dip to the last bit; the next
+    # quadratic through two equal points would divide by zero, so the
+    # polish stops there unconverged
+    roots = (0.25 + 9j, 1.5 + 3.684434971662871j,
+             -0.03472091558225976 + 3.4691509582302027j, 5.5j)
+
+    def fn(s):
+        out = 1.0
+        for r in roots:
+            out = out * (s - r)
+        return np.cos(out)
+
+    reports = line_zeros(fn, 0.5, 0.0, 10.0, samples=21)
+    near = [r for r in reports if abs(r.location - (0.5 + 1j)) <= 0.5]
+    assert len(near) == 1 and not near[0].certified
 
 
 @settings(max_examples=40, deadline=None)
@@ -932,8 +973,8 @@ def test_line_scan_certifies_simple_zeros_near_the_line(spots, c):
 
 
 def test_line_scan_strict_raises_on_unpolishable_dip():
-    # real-valued modulus dip with no analytic zero: Newton never meets
-    # the residual gate, polish fails, and a census refuses the
+    # real-valued modulus dip with no analytic zero: the polish never
+    # meets the residual gate, polish fails, and a census refuses the
     # uncertified report
     def fn(s):
         return abs(s - (0.5 + 2.0j)) + 1e-3
@@ -954,6 +995,20 @@ def test_line_scan_ignores_smooth_nonvanishing_stretch():
 def test_line_scan_rejects_empty_range():
     with pytest.raises(DomainError):
         line_zeros(_sin_line_fn, 0.5, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("line, fn", [
+    ((0.5, 0.4, math.inf), _sin_line_fn),
+    ((0.5, math.nan, 5.6), _sin_line_fn),
+    ((math.inf, 0.4, 5.6), _sin_line_fn),
+    ((0.5, 0.4, 5.6), lambda s: s * math.nan),
+    ((0.5, 0.4, 5.6), lambda s: np.where(np.imag(s) < 0.5, np.inf, s)),
+], ids=["inf_im_hi", "nan_im_lo", "inf_re", "nan_fn", "inf_sample"])
+def test_line_scan_refuses_non_finite_input(line, fn):
+    # a scan over a non-finite range, or of a non-finite fn, finds no dip;
+    # reporting no zeros there would pass for a census that found none
+    with pytest.raises(DomainError, match="finite"):
+        line_zeros(fn, *line, samples=64)
 
 
 @pytest.mark.parametrize("samples", [0, 1, 2])
@@ -997,7 +1052,7 @@ def test_census_counts_a_double_zero_twice():
 
 
 def test_census_leaves_out_a_report_outside_the_open_box():
-    # Newton polishes the dip on Re s = 1/2 to the zero at Re s = 0.56,
+    # the polish takes the dip on Re s = 1/2 to the zero at Re s = 0.56,
     # right of the box: listed, not counted, and the box counts none
     z1 = 0.56 + 2.0j
     reports, count = census(lambda s: s - z1, (0.45, 0.55, 1.0, 3.0),
