@@ -13,13 +13,13 @@ Artifacts go to stdout or ``--output`` as JSON ({"schema_version": 1,
 header.  Floats print with 17 significant digits and rows sort by
 imaginary part then real part, so identical configs produce
 byte-identical output.  Exit codes: 0 success, 1 numeric failure, 2 bad
-configuration, which includes a `zeros --field qp` window that could list
-more than _MAX_ZERO_ROWS zeros, a `zeros --global` window or `global`
-point past |Im s| = specfun._ZETA_IM_CAP, a `--p` above _MAX_P = 10^12
-(its primality check is trial division), a `--chi-mod` above
-_MAX_CHI_MOD = 100 000 (its characters are enumerated) and a `zeros`
-`--samples` above _MAX_SAMPLES = 2^20 (scan time and memory grow
-linearly with it).
+configuration: every DomainError or DegenerateError of the library (a
+`--p` that is not a prime at most padic_core._MAX_P = 10^12, or a global
+height past specfun._ZETA_IM_CAP, refused before any evaluation), a
+`zeros --field qp` window that could list more than _MAX_ZERO_ROWS zeros,
+a `--chi-mod` above _MAX_CHI_MOD = 100 000 (its characters are
+enumerated) and a `zeros` `--samples` above _MAX_SAMPLES = 2^20 (scan
+time and memory grow linearly with it).
 """
 
 from __future__ import annotations
@@ -32,16 +32,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arch_zeta import RealSign, Trivial, weil_index_arch, zeta_real
-from .errors import UncertifiedError, WeakMellinError
+from .errors import DegenerateError, DomainError, UncertifiedError, WeakMellinError
 from .global_zeta import (
     classify_zero,
     gamma_f,
     global_fe_residual,
     reference_spec,
 )
-from .padic_core import _split, unit_characters
+from .padic_core import _require_prime, _split, unit_characters
 from .padic_zeta import local_factor, weil_index_padic
-from .specfun import _ZETA_IM_CAP, _factorize
+from .specfun import _check_height
 from .zero_engine import census, line_zeros, zeros_in_window
 
 __all__ = ["ConfigError", "JobConfig", "main", "run"]
@@ -125,21 +125,9 @@ def _canon_float(text: str) -> str:
     return _fmt17(_finite_float(text))
 
 
-def _within_zeta_cap(height: float, what: str) -> None:
-    # the global functions rest on riemann_zeta and dirichlet_l, which
-    # refuse |Im s| above the cap; refuse the job before any evaluation
-    if height > _ZETA_IM_CAP:
-        raise ConfigError(
-            f"{what} reaches |Im s| = {height:g}; global functions are "
-            f"evaluated for |Im s| <= {_ZETA_IM_CAP:g}"
-        )
-
-
-# refused before any work: --p is proved prime by trial division (about
-# 0.15 s at the cap, growing as sqrt(p)), --chi-index picks from a
-# tuple of all the characters mod --chi-mod, and a zeros scan costs time
-# and memory linear in --samples (about 0.3 KB a sample)
-_MAX_P = 10**12
+# refused before any work: --chi-index picks from a tuple of all the
+# characters mod --chi-mod, and a zeros scan costs time and memory linear
+# in --samples (about 0.3 KB a sample)
 _MAX_CHI_MOD = 100_000
 _MAX_SAMPLES = 2**20
 
@@ -151,6 +139,8 @@ class JobConfig:
     Built through :meth:`from_mapping`, which rejects unknown fields and
     normalizes every value, so two configs describing the same job
     compare equal and round-trip through :meth:`to_mapping` unchanged.
+    It raises ConfigError, or the library's DomainError for a `p` that is
+    not a prime or a global height past the zeta cap.
     """
 
     command: str
@@ -207,10 +197,7 @@ class JobConfig:
         if cfg.field is not None:
             if cfg.field == "qp":
                 p = data.get("p")
-                if isinstance(p, int) and p > _MAX_P:
-                    raise ConfigError(f"--p {p} is above the cap {_MAX_P}")
-                if not isinstance(p, int) or _factorize(p) != [(p, 1)]:
-                    raise ConfigError("qp factors need a prime --p")
+                _require_prime(p)
                 cfg = replace(
                     cfg, p=p,
                     a=_canon_rational(data.get("a", "1")),
@@ -224,10 +211,6 @@ class JobConfig:
                     # below 2 first: _split(0, p) never returns
                     if mod < 2 or _split(mod, p)[1] != 1:
                         raise ConfigError(f"chi modulus {mod} is not a positive power of {p}")
-                    if p == 2:
-                        raise ConfigError(
-                            "ramified characters at p = 2 are out of scope"
-                        )
                     cfg = replace(
                         cfg, chi_mod=mod,
                         chi_index=_integer(data.get("chi_index", 0), "chi index"),
@@ -243,8 +226,6 @@ class JobConfig:
                     b=_canon_float(data.get("b", "0")),
                     char=data.get("char", "trivial"),
                 )
-            if Fraction(cfg.a) == 0:
-                raise ConfigError("quadratic coefficient --a must be nonzero")
 
         if command in ("local", "global"):
             raw = data.get("s", ())
@@ -258,7 +239,7 @@ class JobConfig:
         if command == "global":
             cfg = replace(cfg, tol=_finite_float(data.get("tol", 1e-9)))
             for text in cfg.s_values:
-                _within_zeta_cap(abs(_parse_complex(text).imag), f"--s {text}")
+                _check_height(abs(_parse_complex(text).imag), f"--s {text}")
         if command == "local" and cfg.field is None:
             raise ConfigError("local needs --field qp or --field real")
 
@@ -293,7 +274,7 @@ class JobConfig:
             if cfg.im_hi <= cfg.im_lo:
                 raise ConfigError("zeros needs im_lo < im_hi")
             if cfg.spec:
-                _within_zeta_cap(
+                _check_height(
                     max(abs(cfg.im_lo), abs(cfg.im_hi)), "the --imin/--imax window"
                 )
 
@@ -612,13 +593,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = JobConfig.from_mapping(_mapping_from_namespace(ns))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         artifact, ok = run(cfg)
-    except ConfigError as exc:
+    except (ConfigError, DomainError, DegenerateError) as exc:
+        # the library's "input outside the domain" errors, wherever raised
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except UncertifiedError as exc:

@@ -16,11 +16,13 @@ class PoleError(WeakMellinError):
 
 
 class DomainError(WeakMellinError):
-    """Input outside the region where the algorithm is trustworthy."""
+    """Input outside the region where the algorithm is trustworthy.  The
+    CLI reports it as a config error (exit 2)."""
 
 
 class DegenerateError(WeakMellinError):
-    """Configuration degenerates (e.g. quadratic coefficient zero)."""
+    """Configuration degenerates (e.g. quadratic coefficient zero).  The
+    CLI reports it as a config error (exit 2)."""
 
 
 class SupportEscapeError(WeakMellinError):

@@ -37,7 +37,8 @@ from scipy import special
 from .errors import DegenerateError, DomainError, QuadratureError, SupportEscapeError
 from .padic_core import (
     UnitCharacter,
-    _require_base,
+    _rational,
+    _require_prime,
     theta_additive,
     unit_average,
     unit_coset_level,
@@ -190,15 +191,16 @@ def oracle_padic_mellin(
     max_window levels above the level where both coefficients turn
     integral nor dies within max_window levels below the lower of
     v(b) - v(a) and the level where a y^2 turns integral; DegenerateError
-    for a = 0; DomainError for p < 2, a character of another prime, or an
-    s that is not finite with Re(s) > 0.  The level profile is computed
-    once per (a, b, p, chi, max_window) and cached; s and twist only
-    weight its terms.
+    for a = 0; DomainError for a p that is not a prime, a non-finite a or
+    b, a character of another prime, or an s that is not finite with
+    Re(s) > 0.  The level profile is computed once per
+    (a, b, p, chi, max_window) and cached; s and twist only weight its
+    terms.
     """
     s = complex(s)
     _require_point(s)
-    _require_base(p)
-    a, b = Fraction(a), Fraction(b)
+    _require_prime(p)
+    a, b = _rational(a), _rational(b)
     if a == 0:
         raise DegenerateError("quadratic coefficient must be nonzero")
     if chi is not None and chi.p != p:
@@ -254,8 +256,8 @@ def oracle_padic_vector(
     """
     s = complex(s)
     _require_point(s)
-    _require_base(p)
-    configs = tuple((Fraction(a), Fraction(b)) for a, b in configs)
+    _require_prime(p)
+    configs = tuple((_rational(a), _rational(b)) for a, b in configs)
     n = len(configs)
     if n == 0:
         raise DegenerateError("empty configuration")

@@ -14,6 +14,19 @@ they form a single arithmetic progression.  `_residue_sum` finds that
 progression with a gcd and a modular inverse and visits only its members,
 in fixed-size numpy blocks; L grows like half the scale of the quadratic
 phase instead of the whole of it.
+
+That level is the least exact one, and the builders sum there (margin 0):
+the quadratic part a (x0 + p^L t)^2 y^2 / 2 differs from its value at x0
+by a term linear in t, which the indicator accounts for, plus
+a y^2 p^(2L) t^2 / 2, which is p-integral for every t once
+2L >= v(2) - v(a y^2), the v(2) = 1 of p = 2 included; and the level is at
+least chi's conductor exponent, so chi is constant on every coset too.
+A larger margin visits p times more residues per unit and returns the
+same sum up to rounding.
+
+Every entry point refuses a base p that is not a prime int at most
+_MAX_P, and a non-finite float where it wants a rational, with
+DomainError.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateError, DomainError
-from .specfun import _dlog_array
+from .specfun import _dlog_array, _factorize
 
 __all__ = [
     "valuation",
@@ -46,15 +59,27 @@ TWO_PI = 2.0 * math.pi
 # modulus (3e9^2 < 2^63), on arrays of Python ints above it
 _VECTOR_MOD_CAP = 3_000_000_000
 
+# p is proved prime by trial division, about 0.15 s at the cap and growing
+# as sqrt(p); a larger p is refused before any division
+_MAX_P = 10**12
+
 # residues one numpy pass of `_residue_sum` visits; bounds its temporaries
 # at a few 8-16 MB arrays however many residues survive
 _BLOCK = 1 << 20
 
 
+def _rational(x) -> Fraction:
+    """Fraction(x); DomainError for a non-finite float."""
+    try:
+        return Fraction(x)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"p-adic inputs are rationals, got {x!r}") from exc
+
+
 def _ratio(x) -> tuple[int, int]:
     """Numerator and denominator of a rational, read once."""
     if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+        x = _rational(x)
     return x.numerator, x.denominator
 
 
@@ -67,11 +92,19 @@ def _split(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def _require_base(p: int) -> None:
-    """DomainError unless p >= 2.  For the entry points only: `_split` with
-    p = 1 never ends, and it runs too often to check there."""
-    if p < 2:
-        raise DomainError(f"the base p must be a prime, got {p}")
+def _require_prime(p: int) -> None:
+    """DomainError unless p is an int (not a bool) with 2 <= p <= _MAX_P,
+    tested before any trial division, and prime.  For the entry points
+    only: `_split` with p = 1 never ends, and it runs too often to check
+    there."""
+    if not (type(p) is int and 2 <= p <= _MAX_P and _is_prime(p)):
+        raise DomainError(f"the base p must be a prime at most {_MAX_P}, got {p!r}")
+
+
+@lru_cache(maxsize=None)
+def _is_prime(p: int) -> bool:
+    # cached: the entry points check the same few p over and over
+    return _factorize(p) == [(p, 1)]
 
 
 def _int_valuation(num: int, den: int, p: int) -> int:
@@ -81,7 +114,7 @@ def _int_valuation(num: int, den: int, p: int) -> int:
 
 def valuation(x, p: int):
     """p-adic valuation of a rational; +inf for zero."""
-    _require_base(p)
+    _require_prime(p)
     num, den = _ratio(x)
     if num == 0:
         return math.inf
@@ -91,7 +124,7 @@ def valuation(x, p: int):
 def frac_lambda(x, p: int) -> Fraction:
     """Fractional part with respect to p: the unique rational in [0, 1)
     with p-power denominator such that x - frac_lambda(x) is p-integral."""
-    x = Fraction(x)
+    x = _rational(x)
     v = valuation(x, p)
     if v >= 0:
         return Fraction(0)
@@ -112,13 +145,13 @@ def psi_p(x, p: int) -> complex:
 
 def sdc_eval(a, b, x, p: int) -> complex:
     """Quadratic-phase character value psi(a x^2/2 + b x) at rational x."""
-    a, b, x = Fraction(a), Fraction(b), Fraction(x)
+    a, b, x = _rational(a), _rational(b), _rational(x)
     return psi_p(a * x * x / 2 + b * x, p)
 
 
 def rat_mod(x, p: int, k: int) -> int:
     """Residue of a p-integral rational modulo p^k."""
-    x = Fraction(x)
+    x = _rational(x)
     pk = p**k
     if x.denominator % p == 0:
         raise DomainError(f"{x} is not p-integral at p = {p}")
@@ -138,7 +171,7 @@ class UnitCharacter:
     """
 
     def __init__(self, p: int, n: int, m: int = 0):
-        _require_base(p)
+        _require_prime(p)
         if n < 0:
             raise DomainError("conductor exponent must be >= 0")
         if n >= 1 and p == 2:
@@ -270,9 +303,9 @@ def unit_coset_level(a, p: int, y, n_chi: int = 0, margin: int = 1) -> int:
 
     The sum visits the units among the p^m0 residues, so its cost grows
     as p^m0.  Raises DegenerateError for a = 0 and DomainError for y = 0,
-    as `unit_average` does, and DomainError for p < 2.
+    as `unit_average` does, and DomainError for a p that is not a prime.
     """
-    _require_base(p)
+    _require_prime(p)
     (an, ad), (yn, yd) = _ratio(a), _ratio(y)
     if an == 0:
         raise DegenerateError("quadratic coefficient must be nonzero")
@@ -362,9 +395,8 @@ def unit_average(a, b, p: int, y, chi: UnitCharacter | None = None, margin: int 
 
     Exact up to floating roots of unity.  `margin` pads the coset level; any
     value >= the minimal one returns the same number, which the tests use as
-    a consistency check.
+    a consistency check.  p is checked by unit_coset_level.
     """
-    _require_base(p)
     n_chi = 0 if chi is None else chi.conductor_exponent
     m0 = unit_coset_level(a, p, y, n_chi, margin)
     (an, ad), (bn, bd), (yn, yd) = _ratio(a), _ratio(b), _ratio(y)
@@ -382,7 +414,7 @@ def theta_additive(a, b, p: int, y, margin: int = 1) -> complex:
     zero and are skipped; the level only needs to neutralize the quadratic
     term.
     """
-    _require_base(p)
+    _require_prime(p)
     (an, ad), (bn, bd), (yn, yd) = _ratio(a), _ratio(b), _ratio(y)
     if an == 0:
         raise DegenerateError("quadratic coefficient must be nonzero")

@@ -52,13 +52,14 @@ from .errors import (
 )
 from .padic_core import (
     UnitCharacter,
-    _require_base,
+    _rational,
+    _require_prime,
     _residue_sum,
     theta_additive,
     unit_average,
     valuation,
 )
-from .specfun import _as_complex, _is_array, _real_pow
+from .specfun import _as_complex, _is_array, _real_pow, _require_finite
 
 __all__ = [
     "LocalFactor",
@@ -83,7 +84,7 @@ def rescale_normal_form(a, b, p: int, n_chi: int = 0):
     Returns (a_norm, b_norm, e_scale, delta) with the original factor equal
     to p^(e_scale * s') times the normalized one, s' the twist-shifted s.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _rational(a), _rational(b)
     if a == 0:
         raise DegenerateError("quadratic coefficient must be nonzero")
     va = int(valuation(a, p))
@@ -163,7 +164,7 @@ def _unramified(a, b, p: int) -> _Unramified:
     gamma = 1.0 + 0.0j
     if k or delta:
         gamma = p ** (k + delta / 2.0) * theta_additive(
-            a_norm, b_norm, p, Fraction(p) ** (-k - delta)
+            a_norm, b_norm, p, Fraction(p) ** (-k - delta), margin=0
         )
         if abs(abs(gamma) - 1.0) > 1e-9:
             raise WeakMellinError(f"gauss phase lost unit modulus: |gamma| = {abs(gamma)}")
@@ -232,8 +233,11 @@ class LocalFactor:
         return len(self.poly) - 1
 
     def shifted_s(self, s: complex) -> complex:
-        """Absorb an unramified twist into a vertical shift of s."""
+        """Absorb an unramified twist into a vertical shift of s;
+        DomainError for a non-finite s, which evaluate and entire_eval
+        inherit."""
         s = _as_complex(s)
+        _require_finite(s, "a local factor")
         arg = cmath.phase(complex(self.twist))
         if arg == 0.0:
             return s
@@ -365,7 +369,7 @@ def local_factor_ramified(a, b, p: int, chi: UnitCharacter, twist: complex = 1.0
     a_norm, b_norm, e_scale, delta = rescale_normal_form(a, b, p, n_chi=n)
 
     def average(j: int) -> complex:
-        return unit_average(a_norm, b_norm, p, Fraction(p) ** j, chi=chi)
+        return unit_average(a_norm, b_norm, p, Fraction(p) ** j, chi=chi, margin=0)
 
     k = -n - valuation(b_norm, p)  # -inf for b = 0
     if k > 0 or (k == 0 and delta == 1):
@@ -398,10 +402,11 @@ def local_factor(a, b, p: int, chi: UnitCharacter | None = None, twist: complex 
     """The factor of psi(a x^2/2 + b x) against chi at p, unramified when
     chi is None or trivial, times the unramified twist.
 
-    Refuses p < 2 and a character of another prime with DomainError, both
-    before any work, and a = 0 with DegenerateError.
+    Refuses a p that is not a prime (see padic_core._require_prime), a
+    non-finite a or b and a character of another prime with DomainError,
+    all before any work, and a = 0 with DegenerateError.
     """
-    _require_base(p)
+    _require_prime(p)
     if chi is not None and chi.p != p:
         raise DomainError(f"character of p = {chi.p} at p = {p}")
     if chi is None or chi.is_trivial:
@@ -434,7 +439,7 @@ def padic_vector_factor(configs, p: int, twist: complex = 1.0) -> LocalFactor:
     genuinely moves zeros off that line (the numerator stops being
     self-inversive); zero_poly still reports the true roots.
     """
-    _require_base(p)
+    _require_prime(p)
     profiles = [_unramified(a, b, p) for a, b in configs]
     n = len(profiles)
     if n == 0:

@@ -656,6 +656,21 @@ _EM_COEFFS = tuple(
 _ZETA_IM_CAP = 60.0
 
 
+def _check_height(height: float, what: str) -> None:
+    """DomainError if height, an |Im s|, is above _ZETA_IM_CAP: the one
+    height rule of the zeta functions and the global functions on them."""
+    if height > _ZETA_IM_CAP:
+        raise DomainError(f"{what} reaches |Im s| = {height:g}; zeta functions "
+                          f"are evaluated for |Im s| <= {_ZETA_IM_CAP:g}")
+
+
+def _require_finite(s, what: str) -> None:
+    """DomainError unless every point of s, a complex or an array, is
+    finite."""
+    if not (np.isfinite(s).all() if _is_array(s) else cmath.isfinite(s)):
+        raise DomainError(f"{what} needs a finite s")
+
+
 def _cexpm1(w: complex) -> complex:
     # complex expm1; cmath has none.  Taylor near 0, direct otherwise.
     if abs(w) < 1e-4:
@@ -771,12 +786,11 @@ def _hurwitz_em_array(s: np.ndarray, offsets: tuple, skip_pole: bool) -> np.ndar
 
 
 def _check_em_domain(s: np.ndarray, what: str, re_min: float = -math.inf) -> None:
+    _require_finite(s, what)
     bad = s.real < re_min
     if bad.any():
         raise DomainError(f"{what} restricted to Re(s) >= {re_min}, got {s[bad][0]}")
-    bad = np.abs(s.imag) > _ZETA_IM_CAP
-    if bad.any():
-        raise DomainError(f"{what} restricted to |Im s| <= {_ZETA_IM_CAP}")
+    _check_height(np.abs(s.imag).max(initial=0.0), what)
 
 
 def _raise_near_one(s: np.ndarray, what: str) -> None:
@@ -805,16 +819,17 @@ def _riemann_zeta_array(s: np.ndarray) -> np.ndarray:
 def riemann_zeta(s: complex) -> complex:
     """Riemann zeta by Euler-Maclaurin, functional equation for Re(s) < 0.
 
-    Raises PoleError within 1e-6 of s = 1 and DomainError for |Im(s)| > 60
-    (the correction terms start losing accuracy there).
+    Raises PoleError within 1e-6 of s = 1 and DomainError for a
+    non-finite s or |Im(s)| > 60 (the correction terms start losing
+    accuracy there).
     """
     if _is_array(s):
         return _riemann_zeta_array(s.astype(complex).ravel()).reshape(s.shape)
     s = complex(s)
+    _require_finite(s, "riemann_zeta")
     if abs(s - 1.0) < 1e-6:
         raise PoleError(f"zeta pole at s = {s}")
-    if abs(s.imag) > _ZETA_IM_CAP:
-        raise DomainError(f"riemann_zeta restricted to |Im s| <= {_ZETA_IM_CAP}")
+    _check_height(abs(s.imag), "riemann_zeta")
     if s.real < 0.0:
         # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
         return (
@@ -831,7 +846,8 @@ def hurwitz_zeta(s: complex, a: float, *, skip_pole: bool = False) -> complex:
     """Hurwitz zeta(s, a) for real a in (0, 1].
 
     skip_pole=True returns zeta(s, a) - 1/(s-1), the entire part, computed
-    without cancellation near s = 1.
+    without cancellation near s = 1.  Raises DomainError for a non-finite
+    s, Re(s) < -0.5 or |Im(s)| > 60.
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"hurwitz_zeta needs 0 < a <= 1, got a = {a}")
@@ -842,10 +858,10 @@ def hurwitz_zeta(s: complex, a: float, *, skip_pole: bool = False) -> complex:
             _raise_near_one(z, "hurwitz_zeta")
         return _hurwitz_em_array(z, (float(a),), skip_pole)[:, 0].reshape(s.shape)
     s = complex(s)
+    _require_finite(s, "hurwitz_zeta")
     if s.real < -0.5:
         raise DomainError("hurwitz_zeta restricted to Re(s) >= -0.5")
-    if abs(s.imag) > _ZETA_IM_CAP:
-        raise DomainError(f"hurwitz_zeta restricted to |Im s| <= {_ZETA_IM_CAP}")
+    _check_height(abs(s.imag), "hurwitz_zeta")
     if not skip_pole and abs(s - 1.0) < 1e-6:
         raise PoleError(f"hurwitz_zeta pole at s = {s}")
     return _hurwitz_em(s, a, skip_pole)
@@ -1078,6 +1094,8 @@ def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
 
     Non-principal characters evaluate smoothly through s = 1 because the
     per-residue pole parts carry weight sum(chi) = 0 and are dropped exactly.
+    A non-finite s, or one past the height cap, raises DomainError from the
+    zeta it rests on.
     """
     s = _as_complex(s)
     q = chi.modulus

@@ -67,8 +67,10 @@ _CERT_RADIUS = 1e-6
 _DIP_RATIO = 0.25
 _DIP_WINDOW = 12
 _CERT_HALF_WIDTH = 2e-3
-# Muller steps one polish may take
+# Muller steps one polish may take, and iterates in a row without a new
+# least residual after which it stops
 _POLISH_STEPS = 60
+_STALL_STEPS = 4
 # what winding_count raises when it cannot count a contour
 _COUNT_REFUSALS = (BoundaryZeroError, NonIntegerWindingError, ConvergenceError)
 
@@ -593,7 +595,8 @@ def _muller_polish(fn, zs, fs, scale: float, cap: float):
     and calls fn once, with a Python complex.
 
     The polish stops at a residual |fn| / scale of 1e-12 or a step of
-    1e-14 |z|, or after _POLISH_STEPS steps, and is converged then if its
+    1e-14 |z|, after _STALL_STEPS iterates in a row without a new least
+    residual, or after _POLISH_STEPS steps, and is converged then if its
     least residual meets 1e-10.  It stops unconverged at its first iterate
     more than cap from the dip, at an iterate back on the point before the
     latest, or at a non-zero constant quadratic, which has no root.
@@ -604,7 +607,7 @@ def _muller_polish(fn, zs, fs, scale: float, cap: float):
     """
     zs, fs = list(zs), list(fs)
     dip = zs[-1]
-    best_z, best_r = dip, None
+    best_z, best_r, stalled = dip, None, 0
     for _ in range(_POLISH_STEPS):
         (z1, z2, z3), (f1, f2, f3) = zs[-3:], fs[-3:]
         d3 = (f3 - f2) / (z3 - z2)
@@ -623,8 +626,11 @@ def _muller_polish(fn, zs, fs, scale: float, cap: float):
         fz = complex(fn(z))
         rel = abs(fz) / scale
         if best_r is None or rel < best_r:
-            best_z, best_r = z, rel
-        if rel <= 1e-12 or abs(step) <= 1e-14 * max(1.0, abs(z)):
+            best_z, best_r, stalled = z, rel, 0
+        else:
+            stalled += 1
+        if (rel <= 1e-12 or abs(step) <= 1e-14 * max(1.0, abs(z))
+                or stalled == _STALL_STEPS):
             return best_z, best_r, best_r <= 1e-10
         zs.append(z)
         fs.append(fz)

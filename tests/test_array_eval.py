@@ -291,6 +291,30 @@ def test_gamma_callers_refuse_a_non_finite_point():
                 f(s)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: local_factor(_NAN, 0, 5),
+    lambda: local_factor(1, _INF, 5),
+    lambda: padic_vector_factor(((1, _NAN),), 5),
+    lambda: local_factor(1, 0, 5).evaluate(complex(_NAN)),
+    lambda: local_factor(1, 0, 5).evaluate(np.array([2.0, complex(0.5, _INF)])),
+    lambda: local_factor(1, F(1, 5), 5).entire_eval(complex(_INF)),
+    lambda: sf.riemann_zeta(complex(_NAN)),
+    lambda: sf.riemann_zeta(np.array([2.0, _NAN])),
+    lambda: sf.hurwitz_zeta(complex(0.5, _NAN), 0.5),
+    lambda: sf.hurwitz_zeta(np.array([complex(_INF)]), 0.5),
+    lambda: sf.dirichlet_l(complex(_NAN), next(c for c in sf.characters(5) if not c.is_principal)),
+    lambda: sf.dirichlet_l(np.array([_NAN + 0j]), next(c for c in sf.characters(5) if not c.is_principal)),
+    lambda: sf.dirichlet_l(complex(_NAN), next(c for c in sf.characters(5) if c.is_principal)),
+])
+def test_entry_points_refuse_non_finite_input(call):
+    # each raised ValueError or OverflowError, or returned nan+nanj
+    with pytest.raises(DomainError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # a bad point raises what the scalar call raises there
 

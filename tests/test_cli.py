@@ -1,15 +1,20 @@
 """CLI surface: config canonicalization, artifacts, determinism, exits."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weakmellin import cli, global_zeta
+from weakmellin import cli, global_zeta, padic_core
 from weakmellin.arch_zeta import RealSign, zeta_real
 from weakmellin.cli import ConfigError, JobConfig
+from weakmellin.errors import DomainError
 
 
 def run_cli(argv, capsys):
@@ -307,8 +312,9 @@ def test_one_factorization_per_run(argv, monkeypatch, capsys):
     ({"command": "global", "s": ["2,0", "0.5,-60.5"]}, True),
 ])
 def test_zeta_cap_bounds_global_heights_only(mapping, refused):
+    # the height rule is the library's own (specfun._check_height)
     if refused:
-        with pytest.raises(ConfigError, match=r"\|Im s\| <= 60"):
+        with pytest.raises(DomainError, match=r"\|Im s\| <= 60"):
             JobConfig.from_mapping(mapping)
     else:
         JobConfig.from_mapping(mapping)
@@ -393,7 +399,8 @@ def test_zero_quadratic_coefficient_exits_2(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("config error: quadratic coefficient --a must be nonzero")
+    # the library's refusal (rescale_normal_form, zeta_real), mapped to exit 2
+    assert err.startswith("config error: quadratic coefficient must be nonzero")
 
 
 @pytest.mark.parametrize(
@@ -428,16 +435,17 @@ def test_nonprime_p_exits_2(capsys):
     (1_000_000_000_000_000_003, True),
 ])
 def test_p_above_the_cap_exits_2_before_trial_division(p, refused, monkeypatch, capsys):
-    factorize = cli._factorize
+    # the cap and the trial division are padic_core._require_prime's
+    factorize = padic_core._factorize
     calls = []
-    monkeypatch.setattr(cli, "_factorize", lambda q: calls.append(q) or factorize(q))
+    monkeypatch.setattr(padic_core, "_factorize", lambda q: calls.append(q) or factorize(q))
     if not refused:
         mapping = {"command": "local", "field": "qp", "p": p, "s": ["2"]}
         assert JobConfig.from_mapping(mapping).p == p
         return
     code, out, err = run_cli(["local", "--field", "qp", "--p", str(p), "--s", "2"], capsys)
     assert code == 2 and out == ""
-    assert err.startswith(f"config error: --p {p} is above the cap")
+    assert err == f"config error: the base p must be a prime at most 1000000000000, got {p}\n"
     assert calls == []
 
 
@@ -575,6 +583,7 @@ def test_unit_character_index_out_of_range_exits_2(command, capsys):
 
 @pytest.mark.parametrize("command", ["local", "zeros"])
 def test_unit_character_at_2_exits_2(command, capsys):
+    # UnitCharacter's own refusal, mapped to exit 2
     tail = ["--s", "2"] if command == "local" else ["--imax", "10"]
     code, out, err = run_cli(
         [command, "--field", "qp", "--p", "2", "--chi-mod", "8", *tail], capsys
@@ -599,3 +608,66 @@ def test_cli_import_loads_no_scipy():
         env=env, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+# ------------------------------------------------------------ CLI grammar
+
+# small primes, composites, 0, 1 and the --p cap (itself composite)
+_GRAMMAR_P = (2, 3, 5, 7, 4, 9, 15, 0, 1, 10**12)
+_HEIGHT = st.floats(-80.0, 80.0)
+
+
+def _point(draw, re_lo, re_hi):
+    return f"{draw(st.floats(re_lo, re_hi))!r},{draw(_HEIGHT)!r}"
+
+
+def _padic_rational(draw, p):
+    k = draw(st.integers(1, 3))
+    return draw(st.sampled_from(("0", "1", "-1", f"1/{p**k}", f"{p**k}")))
+
+
+@st.composite
+def _cli_argv(draw):
+    """One `local --field qp|real`, `global` or `zeros --field qp` command
+    line; every value is passed as --flag=value, so a negative number is
+    not read as a flag."""
+    command = draw(st.sampled_from(("local-qp", "local-real", "global", "zeros-qp")))
+    if command == "global":
+        count = draw(st.integers(1, 2))
+        return ["global", *(f"--s={_point(draw, -1.0, 2.0)}" for _ in range(count))]
+    if command == "local-real":
+        return ["local", "--field", "real",
+                f"--a={draw(st.sampled_from((0.0, 1.0, -1.0, 0.5, -2.0)))!r}",
+                f"--b={draw(st.floats(-15.0, 15.0))!r}",
+                f"--char={draw(st.sampled_from(('trivial', 'sign')))}",
+                f"--s={_point(draw, -2.0, 3.0)}"]
+    p = draw(st.sampled_from(_GRAMMAR_P))
+    argv = ["local" if command == "local-qp" else "zeros", "--field", "qp",
+            f"--p={p}", f"--a={_padic_rational(draw, p)}",
+            f"--b={_padic_rational(draw, p)}"]
+    n = draw(st.sampled_from((None, 1, 2)))
+    if n is not None:
+        argv += [f"--chi-mod={p**n}", f"--chi-index={draw(st.integers(0, 2))}"]
+    if command == "local-qp":
+        return argv + [f"--s={_point(draw, -1.0, 3.0)}"]
+    lo, hi = sorted((draw(_HEIGHT), draw(_HEIGHT)))
+    return argv + [f"--imin={lo!r}", f"--imax={hi!r}"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_cli_argv())
+def test_cli_grammar_ends_in_an_exit_code_with_its_message(argv):
+    # in-process: no exception escapes main, exit 2 is a config error and
+    # exit 1 a numeric or certification failure, never a domain refusal
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("config error:") and out == ""
+    elif code == 1:
+        assert err.startswith(("numeric failure:", "certification failure:"))
+        assert "DomainError" not in err and "DegenerateError" not in err
+    else:
+        assert err == "" and out

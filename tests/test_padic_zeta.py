@@ -432,6 +432,34 @@ def test_factor_builders_refuse_a_base_below_two(p):
         padic_vector_factor(((1, 1),), p)
 
 
+@pytest.mark.parametrize("p", [9, 4, 10**12, 1_000_000_000_039, True, 5.0])
+@pytest.mark.parametrize("call", [
+    lambda p: local_factor(1, 0, p),
+    lambda p: padic_vector_factor(((1, 0),), p),
+    lambda p: weil_index_padic(1, 0, p),
+    lambda p: oracle_padic_mellin(1, 0, p, 2),
+    lambda p: oracle_padic_vector(((1, 0),), p, 2),
+    lambda p: padic_core.UnitCharacter(p, 1, 1),
+    lambda p: padic_core.valuation(3, p),
+    lambda p: unit_average(1, 0, p, 1),
+    lambda p: theta_additive(1, 0, p, 1),
+], ids=["local_factor", "padic_vector_factor", "weil_index_padic",
+        "oracle_padic_mellin", "oracle_padic_vector", "UnitCharacter",
+        "valuation", "unit_average", "theta_additive"])
+def test_entry_points_refuse_a_base_that_is_not_a_prime(call, p, monkeypatch):
+    # composites returned values here before the prime rule moved into
+    # padic_core; a p above the cap is refused before any trial division
+    def no_division(q):
+        if q > padic_core._MAX_P:
+            raise AssertionError("trial division above the cap")
+        return factorize(q)
+
+    factorize = padic_core._factorize
+    monkeypatch.setattr(padic_core, "_factorize", no_division)
+    with pytest.raises(DomainError, match="base p"):
+        call(p)
+
+
 @pytest.mark.parametrize("b", [0, 1, F(1, 5)])
 @pytest.mark.parametrize("n,m", [(1, 1), (0, 0)])
 def test_local_factor_refuses_a_character_of_another_prime(monkeypatch, b, n, m):

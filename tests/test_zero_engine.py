@@ -975,12 +975,15 @@ def test_line_scan_certifies_simple_zeros_near_the_line(spots, c):
 def test_line_scan_strict_raises_on_unpolishable_dip():
     # real-valued modulus dip with no analytic zero: the polish never
     # meets the residual gate, polish fails, and a census refuses the
-    # uncertified report
-    def fn(s):
-        return abs(s - (0.5 + 2.0j)) + 1e-3
+    # uncertified report.  Its iterates neither converge nor leave the
+    # wander cap; each of the two dips stops after _STALL_STEPS iterates
+    # without a new least residual, 14 scalar calls in all (120 when
+    # each polish ran its 60 steps)
+    fn, calls = _scalar_calls(lambda s: abs(s - (0.5 + 2.0j)) + 1e-3)
 
     reports = line_zeros(fn, 0.5, 1.5, 2.5, samples=400)
-    assert reports and not any(r.certified for r in reports)
+    assert len(reports) == 2 and not any(r.certified for r in reports)
+    assert len(calls) == 14
     with pytest.raises(UncertifiedError, match="failed certification"):
         census(fn, (0.4, 0.6, 1.5, 2.5), samples=400)
 
