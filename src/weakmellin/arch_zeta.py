@@ -52,8 +52,42 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Parameter and character types.
+# Parameter and character types, each with the one check that its class
+# and its closed form share.
 # ---------------------------------------------------------------------------
+
+
+def _check_finite(shape: str, a, b) -> None:
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise DomainError(f"the {shape} phase needs finite coefficients, got {a!r} and {b!r}")
+
+
+def _check_real(a, b) -> None:
+    _check_finite("real", a, b)
+    if a == 0:
+        raise DomainError("quadratic coefficient must be nonzero")
+
+
+def _check_hermitian(a, b) -> None:
+    _check_finite("hermitian", a, b)
+    if not a > 0:
+        raise DomainError("hermitian coefficient must be positive")
+
+
+def _check_square(a, b) -> None:
+    _check_finite("square", a, b)
+    if a == 0:
+        raise DomainError("quadratic coefficient must be nonzero")
+
+
+def _check_radial(n, a, bnorm) -> None:
+    if n < 1:
+        raise DomainError("dimension must be at least 1")
+    _check_finite("radial", a, bnorm)
+    if a == 0:
+        raise DomainError("quadratic coefficient must be nonzero")
+    if bnorm < 0:
+        raise DomainError("linear coefficient enters through its norm")
 
 
 @dataclass(frozen=True)
@@ -64,8 +98,7 @@ class Real:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.a == 0:
-            raise DomainError("quadratic coefficient must be nonzero")
+        _check_real(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -76,8 +109,7 @@ class ComplexHermitian:
     b: complex = 0j
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise DomainError("hermitian coefficient must be positive")
+        _check_hermitian(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -88,8 +120,7 @@ class ComplexSquare:
     b: complex = 0j
 
     def __post_init__(self):
-        if self.a == 0:
-            raise DomainError("quadratic coefficient must be nonzero")
+        _check_square(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -102,12 +133,7 @@ class RealRadial:
     bnorm: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("dimension must be at least 1")
-        if self.a == 0:
-            raise DomainError("quadratic coefficient must be nonzero")
-        if self.bnorm < 0:
-            raise DomainError("linear coefficient enters through its norm")
+        _check_radial(self.n, self.a, self.bnorm)
 
 
 @dataclass(frozen=True)
@@ -177,8 +203,7 @@ def zeta_real(a: float, b: float, s: complex, char=Trivial()) -> complex:
 
     a, b = float(a), float(b)
     s = _as_complex(s)
-    if a == 0:
-        raise DomainError("quadratic coefficient must be nonzero")
+    _check_real(a, b)
     if a < 0:
         return zeta_real(-a, -b, s.conjugate(), char).conjugate()
     z = 1j * math.pi * b * b / a
@@ -204,8 +229,7 @@ def zeta_complex_hermitian(a: float, b: complex, n: int, s: complex) -> complex:
     integral fixes the phase and flips the angular character."""
 
     a, b, n, s = float(a), complex(b), int(n), complex(s)
-    if not a > 0:
-        raise DomainError("hermitian coefficient must be positive")
+    _check_hermitian(a, b)
     if n < 0:
         n, b = -n, b.conjugate()
     if b == 0 and n != 0:
@@ -258,8 +282,7 @@ def zeta_complex_square(a: complex, b: complex, n: int, s: complex) -> complex:
     here and are rejected."""
 
     a, b, n, s = complex(a), complex(b), int(n), complex(s)
-    if a == 0:
-        raise DomainError("quadratic coefficient must be nonzero")
+    _check_square(a, b)
     if n == 0:
         return _powc(abs(a), -s) * _square_unit(b / cmath.sqrt(a), s)
     if b == 0:
@@ -289,12 +312,7 @@ def zeta_rn_radial(a: float, bnorm: float, n: int, s: complex) -> complex:
 
     a, bnorm, n = float(a), float(bnorm), int(n)
     s = _as_complex(s)
-    if n < 1:
-        raise DomainError("dimension must be at least 1")
-    if a == 0:
-        raise DomainError("quadratic coefficient must be nonzero")
-    if bnorm < 0:
-        raise DomainError("linear coefficient enters through its norm")
+    _check_radial(n, a, bnorm)
     if a < 0:
         return zeta_rn_radial(-a, bnorm, n, s.conjugate()).conjugate()
     z = 1j * math.pi * bnorm * bnorm / a

@@ -30,7 +30,7 @@ import numpy as np
 
 from .arch_zeta import Real, RealSign, Trivial, weil_index_arch, zeta_real
 from .errors import DomainError, PoleError, UncertifiedError
-from .padic_core import UnitCharacter, valuation
+from .padic_core import UnitCharacter, _require_prime, valuation
 from .padic_zeta import LocalFactor, local_factor, weil_index_padic
 from .specfun import (
     DirichletCharacter,
@@ -81,6 +81,8 @@ class GlobalSpec:
 
     def __post_init__(self):
         primes = [entry[0] for entry in self.finite]
+        for p in primes:
+            _require_prime(p)
         if len(set(primes)) != len(primes):
             raise DomainError("finite places must be distinct primes")
         if 2 not in primes:

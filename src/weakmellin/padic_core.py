@@ -150,7 +150,8 @@ def sdc_eval(a, b, x, p: int) -> complex:
 
 
 def rat_mod(x, p: int, k: int) -> int:
-    """Residue of a p-integral rational modulo p^k."""
+    """Residue of a p-integral rational modulo p^k, for a prime p."""
+    _require_prime(p)
     x = _rational(x)
     pk = p**k
     if x.denominator % p == 0:

@@ -1,6 +1,6 @@
 """Zero location and certification for local factors and strip functions.
 
-Three independent mechanisms feed a common report format:
+Four mechanisms feed a common report format:
 
 * companion-matrix roots of the finite-place numerator polynomials,
   folded into one vertical period of the zero lattice;
@@ -9,24 +9,29 @@ Three independent mechanisms feed a common report format:
   circle zeros without any eigenvalue work, and a companion root is
   confirmed by a sign change of the profile across its matching disk;
 * argument-principle winding counts around rectangles, sampled evenly in
-  arc length and doubled round by round, used both as a standalone
-  counter and as the certificate behind vertical-line scans.
+  arc length and doubled round by round, which count a census box;
+* vertical-line scans, each dip of |fn| settled on one Cauchy circle
+  whose samples give the Taylor polynomial of fn there, hence the zeros
+  inside and their multiplicities, and by the argument principle the
+  count that certifies them.
 
 A report is marked certified only when the located zero passes a small
-residual test and an independent mechanism confirms the count inside a
-tight disk around it.  Anything that fails stays in the output with
-certified=False rather than being dropped; census refuses it instead, as
-it refuses a scan whose multiplicities miss the winding count of its box.
+residual test and an independent count confirms it.  Anything that fails
+stays in the output with certified=False rather than being dropped;
+census refuses it instead, as it refuses a scan whose multiplicities miss
+the winding count of its box.
 
 The function fn handed to winding_count and line_zeros must accept a
-complex scalar and return its value there.  If it also maps a 1-D complex
-ndarray elementwise, to an array of the same shape, line_zeros evaluates
-its whole scan grid in one call and winding_count each doubling round's
-fresh points in one call; otherwise those calls are lifted once to a loop
-over the points (if the first array call raises TypeError or ValueError or
-returns another shape, fn is called once per point from then on).  The
-polish of a scan dip always calls fn once per point with a Python
-complex.  GlobalFactorization.evaluate, zeta_real,
+complex scalar and return its value there; line_zeros also needs it
+holomorphic near its line.  If fn also maps a 1-D complex ndarray
+elementwise, to an array of the same shape, line_zeros evaluates its
+whole scan grid in one call and the circles of all its dips in another,
+and winding_count each doubling round's fresh points in one call;
+otherwise those calls are lifted once to a loop over the points (if the
+first array call raises TypeError or ValueError or returns another shape,
+fn is called once per point from then on).  The residual of a line-scan
+report always takes one call of fn with a Python complex.
+GlobalFactorization.evaluate, zeta_real,
 LocalFactor.evaluate and entire_eval, and the special functions
 riemann_zeta, hurwitz_zeta, dirichlet_l, gamma, log_gamma and hyp1f1 take
 arrays.
@@ -57,20 +62,19 @@ _METHODS = ("CompanionRoots", "SignChange", "Winding+Bisection")
 # residual gates for certification, relative to the natural local scale
 # (see ZeroReport for which method uses which)
 _CERT_RESIDUAL = 1e-8
-_COMPANION_RESIDUAL = 1e-10
+_ROOT_RESIDUAL = 1e-10
 # matching radius between a located zero and its independent confirmation
 _CERT_RADIUS = 1e-6
 # line_zeros: a scan dip is a local minimum of |fn| below _DIP_RATIO times
-# the largest |fn| within _DIP_WINDOW samples on either side; a polished
-# zero is certified on squares of half-width _CERT_HALF_WIDTH, its tenth
-# and its hundredth, counted tightest first until one decides
+# the largest |fn| within _DIP_WINDOW samples on either side, settled on a
+# circle of _DIP_POINTS points about it whose radius is _DIP_STEPS sample
+# steps, clamped to [_DIP_RADIUS_MIN, _DIP_RADIUS_MAX]
 _DIP_RATIO = 0.25
 _DIP_WINDOW = 12
-_CERT_HALF_WIDTH = 2e-3
-# Muller steps one polish may take, and iterates in a row without a new
-# least residual after which it stops
-_POLISH_STEPS = 60
-_STALL_STEPS = 4
+_DIP_POINTS = 64
+_DIP_STEPS = 10.0
+_DIP_RADIUS_MIN = 0.01
+_DIP_RADIUS_MAX = 0.25
 # what winding_count raises when it cannot count a contour
 _COUNT_REFUSALS = (BoundaryZeroError, NonIntegerWindingError, ConvergenceError)
 
@@ -81,11 +85,11 @@ class ZeroReport:
 
     location is a point in the s plane.  residual is dimensionless:
     the function value at the location divided by the relevant scale
-    (max polynomial coefficient, or the largest boundary value of the
-    certifying contour).  certified means the residual passed its gate
-    and an independent count confirmed the zero; the gate is 1e-10
-    (_COMPANION_RESIDUAL) for exp_poly_roots and 1e-8 (_CERT_RESIDUAL)
-    for circle_zeros and line_zeros.
+    (max polynomial coefficient, or the largest |fn| of the scan window
+    around the dip).  certified means the residual passed its gate and an
+    independent count confirmed the zero; the gate is 1e-10
+    (_ROOT_RESIDUAL) for exp_poly_roots and line_zeros and 1e-8
+    (_CERT_RESIDUAL) for circle_zeros.
     """
 
     location: complex
@@ -256,17 +260,20 @@ _CLUSTER_SLOPE = 1e-4
 def _cluster_roots(roots, coeffs):
     """(location, multiplicity) pairs of the companion roots of P = coeffs.
 
-    roots is the ndarray np.roots returns.  A root with a slope |P'| of
-    its natural size is simple.  Each other root, in order of (Re, Im),
-    joins the largest group of k of the nearest such roots, itself
-    included, that lies within _CLUSTER_SPREAD eps^(1/k) max(1, |c|) of
-    its mean c, and the group is reported as one root at c of
-    multiplicity k.
+    roots is an ndarray of roots np.roots gives for P.  A root with a
+    slope |P'| of its natural size, sum k |c_k| max(1, |root|)^(k-1), is
+    simple; taking the size at 1 or more keeps a multiple root split about
+    0, where the higher terms vanish, from passing for simple roots.  Each
+    other root, in order of (Re, Im), joins the largest group of k of the
+    nearest such roots, itself included, that lies within _CLUSTER_SPREAD
+    eps^(1/k) max(1, |c|) of its mean c, and the group is reported as one
+    root at c of multiplicity k.
     """
     degrees = np.arange(len(coeffs) - 1, 0, -1)
     slope = coeffs[:-1] * degrees
     powers = roots[:, None] ** (degrees - 1)
-    flat = np.abs(powers @ slope) <= _CLUSTER_SLOPE * (np.abs(powers) @ np.abs(slope))
+    sizes = np.maximum(np.abs(roots), 1.0)[:, None] ** (degrees - 1)
+    flat = np.abs(powers @ slope) <= _CLUSTER_SLOPE * (sizes @ np.abs(slope))
     out = [(complex(r), 1) for r in roots[~flat]]
     free = sorted(roots[flat].tolist(), key=lambda z: (z.real, z.imag))
     eps = np.finfo(float).eps
@@ -330,7 +337,7 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
                 location=to_s(cmath.log(x_root)),
                 multiplicity=mult,
                 method="CompanionRoots",
-                certified=bool(confirmed and resid <= _COMPANION_RESIDUAL),
+                certified=bool(confirmed and resid <= _ROOT_RESIDUAL),
                 residual=resid,
             )
         )
@@ -495,6 +502,22 @@ def _integer_winding(total_phase: float) -> int:
     return int(nearest)
 
 
+def _round_turns(vals):
+    """(turns, sizes) of one round of samples around a closed contour:
+    sizes[k] = |arg(vals[k+1] / vals[k])|, read cyclically, and the
+    winding number once every step is below pi/4, after
+    _check_boundary_clear, or None before.  A 0 sample raises
+    BoundaryZeroError."""
+    if np.any(vals == 0.0):
+        raise BoundaryZeroError("exact zero on the winding contour")
+    steps = np.angle(np.roll(vals, -1) / vals)
+    sizes = np.abs(steps)
+    if not np.max(sizes) < math.pi / 4.0:
+        return None, sizes
+    _check_boundary_clear(vals)
+    return _integer_winding(float(np.sum(steps))), sizes
+
+
 def winding_count(fn, rect, poles=()) -> int:
     """Zeros minus unlisted poles inside a rectangle, by argument count.
 
@@ -547,15 +570,10 @@ def winding_count(fn, rect, poles=()) -> int:
     # halves, has stepped within 2n / _MAX_SAMPLES of pi
     stuck = np.zeros(len(arr) // 2, dtype=int)
     while True:
-        if np.any(arr == 0.0):
-            raise BoundaryZeroError("exact zero on the winding contour")
-        ratios = np.roll(arr, -1) / arr
-        steps = np.angle(ratios)
-        size = np.abs(steps)
+        turns, size = _round_turns(arr)
+        if turns is not None:
+            return turns + inside
         worst = float(np.max(size))
-        if worst < math.pi / 4.0:
-            _check_boundary_clear(arr)
-            return _integer_winding(float(np.sum(steps))) + inside
         n = len(arr)
         near = 2.0 * n / _MAX_SAMPLES
         if math.pi - worst < near:
@@ -580,97 +598,85 @@ def winding_count(fn, rect, poles=()) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vertical-line scan with Muller polish and winding certification
+# vertical-line scan, each dip settled on one Cauchy circle
+
+# the trapezoidal rule on the circle: for vals = fn(c + r _DIP_UNIT),
+# vals @ _DIP_TAYLOR are the Taylor coefficients of fn(c + r w), w^0 first
+_DIP_INDEX = np.arange(_DIP_POINTS)
+_DIP_UNIT = np.exp(2j * np.pi * _DIP_INDEX / _DIP_POINTS)
+_DIP_TAYLOR = np.conj(_DIP_UNIT[np.outer(_DIP_INDEX, _DIP_INDEX) % _DIP_POINTS]) / _DIP_POINTS
 
 
-def _muller_polish(fn, zs, fs, scale: float, cap: float):
-    """Polish a scan dip by Muller's method (MTAC 1956).
+def _dip_circles(scan, centres, radius: float):
+    """fn on the circles of radius about the centres, a row a circle, from
+    one array call.  If that call raises PoleError or DomainError (a circle
+    through a pole or past the domain of fn), each circle takes its own
+    call, and one whose call raises gets NaN, which no count accepts."""
+    points = centres[:, None] + radius * _DIP_UNIT
+    try:
+        return scan(points.ravel()).reshape(points.shape)
+    except (PoleError, DomainError):
+        if len(centres) == 1:
+            return np.full(points.shape, np.nan, dtype=complex)
+        return np.vstack([_dip_circles(scan, c[None], radius) for c in centres])
 
-    zs and fs are the dip's two neighbours and the dip, last, with their
-    scan values.  Each step goes to the root nearest the latest point of
-    the quadratic through the three latest points: written A w^2 + B w + C
-    in w = z - latest, that root is -2C / q with q = B +- sqrt(B^2 - 4AC),
-    the sign that maximises |q|.  C = 0 gives a zero step, also when q = 0
-    (a double root on the latest point).  A step is clamped to length 0.5
-    and calls fn once, with a Python complex.
 
-    The polish stops at a residual |fn| / scale of 1e-12 or a step of
-    1e-14 |z|, after _STALL_STEPS iterates in a row without a new least
-    residual, or after _POLISH_STEPS steps, and is converged then if its
-    least residual meets 1e-10.  It stops unconverged at its first iterate
-    more than cap from the dip, at an iterate back on the point before the
-    latest, or at a non-zero constant quadratic, which has no root.
-    Returns (z, relative_residual, converged) for the called iterate of
-    least residual, or for the dip, called once more, when there is none.
-    scale is the local one of the scan, so a flat-out tiny function does
-    not self-certify.
-    """
-    zs, fs = list(zs), list(fs)
-    dip = zs[-1]
-    best_z, best_r, stalled = dip, None, 0
-    for _ in range(_POLISH_STEPS):
-        (z1, z2, z3), (f1, f2, f3) = zs[-3:], fs[-3:]
-        d3 = (f3 - f2) / (z3 - z2)
-        a = (d3 - (f2 - f1) / (z2 - z1)) / (z3 - z1)
-        b = d3 + a * (z3 - z2)
-        d = cmath.sqrt(b * b - 4.0 * a * f3)
-        q = b + d if (b.conjugate() * d).real >= 0.0 else b - d
-        if q == 0 and f3 != 0:
-            break  # unconverged
-        step = -2.0 * f3 / q if f3 != 0 else 0j
-        if abs(step) > 0.5:
-            step *= 0.5 / abs(step)
-        z = z3 + step
-        if z == z2 or not abs(z - dip) <= cap:
-            break  # unconverged; a NaN iterate stops here too
-        fz = complex(fn(z))
-        rel = abs(fz) / scale
-        if best_r is None or rel < best_r:
-            best_z, best_r, stalled = z, rel, 0
-        else:
-            stalled += 1
-        if (rel <= 1e-12 or abs(step) <= 1e-14 * max(1.0, abs(z))
-                or stalled == _STALL_STEPS):
-            return best_z, best_r, best_r <= 1e-10
-        zs.append(z)
-        fs.append(fz)
-    else:
-        return best_z, best_r, best_r <= 1e-10
-    if best_r is None:
-        best_r = abs(complex(fn(dip))) / scale
-    return best_z, best_r, False
+def _dip_circle_zeros(vals):
+    """(zeros, counted) for the values vals of fn on one dip circle:
+    (w, multiplicity) of the roots |w| < 1 of the Taylor polynomial of
+    fn(c + r w), cut after its last coefficient of at least _DIP_POINTS eps
+    max|vals| and grouped by _cluster_roots; and whether the winding
+    number of vals (_round_turns) is at least 1 and their multiplicity."""
+    if not np.all(np.isfinite(vals)):
+        return [], False
+    coeffs = vals @ _DIP_TAYLOR
+    noise = _DIP_POINTS * np.finfo(float).eps * np.max(np.abs(vals))
+    poly = coeffs[np.flatnonzero(np.abs(coeffs) >= noise)[-1]::-1]
+    roots = np.roots(poly)
+    zeros = _cluster_roots(roots[np.abs(roots) < 1.0], poly)
+    try:
+        turns, _ = _round_turns(vals)
+    except _COUNT_REFUSALS:
+        turns = None
+    return zeros, turns == sum(m for _, m in zeros) >= 1
 
 
 def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
                samples: int = 2048) -> list[ZeroReport]:
     """Zeros of fn near the vertical line Re(s) = re, Im(s) in [lo, hi].
 
+    fn must be holomorphic near the line, as every census function is.
     The scan samples the line at samples points, at least 3, and flags
     local minima of |fn| that dip below a quarter of the largest |fn|
-    within 12 samples on either side; the relative test
-    keeps the scan honest when the function itself decays by orders of
-    magnitude along the line.  Each candidate is polished by Muller's
-    method (_muller_polish), seeded with the scan's complex values at the
-    dip and its two neighbours, one point a call per step, so a simple
-    zero near the line usually needs two or three steps; and it is
-    certified by a winding count on a small square around the polished
-    point.  The squares have half-widths 2e-5, 2e-4 and 2e-3 and are
-    counted in that order: the first count that does not raise decides
-    certification (a count >= 1 confirms), and the first count >= 1 gives
-    the multiplicity and ends the walk.  A raise, or a count below 1, moves to the next wider
-    square.  This equals counting all three, widest first, and keeping
-    the narrowest result (the narrowest count >= 1 for the
-    multiplicity), so the usual zero costs one square, not three.
-    Failed polish or certification is reported with certified=False; a
-    polish stops failed at its first iterate more than ten sample steps
-    (at least 0.01) from its dip sample.  Reports are sorted by Im(s).
-    A line or range that is not finite, or a scan value that is not,
-    raises DomainError.
+    within 12 samples on either side; the relative test keeps the scan
+    honest when the function itself decays by orders of magnitude along
+    the line.  Each dip is settled on one Cauchy circle of _DIP_POINTS
+    points about it, of radius ten sample steps, at least 0.01 and at most
+    0.25 (every pole of the package's census functions lies at least 1/2
+    from its line); the circles of all dips take one array call.  The
+    trapezoidal rule gives the Taylor coefficients of fn on each (Trefethen
+    and Weideman, SIAM Rev. 2014), whose roots inside the circle locate
+    its zeros with their multiplicities, and the argument principle on the
+    same samples counts them (Austin, Kravanja and Trefethen, SIAM J.
+    Numer. Anal. 2014; _dip_circle_zeros).  A circle whose count is not
+    the total multiplicity of its roots, or is 0, is tried once more at a
+    quarter of the radius, all such in one more array call; one on which
+    fn raises PoleError or DomainError is not counted (_dip_circles).
 
-    Certification is per zero, not per scan: a pair closer together
-    than the sample step shows up as one report.  Callers wanting a
-    completeness guarantee should call census, which checks the total
-    against an independent winding count over the whole box.
+    Every zero of a counted circle is reported once, from the counted
+    circle whose centre it is nearest, and is certified when its residual
+    |fn| over the largest |fn| of its dip's window, from one call of fn
+    with a Python complex, is at most 1e-10.  A dip whose circles both
+    stay uncounted (no zero, or fn not holomorphic) gives one uncertified
+    report, at its root nearest the dip, or at the dip if it has none.
+    Reports are sorted by Im(s).  A line or range that is not finite, or a
+    scan value that is not, raises DomainError.
+
+    A pair of zeros closer than the sample step is reported as two when
+    one circle holds both, but a zero beyond every dip's circle is not
+    reported at all.  Callers wanting a completeness guarantee should call
+    census, which checks the total against an independent winding count
+    over the whole box.
     """
     if not all(map(math.isfinite, (re, im_lo, im_hi))):
         raise DomainError("a line scan needs a finite line and range")
@@ -688,7 +694,7 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     if not np.all(np.isfinite(mags)):
         raise DomainError("fn is not finite on the scan line")
 
-    candidates = []
+    dips, scales = [], []
     inner = mags[1:-1]
     for i in np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:])) + 1:
         lo_w = max(0, i - _DIP_WINDOW)
@@ -697,50 +703,39 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
         if local_scale == 0.0:
             raise BoundaryZeroError("scan window is identically zero")
         if mags[i] < _DIP_RATIO * local_scale:
-            seed = [i - 1, i + 1, i]  # the dip last
-            candidates.append(
-                (points[seed].tolist(), vals[seed].tolist(), local_scale))
+            dips.append(i)
+            scales.append(local_scale)
 
-    wander_cap = max(10.0 * spacing, 5.0 * _CERT_HALF_WIDTH)
+    # (zeros, counted, radius) of each dip's last circle
+    circles = [None] * len(dips)
+    radius = min(max(_DIP_STEPS * spacing, _DIP_RADIUS_MIN), _DIP_RADIUS_MAX)
+    todo = list(range(len(dips)))
+    for r in (radius, radius / 4.0):
+        if not todo:
+            break
+        rows = _dip_circles(scan, points[[dips[k] for k in todo]], r)
+        for k, row in zip(todo, rows):
+            circles[k] = (*_dip_circle_zeros(row), r)
+        todo = [k for k in todo if not circles[k][1]]
+
+    # (uncounted, distance from the centre, location, multiplicity, scale),
+    # counted circles first, then nearest its centre first
+    found = []
+    for i, scale, (zeros, counted, r) in zip(dips, scales, circles):
+        if not counted:
+            zeros = [min(zeros, key=lambda z: abs(z[0]), default=(0j, 1))]
+        found += [(not counted, abs(w) * r, complex(points[i] + r * w), mult, scale)
+                  for w, mult in zeros]
+    kept = []
+    for cand in sorted(found, key=lambda c: c[:2]):
+        if all(abs(cand[2] - k[2]) >= _CERT_RADIUS for k in kept):
+            kept.append(cand)
     reports = []
-    for zs, fs, scale in candidates:
-        z, resid, converged = _muller_polish(fn, zs, fs, scale, wander_cap)
-        if any(abs(z - r.location) < _CERT_RADIUS for r in reports):
-            continue  # same zero seen from a neighbouring dip
-        mult = 1
-        confirmed = None
-        if converged:
-            # tightest shell first: it keeps a distinct neighbour out of
-            # the count, so a multiple zero keeps its count and a close
-            # pair counts 1.  The first count that does not raise sets
-            # confirmed, the first count >= 1 sets mult and stops; a raise
-            # or a count below 1 widens.  Counting all three would keep
-            # the narrowest usable count, so the shells skipped here could
-            # not change the report
-            for hw in (_CERT_HALF_WIDTH / 100.0, _CERT_HALF_WIDTH / 10.0,
-                       _CERT_HALF_WIDTH):
-                rect = (
-                    z.real - hw, z.real + hw, z.imag - hw, z.imag + hw,
-                )
-                try:
-                    count = winding_count(scan, rect)
-                except _COUNT_REFUSALS:
-                    continue
-                if confirmed is None:
-                    confirmed = count >= 1
-                if count >= 1:
-                    mult = count
-                    break
-        certified = bool(converged and confirmed and resid <= _CERT_RESIDUAL)
-        reports.append(
-            ZeroReport(
-                location=z,
-                multiplicity=mult,
-                method="Winding+Bisection",
-                certified=certified,
-                residual=resid,
-            )
-        )
+    for uncounted, _, z, mult, scale in kept:
+        resid = abs(complex(fn(z))) / scale
+        reports.append(ZeroReport(
+            location=z, multiplicity=mult, method="Winding+Bisection",
+            certified=bool(not uncounted and resid <= _ROOT_RESIDUAL), residual=resid))
     return _sorted_reports(reports)
 
 
@@ -748,10 +743,13 @@ def census(fn, rect, *, samples: int = 2048, poles=()):
     """(reports, count): line_zeros on the centre line of rect, with
     samples points, and winding_count of rect, with the listed poles.
 
-    rect is (re_lo, re_hi, im_lo, im_hi).  Raises UncertifiedError when a
-    report is uncertified, when the box cannot be counted, or when the
-    multiplicities of the reports strictly inside rect do not add up to
-    the count (a close pair merged by the scan, or a zero off the line).
+    rect is (re_lo, re_hi, im_lo, im_hi), and fn must be holomorphic in
+    it but for the listed poles.  Raises UncertifiedError when a report is
+    uncertified, when the box cannot be counted, or when the multiplicities
+    of the reports strictly inside rect do not add up to the count: a zero
+    that no dip of the scan shows, or one off the line beyond every dip's
+    circle (radius ten sample steps, at least 0.01 and at most 0.25).  A
+    close pair on the line is counted by the circle that holds it.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     reports = line_zeros(fn, 0.5 * (re_lo + re_hi), im_lo, im_hi,

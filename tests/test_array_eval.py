@@ -176,20 +176,21 @@ def test_radial_scans_of_criterion_8_take_one_call_per_grid(monkeypatch):
     monkeypatch.setattr(acceptance, "zeta_rn_radial", counted)
     ok, _ = acceptance._criterion_8()
     assert ok
-    # four scans of 1536 samples, each one call, and every shell round one
-    # array call.  Only the polish calls with a scalar, 47 times for the
-    # 18 zeros; a scan lifted to a per-point loop would add 1536 scalar calls,
-    # and shell rounds lifted to one at least 64 a zero
+    # four scans of 1536 samples, each one call, and the dip circles of a
+    # scan and every winding round one array call each.  Only the
+    # residuals call with a scalar, once for each of the 18 zeros; a scan
+    # lifted to a per-point loop would add 1536 scalar calls, and circles
+    # lifted to one 64 a dip
     assert sizes.count(1536) == 4
-    assert sizes.count(None) < 18 * 64
+    assert sizes.count(None) == 18
     assert all(size >= 64 for size in sizes if size is not None)
 
 
 def test_real_census_sums_discs_not_points(monkeypatch):
-    # the box and scan points come from three Taylor discs (Im s/2 near
-    # 0, 1 and 2), so only the polish's scalar calls run the series, each
-    # so near a zero that the disc value is not good to 1e-12 of itself: 7
-    # runs and 3 discs, against 2534 runs point by point
+    # the box, scan and circle points come from three Taylor discs (Im s/2
+    # near 0, 1 and 2), so only the residuals' scalar calls run the series,
+    # each so near a zero that the disc value is not good to 1e-12 of
+    # itself: 3 runs and 3 discs, against 2534 runs point by point
     runs = []
     series = sf._kummer_series
     monkeypatch.setattr(sf, "_kummer_series", lambda *args: runs.append(args) or series(*args))
@@ -218,12 +219,12 @@ def test_completed_xi_scan_of_criterion_7_takes_arrays(monkeypatch):
     monkeypatch.setattr(acceptance, "completed_xi", counted)
     ok, _ = acceptance._criterion_7()
     assert ok
-    # the 1024-sample scan is one call and every shell round one array
-    # call.  Only the polish calls with a scalar, 8 times for the 3 zeros; a
-    # scan lifted to a per-point loop would add 1024 scalar calls, and
-    # shell rounds lifted to one at least 64 a zero
-    assert sizes.count(1024) == 1
-    assert sizes.count(None) < 3 * 64
+    # the 1024-sample scan is one call and the circles of its 3 dips
+    # another.  Only the residuals call with a scalar, once for each of the
+    # 3 zeros; a scan lifted to a per-point loop would add 1024 scalar
+    # calls, and circles lifted to one 64 a dip
+    assert [size for size in sizes if size is not None] == [1024, 3 * 64]
+    assert sizes.count(None) == 3
     assert all(size >= 64 for size in sizes if size is not None)
 
 

@@ -171,16 +171,20 @@ def test_strict_census_matches_the_winding_count(capsys):
 
 
 def test_strict_census_refuses_a_scan_that_misses_a_zero(capsys):
-    # 16 samples over Im 50..60 miss the global zero near Im 52.97; the
-    # box count finds 5 zeros where the scan lists 4
+    # 16 samples over Im 50..60 (spacing 0.67) miss the global zero near
+    # Im 52.97, and the dip sample at Im 55.33 lies 0.27 from the zero near
+    # Im 55.06, beyond its circle's cap of 0.25: that dip is listed
+    # uncertified, and the census refuses it
     args = ["zeros", "--global", "reference", "--imin", "50", "--imax", "60",
             "--samples", "16"]
     code, out, _ = run_cli(args, capsys)
-    assert code == 0 and len(out.splitlines()) == 1 + 4
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and len(rows) == 4
+    assert [row[3] for row in rows] == ["true", "false", "true", "true"]
     code, out, err = run_cli(args + ["--strict"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("certification failure:")
-    assert "lists 4 zeros" in err and "winding count is 5" in err
+    assert "zero near (0.5+55.33" in err and "failed certification" in err
 
 
 def test_strict_census_refuses_a_pole_on_the_box_edge(capsys):

@@ -279,6 +279,21 @@ def _scan_reference(lo, hi):
     return spec, line_zeros(fact.evaluate, 0.5, lo, hi, samples=2048)
 
 
+def test_scan_certifies_a_zero_next_to_the_height_cap():
+    # a zero at Im s = 59.9935: the dip circle of radius 0.01 about it
+    # reaches past |Im s| = 60, where the zeta functions refuse to go, so
+    # that circle is called alone and left uncounted, and its retry of
+    # radius 0.0025 stays below the cap and certifies the zero
+    chi = next(c for c in characters(7) if c.index == (4,))
+    spec = GlobalSpec(arch=Real(0.6649203759849425, 0.0),
+                      finite=((2, F(2), F(0)), (7, F(3, 2), F(1, 7))), chi=chi)
+    reports = line_zeros(factorize_global(spec).evaluate, 0.5, 59.0, 60.0,
+                         samples=2048)
+    top = [r for r in reports if r.location.imag > 59.99]
+    assert len(top) == 1 and top[0].certified
+    assert abs(top[0].location - (0.5 + 59.99346607610423j)) <= 1e-9
+
+
 def test_reference_strip_zero_census():
     spec, reports = _scan_reference(1.0, 30.0)
     assert len(reports) == 9

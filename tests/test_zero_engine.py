@@ -509,21 +509,16 @@ def _recording(fn):
 
 
 def test_scans_call_fn_once_per_grid_and_per_round():
-    # the points match a per-point loop over the same scan: 935 for the
-    # ladder (600 grid points, 320 on 5 certifying squares, the tightest
-    # one per zero, and 15 in the polish: each zero takes three Muller
-    # steps of one point each) and 1024 for the winding count, as counted
-    # point by point
+    # the points match a per-point loop over the same scan: 925 for the
+    # ladder (600 grid points, 320 on the 5 dip circles, and 5 residuals)
+    # and 1024 for the winding count, as counted point by point
     fn, batches = _recording(lambda s: np.sin(1j * np.pi * (s - 0.5)))
     reports = line_zeros(fn, 0.5, 0.4, 5.6, samples=600)
     assert len(reports) == 5 and all(r.certified for r in reports)
-    assert batches[0] == 600  # the whole grid in one call
-    # the polish alone calls with a scalar, one point a call; a scan or a
-    # winding round lifted to a per-point loop would add scalar calls
-    arrays = [n for n in batches if n is not None]
-    assert batches.count(None) == 15
-    assert sum(arrays) == 600 + 320
-    assert all(n >= 64 for n in arrays)
+    # the whole grid in one call, then every circle in one call; the
+    # residuals alone call with a scalar, one a report.  A scan or a circle
+    # call lifted to a per-point loop would add scalar calls
+    assert batches == [600, 320] + [None] * 5
 
     fn, batches = _recording(lambda z: z - 0.5 - 0.004j)
     assert winding_count(fn, (0.0, 1.0, 0.0, 1.0)) == 1
@@ -823,18 +818,34 @@ def test_line_scan_recovers_slightly_offline_zero():
 
 
 def test_line_scan_handles_decaying_scale():
-    # same ladder, modulated by a strong vertical decay; the relative
-    # dip detector must still see every zero
+    # same ladder, modulated by a strong vertical decay, exp(-0.9 Im s)
+    # in modulus on the line; the relative dip detector must still see
+    # every zero
+    def fn(s):
+        return _sin_line_fn(s) * cmath.exp(0.9j * (s - 0.5))
+
+    reports = line_zeros(fn, 0.5, 0.4, 5.6, samples=600)
+    assert [round(r.location.imag) for r in reports] == [1, 2, 3, 4, 5]
+    assert all(r.certified and r.multiplicity == 1 for r in reports)
+    assert all(abs(r.location - complex(0.5, round(r.location.imag))) <= 1e-9
+               for r in reports)
+
+
+def test_line_scan_leaves_non_holomorphic_dips_uncertified():
+    # the same decay as the real factor exp(-0.9 Im s), which is not
+    # holomorphic: the dips are found, but no Taylor polynomial fits the
+    # circles, so none is counted and every dip stays uncertified
     def fn(s):
         return _sin_line_fn(s) * cmath.exp(-0.9 * s.imag)
 
     reports = line_zeros(fn, 0.5, 0.4, 5.6, samples=600)
     assert [round(r.location.imag) for r in reports] == [1, 2, 3, 4, 5]
-    assert all(r.certified for r in reports)
+    assert not any(r.certified for r in reports)
 
 
 def test_line_scan_separates_close_pair():
-    # gap fits inside the outer winding square but not the inner shells
+    # the gap, 0.0008, is eight sample steps: two dips, whose circles of
+    # radius 0.01 (the least) both hold both zeros, each reported once
     z1, z2 = 0.5 + 2.0j, 0.5 + 2.0008j
 
     def fn(s):
@@ -844,7 +855,7 @@ def test_line_scan_separates_close_pair():
     assert len(reports) == 2
     for rep, want in zip(reports, (z1, z2)):
         assert rep.certified
-        assert rep.multiplicity == 1  # the inner shells see one zero each
+        assert rep.multiplicity == 1
         assert abs(rep.location - want) <= 1e-8
 
 
@@ -860,30 +871,31 @@ def test_line_scan_reports_double_zero_multiplicity():
     assert abs(reports[0].location - z0) <= 1e-5
 
 
+@pytest.mark.parametrize("power", [2, 3])
 @pytest.mark.parametrize("z0", [
     0.5 + 2.0j, 0.5003 + 2.0j, 0.4995 + 2.3j,
     complex(0.5, np.linspace(1.5, 2.5, 400)[200]),  # on a scan sample
 ])
-def test_muller_polish_lands_on_a_polynomial_double_zero(z0):
-    # (s - z0)^2 is the quadratic through the dip and its neighbours, so
-    # Muller's first step lands on the double zero, off the line too, and
-    # meets the residual gate where a derivative would vanish.  On a
-    # sample the scan value is exactly 0 and so is q: the step is zero
+def test_circle_lands_on_a_polynomial_multiple_zero(z0, power):
+    # the circle's Taylor polynomial is (s - z0)^power itself, so its
+    # roots give the zero and its multiplicity, off the line too.  On a
+    # sample the zero sits on the circle's centre, where the eigenvalue
+    # solver splits it by about eps^(1/power): the slope test of
+    # _cluster_roots, taken at max(|root|, 1), still groups the split
     scalar = []
 
     def fn(s):
         if not isinstance(s, np.ndarray):
             scalar.append(s)
-        return (s - z0) ** 2
+        return (s - z0) ** power
 
     reports = line_zeros(fn, 0.5, 1.5, 2.5, samples=400)
     assert len(reports) == 1
     rep = reports[0]
-    assert rep.certified and rep.multiplicity == 2
+    assert rep.certified and rep.multiplicity == power
     assert abs(rep.location - z0) <= 1e-10
-    # one step from each dip, two dips when z0 lies midway between samples
-    assert 1 <= len(scalar) <= 2
-    assert all(abs(w - z0) <= 1e-10 for w in scalar)
+    # one scalar call, for the residual, also when two dips see the zero
+    assert len(scalar) == 1 and abs(scalar[0] - z0) <= 1e-10
 
 
 def _scalar_calls(f):
@@ -897,41 +909,41 @@ def _scalar_calls(f):
     return fn, calls
 
 
-def test_dip_beside_an_off_line_zero_polishes_to_it():
+def test_dip_between_two_off_line_zeros_reports_both():
     # on the line cos(20 (s - s0)) is cosh(20 (Im s - 2.003)), a dip whose
     # nearest zeros lie at Re s = 1/2 +- pi/40, 0.079 off the line and
-    # inside the wander cap of ten sample steps: Muller walks to one
+    # inside the circle of ten sample steps: the circle counts both
     s0 = 0.5 + 2.003j
     fn, calls = _scalar_calls(lambda s: np.cos(20.0 * (s - s0)))
     reports = line_zeros(fn, 0.5, 1.5, 2.5, samples=101)
-    assert len(reports) == 1
-    rep = reports[0]
-    assert rep.certified and rep.multiplicity == 1
-    assert abs(rep.location - complex(0.5 - math.pi / 40.0, 2.003)) <= 1e-10
-    assert len(calls) <= 6
+    assert len(reports) == 2
+    for rep, side in zip(sorted(reports, key=lambda r: r.location.real), (-1, 1)):
+        assert rep.certified and rep.multiplicity == 1
+        assert abs(rep.location - (s0 + side * math.pi / 40.0)) <= 1e-10
+    assert len(calls) == 2
 
 
 def test_zero_free_dip_stops_at_the_wander_cap():
     # exp(-500 (s - s0)^2) has no zero, but on the line its modulus is
-    # exp(500 (Im s - 2.003)^2), a dip: the polish stops at its first
-    # iterate past the cap, a few scalar calls in, and the dip is
-    # reported uncertified
+    # exp(500 (Im s - 2.003)^2), a dip.  On its circle of ten sample
+    # steps the argument steps by about 1 between points, too far to
+    # count, and its retry winds 0 times: one uncertified report inside
+    # the circle, one scalar call
     s0 = 0.5 + 2.003j
     fn, calls = _scalar_calls(lambda s: np.exp(-500.0 * (s - s0) ** 2))
     reports = line_zeros(fn, 0.5, 1.5, 2.5, samples=101)
     assert len(reports) == 1 and not reports[0].certified
     dip = complex(0.5, np.linspace(1.5, 2.5, 101)[50])
-    cap = 10.0 * 0.01
-    assert abs(reports[0].location - dip) <= cap
-    assert 1 <= len(calls) <= 10
-    assert all(abs(w - dip) <= cap for w in calls)
+    radius = 10.0 * 0.01
+    assert abs(reports[0].location - dip) <= radius
+    assert calls == [reports[0].location]
 
 
-def test_polish_stops_where_a_step_returns_to_the_point_before():
-    # on this coarse scan (spacing 0.5) the second Muller step from the
-    # dip at 1/2 + i lands back on the dip to the last bit; the next
-    # quadratic through two equal points would divide by zero, so the
-    # polish stops there unconverged
+def test_dip_among_crowded_zeros_stays_uncertified():
+    # on this coarse scan (spacing 0.5) the dip at 1/2 + i sits among
+    # zeros of cos(P(s)) about 0.01 apart: 64 points resolve the argument
+    # on neither its circle of radius 0.25 nor its retry of radius
+    # 0.0625, so the dip is reported once, uncertified
     roots = (0.25 + 9j, 1.5 + 3.684434971662871j,
              -0.03472091558225976 + 3.4691509582302027j, 5.5j)
 
@@ -973,17 +985,15 @@ def test_line_scan_certifies_simple_zeros_near_the_line(spots, c):
 
 
 def test_line_scan_strict_raises_on_unpolishable_dip():
-    # real-valued modulus dip with no analytic zero: the polish never
-    # meets the residual gate, polish fails, and a census refuses the
-    # uncertified report.  Its iterates neither converge nor leave the
-    # wander cap; each of the two dips stops after _STALL_STEPS iterates
-    # without a new least residual, 14 scalar calls in all (120 when
-    # each polish ran its 60 steps)
+    # real-valued modulus dip with no analytic zero: each of its two dip
+    # circles winds 0 times, and so does its retry, so both dips are
+    # reported uncertified, one scalar call each, and a census refuses
+    # them
     fn, calls = _scalar_calls(lambda s: abs(s - (0.5 + 2.0j)) + 1e-3)
 
     reports = line_zeros(fn, 0.5, 1.5, 2.5, samples=400)
     assert len(reports) == 2 and not any(r.certified for r in reports)
-    assert len(calls) == 14
+    assert len(calls) == 2
     with pytest.raises(UncertifiedError, match="failed certification"):
         census(fn, (0.4, 0.6, 1.5, 2.5), samples=400)
 
@@ -1055,7 +1065,7 @@ def test_census_counts_a_double_zero_twice():
 
 
 def test_census_leaves_out_a_report_outside_the_open_box():
-    # the polish takes the dip on Re s = 1/2 to the zero at Re s = 0.56,
+    # the circle about the dip on Re s = 1/2 holds the zero at Re s = 0.56,
     # right of the box: listed, not counted, and the box counts none
     z1 = 0.56 + 2.0j
     reports, count = census(lambda s: s - z1, (0.45, 0.55, 1.0, 3.0),
@@ -1064,16 +1074,32 @@ def test_census_leaves_out_a_report_outside_the_open_box():
     assert len(reports) == 1 and abs(reports[0].location - z1) <= 1e-9
 
 
-def test_census_refuses_a_close_pair_the_scan_merges():
-    # 0.0008 apart against a sample step of 0.0025: one report, two zeros
+def test_census_counts_a_close_pair_below_the_scan_step():
+    # 0.0008 apart against a sample step of 0.0025: one dip, whose circle
+    # holds and counts both zeros
     def fn(s):
         return (s - _Z0) * (s - _Z0 - 0.0008j)
 
+    for rect, samples in (((0.4, 0.6, 1.5, 2.5), 400), ((0.4, 0.6, 1.9, 2.1), 2000)):
+        reports, count = census(fn, rect, samples=samples)
+        assert count == 2 and len(reports) == 2
+        assert all(r.certified and r.multiplicity == 1 for r in reports)
+
+
+def test_census_refuses_a_zero_beyond_every_circle():
+    # the zero at 0.85 + 2.5i lies inside the box but 0.35 from the line:
+    # no dip on the line and beyond every circle (radius at most 0.25),
+    # so the scan lists one zero where the box counts two
+    def fn(s):
+        return (s - _Z0) * (s - (0.85 + 2.5j))
+
     with pytest.raises(UncertifiedError,
                        match="lists 1 zeros .* winding count is 2"):
-        census(fn, (0.4, 0.6, 1.5, 2.5), samples=400)
-    reports, count = census(fn, (0.4, 0.6, 1.9, 2.1), samples=2000)
-    assert count == 2 and len(reports) == 2
+        census(fn, (0.1, 0.9, 1.5, 3.5), samples=400)
+    # a coarse scan too, whose circles reach their cap of 0.25
+    with pytest.raises(UncertifiedError,
+                       match="lists 1 zeros .* winding count is 2"):
+        census(fn, (0.1, 0.9, 1.5, 3.5), samples=16)
 
 
 def test_census_adds_back_a_listed_pole_inside_the_box():
@@ -1101,10 +1127,10 @@ def test_census_refuses_a_listed_pole_on_the_box_edge():
 
 
 # ---------------------------------------------------------------------------
-# certification walk: tightest square first, pinned to the three-square rule
+# dip circles: one circle per dip locates, counts and certifies its zeros.
+# The three-square walk they replaced stays here as a reference rule
 
-_WIDEST = zero_engine._CERT_HALF_WIDTH
-_SQUARES = (_WIDEST, _WIDEST / 10.0, _WIDEST / 100.0)  # widest first
+_SQUARES = (2e-3, 2e-4, 2e-5)  # the walk's half-widths, widest first
 _REFUSALS = (BoundaryZeroError, NonIntegerWindingError, ConvergenceError)
 
 
@@ -1125,7 +1151,7 @@ def _three_square_rule(counts):
 
 def _square_index(rect):
     # 0 for the widest square, 2 for the tightest
-    return round(math.log10(2.0 * _WIDEST / (rect[1] - rect[0])))
+    return round(math.log10(2.0 * _SQUARES[0] / (rect[1] - rect[0])))
 
 
 def _real_counts(fn, z, poles=()):
@@ -1147,32 +1173,24 @@ _ANSWERS = ("raise", 0, 1, 2)
     for wide in _ANSWERS for mid in _ANSWERS for tight in _ANSWERS
 ], ids=lambda answers: "-".join(map(str, answers)))
 def test_certification_walk_matches_three_square_rule(monkeypatch, answers):
-    # a scripted count per square; the walk must give the three-square
-    # result and never count a square wider than the one that decided
-    counted = []
-
-    def fake_winding_count(fn, rect, poles=()):
-        assert not any(answers[j] in (1, 2) for j in counted), (
-            "a square wider than a count >= 1 was counted"
-        )
-        k = _square_index(rect)
-        counted.append(k)
-        if answers[k] == "raise":
-            raise BoundaryZeroError("scripted refusal")
-        return answers[k]
-
-    monkeypatch.setattr(zero_engine, "winding_count", fake_winding_count)
+    # the walk is gone: whatever winding_count would answer on each of the
+    # three squares, line_zeros never asks it, and the dip's circle alone
+    # gives the report the three-square rule gives on the real counts
     z0 = 0.5 + 2.0j
+    want = _three_square_rule(_real_counts(lambda s: s - z0, z0))
+    asked = []
+
+    def scripted_winding_count(fn, rect, poles=()):
+        asked.append(rect)
+        answer = answers[_square_index(rect)]
+        if answer == "raise":
+            raise BoundaryZeroError("scripted refusal")
+        return answer
+
+    monkeypatch.setattr(zero_engine, "winding_count", scripted_winding_count)
     reports = line_zeros(lambda s: s - z0, 0.5, 1.5, 2.5, samples=400)
-    assert len(reports) == 1
-    mult, confirmed = _three_square_rule(
-        [None if a == "raise" else a for a in answers]
-    )
-    assert reports[0].multiplicity == mult
-    assert reports[0].certified == confirmed
-    # tightest first, up to the first count >= 1 or through all three
-    decided = next((k for k in (2, 1, 0) if answers[k] in (1, 2)), 0)
-    assert counted == [k for k in (2, 1, 0) if k >= decided]
+    assert asked == []
+    assert [(r.multiplicity, r.certified) for r in reports] == [want] == [(1, True)]
 
 
 def _reference_global():
@@ -1201,41 +1219,52 @@ def test_census_reports_agree_with_three_square_rule(build, lo, hi):
         assert rep.certified == confirmed
 
 
-def _counting_squares(monkeypatch):
-    counted = []
-    real = zero_engine.winding_count
-
-    def wrapped(fn, rect, poles=()):
-        counted.append(_SQUARES[_square_index(rect)])
-        return real(fn, rect, poles=poles)
-
-    monkeypatch.setattr(zero_engine, "winding_count", wrapped)
-    return counted
-
-
-def test_double_zero_is_decided_by_the_tightest_square(monkeypatch):
-    z0 = 0.5 + 2.0j
-    counted = _counting_squares(monkeypatch)
-    reports = line_zeros(lambda s: (s - z0) ** 2, 0.5, 1.5, 2.5, samples=400)
-    assert [r.multiplicity for r in reports] == [2]
-    assert counted == [_WIDEST / 100.0]
-
-
-def test_close_pair_below_scan_step_keeps_parent_report(monkeypatch):
-    # 1e-4 apart: both zeros lie inside the two wider squares, so only
-    # the 2e-5 square sees one zero, as the three-square rule reports
-    z1, z2 = 0.5 + 2.0j, 0.5 + 2.0001j
+@pytest.mark.parametrize("gap", [1e-4, 8e-4])
+def test_close_pair_below_scan_step_gives_two_reports(gap):
+    # 1e-4 and 8e-4 apart against a sample step of 0.0025: the circle
+    # about the dip holds both zeros, and its polynomial separates them
+    z1, z2 = 0.5 + 2.0j, 0.5 + (2.0 + gap) * 1j
 
     def fn(s):
         return (s - z1) * (s - z2)
 
-    counted = _counting_squares(monkeypatch)
     reports = line_zeros(fn, 0.5, 1.5, 2.5, samples=400)
-    assert len(reports) == 1
-    rep = reports[0]
-    assert rep.multiplicity == 1 and rep.certified
-    assert counted == [_WIDEST / 100.0]
-    monkeypatch.undo()
-    counts = _real_counts(fn, rep.location)
-    assert counts == [2, 2, 1]
-    assert _three_square_rule(counts) == (1, True)
+    assert len(reports) == 2
+    for rep, want in zip(reports, (z1, z2)):
+        assert rep.certified and rep.multiplicity == 1
+        assert abs(rep.location - want) <= 1e-10
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.25 * math.pi, 0.5 * math.pi])
+@pytest.mark.parametrize("rho", [0.8, 1.0, 1.3])
+def test_zero_with_a_neighbour_near_its_circle_stays_certified(rho, angle):
+    # the circle about the dip of z0 has radius 0.1; a second zero rho
+    # radii away, off the line or on it, may sit on that circle and refuse
+    # its count.  The retry, a quarter as wide and in one more array
+    # call, then counts z0 alone
+    z0 = 0.5 + 2.0j
+    z1 = z0 + 0.1 * rho * cmath.exp(1j * angle)
+    fn, batches = _recording(lambda s: (s - z0) * (s - z1))
+    reports = line_zeros(fn, 0.5, 1.5, 2.5, samples=101)
+    near = [r for r in reports if abs(r.location - z0) <= 1e-10]
+    assert len(near) == 1 and near[0].certified and near[0].multiplicity == 1
+    if rho == 1.0 and angle == 0.0:
+        assert batches == [101, 64, 64, None]
+
+
+def test_circle_past_the_domain_of_fn_is_called_alone():
+    # fn refuses Im s > 2.1, which the circle (radius 0.1) about the dip
+    # near 2.05 reaches: the one call for both circles raises, each circle
+    # is called alone, the high one is not counted, and its retry of
+    # radius 0.025 stays inside the domain and counts the zero
+    def fn(s):
+        if np.max(np.imag(s)) > 2.1:
+            raise DomainError("scripted height cap")
+        return (s - (0.5 + 2.05j)) * (s - (0.5 + 1.7j))
+
+    fn, batches = _recording(fn)
+    reports = line_zeros(fn, 0.5, 1.5, 2.1, samples=61)
+    assert len(reports) == 2 and all(r.certified for r in reports)
+    for rep, want in zip(reports, (0.5 + 1.7j, 0.5 + 2.05j)):
+        assert abs(rep.location - want) <= 1e-10
+    assert batches == [61, 128, 64, 64, 64, None, None]
