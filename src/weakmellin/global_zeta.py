@@ -30,7 +30,7 @@ import numpy as np
 
 from .arch_zeta import Real, RealSign, Trivial, weil_index_arch, zeta_real
 from .errors import DomainError, PoleError, UncertifiedError
-from .padic_core import UnitCharacter, _require_prime, valuation
+from .padic_core import UnitCharacter, _rational, _require_prime, valuation
 from .padic_zeta import LocalFactor, local_factor, weil_index_padic
 from .specfun import (
     DirichletCharacter,
@@ -88,8 +88,9 @@ class GlobalSpec:
         if 2 not in primes:
             raise DomainError("the finite set must contain the place 2")
         for p, a, b in self.finite:
-            if Fraction(a) == 0:
+            if _rational(a) == 0:
                 raise DomainError(f"quadratic coefficient vanishes at p = {p}")
+            _rational(b)  # refuses a non-finite b at construction
         if not self.chi.is_primitive:
             raise DomainError(
                 "spec characters must be primitive; "

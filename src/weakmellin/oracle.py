@@ -20,7 +20,10 @@ carries its own check and is refused, never guessed, when the check
 fails; a refused point falls back to damped numerical quadrature with
 Richardson extrapolation.  The result records which route answered.
 Tests compare these against the closed-form modules; the two sides share
-only the exact primitives.
+only the exact primitives and the input rules: each archimedean oracle
+runs its shape's check from arch_zeta (finite coefficients, a nonzero or
+positive a, n >= 1 and a non-negative norm), and every oracle refuses a
+non-finite s, but no numerics cross over.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from functools import cache, lru_cache, partial
 import numpy as np
 from scipy import special
 
+from .arch_zeta import _check_hermitian, _check_radial, _check_real, _check_square
 from .errors import DegenerateError, DomainError, QuadratureError, SupportEscapeError
 from .padic_core import (
     UnitCharacter,
@@ -44,6 +48,7 @@ from .padic_core import (
     unit_coset_level,
     valuation,
 )
+from .specfun import _require_finite
 
 __all__ = [
     "oracle_padic_mellin",
@@ -140,8 +145,9 @@ def _level_sum(profile, stable, x) -> complex:
 
 
 def _require_point(s: complex) -> None:
-    if not (cmath.isfinite(s) and s.real > 0):
-        raise DomainError(f"oracle needs a finite s with Re(s) > 0 for the upper tail, got {s}")
+    _require_finite(s, "oracle")
+    if not s.real > 0:
+        raise DomainError(f"oracle needs Re(s) > 0 for the upper tail, got {s}")
 
 
 def _mellin_stable(chi: UnitCharacter | None) -> float:
@@ -417,7 +423,7 @@ def _gl_pair(fn, edges, order):
 
 def _checked_integral(fn, edges):
     v2, err, l1 = _gl_pair(fn, edges, _PANEL_ORDER)
-    if err > _ORDER_TOL * max(abs(v2), 1e-6 * l1, 1e-300):
+    if not err <= _ORDER_TOL * max(abs(v2), 1e-6 * l1, 1e-300):  # also refuses NaN
         raise QuadratureError(
             f"doubled-order totals disagree by {err:.3e} "
             f"(value {abs(v2):.3e}, L1 mass {l1:.3e})"
@@ -498,6 +504,7 @@ def _cgamma(z):
 
 
 def _require_strip(s, lo, hi, who):
+    _require_finite(s, f"{who} oracle")
     if not lo < s.real < hi:
         raise DomainError(
             f"{who} oracle needs {lo} < Re(s) < {hi}, got {s.real}"
@@ -581,8 +588,7 @@ def oracle_real_mellin(a, b, s):
     confluent hypergeometric functions; neither route touches them."""
 
     a, b, s = float(a), float(b), complex(s)
-    if a == 0.0:
-        raise DomainError("quadratic coefficient must be nonzero")
+    _check_real(a, b)
     _require_strip(s, 0.15, 2.5, "real")
     return _real_line_mellin(a, b, s, _fold_even)
 
@@ -593,11 +599,10 @@ def oracle_real_sign_mellin(a, b, s):
     cosine.  Identically zero when b = 0."""
 
     a, b, s = float(a), float(b), complex(s)
-    if a == 0.0:
-        raise DomainError("quadratic coefficient must be nonzero")
+    _check_real(a, b)
+    _require_strip(s, 0.15, 2.5, "real sign")
     if b == 0.0:
         return _EXACT_ZERO
-    _require_strip(s, 0.15, 2.5, "real sign")
     return _real_line_mellin(a, b, s, _fold_odd)
 
 
@@ -636,11 +641,10 @@ def oracle_hermitian_mellin(a, b, n, s):
     the fold J_n, times 2^(-s)."""
 
     a, b, n, s = float(a), complex(b), int(n), complex(s)
-    if a <= 0.0:
-        raise DomainError("hermitian quadratic coefficient must be positive")
+    _check_hermitian(a, b)
+    _require_strip(s, 0.1, 1.6, "hermitian")
     if b == 0 and n != 0:
         return _EXACT_ZERO
-    _require_strip(s, 0.1, 1.6, "hermitian")
     return _hermitian_line(_real_line_mellin, a, b, n, s)
 
 
@@ -674,12 +678,7 @@ def oracle_radial_mellin(a, bnorm, n, s):
     surface measure 2 pi^(n/2) / Gamma(n/2)."""
 
     a, bnorm, n, s = float(a), float(bnorm), int(n), complex(s)
-    if a == 0.0:
-        raise DomainError("quadratic coefficient must be nonzero")
-    if n < 1:
-        raise DomainError("dimension must be at least 1")
-    if bnorm < 0.0:
-        raise DomainError("the linear coefficient enters through its norm")
+    _check_radial(n, a, bnorm)
     _require_strip(s, 0.15, 2.5, "radial")
     pref = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
     fold = partial(_sphere_average, n)
@@ -821,16 +820,13 @@ def oracle_complex_square_mellin(a, b, n, s):
     Other combinations are out of scope."""
 
     a, b, n, s = complex(a), complex(b), int(n), complex(s)
-    if a == 0:
-        raise DomainError("quadratic coefficient must be nonzero")
+    _check_square(a, b)
     if n == 0:
         _require_strip(s, 0.1, 0.92, "square")
         return _square_schwinger(a, b, s)
-    if b == 0:
-        if n % 2:
-            return _EXACT_ZERO
-        _require_strip(s, 0.1, 1.6, "square")
-        return _square_hankel(a, n, s) or _square_bessel(a, n, s)
-    raise DomainError(
-        "square-phase oracle supports n = 0 or b = 0 only"
-    )
+    if b != 0:
+        raise DomainError("square-phase oracle supports n = 0 or b = 0 only")
+    _require_strip(s, 0.1, 1.6, "square")
+    if n % 2:
+        return _EXACT_ZERO
+    return _square_hankel(a, n, s) or _square_bessel(a, n, s)

@@ -2,11 +2,12 @@
 
 Everything here is self-contained: a Lanczos log-gamma, Euler-Maclaurin
 Riemann and Hurwitz zeta, a Kummer confluent hypergeometric summed as
-one fixed-point integer series run at two widths (2^-128 resolution,
-where twelve digits survive cancellation by up to about 1e24, and up to
-200 bits for the rare heavier cases), either at one point or as a Taylor
-disc in the upper parameter that serves every point near its centre,
-Dirichlet characters of general modulus, and the completed Riemann xi.
+one fixed-point integer series, either at one point in a single pass of
+200 fractional bits (sixty digits, so twelve survive cancellation by up
+to about 1e45) or as a Taylor disc in the upper parameter that serves
+every point near its centre (128 bits, rerun once at 200 where rounding
+alone misses the disc's target), Dirichlet characters of general
+modulus, and the completed Riemann xi.
 
 One character convention serves the whole package.  The units mod each
 prime power p^k have fixed generators (`_local_generators`): the least
@@ -239,10 +240,10 @@ class EvalQuality:
 
 _HYP_MAX_TERMS = 500
 _HYP_Z_CAP = 40.0
-_HYP_BITS = 128  # fractional bits of the first pass of the series
+_HYP_BITS = 128  # fractional bits of a disc's first pass
 _HYP_STOP_BITS = 64  # a term below 2^-64 of the partial sum counts as small
 _HYP_REL_TARGET = 1e-12
-_HYP_MAX_DIGITS = 60
+_HYP_MAX_DIGITS = 60  # digits of the point pass and of a disc's rerun
 
 
 def _to_fixed(x: float, bits: int) -> int:
@@ -343,39 +344,36 @@ def _kummer_series(a: complex, b: complex, z: complex, bits: int):
     )
 
 
-def _hyp1f1_decimal(a: complex, b: complex, z: complex, digits: int) -> complex:
-    """The Kummer series rerun at ceil(digits log2 10) fractional bits."""
-    return _kummer_series(a, b, z, math.ceil(digits * math.log2(10)))[0]
+def _hyp1f1_decimal(a: complex, b: complex, z: complex, digits: int):
+    """The one point pass of hyp1f1_eval: _kummer_series at
+    ceil(digits log2 10) fractional bits.
 
-
-def _rerun_digits(ratio: float) -> int:
-    """Digits of a rerun that absorbs a cancellation ratio: 25 + log10(ratio),
-    at most 60."""
-    return min(_HYP_MAX_DIGITS, 25 + int(math.log10(max(ratio, 1.0))))
+    The name is older than the single pass, from when this was a rerun
+    that rescued a cancelled 128-bit pass; it stays because
+    perfbench/tracing.py counts and times the calls to this attribute.
+    """
+    return _kummer_series(a, b, z, math.ceil(digits * math.log2(10)))
 
 
 def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
     """Kummer 1F1(a; b; z) by Taylor series in fixed-point integers.
 
-    One series (_kummer_series) runs at two widths.  The first pass keeps
-    128 fractional bits, so twelve digits survive while the largest
-    partial sum exceeds the value by up to about 1e24.  The largest
-    partial sum over the value (the cancellation ratio) times the terms
-    used and 2^-128 estimates the relative error.  Only when that exceeds
-    1e-12 does the same series rerun wide enough to absorb the loss, at
-    ceil(d log2 10) fractional bits for d = 25 + log10(ratio) digits, up
-    to d = 60 (200 bits).
-    Two kinds of input reach the wide pass: |z| >= 38 with Im a >= 20,
-    e.g. (0.25+30j, 0.5, 40j) with a ratio of 1.8e32, and evaluations on
-    top of a zero (|value| below about 3e-16, such as the last step of a
-    zero search).
+    One pass of the series (_kummer_series) at _HYP_MAX_DIGITS = 60
+    digits, 200 fractional bits, so twelve digits survive while the
+    largest partial sum exceeds the value by up to about 1e45.  The
+    largest partial sum over the value (the cancellation ratio) times the
+    terms used and 10^-60 estimates the relative error.  Within
+    |z| <= 40 the ratio reaches about 1e32, at |z| >= 38 with Im a >= 20,
+    e.g. (0.25+30j, 0.5, 40j) at 1.8e32; on top of a zero (|value| below
+    about 3e-16, such as a certificate's residual) it grows as the value
+    shrinks.
 
     Restricted to finite inputs and |z| <= 40 (DomainError otherwise):
-    beyond that the scale swings outgrow even the 60-digit budget and
+    beyond that the scale swings outgrow even the 60-digit pass and
     callers must rescale upstream.  Raises PoleError when b + k lies
     within 1e-12 of 0 before the series stops, and ConvergenceError after
-    500 terms.  Emits PrecisionWarning only if the widest rerun still
-    leaves fewer than about seven clean digits.
+    500 terms.  Emits PrecisionWarning only if the pass leaves fewer than
+    about seven clean digits.
     """
     a = complex(a)
     b = complex(b)
@@ -384,20 +382,9 @@ def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
         raise DomainError(f"hyp1f1({a}, {b}, {z}) needs finite arguments")
     if abs(z) > _HYP_Z_CAP:
         raise DomainError(f"hyp1f1 argument |z| = {abs(z):.3g} exceeds {_HYP_Z_CAP}")
-    value, max_partial, k = _kummer_series(a, b, z, _HYP_BITS)
+    value, max_partial, k = _hyp1f1_decimal(a, b, z, _HYP_MAX_DIGITS)
     ratio = max_partial / max(abs(value), 1e-300)
-    est_rel = k * 2.0**-_HYP_BITS * ratio
-    if est_rel > _HYP_REL_TARGET:
-        digits = _rerun_digits(ratio)
-        value = _hyp1f1_decimal(a, b, z, digits)
-        for _ in range(2):
-            # the fixed-point value may have underestimated the ratio; recheck
-            ratio = max_partial / max(abs(value), 1e-300)
-            est_rel = 10.0 ** (1 - digits) * ratio
-            if est_rel <= _HYP_REL_TARGET or digits >= _HYP_MAX_DIGITS:
-                break
-            digits = _rerun_digits(ratio)
-            value = _hyp1f1_decimal(a, b, z, digits)
+    est_rel = k * 10.0**-_HYP_MAX_DIGITS * ratio
     if est_rel > 1e-7:
         warnings.warn(
             f"hyp1f1({a}, {b}, {z}): cancellation ratio {ratio:.2e} leaves "
@@ -502,17 +489,16 @@ def _kummer_disc(b: float, z: complex, centre: complex):
     ring is built here, not at import: numpy's first complex exp costs a
     quarter megabyte of resident memory).  The error estimate
     is the rounding of the pass (largest partial sums times terms times
-    2^-bits, summed over the degrees, as in hyp1f1_eval) plus the tail,
+    2^-bits, summed over the degrees) plus the tail,
     taken as the last two terms |D_(M-1)| + |D_M| at |u| = 1.  A disc is
     accepted when that is within 1e-13 of the scale; the 36 discs of the
     benchmark's real census estimate 4e-37 to 1.5e-17 of it, 2e-25 in
-    the median.  A pass at 128 fractional bits that misses only by
-    rounding reruns as hyp1f1_eval does, at d = 25 + log10(partial sums /
-    scale) digits, up to 60.
+    the median.  The first pass keeps 128 fractional bits; one that
+    misses only by rounding reruns once at the point pass's 60 digits
+    (200 bits), and any other miss refuses the disc.
     """
     ring = np.exp(2j * np.pi * np.arange(32) / 32)
-    bits = _HYP_BITS
-    while True:
+    for bits in (_HYP_BITS, math.ceil(_HYP_MAX_DIGITS * math.log2(10))):
         run = _disc_series(b, z, centre, bits)
         if run is None:
             return None
@@ -524,10 +510,9 @@ def _kummer_disc(b: float, z: complex, centre: complex):
         if err <= target:
             coeffs.flags.writeable = False
             return coeffs, err
-        wide = math.ceil(_rerun_digits(peak / scale) * math.log2(10))
-        if tail > target or wide <= bits:
+        if tail > target:
             return None
-        bits = wide
+    return None
 
 
 def _has_discs(b: complex, z: complex) -> bool:

@@ -624,14 +624,26 @@ def _dip_circles(scan, centres, radius: float):
 def _dip_circle_zeros(vals):
     """(zeros, counted) for the values vals of fn on one dip circle:
     (w, multiplicity) of the roots |w| < 1 of the Taylor polynomial of
-    fn(c + r w), cut after its last coefficient of at least _DIP_POINTS eps
-    max|vals| and grouped by _cluster_roots; and whether the winding
-    number of vals (_round_turns) is at least 1 and their multiplicity."""
+    fn(c + r w), cut after its last coefficient above the noise and
+    grouped by _cluster_roots; and whether the winding number of vals
+    (_round_turns) is at least 1 and their multiplicity.  The noise is
+    _DIP_POINTS eps max|vals|, or four times the median size of the upper
+    half of the coefficients where that is larger: the rounding of the
+    values, which array calls of the census functions carry well above
+    eps, fills every degree at that level, and a cut below it would make
+    np.roots solve a degree-63 polynomial of noise.  The largest
+    coefficient always survives the cut, even on values that are noise
+    alone."""
     if not np.all(np.isfinite(vals)):
         return [], False
     coeffs = vals @ _DIP_TAYLOR
-    noise = _DIP_POINTS * np.finfo(float).eps * np.max(np.abs(vals))
-    poly = coeffs[np.flatnonzero(np.abs(coeffs) >= noise)[-1]::-1]
+    sizes = np.abs(coeffs)
+    upper = np.sort(sizes[_DIP_POINTS // 2:])
+    # four times the median of the upper half, the mean of its middle two
+    # (the first np.median call costs about 1.8 MB of resident memory)
+    noise = max(_DIP_POINTS * np.finfo(float).eps * np.max(np.abs(vals)),
+                2.0 * (upper[_DIP_POINTS // 4 - 1] + upper[_DIP_POINTS // 4]))
+    poly = coeffs[np.flatnonzero(sizes >= min(noise, sizes.max()))[-1]::-1]
     roots = np.roots(poly)
     zeros = _cluster_roots(roots[np.abs(roots) < 1.0], poly)
     try:

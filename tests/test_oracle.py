@@ -21,7 +21,7 @@ from weakmellin.arch_zeta import (
     zeta_real,
     zeta_rn_radial,
 )
-from weakmellin.errors import DegenerateError, DomainError, SupportEscapeError
+from weakmellin.errors import DegenerateError, DomainError, QuadratureError, SupportEscapeError
 from weakmellin.oracle import (
     _fold_even,
     _fold_odd,
@@ -54,6 +54,13 @@ def test_eps_ladder_ratios_are_near_two():
         assert 1.8 <= res.ratio <= 2.2
         assert len(res.eps_values) == 3
         assert res.err_est < 1e-5 * abs(res.value)
+
+
+def test_doubled_order_check_refuses_a_nan_integrand():
+    # NaN compares false with every bound, so the check must be written
+    # "not err <= bound" to refuse it
+    with pytest.raises(QuadratureError, match="doubled-order totals disagree"):
+        oracle._checked_integral(lambda x: np.full_like(x, np.nan), np.array([0.0, 1.0, 2.0]))
 
 
 def test_exact_zero_paths():

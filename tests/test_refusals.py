@@ -2,8 +2,8 @@
 
 One table: each row makes one call that a rule must refuse, and names the
 exception and a fragment of its message.  The archimedean rows run each
-shape's one check through both of its callers, the parameter class and
-the closed form.
+shape's one check through all of its callers: the parameter class, the
+closed form and the quadrature oracle.
 """
 
 import math
@@ -32,23 +32,29 @@ _FINITE = "needs finite coefficients"
 
 
 def _arch_rows():
-    """(id, call, fragment) for each shape's check, through the class and
-    through the closed form, on a zero or negative coefficient and on a
-    non-finite one."""
+    """(id, call, fragment) for each shape's check, through the class, the
+    closed form and the oracle (both oracles of the real shape), on a zero
+    or negative coefficient and on a non-finite one."""
     shapes = [
-        ("real", lambda a, b: Real(a, b), lambda a, b: arch_zeta.zeta_real(a, b, _S)),
-        ("hermitian", lambda a, b: ComplexHermitian(a, b),
-         lambda a, b: arch_zeta.zeta_complex_hermitian(a, b, 0, _S)),
-        ("square", lambda a, b: ComplexSquare(a, b),
-         lambda a, b: arch_zeta.zeta_complex_square(a, b, 0, _S)),
-        ("radial", lambda a, b: RealRadial(2, a, b),
-         lambda a, b: arch_zeta.zeta_rn_radial(a, b, 2, _S)),
+        ("real", [("class", lambda a, b: Real(a, b)),
+                  ("closed", lambda a, b: arch_zeta.zeta_real(a, b, _S)),
+                  ("oracle", lambda a, b: oracle.oracle_real_mellin(a, b, _S)),
+                  ("sign-oracle", lambda a, b: oracle.oracle_real_sign_mellin(a, b, _S))]),
+        ("hermitian", [("class", lambda a, b: ComplexHermitian(a, b)),
+                       ("closed", lambda a, b: arch_zeta.zeta_complex_hermitian(a, b, 0, _S)),
+                       ("oracle", lambda a, b: oracle.oracle_hermitian_mellin(a, b, 0, _S))]),
+        ("square", [("class", lambda a, b: ComplexSquare(a, b)),
+                    ("closed", lambda a, b: arch_zeta.zeta_complex_square(a, b, 0, _S)),
+                    ("oracle", lambda a, b: oracle.oracle_complex_square_mellin(a, b, 0, _S))]),
+        ("radial", [("class", lambda a, b: RealRadial(2, a, b)),
+                    ("closed", lambda a, b: arch_zeta.zeta_rn_radial(a, b, 2, _S)),
+                    ("oracle", lambda a, b: oracle.oracle_radial_mellin(a, b, 2, _S))]),
     ]
     degenerate = {"real": _NONZERO, "hermitian": "must be positive",
                   "square": _NONZERO, "radial": _NONZERO}
     rows = []
-    for shape, build, closed in shapes:
-        for caller, call in (("class", build), ("closed", closed)):
+    for shape, callers in shapes:
+        for caller, call in callers:
             rows += [
                 (f"{shape}-{caller}-zero-a", lambda c=call: c(0.0, 0.0), degenerate[shape]),
                 (f"{shape}-{caller}-inf-a", lambda c=call: c(_INF, 0.0), _FINITE),
@@ -67,11 +73,31 @@ def _arch_rows():
     return [(ident, DomainError, call, fragment) for ident, call, fragment in rows]
 
 
+def _oracle_point_rows():
+    """(id, error, call, fragment): each of the seven oracles refuses an s
+    with an infinite imaginary part and a NaN s, at inputs it otherwise
+    answers."""
+    oracles = [
+        ("padic", lambda s: oracle.oracle_padic_mellin(1, 0, 5, s)),
+        ("vector", lambda s: oracle.oracle_padic_vector(((1, 0),), 5, s)),
+        ("real", lambda s: oracle.oracle_real_mellin(1.0, 0.5, s)),
+        ("real-sign", lambda s: oracle.oracle_real_sign_mellin(1.0, 0.5, s)),
+        ("hermitian", lambda s: oracle.oracle_hermitian_mellin(1.0, 0.3, 0, s)),
+        ("radial", lambda s: oracle.oracle_radial_mellin(1.0, 0.5, 2, s)),
+        ("square", lambda s: oracle.oracle_complex_square_mellin(1.0, 0.25, 0, s)),
+    ]
+    return [
+        (f"oracle-{name}-{label}-s", DomainError, lambda c=call, s=s: c(s), "needs a finite s")
+        for name, call in oracles
+        for label, s in (("inf", complex(0.5, _INF)), ("nan", complex(_NAN, 0.0)))
+    ]
+
+
 def _config(**fields):
     return lambda: JobConfig.from_mapping(fields)
 
 
-_TABLE = _arch_rows() + [
+_TABLE = _arch_rows() + _oracle_point_rows() + [
     # archimedean dispatch, index, rho and reflection law
     ("zeta-real-char", DomainError,
      lambda: arch_zeta.zeta_real(1.0, 0.0, _S, ComplexCn(1)), "at the real place"),
@@ -125,6 +151,14 @@ _TABLE = _arch_rows() + [
     ("global-spec-composite", DomainError,
      lambda: GlobalSpec(arch=Real(1.0, 0.0), finite=((2, 1, 0), (9, 1, 0))),
      "must be a prime"),
+    ("global-spec-zero-a", DomainError,
+     lambda: GlobalSpec(arch=Real(1.0, 0.0), finite=((2, 0, 0),)), "vanishes at p = 2"),
+    ("global-spec-inf-a", DomainError,
+     lambda: GlobalSpec(arch=Real(1.0, 0.0), finite=((2, _INF, 0),)), "are rationals"),
+    ("global-spec-nan-a", DomainError,
+     lambda: GlobalSpec(arch=Real(1.0, 0.0), finite=((2, _NAN, 0),)), "are rationals"),
+    ("global-spec-nan-b", DomainError,
+     lambda: GlobalSpec(arch=Real(1.0, 0.0), finite=((2, 1, _NAN),)), "are rationals"),
     # Dirichlet characters
     ("dirichlet-modulus", DomainError,
      lambda: specfun.DirichletCharacter(1001, (1,)), "outside supported range"),

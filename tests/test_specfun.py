@@ -205,24 +205,28 @@ def test_hyp1f1_fixed_point_pass_covers_ratio_6e15(monkeypatch):
     calls = _count_decimal_calls(monkeypatch)
     q = sf.hyp1f1_eval(2.5, 1.5, 39j)
     assert q.cancellation_ratio > 1e15
-    assert calls == []
+    assert calls == [(2.5, 1.5, 39j, 60)]
+    with mp.workdps(50):
+        ref = complex(mp.hyp1f1(2.5, 1.5, 39j))
+    assert abs(q.value - ref) <= 1e-12 * abs(ref)
 
 
-def test_hyp1f1_decimal_tier_fires_beyond_128_bits(monkeypatch):
+def test_hyp1f1_one_pass_covers_ratio_1e32(monkeypatch):
     # Im a = 30 at |z| = 40: the partial sums exceed the value by ~1e32
     calls = _count_decimal_calls(monkeypatch)
     q = sf.hyp1f1_eval(0.25 + 30j, 0.5, 40j)
     assert q.cancellation_ratio > 1e30
-    assert len(calls) == 1
+    assert calls == [(0.25 + 30j, 0.5, 40j, 60)]
     with mp.workdps(60):
         ref = complex(mp.hyp1f1(0.25 + 30j, 0.5, 40j))
     assert abs(q.value - ref) <= 1e-12 * abs(ref)
 
 
 def test_hyp1f1_warns_when_digit_budget_caps_out(monkeypatch):
+    # a 12-digit point pass cannot absorb a ratio of 1e32
     monkeypatch.setattr(sf, "_HYP_MAX_DIGITS", 12)
     with pytest.warns(PrecisionWarning):
-        sf.hyp1f1(0.25 + 30j, 0.5, 40j)
+        sf.hyp1f1_eval(0.25 + 30j, 0.5, 40j)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.nan)])
@@ -333,14 +337,48 @@ def test_hyp1f1_discs_match_mpmath_on_a_seeded_grid():
     assert worst <= 1e-13
 
 
+def _disc_pass_widths(monkeypatch):
+    widths = []
+    original = sf._disc_series
+
+    def counted(b, z, centre, bits):
+        widths.append(bits)
+        return original(b, z, centre, bits)
+
+    monkeypatch.setattr(sf, "_disc_series", counted)
+    return widths
+
+
+def test_disc_missing_by_rounding_reruns_once_at_200_bits(monkeypatch):
+    # a 64-bit first pass misses the 1e-13 target by rounding alone; the
+    # one rerun at the point pass's 200 bits meets it, with the 128-bit
+    # disc's coefficients to within 1e-13 of the disc scale
+    sf._kummer_disc.cache_clear()
+    try:
+        ref, _ = sf._kummer_disc(1.5, 14.1j, 0.25 + 3j)
+        sf._kummer_disc.cache_clear()
+        widths = _disc_pass_widths(monkeypatch)
+        monkeypatch.setattr(sf, "_HYP_BITS", 64)
+        coeffs, err = sf._kummer_disc(1.5, 14.1j, 0.25 + 3j)
+    finally:
+        sf._kummer_disc.cache_clear()  # no 64-bit disc outlives the patch
+    assert widths == [64, 200]
+    scale = np.abs(np.polyval(ref, np.exp(2j * np.pi * np.arange(32) / 32))).max()
+    assert err <= 1e-13 * scale
+    assert np.abs(coeffs - ref).max() <= 1e-13 * scale
+
+
 def test_hyp1f1_refused_disc_falls_back_to_the_series(monkeypatch):
-    # no disc meets a 1e-40 bound: the refusal is cached as None and the
-    # full group gets the per-point values bit for bit
+    # no disc meets a 1e-40 bound, and the tail alone misses it, so the
+    # disc is refused after its one 128-bit pass: the refusal is cached as
+    # None and the full group gets the per-point values bit for bit
     monkeypatch.setattr(sf, "_DISC_TARGET", 1e-40)
     a = _cell_points(random.Random(7), 0, 3, 16, on_line=True)
     sf._kummer_disc.cache_clear()
+    widths = _disc_pass_widths(monkeypatch)
     try:
         got = sf.hyp1f1(a, 1.5, 14.1j)
+        assert widths == [128]
         assert sf._kummer_disc(1.5, 14.1j, 0.25 + 3j) is None
         assert np.array_equal(got, [sf.hyp1f1_eval(x, 1.5, 14.1j).value for x in a])
         assert np.array_equal(got, [sf.hyp1f1(x, 1.5, 14.1j) for x in a])

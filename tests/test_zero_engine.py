@@ -1268,3 +1268,36 @@ def test_circle_past_the_domain_of_fn_is_called_alone():
     for rep, want in zip(reports, (0.5 + 1.7j, 0.5 + 2.05j)):
         assert abs(rep.location - want) <= 1e-10
     assert batches == [61, 128, 64, 64, 64, None, None]
+
+
+@pytest.mark.parametrize("lo, zero", [(14.0, 14.134725141734695), (59.0, 59.34704400260235)])
+def test_dense_scan_circle_cuts_its_rounding_noise(monkeypatch, lo, zero):
+    # a 2048-sample scan of a unit window puts the dip circle at its
+    # radius floor of 0.01, where the reference function's array values
+    # carry rounding well above 64 eps of the largest sample; the cut at
+    # the noise of the upper half of the coefficients keeps the Taylor
+    # polynomial short (degree 5 and 6) instead of degree 63
+    from weakmellin.global_zeta import factorize_global, reference_spec
+
+    degrees = []
+    cluster = zero_engine._cluster_roots
+
+    def spy(roots, poly):
+        degrees.append(len(poly) - 1)
+        return cluster(roots, poly)
+
+    monkeypatch.setattr(zero_engine, "_cluster_roots", spy)
+    reports = line_zeros(factorize_global(reference_spec()).evaluate, 0.5, lo, lo + 1.0)
+    assert len(reports) == 1 and reports[0].certified and reports[0].multiplicity == 1
+    assert abs(reports[0].location - complex(0.5, zero)) <= 1e-10
+    assert degrees and max(degrees) <= 16
+
+
+def test_dip_circle_of_noise_alone_is_not_counted():
+    # values with no holomorphic part put every Taylor coefficient near one
+    # level, below four times the median of the upper half: the cut keeps
+    # the largest coefficient, and the circle is not counted
+    rng = np.random.default_rng(1)
+    vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    _, counted = zero_engine._dip_circle_zeros(vals)
+    assert not counted
