@@ -42,7 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -142,11 +142,44 @@ def _elementwise(fn):
 
 # grid angles the circle certificate scans for sign changes
 _CIRCLE_SAMPLES = 4096
+# degrees whose grid table of e^(-i D phi/2) is kept (least recently used
+# first out); the benchmark's crosscheck meets degrees 1 to 7
+_CIRCLE_TURNS = 8
+
+
+@cache
+def _circle_points():
+    """(phis, xs): the _CIRCLE_SAMPLES + 1 grid angles 2 pi k / _CIRCLE_SAMPLES,
+    the last closing the loop at 2 pi, and xs = e^(i phi) at all but the
+    last.  Built on first use, so importing the package costs nothing."""
+    phis = 2.0 * math.pi * np.arange(_CIRCLE_SAMPLES + 1) / _CIRCLE_SAMPLES
+    xs = np.exp(1j * phis[:_CIRCLE_SAMPLES])
+    phis.flags.writeable = xs.flags.writeable = False
+    return phis, xs
+
+
+def _half_turn(degree: int, phi):
+    return np.exp(-0.5j * degree * phi)
+
+
+@lru_cache(maxsize=_CIRCLE_TURNS)
+def _circle_turn(degree: int):
+    """e^(-i degree phi/2) at the xs of _circle_points."""
+    turn = _half_turn(degree, _circle_points()[0][:_CIRCLE_SAMPLES])
+    turn.flags.writeable = False
+    return turn
+
+
+def _profile_values(rot, coeffs, turn, xs):
+    """Re(rot turn P(xs)) for xs = e^(i phi) and turn = e^(-i D phi/2): the
+    circle profile, for the grid and for single angles alike."""
+    return (rot * turn * np.polyval(coeffs, xs)).real
 
 
 def _circle_profile(coeffs, degree: int):
-    """Real function on [0, 2pi) whose sign changes are the circle zeros,
-    or None when the numerator is not self-inversive.
+    """(h, grid): the real function h on [0, 2pi) whose sign changes are
+    the circle zeros, and its values at the xs of _circle_points.  Raises
+    DomainError unless the numerator is self-inversive.
 
     A self-inversive P satisfies P(X) = u X^D conj(P(1/conj(X))) with
     u = P[0] / conj(P[-1]) of modulus 1, so on the circle X = e^(i phi)
@@ -158,36 +191,40 @@ def _circle_profile(coeffs, degree: int):
     2 Re(c1 e^(i nu phi)) + 2 Re(c2 e^(i (nu-1) phi)) with |c1| = 1 and
     |c2| = 1/Q < 1, which has no tangential zero, so every circle zero of
     the numerator is a clean sign change of h.  h takes scalar or array
-    angles.
+    angles.  The grid reads both exponentials from the cached tables
+    (_circle_points, _circle_turn), so it is one np.polyval and one
+    product, equal bit for bit to h at the same angles.
     """
     u = coeffs[0] / np.conj(coeffs[-1])
     mirror = u * np.conj(coeffs[::-1])
     if np.max(np.abs(coeffs - mirror)) > 1e-8 * np.max(np.abs(coeffs)):
-        return None
+        raise DomainError(
+            "circle certificate needs a self-inversive numerator"
+        )
     rot = np.conj(np.sqrt(u))
 
     def h(phi):
-        return (
-            rot * np.exp(-0.5j * degree * phi) * np.polyval(coeffs, np.exp(1j * phi))
-        ).real
+        return _profile_values(rot, coeffs, _half_turn(degree, phi), np.exp(1j * phi))
 
-    return h
+    grid = _profile_values(rot, coeffs, _circle_turn(degree), _circle_points()[1])
+    return h, grid
 
 
 def _circle_grid(coeffs, degree: int):
     """(h, lo, hi, h_lo): h of _circle_profile, and the brackets (lo, hi)
     of its _CIRCLE_SAMPLES grid, with h at lo.  A bracket is a grid cell
-    over which h changes sign, or (phi, phi) where h is exactly 0 at a
-    grid angle.  Raises DomainError unless the numerator is self-inversive.
+    over which h changes sign, or (phi, phi) where h is 0 at a grid angle.
+    A grid value within the rounding of the Horner sum, 4 D eps sum |c_k|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 5.1),
+    counts as 0: its sign is noise, and a double root on a grid angle
+    would otherwise show two sign changes.  Raises DomainError unless the
+    numerator is self-inversive.
     """
-    h = _circle_profile(coeffs, degree)
-    if h is None:
-        raise DomainError(
-            "circle certificate needs a self-inversive numerator"
-        )
+    h, vals = _circle_profile(coeffs, degree)
+    floor = 4.0 * degree * np.finfo(float).eps * float(np.sum(np.abs(coeffs)))
+    vals = np.where(np.abs(vals) <= floor, 0.0, vals)
     samples = _CIRCLE_SAMPLES
-    phis = 2.0 * math.pi * np.arange(samples + 1) / samples
-    vals = h(phis[:samples])
+    phis = _circle_points()[0]
     # close the loop; odd degree profiles are antiperiodic
     vals = np.append(vals, vals[0] if degree % 2 == 0 else -vals[0])
     lo = np.flatnonzero((vals[:samples] == 0.0) | (vals[:samples] * vals[1:] < 0.0))
@@ -199,8 +236,9 @@ def unit_circle_certificate(factor: LocalFactor):
 
     Returns (count, brackets) from one evaluation of the circle profile
     on a grid of _CIRCLE_SAMPLES angles: the sorted brackets of
-    _circle_grid, each holding a circle zero by the intermediate value
-    theorem, and count = len(brackets).  No bracket is refined
+    _circle_grid, each a grid cell holding a circle zero by the
+    intermediate value theorem or a grid angle where the profile is 0 to
+    within its rounding, and count = len(brackets).  No bracket is refined
     (circle_zeros bisects them).  Needs a self-inversive numerator (every
     unramified and ramified one is); D = 0 gives (0, []).
     """

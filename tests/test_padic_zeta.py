@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakmellin import padic_core, padic_zeta
@@ -126,6 +126,28 @@ def test_gauss_phase_frozen_values():
     assert abs(weil_index_padic(1, 1, 2) + e8) < 1e-14
     for p in (3, 5, 7, 11):
         assert abs(weil_index_padic(1, 0, p) - 1) < 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]),
+    u=st.integers(1, 10**6),
+    w=st.integers(1, 10**6),
+    v=st.integers(-6, 6),
+)
+def test_gauss_phase_is_the_closed_quadratic_gauss_sum_phase(p, u, w, v):
+    # odd p and a = (u/w) p^v with units u, w: gamma is 1 for even v and
+    # ((2uw)/p) eps_p for odd v, with the Legendre symbol and eps_p = 1 for
+    # p = 1 mod 4, i for p = 3 mod 4 (Berndt, Evans and Williams, Gauss and
+    # Jacobi Sums, 1998, ch. 1)
+    assume(u % p and w % p)
+    a = F(u, w) * F(p) ** v
+    if v % 2 == 0:
+        want = 1
+    else:
+        legendre = 1 if pow(2 * u * w, (p - 1) // 2, p) == 1 else -1
+        want = legendre * (1 if p % 4 == 1 else 1j)
+    assert abs(weil_index_padic(a, 0, p) - want) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,9 @@ import bisect
 import cmath
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -191,22 +194,16 @@ def test_random_scalar_numerators_stay_on_circle(theta, k, delta, p):
 
 
 def _count_profile_calls(monkeypatch):
-    """Patch the circle profile so every evaluation of it is recorded."""
+    """Patch the circle profile formula, which the grid and every single
+    angle go through, so that each evaluation records its number of angles."""
     calls = []
-    profile = zero_engine._circle_profile
+    values = zero_engine._profile_values
 
-    def counting(coeffs, degree):
-        h = profile(coeffs, degree)
-        if h is None:
-            return None
+    def counting(rot, coeffs, turn, xs):
+        calls.append(np.size(xs))
+        return values(rot, coeffs, turn, xs)
 
-        def counted(phi):
-            calls.append(np.size(phi))
-            return h(phi)
-
-        return counted
-
-    monkeypatch.setattr(zero_engine, "_circle_profile", counting)
+    monkeypatch.setattr(zero_engine, "_profile_values", counting)
     return calls
 
 
@@ -282,17 +279,59 @@ def test_multiple_root_is_one_report(poly, mult):
     assert not multiple[0].certified
 
 
+def test_double_root_on_a_grid_angle_counts_once():
+    # X = i is a grid angle, where the profile of the double root is
+    # rounding noise of either sign; under the rounding floor it is one
+    # bracket (pi/2, pi/2), not two sign changes, so the count is 3 != D
+    # and no root is certified on it (X = -1 is a grid angle too)
+    factor = dataclasses.replace(
+        unramified_from_constants(3, 1, 0, -1),
+        poly=tuple(np.poly([1j, 1j, -1.0, 0.6 + 0.8j])),
+    )
+    count, brackets = unit_circle_certificate(factor)
+    assert count == 3 < factor.degree
+    assert (math.pi / 2, math.pi / 2) in brackets
+    assert (math.pi, math.pi) in brackets
+    assert not any(rep.certified for rep in exp_poly_roots(factor))
+    assert not any(rep.certified for rep in circle_zeros(factor))
+
+
+@pytest.mark.parametrize("degree", [*range(1, 9), 40])
+def test_grid_tables_match_the_profile_bit_for_bit(degree):
+    # the grid reads e^(i phi) and e^(-i D phi/2) from cached tables; its
+    # values are h's at the same angles, the seam phi = 0 included
+    gamma = cmath.exp(0.3j)
+    factor = unramified_from_constants(5, degree // 2, degree % 2, gamma)
+    coeffs, _, D = factor.zero_poly()
+    assert D == degree
+    h, grid = zero_engine._circle_profile(coeffs, D)
+    phis, xs = zero_engine._circle_points()
+    assert np.array_equal(grid, h(phis[:zero_engine._CIRCLE_SAMPLES]))
+    assert grid[0] == h(phis[:1])[0]
+    assert not xs.flags.writeable and not zero_engine._circle_turn(D).flags.writeable
+
+
+def test_grid_tables_are_built_on_first_use_and_bounded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zero_engine.__file__)))
+    probe = (
+        "import weakmellin.cli; from weakmellin import zero_engine as z; "
+        "print(z._circle_points.cache_info().currsize, "
+        "z._circle_turn.cache_info().currsize)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert done.stdout.split() == ["0", "0"]
+    for degree in range(1, 3 * zero_engine._CIRCLE_TURNS):
+        zero_engine._circle_turn(degree)
+    assert zero_engine._circle_turn.cache_info().currsize == zero_engine._CIRCLE_TURNS
+
+
 def _sixty_step_angles(factor):
     # the bisection as it ran before it learned to stop: always 60 steps
     coeffs, _, degree = factor.zero_poly()
-    h = zero_engine._circle_profile(coeffs, degree)
-    samples = zero_engine._CIRCLE_SAMPLES
-    phis = 2.0 * math.pi * np.arange(samples + 1) / samples
-    vals = h(phis[:samples])
-    vals = np.append(vals, vals[0] if degree % 2 == 0 else -vals[0])
-    on_grid = vals[:samples] == 0.0
-    lo = np.flatnonzero(~on_grid & (vals[:samples] * vals[1:] < 0.0))
-    a, b, fa = phis[lo], phis[lo + 1], vals[lo]
+    h, a, b, fa = zero_engine._circle_grid(coeffs, degree)
     for _ in range(60):
         mid = 0.5 * (a + b)
         fm = h(mid)
@@ -301,8 +340,7 @@ def _sixty_step_angles(factor):
         b = np.where(exact | left, mid, b)
         a = np.where(exact | ~left, mid, a)
         fa = np.where(left, fa, fm)
-    angles = np.concatenate([phis[np.flatnonzero(on_grid)], 0.5 * (a + b)])
-    return tuple(sorted(float(x) for x in angles))
+    return tuple(sorted(float(x) for x in 0.5 * (a + b)))
 
 
 @pytest.mark.parametrize(
