@@ -15,14 +15,17 @@ progression with a gcd and a modular inverse and visits only its members,
 in fixed-size numpy blocks; L grows like half the scale of the quadratic
 phase instead of the whole of it.
 
-That level is the least exact one, and the builders sum there (margin 0):
-the quadratic part a (x0 + p^L t)^2 y^2 / 2 differs from its value at x0
-by a term linear in t, which the indicator accounts for, plus
+That level is the least exact one, and the ramified builder sums there
+(margin 0): the quadratic part a (x0 + p^L t)^2 y^2 / 2 differs from its
+value at x0 by a term linear in t, which the indicator accounts for, plus
 a y^2 p^(2L) t^2 / 2, which is p-integral for every t once
 2L >= v(2) - v(a y^2), the v(2) = 1 of p = 2 included; and the level is at
 least chi's conductor exponent, so chi is constant on every coset too.
 A larger margin visits p times more residues per unit and returns the
-same sum up to rounding.
+same sum up to rounding; the oracles sum at margin 1.  The unramified
+builders run no sum: their Gauss phase is Weil's closed index
+(padic_zeta.weil_index_padic), a Legendre symbol or a class mod 8 times
+psi(-b^2/(2a)).
 
 Every entry point refuses a base p that is not a prime int at most
 _MAX_P, and a non-finite float where it wants a rational, with
@@ -135,12 +138,15 @@ def frac_lambda(x, p: int) -> Fraction:
     return Fraction(r, pm)
 
 
+def _root_of_unity(turns: Fraction) -> complex:
+    """exp(2 pi i turns) for a rational number of turns; exactly 1 at 0."""
+    t = float(turns % 1)
+    return complex(math.cos(TWO_PI * t), math.sin(TWO_PI * t))
+
+
 def psi_p(x, p: int) -> complex:
     """Standard additive character: exp(2 pi i frac_lambda(x))."""
-    lam = frac_lambda(x, p)
-    if lam == 0:
-        return 1.0 + 0.0j
-    return complex(math.cos(TWO_PI * float(lam)), math.sin(TWO_PI * float(lam)))
+    return _root_of_unity(frac_lambda(x, p))
 
 
 def sdc_eval(a, b, x, p: int) -> complex:
@@ -219,10 +225,7 @@ class UnitCharacter:
         return Fraction(self.index * t, self.group_order) % 1
 
     def __call__(self, u) -> complex:
-        ph = self.phase(u)
-        return complex(
-            math.cos(TWO_PI * float(ph)), math.sin(TWO_PI * float(ph))
-        )
+        return _root_of_unity(self.phase(u))
 
     def bar(self) -> "UnitCharacter":
         """Complex conjugate character."""

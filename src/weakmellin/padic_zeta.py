@@ -16,7 +16,7 @@ constants
 
     k      escape level (top level) after rescaling
     delta  parity of the valuation of the quadratic coefficient
-    gamma  quadratic Gauss phase, modulus 1
+    gamma  quadratic Gauss phase, modulus 1 (weil_index_padic)
 
 and stores every factor as one numerator polynomial P(X) in
 X = q^(s - n/2) times an explicit prefactor (see LocalFactor).  For an
@@ -31,8 +31,12 @@ The same constants give each pair's additive integrals theta(p^j) in
 closed form: 1 from a top level on, 0 in a gap below it, and a geometric
 tail gamma p^-(k + delta/2) p^(j - bottom) from a bottom level down.  A
 factor on an n-dimensional space (padic_vector_factor) multiplies the
-profiles of its components and reads its numerator off the finite middle,
-so only one exact sum per component (its Gauss phase) is ever evaluated.
+profiles of its components and reads its numerator off the finite middle.
+gamma itself is Weil's closed index: gamma(a, 0) psi(-b^2/(2a)), with
+gamma(a, 0) a Legendre symbol times eps_p for odd p and an eighth root of
+unity read off the unit part of a mod 8 at p = 2.  So no unramified or
+vector factor runs an exact sum; only the ramified builder (its two level
+averages and rho0_gauss_sum) and the oracles do.
 """
 
 from __future__ import annotations
@@ -55,7 +59,9 @@ from .padic_core import (
     _rational,
     _require_prime,
     _residue_sum,
-    theta_additive,
+    _root_of_unity,
+    _split,
+    frac_lambda,
     unit_average,
     valuation,
 )
@@ -156,30 +162,54 @@ class _Unramified:
 
 
 def _unramified(a, b, p: int) -> _Unramified:
-    """Rescale (a, b), find its escape level and compute the Gauss phase
-    gamma = p^(k + delta/2) theta(p^(-k-delta)), checked to have modulus 1.
-    k = delta = 0 gives gamma = 1 without a sum."""
+    """Rescale (a, b) and read its escape level and Gauss phase off the
+    valuations and residues; no sum is run."""
     a_norm, b_norm, e_scale, delta = rescale_normal_form(a, b, p)
     k = detect_escape_level(a_norm, b_norm, p)
-    gamma = 1.0 + 0.0j
-    if k or delta:
-        gamma = p ** (k + delta / 2.0) * theta_additive(
-            a_norm, b_norm, p, Fraction(p) ** (-k - delta), margin=0
-        )
-        if abs(abs(gamma) - 1.0) > 1e-9:
-            raise WeakMellinError(f"gauss phase lost unit modulus: |gamma| = {abs(gamma)}")
-    return _Unramified(p, k, delta, gamma, e_scale)
+    return _Unramified(p, k, delta, weil_index_padic(a_norm, b_norm, p), e_scale)
 
 
 def weil_index_padic(a, b, p: int) -> complex:
-    """Unit-modulus Gauss phase gamma of the normalized pair.
+    """Weil index gamma of psi(a x^2/2 + b x) at p, in closed form.
 
-    gamma = q^(k + delta/2) * theta(p^(-k-delta)) where theta is the exact
-    additive integral; the tail recursion theta(y/p) = theta(y)/q makes the
-    choice of depth immaterial.  Completing the square gives the law
-    gamma_{a,b} = gamma_{a,0} * psi(-b^2/(2a)) for escape level matching b.
+    Completing the square gives gamma(a, b) = gamma(a, 0) psi(-b^2/(2a)),
+    and gamma(a, 0) is an eighth root of unity read off the square class
+    of a = p^v u, u a unit (Weil, Acta Math. 1964):
+
+      odd p: 1 for even v, and ((2u)/p) eps_p for odd v, with the Legendre
+        symbol and eps_p = 1 for p = 1 mod 4, i for p = 3 mod 4, the phase
+        of the quadratic Gauss sum (Berndt, Evans and Williams, Gauss and
+        Jacobi Sums, 1998, ch. 1);
+      p = 2: exp(i pi u/4) for even v, with u mod 8, and exp(+-i pi/4) for
+        odd v, + when u = 1 mod 4 and - when u = 3 mod 4.
+
+    It is the phase q^(k + delta/2) theta(p^(-k-delta)) of the normalized
+    pair, whose tail recursion theta(y/p) = theta(y)/q makes the depth
+    immaterial; only the oracles evaluate that sum.  The phase is summed in
+    exact turns, so gamma is exactly 1 when they cancel.  Refuses a p that
+    is not a prime and a non-finite a or b with DomainError, and a = 0 with
+    DegenerateError.
     """
-    return _unramified(a, b, p).gamma
+    _require_prime(p)
+    a, b = _rational(a), _rational(b)
+    if a == 0:
+        raise DegenerateError("quadratic coefficient must be nonzero")
+    f, num = _split(a.numerator, p)
+    e, den = _split(a.denominator, p)
+    # a = p^v w / den^2, so w = num den is a unit in the square class of u
+    v, w = f - e, num * den
+    if p == 2:
+        turns = Fraction(w % 8 if v % 2 == 0 else 2 - w % 4, 8)
+    elif v % 2 == 0:
+        turns = Fraction(0)
+    else:
+        # Euler's criterion gives the Legendre symbol ((2w)/p); its -1 is
+        # half a turn, and eps_p = i a quarter turn
+        minus = pow(2 * w % p, (p - 1) // 2, p) != 1
+        turns = Fraction(2 * minus + (p % 4 == 3), 4)
+    if b:
+        turns += frac_lambda(-b * b / (2 * a), p)
+    return _root_of_unity(turns)
 
 
 @dataclass(frozen=True)

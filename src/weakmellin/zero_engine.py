@@ -57,7 +57,7 @@ from .errors import (
 )
 from .padic_zeta import LocalFactor
 
-_METHODS = ("CompanionRoots", "SignChange", "Winding+Bisection")
+_METHODS = ("CompanionRoots", "SignChange", "CauchyCircle")
 
 # residual gates for certification, relative to the natural local scale
 # (see ZeroReport for which method uses which)
@@ -784,7 +784,7 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     for uncounted, _, z, mult, scale in kept:
         resid = abs(complex(fn(z))) / scale
         reports.append(ZeroReport(
-            location=z, multiplicity=mult, method="Winding+Bisection",
+            location=z, multiplicity=mult, method="CauchyCircle",
             certified=bool(not uncounted and resid <= _ROOT_RESIDUAL), residual=resid))
     return _sorted_reports(reports)
 

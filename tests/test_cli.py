@@ -614,6 +614,23 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("b", ["0", "1/999999999989"])
+def test_local_qp_at_a_prime_near_the_cap_finishes(b):
+    # v(a) odd at the largest prime below the --p cap: the Gauss phase is
+    # read off a Legendre symbol, where a residue sum would visit about p
+    # residues
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    argv = ["local", "--field", "qp", "--p", "999999999989",
+            "--a", "1/999999999989", "--b", b, "--s", "2"]
+    done = subprocess.run(
+        [sys.executable, "-m", "weakmellin.cli", *argv], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert json.loads(done.stdout)["results"][0]["value"]
+
+
 # ------------------------------------------------------------ CLI grammar
 
 # small primes, composites, 0, 1 and the --p cap (itself composite)

@@ -347,7 +347,7 @@ def test_classification_builds_the_factors_once_per_spec(monkeypatch):
     )
     zeros = (7.259065041117216, 9.737285490734761, 14.134725141734693)
     kinds = [
-        classify_zero(ZeroReport(complex(0.5, im), 1, "Winding+Bisection", True, 0.0),
+        classify_zero(ZeroReport(complex(0.5, im), 1, "CauchyCircle", True, 0.0),
                       spec).kind
         for im in zeros
     ]
@@ -400,7 +400,7 @@ def test_classify_rejects_correction_lattice_point():
 def test_classify_refuses_uncertified():
     spec = reference_spec()
     probe = ZeroReport(
-        location=0.5 + 14.13j, multiplicity=1, method="Winding+Bisection",
+        location=0.5 + 14.13j, multiplicity=1, method="CauchyCircle",
         certified=False, residual=1e-3,
     )
     with pytest.raises(UncertifiedError):
@@ -415,7 +415,7 @@ def test_classify_refuses_identically_zero_assembly():
         chi=chi3,
     )
     probe = ZeroReport(
-        location=0.5 + 2j, multiplicity=1, method="Winding+Bisection",
+        location=0.5 + 2j, multiplicity=1, method="CauchyCircle",
         certified=True, residual=0.0,
     )
     with pytest.raises(DomainError):

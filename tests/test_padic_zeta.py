@@ -128,26 +128,38 @@ def test_gauss_phase_frozen_values():
         assert abs(weil_index_padic(1, 0, p) - 1) < 1e-14
 
 
+def _summed_phase(a, b, p, margin):
+    # q^(k + delta/2) theta(p^(-k-delta)) of the normalized pair, from the
+    # exact residue sum the oracles run, at the minimal coset level plus
+    # margin: a route independent of weil_index_padic's closed form
+    a_n, b_n, _, delta = rescale_normal_form(a, b, p)
+    k = detect_escape_level(a_n, b_n, p)
+    y = F(p) ** (-k - delta)
+    return p ** (k + delta / 2.0) * theta_additive(a_n, b_n, p, y, margin=margin)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    p=st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]),
+    p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                       53, 101, 103, 997, 1009]),
     u=st.integers(1, 10**6),
     w=st.integers(1, 10**6),
     v=st.integers(-6, 6),
+    c=st.integers(-50, 50),
+    vb=st.integers(-2, 2),
+    margin=st.sampled_from((0, 1)),
 )
-def test_gauss_phase_is_the_closed_quadratic_gauss_sum_phase(p, u, w, v):
-    # odd p and a = (u/w) p^v with units u, w: gamma is 1 for even v and
-    # ((2uw)/p) eps_p for odd v, with the Legendre symbol and eps_p = 1 for
-    # p = 1 mod 4, i for p = 3 mod 4 (Berndt, Evans and Williams, Gauss and
-    # Jacobi Sums, 1998, ch. 1)
+def test_gauss_phase_is_the_closed_quadratic_gauss_sum_phase(p, u, w, v, c, vb, margin):
+    # a = (u/w) p^v and b = (c/w) p^vb, b = 0 included: the closed index
+    # (Legendre symbol and eps_p for odd p, the square class mod 8 at
+    # p = 2, times psi(-b^2/(2a))) against the exact residue sum; margin 1
+    # visits p times more residues, so it runs at the small primes only
     assume(u % p and w % p)
+    if p > 13:
+        margin = 0
     a = F(u, w) * F(p) ** v
-    if v % 2 == 0:
-        want = 1
-    else:
-        legendre = 1 if pow(2 * u * w, (p - 1) // 2, p) == 1 else -1
-        want = legendre * (1 if p % 4 == 1 else 1j)
-    assert abs(weil_index_padic(a, 0, p) - want) < 1e-12
+    b = F(c, w) * F(p) ** vb
+    assert abs(weil_index_padic(a, b, p) - _summed_phase(a, b, p, margin)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -156,13 +168,21 @@ def test_gauss_phase_is_the_closed_quadratic_gauss_sum_phase(p, u, w, v):
         (2, 1, 1), (2, 1, F(1, 2)), (2, 1, F(3, 8)), (2, 2, 1), (2, F(1, 2), 1),
         (3, 1, F(1, 3)), (3, 3, F(1, 3)), (3, F(1, 9), F(1, 3)),
         (5, 2, F(3, 25)), (7, 1, F(1, 7)),
-    ],
+    ]
+    # the eight square classes u mod 8, v(a) mod 2 at p = 2 (3/11 = 1 mod
+    # 8), each with b != 0
+    + [(2, F(3 * u, 11) * 2**v, F(3, 4)) for u in (1, 3, 5, 7) for v in (0, 1)]
+    + [(1009, F(3, 7) * 1009, F(2, 7)), (1009, F(3, 7), F(2, 1009)),
+       (1019, F(5, 1019), F(1, 1019))],
 )
 def test_gauss_phase_composition_law(p, a, b):
-    # completing the square moves the linear term into a pure phase
-    lhs = weil_index_padic(a, b, p)
-    rhs = weil_index_padic(a, 0, p) * psi_p(-F(b) * F(b) / (2 * F(a)), p)
-    assert abs(lhs - rhs) < 1e-12
+    # completing the square moves the linear term into a pure phase: the
+    # residue sums obey the law, and the closed index equals them
+    for margin in (0, 1):
+        summed = _summed_phase(a, b, p, margin)
+        law = _summed_phase(a, 0, p, margin) * psi_p(-F(b) * F(b) / (2 * F(a)), p)
+        assert abs(summed - law) < 1e-12
+        assert abs(weil_index_padic(a, b, p) - summed) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -490,8 +510,8 @@ def test_local_factor_refuses_a_character_of_another_prime(monkeypatch, b, n, m)
     def no_sum(*args, **kwargs):
         raise AssertionError("an exact sum ran")
 
-    monkeypatch.setattr(padic_zeta, "unit_average", no_sum)
-    monkeypatch.setattr(padic_zeta, "theta_additive", no_sum)
+    monkeypatch.setattr(padic_core, "_residue_sum", no_sum)
+    monkeypatch.setattr(padic_zeta, "_residue_sum", no_sum)
     with pytest.raises(DomainError):
         local_factor(1, b, 5, chi=padic_core.UnitCharacter(3, n, m))
 
@@ -622,20 +642,19 @@ def test_vector_pole_guards():
     assert abs(lf.evaluate(2.0) - oracle_padic_vector(((1, 0), (1, 0)), 3, 2.0)) < 1e-12
 
 
-def test_vector_factor_sums_one_theta_per_component(monkeypatch):
-    # every profile is closed-form: one exact sum (the Gauss phase) per
-    # component at most
-    calls = []
+def test_unramified_builders_run_no_residue_sum(monkeypatch):
+    # every unramified profile and Gauss phase is closed-form, at any p up
+    # to the cap; only the ramified builder and the oracles sum
+    def no_sum(*args, **kwargs):
+        raise AssertionError("an exact sum ran")
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return theta_additive(*args, **kwargs)
-
-    monkeypatch.setattr(padic_zeta, "theta_additive", counted)
+    monkeypatch.setattr(padic_core, "_residue_sum", no_sum)
+    monkeypatch.setattr(padic_zeta, "_residue_sum", no_sum)
     for p, cfg in VECTOR_CASES:
-        calls.clear()
         padic_vector_factor(cfg, p)
-        assert len(calls) <= len(cfg)
+    for p, a, b in UNRAMIFIED_CASES + [(999999999989, F(1, 999999999989), 0)]:
+        local_factor(a, b, p)
+        weil_index_padic(a, b, p)
 
 
 @st.composite

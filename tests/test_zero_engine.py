@@ -834,7 +834,7 @@ def test_line_scan_finds_integer_ladder():
     reports = line_zeros(_sin_line_fn, 0.5, 0.4, 5.6, samples=600)
     assert len(reports) == 5
     for n, rep in enumerate(reports, start=1):
-        assert rep.method == "Winding+Bisection"
+        assert rep.method == "CauchyCircle"
         assert rep.certified
         assert rep.multiplicity == 1
         assert rep.residual <= 1e-10
