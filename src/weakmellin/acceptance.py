@@ -64,6 +64,7 @@ from .zero_engine import (
     exp_poly_roots,
     line_zeros,
     unit_circle_certificate,
+    zeros_in_window,
 )
 
 __all__ = ["CriterionResult", "battery", "run_criterion", "run_all"]
@@ -299,15 +300,7 @@ def _criterion_7():
     # expected heights, recomputed on the spot rather than quoted: the
     # dyadic factor supplies the periodic local family and a fresh scan
     # of the completed zeta supplies the global ones
-    period = 2.0 * math.pi / math.log(2.0)
-    base = sorted({r.location.imag % period for r in exp_poly_roots(fact.local_parts[2])})
-    family = []
-    for im0 in base:
-        m = 0
-        while im0 + m * period <= 30.0:
-            if im0 + m * period >= 1.0:
-                family.append(im0 + m * period)
-            m += 1
+    family = [r.location.imag for r in zeros_in_window(fact.local_parts[2], 1.0, 30.0)]
     xi_ims = [
         r.location.imag
         for r in line_zeros(completed_xi, 0.5, 1.0, 30.0, samples=1024)

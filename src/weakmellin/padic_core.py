@@ -266,7 +266,9 @@ def unit_characters(p: int, n: int):
         yield UnitCharacter(p, n, m)
 
 
-@lru_cache(maxsize=None)
+# a table is 1.6 MB near the chi-modulus cap; the benchmark's crosscheck
+# pass uses 12 to 14 characters
+@lru_cache(maxsize=16)
 def _char_value_array(p: int, n: int, m: int) -> np.ndarray:
     """chi over residues mod p^n (0 at non-units), n >= 1."""
     phi = (p - 1) * p ** (n - 1)
@@ -302,6 +304,22 @@ def _quadratic_level(an: int, ad: int, yn: int, yd: int, p: int) -> int:
     return -((_int_valuation(an, ad, p) + 2 * _int_valuation(yn, yd, p) - v2) // 2)
 
 
+def _phase_sum_front(a, b, p: int, y, floor: int, margin: int):
+    """The front end of the sums over psi(a (xy)^2/2 + b xy): refuse a p
+    that is not a prime, a = 0 and y = 0, read each rational once, and
+    return a y^2/2 and b y as (numerator, denominator) pairs with the coset
+    level, `_quadratic_level` or `floor` if higher, plus `margin`."""
+    _require_prime(p)
+    (an, ad), (yn, yd) = _ratio(a), _ratio(y)
+    if an == 0:
+        raise DegenerateError("quadratic coefficient must be nonzero")
+    if yn == 0:
+        raise DomainError("phase sum undefined at y = 0")
+    bn, bd = _ratio(b)
+    return ((an * yn * yn, 2 * ad * yd * yd), (bn * yn, bd * yd),
+            max(floor, _quadratic_level(an, ad, yn, yd, p)) + margin)
+
+
 def unit_coset_level(a, p: int, y, n_chi: int = 0, margin: int = 1) -> int:
     """Level m0 of the cosets u + p^m0 Z_p that `unit_average` sums over.
 
@@ -309,13 +327,7 @@ def unit_coset_level(a, p: int, y, n_chi: int = 0, margin: int = 1) -> int:
     as p^m0.  Raises DegenerateError for a = 0 and DomainError for y = 0,
     as `unit_average` does, and DomainError for a p that is not a prime.
     """
-    _require_prime(p)
-    (an, ad), (yn, yd) = _ratio(a), _ratio(y)
-    if an == 0:
-        raise DegenerateError("quadratic coefficient must be nonzero")
-    if yn == 0:
-        raise DomainError("average undefined at y = 0")
-    return max(1, n_chi, _quadratic_level(an, ad, yn, yd, p)) + margin
+    return _phase_sum_front(a, 0, p, y, max(1, n_chi), margin)[2]
 
 
 def _residue_sum(alpha: tuple[int, int], beta: tuple[int, int], p: int,
@@ -399,13 +411,11 @@ def unit_average(a, b, p: int, y, chi: UnitCharacter | None = None, margin: int 
 
     Exact up to floating roots of unity.  `margin` pads the coset level; any
     value >= the minimal one returns the same number, which the tests use as
-    a consistency check.  p is checked by unit_coset_level.
+    a consistency check.
     """
     n_chi = 0 if chi is None else chi.conductor_exponent
-    m0 = unit_coset_level(a, p, y, n_chi, margin)
-    (an, ad), (bn, bd), (yn, yd) = _ratio(a), _ratio(b), _ratio(y)
-    alpha = (an * yn * yn, 2 * ad * yd * yd)  # a y^2 / 2
-    total = _residue_sum(alpha, (bn * yn, bd * yd), p, m0, True, chi)
+    alpha, beta, m0 = _phase_sum_front(a, b, p, y, max(1, n_chi), margin)
+    total = _residue_sum(alpha, beta, p, m0, True, chi)
     scale = 1.0 / ((1.0 - 1.0 / p) * p**m0)
     return total * scale
 
@@ -418,12 +428,5 @@ def theta_additive(a, b, p: int, y, margin: int = 1) -> complex:
     zero and are skipped; the level only needs to neutralize the quadratic
     term.
     """
-    _require_prime(p)
-    (an, ad), (bn, bd), (yn, yd) = _ratio(a), _ratio(b), _ratio(y)
-    if an == 0:
-        raise DegenerateError("quadratic coefficient must be nonzero")
-    if yn == 0:
-        raise DomainError("integral undefined at y = 0")
-    alpha = (an * yn * yn, 2 * ad * yd * yd)  # a y^2 / 2
-    L = max(0, _quadratic_level(an, ad, yn, yd, p)) + margin
-    return _residue_sum(alpha, (bn * yn, bd * yd), p, L, False) / p**L
+    alpha, beta, L = _phase_sum_front(a, b, p, y, 0, margin)
+    return _residue_sum(alpha, beta, p, L, False) / p**L

@@ -36,7 +36,9 @@ numpy would return inf.
 
 Accuracy targets: ~1e-13 relative for gamma and zeta on the working region
 Re(s) >= -0.5, |Im(s)| <= 60, away from poles.  Values outside that region go
-through reflection formulas or raise DomainError.  Left of Re(s) = 0 the
+through reflection formulas or raise DomainError.  Riemann zeta's one pole
+is s = 1; it is regular at s = 0 (zeta(0) = -1/2), and its reflection
+stays good to a few ulps just left of 0.  Left of Re(s) = 0 the
 Euler-Maclaurin sum of a non-principal L cancels by about
 50^(1 - Re s) / |s - 1| (180 at Re s = -0.5), so dirichlet_l there is good
 to about 3e-13 (1 + |L|): 3.2e-13 at worst on 150 seeded points mod 5 and
@@ -730,10 +732,12 @@ def _real_pow(x, w, log_x=None):
     return out
 
 
-def _hurwitz_em_array(s: np.ndarray, offsets: tuple, skip_pole: bool) -> np.ndarray:
+def _hurwitz_em_array(s: np.ndarray, offsets: tuple,
+                      skip_pole: bool | np.ndarray) -> np.ndarray:
     """_hurwitz_em at every point of a 1-D array s and every offset,
     shape (len(s), len(offsets)), in blocks of at most _EM_BLOCK points
-    times offsets.
+    times offsets.  skip_pole is a bool or a boolean array over s that
+    omits the pole part 1/(s-1) where it is true.
 
     The sum cancels up to a few hundred to one at Re(s) = -0.5, so its
     terms are rounded as the scalar ones (see _real_pow) and added in the
@@ -742,6 +746,7 @@ def _hurwitz_em_array(s: np.ndarray, offsets: tuple, skip_pole: bool) -> np.ndar
     bases, logs, base, lb = _em_tables(offsets)
     odd = np.arange(1, 2 * _EM_M, 2)  # 2k - 1
     out = np.empty((s.size, len(offsets)), dtype=complex)
+    keep_pole = ~np.broadcast_to(skip_pole, s.shape)
     step = max(1, _EM_BLOCK // len(offsets))
     for lo in range(0, s.size, step):
         sb = s[lo : lo + step, None, None]
@@ -756,8 +761,9 @@ def _hurwitz_em_array(s: np.ndarray, offsets: tuple, skip_pole: bool) -> np.ndar
             np.exp(w) - 1.0,
         )
         acc += np.where(near, -lb[:, 0], expm1 / np.where(near, 1.0, sb - 1.0))
-        if not skip_pole:
-            acc += 1.0 / (sb - 1.0)
+        keep = keep_pole[lo : lo + step, None]
+        if keep.any():
+            acc += np.divide(1.0, sb - 1.0, out=np.zeros_like(sb), where=keep)
         powers = _real_pow(base, -sb[..., None] - np.append(0, odd), lb)
         acc += 0.5 * powers[..., 0]
         rising = np.cumprod(
@@ -770,35 +776,28 @@ def _hurwitz_em_array(s: np.ndarray, offsets: tuple, skip_pole: bool) -> np.ndar
     return out
 
 
-def _check_em_domain(s: np.ndarray, what: str, re_min: float = -math.inf) -> None:
-    _require_finite(s, what)
-    bad = s.real < re_min
-    if bad.any():
-        raise DomainError(f"{what} restricted to Re(s) >= {re_min}, got {s[bad][0]}")
-    _check_height(np.abs(s.imag).max(initial=0.0), what)
-
-
-def _raise_near_one(s: np.ndarray, what: str) -> None:
-    bad = np.abs(s - 1.0) < 1e-6
-    if bad.any():
-        raise PoleError(f"{what} pole at s = {s[bad][0]}")
-
-
-def _riemann_zeta_array(s: np.ndarray) -> np.ndarray:
-    _raise_near_one(s, "zeta")
-    _check_em_domain(s, "riemann_zeta")
-    refl = s.real < 0.0
-    out = _hurwitz_em_array(np.where(refl, 1.0 - s, s), (1.0,), False)[:, 0]
-    if refl.any():
-        sr = s[refl]
-        out[refl] = (
-            _real_pow(2.0, sr)
-            * _real_pow(math.pi, sr - 1.0)
-            * np.sin(math.pi * sr / 2.0)
-            * gamma(1.0 - sr)
-            * out[refl]
-        )
-    return out
+def _zeta_points(s, what: str, re_min: float = -math.inf, pole: bool = False):
+    """s as a complex, or an array s as a flat complex array, after the one
+    check of the zeta functions: DomainError for a non-finite s, Re(s) <
+    re_min or |Im(s)| past the height cap, and with `pole` PoleError within
+    1e-6 of s = 1.  An array raises what its first bad point raises."""
+    if _is_array(s):
+        z = s.astype(complex).ravel()
+        _require_finite(z, what)
+        bad = (z.real < re_min) | (np.abs(z.imag) > _ZETA_IM_CAP)
+        if pole:
+            bad |= np.abs(z - 1.0) < 1e-6
+        if bad.any():
+            _zeta_points(z[bad][0], what, re_min, pole)
+        return z
+    z = complex(s)
+    _require_finite(z, what)
+    if z.real < re_min:
+        raise DomainError(f"{what} restricted to Re(s) >= {re_min}, got {z}")
+    _check_height(abs(z.imag), what)
+    if pole and abs(z - 1.0) < 1e-6:
+        raise PoleError(f"{what} pole at s = {z}")
+    return z
 
 
 def riemann_zeta(s: complex) -> complex:
@@ -806,25 +805,40 @@ def riemann_zeta(s: complex) -> complex:
 
     Raises PoleError within 1e-6 of s = 1 and DomainError for a
     non-finite s or |Im(s)| > 60 (the correction terms start losing
-    accuracy there).
+    accuracy there).  The reflection takes zeta(1 - s) = H(1 - s) - 1/s,
+    H the kernel without its pole, and the term sin(pi s/2)/s in closed
+    form, so it stays regular at s = 0.
     """
-    if _is_array(s):
-        return _riemann_zeta_array(s.astype(complex).ravel()).reshape(s.shape)
-    s = complex(s)
-    _require_finite(s, "riemann_zeta")
-    if abs(s - 1.0) < 1e-6:
-        raise PoleError(f"zeta pole at s = {s}")
-    _check_height(abs(s.imag), "riemann_zeta")
-    if s.real < 0.0:
+    z = _zeta_points(s, "riemann_zeta", pole=True)
+    if not _is_array(z):
+        if z.real >= 0.0:
+            return _hurwitz_em(z, 1.0, skip_pole=False)
         # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
+        x = math.pi * z / 2.0
+        half = cmath.sin(x)
         return (
-            2.0**s
-            * math.pi ** (s - 1.0)
-            * cmath.sin(math.pi * s / 2.0)
-            * gamma(1.0 - s)
-            * riemann_zeta(1.0 - s)
+            2.0**z
+            * math.pi ** (z - 1.0)
+            * (half * _hurwitz_em(1.0 - z, 1.0, skip_pole=True)
+               - math.pi / 2.0 * (half / x))
+            * gamma(1.0 - z)
         )
-    return _hurwitz_em(s, 1.0, skip_pole=False)
+    refl = z.real < 0.0
+    out = _hurwitz_em_array(np.where(refl, 1.0 - z, z), (1.0,), refl)[:, 0]
+    if refl.any():
+        zr = z[refl]
+        x = math.pi * zr / 2.0
+        half = np.sin(x)
+        # sin(x)/x, which is 1 to the last bit below |x| = 1e-8, where
+        # numpy's complex division would overflow on a subnormal x
+        sinc = np.divide(half, x, out=np.ones_like(x), where=np.abs(x) >= 1e-8)
+        out[refl] = (
+            _real_pow(2.0, zr)
+            * _real_pow(math.pi, zr - 1.0)
+            * (half * out[refl] - math.pi / 2.0 * sinc)
+            * gamma(1.0 - zr)
+        )
+    return out.reshape(s.shape)
 
 
 def hurwitz_zeta(s: complex, a: float, *, skip_pole: bool = False) -> complex:
@@ -836,20 +850,10 @@ def hurwitz_zeta(s: complex, a: float, *, skip_pole: bool = False) -> complex:
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"hurwitz_zeta needs 0 < a <= 1, got a = {a}")
-    if _is_array(s):
-        z = s.astype(complex).ravel()
-        _check_em_domain(z, "hurwitz_zeta", re_min=-0.5)
-        if not skip_pole:
-            _raise_near_one(z, "hurwitz_zeta")
+    z = _zeta_points(s, "hurwitz_zeta", -0.5, pole=not skip_pole)
+    if _is_array(z):
         return _hurwitz_em_array(z, (float(a),), skip_pole)[:, 0].reshape(s.shape)
-    s = complex(s)
-    _require_finite(s, "hurwitz_zeta")
-    if s.real < -0.5:
-        raise DomainError("hurwitz_zeta restricted to Re(s) >= -0.5")
-    _check_height(abs(s.imag), "hurwitz_zeta")
-    if not skip_pole and abs(s - 1.0) < 1e-6:
-        raise PoleError(f"hurwitz_zeta pole at s = {s}")
-    return _hurwitz_em(s, a, skip_pole)
+    return _hurwitz_em(z, a, skip_pole)
 
 
 # ---------------------------------------------------------------------------
@@ -1090,18 +1094,15 @@ def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
         for p, _ in _factorize(q):
             val *= 1.0 - _real_pow(p, -s)
         return val
+    z = _zeta_points(s, "dirichlet_l", -0.5)
+    residues = [(n, c) for n in range(1, q + 1) if (c := chi(n)) != 0]
     if _is_array(s):
-        z = s.ravel()
-        _check_em_domain(z, "hurwitz_zeta", re_min=-0.5)
-        residues = [n for n in range(1, q + 1) if chi(n) != 0]
-        parts = _hurwitz_em_array(z, tuple(n / q for n in residues), True)
-        acc = (parts * np.array([chi(n) for n in residues])).sum(axis=1)
+        parts = _hurwitz_em_array(z, tuple(n / q for n, _ in residues), True)
+        acc = (parts * np.array([c for _, c in residues])).sum(axis=1)
         return _real_pow(q, -s) * acc.reshape(s.shape)
     acc = 0.0 + 0.0j
-    for n in range(1, q + 1):
-        c = chi(n)
-        if c != 0:
-            acc += c * hurwitz_zeta(s, n / q, skip_pole=True)
+    for n, c in residues:
+        acc += c * _hurwitz_em(z, n / q, True)
     return q ** (-s) * acc
 
 

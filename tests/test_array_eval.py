@@ -13,6 +13,7 @@ test_specfun pins them to mpmath.
 
 from fractions import Fraction as F
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -79,10 +80,24 @@ def test_gamma_next_to_its_poles(pts):
     _assert_elementwise(sf.gamma, pts)
 
 
+def _off_one(z):
+    # zeta's one pole; zeta is regular at 0, so points next to 0 stay
+    return abs(z - 1.0) > 1e-6
+
+
 @settings(max_examples=60, deadline=None)
-@given(_points(-4.0, 0.0, 60.0))
+@given(_points(-4.0, 0.0, 60.0, keep=_off_one))
 def test_riemann_zeta_left_of_zero(pts):
     _assert_elementwise(sf.riemann_zeta, pts)
+
+
+@pytest.mark.parametrize("s", [-1e-8, -1e-7, -1e-6, -1e-5, -1e-3 + 1e-3j])
+def test_riemann_zeta_just_left_of_zero_matches_mpmath(s):
+    # the reflection there is sin(pi s/2) zeta(1 - s), a near-zero times a
+    # near-pole, unless the pole term is taken in closed form
+    want = complex(mp.zeta(s))
+    for got in (sf.riemann_zeta(s), sf.riemann_zeta(np.array([s], dtype=complex))[0]):
+        assert abs(got - want) <= 1e-13 * abs(want), (s, got, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,6 +295,15 @@ def test_global_evaluate_keeps_the_array_shape():
     fact = factorize_global(reference_spec())
     pts = [0.5 + 14.134725j, 0.4 + 3j, 0.6 - 20j]
     assert fact.evaluate(np.array(pts).reshape(3, 1)).shape == (3, 1)
+
+
+def test_global_evaluate_just_left_of_zero():
+    # zeta there reflects to 1 - s, within 1e-6 of its pole at 1, and
+    # both calls answer
+    fact = factorize_global(reference_spec())
+    want = fact.evaluate(-1e-7)
+    got = fact.evaluate(np.array([-1e-7 + 0j]))[0]
+    assert abs(got - want) <= TOL * (1.0 + abs(want)), (got, want)
 
 
 def test_gamma_callers_refuse_a_non_finite_point():

@@ -631,6 +631,32 @@ def test_local_qp_at_a_prime_near_the_cap_finishes(b):
     assert json.loads(done.stdout)["results"][0]["value"]
 
 
+_AT_THE_CAPS = {
+    # ramified factors of conductor at the chi-modulus cap of 10^5
+    "ramified-99991": ("local --field qp --p 99991 --chi-mod 99991 --chi-index 7 --a 1 --b 1/99991 --s 2", 0),
+    "ramified-99991-b0": ("local --field qp --p 99991 --chi-mod 99991 --chi-index 7 --a 1/99991 --b 0 --s 2", 0),
+    "ramified-313^2": ("local --field qp --p 313 --chi-mod 97969 --chi-index 5 --a 1/313 --b 1/30664297 --s 2", 0),
+    "ramified-99991-zeros": ("zeros --field qp --p 99991 --chi-mod 99991 --chi-index 7 --a 1 --b 1/9998200081 --imax 1", 0),
+    # the largest prime below the --p cap, v(a) and v(b) odd
+    "unramified-p-cap-zeros": ("zeros --field qp --p 999999999989 --a 1/999999999989 --b 1/999999999989 --imax 1", 0),
+    # 317^2, the least prime square past the chi-modulus cap
+    "chi-mod-317^2": ("local --field qp --p 317 --chi-mod 100489 --chi-index 5 --a 1 --b 1/100489 --s 2", 2),
+}
+
+
+@pytest.mark.parametrize("argv,code", _AT_THE_CAPS.values(), ids=_AT_THE_CAPS.keys())
+def test_cli_at_the_input_caps_ends_in_an_exit_code(argv, code):
+    # each takes about 0.2 s with Python start-up; the timeout bounds an
+    # accepted input that would run for hours
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "weakmellin.cli", *argv.split()], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=20,
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+
+
 # ------------------------------------------------------------ CLI grammar
 
 # small primes, composites, 0, 1 and the --p cap (itself composite)

@@ -201,6 +201,22 @@ def test_unit_character_agrees_with_the_dirichlet_character(p, n):
                 assert abs(chi(u) - dirichlet(u)) < 1e-12
 
 
+def test_character_tables_stay_within_their_cache_bound():
+    # each table is p^n values, 1.6 MB near the chi-modulus cap; sweep
+    # more characters than the cache keeps, twice
+    table = padic_core._char_value_array
+    bound = table.cache_info().maxsize
+    chis = list(unit_characters(41, 1)) + list(unit_characters(5, 2))
+    assert len(chis) > bound
+    for _ in range(2):
+        for chi in chis:
+            table(chi.p, chi.conductor_exponent, chi.index)
+    assert table.cache_info().currsize == bound
+    for chi in chis:
+        fresh = table.__wrapped__(chi.p, chi.conductor_exponent, chi.index)
+        assert np.array_equal(table(chi.p, chi.conductor_exponent, chi.index), fresh)
+
+
 def test_characters_at_2_are_out_of_scope():
     with pytest.raises(DomainError):
         UnitCharacter(2, 1, 1)
