@@ -40,8 +40,8 @@ through reflection formulas or raise DomainError.  Riemann zeta's one pole
 is s = 1; it is regular at s = 0 (zeta(0) = -1/2), and its reflection
 stays good to a few ulps just left of 0.  Left of Re(s) = 0 the
 Euler-Maclaurin sum of a non-principal L cancels by about
-50^(1 - Re s) / |s - 1| (180 at Re s = -0.5), so dirichlet_l there is good
-to about 3e-13 (1 + |L|): 3.2e-13 at worst on 150 seeded points mod 5 and
+24^(1 - Re s) / |s - 1| (80 at s = -0.5), so dirichlet_l there is good
+to about 1e-13 (1 + |L|): 7.5e-14 at worst on 150 seeded points mod 5 and
 mod 7 with -0.5 <= Re(s) <= -0.1, |Im(s)| <= 60, against 30-digit mpmath.
 """
 
@@ -618,7 +618,7 @@ def hyp1f1(a: complex, b: complex, z: complex) -> complex:
     return out
 
 
-# Bernoulli numbers B_2 .. B_24 as exact fractions, used by Euler-Maclaurin.
+# Bernoulli numbers B_2 .. B_44 as exact fractions, used by Euler-Maclaurin.
 _BERNOULLI = (
     Fraction(1, 6),
     Fraction(-1, 30),
@@ -632,13 +632,30 @@ _BERNOULLI = (
     Fraction(-174611, 330),
     Fraction(854513, 138),
     Fraction(-236364091, 2730),
+    Fraction(8553103, 6),
+    Fraction(-23749461029, 870),
+    Fraction(8615841276005, 14322),
+    Fraction(-7709321041217, 510),
+    Fraction(2577687858367, 6),
+    Fraction(-26315271553053477373, 1919190),
+    Fraction(2929993913841559, 6),
+    Fraction(-261082718496449122051, 13530),
+    Fraction(1520097643918070802691, 1806),
+    Fraction(-27833269579301024235023, 690),
 )
 
-_EM_N = 50
-_EM_M = 12
+# Euler-Maclaurin head length and number of Bernoulli corrections: the
+# first omitted correction is 4.7e-17 at the worst corner of the domain,
+# s = -0.5 +- 60i with a -> 0 (see _hurwitz_em); N = 20 would leave 1.6e-13
+_EM_N = 24
+_EM_M = 22
 # B_2k / (2k)! for k = 1 .. _EM_M, rounded once from the exact fractions
 _EM_COEFFS = tuple(
     float(_BERNOULLI[k - 1] / math.factorial(2 * k)) for k in range(1, _EM_M + 1)
+)
+# the tail's Horner steps, k = _EM_M - 1 down to 1: (B_2k / (2k)!, 2k - 1, 2k)
+_EM_HORNER = tuple(
+    (_EM_COEFFS[k - 1], 2.0 * k - 1.0, 2.0 * k) for k in range(_EM_M - 1, 0, -1)
 )
 _ZETA_IM_CAP = 60.0
 
@@ -665,19 +682,18 @@ def _cexpm1(w: complex) -> complex:
     return cmath.exp(w) - 1.0
 
 
-def _em_tail(s: complex, base: float) -> complex:
-    """Euler-Maclaurin correction terms at cutoff `base` (= N + a)."""
-    out = 0.0 + 0.0j
-    rising = s  # (s)_{2k-1} built incrementally
-    for k, coeff in enumerate(_EM_COEFFS, start=1):
-        out += coeff * rising * base ** (-s - (2 * k - 1))
-        if k < _EM_M:
-            rising *= (s + 2 * k - 1) * (s + 2 * k)
-    return out
-
-
 def _hurwitz_em(s: complex, a: float, skip_pole: bool) -> complex:
     """Euler-Maclaurin Hurwitz zeta, valid Re(s) > -0.5, |Im(s)| <= 60.
+
+    With base = N + a, N = _EM_N = 24 and M = _EM_M = 22,
+
+        zeta(s, a) = sum_{n < N} (n + a)^-s + base^(1-s) / (s - 1)
+                     + base^-s (1/2 + sum_{k <= M} B_2k/(2k)! (s)_{2k-1} base^(1-2k)),
+
+    so the whole tail costs the one power base^-s and a Horner sum in
+    base^-2: 25 complex powers in all.  The truncation error is about the
+    first omitted correction, B_2(M+1)/(2(M+1))! (s)_{2M+1} base^(-s-2M-1),
+    which is largest at s = -0.5 +- 60i as a -> 0 (base = 24), 4.7e-17.
 
     With skip_pole the exact simple-pole part 1/(s-1) is omitted, which is
     what character sums with zero mean need to pass smoothly through s = 1.
@@ -695,23 +711,30 @@ def _hurwitz_em(s: complex, a: float, skip_pole: bool) -> complex:
     acc += regular
     if not skip_pole:
         acc += 1.0 / (s - 1.0)
-    acc += 0.5 * base ** (-s)
-    acc += _em_tail(s, base)
-    return acc
+    x2 = 1.0 / (base * base)
+    tail = _EM_COEFFS[-1]
+    for coeff, lo, hi in _EM_HORNER:
+        tail = coeff + tail * x2 * ((s + lo) * (s + hi))
+    return acc + base ** (-s) * (0.5 + s * tail / base)
 
 
 # (point, offset) pairs per block of the array Euler-Maclaurin sum: a
-# block of the power sum is (pairs, _EM_N) complex, 0.2 MB
+# block of the power sum is (pairs, _EM_N) complex, 0.1 MB
 _EM_BLOCK = 256
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _em_tables(offsets: tuple):
-    """For each offset a: the bases n + a for n < _EM_N with their logs,
-    and the cutoff N + a with its log, one row per offset."""
-    a = np.array(offsets, dtype=float)[:, None]
-    bases = np.arange(_EM_N) + a
-    return bases, np.log(bases), _EM_N + a, np.log(_EM_N + a)
+    """For each offset a: a row of the bases n + a for n < _EM_N and a row
+    of their logs, the cutoff N + a and its log, and a column of the tail
+    weights B_2k/(2k)! (N + a)^(1-2k), k = 1 .. _EM_M.  Kept for the 16
+    offset tuples used last (a modulus near 1000 has 0.5 MB of tables)."""
+    a = np.array(offsets, dtype=float)
+    bases = np.arange(_EM_N) + a[:, None]
+    base = _EM_N + a
+    odd = np.arange(1.0, 2 * _EM_M, 2)[:, None]  # 2k - 1
+    weights = np.array(_EM_COEFFS)[:, None] * base**-odd
+    return bases, np.log(bases), base, np.log(base), weights
 
 
 def _real_pow(x, w, log_x=None):
@@ -739,39 +762,41 @@ def _hurwitz_em_array(s: np.ndarray, offsets: tuple,
     times offsets.  skip_pole is a bool or a boolean array over s that
     omits the pole part 1/(s-1) where it is true.
 
-    The sum cancels up to a few hundred to one at Re(s) = -0.5, so its
-    terms are rounded as the scalar ones (see _real_pow) and added in the
-    same order; only complex products and quotients round differently.
+    The head sum cancels up to about a hundred to one at Re(s) = -0.5, so
+    its terms are rounded as the scalar ones (see _real_pow) and added in
+    the same order.  The tail's correction sum is the matrix product of
+    the rising factorials (s)_{2k-1} with _em_tables' weights, where the
+    scalar body runs Horner's rule, so it and the complex products round
+    differently.
     """
-    bases, logs, base, lb = _em_tables(offsets)
-    odd = np.arange(1, 2 * _EM_M, 2)  # 2k - 1
+    bases, logs, base, lb, weights = _em_tables(offsets)
+    odd = np.arange(1.0, 2 * _EM_M - 2, 2)  # 2k - 1 for k < _EM_M
     out = np.empty((s.size, len(offsets)), dtype=complex)
     keep_pole = ~np.broadcast_to(skip_pole, s.shape)
     step = max(1, _EM_BLOCK // len(offsets))
     for lo in range(0, s.size, step):
-        sb = s[lo : lo + step, None, None]
-        terms = _real_pow(bases, -sb, logs)
+        sb = s[lo : lo + step, None]
+        terms = _real_pow(bases, -sb[..., None], logs)
         acc = np.cumsum(terms, axis=-1, out=terms)[..., -1]
-        sb = sb[..., 0]
         near = np.abs(sb - 1.0) < 1e-12
-        w = (1.0 - sb) * lb[:, 0]
+        w = (1.0 - sb) * lb
         expm1 = np.where(
             np.abs(w) < 1e-4,
             w * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0))),
             np.exp(w) - 1.0,
         )
-        acc += np.where(near, -lb[:, 0], expm1 / np.where(near, 1.0, sb - 1.0))
+        acc += np.where(near, -lb, expm1 / np.where(near, 1.0, sb - 1.0))
         keep = keep_pole[lo : lo + step, None]
         if keep.any():
             acc += np.divide(1.0, sb - 1.0, out=np.zeros_like(sb), where=keep)
-        powers = _real_pow(base, -sb[..., None] - np.append(0, odd), lb)
-        acc += 0.5 * powers[..., 0]
+        # (s)_{2k-1} for k = 1 .. _EM_M, one row per point
         rising = np.cumprod(
-            np.concatenate([sb, (sb + odd[:-1]) * (sb + (odd[:-1] + 1))], axis=1),
-            axis=1,
+            np.concatenate([sb, (sb + odd) * (sb + (odd + 1.0))], axis=1), axis=1
         )
-        tail = np.array(_EM_COEFFS) * rising
-        acc += np.cumsum(tail[:, None, :] * powers[..., 1:], axis=-1)[..., -1]
+        # the product with the weights summed over k elementwise: a BLAS
+        # matrix product would map its workspace, 0.5 MB of peak RSS
+        tail = (rising[..., None] * weights).sum(axis=1)
+        acc += _real_pow(base, -sb, lb) * (0.5 + tail)
         out[lo : lo + step] = acc
     return out
 

@@ -557,6 +557,73 @@ def test_euler_maclaurin_coefficients_are_the_exact_fractions():
     assert sf._EM_COEFFS == expect  # exact float equality
 
 
+def test_bernoulli_table_is_mpmaths():
+    expect = tuple(
+        Fraction(*map(int, mp.bernfrac(2 * k))) for k in range(1, sf._EM_M + 1)
+    )
+    assert sf._BERNOULLI == expect
+
+
+def test_euler_maclaurin_first_omitted_correction_is_below_1e_16():
+    # the worst corner of the domain: Re s = -0.5, |Im s| = 60 and a -> 0,
+    # so the cutoff N + a is N
+    k = sf._EM_M + 1
+    for s in (mp.mpc(-0.5, 60), mp.mpc(-0.5, -60)):
+        term = (mp.bernoulli(2 * k) / mp.factorial(2 * k) * mp.rf(s, 2 * k - 1)
+                * mp.power(sf._EM_N, -s - (2 * k - 1)))
+        assert abs(term) < 1e-16
+
+
+# the Euler-Maclaurin domain, the truncation corner Re s = -0.5, |Im s| = 60
+# included, at offsets down to 1/997 (the smallest of a modulus near 1000)
+_EM_GRID = np.array([
+    complex(x, y)
+    for x in (-0.5, 0.0, 0.5, 1.0, 2.5)
+    for y in np.linspace(-60.0, 60.0, 25)
+    if complex(x, y) != 1.0
+])
+
+
+@pytest.mark.parametrize("a", [1.0, 1 / 2, 1 / 3, 1 / 7, 6 / 7, 1 / 997])
+def test_hurwitz_zeta_matches_mpmath_over_the_domain(a):
+    values = sf.hurwitz_zeta(_EM_GRID, a)
+    for s, value in zip(_EM_GRID.tolist(), values.tolist()):
+        ref = complex(mp.zeta(s, a))
+        tol = 2e-13 * (1.0 + abs(ref))
+        assert abs(sf.hurwitz_zeta(s, a) - ref) <= tol, (s, a)
+        assert abs(value - ref) <= tol, (s, a)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_dirichlet_l_matches_mpmath_on_the_critical_line(q):
+    points = 0.5 + 1j * np.linspace(-60.0, 60.0, 25)
+    for chi in sf.characters(q):
+        values = sf.dirichlet_l(points, chi)
+        table = [chi(n) for n in range(q)]
+        for s, value in zip(points.tolist(), values.tolist()):
+            ref = complex(mp.dirichlet(s, table))
+            tol = 2e-13 * (1.0 + abs(ref))
+            assert abs(sf.dirichlet_l(s, chi) - ref) <= tol, (chi, s)
+            assert abs(value - ref) <= tol, (chi, s)
+
+
+def test_euler_maclaurin_tables_stay_within_their_cache_bound():
+    # one offset tuple per modulus; sweep more moduli than the cache keeps
+    tables = sf._em_tables
+    bound = tables.cache_info().maxsize
+    points = np.array([0.5 + 14j, 2.0 - 3j])
+    moduli = [q for q in range(500, 1000) if all(q % d for d in range(2, 32))][:bound + 4]
+    assert len(moduli) > bound
+    for q in moduli:
+        chi = sf.DirichletCharacter(q, (1,))
+        sf.dirichlet_l(points, chi)
+    assert tables.cache_info().currsize == bound
+    for q in moduli[-bound:]:
+        offsets = tuple(n / q for n in range(1, q))
+        for kept, fresh in zip(tables(offsets), tables.__wrapped__(offsets)):
+            assert np.array_equal(kept, fresh)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.floats(-3, 3),
