@@ -390,9 +390,12 @@ def local_factor_ramified(a, b, p: int, chi: UnitCharacter, twist: complex = 1.0
     every unit, except at the mirror, where the quadratic and linear terms
     have equal valuation.  An empty profile means the factor vanishes
     identically (an odd character against an even phase).
+
+    Refuses a character of another prime, and an unramified one, with
+    DomainError.
     """
-    if p == 2:
-        raise DomainError("ramified factors at p = 2 are out of scope")
+    if chi.p != p:
+        raise DomainError(f"character of p = {chi.p} at p = {p}")
     n = chi.conductor_exponent
     if n == 0:
         raise DomainError("character is unramified; use local_factor_unramified")

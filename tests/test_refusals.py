@@ -138,8 +138,11 @@ _TABLE = _arch_rows() + _oracle_point_rows() + [
     ("rat-mod-composite", DomainError,
      lambda: padic_core.rat_mod(Fraction(1, 2), 9, 1), "must be a prime"),
     ("ramified-at-2", DomainError,
-     lambda: padic_zeta.local_factor_ramified(1, 0, 2, padic_core.UnitCharacter(3, 1, 1)),
+     lambda: padic_zeta.local_factor_ramified(1, 0, 2, padic_core.UnitCharacter(2, 1, 1)),
      "p = 2 are out of scope"),
+    ("ramified-foreign-char", DomainError,
+     lambda: padic_zeta.local_factor_ramified(1, 0, 3, padic_core.UnitCharacter(5, 1, 1)),
+     "character of p = 5 at p = 3"),
     ("ramified-unramified-char", DomainError,
      lambda: padic_zeta.local_factor_ramified(1, 0, 5, padic_core.UnitCharacter(5, 0)),
      "use local_factor_unramified"),

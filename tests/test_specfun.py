@@ -607,6 +607,59 @@ def test_dirichlet_l_matches_mpmath_on_the_critical_line(q):
             assert abs(value - ref) <= tol, (chi, s)
 
 
+# |s - 1| from 1e-7 to 0.3 in three directions, where the regular part
+# (base^(1-s) - 1) / (s - 1) of the Euler-Maclaurin kernel is 0 / 0 in
+# the limit
+_NEAR_ONE = np.array([
+    1.0 + r * u
+    for r in np.geomspace(1e-7, 0.3, 15)
+    for u in (1.0, 1j, cmath.exp(-0.75j * math.pi))
+])
+
+
+@pytest.mark.parametrize("a", [1 / 7, 1 / 2, 1.0])
+def test_hurwitz_entire_part_matches_mpmath_near_one(a):
+    values = sf.hurwitz_zeta(_NEAR_ONE, a, skip_pole=True)
+    with mp.workdps(40):
+        for s, value in zip(_NEAR_ONE.tolist(), values.tolist()):
+            z = mp.mpc(s)
+            ref = complex(mp.zeta(z, a) - 1 / (z - 1))
+            tol = 1e-14 * (1.0 + abs(ref))
+            assert abs(sf.hurwitz_zeta(s, a, skip_pole=True) - ref) <= tol, (s, a)
+            assert abs(value - ref) <= tol, (s, a)
+
+
+@pytest.mark.parametrize("a", [1 / 7, 1 / 2, 1.0])
+def test_hurwitz_entire_part_at_one_is_minus_digamma(a):
+    # at s = 1 and a subnormal step from it, where numpy's complex division
+    # by (1 - s) log(N + a) would overflow, both bodies take exprel as 1
+    points = np.array([1.0, 1.0 + 1e-310j, 1.0 - 1e-320j])
+    ref = -complex(mp.digamma(a))
+    values = sf.hurwitz_zeta(points, a, skip_pole=True)
+    for s, value in zip(points.tolist(), values.tolist()):
+        assert abs(sf.hurwitz_zeta(s, a, skip_pole=True) - ref) <= 1e-14 * abs(ref), s
+        assert abs(value - ref) <= 1e-14 * abs(ref), s
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_dirichlet_l_matches_mpmath_near_one(q):
+    with mp.workdps(40):
+        for chi in sf.characters(q):
+            if chi.is_principal:
+                continue
+            # exact phases: rounded values of chi would give the reference
+            # a pole part, their rounded sum over (s - 1)
+            table = [0 if (ph := chi.phase(n)) is None
+                     else mp.expjpi(2 * mp.mpf(ph.numerator) / ph.denominator)
+                     for n in range(q)]
+            values = sf.dirichlet_l(_NEAR_ONE, chi)
+            for s, value in zip(_NEAR_ONE.tolist(), values.tolist()):
+                ref = complex(mp.dirichlet(mp.mpc(s), table))
+                tol = 1e-14 * (1.0 + abs(ref))
+                assert abs(sf.dirichlet_l(s, chi) - ref) <= tol, (chi, s)
+                assert abs(value - ref) <= tol, (chi, s)
+
+
 def test_euler_maclaurin_tables_stay_within_their_cache_bound():
     # one offset tuple per modulus; sweep more moduli than the cache keeps
     tables = sf._em_tables
@@ -622,6 +675,26 @@ def test_euler_maclaurin_tables_stay_within_their_cache_bound():
         offsets = tuple(n / q for n in range(1, q))
         for kept, fresh in zip(tables(offsets), tables.__wrapped__(offsets)):
             assert np.array_equal(kept, fresh)
+
+
+def test_discrete_log_tables_stay_within_their_cache_bound():
+    # one table per prime power; sweep more primes than the cache keeps:
+    # a character's phases at each prime come out as before the sweep,
+    # and every kept table equals a fresh build
+    tables = sf._dlog_array
+    bound = tables.cache_info().maxsize
+    primes = [q for q in range(3, 200) if all(q % d for d in range(2, q))][:bound + 4]
+    assert len(primes) > bound
+
+    def values():
+        return [sf.DirichletCharacter(q, (1,))._phases for q in primes]
+
+    before = values()
+    tables.cache_clear()
+    assert values() == before
+    assert tables.cache_info().currsize == bound
+    for q in primes[-bound:]:
+        assert np.array_equal(tables(q, 1), tables.__wrapped__(q, 1))
 
 
 @settings(max_examples=40, deadline=None)
