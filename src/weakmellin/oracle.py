@@ -172,10 +172,15 @@ def _mellin_profile(a: Fraction, b: Fraction, p: int,
         v = va + 2 * j if vb is None else min(va + 2 * j, vb + j)
         return v < -unit_coset_level(a, p, _power(p, j), n_chi, margin=0)
 
+    # the ramified builder sums at margin 0, so a ramified oracle sums at
+    # margin 1, over other residues; the unramified builder runs no sum,
+    # and margin 1 would only visit p times as many residues
+    margin = 1 if chi is not None and not chi.is_trivial else 0
+
     # without a cancellation floor the only gap risk is a ramified b = 0
     # window, at most conductor wide; pad the required zero run to cover it
     return _level_profile(
-        lambda j: unit_average(a, b, p, _power(p, j), chi=chi),
+        lambda j: unit_average(a, b, p, _power(p, j), chi=chi, margin=margin),
         _mellin_stable(chi),
         top, bottom, floor, max_window, vanishes,
         _STABLE_RUN if floor is not None else _STABLE_RUN + n_chi + 2,
@@ -227,7 +232,8 @@ def _vector_profile(configs: tuple, p: int, max_window: int):
     def theta_prod(j: int) -> complex:
         out, y = 1.0 + 0.0j, _power(p, j)
         for ai, bi in configs:
-            out *= theta_additive(ai, bi, p, y)
+            # margin 0: the vector builder runs no residue sum at all
+            out *= theta_additive(ai, bi, p, y, margin=0)
         return out
 
     anchors = [_anchors(ai, bi, p) for ai, bi in configs]

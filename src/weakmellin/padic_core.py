@@ -22,10 +22,11 @@ a y^2 p^(2L) t^2 / 2, which is p-integral for every t once
 2L >= v(2) - v(a y^2), the v(2) = 1 of p = 2 included; and the level is at
 least chi's conductor exponent, so chi is constant on every coset too.
 A larger margin visits p times more residues per unit and returns the
-same sum up to rounding; the oracles sum at margin 1.  The unramified
-builders run no sum: their Gauss phase is Weil's closed index
-(padic_zeta.weil_index_padic), a Legendre symbol or a class mod 8 times
-psi(-b^2/(2a)).
+same sum up to rounding; the oracles sum at margin 1 for a ramified
+character, over other residues than the builder's, and at margin 0
+otherwise.  The unramified builders run no sum: their Gauss phase is
+Weil's closed index (padic_zeta.weil_index_padic), a Legendre symbol or
+a class mod 8 times psi(-b^2/(2a)).
 
 Every entry point refuses a base p that is not a prime int at most
 _MAX_P, and a non-finite float where it wants a rational, with
@@ -104,7 +105,9 @@ def _require_prime(p: int) -> None:
         raise DomainError(f"the base p must be a prime at most {_MAX_P}, got {p!r}")
 
 
-@lru_cache(maxsize=None)
+# an entry is about 80 bytes; unbounded, a sweep of many bases (say one
+# valuation per odd q below 2e6) would keep every one of them
+@lru_cache(maxsize=256)
 def _is_prime(p: int) -> bool:
     # cached: the entry points check the same few p over and over
     return _factorize(p) == [(p, 1)]

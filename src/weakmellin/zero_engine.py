@@ -5,9 +5,11 @@ Four mechanisms feed a common report format:
 * companion-matrix roots of the finite-place numerator polynomials,
   folded into one vertical period of the zero lattice;
 * a sign-change certificate on the unit circle for self-inversive
-  numerators: one grid scan of a real profile counts and brackets the
-  circle zeros without any eigenvalue work, and a companion root is
-  confirmed by a sign change of the profile across its matching disk;
+  numerators: the companion roots are confirmed together by a sign change
+  of a real profile across each root's own arc, the arcs disjoint (any
+  other numerator's roots by a winding count on a small circle each), and
+  one grid scan of the same profile counts and brackets the circle zeros
+  without any eigenvalue work;
 * argument-principle winding counts around rectangles, sampled evenly in
   arc length and doubled round by round, which count a census box;
 * vertical-line scans, each dip of |fn| settled on one Cauchy circle
@@ -42,7 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,9 +61,7 @@ from .padic_zeta import LocalFactor
 
 _METHODS = ("CompanionRoots", "SignChange", "CauchyCircle")
 
-# residual gates for certification, relative to the natural local scale
-# (see ZeroReport for which method uses which)
-_CERT_RESIDUAL = 1e-8
+# residual gate for certification, relative to the natural local scale
 _ROOT_RESIDUAL = 1e-10
 # matching radius between a located zero and its independent confirmation
 _CERT_RADIUS = 1e-6
@@ -86,10 +86,8 @@ class ZeroReport:
     location is a point in the s plane.  residual is dimensionless:
     the function value at the location divided by the relevant scale
     (max polynomial coefficient, or the largest |fn| of the scan window
-    around the dip).  certified means the residual passed its gate and an
-    independent count confirmed the zero; the gate is 1e-10
-    (_ROOT_RESIDUAL) for exp_poly_roots and line_zeros and 1e-8
-    (_CERT_RESIDUAL) for circle_zeros.
+    around the dip).  certified means the residual is at most 1e-10
+    (_ROOT_RESIDUAL) and an independent count confirmed the zero.
     """
 
     location: complex
@@ -176,9 +174,8 @@ def _profile_values(rot, coeffs, turn, xs):
     return (rot * turn * np.polyval(coeffs, xs)).real
 
 
-def _circle_profile(coeffs, degree: int):
-    """(h, grid): the real function h on [0, 2pi) whose sign changes are
-    the circle zeros, and its values at the xs of _circle_points.  Raises
+def _circle_rotation(coeffs):
+    """conj(sqrt(u)), the rotation of the circle profile h.  Raises
     DomainError unless the numerator is self-inversive.
 
     A self-inversive P satisfies P(X) = u X^D conj(P(1/conj(X))) with
@@ -190,10 +187,7 @@ def _circle_profile(coeffs, degree: int):
     unramified numerators h is the trigonometric binomial
     2 Re(c1 e^(i nu phi)) + 2 Re(c2 e^(i (nu-1) phi)) with |c1| = 1 and
     |c2| = 1/Q < 1, which has no tangential zero, so every circle zero of
-    the numerator is a clean sign change of h.  h takes scalar or array
-    angles.  The grid reads both exponentials from the cached tables
-    (_circle_points, _circle_turn), so it is one np.polyval and one
-    product, equal bit for bit to h at the same angles.
+    the numerator is a clean sign change of h.
     """
     u = coeffs[0] / np.conj(coeffs[-1])
     mirror = u * np.conj(coeffs[::-1])
@@ -201,7 +195,18 @@ def _circle_profile(coeffs, degree: int):
         raise DomainError(
             "circle certificate needs a self-inversive numerator"
         )
-    rot = np.conj(np.sqrt(u))
+    return np.conj(np.sqrt(u))
+
+
+def _circle_profile(coeffs, degree: int):
+    """(h, grid): the circle profile h of _circle_rotation, which takes
+    scalar or array angles, and its values at the xs of _circle_points.
+    The grid reads both exponentials from the cached tables
+    (_circle_points, _circle_turn), so it is one np.polyval and one
+    product, equal bit for bit to h at the same angles.  Raises
+    DomainError unless the numerator is self-inversive.
+    """
+    rot = _circle_rotation(coeffs)
 
     def h(phi):
         return _profile_values(rot, coeffs, _half_turn(degree, phi), np.exp(1j * phi))
@@ -332,54 +337,44 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
 
     The numerator polynomial in X = q^(s - n/2) is solved by the
     companion matrix, each root is pulled back to s and folded into
-    0 <= Im(s) < 2 pi / ln q (after the twist shift), and the result is
-    certified against an independent count.  A root at angle phi of a
-    self-inversive numerator needs D brackets on the circle grid, as
-    unit_circle_certificate counts them, |X| within 1e-8 of 1 and
-    h(phi - d) h(phi + d) <= 0 for the circle profile h,
-    d = _CERT_RADIUS ln q: a circle zero in the matching disk by the
-    intermediate value theorem (one array call of h serves every root).  Other numerators take a tight winding count in the X plane.
-    A factor that vanishes identically has no isolated zeros and gives [].
+    0 <= Im(s) < 2 pi / ln q (after the twist shift), and each root is
+    confirmed on its own matching disk.  The roots of a self-inversive
+    numerator are confirmed together when all D are simple, each has |X|
+    within 1e-8 of 1 and h(phi - d) h(phi + d) <= 0 at its angle phi for
+    the circle profile h (_circle_rotation), d = _CERT_RADIUS ln q, from
+    one array call of h, and the angles lie pairwise more than 2d apart
+    round the circle, so the arcs [phi - d, phi + d] are disjoint: the
+    intermediate value theorem then puts D distinct circle zeros, all of
+    P's, one in each arc.  A root of any other numerator is confirmed when
+    the winding number of P on _DIP_POINTS points of the circle of radius
+    _CERT_RADIUS about it (_turns) is its multiplicity.  A factor that
+    vanishes identically has no isolated zeros and gives [].
     """
     coeffs, D, log_p, to_s, residuals = _numerator_frame(factor)
     if D < 1:
         return []
-    roots = np.roots(coeffs)
-    clustered = _cluster_roots(roots, coeffs)
-
+    clustered = _cluster_roots(np.roots(coeffs), coeffs)
+    xs = np.array([x_root for x_root, _ in clustered])
     try:
-        h, lo, _, _ = _circle_grid(coeffs, D)
+        rot = _circle_rotation(coeffs)
     except DomainError:  # not self-inversive
-        h = None
+        rings = np.polyval(coeffs, xs[:, None] + _CERT_RADIUS * _DIP_UNIT)
+        confirmed = [_turns(vals) == mult for (_, mult), vals in zip(clustered, rings)]
     else:
         half = _CERT_RADIUS * log_p
-        phis = np.array([cmath.phase(x_root) for x_root, _ in clustered])
-        ends = h(np.concatenate([phis - half, phis + half]))
-        straddles = ends[: len(phis)] * ends[len(phis):] <= 0.0
-
-    resids = residuals([x_root for x_root, _ in clustered])
-    reports = []
-    for i, ((x_root, mult), resid) in enumerate(zip(clustered, resids)):
-        if h is not None:
-            confirmed = (len(lo) == D and straddles[i]
-                         and abs(abs(x_root) - 1.0) <= 1e-8)
-        else:
-            box = (x_root.real - _CERT_RADIUS, x_root.real + _CERT_RADIUS,
-                   x_root.imag - _CERT_RADIUS, x_root.imag + _CERT_RADIUS)
-            try:
-                confirmed = winding_count(partial(np.polyval, coeffs), box) == mult
-            except _COUNT_REFUSALS:
-                confirmed = False
-        reports.append(
-            ZeroReport(
-                location=to_s(cmath.log(x_root)),
-                multiplicity=mult,
-                method="CompanionRoots",
-                certified=bool(confirmed and resid <= _ROOT_RESIDUAL),
-                residual=resid,
-            )
-        )
-    return _sorted_reports(reports)
+        phis = np.array([cmath.phase(x_root) for x_root in xs])
+        ends = np.concatenate([phis - half, phis + half])
+        h = _profile_values(rot, coeffs, _half_turn(D, ends), np.exp(1j * ends))
+        gaps = np.diff(np.sort(phis), append=np.min(phis) + 2.0 * math.pi)
+        confirmed = [len(xs) == D and np.all(np.abs(np.abs(xs) - 1.0) <= 1e-8)
+                     and np.all(h[:D] * h[D:] <= 0.0)
+                     and np.all(gaps > 2.0 * half)] * len(xs)
+    return _sorted_reports(
+        ZeroReport(location=to_s(cmath.log(x_root)), multiplicity=mult,
+                   method="CompanionRoots", residual=resid,
+                   certified=bool(ok and resid <= _ROOT_RESIDUAL))
+        for (x_root, mult), resid, ok in zip(clustered, residuals(xs), confirmed)
+    )
 
 
 def zeros_in_window(factor: LocalFactor, im_lo: float,
@@ -437,7 +432,7 @@ def circle_zeros(factor: LocalFactor) -> list[ZeroReport]:
                 location=to_s(1j * ang),
                 multiplicity=1,
                 method="SignChange",
-                certified=bool(len(a) == D and resid <= _CERT_RESIDUAL),
+                certified=bool(len(a) == D and resid <= _ROOT_RESIDUAL),
                 residual=resid,
             )
         )
@@ -554,6 +549,15 @@ def _round_turns(vals):
         return None, sizes
     _check_boundary_clear(vals)
     return _integer_winding(float(np.sum(steps))), sizes
+
+
+def _turns(vals):
+    """The winding number of one round of vals (_round_turns), or None
+    where its steps are too large or it refuses the contour."""
+    try:
+        return _round_turns(vals)[0]
+    except _COUNT_REFUSALS:
+        return None
 
 
 def winding_count(fn, rect, poles=()) -> int:
@@ -684,11 +688,7 @@ def _dip_circle_zeros(vals):
     poly = coeffs[np.flatnonzero(sizes >= min(noise, sizes.max()))[-1]::-1]
     roots = np.roots(poly)
     zeros = _cluster_roots(roots[np.abs(roots) < 1.0], poly)
-    try:
-        turns, _ = _round_turns(vals)
-    except _COUNT_REFUSALS:
-        turns = None
-    return zeros, turns == sum(m for _, m in zeros) >= 1
+    return zeros, _turns(vals) == sum(m for _, m in zeros) >= 1
 
 
 def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,

@@ -217,6 +217,28 @@ def test_character_tables_stay_within_their_cache_bound():
         assert np.array_equal(table(chi.p, chi.conductor_exponent, chi.index), fresh)
 
 
+def test_primality_answers_stay_within_their_cache_bound():
+    # one valuation per odd base, prime or not, checks every base once;
+    # sweep far more bases than the cache keeps, twice
+    check = padic_core._is_prime
+    bound = check.cache_info().maxsize
+    assert bound is not None
+    limit = 8 * bound
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, math.isqrt(limit) + 1):
+        sieve[d * d :: d] = False
+    for _ in range(2):
+        for q in range(3, limit, 2):
+            if sieve[q]:
+                assert valuation(q, q) == 1
+            else:
+                with pytest.raises(DomainError):
+                    valuation(1, q)
+    assert check.cache_info().currsize == bound
+    assert [check(q) for q in range(limit)] == sieve.tolist()
+
+
 def test_characters_at_2_are_out_of_scope():
     with pytest.raises(DomainError):
         UnitCharacter(2, 1, 1)

@@ -214,13 +214,13 @@ def _certificate_case(ramified):
 
 @pytest.mark.parametrize("ramified", [False, True])
 def test_certificate_path_runs_no_bisection(monkeypatch, ramified):
-    # the certificate is the grid scan plus one sign test per companion
-    # root, both ends of every root's bracket in one array call; only
+    # the certificate is one sign test per companion root, both ends of
+    # every root's arc in one array call, and no grid scan; only
     # circle_zeros bisects
     calls = _count_profile_calls(monkeypatch)
     factor = _certificate_case(ramified)
     reports = exp_poly_roots(factor)
-    assert calls == [zero_engine._CIRCLE_SAMPLES, 2 * len(reports)]
+    assert calls == [2 * len(reports)]
     assert all(rep.certified for rep in reports)
     del calls[:]
     count, brackets = unit_circle_certificate(factor)
@@ -259,6 +259,29 @@ def test_double_root_on_the_circle_is_not_certified():
     reports = exp_poly_roots(factor)
     assert reports and not any(rep.certified for rep in reports)
     assert unit_circle_certificate(factor)[0] < factor.degree
+
+
+# the half-width of a root's arc at p = 3
+_ARC = zero_engine._CERT_RADIUS * math.log(3)
+
+
+@pytest.mark.parametrize("gap, certified", [(5e-4, True), (1e-3, True), (1.5 * _ARC, False)])
+def test_close_simple_circle_roots_are_certified_on_disjoint_arcs(gap, certified):
+    # 5e-4 and 1e-3 rad put both roots inside one grid cell
+    # (2 pi / 4096 = 1.5e-3), where the grid sees no sign change, but
+    # their own arcs are disjoint.  At 1.5 half-widths each root's arc
+    # still shows a sign change, but the arcs overlap, so the sign
+    # changes need not be two distinct zeros
+    roots = [cmath.exp(0.1j), cmath.exp(1j * (0.1 + gap))]
+    factor = dataclasses.replace(
+        unramified_from_constants(3, 1, 0, -1), poly=tuple(np.poly(roots))
+    )
+    reports = exp_poly_roots(factor)
+    assert [rep.multiplicity for rep in reports] == [1, 1]
+    assert [rep.certified for rep in reports] == [certified, certified]
+    want = sorted(cmath.log(x).imag / math.log(3) for x in roots)
+    got = [rep.location.imag for rep in reports]
+    assert got == pytest.approx(want, abs=1e-9)
 
 
 @pytest.mark.parametrize("poly, mult", [
