@@ -24,9 +24,12 @@ cross-checks, never here.
 
 log_gamma, gamma, hyp1f1, riemann_zeta, hurwitz_zeta, dirichlet_l and
 completed_xi take a complex scalar or an ndarray of points.  A scalar runs
-the cmath body; an array of any size runs a numpy body elementwise
-(Euler-Maclaurin over the points in blocks) and returns an array of its
-shape.  hyp1f1 on an array of a with scalar real b > 0 and 0 < |z| <= 40
+the cmath body; an array of any size runs a numpy body elementwise and
+returns an array of its shape.  The Euler-Maclaurin zetas read one power
+plan per modulus and residues in both bodies: a complex power at each
+prime base, every other base's power a product of two formed before it
+(_PowerPlan); the numpy body fills its table over the points in blocks.
+hyp1f1 on an array of a with scalar real b > 0 and 0 < |z| <= 40
 sums every finite point from the cached Taylor disc of its lattice cell
 in a, good to about 1e-13 of the disc's scale.  A scalar call, and every
 other point, is good to about 1e-12 of the value: it takes the same disc
@@ -58,7 +61,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, itemgetter, mul
 
 import numpy as np
 
@@ -657,10 +660,15 @@ _EM_M = 22
 _EM_COEFFS = tuple(
     float(_BERNOULLI[k - 1] / math.factorial(2 * k)) for k in range(1, _EM_M + 1)
 )
-# the tail's Horner steps, k = _EM_M - 1 down to 1: (B_2k / (2k)!, 2k - 1, 2k)
-_EM_HORNER = tuple(
-    (_EM_COEFFS[k - 1], 2.0 * k - 1.0, 2.0 * k) for k in range(_EM_M - 1, 0, -1)
-)
+# for the tail coefficients A_k = B_2k/(2k)! (s)_{2k-1}: B_2k/(2k)! for
+# k >= 2 (the scalar body's steps), and the numpy body's columns of
+# B_2k/(2k)! and of 2k - 1 for k < _EM_M
+_EM_STEP_COEFFS = _EM_COEFFS[1:]
+_EM_COEFF_COLUMN = np.array(_EM_COEFFS)[:, None]
+_EM_ODD_COLUMN = np.arange(1.0, 2 * _EM_M - 2, 2)[:, None]
+# the weights of a single Hurwitz or Riemann zeta
+_ONE = (1.0,)
+_ONE_ARRAY = np.ones(1)
 _ZETA_IM_CAP = 60.0
 
 
@@ -697,52 +705,6 @@ def _exprel(w):
     return np.divide(em1, w, out=np.ones_like(w), where=np.abs(w) >= 1e-300)
 
 
-def _hurwitz_em(s: complex, a: float) -> complex:
-    """The entire part H(s, a) = zeta(s, a) - 1/(s - 1), by Euler-Maclaurin
-    for Re(s) > -0.5, |Im(s)| <= 60.  With base = N + a, N = _EM_N = 24
-    and M = _EM_M = 22,
-
-        H(s, a) = sum_{n < N} (n + a)^-s - log(base) exprel((1 - s) log base)
-                  + base^-s (1/2 + sum_{k <= M} B_2k/(2k)! (s)_{2k-1} base^(1-2k)),
-
-    the exprel term being (base^(1-s) - 1) / (s - 1).  So the whole tail
-    costs the one power base^-s and a Horner sum in base^-2: 25 complex
-    powers in all.  The truncation error is about the first omitted
-    correction, B_2(M+1)/(2(M+1))! (s)_{2M+1} base^(-s-2M-1), which is
-    largest at s = -0.5 +- 60i as a -> 0 (base = 24), 4.7e-17.
-    """
-    acc = 0.0 + 0.0j
-    for n in range(_EM_N):
-        acc += (n + a) ** (-s)
-    base = _EM_N + a
-    lb = math.log(base)
-    acc -= lb * _exprel((1.0 - s) * lb)
-    x2 = 1.0 / (base * base)
-    tail = _EM_COEFFS[-1]
-    for coeff, lo, hi in _EM_HORNER:
-        tail = coeff + tail * x2 * ((s + lo) * (s + hi))
-    return acc + base ** (-s) * (0.5 + s * tail / base)
-
-
-# (point, offset) pairs per block of the array Euler-Maclaurin sum: a
-# block of the power sum is (pairs, _EM_N) complex, 0.1 MB
-_EM_BLOCK = 256
-
-
-@lru_cache(maxsize=16)
-def _em_tables(offsets: tuple):
-    """For each offset a: a row of the bases n + a for n < _EM_N and a row
-    of their logs, the cutoff N + a and its log, and a column of the tail
-    weights B_2k/(2k)! (N + a)^(1-2k), k = 1 .. _EM_M.  Kept for the 16
-    offset tuples used last (a modulus near 1000 has 0.5 MB of tables)."""
-    a = np.array(offsets, dtype=float)
-    bases = np.arange(_EM_N) + a[:, None]
-    base = _EM_N + a
-    odd = np.arange(1.0, 2 * _EM_M, 2)[:, None]  # 2k - 1
-    weights = np.array(_EM_COEFFS)[:, None] * base**-odd
-    return bases, np.log(bases), base, np.log(base), weights
-
-
 def _real_pow(x, w, log_x=None):
     """x ** w for real x > 0 and complex w, scalars or arrays (broadcast).
 
@@ -761,36 +723,219 @@ def _real_pow(x, w, log_x=None):
     return out
 
 
-def _hurwitz_em_array(s: np.ndarray, offsets: tuple) -> np.ndarray:
-    """_hurwitz_em at every point of a 1-D array s and every offset,
-    shape (len(s), len(offsets)), in blocks of at most _EM_BLOCK points
-    times offsets.
+# The Euler-Maclaurin kernel works on power plans.  q^-s zeta(s, r/q) has
+# the head terms (n q + r)^-s, n < N, and the cutoff (N q + r)^-s, so at
+# an integer residue r every base is an integer m.  A plan raises m to -s
+# only at a prime m and forms every other m^-s as p^-s (m/p)^-s, p the
+# least prime of m, in rounds by the number of prime factors of m: the
+# sieved power sums of Johansson, "Rigorous high-precision computation of
+# the Hurwitz zeta function and its derivatives", Numer. Algorithms 2015.
+# A point of zeta takes 9 complex powers, of L mod 5 30, mod 7 40 and
+# mod 997 2 755 (25, 101, 151 and 24 901 raised one by one).
 
-    The head sum cancels up to about a hundred to one at Re(s) = -0.5, so
-    its terms are rounded as the scalar ones (see _real_pow) and added in
-    the same order.  The tail's correction sum is the product of the
-    rising factorials (s)_{2k-1} with _em_tables' weights, summed over k,
-    where the scalar body runs Horner's rule, so it and the complex
-    products round differently.
+
+def _least_primes(top: int) -> list[int]:
+    """f[m] = the least prime factor of m for 2 <= m <= top; f[1] = 1."""
+    f = list(range(top + 1))
+    # the least prime of a composite writes it last
+    for d in range(math.isqrt(top), 1, -1):
+        f[d * d :: d] = [d] * ((top - d * d) // d + 1)
+    return f
+
+
+class _PowerPlan:
+    """The powers of one Euler-Maclaurin sum: q^-s zeta(s, r/q) for every
+    r of `residues`, and q^-s.
+
+    `values` lists the bases of the sum, one entry each.  Entry 0 is 1,
+    entries 1 .. D are the bases raised directly (`bases`, with their
+    `logs`), and entry D + 1 + t is the product of entries left[t] and
+    right[t], both formed before it; `rounds` splits the products into
+    runs that read only earlier runs.  rows[i, n] is the entry of
+    n q + r, r the i-th residue, for n = 0 .. N (n = N the cutoff), and
+    `scale` is the entry of q.  With integer residues the bases raised
+    directly are the primes, each composite is its least prime times its
+    cofactor, and the entries are closed under both.  A float residue
+    (only hurwitz_zeta has one, at q = 1) raises every n + r directly and
+    forms no products.  The tail reads cut = N + r/q, log cut and the
+    weights cut^(1 - 2k), k = 1 .. M, a row per k.
     """
-    bases, logs, base, lb, weights = _em_tables(offsets)
-    odd = np.arange(1.0, 2 * _EM_M - 2, 2)  # 2k - 1 for k < _EM_M
-    out = np.empty((s.size, len(offsets)), dtype=complex)
-    step = max(1, _EM_BLOCK // len(offsets))
-    for lo in range(0, s.size, step):
-        sb = s[lo : lo + step, None]
-        terms = _real_pow(bases, -sb[..., None], logs)
-        acc = np.cumsum(terms, axis=-1, out=terms)[..., -1]
-        acc -= lb * _exprel((1.0 - sb) * lb)
-        # (s)_{2k-1} for k = 1 .. _EM_M, one row per point
-        rising = np.cumprod(
-            np.concatenate([sb, (sb + odd) * (sb + (odd + 1.0))], axis=1), axis=1
+
+    def __init__(self, q: int, residues: tuple):
+        N = _EM_N
+        if all(float(r).is_integer() for r in residues):
+            ints = [[n * q + int(r) for n in range(N + 1)] for r in residues]
+            top = max(q, *(row[-1] for row in ints))
+            least = _least_primes(top)
+            omega = [0] * (top + 1)  # the number of prime factors
+            present = [False] * (top + 1)
+            for m in range(2, top + 1):
+                omega[m] = omega[m // least[m]] + 1
+            for m in (1, q, *itertools.chain.from_iterable(ints)):
+                present[m] = True
+            for m in range(top, 1, -1):  # close the entries under m -> (p, m / p)
+                p = least[m]
+                if present[m] and p < m:
+                    present[p] = present[m // p] = True
+            values = sorted(itertools.compress(range(top + 1), present), key=omega.__getitem__)
+            at = {m: i for i, m in enumerate(values)}
+            comp = [m for m in values if omega[m] > 1]
+            self.left = np.array([at[least[m]] for m in comp], dtype=np.int32)
+            self.right = np.array([at[m // least[m]] for m in comp], dtype=np.int32)
+            ends = list(itertools.accumulate(
+                len(list(run)) for _, run in itertools.groupby(omega[m] for m in comp)
+            ))
+            self.rounds = tuple(zip([0, *ends[:-1]], ends))
+            self.rows = np.array([[at[m] for m in row] for row in ints], dtype=np.int32)
+            self.scale = at[q]
+            self.bases = np.array([m for m in values if omega[m] == 1], dtype=float)
+            self.values = np.array(values, dtype=float)
+            cut = np.array([row[-1] / q for row in ints])
+        else:
+            self.bases = (np.arange(N + 1.0) + np.array(residues, dtype=float)[:, None]).ravel()
+            self.left = self.right = np.zeros(0, dtype=np.int32)
+            self.rounds = ()
+            self.rows = np.arange(1, self.bases.size + 1, dtype=np.int32).reshape(-1, N + 1)
+            self.scale = 0
+            self.values = np.r_[1.0, self.bases]
+            cut = self.bases[N :: N + 1]
+        self.logs = np.log(self.bases)
+        self.lb = np.log(cut)
+        self.weights = cut ** -np.arange(1.0, 2 * _EM_M, 2)[:, None]
+        self.cut = cut
+
+    @cached_property
+    def lists(self):
+        """The scalar body's plan: the bases raised directly, as complex
+        numbers (CPython rounds x ** w alike at a float or a complex x);
+        per round, a getter of its factors in pairs, left then right; and
+        per residue (a getter of the head entries, the cutoff entry, 1/cut,
+        1/cut^2, log cut)."""
+        pairs = np.column_stack((self.left, self.right)).tolist()
+        cut = self.cut
+        return (
+            [complex(x) for x in self.bases.tolist()],
+            [itemgetter(*itertools.chain(*pairs[lo:hi])) for lo, hi in self.rounds],
+            list(zip(map(itemgetter, *self.rows[:, :-1].T.tolist()), self.rows[:, -1].tolist(),
+                     (1.0 / cut).tolist(), (1.0 / (cut * cut)).tolist(), self.lb.tolist())),
         )
-        # the product with the weights summed over k elementwise: a BLAS
-        # matrix product would map its workspace, 0.5 MB of peak RSS
-        tail = (rising[..., None] * weights).sum(axis=1)
-        acc += _real_pow(base, -sb, lb) * (0.5 + tail)
-        out[lo : lo + step] = acc
+
+
+# a plan near q = 1000 holds 24 901 entries, 0.7 MB of arrays
+@lru_cache(maxsize=16)
+def _em_plan(q: int, residues: tuple) -> _PowerPlan:
+    """The power plan of (q, residues), kept for the 16 used last."""
+    return _PowerPlan(q, residues)
+
+
+def _entries(plan: _PowerPlan, w):
+    """m^w at every entry m of the plan: a list at a complex w, an
+    (entries, points) array at a 1-D array w.  The bases are raised in
+    one place, the list comprehension or the one _real_pow call."""
+    if not _is_array(w):
+        bases, rounds, _ = plan.lists
+        pw = [1.0, *[x**w for x in bases]]
+        for factors in rounds:
+            pair = iter(factors(pw))
+            pw += map(mul, pair, pair)
+        return pw
+    D = plan.bases.size
+    table = np.empty((plan.values.size, w.size), dtype=complex)
+    table[0] = 1.0
+    table[1 : D + 1] = _real_pow(plan.bases[:, None], w, plan.logs[:, None])
+    for lo, hi in plan.rounds:
+        np.multiply(table[plan.left[lo:hi]], table[plan.right[lo:hi]],
+                    out=table[D + 1 + lo : D + 1 + hi])
+    return table
+
+
+def _hurwitz_em(s: complex, plan: _PowerPlan, weights) -> complex:
+    """sum_i weights[i] q^-s H(s, r_i/q) over the plan's residues r_i,
+    H(s, a) = zeta(s, a) - 1/(s - 1) the entire part, by Euler-Maclaurin
+    for Re(s) > -0.5, |Im(s)| <= 60.  With cut = N + a, N = _EM_N = 24
+    and M = _EM_M = 22,
+
+        H(s, a) = sum_{n < N} (n + a)^-s - log(cut) exprel((1 - s) log cut)
+                  + cut^-s (1/2 + sum_{k <= M} A_k cut^(1-2k)),
+
+    A_k = B_2k/(2k)! (s)_{2k-1}, the exprel term being (cut^(1-s) - 1) /
+    (s - 1).  Times q^-s every power is an entry of the plan, (n q + r)^-s,
+    and the exprel term alone takes q^-s.  A_k is formed once a point, and
+    each residue sums its tail by Horner's rule in the real 1/cut^2.  The
+    truncation error is about the first omitted correction,
+    B_2(M+1)/(2(M+1))! (s)_{2M+1} cut^(-s-2M-1), which is largest at
+    s = -0.5 +- 60i as a -> 0 (cut = 24), 4.7e-17.
+    """
+    pw = _entries(plan, -s)
+    # (s)_{2k+1} = (s)_{2k-1} P_k, P_k = (s + 2k - 1)(s + 2k), and P_k
+    # steps by the differences 4s + 8k + 2
+    rise, step, diff = s, (s + 1.0) * (s + 2.0), 4.0 * s + 2.0
+    rising = [_EM_COEFFS[0] * s]
+    for coeff in _EM_STEP_COEFFS:
+        rise *= step
+        rising.append(coeff * rise)
+        diff += 8.0
+        step += diff
+    rising.reverse()
+    main = reg = 0.0
+    for (head, cut, inv, x2, lb), c in zip(plan.lists[2], weights):
+        tail = 0.0
+        for a in rising:
+            tail = tail * x2 + a
+        main += c * (sum(head(pw)) + pw[cut] * (0.5 + tail * inv))
+        reg += c * lb * _exprel((1.0 - s) * lb)
+    return main - pw[plan.scale] * reg
+
+
+# table entries (plan entries times points) per block of the array
+# Euler-Maclaurin sum: a block's table of powers is at most 96 KB, and the
+# head rows gathered from it as much again.  At 8 192 entries the largest
+# block of the global census held 0.16 MB more than at 6 144
+_EM_BLOCK = 6144
+
+
+def _hurwitz_em_array(s: np.ndarray, plan: _PowerPlan, weights: np.ndarray) -> np.ndarray:
+    """_hurwitz_em at every point of a 1-D array s, in blocks of at most
+    _EM_BLOCK table entries (one point at least).
+
+    A block's table (_entries) holds the plan's entries times its points:
+    the direct powers, rounded as the scalar ones (see _real_pow), then
+    each round of products.  The head sums its rows in the scalar order,
+    since it cancels up to about a hundred to one at Re(s) = -0.5.  The
+    tail is the product of A_k, formed along the points, with the plan's
+    weights cut^(1-2k), summed over k, where the scalar body runs Horner's
+    rule, so the two round differently.
+    """
+    head, cut = plan.rows[:, :-1], plan.rows[:, -1]
+    lb = plan.lb[:, None]
+    out = np.empty(s.size, dtype=complex)
+    step = max(1, _EM_BLOCK // plan.values.size)
+    for start in range(0, s.size, step):
+        sb = s[start : start + step]
+        # A_k, a row per k
+        rising = np.empty((_EM_M, sb.size), dtype=complex)
+        rising[0] = sb
+        rising[1:] = (sb + _EM_ODD_COLUMN) * (sb + (_EM_ODD_COLUMN + 1.0))
+        np.cumprod(rising, axis=0, out=rising)
+        rising *= _EM_COEFF_COLUMN
+        # summed over k in real arithmetic on the (real, imaginary) pairs,
+        # by einsum: a BLAS matrix product would map its workspace, 0.5 MB
+        # of peak RSS
+        tail = np.einsum("kr,kx->rx", plan.weights, rising.view(float)).view(complex)
+        # each large array is dropped once read, so that a block holds at
+        # most two of them at a time
+        del rising
+        table = _entries(plan, -sb)
+        acc = table[cut] * (0.5 + tail)
+        scale = table[plan.scale]
+        terms = table[head]
+        del table
+        acc += np.cumsum(terms, axis=1, out=terms)[:, -1]
+        del terms
+        reg = lb * _exprel((1.0 - sb) * lb)
+        out[start : start + step] = (
+            np.einsum("r,rp->p", weights, acc) - scale * np.einsum("r,rp->p", weights, reg)
+        )
     return out
 
 
@@ -830,19 +975,19 @@ def riemann_zeta(s: complex) -> complex:
     z = _zeta_points(s, "riemann_zeta", pole=True)
     if not _is_array(z):
         if z.real >= 0.0:
-            return _hurwitz_em(z, 1.0) + 1.0 / (z - 1.0)
+            return _hurwitz_em(z, _em_plan(1, (1,)), _ONE) + 1.0 / (z - 1.0)
         # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
         x = math.pi * z / 2.0
         half = cmath.sin(x)
         return (
             2.0**z
             * math.pi ** (z - 1.0)
-            * (half * _hurwitz_em(1.0 - z, 1.0)
+            * (half * _hurwitz_em(1.0 - z, _em_plan(1, (1,)), _ONE)
                - math.pi / 2.0 * (half / x))
             * gamma(1.0 - z)
         )
     refl = z.real < 0.0
-    out = _hurwitz_em_array(np.where(refl, 1.0 - z, z), (1.0,))[:, 0]
+    out = _hurwitz_em_array(np.where(refl, 1.0 - z, z), _em_plan(1, (1,)), _ONE_ARRAY)
     out[~refl] += 1.0 / (z[~refl] - 1.0)
     if refl.any():
         zr = z[refl]
@@ -871,9 +1016,10 @@ def hurwitz_zeta(s: complex, a: float, *, skip_pole: bool = False) -> complex:
         raise DomainError(f"hurwitz_zeta needs 0 < a <= 1, got a = {a}")
     z = _zeta_points(s, "hurwitz_zeta", -0.5, pole=not skip_pole)
     pole = 0.0 if skip_pole else 1.0 / (z - 1.0)
+    plan = _em_plan(1, (float(a),))
     if _is_array(z):
-        return (_hurwitz_em_array(z, (float(a),))[:, 0] + pole).reshape(s.shape)
-    return _hurwitz_em(z, a) + pole
+        return (_hurwitz_em_array(z, plan, _ONE_ARRAY) + pole).reshape(s.shape)
+    return _hurwitz_em(z, plan, _ONE) + pole
 
 
 # ---------------------------------------------------------------------------
@@ -1045,6 +1191,14 @@ class DirichletCharacter:
     def __call__(self, n: int) -> complex:
         return self._values[n % self.modulus]
 
+    @cached_property
+    def _em_weights(self) -> tuple[tuple[int, ...], tuple[complex, ...]]:
+        # (the residues r = 1 .. q with chi(r) != 0, and chi(r) at each),
+        # the weights of dirichlet_l's Euler-Maclaurin sum, built once per
+        # character
+        pairs = [(r, c) for r, c in enumerate(self._values[1:] + self._values[:1], 1) if c]
+        return tuple(r for r, _ in pairs), tuple(c for _, c in pairs)
+
     @property
     def is_principal(self) -> bool:
         return all(m == 0 for m in self.index)
@@ -1116,15 +1270,11 @@ def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
             val *= 1.0 - _real_pow(p, -s)
         return val
     z = _zeta_points(s, "dirichlet_l", -0.5)
-    residues = [(n, c) for n in range(1, q + 1) if (c := chi(n)) != 0]
+    residues, weights = chi._em_weights
+    plan = _em_plan(q, residues)
     if _is_array(s):
-        parts = _hurwitz_em_array(z, tuple(n / q for n, _ in residues))
-        acc = (parts * np.array([c for _, c in residues])).sum(axis=1)
-        return _real_pow(q, -s) * acc.reshape(s.shape)
-    acc = 0.0 + 0.0j
-    for n, c in residues:
-        acc += c * _hurwitz_em(z, n / q)
-    return q ** (-s) * acc
+        return _hurwitz_em_array(z, plan, np.array(weights)).reshape(s.shape)
+    return _hurwitz_em(z, plan, weights)
 
 
 def completed_xi(s: complex) -> complex:

@@ -661,20 +661,150 @@ def test_dirichlet_l_matches_mpmath_near_one(q):
 
 
 def test_euler_maclaurin_tables_stay_within_their_cache_bound():
-    # one offset tuple per modulus; sweep more moduli than the cache keeps
-    tables = sf._em_tables
-    bound = tables.cache_info().maxsize
+    # one power plan per modulus; sweep more moduli than the cache keeps:
+    # every kept plan equals a fresh build
+    plans = sf._em_plan
+    bound = plans.cache_info().maxsize
+    assert bound == 16
     points = np.array([0.5 + 14j, 2.0 - 3j])
     moduli = [q for q in range(500, 1000) if all(q % d for d in range(2, 32))][:bound + 4]
     assert len(moduli) > bound
     for q in moduli:
         chi = sf.DirichletCharacter(q, (1,))
         sf.dirichlet_l(points, chi)
-    assert tables.cache_info().currsize == bound
+    assert plans.cache_info().currsize == bound
     for q in moduli[-bound:]:
-        offsets = tuple(n / q for n in range(1, q))
-        for kept, fresh in zip(tables(offsets), tables.__wrapped__(offsets)):
-            assert np.array_equal(kept, fresh)
+        residues = tuple(range(1, q))
+        kept, fresh = plans(q, residues), plans.__wrapped__(q, residues)
+        assert (kept.rounds, kept.scale) == (fresh.rounds, fresh.scale)
+        for name in ("values", "bases", "logs", "left", "right", "rows", "cut", "lb", "weights"):
+            assert np.array_equal(getattr(kept, name), getattr(fresh, name)), name
+        assert kept.left.dtype == kept.right.dtype == kept.rows.dtype == np.int32
+
+
+def _l_plan(q):
+    chi = next(c for c in sf.characters(q) if not c.is_principal)
+    residues, weights = chi._em_weights
+    return chi, sf._em_plan(q, residues), weights
+
+
+def _units(q):
+    return tuple(r for r in range(1, q + 1) if math.gcd(r, q) == 1)
+
+
+class _CountingExponent(complex):
+    """A complex s that counts the powers x ** -s taken with it."""
+
+    count = 0
+
+    def __neg__(self):
+        return _CountingExponent(-complex(self))
+
+    def __rpow__(self, base):
+        _CountingExponent.count += 1
+        return base ** complex(self)
+
+
+@pytest.mark.parametrize("q, powers", [(1, 9), (5, 30), (7, 40), (997, 2755)])
+def test_euler_maclaurin_powers_per_point(q, powers, monkeypatch):
+    # the complex powers a point costs, at the one power call of each
+    # body; raised one by one the bases would cost 25 for zeta and
+    # 25 phi(q) + 1 for L: 101, 151 and 24 901
+    if q == 1:
+        plan, weights = sf._em_plan(1, (1,)), (1.0,)
+        call = sf.riemann_zeta
+    else:
+        chi, plan, weights = _l_plan(q)
+        call = lambda s: sf.dirichlet_l(s, chi)  # noqa: E731
+    _CountingExponent.count = 0
+    scalar = sf._hurwitz_em(_CountingExponent(0.5 + 14j), plan, weights)
+    assert _CountingExponent.count == powers
+    assert scalar == sf._hurwitz_em(0.5 + 14j, plan, weights)
+    sizes = []
+    real_pow = sf._real_pow
+
+    def counting(x, w, log_x=None):
+        out = real_pow(x, w, log_x)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(sf, "_real_pow", counting)
+    points = 0.5 + 1j * np.linspace(1.0, 59.0, 3)
+    call(points)
+    assert sum(sizes) == powers * points.size
+
+
+@pytest.mark.parametrize("q", [1, 5, 7, 12, 997])
+def test_power_plans_raise_primes_and_multiply_the_rest(q):
+    residues = _units(q)
+    plan = sf._em_plan(q, residues)
+    values = plan.values.astype(np.int64).tolist()
+    D = plan.bases.size
+    assert len(set(values)) == len(values) and values[0] == 1
+    assert values[plan.scale] == q
+    for i, r in enumerate(residues):
+        assert [values[e] for e in plan.rows[i]] == [n * q + r for n in range(sf._EM_N + 1)]
+    # every prime is raised directly, and nothing else
+    primes = [m for m in values if m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))]
+    assert values[1 : D + 1] == primes and plan.bases.tolist() == primes
+    # every composite is the product of two entries of earlier rounds
+    assert len(values) == D + 1 + plan.left.size
+    bounds = [0, *itertools.chain(*plan.rounds), plan.left.size]
+    assert bounds[::2] == bounds[1::2]  # the rounds run through the products
+    for lo, hi in plan.rounds:
+        for t in range(lo, hi):
+            left, right = int(plan.left[t]), int(plan.right[t])
+            assert max(left, right) < D + 1 + lo
+            assert values[D + 1 + t] == values[left] * values[right]
+
+
+def test_power_plan_of_a_float_offset_raises_every_base():
+    plan = sf._em_plan(1, (0.3,))
+    assert plan.left.size == 0 and plan.rounds == () and plan.scale == 0
+    assert plan.bases.tolist() == [n + 0.3 for n in range(sf._EM_N + 1)]
+    assert plan.rows.tolist() == [list(range(1, sf._EM_N + 2))]
+
+
+# the corners of the domain and seeded points inside it
+_SIEVE_RNG = random.Random(36)
+_SIEVE_POINTS = [complex(x, y) for x in (-0.5, 2.5) for y in (-60.0, 60.0)] + [
+    complex(_SIEVE_RNG.uniform(-0.5, 2.5), _SIEVE_RNG.uniform(-60.0, 60.0)) for _ in range(4)
+]
+
+
+@pytest.mark.parametrize("q", [1, 7, 997])
+def test_sieved_powers_match_the_direct_powers(q):
+    # m^-s formed as products of prime powers against CPython's m ** -s.
+    # The direct power rounds its phase Im(s) log m, so the scale of both
+    # errors is the ulp of |s| log m, and the two agree to four of those
+    plan = sf._em_plan(q, _units(q))
+    values = plan.values.tolist()
+    points = _SIEVE_POINTS if q < 997 else _SIEVE_POINTS[:3]
+    table = sf._entries(plan, -np.array(points))
+    eps = 2.0**-52
+    for j, s in enumerate(points):
+        for m, scalar, array in zip(values, sf._entries(plan, -s), table[:, j].tolist()):
+            direct = m ** -s
+            tol = 4 * eps * (1 + abs(s) * math.log(m)) * abs(direct)
+            assert abs(scalar - direct) <= tol, (m, s)
+            assert abs(array - direct) <= tol, (m, s)
+
+
+def test_character_weights_are_built_once(monkeypatch):
+    # dirichlet_l reads the character's (residues, weights) pair, kept on
+    # the character, not chi(n) at every residue on every call
+    chi = sf.DirichletCharacter(7, (2,))
+    residues, weights = chi._em_weights
+    assert residues == tuple(n for n in range(1, 8) if chi(n) != 0)
+    assert weights == tuple(chi(n) for n in residues)
+    assert chi._em_weights is chi._em_weights
+    calls = []
+    call = sf.DirichletCharacter.__call__
+    monkeypatch.setattr(sf.DirichletCharacter, "__call__",
+                        lambda self, n: calls.append(n) or call(self, n))
+    sf.dirichlet_l(0.5 + 3j, chi)
+    sf.dirichlet_l(np.array([0.5 + 3j, 2.0]), chi)
+    assert calls == []
 
 
 def test_discrete_log_tables_stay_within_their_cache_bound():
