@@ -3,10 +3,10 @@
 Second degree phases at the real and complex places come in four shapes:
 a plain real Gaussian phase, a hermitian phase on the complex plane, a
 holomorphic square phase on the complex plane, and a radial phase on a
-real vector space.  Each has a closed-form multiplicative transform
-built from one gamma factor and one Kummer function; everything here is
-elementary once the right parameters are matched, and the quadrature
-oracles exist so no formula in this module is trusted on faith.
+real vector space.  Each transform is one gamma factor times one Kummer
+function, and the quadrature oracles check every formula here.  zeta_real
+and zeta_rn_radial also take arrays of s; _entry checks s and picks the
+forms of the body once.
 
 Conventions.  The real additive character is exp(-2 pi i x); the complex
 one is its trace composition, exp(-2 pi i (z + conj(z))).  The angular
@@ -23,9 +23,12 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .specfun import (
-    _as_complex,
-    _cexp,
-    _zero_like,
+    _exp_array,
+    _is_array,
+    _log_gamma,
+    _log_gamma_array,
+    _point,
+    _points,
     gamma,
     gamma_ratio,
     hyp1f1,
@@ -156,9 +159,15 @@ class ComplexCn:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_kummer(w, scale: float, c: float, z: complex, pref=None):
+# exp and log-gamma, scalar and array, for _gamma_kummer
+_SCALAR = (cmath.exp, _log_gamma)
+_ARRAY = (_exp_array, _log_gamma_array)
+
+
+def _gamma_kummer(w, scale: float, c: float, z: complex, pref=None, forms=_SCALAR):
     """pref e^(-i pi w / 2) scale^(-w) Gamma(w) 1F1(w; c; z), multiplied
-    left to right; pref None stands for 1 and w may be an array.
+    left to right; pref None stands for 1, and w is an array with forms
+    _ARRAY.
 
     Every closed form built on one Kummer function has this shape: the
     quadratic part of the phase gives Gamma(w) (i scale)^(-w), and the
@@ -166,10 +175,11 @@ def _gamma_kummer(w, scale: float, c: float, z: complex, pref=None):
     factor is 1F1(w; c; 0) = 1 and is left out; c is never near a
     non-positive integer here."""
 
-    out = _cexp(-0.5j * math.pi * w)
+    exp, log_gamma = forms
+    out = exp(-0.5j * math.pi * w)
     if pref is not None:
         out = pref * out
-    out = out * _powc(scale, -w) * gamma(w)
+    out = out * exp(-w * math.log(scale)) * exp(log_gamma(w))
     if z == 0:
         return out
     return out * hyp1f1(w, c, z)
@@ -177,13 +187,20 @@ def _gamma_kummer(w, scale: float, c: float, z: complex, pref=None):
 
 def _powc(base: float, expo: complex) -> complex:
     # base > 0
-    return _cexp(expo * math.log(base))
+    return cmath.exp(expo * math.log(base))
 
 
 def _quarter_phase(k: complex) -> complex:
     """exp(-i pi k / 4)."""
 
-    return _cexp(-0.25j * math.pi * k)
+    return cmath.exp(-0.25j * math.pi * k)
+
+
+def _entry(s, what: str):
+    """(s checked, the forms of its body): one check and one dispatch."""
+    if _is_array(s):
+        return _points(s, what), _ARRAY
+    return _point(s, what), _SCALAR
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +219,21 @@ def zeta_real(a: float, b: float, s: complex, char=Trivial()) -> complex:
     of points; the result then is an array of its shape."""
 
     a, b = float(a), float(b)
-    s = _as_complex(s)
     _check_real(a, b)
-    if a < 0:
-        return zeta_real(-a, -b, s.conjugate(), char).conjugate()
+    s, forms = _entry(s, "zeta_real")
+    flip = a < 0
+    if flip:
+        a, b, s = -a, -b, s.conjugate()
     z = 1j * math.pi * b * b / a
     if isinstance(char, Trivial):
-        return _gamma_kummer(0.5 * s, math.pi * a, 0.5, z)
-    if isinstance(char, RealSign):
-        if b == 0:
-            return _zero_like(s)
-        return _gamma_kummer(0.5 * (s + 1), math.pi * a, 1.5, z, -2j * math.pi * b)
-    raise DomainError(f"unsupported character {char!r} at the real place")
+        value = _gamma_kummer(0.5 * s, math.pi * a, 0.5, z, None, forms)
+    elif not isinstance(char, RealSign):
+        raise DomainError(f"unsupported character {char!r} at the real place")
+    elif b == 0:
+        value = s - s  # zeros of the kind of s
+    else:
+        value = _gamma_kummer(0.5 * (s + 1), math.pi * a, 1.5, z, -2j * math.pi * b, forms)
+    return value.conjugate() if flip else value
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +331,15 @@ def zeta_rn_radial(a: float, bnorm: float, n: int, s: complex) -> complex:
     s may be an array of points, as for zeta_real."""
 
     a, bnorm, n = float(a), float(bnorm), int(n)
-    s = _as_complex(s)
     _check_radial(n, a, bnorm)
-    if a < 0:
-        return zeta_rn_radial(-a, bnorm, n, s.conjugate()).conjugate()
+    s, forms = _entry(s, "zeta_rn_radial")
+    flip = a < 0
+    if flip:
+        a, s = -a, s.conjugate()
     z = 1j * math.pi * bnorm * bnorm / a
     pref = math.pi ** (0.5 * n) / gamma(0.5 * n)
-    return _gamma_kummer(0.5 * s, math.pi * a, 0.5 * n, z, pref)
+    value = _gamma_kummer(0.5 * s, math.pi * a, 0.5 * n, z, pref, forms)
+    return value.conjugate() if flip else value
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +464,10 @@ def _reflection(sdc, char, s: complex):
 
 
 def functional_equation_residual(sdc, char, s: complex) -> float:
-    """Relative residual of the local functional equation at s.
-
-    Compares Z(s) with c(s) conj(Z(n - conj(s))), the centre n and the
-    constant c(s) taken from the shape's reflection law (_reflection):
-    the index times the rho quotient times |a|^(n/2 - s), with chi(a) =
-    sign(a) for the real sign character and the angular twists at the
-    complex place.  One law serves every shape, negative a included
-    (real phases with either character, radial phases in any
-    dimension)."""
+    """Relative residual of the local functional equation at s: Z(s)
+    against c(s) conj(Z(n - conj(s))), the centre n and the constant c(s)
+    from the shape's reflection law (_reflection), which serves every
+    shape, negative a included."""
 
     s = complex(s)
     direct = zeta_arch(sdc, char, s)

@@ -34,12 +34,12 @@ from .padic_core import UnitCharacter, _rational, _require_prime, valuation
 from .padic_zeta import LocalFactor, local_factor, weil_index_padic
 from .specfun import (
     DirichletCharacter,
-    _as_complex,
     _factorize,
-    _zero_like,
+    _is_array,
+    _zeta_point,
+    _zeta_points,
     completed_xi,
     dirichlet_l,
-    riemann_zeta,
 )
 from .zero_engine import ZeroReport
 
@@ -154,12 +154,14 @@ class GlobalFactorization:
 
         A ramified factor has no pole to cancel; its entire_eval is its
         value.  s may be an array of points; the result then is an array
-        of its shape.
+        of its shape.  DomainError for a non-finite s or |Im s| > 60,
+        before any factor runs.
         """
+        s = (_zeta_points(s, "a global function").reshape(s.shape) if _is_array(s)
+             else _zeta_point(s, "a global function"))
         if self.identically_zero:
-            return _zero_like(s)
-        s = _as_complex(s)
-        out = self.arch_value(s)
+            return s - s  # zeros of the kind of s
+        out = zeta_real(self.arch.a, self.arch.b, s, self.arch_char)
         for lf in self.local_parts.values():
             out *= lf.entire_eval(s)
         return out * dirichlet_l(s, self.chi)
@@ -192,9 +194,7 @@ class GlobalFactorization:
         out = self.arch_value(s)
         for lf in self.local_parts.values():
             out *= lf.evaluate(s)
-        skip = set(self.local_parts) | {
-            p for p, _ in _factorize(self.chi.modulus)
-        }
+        skip = set(self.local_parts) | set(self.chi._primes)
         primes = _primes_below(prime_limit)
         chi_vals = np.array([self.chi(int(p)) for p in primes])
         mask = np.array([int(p) not in skip for p in primes])

@@ -48,7 +48,7 @@ from .padic_core import (
     unit_coset_level,
     valuation,
 )
-from .specfun import _require_finite
+from .specfun import _point
 
 __all__ = [
     "oracle_padic_mellin",
@@ -145,7 +145,7 @@ def _level_sum(profile, stable, x) -> complex:
 
 
 def _require_point(s: complex) -> None:
-    _require_finite(s, "oracle")
+    _point(s, "oracle")
     if not s.real > 0:
         raise DomainError(f"oracle needs Re(s) > 0 for the upper tail, got {s}")
 
@@ -510,7 +510,7 @@ def _cgamma(z):
 
 
 def _require_strip(s, lo, hi, who):
-    _require_finite(s, f"{who} oracle")
+    _point(s, f"{who} oracle")
     if not lo < s.real < hi:
         raise DomainError(
             f"{who} oracle needs {lo} < Re(s) < {hi}, got {s.real}"

@@ -45,6 +45,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +66,7 @@ from .padic_core import (
     unit_average,
     valuation,
 )
-from .specfun import _as_complex, _is_array, _real_pow, _require_finite
+from .specfun import _is_array, _point, _points, _real_pow
 
 __all__ = [
     "LocalFactor",
@@ -220,7 +221,7 @@ class LocalFactor:
 
         Z(s) = p^(e_scale s') * scale * X^(-shift) * P(X) / (1 - p^(-s'))^pole
 
-    with s' = shifted_s(s) and X = p^(s' - n_dim/2).  The fields:
+    with s' = s - i arg(twist) / log p and X = p^(s' - n_dim/2).  The fields:
 
       poly     coefficients of the numerator P, highest degree first; empty
                for a factor that vanishes identically
@@ -235,9 +236,8 @@ class LocalFactor:
     constants k (escape or stabilization level), delta (parity), gamma
     (Gauss phase), C and omega (top coefficient and unit mirror ratio of a
     ramified factor) record how the numerator was built; evaluation reads
-    none of them.  The roots of P are the zeros of Z in one vertical period.
-    A factor keeps nothing but these fields: zero_engine certifies its
-    zeros from poly alone, on every call.
+    none of them.  The roots of P are the zeros of Z in one vertical period;
+    zero_engine certifies them from poly alone, on every call.
     """
 
     p: int
@@ -262,38 +262,38 @@ class LocalFactor:
         factor that vanishes identically."""
         return len(self.poly) - 1
 
-    def shifted_s(self, s: complex) -> complex:
-        """Absorb an unramified twist into a vertical shift of s;
-        DomainError for a non-finite s, which evaluate and entire_eval
-        inherit."""
-        s = _as_complex(s)
-        _require_finite(s, "a local factor")
+    @cached_property
+    def _shift(self) -> complex:
+        # i arg(twist) / log p, taken off s once per factor
         arg = cmath.phase(complex(self.twist))
-        if arg == 0.0:
-            return s
-        return s - 1j * arg / math.log(self.p)
+        return 1j * arg / math.log(self.p) if arg else 0j
 
-    def _numerator(self, s: complex) -> complex:
-        # s is already shifted; Horner's rule keeps P(X) one expression for
-        # scalars and numpy arrays alike
+    def _entry(self, s):
+        # (s', the power of its body): one check and one dispatch
+        if _is_array(s):
+            return _points(s, "a local factor") - self._shift, _real_pow
+        return _point(s, "a local factor") - self._shift, pow
+
+    def _numerator(self, s: complex, power) -> complex:
+        # Horner's rule keeps P(X) one expression for both forms of power
         h = self.n_dim / 2.0
-        x = _real_pow(self.p, s - h)
+        x = power(self.p, s - h)
         acc = 0.0 + 0.0j
         for c in self.poly:
             acc = acc * x + c
         expo = self.e_scale * s - self.shift * (s - h)
-        return self.scale * _real_pow(self.p, expo) * acc
+        return self.scale * power(self.p, expo) * acc
 
     def evaluate(self, s: complex) -> complex:
         """Value at any complex s away from the pole lattice of the factor;
         s may be an array of points."""
-        s = self.shifted_s(s)
-        value = self._numerator(s)
+        s, power = self._entry(s)
+        value = self._numerator(s, power)
         if self.pole:
-            den = 1.0 - _real_pow(self.p, -s)
+            den = 1.0 - power(self.p, -s)
             near = abs(den) < _POLE_EPS
             if np.any(near):
-                at = s[near][0] if _is_array(s) else s
+                at = s if near is True else s[near][0]
                 raise PoleError(f"local factor pole near s = {at} (p = {self.p})")
             value /= den
         return value
@@ -305,7 +305,7 @@ class LocalFactor:
         This is the form the global assembly multiplies against the
         correction quotient; it is entire, so no PoleError is possible.
         """
-        return self._numerator(self.shifted_s(s))
+        return self._numerator(*self._entry(s))
 
     def zero_poly(self):
         """Coefficients (highest degree first) of the numerator polynomial

@@ -1,13 +1,10 @@
 """Special functions used by the zeta-factor machinery.
 
 Everything here is self-contained: a Lanczos log-gamma, Euler-Maclaurin
-Riemann and Hurwitz zeta, a Kummer confluent hypergeometric summed as
-one fixed-point integer series, either at one point in a single pass of
-200 fractional bits (sixty digits, so twelve survive cancellation by up
-to about 1e45) or as a Taylor disc in the upper parameter that serves
-every point near its centre (128 bits, rerun once at 200 where rounding
-alone misses the disc's target), Dirichlet characters of general
-modulus, and the completed Riemann xi.
+Riemann and Hurwitz zeta, a Kummer confluent hypergeometric summed in
+fixed-point integers (see hyp1f1), Dirichlet characters of general
+modulus, and the completed Riemann xi.  mpmath and sympy appear only in
+the tests.
 
 One character convention serves the whole package.  The units mod each
 prime power p^k have fixed generators (`_local_generators`): the least
@@ -19,37 +16,31 @@ read off the index.  The p-adic unit characters of `padic_core` use the
 same generators and table, so a character's local component at odd p is
 its exponent there.
 
-External packages (mpmath, sympy) appear only in the test suite as
-cross-checks, never here.
-
 log_gamma, gamma, hyp1f1, riemann_zeta, hurwitz_zeta, dirichlet_l and
-completed_xi take a complex scalar or an ndarray of points.  A scalar runs
-the cmath body; an array of any size runs a numpy body elementwise and
-returns an array of its shape.  The Euler-Maclaurin zetas read one power
-plan per modulus and residues in both bodies: a complex power at each
-prime base, every other base's power a product of two formed before it
-(_PowerPlan); the numpy body fills its table over the points in blocks.
-hyp1f1 on an array of a with scalar real b > 0 and 0 < |z| <= 40
-sums every finite point from the cached Taylor disc of its lattice cell
-in a, good to about 1e-13 of the disc's scale.  A scalar call, and every
-other point, is good to about 1e-12 of the value: it takes the same disc
-where the disc's error bound is within 1e-12 of the value there, and the
-series elsewhere (see hyp1f1).  A bad point in an array raises what the
-scalar call raises there: PoleError, DomainError, or OverflowError where
-numpy would return inf.
+completed_xi take a complex scalar or an ndarray of points.  Each entry
+checks s and picks its body once: a scalar runs the cmath body, an array
+of any size a numpy body elementwise, returning an array of its shape.
+No body checks or dispatches again; exp, x ** w, exprel, log-gamma and
+the power table each have one scalar and one array form.  A bad point in
+an array raises what the scalar call raises there: PoleError,
+DomainError, or OverflowError where numpy would return inf.  The
+Euler-Maclaurin zetas read one power plan per modulus and residues
+(_PowerPlan), and a point takes M(|s|) Bernoulli corrections from the
+table _EM_TERMS: 5 up to |s| = 2, 12 up to 30, 22 from 58 on, the fewest
+that keep the first omitted one at or below 4.7e-17; a numpy block takes
+those of its largest |s|.
 
-Accuracy targets: ~1e-13 relative for gamma and zeta on the working region
-Re(s) >= -0.5, |Im(s)| <= 60, away from poles.  Values outside that region go
-through reflection formulas or raise DomainError.  Riemann zeta's one pole
-is s = 1; it is regular at s = 0 (zeta(0) = -1/2), and its reflection
-stays good to a few ulps just left of 0.  The Euler-Maclaurin kernel
-returns the entire part zeta(s, a) - 1/(s - 1), so that part (hurwitz_zeta
-with skip_pole) and a non-principal dirichlet_l are within 1.5e-15
-(1 + |value|) of mpmath at |s - 1| from 1e-7 to 0.3.  Left of Re(s) = 0 the
-Euler-Maclaurin sum of a non-principal L cancels by about
-24^(1 - Re s) / |s - 1| (80 at s = -0.5), so dirichlet_l there is good
-to about 1e-13 (1 + |L|): 7.5e-14 at worst on 150 seeded points mod 5 and
-mod 7 with -0.5 <= Re(s) <= -0.1, |Im(s)| <= 60, against 30-digit mpmath.
+Accuracy targets: ~1e-13 relative for gamma and zeta on Re(s) >= -0.5,
+|Im(s)| <= 60, away from poles; outside it reflection formulas serve or
+DomainError is raised.  Riemann zeta is regular at s = 0 and good to a few
+ulps just left of it.  The Euler-Maclaurin kernel returns the entire part
+zeta(s, a) - 1/(s - 1), so that part (hurwitz_zeta with skip_pole) and a
+non-principal dirichlet_l are within 1.5e-15 (1 + |value|) of mpmath at
+|s - 1| from 1e-7 to 0.3.  Left of Re(s) = 0 the Euler-Maclaurin sum of
+a non-principal L cancels by about 24^(1 - Re s) / |s - 1| (80 at
+s = -0.5), so dirichlet_l there is good to about 1e-13 (1 + |L|):
+7.5e-14 at worst on 150 seeded points mod 5 and mod 7 with
+-0.5 <= Re(s) <= -0.1, |Im(s)| <= 60, against 30-digit mpmath.
 """
 
 from __future__ import annotations
@@ -111,20 +102,24 @@ def _is_array(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim > 0
 
 
-def _as_complex(x):
-    """complex(x), or a complex copy of an array x."""
-    return x.astype(complex) if _is_array(x) else complex(x)
+def _point(s, what: str) -> complex:
+    """complex(s), the scalar entry check: DomainError unless finite."""
+    z = complex(s)
+    if not cmath.isfinite(z):
+        raise DomainError(f"{what} needs a finite s")
+    return z
 
 
-def _zero_like(x):
-    """0j, or complex zeros of the shape of an array x."""
-    return np.zeros(x.shape, dtype=complex) if _is_array(x) else 0j
+def _points(s: np.ndarray, what: str) -> np.ndarray:
+    """A complex copy of the array s after _point's check."""
+    z = s.astype(complex)
+    if not np.isfinite(z).all():
+        raise DomainError(f"{what} needs a finite s")
+    return z
 
 
-def _cexp(w):
-    """cmath.exp, elementwise on an array; OverflowError either way."""
-    if not _is_array(w):
-        return cmath.exp(w)
+def _exp_array(w: np.ndarray) -> np.ndarray:
+    """np.exp, raising OverflowError where cmath.exp would."""
     with np.errstate(over="ignore"):
         out = np.exp(w)
     if np.isinf(out).any():
@@ -133,7 +128,7 @@ def _cexp(w):
 
 
 def _near_nonpositive_int(z: complex) -> bool:
-    # every gamma entry point passes here, so it also refuses non-finite z
+    # every gamma body passes here, so it also refuses non-finite z
     if not cmath.isfinite(z):
         raise DomainError(f"gamma needs a finite argument, got {z}")
     if abs(z.imag) > _POLE_TOL:
@@ -147,10 +142,13 @@ def _raise_at_poles(z: np.ndarray, what: str) -> None:
     bad = ~np.isfinite(z)
     if bad.any():
         raise DomainError(f"gamma needs a finite argument, got {z[bad][0]}")
-    r = np.round(z.real)
-    bad = (np.abs(z.imag) <= _POLE_TOL) & (r <= 0) & (np.abs(z.real - r) <= _POLE_TOL)
-    if bad.any():
-        raise PoleError(f"{what} at z = {z[bad][0]}")
+    near = np.abs(z.imag) <= _POLE_TOL
+    if near.any():
+        z = z[near]
+        r = np.round(z.real)
+        bad = (r <= 0) & (np.abs(z.real - r) <= _POLE_TOL)
+        if bad.any():
+            raise PoleError(f"{what} at z = {z[bad][0]}")
 
 
 def _log_gamma_array(z: np.ndarray) -> np.ndarray:
@@ -183,6 +181,30 @@ def _log_gamma_array(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_gamma(z: complex) -> complex:
+    """log_gamma's scalar body: the Lanczos sum at z, or at 1 - z and
+    reflected for Re z < 1/2, as the array body does."""
+    if _near_nonpositive_int(z):
+        raise PoleError(f"gamma pole at z = {z}")
+    refl = z.real < 0.5
+    zz = (1.0 - z if refl else z) - 1.0
+    x = _LANCZOS_C[0]
+    for i in range(1, 9):
+        x += _LANCZOS_C[i] / (zz + i)
+    t = zz + _LANCZOS_G + 0.5
+    out = 0.5 * math.log(TWO_PI) + (zz + 0.5) * cmath.log(t) - t + cmath.log(x)
+    if refl:
+        # log pi/sin(pi z) - log_gamma(1 - z), with sin(pi z) taken at the
+        # exact offset from the nearest integer n, so that it keeps its
+        # relative accuracy next to a pole
+        n = round(z.real)
+        sin_pi = cmath.sin(math.pi * (z - n))
+        if n & 1:
+            sin_pi = -sin_pi
+        out = cmath.log(math.pi / sin_pi) - out
+    return out
+
+
 def log_gamma(z: complex) -> complex:
     """Log of the gamma function.
 
@@ -193,28 +215,13 @@ def log_gamma(z: complex) -> complex:
     """
     if _is_array(z):
         return _log_gamma_array(z.astype(complex))
-    z = complex(z)
-    if _near_nonpositive_int(z):
-        raise PoleError(f"gamma pole at z = {z}")
-    if z.real < 0.5:
-        # reflection: log pi/sin(pi z) - log_gamma(1 - z), with sin(pi z)
-        # taken at the exact offset from the nearest integer n, so that
-        # it keeps its relative accuracy next to a pole
-        n = round(z.real)
-        sin_pi = cmath.sin(math.pi * (z - n))
-        if n & 1:
-            sin_pi = -sin_pi
-        return cmath.log(math.pi / sin_pi) - log_gamma(1.0 - z)
-    zz = z - 1.0
-    x = _LANCZOS_C[0]
-    for i in range(1, 9):
-        x += _LANCZOS_C[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return 0.5 * math.log(TWO_PI) + (zz + 0.5) * cmath.log(t) - t + cmath.log(x)
+    return _log_gamma(complex(z))
 
 
 def gamma(z: complex) -> complex:
-    return _cexp(log_gamma(z))
+    if _is_array(z):
+        return _exp_array(_log_gamma_array(z.astype(complex)))
+    return cmath.exp(_log_gamma(complex(z)))
 
 
 def gamma_ratio(num: complex, den: complex) -> complex:
@@ -235,7 +242,7 @@ def gamma_ratio(num: complex, den: complex) -> complex:
         )
     if num_pole:
         raise PoleError(f"gamma_ratio pole at num={num}")
-    return cmath.exp(log_gamma(num) - log_gamma(den))
+    return cmath.exp(_log_gamma(complex(num)) - _log_gamma(complex(den)))
 
 
 @dataclass(frozen=True)
@@ -277,12 +284,10 @@ def _kummer_series(a: complex, b: complex, z: complex, bits: int):
     part when b is real (a complex b divides through the conjugate), so
     every rounding is relative to 2^-bits at the scale of the largest
     term.  The pass stops after three terms in a row below 2^-64 of the
-    current partial sum.  Raises PoleError when b + k lies within 1e-12 of
-    0 before the series stops, and ConvergenceError after 500 terms.
+    current partial sum.  Raises as hyp1f1_eval does.
     """
-    # The series divides by b + k for k = 0, 1, ...; at most one k brings
-    # that within 1e-12 of 0.  The loop ends short of it, and raises
-    # PoleError there unless the series has stopped before.
+    # at most one k brings b + k within 1e-12 of 0; the loop ends short of
+    # it, and raises PoleError there unless the series has stopped before
     last = _HYP_MAX_TERMS
     if b.real < 0.5:
         kp = round(-b.real)
@@ -355,12 +360,8 @@ def _kummer_series(a: complex, b: complex, z: complex, bits: int):
 
 def _hyp1f1_decimal(a: complex, b: complex, z: complex, digits: int):
     """The one point pass of hyp1f1_eval: _kummer_series at
-    ceil(digits log2 10) fractional bits.
-
-    The name is older than the single pass, from when this was a rerun
-    that rescued a cancelled 128-bit pass; it stays because
-    perfbench/tracing.py counts and times the calls to this attribute.
-    """
+    ceil(digits log2 10) fractional bits.  The name, from an older rescue
+    pass, stays: perfbench/tracing.py counts the calls to it."""
     return _kummer_series(a, b, z, math.ceil(digits * math.log2(10)))
 
 
@@ -372,14 +373,11 @@ def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
     largest partial sum exceeds the value by up to about 1e45.  The
     largest partial sum over the value (the cancellation ratio) times the
     terms used and 10^-60 estimates the relative error.  Within
-    |z| <= 40 the ratio reaches about 1e32, at |z| >= 38 with Im a >= 20,
-    e.g. (0.25+30j, 0.5, 40j) at 1.8e32; on top of a zero (|value| below
-    about 3e-16, such as a certificate's residual) it grows as the value
-    shrinks.
+    |z| <= 40 the ratio reaches about 1e32, e.g. (0.25+30j, 0.5, 40j) at
+    1.8e32, and on top of a zero it grows as the value shrinks.
 
-    Restricted to finite inputs and |z| <= 40 (DomainError otherwise):
-    beyond that the scale swings outgrow even the 60-digit pass and
-    callers must rescale upstream.  Raises PoleError when b + k lies
+    Restricted to finite inputs and |z| <= 40 (DomainError otherwise),
+    where the 60-digit pass holds; callers rescale upstream.  Raises PoleError when b + k lies
     within 1e-12 of 0 before the series stops, and ConvergenceError after
     500 terms.  Emits PrecisionWarning only if the pass leaves fewer than
     about seven clean digits.
@@ -500,9 +498,8 @@ def _kummer_disc(b: float, z: complex, centre: complex):
     is the rounding of the pass (largest partial sums times terms times
     2^-bits, summed over the degrees) plus the tail,
     taken as the last two terms |D_(M-1)| + |D_M| at |u| = 1.  A disc is
-    accepted when that is within 1e-13 of the scale; the 36 discs of the
-    benchmark's real census estimate 4e-37 to 1.5e-17 of it, 2e-25 in
-    the median.  The first pass keeps 128 fractional bits; one that
+    accepted when that is within 1e-13 of the scale.  The first pass
+    keeps 128 fractional bits; one that
     misses only by rounding reruns once at the point pass's 60 digits
     (200 bits), and any other miss refuses the disc.
     """
@@ -560,12 +557,11 @@ def _hyp1f1_point(a: complex, b: complex, z: complex) -> complex:
     With real b > 0 and 0 < |z| <= 40, a finite a evaluates the disc of
     its lattice cell, built here when missing, so the value depends on
     (a, b, z) alone.  The disc value stands when its error bound there,
-    the disc's own error estimate (at most 1e-13 of the disc scale, and
-    1.5e-17 or less on the real census's discs) plus the rounding of
-    Horner's rule (_DISC_HORNER, 1.6e-14 of sum |D_m| |u|^m), is within
-    1e-12 of its modulus, which holds down to values of about 1e-3 of
-    the scale.  Nearer a zero of 1F1 in a the value is smaller than
-    that, and such a point, like every other, takes hyp1f1_eval.
+    the disc's own error estimate (at most 1e-13 of the disc scale) plus
+    the rounding of Horner's rule (_DISC_HORNER, 1.6e-14 of
+    sum |D_m| |u|^m), is within 1e-12 of its modulus, as it is down to
+    values of about 1e-3 of the scale; every other point takes
+    hyp1f1_eval.
     """
     a, b, z = complex(a), complex(b), complex(z)
     # 2a finite keeps floor(2 Re a) an integer
@@ -594,20 +590,14 @@ def hyp1f1(a: complex, b: complex, z: complex) -> complex:
     - An array a with scalar b and z, b real and positive and
       0 < |z| <= 40, takes every finite point from the cached Taylor disc
       (_kummer_disc) of its lattice cell, centred at Re a = j/2 + 1/4 and
-      an integer Im a, however few points share the cell.  Such a value
-      is good to about 1e-13 of the disc's scale, max |1F1| within 0.6 of
-      the centre, not of the point's value, which is smaller near a zero
-      of 1F1 in a.
+      an integer Im a.  Such a value is good to about 1e-13 of the disc's
+      scale, max |1F1| within 0.6 of the centre, not of the point's value,
+      which is smaller near a zero of 1F1 in a.
     - A scalar call, and every other point of an array call (those of a
       disc that misses its error bound, and every point when b or z is an
       array), is good to about 1e-12 of the value itself, and exactly 1
-      at z = 0.  Where the disc above exists, it is evaluated at the
-      point, the disc built first if missing (about 1 to 15 ms, growing
-      with |z|), and its value stands when its error bound there (the
-      disc's own error estimate plus the rounding of Horner's rule) is
-      within 1e-12 of it, as it is down to values of about 1e-3 of the
-      disc's scale; elsewhere, and nearer a zero of 1F1 in a,
-      hyp1f1_eval runs the series.
+      at z = 0 (_hyp1f1_point: the disc value where it is that good, a
+      missing disc built first in about 1 to 15 ms, else the series).
     """
     if not (_is_array(a) or _is_array(b) or _is_array(z)):
         return _hyp1f1_point(a, b, z)
@@ -651,19 +641,21 @@ _BERNOULLI = (
     Fraction(-27833269579301024235023, 690),
 )
 
-# Euler-Maclaurin head length and number of Bernoulli corrections: the
-# first omitted correction is 4.7e-17 at the worst corner of the domain,
-# s = -0.5 +- 60i with a -> 0 (see _hurwitz_em); N = 20 would leave 1.6e-13
+# Euler-Maclaurin head length and the most Bernoulli corrections, which
+# leave 4.7e-17 at the worst corner of the domain, s = -0.5 +- 60i with
+# a -> 0 (see _hurwitz_em); N = 20 would leave 1.6e-13.  _EM_TERMS[h]: the
+# corrections of a point with ceil(|s|) = h, the fewest that leave no
+# more at Re s = -0.5, |s| = h: 5 up to h = 2, one more past each height
+# listed (22 from 58 on); the lookups cap h at 60
 _EM_N = 24
 _EM_M = 22
+_EM_TERMS = tuple(5 + sum(h > r for r in (2, 5, 9, 13, 17, 22, 26, 30, 33, 37, 41, 44,
+                                          47, 50, 52, 55, 57)) for h in range(61))
 # B_2k / (2k)! for k = 1 .. _EM_M, rounded once from the exact fractions
 _EM_COEFFS = tuple(
     float(_BERNOULLI[k - 1] / math.factorial(2 * k)) for k in range(1, _EM_M + 1)
 )
-# for the tail coefficients A_k = B_2k/(2k)! (s)_{2k-1}: B_2k/(2k)! for
-# k >= 2 (the scalar body's steps), and the numpy body's columns of
-# B_2k/(2k)! and of 2k - 1 for k < _EM_M
-_EM_STEP_COEFFS = _EM_COEFFS[1:]
+# the numpy body's columns of B_2k/(2k)! and of 2k - 1 for k < _EM_M
 _EM_COEFF_COLUMN = np.array(_EM_COEFFS)[:, None]
 _EM_ODD_COLUMN = np.arange(1.0, 2 * _EM_M - 2, 2)[:, None]
 # the weights of a single Hurwitz or Riemann zeta
@@ -680,41 +672,37 @@ def _check_height(height: float, what: str) -> None:
                           f"are evaluated for |Im s| <= {_ZETA_IM_CAP:g}")
 
 
-def _require_finite(s, what: str) -> None:
-    """DomainError unless every point of s, a complex or an array, is
-    finite."""
-    if not (np.isfinite(s).all() if _is_array(s) else cmath.isfinite(s)):
-        raise DomainError(f"{what} needs a finite s")
+def _expm1(w, xp):
+    """e^w - 1 for a complex w, in math or np (xp) alike.
 
-
-def _exprel(w):
-    """(e^w - 1) / w for a complex w, elementwise on an array.
-
-    e^w - 1 is expm1(x) cos y - 2 sin(y/2)^2 + i e^x sin y for w = x + iy,
-    the real-part expm1, good to a few ulps of |e^w - 1| as w -> 0 in
-    every direction (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, ch. 1).  Below |w| = 1e-300, where numpy's complex
-    division overflows, the quotient is 1, off by at most 1e-300.
+    It is expm1(x) cos y - 2 sin(y/2)^2 + i e^x sin y for w = x + iy, the
+    real-part expm1, good to a few ulps of |e^w - 1| as w -> 0 in every
+    direction (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 1).
     """
-    xp = np if _is_array(w) else math
     x, y = w.real, w.imag
     h = xp.sin(0.5 * y)
-    em1 = xp.expm1(x) * xp.cos(y) - 2.0 * h * h + 1j * (xp.exp(x) * xp.sin(y))
-    if xp is math:
-        return em1 / w if abs(w) >= 1e-300 else 1.0
-    return np.divide(em1, w, out=np.ones_like(w), where=np.abs(w) >= 1e-300)
+    return xp.expm1(x) * xp.cos(y) - 2.0 * h * h + 1j * (xp.exp(x) * xp.sin(y))
 
 
-def _real_pow(x, w, log_x=None):
-    """x ** w for real x > 0 and complex w, scalars or arrays (broadcast).
+def _exprel(w: complex) -> complex:
+    """(e^w - 1) / w, 1 below |w| = 1e-300 (off by at most 1e-300), where
+    numpy's complex division overflows; _exprel_array is its array form."""
+    return _expm1(w, math) / w if abs(w) >= 1e-300 else 1.0
 
-    On arrays it is rounded as CPython rounds the scalar power: pow(x,
-    Re w) times the unit phase of Im w log x.  numpy's complex power loses
-    the last bits of that phase, which reaches hundreds on the scan lines.
+
+def _exprel_array(w: np.ndarray) -> np.ndarray:
+    return np.divide(_expm1(w, np), w, out=np.ones_like(w), where=np.abs(w) >= 1e-300)
+
+
+def _real_pow(x, w: np.ndarray, log_x=None) -> np.ndarray:
+    """x ** w for real x > 0 and a complex array w, broadcast together.
+
+    It is rounded as CPython rounds the scalar power x ** w: pow(x, Re w)
+    times the unit phase of Im w log x.  numpy's complex power loses the
+    last bits of that phase, which reaches hundreds on the scan lines.
     log_x, when given, is log(x).
     """
-    if not (_is_array(x) or _is_array(w)):
-        return x**w
     mag = np.power(x, w.real)
     phase = w.imag * (math.log(x) if log_x is None else log_x)
     out = np.empty(mag.shape, dtype=complex)
@@ -730,8 +718,8 @@ def _real_pow(x, w, log_x=None):
 # least prime of m, in rounds by the number of prime factors of m: the
 # sieved power sums of Johansson, "Rigorous high-precision computation of
 # the Hurwitz zeta function and its derivatives", Numer. Algorithms 2015.
-# A point of zeta takes 9 complex powers, of L mod 5 30, mod 7 40 and
-# mod 997 2 755 (25, 101, 151 and 24 901 raised one by one).
+# A point of zeta takes 9 complex powers, of L mod 997 2 755 (25 and
+# 24 901 raised one by one).
 
 
 def _least_primes(top: int) -> list[int]:
@@ -808,9 +796,8 @@ class _PowerPlan:
     def lists(self):
         """The scalar body's plan: the bases raised directly, as complex
         numbers (CPython rounds x ** w alike at a float or a complex x);
-        per round, a getter of its factors in pairs, left then right; and
-        per residue (a getter of the head entries, the cutoff entry, 1/cut,
-        1/cut^2, log cut)."""
+        per round, a getter of its factors in pairs; per residue (a getter
+        of the head entries, the cutoff entry, 1/cut, 1/cut^2, log cut)."""
         pairs = np.column_stack((self.left, self.right)).tolist()
         cut = self.cut
         return (
@@ -828,17 +815,19 @@ def _em_plan(q: int, residues: tuple) -> _PowerPlan:
     return _PowerPlan(q, residues)
 
 
-def _entries(plan: _PowerPlan, w):
-    """m^w at every entry m of the plan: a list at a complex w, an
-    (entries, points) array at a 1-D array w.  The bases are raised in
-    one place, the list comprehension or the one _real_pow call."""
-    if not _is_array(w):
-        bases, rounds, _ = plan.lists
-        pw = [1.0, *[x**w for x in bases]]
-        for factors in rounds:
-            pair = iter(factors(pw))
-            pw += map(mul, pair, pair)
-        return pw
+def _entries(plan: _PowerPlan, w: complex) -> list:
+    """m^w at every entry m of the plan, in a list; _entries_array is the
+    array form.  Each raises the bases in one place."""
+    bases, rounds, _ = plan.lists
+    pw = [1.0, *[x**w for x in bases]]
+    for factors in rounds:
+        pair = iter(factors(pw))
+        pw += map(mul, pair, pair)
+    return pw
+
+
+def _entries_array(plan: _PowerPlan, w: np.ndarray) -> np.ndarray:
+    """The (entries, points) table of _entries at a 1-D array w."""
     D = plan.bases.size
     table = np.empty((plan.values.size, w.size), dtype=complex)
     table[0] = 1.0
@@ -853,7 +842,7 @@ def _hurwitz_em(s: complex, plan: _PowerPlan, weights) -> complex:
     """sum_i weights[i] q^-s H(s, r_i/q) over the plan's residues r_i,
     H(s, a) = zeta(s, a) - 1/(s - 1) the entire part, by Euler-Maclaurin
     for Re(s) > -0.5, |Im(s)| <= 60.  With cut = N + a, N = _EM_N = 24
-    and M = _EM_M = 22,
+    and M = _EM_TERMS[ceil |s|] corrections,
 
         H(s, a) = sum_{n < N} (n + a)^-s - log(cut) exprel((1 - s) log cut)
                   + cut^-s (1/2 + sum_{k <= M} A_k cut^(1-2k)),
@@ -863,15 +852,16 @@ def _hurwitz_em(s: complex, plan: _PowerPlan, weights) -> complex:
     and the exprel term alone takes q^-s.  A_k is formed once a point, and
     each residue sums its tail by Horner's rule in the real 1/cut^2.  The
     truncation error is about the first omitted correction,
-    B_2(M+1)/(2(M+1))! (s)_{2M+1} cut^(-s-2M-1), which is largest at
-    s = -0.5 +- 60i as a -> 0 (cut = 24), 4.7e-17.
+    B_2(M+1)/(2(M+1))! (s)_{2M+1} cut^(-s-2M-1), largest at Re s = -0.5
+    as a -> 0 (cut = 24); _EM_TERMS keeps it at or below 4.7e-17 (M sized
+    from the bound, as by Johansson 2015).
     """
     pw = _entries(plan, -s)
     # (s)_{2k+1} = (s)_{2k-1} P_k, P_k = (s + 2k - 1)(s + 2k), and P_k
     # steps by the differences 4s + 8k + 2
     rise, step, diff = s, (s + 1.0) * (s + 2.0), 4.0 * s + 2.0
     rising = [_EM_COEFFS[0] * s]
-    for coeff in _EM_STEP_COEFFS:
+    for coeff in _EM_COEFFS[1 : _EM_TERMS[min(math.ceil(abs(s)), 60)]]:
         rise *= step
         rising.append(coeff * rise)
         diff += 8.0
@@ -898,13 +888,11 @@ def _hurwitz_em_array(s: np.ndarray, plan: _PowerPlan, weights: np.ndarray) -> n
     """_hurwitz_em at every point of a 1-D array s, in blocks of at most
     _EM_BLOCK table entries (one point at least).
 
-    A block's table (_entries) holds the plan's entries times its points:
-    the direct powers, rounded as the scalar ones (see _real_pow), then
-    each round of products.  The head sums its rows in the scalar order,
-    since it cancels up to about a hundred to one at Re(s) = -0.5.  The
-    tail is the product of A_k, formed along the points, with the plan's
-    weights cut^(1-2k), summed over k, where the scalar body runs Horner's
-    rule, so the two round differently.
+    A block's table (_entries_array) holds the plan's entries times its
+    points.  The head sums its rows in the scalar order, since it cancels
+    up to about a hundred to one at Re(s) = -0.5.  The tail, in the
+    corrections of the block's largest |s|, sums A_k times the weights
+    cut^(1-2k) over k, where the scalar body runs Horner's rule.
     """
     head, cut = plan.rows[:, :-1], plan.rows[:, -1]
     lb = plan.lb[:, None]
@@ -913,53 +901,56 @@ def _hurwitz_em_array(s: np.ndarray, plan: _PowerPlan, weights: np.ndarray) -> n
     for start in range(0, s.size, step):
         sb = s[start : start + step]
         # A_k, a row per k
-        rising = np.empty((_EM_M, sb.size), dtype=complex)
+        M = _EM_TERMS[min(math.ceil(np.abs(sb).max()), 60)]
+        rising = np.empty((M, sb.size), dtype=complex)
         rising[0] = sb
-        rising[1:] = (sb + _EM_ODD_COLUMN) * (sb + (_EM_ODD_COLUMN + 1.0))
+        odd = _EM_ODD_COLUMN[: M - 1]
+        rising[1:] = (sb + odd) * (sb + (odd + 1.0))
         np.cumprod(rising, axis=0, out=rising)
-        rising *= _EM_COEFF_COLUMN
+        rising *= _EM_COEFF_COLUMN[:M]
         # summed over k in real arithmetic on the (real, imaginary) pairs,
         # by einsum: a BLAS matrix product would map its workspace, 0.5 MB
         # of peak RSS
-        tail = np.einsum("kr,kx->rx", plan.weights, rising.view(float)).view(complex)
+        tail = np.einsum("kr,kx->rx", plan.weights[:M], rising.view(float)).view(complex)
         # each large array is dropped once read, so that a block holds at
         # most two of them at a time
         del rising
-        table = _entries(plan, -sb)
+        table = _entries_array(plan, -sb)
         acc = table[cut] * (0.5 + tail)
         scale = table[plan.scale]
         terms = table[head]
         del table
         acc += np.cumsum(terms, axis=1, out=terms)[:, -1]
         del terms
-        reg = lb * _exprel((1.0 - sb) * lb)
+        reg = lb * _exprel_array((1.0 - sb) * lb)
         out[start : start + step] = (
             np.einsum("r,rp->p", weights, acc) - scale * np.einsum("r,rp->p", weights, reg)
         )
     return out
 
 
-def _zeta_points(s, what: str, re_min: float = -math.inf, pole: bool = False):
-    """s as a complex, or an array s as a flat complex array, after the one
-    check of the zeta functions: DomainError for a non-finite s, Re(s) <
-    re_min or |Im(s)| past the height cap, and with `pole` PoleError within
-    1e-6 of s = 1.  An array raises what its first bad point raises."""
-    if _is_array(s):
-        z = s.astype(complex).ravel()
-        _require_finite(z, what)
-        bad = (z.real < re_min) | (np.abs(z.imag) > _ZETA_IM_CAP)
-        if pole:
-            bad |= np.abs(z - 1.0) < 1e-6
-        if bad.any():
-            _zeta_points(z[bad][0], what, re_min, pole)
-        return z
-    z = complex(s)
-    _require_finite(z, what)
+def _zeta_point(s, what: str, re_min: float = -math.inf, pole: bool = False) -> complex:
+    """complex(s) after the zeta check: DomainError for a non-finite s,
+    Re(s) < re_min or |Im(s)| > 60, with `pole` PoleError near s = 1."""
+    z = _point(s, what)
     if z.real < re_min:
         raise DomainError(f"{what} restricted to Re(s) >= {re_min}, got {z}")
     _check_height(abs(z.imag), what)
     if pole and abs(z - 1.0) < 1e-6:
         raise PoleError(f"{what} pole at s = {z}")
+    return z
+
+
+def _zeta_points(s: np.ndarray, what: str, re_min: float = -math.inf,
+                 pole: bool = False) -> np.ndarray:
+    """The array s, flat and complex, after _zeta_point's check of its
+    first bad point."""
+    z = _points(s, what).ravel()
+    bad = (z.real < re_min) | (np.abs(z.imag) > _ZETA_IM_CAP)
+    if pole:
+        bad |= np.abs(z - 1.0) < 1e-6
+    if bad.any():
+        _zeta_point(z[bad][0], what, re_min, pole)
     return z
 
 
@@ -972,22 +963,23 @@ def riemann_zeta(s: complex) -> complex:
     entire part.  The reflection takes zeta(1 - s) = H(1 - s) - 1/s and
     the term sin(pi s/2)/s in closed form, so it stays regular at s = 0.
     """
-    z = _zeta_points(s, "riemann_zeta", pole=True)
-    if not _is_array(z):
+    plan = _em_plan(1, (1,))
+    if not _is_array(s):
+        z = _zeta_point(s, "riemann_zeta", pole=True)
         if z.real >= 0.0:
-            return _hurwitz_em(z, _em_plan(1, (1,)), _ONE) + 1.0 / (z - 1.0)
+            return _hurwitz_em(z, plan, _ONE) + 1.0 / (z - 1.0)
         # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
         x = math.pi * z / 2.0
         half = cmath.sin(x)
         return (
             2.0**z
             * math.pi ** (z - 1.0)
-            * (half * _hurwitz_em(1.0 - z, _em_plan(1, (1,)), _ONE)
-               - math.pi / 2.0 * (half / x))
-            * gamma(1.0 - z)
+            * (half * _hurwitz_em(1.0 - z, plan, _ONE) - math.pi / 2.0 * (half / x))
+            * cmath.exp(_log_gamma(1.0 - z))
         )
+    z = _zeta_points(s, "riemann_zeta", pole=True)
     refl = z.real < 0.0
-    out = _hurwitz_em_array(np.where(refl, 1.0 - z, z), _em_plan(1, (1,)), _ONE_ARRAY)
+    out = _hurwitz_em_array(np.where(refl, 1.0 - z, z), plan, _ONE_ARRAY)
     out[~refl] += 1.0 / (z[~refl] - 1.0)
     if refl.any():
         zr = z[refl]
@@ -1000,7 +992,7 @@ def riemann_zeta(s: complex) -> complex:
             _real_pow(2.0, zr)
             * _real_pow(math.pi, zr - 1.0)
             * (half * out[refl] - math.pi / 2.0 * sinc)
-            * gamma(1.0 - zr)
+            * _exp_array(_log_gamma_array(1.0 - zr))
         )
     return out.reshape(s.shape)
 
@@ -1014,22 +1006,18 @@ def hurwitz_zeta(s: complex, a: float, *, skip_pole: bool = False) -> complex:
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"hurwitz_zeta needs 0 < a <= 1, got a = {a}")
-    z = _zeta_points(s, "hurwitz_zeta", -0.5, pole=not skip_pole)
-    pole = 0.0 if skip_pole else 1.0 / (z - 1.0)
     plan = _em_plan(1, (float(a),))
-    if _is_array(z):
+    if _is_array(s):
+        z = _zeta_points(s, "hurwitz_zeta", -0.5, pole=not skip_pole)
+        pole = 0.0 if skip_pole else 1.0 / (z - 1.0)
         return (_hurwitz_em_array(z, plan, _ONE_ARRAY) + pole).reshape(s.shape)
-    return _hurwitz_em(z, plan, _ONE) + pole
+    z = _zeta_point(s, "hurwitz_zeta", -0.5, pole=not skip_pole)
+    return _hurwitz_em(z, plan, _ONE) + (0.0 if skip_pole else 1.0 / (z - 1.0))
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet characters of general modulus.
-#
-# The unit group mod q is the product over prime powers p^k || q of cyclic
-# pieces, each with a fixed generator: the least primitive root for odd p,
-# the pair {-1, 3} for 2^k with k >= 3, {3} for k = 2, none for k = 1.  A
-# character is a choice of exponent against each generator; values are
-# exact rational phases, and the conductor is read off the exponents.
+# Dirichlet characters of general modulus, in the convention of the module
+# docstring; values are exact rational phases.
 # ---------------------------------------------------------------------------
 
 
@@ -1127,12 +1115,10 @@ def _primitive_exponents(p: int, k: int, exps: tuple[int, ...]) -> tuple[int, tu
 class DirichletCharacter:
     """A Dirichlet character mod q, q <= 1000, with exact phase arithmetic.
 
-    `index` lists one exponent per local generator: for each prime power
-    p^k || q, smallest p first, the exponent against the least primitive
-    root mod p^k for odd p, against -1 then 3 for 2^k with k >= 3, against
-    3 for k = 2 (none for k = 1).  chi(g) = exp(2 pi i m / order(g)) for a
-    generator g with exponent m, and the conductor is read off the
-    exponents: p^k / gcd(m, p^k) at odd p.
+    `index` lists one exponent per local generator of the module
+    docstring, smallest p first (-1 before 3 at 2^k, k >= 3).
+    chi(g) = exp(2 pi i m / order(g)) for a generator g with exponent m,
+    and the conductor is p^k / gcd(m, p^k) at odd p.
     """
 
     def __init__(self, q: int, index: tuple[int, ...]):
@@ -1199,7 +1185,18 @@ class DirichletCharacter:
         pairs = [(r, c) for r, c in enumerate(self._values[1:] + self._values[:1], 1) if c]
         return tuple(r for r, _ in pairs), tuple(c for _, c in pairs)
 
-    @property
+    @cached_property
+    def _primes(self) -> tuple[int, ...]:
+        # the primes of q: a principal dirichlet_l's Euler factors
+        return tuple(p for p, _ in _factorize(self.modulus))
+
+    @cached_property
+    def _em_sum(self) -> tuple:
+        # dirichlet_l's power plan and weights, as a tuple and an array
+        residues, weights = self._em_weights
+        return _em_plan(self.modulus, residues), weights, np.array(weights)
+
+    @cached_property
     def is_principal(self) -> bool:
         return all(m == 0 for m in self.index)
 
@@ -1258,23 +1255,21 @@ def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
 
     Non-principal characters evaluate smoothly through s = 1 because the
     per-residue pole parts carry weight sum(chi) = 0 and are dropped exactly.
-    A non-finite s, or one past the height cap, raises DomainError from the
-    zeta it rests on.
+    DomainError for a non-finite s or one past the height cap.
     """
-    s = _as_complex(s)
-    q = chi.modulus
     if chi.is_principal:
         # L(s, chi0) = zeta(s) * prod_{p | q} (1 - p^-s); pole at 1 survives
         val = riemann_zeta(s)
-        for p, _ in _factorize(q):
-            val *= 1.0 - _real_pow(p, -s)
+        if chi._primes:
+            z, power = (s.astype(complex), _real_pow) if _is_array(s) else (complex(s), pow)
+            for p in chi._primes:
+                val *= 1.0 - power(p, -z)
         return val
-    z = _zeta_points(s, "dirichlet_l", -0.5)
-    residues, weights = chi._em_weights
-    plan = _em_plan(q, residues)
+    plan, weights, weight_array = chi._em_sum
     if _is_array(s):
-        return _hurwitz_em_array(z, plan, np.array(weights)).reshape(s.shape)
-    return _hurwitz_em(z, plan, weights)
+        z = _zeta_points(s, "dirichlet_l", -0.5)
+        return _hurwitz_em_array(z, plan, weight_array).reshape(s.shape)
+    return _hurwitz_em(_zeta_point(s, "dirichlet_l", -0.5), plan, weights)
 
 
 def completed_xi(s: complex) -> complex:
@@ -1284,13 +1279,13 @@ def completed_xi(s: complex) -> complex:
     are cancelled, so values like completed_xi(-2) are finite and nonzero.
     s may be an array; PoleError if any point lies within 1e-6 of a pole.
     """
-    s = _as_complex(s)
+    array = _is_array(s)
+    s = s.astype(complex) if array else complex(s)
     near = (abs(s) < 1e-6) | (abs(s - 1.0) < 1e-6)
     if np.any(near):
-        at = s[near][0] if _is_array(s) else s
-        raise PoleError(f"completed xi pole at s = {at}")
-    if _is_array(s):
+        raise PoleError(f"completed xi pole at s = {s[near][0] if array else s}")
+    if array:
         s = np.where(s.real < 0.0, 1.0 - s, s)
     elif s.real < 0.0:
         s = 1.0 - s
-    return _real_pow(math.pi, -s / 2.0) * gamma(s / 2.0) * riemann_zeta(s)
+    return (_real_pow if array else pow)(math.pi, -s / 2.0) * gamma(s / 2.0) * riemann_zeta(s)

@@ -19,13 +19,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weakmellin import acceptance
+from weakmellin import acceptance, global_zeta
 from weakmellin import specfun as sf
 from weakmellin.arch_zeta import Real, RealSign, Trivial, zeta_real, zeta_rn_radial
 from weakmellin.errors import DomainError
 from weakmellin.global_zeta import GlobalSpec, factorize_global, reference_spec
 from weakmellin.padic_core import unit_characters
-from weakmellin.padic_zeta import local_factor, padic_vector_factor
+from weakmellin.padic_zeta import LocalFactor, local_factor, padic_vector_factor
 from weakmellin.zero_engine import census
 
 TOL = 5e-14
@@ -289,6 +289,43 @@ def _global_functions():
 @given(st.sampled_from(_global_functions()), _points(-0.1, 1.1, 60.0, keep=lambda z: _clear(z) and abs(z) >= 0.5))
 def test_global_evaluate(fact, pts):
     _assert_elementwise(fact.evaluate, pts)
+
+
+# |s| just below and just above each height where the table of
+# Euler-Maclaurin corrections steps up, on Re s = 1/2: a scalar call takes
+# the corrections of its own |s|, an array block those of its largest |s|
+_BAND_EDGES = [h for h in range(1, 60) if sf._EM_TERMS[h + 1] > sf._EM_TERMS[h]]
+_EDGE_POINTS = [complex(0.5, sign * np.sqrt((h + d) ** 2 - 0.25))
+                for h in _BAND_EDGES for d in (-1e-9, 1e-9) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("fact", [_global_functions()[0], _global_functions()[3]],
+                         ids=["reference", "mod 7"])
+def test_global_evaluate_across_the_correction_bands(fact):
+    assert len(_BAND_EDGES) == 17
+    _assert_elementwise(fact.evaluate, _EDGE_POINTS)
+    for s in _EDGE_POINTS:
+        _assert_elementwise(fact.evaluate, [s])
+
+
+@pytest.mark.parametrize("fact", [_global_functions()[0], _global_functions()[3]],
+                         ids=["reference", "mod 7"])
+def test_global_evaluate_calls_each_factor_once(fact, monkeypatch):
+    # through the module attributes the benchmark tracer wraps: one
+    # zeta_real, one entire_eval per local part and one dirichlet_l per
+    # evaluation, scalar or array
+    calls = []
+
+    def counted(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    monkeypatch.setattr(global_zeta, "zeta_real", counted("arch", global_zeta.zeta_real))
+    monkeypatch.setattr(global_zeta, "dirichlet_l", counted("L", global_zeta.dirichlet_l))
+    monkeypatch.setattr(LocalFactor, "entire_eval", counted("local", LocalFactor.entire_eval))
+    for s in (0.5 + 14j, np.array([0.5 + 14j, 0.3 - 2j, 0.7 + 40j])):
+        calls.clear()
+        fact.evaluate(s)
+        assert sorted(calls) == sorted(["arch", "L"] + ["local"] * len(fact.local_parts))
 
 
 def test_global_evaluate_keeps_the_array_shape():

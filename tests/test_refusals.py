@@ -9,6 +9,7 @@ closed form and the quadrature oracle.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weakmellin import arch_zeta, oracle, padic_core, padic_zeta, specfun, zero_engine
@@ -22,8 +23,8 @@ from weakmellin.arch_zeta import (
     Trivial,
 )
 from weakmellin.cli import ConfigError, JobConfig
-from weakmellin.errors import DegenerateError, DomainError, NonIntegerWindingError
-from weakmellin.global_zeta import GlobalSpec
+from weakmellin.errors import DegenerateError, DomainError, NonIntegerWindingError, PoleError
+from weakmellin.global_zeta import GlobalSpec, factorize_global, reference_spec
 
 _INF, _NAN = math.inf, math.nan
 _S = 0.5 + 1j
@@ -93,11 +94,38 @@ def _oracle_point_rows():
     ]
 
 
+def _global_rows():
+    """(id, error, call, fragment): GlobalFactorization.evaluate refuses
+    each bad s alone and as the second point of an array.  A non-finite
+    point is refused before any arithmetic: under the suite's
+    error::RuntimeWarning filter a warning from numpy would be raised
+    instead."""
+    reference = factorize_global(reference_spec())
+    chi5 = next(c for c in specfun.characters(5) if c.is_primitive and c.is_even)
+    mod5 = factorize_global(GlobalSpec(
+        arch=Real(0.7, 0.0), finite=((2, Fraction(2, 3), Fraction(1)),
+                                     (5, Fraction(3, 2), Fraction(2, 5))), chi=chi5))
+    cases = [
+        ("inf", reference, complex(0.5, _INF), DomainError, "global function needs a finite s"),
+        ("nan", reference, complex(_NAN, 0.0), DomainError, "global function needs a finite s"),
+        ("height", reference, 0.5 + 61j, DomainError, r"reaches \|Im s\| = 61"),
+        ("zeta-pole", reference, 1.0, PoleError, "riemann_zeta pole"),
+        ("gamma-pole", reference, 0.0, PoleError, "gamma pole"),
+        ("left-edge-mod5", mod5, -0.6 + 1j, DomainError, r"Re\(s\) >= -0.5"),
+    ]
+    return [
+        (f"global-evaluate-{name}-{kind}", error,
+         lambda f=fact.evaluate, s=s, wrap=wrap: f(wrap(s)), fragment)
+        for name, fact, s, error, fragment in cases
+        for kind, wrap in (("scalar", complex), ("array", lambda s: np.array([0.5 + 1j, s])))
+    ]
+
+
 def _config(**fields):
     return lambda: JobConfig.from_mapping(fields)
 
 
-_TABLE = _arch_rows() + _oracle_point_rows() + [
+_TABLE = _arch_rows() + _oracle_point_rows() + _global_rows() + [
     # archimedean dispatch, index, rho and reflection law
     ("zeta-real-char", DomainError,
      lambda: arch_zeta.zeta_real(1.0, 0.0, _S, ComplexCn(1)), "at the real place"),

@@ -564,14 +564,29 @@ def test_bernoulli_table_is_mpmaths():
     assert sf._BERNOULLI == expect
 
 
+def _first_omitted(M, s):
+    # B_2(M+1)/(2(M+1))! (s)_{2M+1} cut^(-s-2M-1) at a -> 0, cut = N
+    k = M + 1
+    return abs(mp.bernoulli(2 * k) / mp.factorial(2 * k) * mp.rf(s, 2 * k - 1)
+               * mp.power(sf._EM_N, -s - (2 * k - 1)))
+
+
 def test_euler_maclaurin_first_omitted_correction_is_below_1e_16():
     # the worst corner of the domain: Re s = -0.5, |Im s| = 60 and a -> 0,
     # so the cutoff N + a is N
-    k = sf._EM_M + 1
-    for s in (mp.mpc(-0.5, 60), mp.mpc(-0.5, -60)):
-        term = (mp.bernoulli(2 * k) / mp.factorial(2 * k) * mp.rf(s, 2 * k - 1)
-                * mp.power(sf._EM_N, -s - (2 * k - 1)))
-        assert abs(term) < 1e-16
+    corner = [_first_omitted(sf._EM_M, mp.mpc(-0.5, y)) for y in (60, -60)]
+    assert max(corner) < 1e-16
+    # each band ceil(|s|) = h of the table keeps the first omitted
+    # correction at or below that corner's 4.7e-17.  Along |s| = h the term
+    # falls as Re s grows, so the band's worst corner is Re s = -0.5; band
+    # 0 is s = 0 alone, where every correction vanishes
+    bound = corner[0]
+    assert len(sf._EM_TERMS) == 61 and sf._EM_TERMS[60] == sf._EM_M == 22
+    for h in range(1, 61):
+        M = sf._EM_TERMS[h]
+        arc = [mp.mpc(x, mp.sqrt(h * h - x * x)) for x in (-0.5, 0.0, 0.5 * h, h - 0.1)]
+        terms = [_first_omitted(M, s) for s in arc]
+        assert max(terms) == terms[0] <= bound, h
 
 
 # the Euler-Maclaurin domain, the truncation corner Re s = -0.5, |Im s| = 60
@@ -780,7 +795,7 @@ def test_sieved_powers_match_the_direct_powers(q):
     plan = sf._em_plan(q, _units(q))
     values = plan.values.tolist()
     points = _SIEVE_POINTS if q < 997 else _SIEVE_POINTS[:3]
-    table = sf._entries(plan, -np.array(points))
+    table = sf._entries_array(plan, -np.array(points))
     eps = 2.0**-52
     for j, s in enumerate(points):
         for m, scalar, array in zip(values, sf._entries(plan, -s), table[:, j].tolist()):
