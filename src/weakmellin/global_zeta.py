@@ -10,8 +10,9 @@ matching set of Euler-factor corrections, and one Dirichlet L function:
 
 The corrections cancel the local poles, so the strip behaviour of Xi is
 exactly L times entire local numerators.  Zeros therefore split into
-local ones (a numerator vanishes) and global ones (L vanishes); the
-classifier below reproduces that split point by point.
+local ones (a numerator, or the archimedean factor, vanishes) and global
+ones (L vanishes); classify_zero reads that split off each factor's own
+zeros.
 
 Only primitive Dirichlet characters are accepted; the functional
 equation helpers additionally require the principal character, where
@@ -41,12 +42,9 @@ from .specfun import (
     completed_xi,
     dirichlet_l,
 )
-from .zero_engine import ZeroReport
+from .zero_engine import _CERT_RADIUS, _DIP_UNIT, ZeroReport, _turns, exp_poly_roots
 
 _EULER_PRIME_LIMIT = 100_000
-# relative smallness that counts as "this local factor vanishes here"
-_VANISH_RATIO = 1e-6
-_CORR_TOL = 1e-8
 
 
 def xi_f_reference(s: complex) -> complex:
@@ -143,11 +141,15 @@ class GlobalFactorization:
     chi: DirichletCharacter
     identically_zero: bool
 
-    def correction_term(self, p: int, s: complex) -> complex:
-        return 1.0 - self.chi(p) * p ** (-complex(s))
-
     def arch_value(self, s: complex) -> complex:
         return zeta_real(self.arch.a, self.arch.b, s, self.arch_char)
+
+    @cached_property
+    def numerator_roots(self) -> dict:
+        """Each listed place's numerator roots in one vertical period
+        (exp_poly_roots), found on first use."""
+        return {p: [rep.location for rep in exp_poly_roots(lf)]
+                for p, lf in self.local_parts.items()}
 
     def evaluate(self, s: complex) -> complex:
         """L-mode value: corrections folded into the entire numerators.
@@ -313,30 +315,24 @@ def global_fe_residual(spec: GlobalSpec, s: complex) -> float:
 class ZeroClass:
     """Where a zero of the assembled product comes from.
 
-    kind is "local" (a listed place's factor vanishes; place recorded),
-    "global" (attributed to the L factor), or "rejected" (a zero of a
-    correction term that cancels against the local pole, so not a zero
-    of the product at all).
+    kind is "local" (a listed place's numerator or the archimedean factor
+    vanishes; place is p or "inf") or "global" (L vanishes; place None).
     """
 
     kind: str
     place: object = None
 
 
-def _vanishes_nearby(value: complex, probe_values) -> bool:
-    scale = max(abs(v) for v in probe_values)
-    if scale == 0.0:
-        return True
-    return abs(value) <= _VANISH_RATIO * scale
-
-
 def classify_zero(report: ZeroReport, spec: GlobalSpec) -> ZeroClass:
-    """Attribute a certified zero to a place, to L, or reject it.
+    """Attribute a certified zero to the factor that vanishes there.
 
-    Rejection implements the cancellation rule: a zero of a correction
-    term 1 - chi(p) p^(-s) coincides with the local pole it cancels, so
-    unless the entire numerator at p vanishes there too, the point is
-    not a zero of the product.
+    Xi is a product, so each of its zeros is a zero of one factor.  A
+    listed place p owns the zero when one of its numerator roots lies
+    within _CERT_RADIUS of it, modulo the period 2 pi / ln p.  The
+    archimedean factor vanishes only where its Kummer function does, so
+    only for b != 0; it owns the zero when its winding number on the
+    circle of radius _CERT_RADIUS about it (_turns) is positive.  Any
+    other zero is L's.
     """
     if not report.certified:
         raise UncertifiedError(
@@ -346,27 +342,12 @@ def classify_zero(report: ZeroReport, spec: GlobalSpec) -> ZeroClass:
     if fact.identically_zero:
         raise DomainError("the assembled product vanishes identically")
     z = complex(report.location)
-    probes = (z + 0.071 + 0.037j, z - 0.059 + 0.043j)
-
-    for p in fact.correction_primes:
-        if abs(fact.correction_term(p, z)) <= _CORR_TOL:
-            lf = fact.local_parts[p]
-            entire = lf.entire_eval(z)
-            entire_probes = [lf.entire_eval(w) for w in probes]
-            if not _vanishes_nearby(entire, entire_probes):
-                return ZeroClass(kind="rejected", place=p)
-
-    arch_val = fact.arch_value(z)
-    arch_probes = [fact.arch_value(w) for w in probes]
-    if _vanishes_nearby(arch_val, arch_probes):
+    for p, roots in fact.numerator_roots.items():
+        period = 2.0 * math.pi / math.log(p)
+        for root in roots:
+            gap = z - root
+            if abs(complex(gap.real, math.remainder(gap.imag, period))) <= _CERT_RADIUS:
+                return ZeroClass(kind="local", place=p)
+    if fact.arch.b != 0 and (_turns(fact.arch_value(z + _CERT_RADIUS * _DIP_UNIT)) or 0) > 0:
         return ZeroClass(kind="local", place="inf")
-
-    for p, lf in fact.local_parts.items():
-        val = lf.entire_eval(z)
-        vals = [lf.entire_eval(w) for w in probes]
-        # an entire-numerator zero on the correction lattice was already
-        # handled above; anything else vanishing here is a local zero
-        if _vanishes_nearby(val, vals):
-            return ZeroClass(kind="local", place=p)
-
     return ZeroClass(kind="global", place=None)

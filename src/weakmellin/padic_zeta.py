@@ -458,7 +458,7 @@ def rho0_gauss_sum(chi: UnitCharacter) -> complex:
     return total / p ** (n / 2.0)
 
 
-def padic_vector_factor(configs, p: int, twist: complex = 1.0) -> LocalFactor:
+def padic_vector_factor(configs, p: int) -> LocalFactor:
     """Diagonal-scaling factor of a product of quadratic phases on an
     n-dimensional p-adic space.
 
@@ -520,5 +520,5 @@ def padic_vector_factor(configs, p: int, twist: complex = 1.0) -> LocalFactor:
     return LocalFactor(
         p=p, kind="vector", poly=poly, shift=low + D - 1,
         scale=complex(Q ** (1 - low) / (1.0 - 1.0 / p)), pole=True,
-        twist=complex(twist), n_dim=n, k=m,
+        n_dim=n, k=m,
     )

@@ -1,8 +1,8 @@
 """Special functions used by the zeta-factor machinery.
 
 Everything here is self-contained: a Lanczos log-gamma, Euler-Maclaurin
-Riemann and Hurwitz zeta, a Kummer confluent hypergeometric summed in
-fixed-point integers (see hyp1f1), Dirichlet characters of general
+Riemann zeta and Dirichlet L, a Kummer confluent hypergeometric summed
+in fixed-point integers (see hyp1f1), Dirichlet characters of general
 modulus, and the completed Riemann xi.  mpmath and sympy appear only in
 the tests.
 
@@ -16,31 +16,30 @@ read off the index.  The p-adic unit characters of `padic_core` use the
 same generators and table, so a character's local component at odd p is
 its exponent there.
 
-log_gamma, gamma, hyp1f1, riemann_zeta, hurwitz_zeta, dirichlet_l and
-completed_xi take a complex scalar or an ndarray of points.  Each entry
-checks s and picks its body once: a scalar runs the cmath body, an array
-of any size a numpy body elementwise, returning an array of its shape.
-No body checks or dispatches again; exp, x ** w, exprel, log-gamma and
-the power table each have one scalar and one array form.  A bad point in
-an array raises what the scalar call raises there: PoleError,
-DomainError, or OverflowError where numpy would return inf.  The
-Euler-Maclaurin zetas read one power plan per modulus and residues
-(_PowerPlan), and a point takes M(|s|) Bernoulli corrections from the
-table _EM_TERMS: 5 up to |s| = 2, 12 up to 30, 22 from 58 on, the fewest
-that keep the first omitted one at or below 4.7e-17; a numpy block takes
-those of its largest |s|.
+log_gamma, gamma, hyp1f1, riemann_zeta, dirichlet_l and completed_xi
+take a complex scalar or an ndarray of points.  Each entry checks s and
+picks its body once: a scalar runs the cmath body, an array of any size
+a numpy body elementwise, returning an array of its shape.  No body
+checks or dispatches again; exp, x ** w, exprel, log-gamma and the power
+table each have one scalar and one array form.  A bad point in an array
+raises what the scalar call raises there: PoleError, DomainError, or
+OverflowError where numpy would return inf.  The Euler-Maclaurin zetas
+read one power plan per modulus and residues (_PowerPlan), and a point
+takes M(|s|) Bernoulli corrections from the table _EM_TERMS: 5 up to
+|s| = 2, 12 up to 30, 22 from 58 on, the fewest that keep the first
+omitted one at or below 4.7e-17; a numpy block takes those of its
+largest |s|.
 
 Accuracy targets: ~1e-13 relative for gamma and zeta on Re(s) >= -0.5,
 |Im(s)| <= 60, away from poles; outside it reflection formulas serve or
 DomainError is raised.  Riemann zeta is regular at s = 0 and good to a few
 ulps just left of it.  The Euler-Maclaurin kernel returns the entire part
-zeta(s, a) - 1/(s - 1), so that part (hurwitz_zeta with skip_pole) and a
-non-principal dirichlet_l are within 1.5e-15 (1 + |value|) of mpmath at
-|s - 1| from 1e-7 to 0.3.  Left of Re(s) = 0 the Euler-Maclaurin sum of
-a non-principal L cancels by about 24^(1 - Re s) / |s - 1| (80 at
-s = -0.5), so dirichlet_l there is good to about 1e-13 (1 + |L|):
-7.5e-14 at worst on 150 seeded points mod 5 and mod 7 with
--0.5 <= Re(s) <= -0.1, |Im(s)| <= 60, against 30-digit mpmath.
+zeta(s, a) - 1/(s - 1), so that part (_hurwitz_em) and a non-principal
+dirichlet_l are within 1.5e-15 (1 + |value|) of mpmath at |s - 1| from
+1e-7 to 0.3.  Left of Re(s) = 0 the Euler-Maclaurin sum of a
+non-principal L cancels by about 24^(1 - Re s) / |s - 1| (80 at
+s = -0.5), so dirichlet_l there is good to about 1e-13 (1 + |L|)
+against 30-digit mpmath, for -0.5 <= Re(s) <= -0.1, |Im(s)| <= 60.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ __all__ = [
     "hyp1f1",
     "hyp1f1_eval",
     "riemann_zeta",
-    "hurwitz_zeta",
     "DirichletCharacter",
     "characters",
     "dirichlet_l",
@@ -658,7 +656,7 @@ _EM_COEFFS = tuple(
 # the numpy body's columns of B_2k/(2k)! and of 2k - 1 for k < _EM_M
 _EM_COEFF_COLUMN = np.array(_EM_COEFFS)[:, None]
 _EM_ODD_COLUMN = np.arange(1.0, 2 * _EM_M - 2, 2)[:, None]
-# the weights of a single Hurwitz or Riemann zeta
+# the weights of the Riemann zeta's single residue
 _ONE = (1.0,)
 _ONE_ARRAY = np.ones(1)
 _ZETA_IM_CAP = 60.0
@@ -741,52 +739,42 @@ class _PowerPlan:
     right[t], both formed before it; `rounds` splits the products into
     runs that read only earlier runs.  rows[i, n] is the entry of
     n q + r, r the i-th residue, for n = 0 .. N (n = N the cutoff), and
-    `scale` is the entry of q.  With integer residues the bases raised
-    directly are the primes, each composite is its least prime times its
-    cofactor, and the entries are closed under both.  A float residue
-    (only hurwitz_zeta has one, at q = 1) raises every n + r directly and
-    forms no products.  The tail reads cut = N + r/q, log cut and the
-    weights cut^(1 - 2k), k = 1 .. M, a row per k.
+    `scale` is the entry of q.  The residues are integers, the bases
+    raised directly are the primes, each composite is its least prime
+    times its cofactor, and the entries are closed under both.  The tail
+    reads cut = N + r/q, log cut and the weights cut^(1 - 2k),
+    k = 1 .. M, a row per k.
     """
 
     def __init__(self, q: int, residues: tuple):
         N = _EM_N
-        if all(float(r).is_integer() for r in residues):
-            ints = [[n * q + int(r) for n in range(N + 1)] for r in residues]
-            top = max(q, *(row[-1] for row in ints))
-            least = _least_primes(top)
-            omega = [0] * (top + 1)  # the number of prime factors
-            present = [False] * (top + 1)
-            for m in range(2, top + 1):
-                omega[m] = omega[m // least[m]] + 1
-            for m in (1, q, *itertools.chain.from_iterable(ints)):
-                present[m] = True
-            for m in range(top, 1, -1):  # close the entries under m -> (p, m / p)
-                p = least[m]
-                if present[m] and p < m:
-                    present[p] = present[m // p] = True
-            values = sorted(itertools.compress(range(top + 1), present), key=omega.__getitem__)
-            at = {m: i for i, m in enumerate(values)}
-            comp = [m for m in values if omega[m] > 1]
-            self.left = np.array([at[least[m]] for m in comp], dtype=np.int32)
-            self.right = np.array([at[m // least[m]] for m in comp], dtype=np.int32)
-            ends = list(itertools.accumulate(
-                len(list(run)) for _, run in itertools.groupby(omega[m] for m in comp)
-            ))
-            self.rounds = tuple(zip([0, *ends[:-1]], ends))
-            self.rows = np.array([[at[m] for m in row] for row in ints], dtype=np.int32)
-            self.scale = at[q]
-            self.bases = np.array([m for m in values if omega[m] == 1], dtype=float)
-            self.values = np.array(values, dtype=float)
-            cut = np.array([row[-1] / q for row in ints])
-        else:
-            self.bases = (np.arange(N + 1.0) + np.array(residues, dtype=float)[:, None]).ravel()
-            self.left = self.right = np.zeros(0, dtype=np.int32)
-            self.rounds = ()
-            self.rows = np.arange(1, self.bases.size + 1, dtype=np.int32).reshape(-1, N + 1)
-            self.scale = 0
-            self.values = np.r_[1.0, self.bases]
-            cut = self.bases[N :: N + 1]
+        ints = [[n * q + r for n in range(N + 1)] for r in residues]
+        top = max(q, *(row[-1] for row in ints))
+        least = _least_primes(top)
+        omega = [0] * (top + 1)  # the number of prime factors
+        present = [False] * (top + 1)
+        for m in range(2, top + 1):
+            omega[m] = omega[m // least[m]] + 1
+        for m in (1, q, *itertools.chain.from_iterable(ints)):
+            present[m] = True
+        for m in range(top, 1, -1):  # close the entries under m -> (p, m / p)
+            p = least[m]
+            if present[m] and p < m:
+                present[p] = present[m // p] = True
+        values = sorted(itertools.compress(range(top + 1), present), key=omega.__getitem__)
+        at = {m: i for i, m in enumerate(values)}
+        comp = [m for m in values if omega[m] > 1]
+        self.left = np.array([at[least[m]] for m in comp], dtype=np.int32)
+        self.right = np.array([at[m // least[m]] for m in comp], dtype=np.int32)
+        ends = list(itertools.accumulate(
+            len(list(run)) for _, run in itertools.groupby(omega[m] for m in comp)
+        ))
+        self.rounds = tuple(zip([0, *ends[:-1]], ends))
+        self.rows = np.array([[at[m] for m in row] for row in ints], dtype=np.int32)
+        self.scale = at[q]
+        self.bases = np.array([m for m in values if omega[m] == 1], dtype=float)
+        self.values = np.array(values, dtype=float)
+        cut = np.array([row[-1] / q for row in ints])
         self.logs = np.log(self.bases)
         self.lb = np.log(cut)
         self.weights = cut ** -np.arange(1.0, 2 * _EM_M, 2)[:, None]
@@ -995,24 +983,6 @@ def riemann_zeta(s: complex) -> complex:
             * _exp_array(_log_gamma_array(1.0 - zr))
         )
     return out.reshape(s.shape)
-
-
-def hurwitz_zeta(s: complex, a: float, *, skip_pole: bool = False) -> complex:
-    """Hurwitz zeta(s, a) for real a in (0, 1].
-
-    skip_pole=True returns zeta(s, a) - 1/(s-1), the entire part, computed
-    without cancellation near s = 1.  Raises DomainError for a non-finite
-    s, Re(s) < -0.5 or |Im(s)| > 60.
-    """
-    if not 0.0 < a <= 1.0:
-        raise DomainError(f"hurwitz_zeta needs 0 < a <= 1, got a = {a}")
-    plan = _em_plan(1, (float(a),))
-    if _is_array(s):
-        z = _zeta_points(s, "hurwitz_zeta", -0.5, pole=not skip_pole)
-        pole = 0.0 if skip_pole else 1.0 / (z - 1.0)
-        return (_hurwitz_em_array(z, plan, _ONE_ARRAY) + pole).reshape(s.shape)
-    z = _zeta_point(s, "hurwitz_zeta", -0.5, pole=not skip_pole)
-    return _hurwitz_em(z, plan, _ONE) + (0.0 if skip_pole else 1.0 / (z - 1.0))
 
 
 # ---------------------------------------------------------------------------

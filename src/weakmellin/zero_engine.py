@@ -35,8 +35,7 @@ fn is called once per point from then on).  The residual of a line-scan
 report always takes one call of fn with a Python complex.
 GlobalFactorization.evaluate, zeta_real,
 LocalFactor.evaluate and entire_eval, and the special functions
-riemann_zeta, hurwitz_zeta, dirichlet_l, gamma, log_gamma and hyp1f1 take
-arrays.
+riemann_zeta, dirichlet_l, gamma, log_gamma and hyp1f1 take arrays.
 """
 
 from __future__ import annotations

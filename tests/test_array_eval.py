@@ -133,12 +133,6 @@ def test_dirichlet_l_on_the_strip(chi, pts):
     _assert_elementwise(lambda s: sf.dirichlet_l(s, chi), pts)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.floats(0.05, 1.0), st.booleans(), _points(-0.1, 2.0, 60.0))
-def test_hurwitz_zeta(a, skip_pole, pts):
-    _assert_elementwise(lambda s: sf.hurwitz_zeta(s, a, skip_pole=skip_pole), pts)
-
-
 def test_hyp1f1_on_arrays():
     a = np.array([0.25 + 3j, 1.5, -0.5 + 1j, 2.0 - 7j])
     # z = 0 answers 1 at once, as the scalar call does
@@ -365,8 +359,8 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: local_factor(1, F(1, 5), 5).entire_eval(complex(_INF)),
     lambda: sf.riemann_zeta(complex(_NAN)),
     lambda: sf.riemann_zeta(np.array([2.0, _NAN])),
-    lambda: sf.hurwitz_zeta(complex(0.5, _NAN), 0.5),
-    lambda: sf.hurwitz_zeta(np.array([complex(_INF)]), 0.5),
+    lambda: sf.completed_xi(complex(0.5, _NAN)),
+    lambda: factorize_global(reference_spec()).evaluate(np.array([complex(_INF)])),
     lambda: sf.dirichlet_l(complex(_NAN), next(c for c in sf.characters(5) if not c.is_principal)),
     lambda: sf.dirichlet_l(np.array([_NAN + 0j]), next(c for c in sf.characters(5) if not c.is_principal)),
     lambda: sf.dirichlet_l(complex(_NAN), next(c for c in sf.characters(5) if c.is_principal)),
@@ -391,7 +385,7 @@ def _bad_points():
         ("log_gamma sine overflow", sf.log_gamma, -0.5 + 300j),
         ("zeta pole", sf.riemann_zeta, 1.0),
         ("zeta height cap", sf.riemann_zeta, 0.5 + 61j),
-        ("hurwitz left edge", lambda s: sf.hurwitz_zeta(s, 0.5), -0.6),
+        ("L left edge", lambda s: sf.dirichlet_l(s, chi5), -0.6),
         ("L height cap", lambda s: sf.dirichlet_l(s, chi5), 0.5 + 61j),
         ("hyp1f1 argument cap", lambda z: sf.hyp1f1(0.5, 0.5, z), 41.0),
         ("hyp1f1 lower-parameter pole", lambda a: sf.hyp1f1(a, 0.0, 0.0), 0.5),

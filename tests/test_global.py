@@ -7,11 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from weakmellin import global_zeta
-from weakmellin.arch_zeta import Real
+from weakmellin.arch_zeta import Real, zeta_real
 from weakmellin.errors import DomainError, PoleError, UncertifiedError
 from weakmellin.global_zeta import (
     GlobalSpec,
-    ZeroClass,
     classify_zero,
     factorize_global,
     gamma_f,
@@ -22,7 +21,7 @@ from weakmellin.global_zeta import (
 )
 from weakmellin.padic_zeta import local_factor
 from weakmellin.specfun import _factorize, characters
-from weakmellin.zero_engine import ZeroReport, exp_poly_roots, line_zeros
+from weakmellin.zero_engine import ZeroReport, exp_poly_roots, line_zeros, zeros_in_window
 
 S_GRID = [0.3 + 5j, 0.5, 0.8 - 2j, 2.0, 1.7 - 3j, 0.25 + 11j]
 
@@ -87,7 +86,7 @@ def test_correction_zero_is_not_a_pole_of_the_assembly():
     s = complex(0.0, 2.0 * math.pi / math.log(2.0))
     value = fact.evaluate(s)
     assert abs(value) < 1e3
-    assert abs(fact.correction_term(2, s)) < 1e-12
+    assert abs(1.0 - 2.0 ** (-s)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -383,18 +382,34 @@ def test_three_way_classification_with_deeper_place():
             )
 
 
-def test_classify_rejects_correction_lattice_point():
-    spec = GlobalSpec(
-        arch=Real(1.0, 0.0),
-        finite=((2, F(1), F(0)), (3, F(1), F(0))),
-    )
-    z = complex(0.0, 2.0 * math.pi / math.log(3.0))
-    probe = ZeroReport(
-        location=z, multiplicity=1, method="CompanionRoots",
-        certified=True, residual=0.0,
-    )
-    got = classify_zero(probe, spec)
-    assert got == ZeroClass(kind="rejected", place=3)
+@pytest.mark.parametrize("spec,n_arch", [
+    (GlobalSpec(Real(0.5, 1.5), ((2, 1, F(1, 2)),)), 10),
+    (GlobalSpec(Real(1.0, 0.3), ((2, 1, 0), (3, 1, F(1, 27)))), 2),
+], ids=["arch-only", "arch-and-two-places"])
+def test_archimedean_zeros_are_labelled_by_the_real_place(spec, n_arch):
+    # with b != 0 the archimedean factor has zeros of its own: the "inf"
+    # labels are exactly the zeros of zeta_real scanned alone, and each
+    # place's labels exactly the zeros of its own factor
+    fact = factorize_global(spec)
+    reports = line_zeros(fact.evaluate, 0.5, 1.0, 58.0, samples=4096)
+    assert reports and all(r.certified for r in reports)
+    labels = [classify_zero(r, spec) for r in reports]
+
+    def heights(place):
+        return [r.location.imag for r, c in zip(reports, labels)
+                if c.kind == "local" and c.place == place]
+
+    arch = line_zeros(lambda s: zeta_real(spec.arch.a, spec.arch.b, s),
+                      0.5, 1.0, 58.0, samples=4096)
+    assert len(arch) == n_arch and all(r.certified for r in arch)
+    want = {"inf": [r.location.imag for r in arch]}
+    for p, lf in fact.local_parts.items():
+        want[p] = [r.location.imag for r in zeros_in_window(lf, 1.0, 58.0)]
+    for place, ims in want.items():
+        got = heights(place)
+        assert len(got) == len(ims), place
+        assert all(abs(g - w) <= 1e-9 for g, w in zip(got, ims)), place
+    assert sum(c.kind == "global" for c in labels) == len(reports) - sum(map(len, want.values()))
 
 
 def test_classify_refuses_uncertified():

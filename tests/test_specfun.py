@@ -105,7 +105,7 @@ def test_gamma_ratio_generic_value():
     assert abs(sf.gamma_ratio(2.5 + 1j, 0.25 - 2j) - ref) <= 1e-12 * abs(ref)
 
 
-ZETA_POINTS = [2.0, 3 + 0.5j, 0.5 + 59j, -3.7, -0.4 + 2j, 1.001, 0.25 - 30j, -10.5]
+ZETA_POINTS = [2.0, 3 + 0.5j, 0.5 + 59j, -3.7, -0.4 + 2j, 1.001, 0.25 - 30j, -10.5, 1.7]
 
 
 def test_riemann_zeta_matches_reference():
@@ -126,34 +126,30 @@ def test_riemann_zeta_pole_and_domain_guards():
         sf.riemann_zeta(2.0 + 61j)
 
 
+def _hurwitz(s, a):
+    """zeta(s, a) - 1/(s - 1), the entire part, for a = r/q in (0, 1] and
+    a scalar or a 1-D array s: the Euler-Maclaurin kernel on the power plan
+    of the one residue r mod q, which dirichlet_l mod q also reads, gives
+    q^-s times it."""
+    frac = Fraction(a).limit_denominator(1000)
+    q, plan = frac.denominator, sf._em_plan(frac.denominator, (frac.numerator,))
+    if isinstance(s, np.ndarray):
+        return sf._hurwitz_em_array(s, plan, sf._ONE_ARRAY) * sf._real_pow(q, s)
+    return sf._hurwitz_em(complex(s), plan, sf._ONE) * q ** complex(s)
+
+
 def test_hurwitz_matches_reference():
-    for s, a in [(2.5, 0.3), (0.5 + 30j, 0.7), (-0.3 + 5j, 0.123), (1.7, 1.0), (4.0, 0.011)]:
+    for s, a in [(2.5, 0.3), (0.5 + 30j, 0.7), (-0.3 + 5j, 0.123), (4.0, 0.011)]:
         ref = complex(mp.zeta(s, a))
-        assert abs(sf.hurwitz_zeta(s, a) - ref) <= 1e-12 * max(abs(ref), 1.0)
-
-
-def test_hurwitz_skip_pole_is_exact_pole_subtraction():
-    s = 1.3 + 2j
-    a = 0.4
-    full = sf.hurwitz_zeta(s, a)
-    cut = sf.hurwitz_zeta(s, a, skip_pole=True)
-    assert abs(full - cut - 1.0 / (s - 1.0)) < 1e-13
+        assert abs(_hurwitz(s, a) + 1.0 / (s - 1.0) - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
 def test_hurwitz_skip_pole_smooth_through_one():
+    # the entire part, the kernel's value, is smooth across the pole
     a = 0.4
-    v0 = sf.hurwitz_zeta(1.0, a, skip_pole=True)
-    v1 = sf.hurwitz_zeta(1.0 + 1e-9, a, skip_pole=True)
+    v0 = _hurwitz(1.0, a)
+    v1 = _hurwitz(1.0 + 1e-9, a)
     assert abs(v0 - v1) < 1e-7
-
-
-def test_hurwitz_guards():
-    with pytest.raises(DomainError):
-        sf.hurwitz_zeta(2.0, 1.5)
-    with pytest.raises(DomainError):
-        sf.hurwitz_zeta(-0.9, 0.5)
-    with pytest.raises(PoleError):
-        sf.hurwitz_zeta(1.0, 0.5)
 
 
 def test_hyp1f1_matches_reference_moderate_argument():
@@ -601,12 +597,23 @@ _EM_GRID = np.array([
 
 @pytest.mark.parametrize("a", [1.0, 1 / 2, 1 / 3, 1 / 7, 6 / 7, 1 / 997])
 def test_hurwitz_zeta_matches_mpmath_over_the_domain(a):
-    values = sf.hurwitz_zeta(_EM_GRID, a)
+    values = _hurwitz(_EM_GRID, a) + 1.0 / (_EM_GRID - 1.0)
     for s, value in zip(_EM_GRID.tolist(), values.tolist()):
         ref = complex(mp.zeta(s, a))
         tol = 2e-13 * (1.0 + abs(ref))
-        assert abs(sf.hurwitz_zeta(s, a) - ref) <= tol, (s, a)
+        assert abs(_hurwitz(s, a) + 1.0 / (s - 1.0) - ref) <= tol, (s, a)
         assert abs(value - ref) <= tol, (s, a)
+
+
+def test_riemann_zeta_matches_mpmath_over_the_domain():
+    # right of Re s = 0 riemann_zeta runs the kernel directly
+    points = _EM_GRID[_EM_GRID.real >= 0.0]
+    values = sf.riemann_zeta(points)
+    for s, value in zip(points.tolist(), values.tolist()):
+        ref = complex(mp.zeta(s))
+        tol = 2e-13 * (1.0 + abs(ref))
+        assert abs(sf.riemann_zeta(s) - ref) <= tol, s
+        assert abs(value - ref) <= tol, s
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -634,13 +641,13 @@ _NEAR_ONE = np.array([
 
 @pytest.mark.parametrize("a", [1 / 7, 1 / 2, 1.0])
 def test_hurwitz_entire_part_matches_mpmath_near_one(a):
-    values = sf.hurwitz_zeta(_NEAR_ONE, a, skip_pole=True)
+    values = _hurwitz(_NEAR_ONE, a)
     with mp.workdps(40):
         for s, value in zip(_NEAR_ONE.tolist(), values.tolist()):
             z = mp.mpc(s)
             ref = complex(mp.zeta(z, a) - 1 / (z - 1))
             tol = 1e-14 * (1.0 + abs(ref))
-            assert abs(sf.hurwitz_zeta(s, a, skip_pole=True) - ref) <= tol, (s, a)
+            assert abs(_hurwitz(s, a) - ref) <= tol, (s, a)
             assert abs(value - ref) <= tol, (s, a)
 
 
@@ -650,9 +657,9 @@ def test_hurwitz_entire_part_at_one_is_minus_digamma(a):
     # by (1 - s) log(N + a) would overflow, both bodies take exprel as 1
     points = np.array([1.0, 1.0 + 1e-310j, 1.0 - 1e-320j])
     ref = -complex(mp.digamma(a))
-    values = sf.hurwitz_zeta(points, a, skip_pole=True)
+    values = _hurwitz(points, a)
     for s, value in zip(points.tolist(), values.tolist()):
-        assert abs(sf.hurwitz_zeta(s, a, skip_pole=True) - ref) <= 1e-14 * abs(ref), s
+        assert abs(_hurwitz(s, a) - ref) <= 1e-14 * abs(ref), s
         assert abs(value - ref) <= 1e-14 * abs(ref), s
 
 
@@ -771,13 +778,6 @@ def test_power_plans_raise_primes_and_multiply_the_rest(q):
             left, right = int(plan.left[t]), int(plan.right[t])
             assert max(left, right) < D + 1 + lo
             assert values[D + 1 + t] == values[left] * values[right]
-
-
-def test_power_plan_of_a_float_offset_raises_every_base():
-    plan = sf._em_plan(1, (0.3,))
-    assert plan.left.size == 0 and plan.rounds == () and plan.scale == 0
-    assert plan.bases.tolist() == [n + 0.3 for n in range(sf._EM_N + 1)]
-    assert plan.rows.tolist() == [list(range(1, sf._EM_N + 2))]
 
 
 # the corners of the domain and seeded points inside it
