@@ -49,7 +49,6 @@ __all__ = [
     "zeta_arch",
     "weil_index_arch",
     "tate_rho",
-    "tate_rho_self_check",
     "functional_equation_residual",
 ]
 
@@ -476,22 +475,3 @@ def functional_equation_residual(sdc, char, s: complex) -> float:
     scale = max(abs(direct), abs(implied), 1e-30)
     return abs(direct - implied) / scale
 
-
-def tate_rho_self_check() -> float:
-    """Largest functional-equation residual at a = 1 over a reference
-    grid of the strip, for the plain Gaussian phase with the trivial
-    character and a shifted phase with the sign character (where the
-    transform does not vanish).  At a = 1 the modulus power is 1, so
-    this checks tate_rho against the transforms it is the quotient of."""
-
-    grid = [
-        complex(re, im)
-        for re in (0.2, 0.35, 0.5, 0.65, 0.8)
-        for im in (-4.0, -1.5, 0.0, 1.5, 4.0)
-    ]
-    cases = ((Real(1.0, 0.0), Trivial()), (Real(1.0, 0.5), RealSign()))
-    return max(
-        functional_equation_residual(sdc, char, s)
-        for sdc, char in cases
-        for s in grid
-    )

@@ -21,42 +21,24 @@ the product of local root numbers collapses to gamma_f |a|^(1/2-s).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-
-import numpy as np
+from functools import cached_property
 
 from .arch_zeta import Real, RealSign, Trivial, weil_index_arch, zeta_real
-from .errors import DomainError, PoleError, UncertifiedError
+from .errors import DomainError, UncertifiedError
 from .padic_core import UnitCharacter, _rational, _require_prime, valuation
-from .padic_zeta import LocalFactor, local_factor, weil_index_padic
+from .padic_zeta import local_factor, weil_index_padic
 from .specfun import (
     DirichletCharacter,
     _factorize,
     _is_array,
     _zeta_point,
     _zeta_points,
-    completed_xi,
     dirichlet_l,
 )
 from .zero_engine import _CERT_RADIUS, _DIP_UNIT, ZeroReport, _turns, exp_poly_roots
-
-_EULER_PRIME_LIMIT = 100_000
-
-
-def xi_f_reference(s: complex) -> complex:
-    """Closed form of the completed transform for the standard pair.
-
-    The dyadic bracket times the completed zeta; poles only at 0 and 1.
-    """
-    s = complex(s)
-    bracket = 2.0 ** (1.0 - s) * (1.0 - 2.0 ** (s - 1.0)) + cmath.exp(
-        0.25j * math.pi
-    ) * 2.0**s * (1.0 - 2.0 ** (-s))
-    return cmath.exp(-0.25j * math.pi * s) * bracket * completed_xi(s)
 
 
 @dataclass(frozen=True)
@@ -134,15 +116,13 @@ class GlobalFactorization:
     """
 
     spec: "GlobalSpec"
-    arch: Real
     arch_char: object
     local_parts: dict
     correction_primes: tuple
-    chi: DirichletCharacter
     identically_zero: bool
 
     def arch_value(self, s: complex) -> complex:
-        return zeta_real(self.arch.a, self.arch.b, s, self.arch_char)
+        return zeta_real(self.spec.arch.a, self.spec.arch.b, s, self.arch_char)
 
     @cached_property
     def numerator_roots(self) -> dict:
@@ -163,10 +143,10 @@ class GlobalFactorization:
              else _zeta_point(s, "a global function"))
         if self.identically_zero:
             return s - s  # zeros of the kind of s
-        out = zeta_real(self.arch.a, self.arch.b, s, self.arch_char)
+        out = self.arch_value(s)
         for lf in self.local_parts.values():
             out *= lf.entire_eval(s)
-        return out * dirichlet_l(s, self.chi)
+        return out * dirichlet_l(s, self.spec.chi)
 
     def evaluate_reflected(self, s: complex) -> complex:
         """Value at Re(s) < 1/2 through the (principal) reflection law.
@@ -175,7 +155,7 @@ class GlobalFactorization:
         zeros of L; the reflection sidesteps the 0 * inf evaluation.
         The law itself is residual-tested elsewhere, not assumed here.
         """
-        if not self.chi.is_principal:
+        if not self.spec.chi.is_principal:
             raise DomainError("reflection shortcut needs the principal "
                               "character")
         s = complex(s)
@@ -184,47 +164,6 @@ class GlobalFactorization:
             * idele_modulus(self.spec) ** (0.5 - s)
             * self.evaluate(1.0 - s.conjugate()).conjugate()
         )
-
-    def euler_product(self, s: complex,
-                      prime_limit: int = _EULER_PRIME_LIMIT) -> complex:
-        """Direct product over primes up to the limit; needs Re(s) > 1."""
-        if self.identically_zero:
-            return 0.0 + 0.0j
-        s = complex(s)
-        if s.real <= 1.0:
-            raise DomainError("euler product mode needs Re(s) > 1")
-        out = self.arch_value(s)
-        for lf in self.local_parts.values():
-            out *= lf.evaluate(s)
-        skip = set(self.local_parts) | set(self.chi._primes)
-        primes = _primes_below(prime_limit)
-        chi_vals = np.array([self.chi(int(p)) for p in primes])
-        mask = np.array([int(p) not in skip for p in primes])
-        pool = primes[mask]
-        terms = 1.0 - chi_vals[mask] * np.exp(-s * np.log(pool))
-        return out * complex(1.0 / np.prod(terms))
-
-    def euler_tail_bound(self, s: complex,
-                         prime_limit: int = _EULER_PRIME_LIMIT) -> float:
-        """Crude bound on the log of the omitted tail of the product."""
-        sigma = complex(s).real
-        if sigma <= 1.0:
-            raise DomainError("euler product mode needs Re(s) > 1")
-        # sum_{p > P} p^-sigma <= integral + first-term slack
-        return 2.0 * prime_limit ** (1.0 - sigma) / (
-            (sigma - 1.0) * math.log(prime_limit)
-        )
-
-
-@lru_cache(maxsize=4)
-def _primes_below(limit: int) -> np.ndarray:
-    sieve = np.ones(limit, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(float)
-
 
 def factorize_global(spec: GlobalSpec) -> GlobalFactorization:
     """Build the local factors and correction list for a spec."""
@@ -236,8 +175,8 @@ def factorize_global(spec: GlobalSpec) -> GlobalFactorization:
         # odd character against an even real phase: the archimedean
         # factor vanishes identically and takes the whole product with it
         return GlobalFactorization(
-            spec=spec, arch=spec.arch, arch_char=arch_char, local_parts={},
-            correction_primes=(), chi=chi, identically_zero=True,
+            spec=spec, arch_char=arch_char, local_parts={},
+            correction_primes=(), identically_zero=True,
         )
 
     local_parts = {}
@@ -254,9 +193,9 @@ def factorize_global(spec: GlobalSpec) -> GlobalFactorization:
             corrections.append(p)
         local_parts[p] = lf
     return GlobalFactorization(
-        spec=spec, arch=spec.arch, arch_char=arch_char,
+        spec=spec, arch_char=arch_char,
         local_parts=local_parts, correction_primes=tuple(corrections),
-        chi=chi, identically_zero=dead,
+        identically_zero=dead,
     )
 
 
@@ -348,6 +287,6 @@ def classify_zero(report: ZeroReport, spec: GlobalSpec) -> ZeroClass:
             gap = z - root
             if abs(complex(gap.real, math.remainder(gap.imag, period))) <= _CERT_RADIUS:
                 return ZeroClass(kind="local", place=p)
-    if fact.arch.b != 0 and (_turns(fact.arch_value(z + _CERT_RADIUS * _DIP_UNIT)) or 0) > 0:
+    if spec.arch.b != 0 and (_turns(fact.arch_value(z + _CERT_RADIUS * _DIP_UNIT)) or 0) > 0:
         return ZeroClass(kind="local", place="inf")
     return ZeroClass(kind="global", place=None)

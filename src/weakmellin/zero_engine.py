@@ -8,8 +8,7 @@ Four mechanisms feed a common report format:
   numerators: the companion roots are confirmed together by a sign change
   of a real profile across each root's own arc, the arcs disjoint (any
   other numerator's roots by a winding count on a small circle each), and
-  one grid scan of the same profile counts and brackets the circle zeros
-  without any eigenvalue work;
+  one grid scan of the same profile counts and brackets the circle zeros;
 * argument-principle winding counts around rectangles, sampled evenly in
   arc length and doubled round by round, which count a census box;
 * vertical-line scans, each dip of |fn| settled on one Cauchy circle
@@ -23,19 +22,17 @@ stays in the output with certified=False rather than being dropped;
 census refuses it instead, as it refuses a scan whose multiplicities miss
 the winding count of its box.
 
-The function fn handed to winding_count and line_zeros must accept a
-complex scalar and return its value there; line_zeros also needs it
-holomorphic near its line.  If fn also maps a 1-D complex ndarray
-elementwise, to an array of the same shape, line_zeros evaluates its
-whole scan grid in one call and the circles of all its dips in another,
-and winding_count each doubling round's fresh points in one call;
-otherwise those calls are lifted once to a loop over the points (if the
-first array call raises TypeError or ValueError or returns another shape,
-fn is called once per point from then on).  The residual of a line-scan
-report always takes one call of fn with a Python complex.
-GlobalFactorization.evaluate, zeta_real,
+The function fn handed to winding_count, line_zeros and census must map
+a 1-D complex ndarray elementwise to an array of the same shape:
+line_zeros evaluates its whole scan grid in one call and the circles of
+all its dips in another, and winding_count each doubling round's fresh
+points in one call.  A result of any other shape, a scalar included,
+raises DomainError; an error that fn raises on an array propagates.  fn
+must also take a Python complex: the residual of each line-scan report
+is one such call, so it comes from fn's scalar body and not from the
+circle's values.  GlobalFactorization.evaluate, zeta_real,
 LocalFactor.evaluate and entire_eval, and the special functions
-riemann_zeta, dirichlet_l, gamma, log_gamma and hyp1f1 take arrays.
+riemann_zeta, dirichlet_l, gamma, log_gamma and hyp1f1 take both.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from .errors import (
 )
 from .padic_zeta import LocalFactor
 
-_METHODS = ("CompanionRoots", "SignChange", "CauchyCircle")
+_METHODS = ("CompanionRoots", "CauchyCircle")
 
 # residual gate for certification, relative to the natural local scale
 _ROOT_RESIDUAL = 1e-10
@@ -106,31 +103,16 @@ def _sorted_reports(reports):
     return sorted(reports, key=lambda r: (r.location.imag, r.location.real))
 
 
-def _elementwise(fn):
-    """fn as a map from a 1-D complex array to the complex array of its
-    values at those points.
-
-    The first call hands fn the array itself.  A callable that cannot take
-    one, shown by a TypeError or ValueError or by a result of another shape
-    on that call, is lifted for good to a loop that calls it per point.
-    """
-    takes_arrays = None
-
-    def call(zs):
-        nonlocal takes_arrays
-        if takes_arrays is None:
-            try:
-                out = np.asarray(fn(zs), dtype=complex)
-                takes_arrays = out.shape == zs.shape
-            except (TypeError, ValueError):
-                takes_arrays = False
-            if takes_arrays:
-                return out
-        if takes_arrays:
-            return np.asarray(fn(zs), dtype=complex)
-        return np.array([complex(fn(z)) for z in zs], dtype=complex)
-
-    return call
+def _values(fn, zs):
+    """fn at the points of the 1-D complex array zs, from one call of fn
+    with the array.  A result of another shape raises DomainError."""
+    out = np.asarray(fn(zs), dtype=complex)
+    if out.shape != zs.shape:
+        raise DomainError(
+            f"fn must map an array of shape {zs.shape} to values of the same "
+            f"shape, got shape {out.shape}"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,42 +179,27 @@ def _circle_rotation(coeffs):
     return np.conj(np.sqrt(u))
 
 
-def _circle_profile(coeffs, degree: int):
-    """(h, grid): the circle profile h of _circle_rotation, which takes
-    scalar or array angles, and its values at the xs of _circle_points.
-    The grid reads both exponentials from the cached tables
-    (_circle_points, _circle_turn), so it is one np.polyval and one
-    product, equal bit for bit to h at the same angles.  Raises
-    DomainError unless the numerator is self-inversive.
-    """
-    rot = _circle_rotation(coeffs)
-
-    def h(phi):
-        return _profile_values(rot, coeffs, _half_turn(degree, phi), np.exp(1j * phi))
-
-    grid = _profile_values(rot, coeffs, _circle_turn(degree), _circle_points()[1])
-    return h, grid
-
-
 def _circle_grid(coeffs, degree: int):
-    """(h, lo, hi, h_lo): h of _circle_profile, and the brackets (lo, hi)
-    of its _CIRCLE_SAMPLES grid, with h at lo.  A bracket is a grid cell
-    over which h changes sign, or (phi, phi) where h is 0 at a grid angle.
-    A grid value within the rounding of the Horner sum, 4 D eps sum |c_k|
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 5.1),
-    counts as 0: its sign is noise, and a double root on a grid angle
-    would otherwise show two sign changes.  Raises DomainError unless the
+    """(lo, hi): the brackets of the circle profile h of _circle_rotation
+    on its _CIRCLE_SAMPLES grid.  A bracket is a grid cell over which h
+    changes sign, or (phi, phi) where h is 0 at a grid angle.  The grid
+    reads both exponentials from the cached tables (_circle_points,
+    _circle_turn), so it is one np.polyval and one product.  A grid value
+    within the rounding of the Horner sum, 4 D eps sum |c_k| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, 5.1), counts as
+    0: its sign is noise, and a double root on a grid angle would
+    otherwise show two sign changes.  Raises DomainError unless the
     numerator is self-inversive.
     """
-    h, vals = _circle_profile(coeffs, degree)
+    phis, xs = _circle_points()
+    vals = _profile_values(_circle_rotation(coeffs), coeffs, _circle_turn(degree), xs)
     floor = 4.0 * degree * np.finfo(float).eps * float(np.sum(np.abs(coeffs)))
     vals = np.where(np.abs(vals) <= floor, 0.0, vals)
     samples = _CIRCLE_SAMPLES
-    phis = _circle_points()[0]
     # close the loop; odd degree profiles are antiperiodic
     vals = np.append(vals, vals[0] if degree % 2 == 0 else -vals[0])
     lo = np.flatnonzero((vals[:samples] == 0.0) | (vals[:samples] * vals[1:] < 0.0))
-    return h, phis[lo], phis[lo + (vals[lo] != 0.0)], vals[lo]
+    return phis[lo], phis[lo + (vals[lo] != 0.0)]
 
 
 def unit_circle_certificate(factor: LocalFactor):
@@ -243,13 +210,13 @@ def unit_circle_certificate(factor: LocalFactor):
     _circle_grid, each a grid cell holding a circle zero by the
     intermediate value theorem or a grid angle where the profile is 0 to
     within its rounding, and count = len(brackets).  No bracket is refined
-    (circle_zeros bisects them).  Needs a self-inversive numerator (every
+    and no eigenvalue is taken.  Needs a self-inversive numerator (every
     unramified and ramified one is); D = 0 gives (0, []).
     """
     coeffs, _, degree = factor.zero_poly()
     if degree < 1:
         return 0, []
-    _, lo, hi, _ = _circle_grid(coeffs, degree)
+    lo, hi = _circle_grid(coeffs, degree)
     brackets = sorted(zip(lo.tolist(), hi.tolist()))
     return len(brackets), brackets
 
@@ -397,47 +364,6 @@ def zeros_in_window(factor: LocalFactor, im_lo: float,
     return _sorted_reports(out)
 
 
-def circle_zeros(factor: LocalFactor) -> list[ZeroReport]:
-    """Zeros from the circle sign changes alone, no eigenvalues.
-
-    Locations are the brackets of unit_circle_certificate bisected to
-    machine accuracy on Re(s) = n/2; a zero is certified when there are D
-    brackets.  Raises DomainError unless the numerator is self-inversive.
-    """
-    coeffs, D, _, to_s, residuals = _numerator_frame(factor)
-    if D < 1:
-        return []
-    h, a, b, fa = _circle_grid(coeffs, D)
-    # bisect every bracket at once; an exact zero collapses its bracket.
-    # A step that moves nothing is a fixed point: every later step would
-    # repeat its midpoints, so the loop stops there
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        fm = h(mid)
-        zero = fm == 0.0
-        left = fa * fm < 0.0
-        a_next = np.where(zero | ~left, mid, a)
-        b_next = np.where(zero | left, mid, b)
-        fa_next = np.where(left, fa, fm)
-        if (np.array_equal(a_next, a) and np.array_equal(b_next, b)
-                and np.array_equal(fa_next, fa)):
-            break
-        a, b, fa = a_next, b_next, fa_next
-    angles = sorted((0.5 * (a + b)).tolist())
-    reports = []
-    for ang, resid in zip(angles, residuals([cmath.exp(1j * ang) for ang in angles])):
-        reports.append(
-            ZeroReport(
-                location=to_s(1j * ang),
-                multiplicity=1,
-                method="SignChange",
-                certified=bool(len(a) == D and resid <= _ROOT_RESIDUAL),
-                residual=resid,
-            )
-        )
-    return _sorted_reports(reports)
-
-
 # ---------------------------------------------------------------------------
 # argument-principle winding on a rectangle
 
@@ -489,7 +415,7 @@ def _contour_values(fn, points):
     """fn at the contour points; a pole of fn on the contour is a refusal
     of the contour, not an error of the caller."""
     try:
-        return fn(points)
+        return _values(fn, points)
     except PoleError as exc:
         raise BoundaryZeroError(f"pole on the winding contour: {exc}") from exc
 
@@ -573,7 +499,8 @@ def winding_count(fn, rect, poles=()) -> int:
     consecutive argument step is below pi/4.  The samples of one round are
     exactly the even-numbered points of the next, so fn runs once per
     distinct contour point.  A zero, or a PoleError of fn, at a sample
-    raises BoundaryZeroError.  Past _MAX_SAMPLES it raises
+    raises BoundaryZeroError, and a result of fn of another shape than
+    its array of points raises DomainError.  Past _MAX_SAMPLES it raises
     ConvergenceError, and it does so early when a step stays within
     2n / _MAX_SAMPLES of pi over _STUCK_ROUNDS rounds of n samples in a row,
     each stretch inside the last: a simple zero or pole that keeps a step
@@ -604,7 +531,6 @@ def winding_count(fn, rect, poles=()) -> int:
                 f"listed pole {z} hugs the contour; shift the rectangle"
             )
 
-    fn = _elementwise(fn)
     counts = np.array(_edge_counts(rect))
     arr = _contour_values(fn, _boundary_points(rect, counts))
     # rounds in a row that the stretch after each sample, or the one it
@@ -648,21 +574,21 @@ _DIP_UNIT = np.exp(2j * np.pi * _DIP_INDEX / _DIP_POINTS)
 _DIP_TAYLOR = np.conj(_DIP_UNIT[np.outer(_DIP_INDEX, _DIP_INDEX) % _DIP_POINTS]) / _DIP_POINTS
 
 
-def _dip_circles(scan, centres, radius: float):
+def _dip_circles(fn, centres, radius: float):
     """fn on the circles of radius about the centres, a row a circle, from
     one array call.  If that call raises PoleError or DomainError (a circle
     through a pole or past the domain of fn), each circle takes its own
     call, and one whose call raises gets NaN, which no count accepts."""
     points = centres[:, None] + radius * _DIP_UNIT
     try:
-        return scan(points.ravel()).reshape(points.shape)
+        return _values(fn, points.ravel()).reshape(points.shape)
     except (PoleError, DomainError):
         if len(centres) == 1:
             return np.full(points.shape, np.nan, dtype=complex)
-        return np.vstack([_dip_circles(scan, c[None], radius) for c in centres])
+        return np.vstack([_dip_circles(fn, c[None], radius) for c in centres])
 
 
-def _dip_circle_zeros(vals):
+def _dip_circle_roots(vals):
     """(zeros, counted) for the values vals of fn on one dip circle:
     (w, multiplicity) of the roots |w| < 1 of the Taylor polynomial of
     fn(c + r w), cut after its last coefficient above the noise and
@@ -694,7 +620,9 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
                samples: int = 2048) -> list[ZeroReport]:
     """Zeros of fn near the vertical line Re(s) = re, Im(s) in [lo, hi].
 
-    fn must be holomorphic near the line, as every census function is.
+    fn must be holomorphic near the line, as every census function is,
+    and map a 1-D array of points to the array of its values there (see
+    the module docstring); a result of another shape raises DomainError.
     The scan samples the line at samples points, at least 3, and flags
     local minima of |fn| that dip below a quarter of the largest |fn|
     within 12 samples on either side; the relative test keeps the scan
@@ -707,7 +635,7 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     and Weideman, SIAM Rev. 2014), whose roots inside the circle locate
     its zeros with their multiplicities, and the argument principle on the
     same samples counts them (Austin, Kravanja and Trefethen, SIAM J.
-    Numer. Anal. 2014; _dip_circle_zeros).  A circle whose count is not
+    Numer. Anal. 2014; _dip_circle_roots).  A circle whose count is not
     the total multiplicity of its roots, or is 0, is tried once more at a
     quarter of the radius, all such in one more array call; one on which
     fn raises PoleError or DomainError is not counted (_dip_circles).
@@ -734,11 +662,10 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     if samples < 3:
         # a dip is a sample below both neighbours
         raise DomainError(f"a line scan needs at least 3 samples, got {samples}")
-    scan = _elementwise(fn)
     ts = np.linspace(im_lo, im_hi, samples)
     spacing = (im_hi - im_lo) / (samples - 1)
     points = re + 1j * ts
-    vals = scan(points)
+    vals = _values(fn, points)
     mags = np.abs(vals)
     if not np.all(np.isfinite(mags)):
         raise DomainError("fn is not finite on the scan line")
@@ -762,9 +689,9 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     for r in (radius, radius / 4.0):
         if not todo:
             break
-        rows = _dip_circles(scan, points[[dips[k] for k in todo]], r)
+        rows = _dip_circles(fn, points[[dips[k] for k in todo]], r)
         for k, row in zip(todo, rows):
-            circles[k] = (*_dip_circle_zeros(row), r)
+            circles[k] = (*_dip_circle_roots(row), r)
         todo = [k for k in todo if not circles[k][1]]
 
     # (uncounted, distance from the centre, location, multiplicity, scale),

@@ -24,7 +24,6 @@ from weakmellin.arch_zeta import (
     Trivial,
     functional_equation_residual,
     tate_rho,
-    tate_rho_self_check,
     weil_index_arch,
     zeta_arch,
     zeta_complex_hermitian,
@@ -160,7 +159,23 @@ def test_functional_equation_radial(n):
 
 
 def test_rho_matches_the_classical_quotients():
-    assert tate_rho_self_check() < 1e-8
+    # the functional-equation residual at a = 1 over a grid of the strip,
+    # for the plain Gaussian phase with the trivial character and a
+    # shifted phase with the sign character (where the transform does not
+    # vanish); at a = 1 the modulus power is 1, so this checks tate_rho
+    # against the transforms it is the quotient of
+    grid = [
+        complex(re, im)
+        for re in (0.2, 0.35, 0.5, 0.65, 0.8)
+        for im in (-4.0, -1.5, 0.0, 1.5, 4.0)
+    ]
+    cases = ((Real(1.0, 0.0), Trivial()), (Real(1.0, 0.5), RealSign()))
+    worst = max(
+        functional_equation_residual(sdc, char, s)
+        for sdc, char in cases
+        for s in grid
+    )
+    assert worst < 1e-8
 
 
 def test_rho_complex_frozen_shape():

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,6 @@ from weakmellin.zero_engine import (
     _boundary_points,
     _check_boundary_clear,
     census,
-    circle_zeros,
     exp_poly_roots,
     line_zeros,
     unit_circle_certificate,
@@ -118,16 +118,27 @@ def test_ramified_roots_on_critical_line():
     assert seen > 0
 
 
+def _polyroots_in_s(factor):
+    """The numerator's roots from 30-digit mpmath.polyroots, mapped to s
+    and folded into the strip as exp_poly_roots maps and folds them, in
+    the order of its reports."""
+    coeffs, _, _ = factor.zero_poly()
+    with mp.workdps(30):
+        roots = mp.polyroots([mp.mpc(c) for c in coeffs], maxsteps=200, extraprec=60)
+        logs = [complex(mp.log(x)) for x in roots]
+    to_s = zero_engine._numerator_frame(factor)[3]
+    return sorted(map(to_s, logs), key=lambda z: (z.imag, z.real))
+
+
 def test_circle_zeros_match_companion_roots():
     factor = local_factor_unramified(Fraction(1), Fraction(1, 9), 3)
     assert factor.k == 2
     comp = exp_poly_roots(factor)
-    circ = circle_zeros(factor)
-    assert len(comp) == len(circ)
-    for rc, rs in zip(comp, circ):
-        assert rs.method == "SignChange"
-        assert rs.certified
-        assert abs(rc.location - rs.location) <= 1e-8
+    want = _polyroots_in_s(factor)
+    assert len(comp) == len(want)
+    for rc, z in zip(comp, want):
+        assert rc.certified
+        assert abs(rc.location - z) <= 1e-8
 
 
 def test_twist_shifts_reported_zeros():
@@ -215,8 +226,8 @@ def _certificate_case(ramified):
 @pytest.mark.parametrize("ramified", [False, True])
 def test_certificate_path_runs_no_bisection(monkeypatch, ramified):
     # the certificate is one sign test per companion root, both ends of
-    # every root's arc in one array call, and no grid scan; only
-    # circle_zeros bisects
+    # every root's arc in one array call, and no grid scan; the grid
+    # brackets each root in one of its cells
     calls = _count_profile_calls(monkeypatch)
     factor = _certificate_case(ramified)
     reports = exp_poly_roots(factor)
@@ -227,7 +238,7 @@ def test_certificate_path_runs_no_bisection(monkeypatch, ramified):
     assert calls == [zero_engine._CIRCLE_SAMPLES]
     assert count == factor.degree == len(reports) == len(brackets)
     step = 2.0 * math.pi / zero_engine._CIRCLE_SAMPLES
-    for (lo, hi), rep in zip(brackets, circle_zeros(factor)):
+    for (lo, hi), rep in zip(brackets, reports):
         assert hi - lo in (0.0, pytest.approx(step))
         assert lo <= (rep.location.imag * math.log(3)) % (2.0 * math.pi) <= hi
 
@@ -243,11 +254,11 @@ def test_root_on_the_grid_seam_is_certified(p, k, delta):
     count, _ = unit_circle_certificate(factor)
     assert count == factor.degree == len(reports)
     assert any(abs(p ** (rep.location - 0.5) - 1.0) <= 1e-10 for rep in reports)
-    circle = circle_zeros(factor)
-    assert len(circle) == len(reports)
-    for rep, rs in zip(reports, circle):
-        assert rep.certified and rs.certified
-        assert abs(rep.location - rs.location) <= 1e-8
+    want = _polyroots_in_s(factor)
+    assert len(want) == len(reports)
+    for rep, z in zip(reports, want):
+        assert rep.certified
+        assert abs(rep.location - z) <= 1e-8
 
 
 def test_double_root_on_the_circle_is_not_certified():
@@ -316,19 +327,26 @@ def test_double_root_on_a_grid_angle_counts_once():
     assert (math.pi / 2, math.pi / 2) in brackets
     assert (math.pi, math.pi) in brackets
     assert not any(rep.certified for rep in exp_poly_roots(factor))
-    assert not any(rep.certified for rep in circle_zeros(factor))
 
 
 @pytest.mark.parametrize("degree", [*range(1, 9), 40])
 def test_grid_tables_match_the_profile_bit_for_bit(degree):
     # the grid reads e^(i phi) and e^(-i D phi/2) from cached tables; its
-    # values are h's at the same angles, the seam phi = 0 included
+    # values are the profile's at the same angles with both exponentials
+    # computed, as exp_poly_roots computes them at single angles, the seam
+    # phi = 0 included
     gamma = cmath.exp(0.3j)
     factor = unramified_from_constants(5, degree // 2, degree % 2, gamma)
     coeffs, _, D = factor.zero_poly()
     assert D == degree
-    h, grid = zero_engine._circle_profile(coeffs, D)
+    rot = zero_engine._circle_rotation(coeffs)
+
+    def h(phi):
+        return zero_engine._profile_values(
+            rot, coeffs, zero_engine._half_turn(D, phi), np.exp(1j * phi))
+
     phis, xs = zero_engine._circle_points()
+    grid = zero_engine._profile_values(rot, coeffs, zero_engine._circle_turn(D), xs)
     assert np.array_equal(grid, h(phis[:zero_engine._CIRCLE_SAMPLES]))
     assert grid[0] == h(phis[:1])[0]
     assert not xs.flags.writeable and not zero_engine._circle_turn(D).flags.writeable
@@ -349,45 +367,6 @@ def test_grid_tables_are_built_on_first_use_and_bounded():
     for degree in range(1, 3 * zero_engine._CIRCLE_TURNS):
         zero_engine._circle_turn(degree)
     assert zero_engine._circle_turn.cache_info().currsize == zero_engine._CIRCLE_TURNS
-
-
-def _sixty_step_angles(factor):
-    # the bisection as it ran before it learned to stop: always 60 steps
-    coeffs, _, degree = factor.zero_poly()
-    h, a, b, fa = zero_engine._circle_grid(coeffs, degree)
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        fm = h(mid)
-        exact = fm == 0.0
-        left = fa * fm < 0.0
-        b = np.where(exact | left, mid, b)
-        a = np.where(exact | ~left, mid, a)
-        fa = np.where(left, fa, fm)
-    return tuple(sorted(float(x) for x in 0.5 * (a + b)))
-
-
-@pytest.mark.parametrize(
-    "p,a,b,ramified",
-    [(3, 1, Fraction(1, 9), False), (3, 1, Fraction(1, 9), True),
-     (5, 2, Fraction(1, 125), False), (7, 3, Fraction(2, 49), True),
-     (2, 1, Fraction(3, 8), False)],
-)
-def test_circle_bisection_stops_at_its_fixed_point(monkeypatch, p, a, b, ramified):
-    # a step that moves no bracket end and no end value is repeated by every
-    # later step, so stopping there places the zeros where all 60 steps do
-    chi = next(iter(unit_characters(p, 1))) if ramified else None
-    factor = local_factor(a, b, p, chi=chi)
-    want = _sixty_step_angles(factor)
-    period = 2.0 * math.pi / math.log(p)
-    calls = _count_profile_calls(monkeypatch)
-    reports = circle_zeros(factor)
-    assert 1 < len(calls) < 61  # the grid and fewer than 60 steps
-    assert len(reports) == factor.degree == len(want)
-    assert [rep.location for rep in reports] == sorted(
-        (complex(0.5, zero_engine._fold_imag(ang / math.log(p), period))
-         for ang in want),
-        key=lambda s: s.imag,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +436,7 @@ def test_winding_gives_up_on_discontinuous_phase(monkeypatch):
     def fn(z):
         # half-angle phase is discontinuous along a ray crossing the
         # contour, so the step criterion can never be met there
-        return cmath.exp(0.5j * cmath.phase(z - 0.5 - 0.5j))
+        return np.exp(0.5j * np.angle(z - 0.5 - 0.5j))
 
     monkeypatch.setattr(zero_engine, "_MAX_SAMPLES", 4096)
     with pytest.raises(ConvergenceError):
@@ -514,7 +493,7 @@ def test_winding_unaffected_by_huge_scale_variation():
     # modulus varies by ~1e-10 top to bottom, as completed strip
     # functions do; the windowed boundary check must not misfire
     def fn(z):
-        return (z - 0.5 - 15j) * cmath.exp(-0.75 * z.imag)
+        return (z - 0.5 - 15j) * np.exp(-0.75 * z.imag)
 
     assert winding_count(fn, (-0.1, 1.1, 1.0, 30.0)) == 1
 
@@ -534,7 +513,7 @@ def test_winding_counts_random_interior_roots(offsets):
     roots = [center + off for off in offsets]
 
     def fn(z):
-        out = 1.0 + 0.0j
+        out = np.ones_like(z)
         for r in roots:
             out *= z - r
         return out
@@ -577,8 +556,7 @@ def test_scans_call_fn_once_per_grid_and_per_round():
     reports = line_zeros(fn, 0.5, 0.4, 5.6, samples=600)
     assert len(reports) == 5 and all(r.certified for r in reports)
     # the whole grid in one call, then every circle in one call; the
-    # residuals alone call with a scalar, one a report.  A scan or a circle
-    # call lifted to a per-point loop would add scalar calls
+    # residuals alone call with a scalar, one a report
     assert batches == [600, 320] + [None] * 5
 
     fn, batches = _recording(lambda z: z - 0.5 - 0.004j)
@@ -598,20 +576,43 @@ def _scalar_only(kind):
     return fn
 
 
-@pytest.mark.parametrize("kind", ["type", "value", "shape"])
-def test_scalar_callables_are_lifted_to_a_loop(kind):
-    calls = []
+_ENTRIES = (
+    lambda fn: line_zeros(fn, 0.5, 0.0, 1.0, samples=64),
+    lambda fn: winding_count(fn, (0.0, 1.0, 0.0, 1.0)),
+    lambda fn: census(fn, (0.0, 1.0, 0.0, 1.0), samples=64),
+)
+
+
+@pytest.mark.parametrize("kind, error", [
+    ("type", TypeError), ("value", ValueError), ("shape", DomainError),
+], ids=["type", "value", "shape"])
+def test_scalar_callables_are_not_lifted_to_a_loop(kind, error):
+    # line_zeros, winding_count and census call fn once with the first
+    # batch and never retry it point by point: what fn raises propagates,
+    # and a scalar result is refused
     scalar = _scalar_only(kind)
+    for entry in _ENTRIES:
+        calls = []
 
-    def fn(z):
-        calls.append(z)
-        return scalar(z)
+        def fn(z):
+            calls.append(z)
+            return scalar(z)
 
-    assert winding_count(fn, (0.0, 1.0, 0.0, 1.0)) == 1
-    # the first batch is tried once, then every point is a scalar call
-    assert isinstance(calls[0], np.ndarray)
-    assert all(isinstance(z, complex) for z in calls[1:])
-    assert len(calls) == 1 + 64
+        with pytest.raises(error):
+            entry(fn)
+        assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+
+
+@pytest.mark.parametrize("result", [
+    lambda z: np.append(z, 0.0) - 0.5 - 0.5j,
+    lambda z: (z - 0.5 - 0.5j)[:, None],
+], ids=["longer", "column"])
+def test_engine_refuses_a_result_of_another_shape(result):
+    # holomorphic with one zero at 0.5 + 0.5j, but what it returns for an
+    # array is not the array of its values
+    for entry in _ENTRIES:
+        with pytest.raises(DomainError, match="same shape"):
+            entry(result)
 
 
 @settings(max_examples=100, deadline=None)
@@ -850,7 +851,7 @@ def test_boundary_check_catches_dip_across_the_seam():
 
 def _sin_line_fn(s):
     # zeros exactly at s = 1/2 + i k for integer k
-    return cmath.sin(1j * math.pi * (s - 0.5))
+    return np.sin(1j * np.pi * (s - 0.5))
 
 
 def test_line_scan_finds_integer_ladder():
@@ -870,7 +871,7 @@ def test_line_scan_recovers_slightly_offline_zero():
     z0 = 0.5002 + 2.0j
 
     def fn(s):
-        return (s - z0) * cmath.exp(0.1 * s)
+        return (s - z0) * np.exp(0.1 * s)
 
     reports = line_zeros(fn, 0.5, 1.0, 3.0, samples=400)
     assert len(reports) == 1
@@ -883,7 +884,7 @@ def test_line_scan_handles_decaying_scale():
     # in modulus on the line; the relative dip detector must still see
     # every zero
     def fn(s):
-        return _sin_line_fn(s) * cmath.exp(0.9j * (s - 0.5))
+        return _sin_line_fn(s) * np.exp(0.9j * (s - 0.5))
 
     reports = line_zeros(fn, 0.5, 0.4, 5.6, samples=600)
     assert [round(r.location.imag) for r in reports] == [1, 2, 3, 4, 5]
@@ -897,7 +898,7 @@ def test_line_scan_leaves_non_holomorphic_dips_uncertified():
     # holomorphic: the dips are found, but no Taylor polynomial fits the
     # circles, so none is counted and every dip stays uncertified
     def fn(s):
-        return _sin_line_fn(s) * cmath.exp(-0.9 * s.imag)
+        return _sin_line_fn(s) * np.exp(-0.9 * s.imag)
 
     reports = line_zeros(fn, 0.5, 0.4, 5.6, samples=600)
     assert [round(r.location.imag) for r in reports] == [1, 2, 3, 4, 5]
@@ -1061,7 +1062,7 @@ def test_line_scan_strict_raises_on_unpolishable_dip():
 
 def test_line_scan_ignores_smooth_nonvanishing_stretch():
     def fn(s):
-        return cmath.exp(0.3 * s) + 2.0
+        return np.exp(0.3 * s) + 2.0
 
     assert line_zeros(fn, 0.5, 0.0, 10.0, samples=500) == []
 
@@ -1360,5 +1361,5 @@ def test_dip_circle_of_noise_alone_is_not_counted():
     # the largest coefficient, and the circle is not counted
     rng = np.random.default_rng(1)
     vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    _, counted = zero_engine._dip_circle_zeros(vals)
+    _, counted = zero_engine._dip_circle_roots(vals)
     assert not counted
