@@ -531,21 +531,34 @@ def _hyp1f1_on_discs(a: np.ndarray, b: float, z: complex, out: np.ndarray) -> np
     """hyp1f1 at the finite points of the flat array a, written to out
     from the disc of each point's lattice cell, for real b > 0 and
     0 < |z| <= 40.  Returns the indices of the points left for
-    hyp1f1_eval: the non-finite ones and those of a refused disc."""
+    hyp1f1_eval: the non-finite ones and those of a refused disc.
+
+    Each cell's disc is fetched once, the cells in sorted order, and
+    every point is evaluated in one Horner sweep over a table of the
+    accepted discs' coefficients, the per-point arithmetic of np.polyval.
+    """
     rest = ~np.isfinite(a)
     finite = np.flatnonzero(~rest)
     cells = np.floor(2.0 * a[finite].real) + 1j * np.round(a[finite].imag)
     order = np.argsort(cells)
     finite, cells = finite[order], cells[order]
-    # the NaN ahead makes the first point start a cell
-    starts = np.flatnonzero(np.diff(cells, prepend=np.nan))
-    for cell, at in zip(cells[starts], np.split(finite, starts[1:])):
-        centre = complex(0.5 * cell.real + 0.25, cell.imag)
-        disc = _kummer_disc(b, z, centre)
-        if disc is None:
-            rest[at] = True
-        else:
-            out[at] = np.polyval(disc[0], (a[at] - centre) / _DISC_RADIUS)
+    starts = np.ones(cells.size, dtype=bool)  # where each cell's points start
+    starts[1:] = cells[1:] != cells[:-1]
+    cell = np.cumsum(starts) - 1  # each point's cell, numbered in order
+    centres = [complex(0.5 * c.real + 0.25, c.imag) for c in cells[starts].tolist()]
+    discs = [_kummer_disc(b, z, centre) for centre in centres]
+    refused = np.array([disc is None for disc in discs], dtype=bool)
+    drop = refused[cell]
+    rest[finite[drop]] = True
+    finite, cell = finite[~drop], cell[~drop]
+    # row m: each point's coefficient of u^(M - m), from its cell's disc
+    accepted = np.array([disc[0] for disc in discs if disc is not None])
+    coeffs = accepted.reshape(-1, _DISC_DEGREE + 1).T[:, (np.cumsum(~refused) - 1)[cell]]
+    u = (a[finite] - np.array(centres)[cell]) / _DISC_RADIUS
+    value = np.zeros_like(u)
+    for row in coeffs:
+        value = value * u + row
+    out[finite] = value
     return np.flatnonzero(rest)
 
 
@@ -599,17 +612,16 @@ def hyp1f1(a: complex, b: complex, z: complex) -> complex:
     """
     if not (_is_array(a) or _is_array(b) or _is_array(z)):
         return _hyp1f1_point(a, b, z)
-    a, bs, zs = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (a, b, z)))
+    if _is_array(b) or _is_array(z):
+        a, b, z = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (a, b, z)))
+        points = zip(a.ravel(), b.ravel(), z.ravel())
+        return np.array([_hyp1f1_point(*p) for p in points], dtype=complex).reshape(a.shape)
+    a, b, z = np.asarray(a, dtype=complex), complex(b), complex(z)
     out = np.empty(a.shape, dtype=complex)
     flat, res = a.ravel(), out.reshape(-1)
-    rest = range(flat.size)
-    if not (_is_array(b) or _is_array(z)):
-        b, z = complex(b), complex(z)
-        if _has_discs(b, z):
-            rest = _hyp1f1_on_discs(flat, b.real, z, res)
-    bs, zs = bs.ravel(), zs.ravel()
+    rest = _hyp1f1_on_discs(flat, b.real, z, res) if _has_discs(b, z) else range(flat.size)
     for i in rest:
-        res[i] = _hyp1f1_point(flat[i], bs[i], zs[i])
+        res[i] = _hyp1f1_point(flat[i], b, z)
     return out
 
 

@@ -427,18 +427,20 @@ def _check_boundary_clear(vals):
     centred on it (half = max(8, n // 64)), the contour read
     cyclically.  Needs n >= 8 samples; winding_count uses at least 64.
     A window median never exceeds the largest modulus, so only samples
-    below _BOUNDARY_DIP times that maximum can fail; their medians are
-    taken in blocks of at most _MEDIAN_BLOCK window entries, which keeps
-    memory O(n) up to winding_count's largest contour.
+    below _BOUNDARY_DIP times that maximum can fail: the windows are
+    built only when there is such a suspect, and their medians are taken
+    in blocks of at most _MEDIAN_BLOCK window entries, which keeps memory
+    O(n) up to winding_count's largest contour.
     """
     mags = np.abs(np.asarray(vals))
     if not np.all(np.isfinite(mags)) or np.any(mags == 0.0):
         raise BoundaryZeroError("function vanished or blew up on the contour")
-    n = len(mags)
-    half = max(8, n // 64)
+    suspects = np.flatnonzero(mags < _BOUNDARY_DIP * mags.max())
+    if suspects.size == 0:
+        return
+    half = max(8, len(mags) // 64)
     ext = np.concatenate([mags[-half:], mags, mags[:half]])
     windows = sliding_window_view(ext, 2 * half + 1)
-    suspects = np.flatnonzero(mags < _BOUNDARY_DIP * mags.max())
     step = max(1, _MEDIAN_BLOCK // (2 * half + 1))
     for lo in range(0, len(suspects), step):
         idx = suspects[lo : lo + step]
@@ -468,7 +470,7 @@ def _round_turns(vals):
     BoundaryZeroError."""
     if np.any(vals == 0.0):
         raise BoundaryZeroError("exact zero on the winding contour")
-    steps = np.angle(np.roll(vals, -1) / vals)
+    steps = np.angle(np.concatenate((vals[1:], vals[:1])) / vals)
     sizes = np.abs(steps)
     if not np.max(sizes) < math.pi / 4.0:
         return None, sizes

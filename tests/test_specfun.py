@@ -423,6 +423,61 @@ def test_hyp1f1_array_values_do_not_depend_on_the_call(monkeypatch):
         sf._kummer_disc.cache_clear()  # no refusal outlives the patch
 
 
+def test_hyp1f1_disc_sweep_matches_polyval_per_cell(monkeypatch):
+    # seven cells of 1 to 16 points, shuffled together with NaN and inf
+    # points, one cell's disc refused: each disc is fetched once, in the
+    # order of the cells, and built once; every point of an accepted cell
+    # takes np.polyval of its own cell's disc bit for bit, and the rest,
+    # the non-finite points and those of the refused cell, are left
+    # untouched for the series
+    rng = random.Random(41)
+    b, z = 1.5, 14.1j
+    sizes = {(0, 12): 16, (1, -3): 1, (-1, 0): 5, (2, 5): 3, (3, 5): 8, (0, 13): 2, (1, 0): 11}
+    pairs = [(complex(0.5 * j + 0.25, m), x)
+             for (j, m), n in sizes.items() for x in _cell_points(rng, j, m, n, on_line=True)]
+    pairs += [(None, x) for x in (complex(math.nan, 0.0), complex(math.inf, 1.0),
+                                  complex(0.5, -math.inf), complex(0.25, math.nan))]
+    rng.shuffle(pairs)
+    labels = [centre for centre, _ in pairs]
+    a = np.array([x for _, x in pairs])
+    refused = 1.25 + 5j
+    disc = sf._kummer_disc
+    fetched = []
+
+    def refusing(b, z, centre):
+        fetched.append(centre)
+        return None if centre == refused else disc(b, z, centre)
+
+    monkeypatch.setattr(sf, "_kummer_disc", refusing)
+    disc.cache_clear()
+    try:
+        out = np.full(a.shape, 7.0 + 7.0j)
+        rest = sf._hyp1f1_on_discs(a, b, z, out)
+        centres = sorted(set(labels) - {None}, key=lambda c: (c.real, c.imag))
+        assert fetched == centres
+        assert disc.cache_info().misses == len(centres) - 1
+        left = [i for i, c in enumerate(labels) if c is None or c == refused]
+        assert rest.tolist() == left
+        assert np.all(out[left] == 7.0 + 7.0j)
+        for centre in centres:
+            at = [i for i, c in enumerate(labels) if c == centre]
+            if centre != refused:
+                want = np.polyval(disc(b, z, centre)[0], (a[at] - centre) / sf._DISC_RADIUS)
+                assert np.array_equal(out[at], want), centre
+
+        finite = a[np.isfinite(a)]
+        got = sf.hyp1f1(finite, b, z)
+        assert np.array_equal(got, _one_point_calls(finite, b, z))
+        at = [i for i, x in enumerate(finite) if round(x.imag) == 5 and x.real < 1.5]
+        assert np.array_equal(got[at], [sf.hyp1f1_eval(x, b, z).value for x in finite[at]])
+        with pytest.raises(DomainError):
+            sf.hyp1f1(a, b, z)
+        assert sf._hyp1f1_on_discs(a[:0], b, z, out[:0]).size == 0
+        assert sf.hyp1f1(a[:0], b, z).shape == (0,)
+    finally:
+        disc.cache_clear()
+
+
 def _kummer_zeros_on_line(b, z, re_a, count):
     """The first zeros of 1F1(a; b; z) on Re a = re_a, Im a in (0, 20), to
     30 digits: the local minima of |1F1| on a 0.01 grid, polished by
@@ -616,14 +671,35 @@ def test_riemann_zeta_matches_mpmath_over_the_domain():
         assert abs(value - ref) <= tol, s
 
 
+def _mp_dirichlet(s, tables):
+    """mp.dirichlet(s, table) for each table of one modulus q, with each
+    Hurwitz zeta(s, r/q) computed once for all of them: the sum that
+    mp.dirichlet forms, q^(-s) sum chi(r) zeta(s, r/q) over r = 1 .. q,
+    at its 10 extra bits, rounded back as it rounds."""
+    s, q = mp.mpmathify(s), len(tables[0])
+    with mp.extraprec(10):
+        zetas = {r: mp.zeta(s, (r, q)) for r in range(1, q + 1)
+                 if any(table[r % q] for table in tables)}
+        sums = []
+        for table in tables:
+            total = mp.mpf(0)
+            for r in range(1, q + 1):
+                if table[r % q]:
+                    total += table[r % q] * zetas[r]
+            sums.append(total / q**s)
+    return [+total for total in sums]
+
+
 @pytest.mark.parametrize("q", [5, 7])
 def test_dirichlet_l_matches_mpmath_on_the_critical_line(q):
     points = 0.5 + 1j * np.linspace(-60.0, 60.0, 25)
-    for chi in sf.characters(q):
+    chars = list(sf.characters(q))
+    tables = [[chi(n) for n in range(q)] for chi in chars]
+    refs = [[complex(ref) for ref in _mp_dirichlet(s, tables)] for s in points.tolist()]
+    for k, chi in enumerate(chars):
         values = sf.dirichlet_l(points, chi)
-        table = [chi(n) for n in range(q)]
-        for s, value in zip(points.tolist(), values.tolist()):
-            ref = complex(mp.dirichlet(s, table))
+        for s, value, row in zip(points.tolist(), values.tolist(), refs):
+            ref = row[k]
             tol = 2e-13 * (1.0 + abs(ref))
             assert abs(sf.dirichlet_l(s, chi) - ref) <= tol, (chi, s)
             assert abs(value - ref) <= tol, (chi, s)
@@ -665,21 +741,22 @@ def test_hurwitz_entire_part_at_one_is_minus_digamma(a):
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_dirichlet_l_matches_mpmath_near_one(q):
+    chars = [chi for chi in sf.characters(q) if not chi.is_principal]
     with mp.workdps(40):
-        for chi in sf.characters(q):
-            if chi.is_principal:
-                continue
-            # exact phases: rounded values of chi would give the reference
-            # a pole part, their rounded sum over (s - 1)
-            table = [0 if (ph := chi.phase(n)) is None
-                     else mp.expjpi(2 * mp.mpf(ph.numerator) / ph.denominator)
-                     for n in range(q)]
-            values = sf.dirichlet_l(_NEAR_ONE, chi)
-            for s, value in zip(_NEAR_ONE.tolist(), values.tolist()):
-                ref = complex(mp.dirichlet(mp.mpc(s), table))
-                tol = 1e-14 * (1.0 + abs(ref))
-                assert abs(sf.dirichlet_l(s, chi) - ref) <= tol, (chi, s)
-                assert abs(value - ref) <= tol, (chi, s)
+        # exact phases: rounded values of chi would give the reference a
+        # pole part, their rounded sum over (s - 1)
+        tables = [[0 if (ph := chi.phase(n)) is None
+                   else mp.expjpi(2 * mp.mpf(ph.numerator) / ph.denominator)
+                   for n in range(q)] for chi in chars]
+        refs = [[complex(ref) for ref in _mp_dirichlet(mp.mpc(s), tables)]
+                for s in _NEAR_ONE.tolist()]
+    for k, chi in enumerate(chars):
+        values = sf.dirichlet_l(_NEAR_ONE, chi)
+        for s, value, row in zip(_NEAR_ONE.tolist(), values.tolist(), refs):
+            ref = row[k]
+            tol = 1e-14 * (1.0 + abs(ref))
+            assert abs(sf.dirichlet_l(s, chi) - ref) <= tol, (chi, s)
+            assert abs(value - ref) <= tol, (chi, s)
 
 
 def test_euler_maclaurin_tables_stay_within_their_cache_bound():

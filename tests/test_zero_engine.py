@@ -13,8 +13,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from weakmellin import zero_engine
 from weakmellin.errors import (
@@ -36,6 +37,8 @@ from weakmellin.zero_engine import (
     ZeroReport,
     _boundary_points,
     _check_boundary_clear,
+    _integer_winding,
+    _round_turns,
     census,
     exp_poly_roots,
     line_zeros,
@@ -843,6 +846,79 @@ def test_boundary_check_catches_dip_across_the_seam():
         _check_boundary_clear(mags.astype(complex))
     mags[0] = 2e-4
     _check_boundary_clear(mags.astype(complex))
+
+
+def _boundary_clear_with_full_window(vals):
+    # the check with the window array built for every contour
+    mags = np.abs(np.asarray(vals))
+    if not np.all(np.isfinite(mags)) or np.any(mags == 0.0):
+        raise BoundaryZeroError("vanished or blew up")
+    half = max(8, len(mags) // 64)
+    ext = np.concatenate([mags[-half:], mags, mags[:half]])
+    windows = sliding_window_view(ext, 2 * half + 1)
+    suspects = np.flatnonzero(mags < _BOUNDARY_DIP * mags.max())
+    if np.any(mags[suspects] < _BOUNDARY_DIP * np.median(windows[suspects], axis=1)):
+        raise BoundaryZeroError("dip")
+
+
+def _round_turns_by_roll(vals):
+    # the steps with the cyclic shift formed by np.roll
+    if np.any(vals == 0.0):
+        raise BoundaryZeroError("exact zero")
+    steps = np.angle(np.roll(vals, -1) / vals)
+    sizes = np.abs(steps)
+    if not np.max(sizes) < math.pi / 4.0:
+        return None, sizes
+    _boundary_clear_with_full_window(vals)
+    return _integer_winding(float(np.sum(steps))), sizes
+
+
+def _outcome(f, vals):
+    """f(vals) as comparable bytes, or the class of its refusal."""
+    try:
+        with np.errstate(invalid="ignore"):
+            got = f(vals)
+    except (BoundaryZeroError, NonIntegerWindingError) as exc:
+        return type(exc)
+    if got is None:
+        return None
+    return got[0], got[1].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(8, 400),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, 0.02, 0.5]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 399), st.sampled_from(["dip", "stretch", "zero", "nan", "inf"])),
+             max_size=3),
+)
+@example(64, 1, 0.0, 0, [(5, "dip")])
+@example(64, 1, 0.0, 0, [(30, "stretch")])
+@example(64, 0, 0.0, 0, [(3, "zero")])
+@example(64, -1, 0.0, 0, [(9, "nan")])
+@example(64, 2, 0.0, 0, [(0, "inf")])
+def test_winding_round_matches_its_reference_formulas(n, winding, noise, seed, edits):
+    # the same turns, step sizes bit for bit and refusal class as the
+    # formulas with np.roll and the window array built for every contour
+    rng = np.random.default_rng(seed)
+    t = 2.0 * math.pi * np.arange(n) / n
+    vals = 10.0 ** rng.uniform(-1.0, 1.0, n) * np.exp(1j * (winding * t + noise * rng.normal(size=n)))
+    # a sample far below its window fails the median test; a sunk stretch
+    # of half the contour holds suspects that pass it
+    for i, kind in edits:
+        i %= n
+        with np.errstate(invalid="ignore"):  # an inf sample scaled
+            if kind == "dip":
+                vals[i] *= 1e-9
+            elif kind == "stretch":
+                vals[i : i + n // 2] *= 1e-6
+            else:
+                vals[i] = {"zero": 0.0, "nan": math.nan, "inf": math.inf}[kind]
+    for check, reference in ((_round_turns, _round_turns_by_roll),
+                             (_check_boundary_clear, _boundary_clear_with_full_window)):
+        assert _outcome(check, vals) == _outcome(reference, vals)
 
 
 # ---------------------------------------------------------------------------
