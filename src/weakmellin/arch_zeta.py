@@ -4,9 +4,10 @@ Second degree phases at the real and complex places come in four shapes:
 a plain real Gaussian phase, a hermitian phase on the complex plane, a
 holomorphic square phase on the complex plane, and a radial phase on a
 real vector space.  Each transform is one gamma factor times one Kummer
-function, and the quadrature oracles check every formula here.  zeta_real
-and zeta_rn_radial also take arrays of s; _entry checks s and picks the
-forms of the body once.
+function, and the quadrature oracles check every formula here.  zeta_real,
+zeta_complex_hermitian and zeta_rn_radial also take arrays of s; _entry
+checks s and picks the forms of the body once.  zeta_complex_square takes
+a scalar s only.
 
 Conventions.  The real additive character is exp(-2 pi i x); the complex
 one is its trace composition, exp(-2 pi i (z + conj(z))).  The angular
@@ -245,14 +246,16 @@ def zeta_complex_hermitian(a: float, b: complex, n: int, s: complex) -> complex:
 
     Vanishes for n != 0 when b = 0 (pure angular integral).  Negative n
     trades b for its conjugate: substituting z -> conj(z) in the
-    integral fixes the phase and flips the angular character."""
+    integral fixes the phase and flips the angular character.  s may be
+    an array of points, as for zeta_real."""
 
-    a, b, n, s = float(a), complex(b), int(n), complex(s)
+    a, b, n = float(a), complex(b), int(n)
     _check_hermitian(a, b)
+    s, forms = _entry(s, "zeta_complex_hermitian")
     if n < 0:
         n, b = -n, b.conjugate()
     if b == 0 and n != 0:
-        return 0j
+        return s - s  # zeros of the kind of s
     babs = abs(b)
     z = 2j * math.pi * babs * babs / a
     pref = 2.0 * math.pi if n == 0 else (
@@ -260,7 +263,7 @@ def zeta_complex_hermitian(a: float, b: complex, n: int, s: complex) -> complex:
         * cmath.exp(1j * n * cmath.phase(b)) / math.factorial(n)
         * 2.0 * math.pi
     )
-    return _gamma_kummer(s + 0.5 * n, 2.0 * math.pi * a, n + 1.0, z, pref)
+    return _gamma_kummer(s + 0.5 * n, 2.0 * math.pi * a, n + 1.0, z, pref, forms)
 
 
 # ---------------------------------------------------------------------------

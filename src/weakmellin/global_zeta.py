@@ -83,10 +83,6 @@ class GlobalSpec:
                     "listed places"
                 )
 
-    @property
-    def places(self) -> tuple:
-        return ("inf",) + tuple(entry[0] for entry in self.finite)
-
     @cached_property
     def _factorization(self) -> "GlobalFactorization":
         # built once per spec; cached on the instance, so it also works for

@@ -16,10 +16,11 @@ read off the index.  The p-adic unit characters of `padic_core` use the
 same generators and table, so a character's local component at odd p is
 its exponent there.
 
-log_gamma, gamma, hyp1f1, riemann_zeta, dirichlet_l and completed_xi
-take a complex scalar or an ndarray of points.  Each entry checks s and
-picks its body once: a scalar runs the cmath body, an array of any size
-a numpy body elementwise, returning an array of its shape.  No body
+log_gamma, gamma, riemann_zeta, dirichlet_l and completed_xi take a
+complex scalar or an ndarray of points, and hyp1f1 the same in a alone,
+with scalar b and z.  Each entry checks s (hyp1f1: a) and picks its body
+once: a scalar runs the cmath body, an array of any size a numpy body
+elementwise, returning an array of its shape.  No body
 checks or dispatches again; exp, x ** w, exprel, log-gamma and the power
 table each have one scalar and one array form.  A bad point in an array
 raises what the scalar call raises there: PoleError, DomainError, or
@@ -528,20 +529,18 @@ def _has_discs(b: complex, z: complex) -> bool:
 
 
 def _hyp1f1_on_discs(a: np.ndarray, b: float, z: complex, out: np.ndarray) -> np.ndarray:
-    """hyp1f1 at the finite points of the flat array a, written to out
+    """hyp1f1 at the points of the flat finite array a, written to out
     from the disc of each point's lattice cell, for real b > 0 and
-    0 < |z| <= 40.  Returns the indices of the points left for
-    hyp1f1_eval: the non-finite ones and those of a refused disc.
+    0 < |z| <= 40.  Returns the indices of the points of a refused disc,
+    left for hyp1f1_eval.
 
     Each cell's disc is fetched once, the cells in sorted order, and
     every point is evaluated in one Horner sweep over a table of the
     accepted discs' coefficients, the per-point arithmetic of np.polyval.
     """
-    rest = ~np.isfinite(a)
-    finite = np.flatnonzero(~rest)
-    cells = np.floor(2.0 * a[finite].real) + 1j * np.round(a[finite].imag)
+    cells = np.floor(2.0 * a.real) + 1j * np.round(a.imag)
     order = np.argsort(cells)
-    finite, cells = finite[order], cells[order]
+    cells = cells[order]
     starts = np.ones(cells.size, dtype=bool)  # where each cell's points start
     starts[1:] = cells[1:] != cells[:-1]
     cell = np.cumsum(starts) - 1  # each point's cell, numbered in order
@@ -549,17 +548,17 @@ def _hyp1f1_on_discs(a: np.ndarray, b: float, z: complex, out: np.ndarray) -> np
     discs = [_kummer_disc(b, z, centre) for centre in centres]
     refused = np.array([disc is None for disc in discs], dtype=bool)
     drop = refused[cell]
-    rest[finite[drop]] = True
-    finite, cell = finite[~drop], cell[~drop]
+    rest = np.sort(order[drop])
+    order, cell = order[~drop], cell[~drop]
     # row m: each point's coefficient of u^(M - m), from its cell's disc
     accepted = np.array([disc[0] for disc in discs if disc is not None])
     coeffs = accepted.reshape(-1, _DISC_DEGREE + 1).T[:, (np.cumsum(~refused) - 1)[cell]]
-    u = (a[finite] - np.array(centres)[cell]) / _DISC_RADIUS
+    u = (a[order] - np.array(centres)[cell]) / _DISC_RADIUS
     value = np.zeros_like(u)
     for row in coeffs:
         value = value * u + row
-    out[finite] = value
-    return np.flatnonzero(rest)
+    out[order] = value
+    return rest
 
 
 def _hyp1f1_point(a: complex, b: complex, z: complex) -> complex:
@@ -593,35 +592,40 @@ def _hyp1f1_point(a: complex, b: complex, z: complex) -> complex:
 
 
 def hyp1f1(a: complex, b: complex, z: complex) -> complex:
-    """1F1(a; b; z); arguments may be arrays, broadcast together.
+    """1F1(a; b; z) at a scalar a, or elementwise at an ndarray a.
 
-    Two accuracy contracts, and each value depends on (a, b, z) and the
-    kind of call alone, never on the cache or on the other points:
+    b and z are scalars; an array b or z raises DomainError.  An array a
+    holding a non-finite point raises the scalar call's DomainError
+    before any other work.  Two accuracy contracts, and each value
+    depends on (a, b, z) and the kind of call alone, never on the cache
+    or on the other points:
 
-    - An array a with scalar b and z, b real and positive and
-      0 < |z| <= 40, takes every finite point from the cached Taylor disc
-      (_kummer_disc) of its lattice cell, centred at Re a = j/2 + 1/4 and
-      an integer Im a.  Such a value is good to about 1e-13 of the disc's
-      scale, max |1F1| within 0.6 of the centre, not of the point's value,
-      which is smaller near a zero of 1F1 in a.
-    - A scalar call, and every other point of an array call (those of a
-      disc that misses its error bound, and every point when b or z is an
-      array), is good to about 1e-12 of the value itself, and exactly 1
-      at z = 0 (_hyp1f1_point: the disc value where it is that good, a
-      missing disc built first in about 1 to 15 ms, else the series).
+    - An array a with b real and positive and 0 < |z| <= 40 takes every
+      point from the cached Taylor disc (_kummer_disc) of its lattice
+      cell, centred at Re a = j/2 + 1/4 and an integer Im a.  Such a
+      value is good to about 1e-13 of the disc's scale, max |1F1| within
+      0.6 of the centre, not of the point's value, which is smaller near
+      a zero of 1F1 in a.
+    - A scalar call is good to about 1e-12 of the value itself, and
+      exactly 1 at z = 0 (_hyp1f1_point: the disc value where it is that
+      good, a missing disc built first in about 1 to 15 ms, else the
+      series); every other point of an array call, those of a refused
+      disc or of any other b and z, is the series (hyp1f1_eval).
     """
-    if not (_is_array(a) or _is_array(b) or _is_array(z)):
-        return _hyp1f1_point(a, b, z)
     if _is_array(b) or _is_array(z):
-        a, b, z = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (a, b, z)))
-        points = zip(a.ravel(), b.ravel(), z.ravel())
-        return np.array([_hyp1f1_point(*p) for p in points], dtype=complex).reshape(a.shape)
+        raise DomainError("hyp1f1 takes an array in a alone; b and z must be scalars")
+    if not _is_array(a):
+        return _hyp1f1_point(a, b, z)
     a, b, z = np.asarray(a, dtype=complex), complex(b), complex(z)
+    flat = a.ravel()
+    bad = flat[~np.isfinite(flat)]
+    if bad.size:
+        raise DomainError(f"hyp1f1({complex(bad[0])}, {b}, {z}) needs finite arguments")
     out = np.empty(a.shape, dtype=complex)
-    flat, res = a.ravel(), out.reshape(-1)
+    res = out.reshape(-1)
     rest = _hyp1f1_on_discs(flat, b.real, z, res) if _has_discs(b, z) else range(flat.size)
     for i in rest:
-        res[i] = _hyp1f1_point(flat[i], b, z)
+        res[i] = hyp1f1_eval(flat[i], b, z).value
     return out
 
 

@@ -31,8 +31,9 @@ raises DomainError; an error that fn raises on an array propagates.  fn
 must also take a Python complex: the residual of each line-scan report
 is one such call, so it comes from fn's scalar body and not from the
 circle's values.  GlobalFactorization.evaluate, zeta_real,
-LocalFactor.evaluate and entire_eval, and the special functions
-riemann_zeta, dirichlet_l, gamma, log_gamma and hyp1f1 take both.
+zeta_complex_hermitian, zeta_rn_radial, LocalFactor.evaluate and
+entire_eval, and the special functions riemann_zeta, dirichlet_l,
+completed_xi, gamma, log_gamma and hyp1f1 (in a) take both.
 """
 
 from __future__ import annotations
@@ -235,30 +236,6 @@ def _fold_imag(im: float, period: float) -> float:
     return folded
 
 
-def _numerator_frame(factor: LocalFactor):
-    """(coeffs, D, log q, to_s, residuals) of a finite-place factor: its
-    numerator P in X = q^(s - n/2) and degree D; to_s(log X), the s of X
-    after the twist shift, folded into 0 <= Im(s) < 2 pi / ln q; and
-    residuals(xs), the list of |P(x)| over the largest coefficient modulus
-    for the points x of xs, from one np.polyval call.
-    """
-    coeffs, _, D = factor.zero_poly()
-    log_p = math.log(factor.p)
-    period = 2.0 * math.pi / log_p
-    shift = cmath.phase(complex(factor.twist)) / log_p
-    coeff_scale = float(np.max(np.abs(coeffs), initial=0.0))
-
-    def to_s(log_x: complex) -> complex:
-        s_val = factor.n_dim / 2.0 + log_x / log_p
-        return complex(s_val.real, _fold_imag(s_val.imag + shift, period))
-
-    def residuals(xs) -> list[float]:
-        # abs of a Python complex, not np.abs, which rounds differently
-        return [abs(complex(v)) / coeff_scale for v in np.polyval(coeffs, xs)]
-
-    return coeffs, D, log_p, to_s, residuals
-
-
 # an m-fold root comes back from the eigenvalue solver split over a circle
 # of radius about eps^(1/m) times its scale, and each member of the split
 # has a slope |P'| near eps^((m-1)/m) of its natural size
@@ -316,9 +293,10 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     _CERT_RADIUS about it (_turns) is its multiplicity.  A factor that
     vanishes identically has no isolated zeros and gives [].
     """
-    coeffs, D, log_p, to_s, residuals = _numerator_frame(factor)
+    coeffs, _, D = factor.zero_poly()
     if D < 1:
         return []
+    log_p = math.log(factor.p)
     clustered = _cluster_roots(np.roots(coeffs), coeffs)
     xs = np.array([x_root for x_root, _ in clustered])
     try:
@@ -335,11 +313,20 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
         confirmed = [len(xs) == D and np.all(np.abs(np.abs(xs) - 1.0) <= 1e-8)
                      and np.all(h[:D] * h[D:] <= 0.0)
                      and np.all(gaps > 2.0 * half)] * len(xs)
+    # s = n/2 + log X / ln q, Im s shifted by the twist and folded into
+    # 0 <= Im s < 2 pi / ln q
+    period = 2.0 * math.pi / log_p
+    shift = cmath.phase(complex(factor.twist)) / log_p
+    locations = [factor.n_dim / 2.0 + cmath.log(x_root) / log_p for x_root in xs.tolist()]
+    locations = [complex(s.real, _fold_imag(s.imag + shift, period)) for s in locations]
+    # |P(x)| over the largest coefficient modulus; abs of a Python
+    # complex, not np.abs, which rounds differently
+    coeff_scale = float(np.max(np.abs(coeffs)))
+    residuals = [abs(complex(v)) / coeff_scale for v in np.polyval(coeffs, xs)]
     return _sorted_reports(
-        ZeroReport(location=to_s(cmath.log(x_root)), multiplicity=mult,
-                   method="CompanionRoots", residual=resid,
+        ZeroReport(location=s, multiplicity=mult, method="CompanionRoots", residual=resid,
                    certified=bool(ok and resid <= _ROOT_RESIDUAL))
-        for (x_root, mult), resid, ok in zip(clustered, residuals(xs), confirmed)
+        for s, (_, mult), resid, ok in zip(locations, clustered, residuals, confirmed)
     )
 
 

@@ -21,7 +21,14 @@ from hypothesis import strategies as st
 
 from weakmellin import acceptance, global_zeta
 from weakmellin import specfun as sf
-from weakmellin.arch_zeta import Real, RealSign, Trivial, zeta_real, zeta_rn_radial
+from weakmellin.arch_zeta import (
+    Real,
+    RealSign,
+    Trivial,
+    zeta_complex_hermitian,
+    zeta_real,
+    zeta_rn_radial,
+)
 from weakmellin.errors import DomainError
 from weakmellin.global_zeta import GlobalSpec, factorize_global, reference_spec
 from weakmellin.padic_core import unit_characters
@@ -137,10 +144,15 @@ def test_hyp1f1_on_arrays():
     a = np.array([0.25 + 3j, 1.5, -0.5 + 1j, 2.0 - 7j])
     # z = 0 answers 1 at once, as the scalar call does
     assert np.array_equal(sf.hyp1f1(a, 0.5, 0.0), np.ones(4))
-    z = np.array([0.0, 1j, -2.0 + 0.5j, 10j])
-    got = sf.hyp1f1(a, 1.5, z)
-    want = [sf.hyp1f1(x, 1.5, w) for x, w in zip(a, z)]
-    assert np.array_equal(got, want)  # the same fixed-point kernel
+    # an array moves in a alone: one call per z, each point equal to the
+    # scalar call there (the same disc, or the same fixed-point kernel)
+    zs = [0.0, 1j, -2.0 + 0.5j, 10j]
+    for z in zs:
+        got = sf.hyp1f1(a, 1.5, z)
+        want = [sf.hyp1f1(x, 1.5, z) for x in a.tolist()]
+        assert np.array_equal(got, want), z
+    with pytest.raises(DomainError, match="array in a alone"):
+        sf.hyp1f1(a, 1.5, np.array(zs))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +171,21 @@ def test_zeta_real(a, negative, b, char, pts):
     a = -a if negative else a
     assume(np.pi * b * b / abs(a) <= 10.0)
     _assert_elementwise(lambda s: zeta_real(a, b, s, char), pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.25, 4.0),
+    st.sampled_from([0j, 0.3 + 0j, -0.8j, 0.5 + 0.5j, -1.2 + 0.4j]),
+    st.integers(-3, 3),
+    _points(-0.9, 2.0, 30.0, max_size=16, keep=lambda z: True),
+)
+def test_zeta_complex_hermitian(a, b, n, pts):
+    assume(2.0 * np.pi * abs(b) ** 2 / a <= 10.0)
+    # away from the poles of Gamma(s + |n|/2)
+    pts = [s for s in pts if _clear(s + 0.5 * abs(n))]
+    assume(pts)
+    _assert_elementwise(lambda s: zeta_complex_hermitian(a, b, n, s), pts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,6 +235,20 @@ def test_real_census_sums_discs_not_points(monkeypatch):
     assert count == len(reports) == 3
     assert len(runs) <= 60
     assert sf._kummer_disc.cache_info().misses <= 3
+
+
+@pytest.mark.parametrize("rect", [(0.05, 0.95, 0.5, 20.0), (-3.0, 4.0, 0.5, 20.0)],
+                         ids=["strip", "wide"])
+@pytest.mark.parametrize("a, b, n, count", [(1.0, 0.5, 0, 3), (1.0, 0.7 + 0.2j, 1, 4),
+                                            (2.0, 1.0, 2, 4)])
+def test_hermitian_census_finds_its_zeros_on_the_line(a, b, n, count, rect):
+    # the local claim at the complex place: the box that reaches from
+    # Re s = -3 to 4 holds the zeros of the strip 0.05 < Re s < 0.95, and
+    # each is certified on Re s = 1/2
+    reports, got = census(lambda s: zeta_complex_hermitian(a, b, n, s), rect)
+    assert got == len(reports) == count
+    assert all(rep.certified for rep in reports)
+    assert all(abs(rep.location.real - 0.5) <= 1e-12 for rep in reports)
 
 
 # The domain: -3 <= Re s <= 4, |Im s| <= 40, at least 1e-3 from the poles
@@ -387,10 +428,11 @@ def _bad_points():
         ("zeta height cap", sf.riemann_zeta, 0.5 + 61j),
         ("L left edge", lambda s: sf.dirichlet_l(s, chi5), -0.6),
         ("L height cap", lambda s: sf.dirichlet_l(s, chi5), 0.5 + 61j),
-        ("hyp1f1 argument cap", lambda z: sf.hyp1f1(0.5, 0.5, z), 41.0),
+        ("hyp1f1 argument cap", lambda a: sf.hyp1f1(a, 0.5, 41.0), 0.5),
         ("hyp1f1 lower-parameter pole", lambda a: sf.hyp1f1(a, 0.0, 0.0), 0.5),
         ("zeta_real gamma pole", lambda s: zeta_real(1.0, 0.0, s), 0.0),
         ("zeta_real overflow", lambda s: zeta_real(1.0, 0.0, s), -2000.0),
+        ("hermitian gamma pole", lambda s: zeta_complex_hermitian(1.0, 0.0, 0, s), 0.0),
         ("completed_xi pole at 0", sf.completed_xi, 1e-7j),
         ("completed_xi pole at 1", sf.completed_xi, 1.0 - 5e-7),
         ("local pole", unram.evaluate, 0.0),

@@ -129,6 +129,19 @@ def test_global_values_and_breakdown(capsys):
         assert row["fe_residual"] <= 1e-9
 
 
+def test_global_csv_table(capsys):
+    # one row per --s, no breakdown row
+    code, out, _ = run_cli(
+        ["global", "--s=0.5,14", "--s=0.8,3", "--format", "csv"], capsys,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "s_re,s_im,value_re,value_im,fe_residual"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["0.5", "14"],
+                                                         ["0.80000000000000004", "3"]]
+    assert all(float(line.split(",")[4]) <= 1e-9 for line in lines[1:])
+
+
 def test_global_tolerance_override_fails_numerically(capsys):
     code, _, _ = run_cli(
         ["global", "--s", "0.5,14", "--tol", "1e-30"], capsys,
@@ -352,6 +365,15 @@ def test_weil_index_places_and_product(capsys):
     for g in by_place.values():
         assert abs(abs(g) - 1.0) < 1e-12
     assert abs(by_place["product"] - 1.0) < 1e-12
+
+
+def test_weil_index_csv_table(capsys):
+    code, out, _ = run_cli(["weil-index", "--format", "csv"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "place,gamma_re,gamma_im"
+    assert [line.split(",")[0] for line in lines[1:]] == ["inf", "2", "product"]
+    assert lines[-1] == "product,1,0"
 
 
 # ------------------------------------------------------------- exit codes

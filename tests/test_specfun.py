@@ -383,10 +383,7 @@ def test_hyp1f1_refused_disc_falls_back_to_the_series(monkeypatch):
 
 
 def _one_point_calls(a, b, z):
-    """hyp1f1 at each point of a called as a one-point array, with the
-    matching one-point z when z is an array."""
-    if np.ndim(z):
-        return np.array([sf.hyp1f1(a[i:i + 1], b, z[i:i + 1])[0] for i in range(a.size)])
+    """hyp1f1 at each point of a called as a one-point array."""
     return np.array([sf.hyp1f1(a[i:i + 1], b, z)[0] for i in range(a.size)])
 
 
@@ -394,7 +391,8 @@ def test_hyp1f1_array_values_do_not_depend_on_the_call(monkeypatch):
     # a lone point in a cell and a full cell each take their cell's disc:
     # every value is the disc polynomial at the point, and equals the
     # same point called alone, bit for bit, as does every point of a
-    # refused disc, of an array z and of z = 0
+    # refused disc and of z = 0; a scalar call's value does not depend on
+    # which discs the cache holds
     rng = random.Random(5)
     b, z = 0.5, 14.1j
     cells = {0.25 + 12j: _cell_points(rng, 0, 12, 16, on_line=True),
@@ -408,8 +406,10 @@ def test_hyp1f1_array_values_do_not_depend_on_the_call(monkeypatch):
             for centre, x in cells.items()]
     assert np.array_equal(got, np.concatenate(want))
 
-    zs = np.full(a.shape, z)
-    assert np.array_equal(sf.hyp1f1(a, b, zs), _one_point_calls(a, b, zs))
+    sf._kummer_disc.cache_clear()
+    scalars = [sf.hyp1f1(x, b, z) for x in a.tolist()]
+    sf._kummer_disc.cache_clear()
+    assert [sf.hyp1f1(x, b, z) for x in a.tolist()[::-1]] == scalars[::-1]
     assert np.array_equal(sf.hyp1f1(a, b, 0.0), np.ones(a.shape))
     assert np.array_equal(sf.hyp1f1(a, b, 0.0), _one_point_calls(a, b, 0.0))
 
@@ -424,19 +424,16 @@ def test_hyp1f1_array_values_do_not_depend_on_the_call(monkeypatch):
 
 
 def test_hyp1f1_disc_sweep_matches_polyval_per_cell(monkeypatch):
-    # seven cells of 1 to 16 points, shuffled together with NaN and inf
-    # points, one cell's disc refused: each disc is fetched once, in the
-    # order of the cells, and built once; every point of an accepted cell
-    # takes np.polyval of its own cell's disc bit for bit, and the rest,
-    # the non-finite points and those of the refused cell, are left
-    # untouched for the series
+    # seven cells of 1 to 16 points, shuffled together, one cell's disc
+    # refused: each disc is fetched once, in the order of the cells, and
+    # built once; every point of an accepted cell takes np.polyval of its
+    # own cell's disc bit for bit, and the points of the refused cell are
+    # left untouched for the series
     rng = random.Random(41)
     b, z = 1.5, 14.1j
     sizes = {(0, 12): 16, (1, -3): 1, (-1, 0): 5, (2, 5): 3, (3, 5): 8, (0, 13): 2, (1, 0): 11}
     pairs = [(complex(0.5 * j + 0.25, m), x)
              for (j, m), n in sizes.items() for x in _cell_points(rng, j, m, n, on_line=True)]
-    pairs += [(None, x) for x in (complex(math.nan, 0.0), complex(math.inf, 1.0),
-                                  complex(0.5, -math.inf), complex(0.25, math.nan))]
     rng.shuffle(pairs)
     labels = [centre for centre, _ in pairs]
     a = np.array([x for _, x in pairs])
@@ -453,10 +450,10 @@ def test_hyp1f1_disc_sweep_matches_polyval_per_cell(monkeypatch):
     try:
         out = np.full(a.shape, 7.0 + 7.0j)
         rest = sf._hyp1f1_on_discs(a, b, z, out)
-        centres = sorted(set(labels) - {None}, key=lambda c: (c.real, c.imag))
+        centres = sorted(set(labels), key=lambda c: (c.real, c.imag))
         assert fetched == centres
         assert disc.cache_info().misses == len(centres) - 1
-        left = [i for i, c in enumerate(labels) if c is None or c == refused]
+        left = [i for i, c in enumerate(labels) if c == refused]
         assert rest.tolist() == left
         assert np.all(out[left] == 7.0 + 7.0j)
         for centre in centres:
@@ -465,13 +462,12 @@ def test_hyp1f1_disc_sweep_matches_polyval_per_cell(monkeypatch):
                 want = np.polyval(disc(b, z, centre)[0], (a[at] - centre) / sf._DISC_RADIUS)
                 assert np.array_equal(out[at], want), centre
 
-        finite = a[np.isfinite(a)]
-        got = sf.hyp1f1(finite, b, z)
-        assert np.array_equal(got, _one_point_calls(finite, b, z))
-        at = [i for i, x in enumerate(finite) if round(x.imag) == 5 and x.real < 1.5]
-        assert np.array_equal(got[at], [sf.hyp1f1_eval(x, b, z).value for x in finite[at]])
+        got = sf.hyp1f1(a, b, z)
+        assert np.array_equal(got, _one_point_calls(a, b, z))
+        at = [i for i, x in enumerate(a) if round(x.imag) == 5 and x.real < 1.5]
+        assert np.array_equal(got[at], [sf.hyp1f1_eval(x, b, z).value for x in a[at]])
         with pytest.raises(DomainError):
-            sf.hyp1f1(a, b, z)
+            sf.hyp1f1(np.append(a, complex(math.nan, 0.0)), b, z)
         assert sf._hyp1f1_on_discs(a[:0], b, z, out[:0]).size == 0
         assert sf.hyp1f1(a[:0], b, z).shape == (0,)
     finally:
@@ -564,6 +560,34 @@ def test_scalar_disc_values_are_good_to_1e12_of_the_value(monkeypatch):
                 worst = max(worst, abs(value - ref) / abs(ref))
     assert worst <= 1e-12
     assert banded >= 20 and corners >= 15
+
+
+@pytest.mark.parametrize("b, z", [(np.array([1.5, 1.5]), 14.1j),
+                                  (1.5, np.array([14.1j, 14.1j])),
+                                  (np.array([1.5]), np.array([14.1j]))],
+                         ids=["array b", "array z", "both"])
+def test_hyp1f1_refuses_an_array_b_or_z(b, z):
+    # an array moves in a alone; a call with an array b or z is refused,
+    # with a scalar a and with an array a, before any disc is fetched
+    sf._kummer_disc.cache_clear()
+    for a in (0.25 + 3j, np.array([0.25 + 3j, 2.25 + 9j])):
+        with pytest.raises(DomainError, match="array in a alone"):
+            sf.hyp1f1(a, b, z)
+    assert sf._kummer_disc.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 1.0),
+                                 complex(0.5, -math.inf)])
+def test_hyp1f1_refuses_a_non_finite_a_before_any_disc(bad):
+    # the array call raises the scalar call's error at its non-finite
+    # point, and builds no disc for the finite points before it
+    with pytest.raises(DomainError) as scalar:
+        sf.hyp1f1(bad, 1.5, 14.1j)
+    sf._kummer_disc.cache_clear()
+    with pytest.raises(DomainError) as array:
+        sf.hyp1f1(np.array([0.25 + 3j, 2.25 + 9j, bad]), 1.5, 14.1j)
+    assert str(array.value) == str(scalar.value)
+    assert sf._kummer_disc.cache_info().misses == 0
 
 
 def test_scalar_hyp1f1_builds_its_cell_disc_once(monkeypatch):

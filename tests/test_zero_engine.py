@@ -122,15 +122,22 @@ def test_ramified_roots_on_critical_line():
 
 
 def _polyroots_in_s(factor):
-    """The numerator's roots from 30-digit mpmath.polyroots, mapped to s
-    and folded into the strip as exp_poly_roots maps and folds them, in
-    the order of its reports."""
+    """The numerator's roots X from 30-digit mpmath.polyroots, mapped to
+    s = n/2 + log X / ln p, Im s shifted by arg(twist) / ln p and folded
+    into [0, 2 pi / ln p), in the order of exp_poly_roots' reports.  A
+    root on the seam, within 1e-12 below the period, folds to 0."""
     coeffs, _, _ = factor.zero_poly()
     with mp.workdps(30):
         roots = mp.polyroots([mp.mpc(c) for c in coeffs], maxsteps=200, extraprec=60)
-        logs = [complex(mp.log(x)) for x in roots]
-    to_s = zero_engine._numerator_frame(factor)[3]
-    return sorted(map(to_s, logs), key=lambda z: (z.imag, z.real))
+        log_p = mp.log(factor.p)
+        period = 2 * mp.pi / log_p
+        shift = mp.arg(mp.mpc(factor.twist)) / log_p
+        out = []
+        for x in roots:
+            s = factor.n_dim / mp.mpf(2) + mp.log(x) / log_p
+            im = (s.imag + shift) % period
+            out.append(complex(float(s.real), 0.0 if period - im < 1e-12 else float(im)))
+    return sorted(out, key=lambda z: (z.imag, z.real))
 
 
 def test_circle_zeros_match_companion_roots():
