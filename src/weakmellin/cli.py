@@ -281,7 +281,7 @@ class JobConfig:
         if command == "verify":
             suite = str(data.get("suite", "all"))
             if suite != "all":
-                from .acceptance import battery  # loads scipy; verify only
+                from .acceptance import battery  # the oracles; verify only
 
                 numbers = {str(num) for num, _, _ in battery()}
                 if suite not in numbers:
@@ -460,7 +460,7 @@ def _run_zeros(cfg: JobConfig):
 
 
 def _run_verify(cfg: JobConfig):
-    from .acceptance import run_all, run_criterion  # loads scipy; verify only
+    from .acceptance import run_all, run_criterion  # the oracles; verify only
 
     if cfg.suite == "all":
         results = run_all()

@@ -23,7 +23,10 @@ Tests compare these against the closed-form modules; the two sides share
 only the exact primitives and the input rules: each archimedean oracle
 runs its shape's check from arch_zeta (finite coefficients, a nonzero or
 positive a, n >= 1 and a non-negative norm), and every oracle refuses a
-non-finite s, but no numerics cross over.
+non-finite s, but no numerics cross over.  scipy.special (Bessel, Hankel
+and log-gamma functions) is imported inside the hermitian, radial and
+square helpers that call it: importing this module, or calling the
+p-adic, real or sign oracles, loads no scipy.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 
 import numpy as np
-from scipy import special
 
 from .arch_zeta import _check_hermitian, _check_radial, _check_real, _check_square
 from .errors import DegenerateError, DomainError, QuadratureError, SupportEscapeError
@@ -506,6 +508,8 @@ _I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
 
 
 def _cgamma(z):
+    from scipy import special
+
     return cmath.exp(complex(special.loggamma(complex(z))))
 
 
@@ -625,6 +629,8 @@ def _hermitian_line(line, a, b, n, s):
     r = y / sqrt(2).  The damped envelope exp(-pi eps y^2) is then the
     r-integral's own exp(-2 pi eps r^2), ladder and cut-off included."""
 
+    from scipy import special
+
     fold = partial(special.jv, n)
     pref = _hermitian_pref(b, n) * 2.0 ** (-s)
     return _scaled(line(a, math.sqrt(2.0) * abs(b), 2.0 * s, fold), pref)
@@ -658,6 +664,8 @@ def _sphere_average(n, w):
     """Average of a plane wave over the unit sphere in n variables, as a
     function of w = |frequency| * radius, real or complex.  Equals 1 at
     w = 0."""
+
+    from scipy import special
 
     nu = 0.5 * n - 1.0
     w = np.asarray(w)
@@ -708,6 +716,8 @@ def _square_hankel(a, n, s):
     halves are taken up the ray x = 1 + it and down the ray x = 1 - it,
     where they decay like e^(-ct)."""
 
+    from scipy import special
+
     m = n // 2
     order = abs(m)
     c = 2.0 * math.pi * abs(a)
@@ -743,6 +753,8 @@ def _square_bessel(a, n, s):
     """b = 0 branch of the complex square transform: the angular integral
     of exp(-2 pi i Re(a z^2)) (z/|z|)^n vanishes for odd n and reduces to
     a Bessel function of order |n|/2 for even n.  Damped route."""
+
+    from scipy import special
 
     m = n // 2
     mag = abs(a)

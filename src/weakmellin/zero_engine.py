@@ -156,6 +156,14 @@ def _profile_values(rot, coeffs, turn, xs):
     return (rot * turn * np.polyval(coeffs, xs)).real
 
 
+def _profile_floor(coeffs, degree: int) -> float:
+    """4 D eps sum |c_k|, the rounding of the Horner sum behind the
+    circle profile (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, 5.1): a profile value at most this large has a
+    sign that is noise."""
+    return 4.0 * degree * np.finfo(float).eps * float(np.sum(np.abs(coeffs)))
+
+
 def _circle_rotation(coeffs):
     """conj(sqrt(u)), the rotation of the circle profile h.  Raises
     DomainError unless the numerator is self-inversive.
@@ -186,16 +194,14 @@ def _circle_grid(coeffs, degree: int):
     changes sign, or (phi, phi) where h is 0 at a grid angle.  The grid
     reads both exponentials from the cached tables (_circle_points,
     _circle_turn), so it is one np.polyval and one product.  A grid value
-    within the rounding of the Horner sum, 4 D eps sum |c_k| (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, 5.1), counts as
-    0: its sign is noise, and a double root on a grid angle would
-    otherwise show two sign changes.  Raises DomainError unless the
-    numerator is self-inversive.
+    within the rounding of the Horner sum (_profile_floor) counts as 0:
+    its sign is noise, and a double root on a grid angle would otherwise
+    show two sign changes.  Raises DomainError unless the numerator is
+    self-inversive.
     """
     phis, xs = _circle_points()
     vals = _profile_values(_circle_rotation(coeffs), coeffs, _circle_turn(degree), xs)
-    floor = 4.0 * degree * np.finfo(float).eps * float(np.sum(np.abs(coeffs)))
-    vals = np.where(np.abs(vals) <= floor, 0.0, vals)
+    vals = np.where(np.abs(vals) <= _profile_floor(coeffs, degree), 0.0, vals)
     samples = _CIRCLE_SAMPLES
     # close the loop; odd degree profiles are antiperiodic
     vals = np.append(vals, vals[0] if degree % 2 == 0 else -vals[0])
@@ -283,15 +289,17 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     0 <= Im(s) < 2 pi / ln q (after the twist shift), and each root is
     confirmed on its own matching disk.  The roots of a self-inversive
     numerator are confirmed together when all D are simple, each has |X|
-    within 1e-8 of 1 and h(phi - d) h(phi + d) <= 0 at its angle phi for
-    the circle profile h (_circle_rotation), d = _CERT_RADIUS ln q, from
-    one array call of h, and the angles lie pairwise more than 2d apart
-    round the circle, so the arcs [phi - d, phi + d] are disjoint: the
-    intermediate value theorem then puts D distinct circle zeros, all of
-    P's, one in each arc.  A root of any other numerator is confirmed when
-    the winding number of P on _DIP_POINTS points of the circle of radius
-    _CERT_RADIUS about it (_turns) is its multiplicity.  A factor that
-    vanishes identically has no isolated zeros and gives [].
+    within 1e-8 of 1, h(phi - d) and h(phi + d) have strictly opposite
+    signs at its angle phi for the circle profile h (_circle_rotation),
+    d = _CERT_RADIUS ln q, both above the rounding floor of h
+    (_profile_floor), from one array call of h, and the angles lie
+    pairwise more than 2d apart round the circle, so the arcs
+    [phi - d, phi + d] are disjoint: the intermediate value theorem then
+    puts D distinct circle zeros, all of P's, one in each arc.  A root of
+    any other numerator is confirmed when the winding number of P on
+    _DIP_POINTS points of the circle of radius _CERT_RADIUS about it
+    (_turns) is its multiplicity.  A factor that vanishes identically has
+    no isolated zeros and gives [].
     """
     coeffs, _, D = factor.zero_poly()
     if D < 1:
@@ -311,7 +319,8 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
         h = _profile_values(rot, coeffs, _half_turn(D, ends), np.exp(1j * ends))
         gaps = np.diff(np.sort(phis), append=np.min(phis) + 2.0 * math.pi)
         confirmed = [len(xs) == D and np.all(np.abs(np.abs(xs) - 1.0) <= 1e-8)
-                     and np.all(h[:D] * h[D:] <= 0.0)
+                     and np.all(h[:D] * h[D:] < 0.0)
+                     and np.all(np.abs(h) > _profile_floor(coeffs, D))
                      and np.all(gaps > 2.0 * half)] * len(xs)
     # s = n/2 + log X / ln q, Im s shifted by the twist and folded into
     # 0 <= Im s < 2 pi / ln q

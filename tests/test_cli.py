@@ -621,19 +621,47 @@ def test_unit_character_at_2_exits_2(command, capsys):
     )
 
 
-def test_cli_import_loads_no_scipy():
-    # only verify needs the oracles, and with them scipy
+def _scipy_modules_after(code):
+    """The scipy modules loaded, in a fresh interpreter on the source tree,
+    after each statement of code: one sorted list per statement."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    probe = (
-        "import sys, weakmellin.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    record = "seen.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = "\n".join(
+        ["import json, sys", "seen = []"]
+        + [part for line in code for part in (line, record)]
+        + ["print(json.dumps(seen))"]
     )
-    env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
-        env=env, check=True,
+        env=dict(os.environ, PYTHONPATH=src), check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    # only the hermitian, radial and square oracles need scipy, and they
+    # load it on their first call: neither the CLI nor a verify suite
+    # that runs none of them does
+    seen = _scipy_modules_after([
+        "import weakmellin.cli",
+        "weakmellin.cli.main(['verify', '--suite', '1'])",
+    ])
+    assert seen == [[], []]
+
+
+@pytest.mark.parametrize("code", [
+    "import weakmellin.acceptance",
+    "import weakmellin.oracle",
+    "from weakmellin.oracle import oracle_padic_mellin; oracle_padic_mellin(1, 0, 3, 2)",
+    "from weakmellin.oracle import oracle_real_mellin; oracle_real_mellin(1, 0.5, 0.7+0.2j)",
+    "from weakmellin.acceptance import run_criterion; run_criterion(1)",
+], ids=["acceptance", "oracle", "padic", "real", "criterion-1"])
+def test_oracles_load_no_scipy_until_one_needs_it(code):
+    seen = _scipy_modules_after([
+        code, "from weakmellin.oracle import oracle_radial_mellin; oracle_radial_mellin(1, 0.5, 3, 0.7)",
+    ])
+    assert seen[0] == []
+    assert "scipy.special" in seen[1]
 
 
 @pytest.mark.parametrize("b", ["0", "1/999999999989"])

@@ -282,6 +282,26 @@ def test_double_root_on_the_circle_is_not_certified():
     assert unit_circle_certificate(factor)[0] < factor.degree
 
 
+@pytest.mark.parametrize("ramified", [False, True])
+@pytest.mark.parametrize("before, after", [(1e-18, -1e-18), (0.0, -1.0), (0.0, 0.0)])
+def test_arc_ends_within_rounding_certify_nothing(monkeypatch, ramified, before, after):
+    # the profile at the two ends of every root's arc, in units of
+    # sum |c_k|: a value at or under the rounding of the Horner sum,
+    # 4 D eps sum |c_k|, has noise for a sign, and an exact 0 makes no
+    # sign change, so neither certifies a root
+    factor = _certificate_case(ramified)
+    coeffs, _, degree = factor.zero_poly()
+    scale = float(np.sum(np.abs(coeffs)))
+
+    def at_the_ends(rot, poly, turn, xs):
+        return np.repeat([before * scale, after * scale], np.size(xs) // 2)
+
+    monkeypatch.setattr(zero_engine, "_profile_values", at_the_ends)
+    reports = exp_poly_roots(factor)
+    assert len(reports) == degree
+    assert not any(rep.certified for rep in reports)
+
+
 # the half-width of a root's arc at p = 3
 _ARC = zero_engine._CERT_RADIUS * math.log(3)
 
