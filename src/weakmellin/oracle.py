@@ -336,14 +336,22 @@ _MAX_PHASE = 8.0
 _ORDER_TOL = 1e-8
 
 _MAX_PANELS = 200_000
+# integrand nodes per call: a complex array of 4096 entries (64 KiB) stays
+# below glibc malloc's 128 KiB mmap threshold, so the temporaries of an
+# oracle call reuse heap memory instead of mapping fresh pages each call
+_BLOCK = 4096
 
 # Contour routes.  The trapezoidal step in u = log(tau), tau the radius in
 # units where the Gaussian is exp(-tau^2); the check reruns at half of it.
 _CONTOUR_STEP = 1.0 / 16.0
-# u range: at the low end tau^0.15 < 2e-17, below every strip's lower edge
-# (the integrands fall at least like tau^Re(s) there); at the high end
-# exp(-tau^2) < 1e-64.
+# u range: at the high end exp(-tau^2) < 1e-64.  The integrands fall at
+# least like tau^sigma toward the low end, sigma = Re(s) (Re(2s) on the
+# hermitian line), so a sum starts at the first node where
+# e^(sigma u) < _CONTOUR_TAIL, and never below -260, where
+# tau^0.15 < 2e-17 at the lowest strip edge; a tail level of 0 keeps
+# every node.
 _CONTOUR_U = (-260.0, 2.5)
+_CONTOUR_TAIL = 1e-40
 # the h/2 grid; its step count is even, so both ends lie on the h grid too
 _CONTOUR_NODES = np.linspace(
     *_CONTOUR_U, round((_CONTOUR_U[1] - _CONTOUR_U[0]) / (0.5 * _CONTOUR_STEP)) + 1
@@ -393,10 +401,12 @@ def _panel_edges(lo, split, hi, rate, max_phase):
     phase each.  rate(x) bounds the local phase derivative."""
 
     edges = [lo]
-    x = lo
-    while x < split:
-        x = min(x * 2.0, split)
-        edges.append(x)
+    if lo < split:
+        # lo 2^k below split, exact as doubling is; two edges past the
+        # log2 estimate cover its rounding, and the filter drops the rest
+        run = np.ldexp(lo, np.arange(math.ceil(math.log2(split) - math.log2(lo)) + 2))
+        edges = run[run < split].tolist() + [split]
+    x = edges[-1]
     while x < hi:
         dx = max_phase / rate(x)
         dx = max_phase / rate(min(x + 0.5 * dx, hi))
@@ -409,15 +419,23 @@ def _panel_edges(lo, split, hi, rate, max_phase):
 
 def _integrate_panels(fn, edges, order):
     """Gauss-Legendre total over the panel list plus the L1 mass used to
-    put the error checks on an absolute footing."""
+    put the error checks on an absolute footing.  fn takes the nodes of
+    at most _BLOCK // order panels a call."""
 
     t, w = _gl_rule(order)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    xs = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
-    ws = (halfs[:, None] * w[None, :]).ravel()
-    vals = fn(xs)
-    return np.dot(ws, vals), float(np.dot(ws, np.abs(vals)))
+    step = max(1, _BLOCK // order)
+    total, l1 = 0j, 0.0
+    for i in range(0, len(edges) - 1, step):
+        block = edges[i:i + step + 1]
+        lo, hi = block[:-1], block[1:]
+        mids = 0.5 * (hi + lo)
+        halfs = 0.5 * (hi - lo)
+        xs = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
+        ws = (halfs[:, None] * w[None, :]).ravel()
+        vals = fn(xs)
+        total += np.dot(ws, vals)
+        l1 += float(np.dot(ws, np.abs(vals)))
+    return total, l1
 
 
 def _gl_pair(fn, edges, order):
@@ -439,22 +457,44 @@ def _checked_integral(fn, edges):
     return v2, err
 
 
-def _log_trapezoid(g):
-    """Trapezoidal sums of g(u) over _CONTOUR_U at step h and at h/2 on the
-    nested nodes: the h/2 sum, its checked difference and the L1 mass.
+def _contour_start(sigma):
+    """Index of the first node of _CONTOUR_NODES at which e^(sigma u) is
+    below _CONTOUR_TAIL, rounded down to an even index so that the h and
+    h/2 grids stay nested; 0 for a tail level of 0."""
 
-    g must decay at both ends of the range; the mass beyond either end is
-    bounded by ten end samples (the decay is at least e^(0.1 u) at the low
-    end and Gaussian at the high end) and enters the difference.  Overflow
-    and NaN are not trapped here: they make the check refuse the point."""
+    if not _CONTOUR_TAIL > 0.0:
+        return 0
+    cut = math.log(_CONTOUR_TAIL) / sigma - _CONTOUR_U[0]
+    start = max(0, math.floor(cut / (0.5 * _CONTOUR_STEP)))
+    return start - start % 2
 
+
+def _log_trapezoid(g, sigma):
+    """Trapezoidal sums of g(u) at step h and at h/2 on the nested nodes
+    of _CONTOUR_NODES from _contour_start(sigma) up: the h/2 sum, its
+    checked difference and the L1 mass.
+
+    g must decay at both ends of the range, at least like e^(sigma u) at
+    the low end, sigma >= 0.1; the mass beyond either end is bounded by ten
+    end samples (the decay is Gaussian at the high end) and enters the
+    difference.  Overflow and NaN are not trapped here: they make the
+    check refuse the point."""
+
+    nodes = _CONTOUR_NODES[_contour_start(sigma):]
+    fine, coarse, l1 = 0j, 0j, 0.0
     with np.errstate(all="ignore"):
-        vals = g(_CONTOUR_NODES)
-        fine = 0.5 * _CONTOUR_STEP * vals.sum()
-        coarse = _CONTOUR_STEP * vals[::2].sum()
-        l1 = 0.5 * _CONTOUR_STEP * float(np.abs(vals).sum())
-        diff = max(abs(fine - coarse), 10.0 * (abs(vals[0]) + abs(vals[-1])))
-    return complex(fine), float(diff), l1
+        # _BLOCK is even, so every block starts on the h grid
+        for i in range(0, len(nodes), _BLOCK):
+            vals = g(nodes[i:i + _BLOCK])
+            fine += vals.sum()
+            coarse += vals[::2].sum()
+            l1 += float(np.abs(vals).sum())
+            if i == 0:
+                first = vals[0]
+        fine *= 0.5 * _CONTOUR_STEP
+        coarse *= _CONTOUR_STEP
+        diff = max(abs(fine - coarse), 10.0 * (abs(first) + abs(vals[-1])))
+    return complex(fine), float(diff), 0.5 * _CONTOUR_STEP * l1
 
 
 def _contour_result(value, diff, l1, pref, route):
@@ -549,7 +589,7 @@ def _real_rotated(a, b, s, fold):
         return np.exp(s * u - tau * tau) * fold(k * tau)
 
     pref = cmath.exp(-s * complex(math.log(c), math.copysign(0.25 * math.pi, a)))
-    return _contour_result(*_log_trapezoid(g), pref, "rotated")
+    return _contour_result(*_log_trapezoid(g, s.real), pref, "rotated")
 
 
 def _real_damped(a, b, s, fold):
@@ -794,8 +834,11 @@ def _square_schwinger(a, b, s):
            (4 (t^2 + 4 pi^2 |a|^2)).
 
     The integrand is smooth and positive-tailed, so no damping ladder is
-    needed; the tail beyond the truncation point is added analytically
-    from its first two asymptotic orders."""
+    needed.  The panels start where t^(1-sigma) / (1-sigma), sigma = Re(s),
+    falls below _CONTOUR_TAIL, but not below _X_MIN, and end at 1e10; the
+    part below the start is added in closed form from the leading order
+    t^(-s) (4 pi^2 |a|^2)^(-1/2) exp(E(0)), the part above it from the
+    first two asymptotic orders."""
 
     mag2 = 4.0 * math.pi**2 * abs(a) ** 2
     bb = abs(b) ** 2
@@ -803,6 +846,11 @@ def _square_schwinger(a, b, s):
     lin = 16.0 * math.pi**2 * bb
     const = 32.0 * math.pi**3 * abs(cross)
 
+    # the start is rounded down onto the doubling run from _X_MIN, so the
+    # panels above it are those of a run from _X_MIN
+    rise = 1.0 - s.real
+    start = max((_CONTOUR_TAIL * rise) ** (1.0 / rise), _X_MIN)
+    t_lo = math.ldexp(_X_MIN, math.floor(math.log2(start / _X_MIN)))
     t_hi = 1e10
     smooth = abs(s) + 2.0
 
@@ -811,7 +859,7 @@ def _square_schwinger(a, b, s):
         # power-law wiggle plus the derivative bound on the exponent
         return smooth / t + lin / (4.0 * det) + (lin * t + const) * t / (2.0 * det * det)
 
-    edges = _panel_edges(1e-120, 1.0, t_hi, rate, _MAX_PHASE)
+    edges = _panel_edges(t_lo, 1.0, t_hi, rate, _MAX_PHASE)
     expo_const = 32.0j * math.pi**3 * cross
 
     def fn(t):
@@ -820,9 +868,11 @@ def _square_schwinger(a, b, s):
         return np.exp(-s * np.log(t) + expo) / np.sqrt(det)
 
     value, err = _checked_integral(fn, edges)
+    # head: integrand ~ t^(-s) exp(E(0)) / sqrt(det(0)) (1 + O(t))
+    head = t_lo ** (1.0 - s) / (1.0 - s) * cmath.exp(expo_const / (4.0 * mag2)) / math.sqrt(mag2)
     # tail: integrand ~ t^(-s-1) (1 - 4 pi^2 |b|^2 / t + ...)
     tail = t_hi ** (-s) / s - 4.0 * math.pi**2 * bb * t_hi ** (-s - 1.0) / (s + 1.0)
-    total = value + tail
+    total = head + value + tail
     pref = 2.0 * math.pi / _cgamma(1.0 - s)
     return ArchOracleResult(pref * total, abs(pref) * err, math.inf, (), "schwinger")
 

@@ -152,8 +152,22 @@ def _circle_turn(degree: int):
 
 def _profile_values(rot, coeffs, turn, xs):
     """Re(rot turn P(xs)) for xs = e^(i phi) and turn = e^(-i D phi/2): the
-    circle profile, for the grid and for single angles alike."""
+    circle profile at single angles."""
     return (rot * turn * np.polyval(coeffs, xs)).real
+
+
+def _grid_profile(coeffs, degree: int):
+    """The circle profile of _circle_rotation at the xs of _circle_points:
+    _profile_values bit for bit, with np.polyval's Horner sweep and the
+    rotation run in place on one buffer each."""
+    out = _circle_rotation(coeffs) * _circle_turn(degree)
+    xs = _circle_points()[1]
+    vals = np.zeros_like(xs)
+    for c in coeffs:
+        vals *= xs
+        vals += c
+    out *= vals
+    return out.real
 
 
 def _profile_floor(coeffs, degree: int) -> float:
@@ -180,8 +194,9 @@ def _circle_rotation(coeffs):
     the numerator is a clean sign change of h.
     """
     u = coeffs[0] / np.conj(coeffs[-1])
-    mirror = u * np.conj(coeffs[::-1])
-    if np.max(np.abs(coeffs - mirror)) > 1e-8 * np.max(np.abs(coeffs)):
+    cs, uc = coeffs.tolist(), complex(u)
+    if max(abs(c - uc * m.conjugate()) for c, m in zip(cs, reversed(cs))) > (
+            1e-8 * max(map(abs, cs))):
         raise DomainError(
             "circle certificate needs a self-inversive numerator"
         )
@@ -193,14 +208,15 @@ def _circle_grid(coeffs, degree: int):
     on its _CIRCLE_SAMPLES grid.  A bracket is a grid cell over which h
     changes sign, or (phi, phi) where h is 0 at a grid angle.  The grid
     reads both exponentials from the cached tables (_circle_points,
-    _circle_turn), so it is one np.polyval and one product.  A grid value
+    _circle_turn), so it is one Horner sweep and one product
+    (_grid_profile).  A grid value
     within the rounding of the Horner sum (_profile_floor) counts as 0:
     its sign is noise, and a double root on a grid angle would otherwise
     show two sign changes.  Raises DomainError unless the numerator is
     self-inversive.
     """
-    phis, xs = _circle_points()
-    vals = _profile_values(_circle_rotation(coeffs), coeffs, _circle_turn(degree), xs)
+    phis = _circle_points()[0]
+    vals = _grid_profile(coeffs, degree)
     vals = np.where(np.abs(vals) <= _profile_floor(coeffs, degree), 0.0, vals)
     samples = _CIRCLE_SAMPLES
     # close the loop; odd degree profiles are antiperiodic
@@ -292,8 +308,9 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     within 1e-8 of 1, h(phi - d) and h(phi + d) have strictly opposite
     signs at its angle phi for the circle profile h (_circle_rotation),
     d = _CERT_RADIUS ln q, both above the rounding floor of h
-    (_profile_floor), from one array call of h, and the angles lie
-    pairwise more than 2d apart round the circle, so the arcs
+    (_profile_floor), from one array call of h made once the other tests
+    pass, and the angles lie pairwise more than 2d apart round the
+    circle, so the arcs
     [phi - d, phi + d] are disjoint: the intermediate value theorem then
     puts D distinct circle zeros, all of P's, one in each arc.  A root of
     any other numerator is confirmed when the winding number of P on
@@ -306,32 +323,43 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
         return []
     log_p = math.log(factor.p)
     clustered = _cluster_roots(np.roots(coeffs), coeffs)
-    xs = np.array([x_root for x_root, _ in clustered])
+    # the D roots and their checks are Python scalars: at the degrees of
+    # the finite places an array call costs more than the loop it replaces
+    xs = [x_root for x_root, _ in clustered]
+    cs = coeffs.tolist()
     try:
         rot = _circle_rotation(coeffs)
     except DomainError:  # not self-inversive
-        rings = np.polyval(coeffs, xs[:, None] + _CERT_RADIUS * _DIP_UNIT)
+        rings = np.polyval(coeffs, np.array(xs)[:, None] + _CERT_RADIUS * _DIP_UNIT)
         confirmed = [_turns(vals) == mult for (_, mult), vals in zip(clustered, rings)]
     else:
         half = _CERT_RADIUS * log_p
-        phis = np.array([cmath.phase(x_root) for x_root in xs])
-        ends = np.concatenate([phis - half, phis + half])
-        h = _profile_values(rot, coeffs, _half_turn(D, ends), np.exp(1j * ends))
-        gaps = np.diff(np.sort(phis), append=np.min(phis) + 2.0 * math.pi)
-        confirmed = [len(xs) == D and np.all(np.abs(np.abs(xs) - 1.0) <= 1e-8)
-                     and np.all(h[:D] * h[D:] < 0.0)
-                     and np.all(np.abs(h) > _profile_floor(coeffs, D))
-                     and np.all(gaps > 2.0 * half)] * len(xs)
+        phis = [cmath.phase(x_root) for x_root in xs]
+        ordered = sorted(phis)
+        on_arcs = (len(xs) == D and all(abs(abs(x_root) - 1.0) <= 1e-8 for x_root in xs)
+                   and all(b - a > 2.0 * half
+                           for a, b in zip(ordered, ordered[1:] + [ordered[0] + 2.0 * math.pi])))
+        if on_arcs:
+            ends = np.array([phi - half for phi in phis] + [phi + half for phi in phis])
+            h = _profile_values(rot, coeffs, _half_turn(D, ends), np.exp(1j * ends)).tolist()
+            floor = _profile_floor(coeffs, D)
+            on_arcs = (all(lo * hi < 0.0 for lo, hi in zip(h[:D], h[D:]))
+                       and all(abs(v) > floor for v in h))
+        confirmed = [on_arcs] * len(xs)
     # s = n/2 + log X / ln q, Im s shifted by the twist and folded into
     # 0 <= Im s < 2 pi / ln q
     period = 2.0 * math.pi / log_p
     shift = cmath.phase(complex(factor.twist)) / log_p
-    locations = [factor.n_dim / 2.0 + cmath.log(x_root) / log_p for x_root in xs.tolist()]
+    locations = [factor.n_dim / 2.0 + cmath.log(x_root) / log_p for x_root in xs]
     locations = [complex(s.real, _fold_imag(s.imag + shift, period)) for s in locations]
-    # |P(x)| over the largest coefficient modulus; abs of a Python
-    # complex, not np.abs, which rounds differently
-    coeff_scale = float(np.max(np.abs(coeffs)))
-    residuals = [abs(complex(v)) / coeff_scale for v in np.polyval(coeffs, xs)]
+    # |P(x)| over the largest coefficient modulus, P(x) by Horner
+    coeff_scale = max(map(abs, cs))
+    residuals = []
+    for x_root in xs:
+        v = 0j
+        for c in cs:
+            v = v * x_root + c
+        residuals.append(abs(v) / coeff_scale)
     return _sorted_reports(
         ZeroReport(location=s, multiplicity=mult, method="CompanionRoots", residual=resid,
                    certified=bool(ok and resid <= _ROOT_RESIDUAL))

@@ -188,6 +188,98 @@ def test_contour_and_damped_routes_agree_on_criterion_6(point):
     assert abs(complex(res) - complex(twin)) <= 1e-8 * abs(complex(res))
 
 
+def _cut_points(family, count=40, seed=44):
+    """count seeded points of one family, |Im s| <= 8, inside its strip."""
+    rng = random.Random(f"{family}-{seed}")
+    pts = []
+    for _ in range(count):
+        a = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+        s = complex(rng.uniform(0.16, 2.49), rng.uniform(-8.0, 8.0))
+        if family == "real":
+            pts.append((oracle_real_mellin, (a, rng.uniform(-1.0, 1.0), s)))
+        elif family == "sign":
+            pts.append((oracle_real_sign_mellin, (a, rng.uniform(-1.0, 1.0), s)))
+        elif family == "radial":
+            pts.append((oracle_radial_mellin, (a, rng.uniform(0.0, 1.2), rng.randint(1, 5), s)))
+        else:
+            b = rng.uniform(0.0, 0.6) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            s = complex(rng.uniform(0.11, 1.59), s.imag)
+            pts.append((oracle_hermitian_mellin, (abs(a), b, rng.randint(-3, 3), s)))
+    return pts
+
+
+@pytest.mark.parametrize("family", ["real", "sign", "radial", "hermitian"])
+def test_contour_cut_at_each_points_own_tail(monkeypatch, family):
+    # a contour sum starts where e^(Re(s) u) (e^(Re(2s) u) on the
+    # hermitian line) falls below the tail level; a tail level of 0 sums
+    # from u = -260 at every point, and takes the same route to the same
+    # value.  The damped route does not read the tail level, so a stand-in
+    # marks where the contour refuses a point, both ways
+    marker = oracle.ArchOracleResult(1.0, 0.0, math.inf, (), "damped")
+    monkeypatch.setattr(oracle, "_real_damped", lambda *args: marker)
+    for fn, args in _cut_points(family):
+        cut = fn(*args)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_CONTOUR_TAIL", 0.0)
+            full = fn(*args)
+        assert cut.route == full.route, args
+        assert abs(complex(cut) - complex(full)) <= 1e-13 * abs(complex(full)), args
+
+
+def test_integrands_take_at_most_a_block_of_nodes_a_call():
+    # a complex block of _BLOCK entries stays below glibc malloc's 128 KiB
+    # mmap threshold; the blocked sums are the sums over every node
+    assert 16 * oracle._BLOCK < 128 * 1024
+    sizes = []
+
+    def g(u):
+        sizes.append(len(u))
+        return np.exp(0.2 * u - np.exp(2.0 * u)) + 0j
+
+    # integral of e^(0.2 u - e^(2u)) du over the real line: Gamma(0.1) / 2
+    value, diff, _ = oracle._log_trapezoid(g, 0.2)
+    assert sizes == [oracle._BLOCK, oracle._BLOCK, len(oracle._CONTOUR_NODES) - 2 * oracle._BLOCK]
+    assert abs(value - math.gamma(0.1) / 2.0) <= 1e-13 * abs(value)
+    assert diff <= 1e-12 * abs(value)
+    del sizes[:]
+
+    def f(x):
+        sizes.append(len(x))
+        return np.exp(1j * x)
+
+    edges = np.linspace(0.0, 10.0, 1001)
+    total, l1 = oracle._integrate_panels(f, edges, 40)
+    assert max(sizes) <= oracle._BLOCK and sum(sizes) == 1000 * 40
+    assert abs(total - (cmath.exp(10j) - 1.0) / 1j) <= 1e-13
+    assert l1 == pytest.approx(10.0, rel=1e-13)
+
+
+def test_contour_start_is_even_and_below_the_tail():
+    nodes = oracle._CONTOUR_NODES
+    for sigma in (0.1, 0.15, 0.3, 0.5, 1.0, 2.5, 3.2):
+        start = oracle._contour_start(sigma)
+        assert start % 2 == 0
+        assert math.exp(sigma * nodes[start]) < oracle._CONTOUR_TAIL or start == 0
+        # past the clamp at u = -260, the next even node is above the tail
+        if start > 0:
+            assert math.exp(sigma * nodes[start + 2]) > oracle._CONTOUR_TAIL
+    assert oracle._contour_start(0.15) == 0  # e^(0.15 u) reaches 1e-40 below -260
+
+
+@pytest.mark.parametrize("sigma", [0.85, 0.9, 0.91, 0.919])
+def test_schwinger_counts_the_mass_below_its_first_panel(sigma):
+    # near the strip edge Re s = 0.92 the integrand t^(-s) decays so slowly
+    # at t -> 0 that the part below the first panel carries weight; it is
+    # added in closed form and the point matches the closed form
+    a, b, s = 1 + 0.5j, 0.2 + 0.1j, complex(sigma, 0.4)
+    res = oracle_complex_square_mellin(a, b, 0, s)
+    want = zeta_complex_square(a, b, 0, s)
+    assert res.route == "schwinger"
+    dev = abs(complex(res) - want)
+    assert dev <= 1e-13
+    assert dev <= res.err_est
+
+
 @pytest.mark.parametrize("a,b,s", [(2, 0.5, 0.5 + 25j), (0.5, 1.5, 0.5 + 14j)])
 def test_contour_refuses_heavy_cancellation(a, b, s):
     # the rotation costs about exp(pi |Im s| / 4) in cancellation; these
@@ -208,6 +300,21 @@ def test_strip_rejections():
         oracle_real_mellin(0, 1, 0.5)
 
 
+def _doubling_loop_edges(lo, split, hi, rate, max_phase):
+    """The panel edges of a doubling loop from lo to split, each edge
+    twice the last, then the oscillation-limited panels up to hi."""
+    edges, x = [lo], lo
+    while x < split:
+        x = min(x * 2.0, split)
+        edges.append(x)
+    while x < hi:
+        dx = max_phase / rate(x)
+        dx = max_phase / rate(min(x + 0.5 * dx, hi))
+        x = min(x + dx, hi)
+        edges.append(x)
+    return np.asarray(edges)
+
+
 def test_panel_edges_respect_the_phase_budget():
     rate = lambda x: 2 * math.pi * x + 1.0
     edges = _panel_edges(1e-120, 1.0, 50.0, rate, 8.0)
@@ -217,6 +324,15 @@ def test_panel_edges_respect_the_phase_budget():
     widths = np.diff(osc)
     # budget checked against the rate at the left edge of each panel
     assert np.all(widths * (2 * math.pi * osc[:-1] + 1.0) < 8.0 * 1.3)
+    # the doubling run is lo 2^k, bit for bit the loop's edges: split an
+    # exact power of two above lo, just past one, a subnormal lo, no run
+    # at all (lo = split = 0, lo above split)
+    for lo, split, hi in ((1e-120, 1.0, 50.0), (2.0**-40, 1.0, 3.0),
+                          (2.0**-40 * (1 + 2**-52), 1.0, 3.0), (1e-16 / 3.0, 0.3, 1.0),
+                          (5e-324, 1.0, 2.0), (0.0, 0.0, 8.0), (2.0, 1.0, 5.0)):
+        got = _panel_edges(lo, split, hi, rate, 8.0)
+        want = _doubling_loop_edges(lo, split, hi, rate, 8.0)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_sphere_average_small_and_large_arguments():

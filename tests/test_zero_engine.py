@@ -215,16 +215,23 @@ def test_random_scalar_numerators_stay_on_circle(theta, k, delta, p):
 
 
 def _count_profile_calls(monkeypatch):
-    """Patch the circle profile formula, which the grid and every single
-    angle go through, so that each evaluation records its number of angles."""
+    """Patch the circle profile formulas, the grid's and the one single
+    angles go through, so that each evaluation records its number of
+    angles."""
     calls = []
-    values = zero_engine._profile_values
+    values, grid = zero_engine._profile_values, zero_engine._grid_profile
 
     def counting(rot, coeffs, turn, xs):
         calls.append(np.size(xs))
         return values(rot, coeffs, turn, xs)
 
+    def counting_grid(coeffs, degree):
+        out = grid(coeffs, degree)
+        calls.append(np.size(out))
+        return out
+
     monkeypatch.setattr(zero_engine, "_profile_values", counting)
+    monkeypatch.setattr(zero_engine, "_grid_profile", counting_grid)
     return calls
 
 
@@ -361,10 +368,11 @@ def test_double_root_on_a_grid_angle_counts_once():
 
 @pytest.mark.parametrize("degree", [*range(1, 9), 40])
 def test_grid_tables_match_the_profile_bit_for_bit(degree):
-    # the grid reads e^(i phi) and e^(-i D phi/2) from cached tables; its
-    # values are the profile's at the same angles with both exponentials
-    # computed, as exp_poly_roots computes them at single angles, the seam
-    # phi = 0 included
+    # the grid reads e^(i phi) and e^(-i D phi/2) from cached tables and
+    # runs its Horner sweep in place; its values are the profile's at the
+    # same angles with both exponentials computed and np.polyval's sweep,
+    # as exp_poly_roots computes them at single angles, the seam phi = 0
+    # included
     gamma = cmath.exp(0.3j)
     factor = unramified_from_constants(5, degree // 2, degree % 2, gamma)
     coeffs, _, D = factor.zero_poly()
@@ -376,8 +384,10 @@ def test_grid_tables_match_the_profile_bit_for_bit(degree):
             rot, coeffs, zero_engine._half_turn(D, phi), np.exp(1j * phi))
 
     phis, xs = zero_engine._circle_points()
-    grid = zero_engine._profile_values(rot, coeffs, zero_engine._circle_turn(D), xs)
+    grid = zero_engine._grid_profile(coeffs, D)
     assert np.array_equal(grid, h(phis[:zero_engine._CIRCLE_SAMPLES]))
+    assert np.array_equal(
+        grid, zero_engine._profile_values(rot, coeffs, zero_engine._circle_turn(D), xs))
     assert grid[0] == h(phis[:1])[0]
     assert not xs.flags.writeable and not zero_engine._circle_turn(D).flags.writeable
 
