@@ -448,13 +448,16 @@ def _gl_pair(fn, edges, order):
 
 
 def _checked_integral(fn, edges):
+    """The doubled-order total, its distance from the single-order total
+    and the L1 mass; QuadratureError where the distance is above
+    _ORDER_TOL max(|value|, 1e-6 L1)."""
     v2, err, l1 = _gl_pair(fn, edges, _PANEL_ORDER)
     if not err <= _ORDER_TOL * max(abs(v2), 1e-6 * l1, 1e-300):  # also refuses NaN
         raise QuadratureError(
             f"doubled-order totals disagree by {err:.3e} "
             f"(value {abs(v2):.3e}, L1 mass {l1:.3e})"
         )
-    return v2, err
+    return v2, err, l1
 
 
 def _contour_start(sigma):
@@ -511,22 +514,27 @@ def _damped_limit(build):
     """Runs the eps ladder and Richardson-extrapolates to eps = 0.
 
     build(eps) returns (edges, integrand); the integrand must include the
-    damping envelope for that eps."""
+    damping envelope for that eps.  The value is (r1 - 6 r2 + 8 r3) / 3
+    for the rungs r1, r2, r3, so each rung's error enters it times its
+    weight: err_est is the distance of the two first-order extrapolations
+    plus each rung's doubled-order difference and the rounding of its
+    cancelled sums, _CONTOUR_FLOOR times its L1 mass as on the contour
+    routes, weighted as the rung is."""
 
     vals = []
-    worst = 0.0
-    for eps in _EPS_SCHEDULE:
+    rungs = 0.0
+    for eps, weight in zip(_EPS_SCHEDULE, (1.0, 6.0, 8.0)):
         edges, fn = build(eps)
-        v, err = _checked_integral(fn, edges)
+        v, err, l1 = _checked_integral(fn, edges)
         vals.append(v)
-        worst = max(worst, err)
+        rungs += weight * (err + _CONTOUR_FLOOR * l1)
     r1, r2, r3 = vals
     first_a = 2.0 * r2 - r1
     first_b = 2.0 * r3 - r2
     value = (4.0 * first_b - first_a) / 3.0
     d1, d2 = abs(r1 - r2), abs(r2 - r3)
     ratio = d1 / d2 if d2 > 0.0 else math.inf
-    err_est = abs(first_b - first_a) / 3.0 + worst
+    err_est = (abs(first_b - first_a) + rungs) / 3.0
     return ArchOracleResult(value, err_est, ratio, tuple(vals), "damped")
 
 
@@ -867,7 +875,7 @@ def _square_schwinger(a, b, s):
         expo = (expo_const - lin * t) / (4.0 * det)
         return np.exp(-s * np.log(t) + expo) / np.sqrt(det)
 
-    value, err = _checked_integral(fn, edges)
+    value, err, _ = _checked_integral(fn, edges)
     # head: integrand ~ t^(-s) exp(E(0)) / sqrt(det(0)) (1 + O(t))
     head = t_lo ** (1.0 - s) / (1.0 - s) * cmath.exp(expo_const / (4.0 * mag2)) / math.sqrt(mag2)
     # tail: integrand ~ t^(-s-1) (1 - 4 pi^2 |b|^2 / t + ...)

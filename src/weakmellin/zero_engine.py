@@ -12,9 +12,10 @@ Four mechanisms feed a common report format:
 * argument-principle winding counts around rectangles, sampled evenly in
   arc length and doubled round by round, which count a census box;
 * vertical-line scans, each dip of |fn| settled on one Cauchy circle
-  whose samples give the Taylor polynomial of fn there, hence the zeros
-  inside and their multiplicities, and by the argument principle the
-  count that certifies them.
+  whose samples give the Taylor polynomial of fn there, whose power sums
+  on the same samples give the zeros inside, and only those, with their
+  multiplicities, and whose argument principle gives the count that
+  certifies them.
 
 A report is marked certified only when the located zero passes a small
 residual test and an independent count confirms it.  Anything that fails
@@ -258,17 +259,20 @@ def _fold_imag(im: float, period: float) -> float:
     return folded
 
 
-# an m-fold root comes back from the eigenvalue solver split over a circle
-# of radius about eps^(1/m) times its scale, and each member of the split
-# has a slope |P'| near eps^((m-1)/m) of its natural size
+# an m-fold root comes back from the eigenvalue solver, or from Newton's
+# method once |P| is rounding, split over a circle of radius about
+# eps^(1/m) times its scale, and each member of the split has a slope |P'|
+# near eps^((m-1)/m) of its natural size
 _CLUSTER_SPREAD = 10.0
 _CLUSTER_SLOPE = 1e-4
 
 
 def _cluster_roots(roots, coeffs):
-    """(location, multiplicity) pairs of the companion roots of P = coeffs.
+    """(location, multiplicity) pairs of the roots of P = coeffs.
 
-    roots is an ndarray of roots np.roots gives for P.  A root with a
+    roots is an ndarray of approximate roots of P: all of them from
+    np.roots (exp_poly_roots), or those inside a dip circle, each
+    polished by Newton's method (_dip_circle_roots).  A root with a
     slope |P'| of its natural size, sum k |c_k| max(1, |root|)^(k-1), is
     simple; taking the size at 1 or more keeps a multiple root split about
     0, where the higher terms vanish, from passing for simple roots.  Each
@@ -614,21 +618,16 @@ def _dip_circles(fn, centres, radius: float):
         return np.vstack([_dip_circles(fn, c[None], radius) for c in centres])
 
 
-def _dip_circle_roots(vals):
-    """(zeros, counted) for the values vals of fn on one dip circle:
-    (w, multiplicity) of the roots |w| < 1 of the Taylor polynomial of
-    fn(c + r w), cut after its last coefficient above the noise and
-    grouped by _cluster_roots; and whether the winding number of vals
-    (_round_turns) is at least 1 and their multiplicity.  The noise is
-    _DIP_POINTS eps max|vals|, or four times the median size of the upper
-    half of the coefficients where that is larger: the rounding of the
-    values, which array calls of the census functions carry well above
-    eps, fills every degree at that level, and a cut below it would make
-    np.roots solve a degree-63 polynomial of noise.  The largest
-    coefficient always survives the cut, even on values that are noise
-    alone."""
-    if not np.all(np.isfinite(vals)):
-        return [], False
+def _dip_taylor(vals):
+    """The Taylor polynomial P of fn(c + r w) from the values vals of fn
+    on one dip circle, highest degree first, cut after its last
+    coefficient above the noise.  The noise is _DIP_POINTS eps max|vals|,
+    or four times the median size of the upper half of the coefficients
+    where that is larger: the rounding of the values, which array calls
+    of the census functions carry well above eps, fills every degree at
+    that level, and a cut below it would leave a degree-63 polynomial of
+    noise.  The largest coefficient always survives the cut, even on
+    values that are noise alone."""
     coeffs = vals @ _DIP_TAYLOR
     sizes = np.abs(coeffs)
     upper = np.sort(sizes[_DIP_POINTS // 2:])
@@ -636,10 +635,128 @@ def _dip_circle_roots(vals):
     # (the first np.median call costs about 1.8 MB of resident memory)
     noise = max(_DIP_POINTS * np.finfo(float).eps * np.max(np.abs(vals)),
                 2.0 * (upper[_DIP_POINTS // 4 - 1] + upper[_DIP_POINTS // 4]))
-    poly = coeffs[np.flatnonzero(sizes >= min(noise, sizes.max()))[-1]::-1]
-    roots = np.roots(poly)
-    zeros = _cluster_roots(roots[np.abs(roots) < 1.0], poly)
-    return zeros, _turns(vals) == sum(m for _, m in zeros) >= 1
+    return coeffs[np.flatnonzero(sizes >= min(noise, sizes.max()))[-1]::-1]
+
+
+# Newton's method polishes a located root: at most _NEWTON_STEPS steps,
+# each halved at most _NEWTON_HALVINGS times until it lowers |P|, the
+# last one of at most _NEWTON_TOL (w is in units of the radius)
+_NEWTON_STEPS = 64
+_NEWTON_HALVINGS = 10
+_NEWTON_TOL = 4.0 * np.finfo(float).eps
+# the trapezoid count of P's roots inside a dip circle must lie this close
+# to an integer; a root at |w| = 0.93 is off it by 0.93^_DIP_POINTS, 0.01
+_MOMENT_TOL = 0.01
+# a winding read from _DIP_POINTS steps, each below pi/4 (_round_turns), is
+# below _DIP_POINTS / 8: a circle with more roots inside cannot count, and
+# they are not located
+_MAX_INNER = _DIP_POINTS // 8
+
+
+def _horner(cs, w):
+    """(P(w), P'(w)) for the polynomial cs, highest degree first."""
+    p = dp = 0j
+    for c in cs:
+        dp = dp * w + p
+        p = p * w + c
+    return p, dp
+
+
+def _polish(cs, w):
+    """Newton's method on the polynomial cs (highest degree first, Python
+    complex) from w, each step halved until it lowers |P|.  It stops
+    after a step of at most _NEWTON_TOL, or where no step lowers |P|: at
+    a simple root a step or two past the quadratic phase, at a multiple
+    one, where the steps shrink linearly, once |P| is rounding.  w itself
+    if a step leaves the unit disc."""
+    start = w
+    p, dp = _horner(cs, w)
+    for _ in range(_NEWTON_STEPS):
+        if dp == 0.0:
+            break
+        step = p / dp
+        if abs(step) <= _NEWTON_TOL:
+            w -= step
+            break
+        for _ in range(_NEWTON_HALVINGS):
+            q, dq = _horner(cs, w - step)
+            if abs(q) < abs(p):
+                break
+            step *= 0.5
+        else:
+            break
+        w, p, dp = w - step, q, dq
+        if not abs(w) < 1.0:
+            return start
+    return w
+
+
+def _inner_roots(poly):
+    """(m, roots): the number m of roots of P = poly inside the dip
+    circle and approximations of them, from P at the circle's
+    _DIP_POINTS samples alone; (None, []) where those cannot settle m.
+
+    P and w P' at the samples come from the coefficients through
+    _DIP_TAYLOR.  The trapezoid means s_p of w^p w P'(w) / P(w) over the
+    samples are the power sums of the roots inside, p = 0 their count
+    (Delves and Lyness, Math. Comp. 1967), up to |r|^_DIP_POINTS for a
+    root r from its aliases.  m is s_0 rounded, which must lie within
+    _MOMENT_TOL of s_0 and in 1 <= m < _MAX_INNER: P's winding number,
+    read from P' as well as P, so it holds with a root near the circle,
+    where the steps between samples are too large to read (_turns).
+    Newton's identities turn s_1 .. s_m into the monic factor g of
+    degree m whose roots they are, and g's m x m companion matrix gives
+    them; for m = 1 the root is s_1."""
+    low = poly[::-1]
+    size = len(low)
+    # P and w P' over _DIP_POINTS at the conjugate samples, the samples
+    # taken clockwise; the mean against conj(w)^p is then column p.  Each
+    # is a vector-matrix product: one matrix product of the two would run
+    # zgemm, whose first call adds about 0.25 MB of resident memory
+    table = _DIP_TAYLOR[:size]
+    pv, dpv = low @ table, (_DIP_INDEX[:size] * low) @ table
+    if not np.all(pv):
+        return None, []
+    sums = ((dpv / pv) @ _DIP_TAYLOR[:, :size]).tolist()
+    count = sums.pop(0)
+    m = round(count.real) if cmath.isfinite(count) else 0
+    if not (1 <= m < min(size, _MAX_INNER) and abs(count - m) <= _MOMENT_TOL):
+        return None, []
+    sums = sums[:m]
+    if m == 1:
+        return m, sums
+    # g's coefficients, w^m first
+    g = [1.0]
+    for k in range(1, m + 1):
+        g.append(-sum(s * c for s, c in zip(sums[:k], reversed(g))) / k)
+    companion = np.diag(np.ones(m - 1, dtype=complex), -1)
+    companion[0] = -np.array(g[1:])
+    return m, np.linalg.eigvals(companion).tolist()
+
+
+def _dip_circle_roots(vals):
+    """(zeros, counted) for the values vals of fn on one dip circle:
+    (w, multiplicity) of the roots |w| < 1 of the Taylor polynomial P of
+    fn(c + r w) (_dip_taylor), located from P at the circle's samples
+    (_inner_roots) and each polished by Newton's method on P (_polish);
+    and whether the winding number of vals (_round_turns) is P's number
+    of roots inside, at least 1, every one of them located in the unit
+    disc.  Where there are two or more,
+    _cluster_roots groups the polished roots, and a k-fold one is
+    polished again as a simple root of P's (k-1)-th derivative.  No root
+    of P outside the circle is computed."""
+    if not np.all(np.isfinite(vals)):
+        return [], False
+    poly = _dip_taylor(vals)
+    m, roots = _inner_roots(poly)
+    cs = poly.tolist()
+    roots = [w for w in (_polish(cs, w) for w in roots) if abs(w) < 1.0]
+    if len(roots) < 2:
+        zeros = [(w, 1) for w in roots]
+    else:
+        zeros = [(w if k == 1 else _polish(np.polyder(poly, k - 1).tolist(), w), k)
+                 for w, k in _cluster_roots(np.array(roots), poly)]
+    return zeros, m is not None and _turns(vals) == m == len(roots)
 
 
 def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
@@ -658,13 +775,16 @@ def line_zeros(fn, re: float, im_lo: float, im_hi: float, *,
     0.25 (every pole of the package's census functions lies at least 1/2
     from its line); the circles of all dips take one array call.  The
     trapezoidal rule gives the Taylor coefficients of fn on each (Trefethen
-    and Weideman, SIAM Rev. 2014), whose roots inside the circle locate
-    its zeros with their multiplicities, and the argument principle on the
-    same samples counts them (Austin, Kravanja and Trefethen, SIAM J.
-    Numer. Anal. 2014; _dip_circle_roots).  A circle whose count is not
-    the total multiplicity of its roots, or is 0, is tried once more at a
-    quarter of the radius, all such in one more array call; one on which
-    fn raises PoleError or DomainError is not counted (_dip_circles).
+    and Weideman, SIAM Rev. 2014).  Its roots inside the circle, and only
+    those, are located from its power sums on the same samples (Delves
+    and Lyness, Math. Comp. 1967; _inner_roots) and polished by Newton's
+    method, which gives the zeros with their multiplicities, and the
+    argument principle on the samples counts them (Austin, Kravanja and
+    Trefethen, SIAM J. Numer. Anal. 2014; _dip_circle_roots).  A circle
+    whose count is not the polynomial's number of roots inside, or is 0,
+    is tried once more at a quarter of the radius, all such in one more
+    array call; one on which fn raises PoleError or DomainError is not
+    counted (_dip_circles).
 
     Every zero of a counted circle is reported once, from the counted
     circle whose centre it is nearest, and is certified when its residual

@@ -1054,9 +1054,10 @@ def test_line_scan_reports_double_zero_multiplicity():
 def test_circle_lands_on_a_polynomial_multiple_zero(z0, power):
     # the circle's Taylor polynomial is (s - z0)^power itself, so its
     # roots give the zero and its multiplicity, off the line too.  On a
-    # sample the zero sits on the circle's centre, where the eigenvalue
-    # solver splits it by about eps^(1/power): the slope test of
-    # _cluster_roots, taken at max(|root|, 1), still groups the split
+    # sample the zero sits on the circle's centre, where the companion
+    # matrix of the power sums' factor splits it by about eps^(1/power):
+    # the slope test of _cluster_roots, taken at max(|root|, 1), still
+    # groups the split
     scalar = []
 
     def fn(s):
@@ -1455,13 +1456,14 @@ def test_dense_scan_circle_cuts_its_rounding_noise(monkeypatch, lo, zero):
     from weakmellin.global_zeta import factorize_global, reference_spec
 
     degrees = []
-    cluster = zero_engine._cluster_roots
+    taylor = zero_engine._dip_taylor
 
-    def spy(roots, poly):
+    def spy(vals):
+        poly = taylor(vals)
         degrees.append(len(poly) - 1)
-        return cluster(roots, poly)
+        return poly
 
-    monkeypatch.setattr(zero_engine, "_cluster_roots", spy)
+    monkeypatch.setattr(zero_engine, "_dip_taylor", spy)
     reports = line_zeros(factorize_global(reference_spec()).evaluate, 0.5, lo, lo + 1.0)
     assert len(reports) == 1 and reports[0].certified and reports[0].multiplicity == 1
     assert abs(reports[0].location - complex(0.5, zero)) <= 1e-10
@@ -1476,3 +1478,102 @@ def test_dip_circle_of_noise_alone_is_not_counted():
     vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     _, counted = zero_engine._dip_circle_roots(vals)
     assert not counted
+
+
+# the locator of the roots inside a dip circle, against the companion
+# solve of the whole cut Taylor polynomial (np.roots) that it replaced
+
+
+def _seeded_circle(rng, inner, outer=8):
+    """Values at the dip circle's samples of a polynomial with the roots
+    inner, outer more at |w| in [1.5, 4], and a random scale."""
+    far = rng.uniform(1.5, 4.0, outer) * np.exp(2j * np.pi * rng.uniform(size=outer))
+    poly = np.poly(np.concatenate([np.asarray(inner, dtype=complex), far]))
+    return complex(*rng.standard_normal(2)) * np.polyval(poly, zero_engine._DIP_UNIT)
+
+
+def _whole_companion_solve(vals):
+    """(zeros, counted, poly): np.roots of the cut Taylor polynomial, the
+    roots inside grouped by _cluster_roots, counted when the winding of
+    vals is their multiplicity."""
+    poly = zero_engine._dip_taylor(vals)
+    roots = np.roots(poly)
+    zeros = zero_engine._cluster_roots(roots[np.abs(roots) < 1.0], poly)
+    return zeros, zero_engine._turns(vals) == sum(k for _, k in zeros) >= 1, poly
+
+
+def _spot(rng, lo, hi):
+    return rng.uniform(lo, hi) * cmath.exp(2j * math.pi * rng.uniform())
+
+
+def _close_pair(rng):
+    c = _spot(rng, 0.0, 0.5)
+    return [c, c + _spot(rng, 1e-3, 1e-3)]
+
+
+_LOCATOR_CASES = {
+    "simple": lambda rng: [_spot(rng, 0.0, 0.6)],
+    "simple at 0.9": lambda rng: [_spot(rng, 0.9, 0.9)],
+    "two simple": lambda rng: [_spot(rng, 0.0, 0.7), _spot(rng, 0.0, 0.7)],
+    "close pair": _close_pair,
+    "double": lambda rng: [_spot(rng, 0.0, 0.5)] * 2,
+    "three simple, one at 0.9": lambda rng: [
+        _spot(rng, 0.9, 0.9), _spot(rng, 0.0, 0.6), _spot(rng, 0.0, 0.6)],
+    "triple": lambda rng: [_spot(rng, 0.0, 0.5)] * 3,
+}
+
+
+@pytest.mark.parametrize("case", list(_LOCATOR_CASES))
+def test_dip_circle_locates_the_roots_the_companion_solve_finds_inside(case):
+    # P has 1, 2 or 3 roots inside the circle and 8 at |w| in [1.5, 4].
+    # The located roots have np.roots' multiplicities, and a simple one
+    # lies within 1e-13 of np.roots' root, or within 16 times the root's
+    # condition eps sum |c_k| |r|^k / |P'(r)| where that is larger: the
+    # two roots of a close pair move by a few times that in either
+    # solve.  A root at |w| = 0.9 is located, but the argument of the
+    # samples may step by up to 1 rad near it, and where that is too far
+    # to read their winding the circle does not count, as under the
+    # companion solve
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(sum(map(ord, case)))
+    for _ in range(20):
+        inner = _LOCATOR_CASES[case](rng)
+        vals = _seeded_circle(rng, inner)
+        zeros, counted = zero_engine._dip_circle_roots(vals)
+        want, want_counted, poly = _whole_companion_solve(vals)
+        assert counted == want_counted
+        assert counted or max(map(abs, inner)) > 0.8
+        assert sorted(k for _, k in zeros) == sorted(k for _, k in want)
+        assert sum(k for _, k in zeros) == len(inner)
+        slope = np.polyder(poly)
+        for w, k in zeros:
+            r = min((r for r, kk in want if kk == k), key=lambda r: abs(r - w))
+            if k == 1:
+                cond = eps * np.polyval(np.abs(poly), abs(r)) / abs(np.polyval(slope, r))
+                assert abs(w - r) <= max(1e-13, 16.0 * cond)
+            else:
+                assert abs(w - r) <= 1e-10
+
+
+def test_dip_circle_whose_polynomial_winds_otherwise_does_not_count():
+    # on the samples 2 conj(w) is 2 w^63, so P = 2 w^63 + w - 0.3 has 63
+    # roots inside, while the samples w - 0.3 + 2 / w wind -1 times: the
+    # trapezoid count of P's roots reads 63, more than a readable winding
+    # can be, so no root is located and the circle does not count
+    w = zero_engine._DIP_UNIT
+    vals = w - 0.3 + 2.0 / w
+    _, _, poly = _whole_companion_solve(vals)
+    roots = np.roots(poly)
+    assert np.sum(np.abs(roots) < 1.0) == 63 and zero_engine._turns(vals) == -1
+    assert zero_engine._dip_circle_roots(vals) == ([], False)
+
+
+def test_line_scan_runs_no_companion_solve_of_a_taylor_polynomial(monkeypatch):
+    # the census dips are settled from their circles' power sums alone
+    def refuse(poly):
+        raise AssertionError(f"companion solve of degree {len(poly) - 1}")
+
+    monkeypatch.setattr(np, "roots", refuse)
+    fn = _reference_global()
+    reports, count = census(fn, (0.4, 0.6, 10.0, 30.0), samples=512)
+    assert count == len(reports) >= 3
