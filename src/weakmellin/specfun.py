@@ -94,6 +94,13 @@ _LANCZOS_C = (
     1.5056327351493116e-7,
 )
 
+# the fractions c_i / (z + i), i = 1 .. 8, of the array body, a column
+# of the table per point; 512 points a block keep the table at 64 KB
+# however long the call (1 972 points at once would take 250 KB)
+_LANCZOS_COLUMN = np.array(_LANCZOS_C[1:])[:, None]
+_LANCZOS_SHIFT = np.arange(1.0, 9.0)[:, None]
+_LANCZOS_BLOCK = 512
+
 _POLE_TOL = 1e-9
 
 
@@ -150,14 +157,32 @@ def _raise_at_poles(z: np.ndarray, what: str) -> None:
             raise PoleError(f"{what} at z = {z[bad][0]}")
 
 
+def _lanczos_sum(zz: np.ndarray) -> np.ndarray:
+    """c_0 + sum c_i / (zz + i), i = 1 .. 8, at the flat array zz, added
+    in the order of i: bit for bit the loop x = x + c_i / (zz + i).
+
+    The fractions of a block of points form one table, row i - 1 for
+    c_i, and numpy adds its rows one after another over the leading axis.
+    A lone column it would sum pairwise instead, so a one-point block
+    accumulates them, which is the same order by definition."""
+    x = np.empty_like(zz)
+    for lo in range(0, zz.size, _LANCZOS_BLOCK):
+        part = zz[lo:lo + _LANCZOS_BLOCK]
+        table = _LANCZOS_COLUMN / (part + _LANCZOS_SHIFT)
+        table[0] += _LANCZOS_C[0]
+        if part.size > 1:
+            x[lo:lo + _LANCZOS_BLOCK] = np.add.reduce(table)
+        else:
+            x[lo:lo + 1] = np.add.accumulate(table)[-1]
+    return x
+
+
 def _log_gamma_array(z: np.ndarray) -> np.ndarray:
     _raise_at_poles(z, "gamma pole")
     refl = z.real < 0.5
     w = np.where(refl, 1.0 - z, z)
     zz = w - 1.0
-    x = _LANCZOS_C[0]
-    for i in range(1, 9):
-        x = x + _LANCZOS_C[i] / (zz + i)
+    x = _lanczos_sum(zz.ravel()).reshape(zz.shape)
     t = zz + _LANCZOS_G + 0.5
     # (zz + 1/2) log t reaches a few hundred at |Im z| = 60, and gamma
     # turns its rounding into relative error, so it is rounded as the
@@ -411,16 +436,41 @@ def hyp1f1_eval(a: complex, b: complex, z: complex) -> EvalQuality:
 _DISC_RADIUS = 0.6
 _DISC_DEGREE = 24
 _DISC_TARGET = 1e-13  # accepted error, relative to the disc scale
-# Rounding of a disc value at one point, relative to sum |D_m| |u|^m:
-# Horner's rule in complex arithmetic, within gamma_4M of that sum (Higham
-# 2002, 5.1, with a complex product good to sqrt(2) gamma_2, 3.6); u =
-# (a - centre) / r rounded within gamma_2 of itself, which moves the
-# value by at most M gamma_2 of it; each stored D_m, its fixed-point
-# value rounded once a part, within 2^-53 of |D_m| (gamma_1); and one
-# gamma_1 more for forming the sum itself in floating point, whose
-# rounding moves the bound by a second-order gamma_6M gamma_(2M+1).
+# Rounding of a disc value at one point.  Horner's rule forms
+# v_k = fl(fl(v_(k-1) u') + c_k), k = 0 .. M = _DISC_DEGREE, from
+# v_(-1) = 0, where c_k is the stored D_(M-k) and u' the rounded
+# u = (a - centre) / r.  Let w_k be the same recurrence in exact
+# arithmetic on u' and the exact D_(M-k).  A complex product is good to
+# sqrt(5) eps of its exact value (Brent, Percival and Zimmermann, Math.
+# Comp. 2007), a complex sum to eps of its result, and each c_k to eps of
+# itself (eps = 2^-53, one rounding a part), so
+#   |v_k - w_k| <= |u'| |v_(k-1) - w_(k-1)|
+#                  + eps (sqrt(5) |v_(k-1)| |u'| + |v_k| + |c_k|)
+# holds exactly, and summed, |v_M - P(u')| <= eps mu, mu the running sum
+# that _horner_rounding forms (Higham 2002, 5.1).  u' is within gamma_2 of
+# u in each part, which moves P by at most about 2 eps |u| |P'(u)|, P'
+# taken by Horner's rule in the same pass.
+#
+# To first order |v_k| <= S_k = sum over j <= k of |c_j| |u|^(k - j), and
+# D_m, entering at k = M - m, meets m products, m + 1 sums, its own
+# rounding and m |u|^m in P', so the running bound is at most
+#   eps sum_m ((3 + sqrt(5)) m + 2) |D_m| |u|^m
+#     <= ((3 + sqrt(5)) M + 2) eps sum_m |D_m| |u|^m,
+# 127.7 eps of that sum at M = 24.  The a priori Horner bound,
+# _DISC_HORNER = gamma_(6M+2) = 146 eps of the same sum (Higham 2002, 5.1:
+# gamma_4M for Horner's rule with a complex product within sqrt(2)
+# gamma_2, 3.6, M gamma_2 for u, and gamma_1 each for the D_m and for the
+# sum's own rounding), is larger, so the running bound accepts every
+# value that one would.  _HORNER_EPS is eps times 1 + 1e-10, which covers
+# what first order leaves out (the rounding of mu and of P', and P'
+# between u' and u: at most about 10 M^2 eps^2 sum |D_m| |u|^m, under
+# 1e-12 of eps mu) many times over.  Since |u| <= 1, _DISC_HORNER
+# sum |D_m| bounds the same rounding anywhere in the disc with no pass at
+# all: the disc's floor, the first test of _hyp1f1_point.
 # gamma_n = n 2^-53 / (1 - n 2^-53).
 _DISC_HORNER = (6 * _DISC_DEGREE + 2) * 2.0**-53 / (1 - (6 * _DISC_DEGREE + 2) * 2.0**-53)
+_HORNER_EPS = 2.0**-53 * (1.0 + 1e-10)
+_SQRT5 = math.sqrt(5.0)
 
 
 def _disc_series(b: float, z: complex, centre: complex, bits: int):
@@ -485,11 +535,14 @@ def _disc_series(b: float, z: complex, centre: complex, bits: int):
 
 @lru_cache(maxsize=256)
 def _kummer_disc(b: float, z: complex, centre: complex):
-    """(coefficients, error estimate) of the disc: the Taylor coefficients
-    D_m of 1F1(centre + r u; b; z) = sum D_m u^m, m <= _DISC_DEGREE,
-    highest first, and the disc's own estimate of its error anywhere in
-    |u| <= 1; or None for a disc whose estimate misses 1e-13 of the disc
-    scale.
+    """(coefficients, error estimate, terms, floor) of the disc: the
+    Taylor coefficients D_m of 1F1(centre + r u; b; z) = sum D_m u^m,
+    m <= _DISC_DEGREE, highest first, the disc's own estimate of its
+    error anywhere in |u| <= 1, the same coefficients as a list of
+    Python complex numbers for the scalar Horner pass, and that estimate
+    plus _DISC_HORNER sum |D_m|, a bound on the error of a scalar value
+    anywhere in the disc; or None for a disc whose estimate misses 1e-13
+    of the disc scale.
 
     The disc scale is max |1F1| over 32 points of the ring |u| = 1 (the
     ring is built here, not at import: numpy's first complex exp costs a
@@ -514,7 +567,8 @@ def _kummer_disc(b: float, z: complex, centre: complex):
         err = tail + k * 2.0**-bits * peak
         if err <= target:
             coeffs.flags.writeable = False
-            return coeffs, err
+            terms = coeffs.tolist()
+            return coeffs, err, terms, err + _DISC_HORNER * sum(map(abs, terms))
         if tail > target:
             return None
     return None
@@ -554,11 +608,33 @@ def _hyp1f1_on_discs(a: np.ndarray, b: float, z: complex, out: np.ndarray) -> np
     accepted = np.array([disc[0] for disc in discs if disc is not None])
     coeffs = accepted.reshape(-1, _DISC_DEGREE + 1).T[:, (np.cumsum(~refused) - 1)[cell]]
     u = (a[order] - np.array(centres)[cell]) / _DISC_RADIUS
-    value = np.zeros_like(u)
+    # two buffers for the whole sweep; the product is written to the other
+    # one, as an in-place complex product of numpy rounds differently at
+    # some lengths, and a value would then depend on its call
+    value, scaled = np.zeros_like(u), np.empty_like(u)
     for row in coeffs:
-        value = value * u + row
+        np.multiply(value, u, out=scaled)
+        np.add(scaled, row, out=value)
     out[order] = value
     return rest
+
+
+def _horner_rounding(terms: list, u: complex) -> float:
+    """A bound on |v - P(u)|, v the value Horner's rule forms from the
+    coefficient list terms (highest first) at the rounded u, and P the
+    polynomial of the exact coefficients at the exact u: eps times mu,
+    the running sum of the rounding of each product, sum and stored
+    coefficient carried through the later products, plus 2 |u| |P'(u)|
+    for the rounding of u itself (see _DISC_HORNER).  The pass repeats
+    the value's own arithmetic, so its v_k are those of the value."""
+    r = abs(u)
+    value, slope, mu = 0j, 0j, 0.0
+    for c in terms:
+        mu = (mu + _SQRT5 * abs(value)) * r
+        slope = slope * u + value
+        value = value * u + c
+        mu += abs(value) + abs(c)
+    return _HORNER_EPS * (mu + 2.0 * r * abs(slope))
 
 
 def _hyp1f1_point(a: complex, b: complex, z: complex) -> complex:
@@ -566,11 +642,13 @@ def _hyp1f1_point(a: complex, b: complex, z: complex) -> complex:
 
     With real b > 0 and 0 < |z| <= 40, a finite a evaluates the disc of
     its lattice cell, built here when missing, so the value depends on
-    (a, b, z) alone.  The disc value stands when its error bound there,
-    the disc's own error estimate (at most 1e-13 of the disc scale) plus
-    the rounding of Horner's rule (_DISC_HORNER, 1.6e-14 of
-    sum |D_m| |u|^m), is within 1e-12 of its modulus, as it is down to
-    values of about 1e-3 of the scale; every other point takes
+    (a, b, z) alone.  The disc value stands when its error bound there is
+    within 1e-12 of its modulus: first the disc's floor, its own error
+    estimate (at most 1e-13 of the disc scale) plus _DISC_HORNER
+    sum |D_m| (1.6e-14 of it), which serves most points; failing that,
+    the same estimate plus the running bound of the Horner pass at the
+    point (_horner_rounding), as it is down to values of about 1e-4 of
+    the scale.  Every other point, nearer a zero of 1F1 in a, takes
     hyp1f1_eval.
     """
     a, b, z = complex(a), complex(b), complex(z)
@@ -579,14 +657,13 @@ def _hyp1f1_point(a: complex, b: complex, z: complex) -> complex:
         centre = complex(0.5 * math.floor(2.0 * a.real) + 0.25, round(a.imag))
         disc = _kummer_disc(b.real, z, centre)
         if disc is not None:
-            coeffs, err = disc
+            _, err, terms, floor = disc
             u = (a - centre) / _DISC_RADIUS
-            r = abs(u)
-            value, size = 0j, 0.0
-            for c in coeffs.tolist():
+            value = 0j
+            for c in terms:
                 value = value * u + c
-                size = size * r + abs(c)
-            if err + _DISC_HORNER * size <= _HYP_REL_TARGET * abs(value):
+            target = _HYP_REL_TARGET * abs(value)
+            if floor <= target or err + _horner_rounding(terms, u) <= target:
                 return value
     return hyp1f1_eval(a, b, z).value
 
@@ -607,10 +684,12 @@ def hyp1f1(a: complex, b: complex, z: complex) -> complex:
       0.6 of the centre, not of the point's value, which is smaller near
       a zero of 1F1 in a.
     - A scalar call is good to about 1e-12 of the value itself, and
-      exactly 1 at z = 0 (_hyp1f1_point: the disc value where it is that
-      good, a missing disc built first in about 1 to 15 ms, else the
-      series); every other point of an array call, those of a refused
-      disc or of any other b and z, is the series (hyp1f1_eval).
+      exactly 1 at z = 0 (_hyp1f1_point: the disc value where the disc's
+      floor or the running bound of its Horner pass shows it that good,
+      a missing disc built first in 0.6 to 20 ms, else the series, which
+      in a census runs only next to zeros of 1F1 in a); every other
+      point of an array call, those of a refused disc or of any other b
+      and z, is the series (hyp1f1_eval).
     """
     if _is_array(b) or _is_array(z):
         raise DomainError("hyp1f1 takes an array in a alone; b and z must be scalars")

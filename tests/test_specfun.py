@@ -80,6 +80,39 @@ def test_gamma_next_to_a_pole_keeps_its_relative_accuracy(z):
     assert abs(sf.gamma(z) - ref) <= 1e-13 * abs(ref)
 
 
+def _lanczos_loop(zz):
+    # the array body's Lanczos sum as a loop over the fractions, in order
+    x = sf._LANCZOS_C[0]
+    for i in range(1, 9):
+        x = x + sf._LANCZOS_C[i] / (zz + i)
+    return x
+
+
+def test_batched_lanczos_sum_is_the_sequential_loop_bit_for_bit(monkeypatch):
+    # log_gamma's array body sums the eight Lanczos fractions of a block
+    # of points as one table; every value equals the loop's, bit for bit,
+    # on a seeded grid over both half-planes, |Im z| <= 60, and 1e-6 off
+    # the poles, as one call of 1 972 points (blocks of 512 and a last
+    # one of 436), as one point alone and as a call whose last block is
+    # one point
+    rng = random.Random(46)
+    z = [complex(rng.uniform(-12.0, 12.0), rng.uniform(-60.0, 60.0)) for _ in range(1900)]
+    z += [complex(-k, 0.0) + 1e-6 * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+          for k in range(12) for _ in range(6)]
+    z = np.array(z)
+    assert z.size == 1972
+    got = sf.log_gamma(z)
+    calls = [sf.log_gamma(z[i:i + 1])[0] for i in range(0, z.size, 97)]
+    tail = sf.log_gamma(z[:sf._LANCZOS_BLOCK + 1])
+    monkeypatch.setattr(sf, "_lanczos_sum", _lanczos_loop)
+    assert np.array_equal(got, sf.log_gamma(z))
+    assert np.array_equal(calls, [sf.log_gamma(z[i:i + 1])[0] for i in range(0, z.size, 97)])
+    assert np.array_equal(tail, sf.log_gamma(z[:sf._LANCZOS_BLOCK + 1]))
+    zz = np.where(z.real < 0.5, 1.0 - z, z) - 1.0
+    for n in (1, 2, 3, 511, 512, 513, 1025, 1972):
+        assert np.array_equal(sf._lanczos_sum(zz[:n]), _lanczos_loop(zz[:n])), n
+
+
 @pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(1, math.inf)])
 def test_gamma_refuses_a_non_finite_point(z):
     for f in (sf.gamma, sf.log_gamma, lambda w: sf.gamma_ratio(w, 2.5)):
@@ -323,7 +356,7 @@ def test_hyp1f1_discs_match_mpmath_on_a_seeded_grid():
             centre = complex(0.5 * j + 0.25, m)
             disc = sf._kummer_disc(b, z, centre)
             assert disc is not None, (b, z, centre)
-            coeffs, err = disc
+            coeffs, err = disc[:2]
             scale = np.abs(np.polyval(coeffs, ring)).max()
             got = sf.hyp1f1(a, b, z)
             for x, value in zip(a[::2], got[::2]):
@@ -351,11 +384,11 @@ def test_disc_missing_by_rounding_reruns_once_at_200_bits(monkeypatch):
     # disc's coefficients to within 1e-13 of the disc scale
     sf._kummer_disc.cache_clear()
     try:
-        ref, _ = sf._kummer_disc(1.5, 14.1j, 0.25 + 3j)
+        ref = sf._kummer_disc(1.5, 14.1j, 0.25 + 3j)[0]
         sf._kummer_disc.cache_clear()
         widths = _disc_pass_widths(monkeypatch)
         monkeypatch.setattr(sf, "_HYP_BITS", 64)
-        coeffs, err = sf._kummer_disc(1.5, 14.1j, 0.25 + 3j)
+        coeffs, err = sf._kummer_disc(1.5, 14.1j, 0.25 + 3j)[:2]
     finally:
         sf._kummer_disc.cache_clear()  # no 64-bit disc outlives the patch
     assert widths == [64, 200]
@@ -526,7 +559,7 @@ def test_scalar_hyp1f1_matches_mpmath_near_and_away_from_zeros(monkeypatch):
 def test_scalar_disc_values_are_good_to_1e12_of_the_value(monkeypatch):
     # a scalar call keeps its disc value where the disc's own error
     # estimate plus Horner's rounding is within 1e-12 of it, which holds
-    # down to values near 1e-3 of the disc scale: seeded points near
+    # down to values near 1e-4 of the disc scale: seeded points near
     # zeros of 1F1 in a, points at cell corners (|u| = 0.93) and |z| up to
     # 40, every disc value against 30-digit mpmath
     rng = random.Random(25)
@@ -560,6 +593,103 @@ def test_scalar_disc_values_are_good_to_1e12_of_the_value(monkeypatch):
                 worst = max(worst, abs(value - ref) / abs(ref))
     assert worst <= 1e-12
     assert banded >= 20 and corners >= 15
+
+
+def _a_priori_accepts(a, b, z):
+    """The scalar disc test before the running bound: the disc's error
+    estimate plus _DISC_HORNER sum |D_m| |u|^m within 1e-12 of the
+    value, kept here as the reference the running bound must cover."""
+    centre = complex(0.5 * math.floor(2.0 * a.real) + 0.25, round(a.imag))
+    coeffs, err = sf._kummer_disc(b, z, centre)[:2]
+    u = (a - centre) / sf._DISC_RADIUS
+    r = abs(u)
+    value, size = 0j, 0.0
+    for c in coeffs.tolist():
+        value = value * u + c
+        size = size * r + abs(c)
+    return err + sf._DISC_HORNER * size <= 1e-12 * abs(value)
+
+
+def _disc_bound(a, b, z):
+    """(|u|, disc value, scale, the running bound _hyp1f1_point computes
+    for the value): the disc's error estimate plus the running bound of
+    its Horner pass."""
+    centre = complex(0.5 * math.floor(2.0 * a.real) + 0.25, round(a.imag))
+    coeffs, err, terms, _ = sf._kummer_disc(b, z, centre)
+    u = (a - centre) / sf._DISC_RADIUS
+    value = 0j
+    for c in terms:
+        value = value * u + c
+    ring = np.exp(2j * np.pi * np.arange(32) / 32)
+    return (abs(u), value, np.abs(np.polyval(coeffs, ring)).max(),
+            err + sf._horner_rounding(terms, u))
+
+
+def test_scalar_disc_values_lie_within_their_running_bound(monkeypatch):
+    # seeded points at cell corners (|u| >= 0.93) and near zeros of 1F1
+    # in a, down to 1e-4 of the disc scale, over b in {1/2, 1, 3/2, 2},
+    # z = iy with y up to 40 and two complex z: every value a scalar call
+    # takes from its disc is within the bound the code computed there and
+    # within 1e-12 of 30-digit mpmath, and every point the a priori
+    # Horner bound accepts takes the disc
+    rng = random.Random(46)
+    runs = []
+    series = sf._kummer_series
+    monkeypatch.setattr(sf, "_kummer_series", lambda *args: runs.append(args) or series(*args))
+    cases = [(b, 1j * rng.uniform(y - 10.0, y)) for b, y in
+             itertools.product((0.5, 1.0, 1.5, 2.0), (10.0, 25.0, 40.0))]
+    cases += [(1.5, 20.0 * cmath.exp(0.4j)), (0.5, 30.0 * cmath.exp(-2.0j))]
+    worst, least, served, running, corners = 0.0, 1.0, 0, 0, 0
+    with mp.workdps(30):
+        for b, z in cases:
+            points = [complex(0.5 * j + rng.choice((1e-9, 0.5 - 1e-9)),
+                              m + rng.choice((-0.5 + 1e-9, 0.5 - 1e-9)))
+                      for j, m in ((rng.randint(-1, 3), rng.randint(-20, 20)) for _ in range(4))]
+            if z.real == 0:
+                points += [complex(root) + 10.0 ** rng.uniform(-5.0, -1.0)
+                           * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                           for root in _kummer_zeros_on_line(b, z, 0.5 * b, 2)
+                           for _ in range(4)]
+            for a in points:
+                del runs[:]
+                value = sf.hyp1f1(a, b, z)
+                if _a_priori_accepts(a, b, z):
+                    assert not runs, (a, b, z)
+                if runs:
+                    continue
+                r, disc_value, scale, bound = _disc_bound(a, b, z)
+                assert value == disc_value
+                ref = complex(mp.hyp1f1(a, b, z))
+                assert abs(value - ref) <= bound, (a, b, z)
+                worst = max(worst, abs(value - ref) / abs(ref))
+                served += 1
+                running += not _a_priori_accepts(a, b, z)
+                corners += r >= 0.93
+                least = min(least, abs(value) / scale)
+    assert worst <= 1e-12
+    # 118 of 152 points take their disc, 41 of them by the running bound
+    # alone, and the least is 3e-5 of its disc's scale
+    assert served >= 100 and running >= 30 and corners >= 40 and least <= 1e-4
+
+
+@pytest.mark.parametrize("a, b", [(0.25 + 0.1875j, 0.5), (0.25 + 2.421875j, 0.5),
+                                  (0.25 + 2.4375j, 0.5), (0.75 + 7.40625j, 1.5),
+                                  (0.75 + 7.421875j, 1.5)])
+def test_real_census_cut_probes_take_their_disc(a, b, monkeypatch):
+    # five window-cut probes of a real-census pass (seed 1) at z = 4.5 pi i,
+    # which the a priori Horner bound refused: the running bound accepts
+    # them, so no series runs, and each value is within 1e-12 of 30-digit
+    # mpmath
+    z = 4.5j * math.pi
+    runs = []
+    series = sf._kummer_series
+    monkeypatch.setattr(sf, "_kummer_series", lambda *args: runs.append(args) or series(*args))
+    value = sf.hyp1f1(a, b, z)
+    assert not runs
+    assert not _a_priori_accepts(a, b, z)
+    with mp.workdps(30):
+        ref = complex(mp.hyp1f1(a, b, z))
+    assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("b, z", [(np.array([1.5, 1.5]), 14.1j),
