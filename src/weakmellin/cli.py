@@ -175,8 +175,9 @@ class JobConfig:
             )
 
         cfg = cls(command=command)
+        # only verify writes text, and its mapping takes no format key
         fmt = data.get("format", _DEFAULT_FORMAT[command])
-        if fmt not in ("json", "csv", "text"):
+        if "format" in data and fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {fmt!r}")
         output = data.get("output")
         if output is not None and not isinstance(output, str):

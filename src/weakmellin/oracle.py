@@ -846,7 +846,8 @@ def _square_schwinger(a, b, s):
     falls below _CONTOUR_TAIL, but not below _X_MIN, and end at 1e10; the
     part below the start is added in closed form from the leading order
     t^(-s) (4 pi^2 |a|^2)^(-1/2) exp(E(0)), the part above it from the
-    first two asymptotic orders."""
+    first two asymptotic orders.  Raises QuadratureError where the error
+    estimate is above 1e-6 of the value."""
 
     mag2 = 4.0 * math.pi**2 * abs(a) ** 2
     bb = abs(b) ** 2
@@ -880,9 +881,11 @@ def _square_schwinger(a, b, s):
     head = t_lo ** (1.0 - s) / (1.0 - s) * cmath.exp(expo_const / (4.0 * mag2)) / math.sqrt(mag2)
     # tail: integrand ~ t^(-s-1) (1 - 4 pi^2 |b|^2 / t + ...)
     tail = t_hi ** (-s) / s - 4.0 * math.pi**2 * bb * t_hi ** (-s - 1.0) / (s + 1.0)
-    total = head + value + tail
     pref = 2.0 * math.pi / _cgamma(1.0 - s)
-    return ArchOracleResult(pref * total, abs(pref) * err, math.inf, (), "schwinger")
+    value, err = pref * (head + value + tail), abs(pref) * err
+    if not err <= 1e-6 * abs(value):  # also refuses NaN
+        raise QuadratureError(f"error estimate {err:.3e} above 1e-6 of |value| {abs(value):.3e}")
+    return ArchOracleResult(value, err, math.inf, (), "schwinger")
 
 
 def oracle_complex_square_mellin(a, b, n, s):
@@ -892,7 +895,10 @@ def oracle_complex_square_mellin(a, b, n, s):
     Routes: odd n with b = 0 is exactly zero by symmetry; even n != 0
     with b = 0 goes through the Bessel reduction, on the Hankel contour
     or, where that refuses the point, by the damped-quadrature limit;
-    n = 0 with any b goes through the Gaussian-parameter representation.
+    n = 0 with any b goes through the Gaussian-parameter representation,
+    which refuses (QuadratureError) where its error estimate is above 1e-6
+    of the value, an order of magnitude inside the acceptance tolerance
+    1e-5: at large |Im s| its integrand cancels far below its rounding.
     Other combinations are out of scope."""
 
     a, b, n, s = complex(a), complex(b), int(n), complex(s)

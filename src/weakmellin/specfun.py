@@ -473,12 +473,25 @@ _HORNER_EPS = 2.0**-53 * (1.0 + 1e-10)
 _SQRT5 = math.sqrt(5.0)
 
 
+def _horner_sweep(coeffs, x: np.ndarray) -> np.ndarray:
+    """The polynomial coeffs, highest degree first, at the complex array
+    x by Horner's rule, numpy's polyval bit for bit; a coefficient is a
+    scalar or an array of x's shape.  Each product goes to the other of two
+    buffers: numpy's in-place complex product rounds differently at some
+    lengths, and a value would then depend on its call."""
+    value, scaled = np.zeros_like(x), np.empty_like(x)
+    for c in coeffs:
+        np.multiply(value, x, out=scaled)
+        np.add(scaled, c, out=value)
+    return value
+
+
 def _disc_series(b: float, z: complex, centre: complex, bits: int):
     """One pass of the Kummer series at a = centre + r u, each term a
     polynomial in u of degree at most _DISC_DEGREE, in integers scaled by
     2^bits.
 
-    Returns (coefficients, highest degree first, for np.polyval; the sum
+    Returns (coefficients, highest degree first, for _horner_sweep; the sum
     over the degrees of the largest |partial sum| in the 1-norm; terms
     used), or None when the series has not stopped after 500 terms.  Term
     k + 1 is term k times (centre + k + r u) z / ((b + k)(k + 1)), formed
@@ -561,8 +574,7 @@ def _kummer_disc(b: float, z: complex, centre: complex):
         if run is None:
             return None
         coeffs, peak, k = run
-        scale = np.abs(np.polyval(coeffs, ring)).max()
-        target = _DISC_TARGET * scale
+        target = _DISC_TARGET * np.abs(_horner_sweep(coeffs, ring)).max()
         tail = abs(coeffs[0]) + abs(coeffs[1])
         err = tail + k * 2.0**-bits * peak
         if err <= target:
@@ -589,8 +601,8 @@ def _hyp1f1_on_discs(a: np.ndarray, b: float, z: complex, out: np.ndarray) -> np
     left for hyp1f1_eval.
 
     Each cell's disc is fetched once, the cells in sorted order, and
-    every point is evaluated in one Horner sweep over a table of the
-    accepted discs' coefficients, the per-point arithmetic of np.polyval.
+    every point is evaluated in one _horner_sweep over a table of the
+    accepted discs' coefficients, a row per degree.
     """
     cells = np.floor(2.0 * a.real) + 1j * np.round(a.imag)
     order = np.argsort(cells)
@@ -607,15 +619,7 @@ def _hyp1f1_on_discs(a: np.ndarray, b: float, z: complex, out: np.ndarray) -> np
     # row m: each point's coefficient of u^(M - m), from its cell's disc
     accepted = np.array([disc[0] for disc in discs if disc is not None])
     coeffs = accepted.reshape(-1, _DISC_DEGREE + 1).T[:, (np.cumsum(~refused) - 1)[cell]]
-    u = (a[order] - np.array(centres)[cell]) / _DISC_RADIUS
-    # two buffers for the whole sweep; the product is written to the other
-    # one, as an in-place complex product of numpy rounds differently at
-    # some lengths, and a value would then depend on its call
-    value, scaled = np.zeros_like(u), np.empty_like(u)
-    for row in coeffs:
-        np.multiply(value, u, out=scaled)
-        np.add(scaled, row, out=value)
-    out[order] = value
+    out[order] = _horner_sweep(coeffs, (a[order] - np.array(centres)[cell]) / _DISC_RADIUS)
     return rest
 
 

@@ -9,6 +9,8 @@ Four mechanisms feed a common report format:
   of a real profile across each root's own arc, the arcs disjoint (any
   other numerator's roots by a winding count on a small circle each), and
   one grid scan of the same profile counts and brackets the circle zeros;
+  the arc ends, the grid and the small circles are one array Horner sweep
+  each (specfun._horner_sweep);
 * argument-principle winding counts around rectangles, sampled evenly in
   arc length and doubled round by round, which count a census box;
 * vertical-line scans, each dip of |fn| settled on one Cauchy circle
@@ -56,6 +58,7 @@ from .errors import (
     UncertifiedError,
 )
 from .padic_zeta import LocalFactor
+from .specfun import _horner_sweep
 
 _METHODS = ("CompanionRoots", "CauchyCircle")
 
@@ -139,36 +142,19 @@ def _circle_points():
     return phis, xs
 
 
-def _half_turn(degree: int, phi):
-    return np.exp(-0.5j * degree * phi)
-
-
 @lru_cache(maxsize=_CIRCLE_TURNS)
 def _circle_turn(degree: int):
     """e^(-i degree phi/2) at the xs of _circle_points."""
-    turn = _half_turn(degree, _circle_points()[0][:_CIRCLE_SAMPLES])
+    turn = np.exp(-0.5j * degree * _circle_points()[0][:_CIRCLE_SAMPLES])
     turn.flags.writeable = False
     return turn
 
 
-def _profile_values(rot, coeffs, turn, xs):
+def _profile(rot, coeffs, turn, xs):
     """Re(rot turn P(xs)) for xs = e^(i phi) and turn = e^(-i D phi/2): the
-    circle profile at single angles."""
-    return (rot * turn * np.polyval(coeffs, xs)).real
-
-
-def _grid_profile(coeffs, degree: int):
-    """The circle profile of _circle_rotation at the xs of _circle_points:
-    _profile_values bit for bit, with np.polyval's Horner sweep and the
-    rotation run in place on one buffer each."""
-    out = _circle_rotation(coeffs) * _circle_turn(degree)
-    xs = _circle_points()[1]
-    vals = np.zeros_like(xs)
-    for c in coeffs:
-        vals *= xs
-        vals += c
-    out *= vals
-    return out.real
+    circle profile h of _circle_rotation at the angles phi, one
+    _horner_sweep and one product."""
+    return (rot * turn * _horner_sweep(coeffs, xs)).real
 
 
 def _profile_floor(coeffs, degree: int) -> float:
@@ -204,44 +190,32 @@ def _circle_rotation(coeffs):
     return np.conj(np.sqrt(u))
 
 
-def _circle_grid(coeffs, degree: int):
-    """(lo, hi): the brackets of the circle profile h of _circle_rotation
-    on its _CIRCLE_SAMPLES grid.  A bracket is a grid cell over which h
-    changes sign, or (phi, phi) where h is 0 at a grid angle.  The grid
-    reads both exponentials from the cached tables (_circle_points,
-    _circle_turn), so it is one Horner sweep and one product
-    (_grid_profile).  A grid value
-    within the rounding of the Horner sum (_profile_floor) counts as 0:
-    its sign is noise, and a double root on a grid angle would otherwise
-    show two sign changes.  Raises DomainError unless the numerator is
-    self-inversive.
-    """
-    phis = _circle_points()[0]
-    vals = _grid_profile(coeffs, degree)
-    vals = np.where(np.abs(vals) <= _profile_floor(coeffs, degree), 0.0, vals)
-    samples = _CIRCLE_SAMPLES
-    # close the loop; odd degree profiles are antiperiodic
-    vals = np.append(vals, vals[0] if degree % 2 == 0 else -vals[0])
-    lo = np.flatnonzero((vals[:samples] == 0.0) | (vals[:samples] * vals[1:] < 0.0))
-    return phis[lo], phis[lo + (vals[lo] != 0.0)]
-
-
 def unit_circle_certificate(factor: LocalFactor):
     """Count circle zeros of the numerator by sign changes and bracket them.
 
-    Returns (count, brackets) from one evaluation of the circle profile
-    on a grid of _CIRCLE_SAMPLES angles: the sorted brackets of
-    _circle_grid, each a grid cell holding a circle zero by the
-    intermediate value theorem or a grid angle where the profile is 0 to
-    within its rounding, and count = len(brackets).  No bracket is refined
-    and no eigenvalue is taken.  Needs a self-inversive numerator (every
-    unramified and ramified one is); D = 0 gives (0, []).
+    Returns (count, brackets) from one evaluation of the circle profile h
+    of _circle_rotation on a grid of _CIRCLE_SAMPLES angles, which reads
+    both exponentials from the cached tables (_circle_points,
+    _circle_turn).  A bracket (lo, hi) is a grid cell over which h
+    changes sign, and so holds a circle zero by the intermediate value
+    theorem, or (phi, phi) where h is 0 at a grid angle; the brackets come
+    in order of angle, and count = len(brackets).  A grid value within the
+    rounding of the Horner sum (_profile_floor) counts as 0: its sign is
+    noise, and a double root on a grid angle would otherwise show two sign
+    changes.  No bracket is refined and no eigenvalue is taken.  Needs a
+    self-inversive numerator (every unramified and ramified one is), and
+    raises DomainError for any other; D = 0 gives (0, []).
     """
     coeffs, _, degree = factor.zero_poly()
     if degree < 1:
         return 0, []
-    lo, hi = _circle_grid(coeffs, degree)
-    brackets = sorted(zip(lo.tolist(), hi.tolist()))
+    phis, xs = _circle_points()
+    vals = _profile(_circle_rotation(coeffs), coeffs, _circle_turn(degree), xs)
+    vals = np.where(np.abs(vals) <= _profile_floor(coeffs, degree), 0.0, vals)
+    # close the loop; odd degree profiles are antiperiodic
+    vals = np.append(vals, vals[0] if degree % 2 == 0 else -vals[0])
+    lo = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    brackets = list(zip(phis[lo].tolist(), phis[lo + (vals[lo] != 0.0)].tolist()))
     return len(brackets), brackets
 
 
@@ -334,7 +308,7 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     try:
         rot = _circle_rotation(coeffs)
     except DomainError:  # not self-inversive
-        rings = np.polyval(coeffs, np.array(xs)[:, None] + _CERT_RADIUS * _DIP_UNIT)
+        rings = _horner_sweep(coeffs, np.array(xs)[:, None] + _CERT_RADIUS * _DIP_UNIT)
         confirmed = [_turns(vals) == mult for (_, mult), vals in zip(clustered, rings)]
     else:
         half = _CERT_RADIUS * log_p
@@ -345,7 +319,7 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
                            for a, b in zip(ordered, ordered[1:] + [ordered[0] + 2.0 * math.pi])))
         if on_arcs:
             ends = np.array([phi - half for phi in phis] + [phi + half for phi in phis])
-            h = _profile_values(rot, coeffs, _half_turn(D, ends), np.exp(1j * ends)).tolist()
+            h = _profile(rot, coeffs, np.exp(-0.5j * D * ends), np.exp(1j * ends)).tolist()
             floor = _profile_floor(coeffs, D)
             on_arcs = (all(lo * hi < 0.0 for lo, hi in zip(h[:D], h[D:]))
                        and all(abs(v) > floor for v in h))
@@ -356,14 +330,9 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     shift = cmath.phase(complex(factor.twist)) / log_p
     locations = [factor.n_dim / 2.0 + cmath.log(x_root) / log_p for x_root in xs]
     locations = [complex(s.real, _fold_imag(s.imag + shift, period)) for s in locations]
-    # |P(x)| over the largest coefficient modulus, P(x) by Horner
+    # |P(x)| over the largest coefficient modulus
     coeff_scale = max(map(abs, cs))
-    residuals = []
-    for x_root in xs:
-        v = 0j
-        for c in cs:
-            v = v * x_root + c
-        residuals.append(abs(v) / coeff_scale)
+    residuals = [abs(_horner(cs, x_root)[0]) / coeff_scale for x_root in xs]
     return _sorted_reports(
         ZeroReport(location=s, multiplicity=mult, method="CompanionRoots", residual=resid,
                    certified=bool(ok and resid <= _ROOT_RESIDUAL))

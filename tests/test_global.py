@@ -22,7 +22,13 @@ from weakmellin.global_zeta import (
 )
 from weakmellin.padic_zeta import local_factor
 from weakmellin.specfun import _factorize, characters, completed_xi
-from weakmellin.zero_engine import ZeroReport, exp_poly_roots, line_zeros, zeros_in_window
+from weakmellin.zero_engine import (
+    ZeroReport,
+    census,
+    exp_poly_roots,
+    line_zeros,
+    zeros_in_window,
+)
 
 S_GRID = [0.3 + 5j, 0.5, 0.8 - 2j, 2.0, 1.7 - 3j, 0.25 + 11j]
 
@@ -367,6 +373,37 @@ def test_reference_strip_zero_census():
     ]
     for got, want in zip(glob_ims, (14.1347, 21.0220, 25.0109)):
         assert abs(got - want) <= 2e-4
+
+
+# (p, k, a): the winding count of each dense two-place spec
+# ((2, 1, 0), (p, a, p^-k)) that censuses on -0.1 <= Re s <= 1.1,
+# 1 <= Im s <= 40.  The other 64 specs of the grid p in {3, 5, 7, 11, 101,
+# 1009, 10007}, k in {1, 2, 3, 4, 6, 8, 12, 20}, a in {1, 2} fail at the
+# winding count or at a line report; the set that censuses may only grow
+_CORPUS_COUNTS = {
+    (3, 1, 1): 27, (3, 1, 2): 27, (3, 2, 1): 41, (3, 2, 2): 41, (3, 3, 1): 54,
+    (3, 4, 1): 68, (3, 4, 2): 68, (3, 6, 1): 95, (3, 6, 2): 95, (3, 8, 2): 123,
+    (3, 12, 1): 177, (3, 12, 2): 177,
+    (5, 1, 1): 34, (5, 1, 2): 34, (5, 2, 1): 54, (5, 2, 2): 54, (5, 3, 1): 74,
+    (5, 3, 2): 74, (5, 4, 1): 94, (5, 4, 2): 94, (5, 6, 1): 134, (5, 6, 2): 134,
+    (5, 8, 1): 174,
+    (7, 1, 1): 38, (7, 1, 2): 38, (7, 2, 1): 62, (7, 2, 2): 62, (7, 3, 1): 87,
+    (7, 3, 2): 87, (7, 4, 1): 111, (7, 4, 2): 110, (7, 6, 1): 159, (7, 6, 2): 159,
+    (11, 1, 1): 44, (11, 1, 2): 44, (11, 2, 1): 74, (11, 2, 2): 73, (11, 3, 1): 103,
+    (11, 3, 2): 103, (11, 4, 1): 133, (11, 4, 2): 133,
+    (101, 1, 1): 71, (101, 1, 2): 71, (101, 2, 1): 129, (101, 2, 2): 129,
+    (1009, 1, 1): 100, (1009, 1, 2): 100,
+    (10007, 1, 1): 129,
+}
+
+
+@pytest.mark.parametrize("p, k, a", list(_CORPUS_COUNTS))
+def test_dense_two_place_spec_censuses(p, k, a):
+    # a regression in the scan or the box count of a dense product shows
+    # here, where no single factor fails
+    spec = GlobalSpec(arch=Real(1.0, 0.0), finite=((2, F(1), F(0)), (p, F(a), F(1, p**k))))
+    _, count = census(factorize_global(spec).evaluate, (-0.1, 1.1, 1, 40), poles=(0, 1))
+    assert count == _CORPUS_COUNTS[p, k, a]
 
 
 def test_family_zeros_match_companion_roots():

@@ -388,6 +388,31 @@ def test_square_dual_routes_agree():
             assert abs(schwinger - bessel) < 2e-7 * abs(schwinger)
 
 
+def test_schwinger_refuses_rather_than_answer_noise():
+    # high on the line the Gaussian-parameter integrand cancels below the
+    # rounding of its panels: where its error estimate is above 1e-6 of
+    # the value the route refuses, and every point it answers is within
+    # 1e-6 of the closed form.  The point below was off by 1.1e6 relative
+    rng = random.Random("schwinger-47")
+    answered = refused = 0
+    for _ in range(60):
+        a = complex(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0))
+        b = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        s = complex(rng.uniform(0.11, 0.91), rng.choice((-1, 1)) * rng.uniform(8.0, 30.0))
+        try:
+            res = oracle_complex_square_mellin(a, b, 0, s)
+        except QuadratureError:
+            refused += 1
+            continue
+        answered += 1
+        want = zeta_complex_square(a, b, 0, s)
+        assert res.route == "schwinger"
+        assert abs(complex(res) - want) <= 1e-6 * abs(want), (a, b, s)
+    assert answered and refused
+    with pytest.raises(QuadratureError, match="above 1e-6 of"):
+        oracle_complex_square_mellin(2.1339 - 0.3099j, 0.0524 + 0.4444j, 0, 0.4475 - 24.7153j)
+
+
 def test_negative_angular_index_matches_conjugate_symmetry():
     # substituting z -> conj(z) in the integral flips n and conjugates b
     b = 0.35 * complex(math.cos(0.5), math.sin(0.5))

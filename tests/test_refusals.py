@@ -201,6 +201,8 @@ _TABLE = _arch_rows() + _oracle_point_rows() + _global_rows() + [
     # JobConfig
     ("config-format", ConfigError,
      _config(command="local", format="xml"), "unknown format"),
+    ("config-format-text", ConfigError,
+     _config(command="weil-index", format="text"), "unknown format 'text'"),
     ("config-field", ConfigError,
      _config(command="local", field="fp"), "unknown field kind"),
     ("config-spec", ConfigError,

@@ -456,6 +456,34 @@ def test_hyp1f1_array_values_do_not_depend_on_the_call(monkeypatch):
         sf._kummer_disc.cache_clear()  # no refusal outlives the patch
 
 
+def test_horner_sweep_matches_polyval_bit_for_bit():
+    # the one array Horner sweep behind every numpy polynomial value: the
+    # circle profile's grid and arc ends, the confirmation rings, the disc
+    # scale and the Kummer disc sweep.  It equals np.polyval bit for bit
+    # at every length, among them those of the grid (4096) and of the
+    # rings (2-D), with one polynomial for all points or one a point; an
+    # in-place product would not, at some lengths
+    rng = np.random.default_rng(47)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for length in [*range(1, 300), 511, 512, 513, 1000, 2048, 4096, 8192]:
+        x = cplx(length)
+        coeffs = cplx(41)
+        for degree in range(1, 41):
+            poly = coeffs[:degree + 1]
+            assert np.array_equal(sf._horner_sweep(poly, x), np.polyval(poly, x)), (length, degree)
+        table = cplx(9, length)
+        assert np.array_equal(sf._horner_sweep(table, x), np.polyval(table, x)), length
+    rings = cplx(7, 64)
+    for degree in range(1, 41):
+        poly = coeffs[:degree + 1]
+        assert np.array_equal(sf._horner_sweep(poly, rings), np.polyval(poly, rings)), degree
+    table = cplx(9, 7, 64)
+    assert np.array_equal(sf._horner_sweep(table, rings), np.polyval(table, rings))
+
+
 def test_hyp1f1_disc_sweep_matches_polyval_per_cell(monkeypatch):
     # seven cells of 1 to 16 points, shuffled together, one cell's disc
     # refused: each disc is fetched once, in the order of the cells, and

@@ -215,23 +215,16 @@ def test_random_scalar_numerators_stay_on_circle(theta, k, delta, p):
 
 
 def _count_profile_calls(monkeypatch):
-    """Patch the circle profile formulas, the grid's and the one single
-    angles go through, so that each evaluation records its number of
-    angles."""
+    """Patch the circle profile, which the grid and the arc ends both go
+    through, so that each evaluation records its number of angles."""
     calls = []
-    values, grid = zero_engine._profile_values, zero_engine._grid_profile
+    profile = zero_engine._profile
 
     def counting(rot, coeffs, turn, xs):
         calls.append(np.size(xs))
-        return values(rot, coeffs, turn, xs)
+        return profile(rot, coeffs, turn, xs)
 
-    def counting_grid(coeffs, degree):
-        out = grid(coeffs, degree)
-        calls.append(np.size(out))
-        return out
-
-    monkeypatch.setattr(zero_engine, "_profile_values", counting)
-    monkeypatch.setattr(zero_engine, "_grid_profile", counting_grid)
+    monkeypatch.setattr(zero_engine, "_profile", counting)
     return calls
 
 
@@ -303,7 +296,7 @@ def test_arc_ends_within_rounding_certify_nothing(monkeypatch, ramified, before,
     def at_the_ends(rot, poly, turn, xs):
         return np.repeat([before * scale, after * scale], np.size(xs) // 2)
 
-    monkeypatch.setattr(zero_engine, "_profile_values", at_the_ends)
+    monkeypatch.setattr(zero_engine, "_profile", at_the_ends)
     reports = exp_poly_roots(factor)
     assert len(reports) == degree
     assert not any(rep.certified for rep in reports)
@@ -368,11 +361,10 @@ def test_double_root_on_a_grid_angle_counts_once():
 
 @pytest.mark.parametrize("degree", [*range(1, 9), 40])
 def test_grid_tables_match_the_profile_bit_for_bit(degree):
-    # the grid reads e^(i phi) and e^(-i D phi/2) from cached tables and
-    # runs its Horner sweep in place; its values are the profile's at the
-    # same angles with both exponentials computed and np.polyval's sweep,
-    # as exp_poly_roots computes them at single angles, the seam phi = 0
-    # included
+    # the grid reads e^(i phi) and e^(-i D phi/2) from cached tables; its
+    # values are the profile's at the same angles with both exponentials
+    # computed, as exp_poly_roots computes them at the arc ends; so is the
+    # seam phi = 0 on its own, an array of length 1
     gamma = cmath.exp(0.3j)
     factor = unramified_from_constants(5, degree // 2, degree % 2, gamma)
     coeffs, _, D = factor.zero_poly()
@@ -380,16 +372,14 @@ def test_grid_tables_match_the_profile_bit_for_bit(degree):
     rot = zero_engine._circle_rotation(coeffs)
 
     def h(phi):
-        return zero_engine._profile_values(
-            rot, coeffs, zero_engine._half_turn(D, phi), np.exp(1j * phi))
+        return zero_engine._profile(rot, coeffs, np.exp(-0.5j * D * phi), np.exp(1j * phi))
 
     phis, xs = zero_engine._circle_points()
-    grid = zero_engine._grid_profile(coeffs, D)
+    turn = zero_engine._circle_turn(D)
+    grid = zero_engine._profile(rot, coeffs, turn, xs)
     assert np.array_equal(grid, h(phis[:zero_engine._CIRCLE_SAMPLES]))
-    assert np.array_equal(
-        grid, zero_engine._profile_values(rot, coeffs, zero_engine._circle_turn(D), xs))
     assert grid[0] == h(phis[:1])[0]
-    assert not xs.flags.writeable and not zero_engine._circle_turn(D).flags.writeable
+    assert not xs.flags.writeable and not turn.flags.writeable
 
 
 def test_grid_tables_are_built_on_first_use_and_bounded():
