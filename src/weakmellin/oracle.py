@@ -43,6 +43,7 @@ from .arch_zeta import _check_hermitian, _check_radial, _check_real, _check_squa
 from .errors import DegenerateError, DomainError, QuadratureError, SupportEscapeError
 from .padic_core import (
     UnitCharacter,
+    _power,
     _rational,
     _require_prime,
     theta_additive,
@@ -80,12 +81,6 @@ def _anchors(a: Fraction, b: Fraction, p: int) -> tuple[int, int, int | None]:
         return max(0, quad), quad, None
     vb = int(valuation(b, p))
     return max(0, quad, -vb), min(quad, vb - va), vb - va
-
-
-def _power(p: int, j: int) -> int | Fraction:
-    """p^j as an exact rational, an int for j >= 0 (cheaper than a
-    Fraction power)."""
-    return p**j if j >= 0 else Fraction(1, p**-j)
 
 
 def _level_profile(term, stable, top, bottom, floor, max_window,
@@ -157,9 +152,12 @@ def _mellin_stable(chi: UnitCharacter | None) -> float:
 
 
 @lru_cache(maxsize=256)
-def _mellin_profile(a: Fraction, b: Fraction, p: int,
+def _mellin_profile(an: int, ad: int, bn: int, bd: int, p: int,
                     chi: UnitCharacter | None, max_window: int):
-    """The level profile of the unit averages of oracle_padic_mellin."""
+    """The level profile of the unit averages of oracle_padic_mellin at
+    a = an/ad and b = bn/bd, both reduced.  Keyed by the four ints, whose
+    hash is cheaper than that of a Fraction."""
+    a, b = Fraction(an, ad), Fraction(bn, bd)
     n_chi = 0 if chi is None else chi.conductor_exponent
     va = int(valuation(a, p))
     vb = int(valuation(b, p)) if b != 0 else None
@@ -207,27 +205,32 @@ def oracle_padic_mellin(
     for a = 0; DomainError for a p that is not a prime, a non-finite a or
     b, a character of another prime, or an s that is not finite with
     Re(s) > 0.  The level profile is computed once per
-    (a, b, p, chi, max_window) and cached; s and twist only weight its
-    terms.
+    (a, b, p, chi, max_window) and cached, keyed by the numerators and
+    denominators of the reduced a and b, so 3, Fraction(6, 2) and 3.0
+    share an entry; s and twist only weight its terms.
     """
     s = complex(s)
     _require_point(s)
     _require_prime(p)
     a, b = _rational(a), _rational(b)
-    if a == 0:
+    if not a:
         raise DegenerateError("quadratic coefficient must be nonzero")
     if chi is not None and chi.p != p:
         raise DomainError(f"character of p = {chi.p} at p = {p}")
     return _level_sum(
-        _mellin_profile(a, b, p, chi, max_window),
+        _mellin_profile(a.numerator, a.denominator, b.numerator, b.denominator,
+                        p, chi, max_window),
         _mellin_stable(chi),
         complex(twist) * p ** (-s),
     )
 
 
 @lru_cache(maxsize=256)
-def _vector_profile(configs: tuple, p: int, max_window: int):
-    """The level profile of the shell averages of oracle_padic_vector."""
+def _vector_profile(key: tuple, p: int, max_window: int):
+    """The level profile of the shell averages of oracle_padic_vector,
+    keyed by one (an, ad, bn, bd) row of ints per component, a = an/ad
+    and b = bn/bd reduced."""
+    configs = [(Fraction(an, ad), Fraction(bn, bd)) for an, ad, bn, bd in key]
     n = len(configs)
 
     @cache  # each product serves two shell averages
@@ -266,19 +269,24 @@ def oracle_padic_vector(
     from the highest top and the lowest bottom anchor of the components.
     Raises DegenerateError for an empty configuration or a component with
     a = 0, and DomainError as oracle_padic_mellin does.  The level profile
-    is cached per (configs, p, max_window); s only weights its terms.
+    is cached per (configs, p, max_window), keyed as oracle_padic_mellin's
+    by the numerators and denominators of each reduced a and b; s only
+    weights its terms.
     """
     s = complex(s)
     _require_point(s)
     _require_prime(p)
-    configs = tuple((_rational(a), _rational(b)) for a, b in configs)
-    n = len(configs)
+    key = []
+    for a, b in configs:
+        a, b = _rational(a), _rational(b)
+        key.append((a.numerator, a.denominator, b.numerator, b.denominator))
+    n = len(key)
     if n == 0:
         raise DegenerateError("empty configuration")
-    if any(a == 0 for a, _ in configs):
+    if any(an == 0 for an, _, _, _ in key):
         raise DegenerateError("quadratic coefficient must be nonzero")
     total = _level_sum(
-        _vector_profile(configs, p, max_window), 1.0 - 1.0 / p**n, p ** (-s)
+        _vector_profile(tuple(key), p, max_window), 1.0 - 1.0 / p**n, p ** (-s)
     )
     return total / (1.0 - 1.0 / p)
 

@@ -73,7 +73,12 @@ _BLOCK = 1 << 20
 
 
 def _rational(x) -> Fraction:
-    """Fraction(x); DomainError for a non-finite float."""
+    """x itself if it is a Fraction, else Fraction(x); DomainError for a
+    non-finite float.  A Fraction is exact and already reduced, so it is
+    not rebuilt; the oracles key their profile caches by its numerator
+    and denominator."""
+    if type(x) is Fraction:
+        return x
     try:
         return Fraction(x)
     except (ValueError, OverflowError) as exc:
@@ -85,6 +90,12 @@ def _ratio(x) -> tuple[int, int]:
     if not isinstance(x, (int, Fraction)):
         x = _rational(x)
     return x.numerator, x.denominator
+
+
+def _power(p: int, j: int) -> int | Fraction:
+    """p^j as an exact rational, an int for j >= 0 (cheaper than a
+    Fraction power)."""
+    return p**j if j >= 0 else Fraction(1, p**-j)
 
 
 def _split(n: int, p: int) -> tuple[int, int]:

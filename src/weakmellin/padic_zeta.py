@@ -57,12 +57,14 @@ from .errors import (
 )
 from .padic_core import (
     UnitCharacter,
+    _int_valuation,
+    _power,
     _rational,
     _require_prime,
     _residue_sum,
     _root_of_unity,
+    _scaled_residue,
     _split,
-    frac_lambda,
     unit_average,
     valuation,
 )
@@ -84,6 +86,13 @@ __all__ = [
 _POLE_EPS = 1e-12
 
 
+def _times_power(x: Fraction, p: int, k: int) -> Fraction:
+    """x p^k, built once from the numerator and denominator of x."""
+    if k >= 0:
+        return Fraction(x.numerator * p**k, x.denominator)
+    return Fraction(x.numerator, x.denominator * p**-k)
+
+
 def rescale_normal_form(a, b, p: int, n_chi: int = 0):
     """Substitute x -> cx with a p-power c so the quadratic coefficient has
     valuation delta in {0, 1} (unramified) or -n_chi + delta (ramified).
@@ -98,10 +107,10 @@ def rescale_normal_form(a, b, p: int, n_chi: int = 0):
     target_parity_base = -n_chi
     # choose e with v(a) + 2e in {target_parity_base, target_parity_base + 1}
     e = math.ceil((target_parity_base - va) / 2)
-    c = Fraction(p) ** e
-    a_norm = a * c * c
-    b_norm = b * c
-    delta = int(valuation(a_norm, p)) - target_parity_base
+    # c = p^e, so v(a c^2) = v(a) + 2e
+    a_norm = _times_power(a, p, 2 * e)
+    b_norm = _times_power(b, p, e)
+    delta = va + 2 * e - target_parity_base
     e_scale = -e  # |c|^s = p^(e_scale * s)
     return a_norm, b_norm, e_scale, delta
 
@@ -209,7 +218,13 @@ def weil_index_padic(a, b, p: int) -> complex:
         minus = pow(2 * w % p, (p - 1) // 2, p) != 1
         turns = Fraction(2 * minus + (p % 4 == 3), 4)
     if b:
-        turns += frac_lambda(-b * b / (2 * a), p)
+        # psi(-b^2/(2a)) turns by the p-power fractional part r / p^m of
+        # num/den = -b^2/(2a), read off the unreduced integers
+        num = -b.numerator ** 2 * a.denominator
+        den = 2 * a.numerator * b.denominator ** 2
+        m = -_int_valuation(num, den, p)
+        if m > 0:
+            turns += Fraction(_scaled_residue(num, den, p, m), p**m)
     return _root_of_unity(turns)
 
 
@@ -292,7 +307,9 @@ class LocalFactor:
         if self.pole:
             den = 1.0 - power(self.p, -s)
             near = abs(den) < _POLE_EPS
-            if np.any(near):
+            # a Python bool on the scalar path, which np.any would wrap in
+            # an array for longer than the value takes
+            if near is True or (near is not False and near.any()):
                 at = s if near is True else s[near][0]
                 raise PoleError(f"local factor pole near s = {at} (p = {self.p})")
             value /= den
@@ -402,7 +419,7 @@ def local_factor_ramified(a, b, p: int, chi: UnitCharacter, twist: complex = 1.0
     a_norm, b_norm, e_scale, delta = rescale_normal_form(a, b, p, n_chi=n)
 
     def average(j: int) -> complex:
-        return unit_average(a_norm, b_norm, p, Fraction(p) ** j, chi=chi, margin=0)
+        return unit_average(a_norm, b_norm, p, _power(p, j), chi=chi, margin=0)
 
     k = -n - valuation(b_norm, p)  # -inf for b = 0
     if k > 0 or (k == 0 and delta == 1):

@@ -1350,11 +1350,13 @@ def completed_xi(s: complex) -> complex:
     """
     array = _is_array(s)
     s = s.astype(complex) if array else complex(s)
-    near = (abs(s) < 1e-6) | (abs(s - 1.0) < 1e-6)
-    if np.any(near):
-        raise PoleError(f"completed xi pole at s = {s[near][0] if array else s}")
     if array:
+        near = (abs(s) < 1e-6) | (abs(s - 1.0) < 1e-6)
+        if near.any():
+            raise PoleError(f"completed xi pole at s = {s[near][0]}")
         s = np.where(s.real < 0.0, 1.0 - s, s)
+    elif abs(s) < 1e-6 or abs(s - 1.0) < 1e-6:
+        raise PoleError(f"completed xi pole at s = {s}")
     elif s.real < 0.0:
         s = 1.0 - s
     return (_real_pow if array else pow)(math.pi, -s / 2.0) * gamma(s / 2.0) * riemann_zeta(s)

@@ -244,8 +244,8 @@ _CLUSTER_SLOPE = 1e-4
 def _cluster_roots(roots, coeffs):
     """(location, multiplicity) pairs of the roots of P = coeffs.
 
-    roots is an ndarray of approximate roots of P: all of them from
-    np.roots (exp_poly_roots), or those inside a dip circle, each
+    roots is an ndarray of approximate roots of P: all of them from the
+    companion matrix (_companion_roots), or those inside a dip circle, each
     polished by Newton's method (_dip_circle_roots).  A root with a
     slope |P'| of its natural size, sum k |c_k| max(1, |root|)^(k-1), is
     simple; taking the size at 1 or more keeps a multiple root split about
@@ -275,6 +275,28 @@ def _cluster_roots(roots, coeffs):
     return out
 
 
+def _companion_roots(coeffs):
+    """np.roots(coeffs) for a complex array coeffs, from the same companion
+    matrix and so the same eigenvalues, without np.roots' wrapper, which
+    costs about as much as the eigensolve at the degrees of the finite
+    places.
+    As np.roots does, zero leading coefficients are dropped and each zero
+    trailing one gives a root 0."""
+    nonzero = [i for i, c in enumerate(coeffs.tolist()) if c]
+    if not nonzero:
+        return np.array([])
+    lo, hi = nonzero[0], nonzero[-1] + 1
+    if hi - lo > 1:
+        companion = np.eye(hi - lo - 1, k=-1, dtype=complex)
+        companion[0] = -coeffs[lo + 1:hi] / coeffs[lo]
+        roots = np.linalg.eigvals(companion)
+    else:
+        roots = np.array([])
+    if hi < len(coeffs):
+        roots = np.concatenate((roots, np.zeros(len(coeffs) - hi, roots.dtype)))
+    return roots
+
+
 def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     """All zeros of a finite-place factor in one fundamental vertical strip.
 
@@ -300,7 +322,7 @@ def exp_poly_roots(factor: LocalFactor) -> list[ZeroReport]:
     if D < 1:
         return []
     log_p = math.log(factor.p)
-    clustered = _cluster_roots(np.roots(coeffs), coeffs)
+    clustered = _cluster_roots(_companion_roots(coeffs), coeffs)
     # the D roots and their checks are Python scalars: at the degrees of
     # the finite places an array call costs more than the loop it replaces
     xs = [x_root for x_root, _ in clustered]

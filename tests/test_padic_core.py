@@ -52,6 +52,19 @@ def test_valuation_frozen():
     assert valuation(0, 5) == math.inf
 
 
+def test_rational_returns_a_fraction_as_it_is_and_refuses_non_finite_floats():
+    # a Fraction is exact and reduced, so it is not rebuilt; anything else
+    # converts as Fraction(x) does, except that nan and inf are refused
+    x = Fraction(6, 4)
+    assert padic_core._rational(x) is x
+    for y in (3, 1.5, "3/2", np.float64(0.25)):
+        assert padic_core._rational(y) == Fraction(y)
+        assert type(padic_core._rational(y)) is Fraction
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(DomainError, match="p-adic inputs are rationals"):
+            padic_core._rational(bad)
+
+
 @pytest.mark.parametrize("p", [2, 3, 7])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())

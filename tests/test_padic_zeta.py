@@ -665,6 +665,24 @@ def test_vector_pole_guards():
     assert abs(lf.evaluate(2.0) - oracle_padic_vector(((1, 0), (1, 0)), 3, 2.0)) < 1e-12
 
 
+@pytest.mark.parametrize("lf", [
+    local_factor(1, Fraction(1, 3), 3),
+    padic_vector_factor(((1, 0), (1, Fraction(1, 3))), 3),
+], ids=["unramified", "vector"])
+def test_array_pole_raises_at_the_pole(lf):
+    # the scalar path tests a Python bool, an array its .any(): an array
+    # holding a pole of the lattice raises PoleError at the first pole it
+    # holds, with the message of a scalar call there
+    period = 2j * math.pi / math.log(3)
+    for pole, pts in ((0j, [2.0, 0.0, 0.5 + 1j]), (period, [0.5 + 1j, period, 0.0])):
+        with pytest.raises(PoleError) as scalar:
+            lf.evaluate(pole)
+        with pytest.raises(PoleError) as array:
+            lf.evaluate(np.array(pts))
+        assert str(array.value) == str(scalar.value)
+        assert str(scalar.value) == f"local factor pole near s = {pole} (p = 3)"
+
+
 def test_unramified_builders_run_no_residue_sum(monkeypatch):
     # every unramified profile and Gauss phase is closed-form, at any p up
     # to the cap; only the ramified builder and the oracles sum

@@ -1283,3 +1283,13 @@ def test_completed_xi_poles():
     for s in [0.0, 1.0, 1e-9 + 1e-9j]:
         with pytest.raises(PoleError):
             sf.completed_xi(s)
+
+
+def test_completed_xi_pole_messages():
+    # a scalar tests its two bools, an array its .any(); each names the
+    # first point within 1e-6 of a pole
+    for s, at in [(1.0, "(1+0j)"), (1e-9j, "1e-09j"),
+                  (np.array([2.0, 1 + 1e-8j, 0.0]), "(1+1e-08j)")]:
+        with pytest.raises(PoleError) as err:
+            sf.completed_xi(s)
+        assert str(err.value) == f"completed xi pole at s = {at}"

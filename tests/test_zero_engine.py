@@ -88,6 +88,24 @@ def test_companion_roots_on_unit_circle(p, k):
     assert count == 2 * k
 
 
+def test_companion_roots_match_np_roots_bit_for_bit():
+    # exp_poly_roots solves the companion matrix np.roots builds, without
+    # its wrapper: the same eigenvalues, also where zero leading
+    # coefficients are dropped and zero trailing ones give roots at 0
+    rng = np.random.default_rng(48)
+    polys = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in range(1, 42)]
+    polys += [np.concatenate((np.zeros(lead), poly[:5], np.zeros(trail)))
+              for poly in polys[4:8] for lead in (0, 1, 2) for trail in (0, 1, 3)]
+    polys += [np.array([0j, 0j]), np.array([0j, 2j, 0j]), np.array([3 + 0j, 0j, 0j])]
+    for chi in [None, *unit_characters(5, 1)]:
+        for k in range(6):
+            polys.append(local_factor(Fraction(3, 7), Fraction(2, 5**k), 5, chi=chi).zero_poly()[0])
+    for poly in polys:
+        want = np.roots(poly)
+        got = zero_engine._companion_roots(poly)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), poly
+
+
 def test_no_zeros_at_trivial_level():
     factor = local_factor_unramified(Fraction(1), Fraction(0), 5)
     assert factor.k == 0 and factor.delta == 0
